@@ -9,9 +9,12 @@ import "flashsim/internal/sim"
 // processor until the oldest entry drains.
 type WriteBuffer struct {
 	entries int
-	drains  []sim.Ticks // completion times of in-flight stores, ascending
-	stalls  uint64
-	stallT  sim.Ticks
+	// drains holds the completion times of in-flight stores, ascending.
+	// Its backing array has entries slots and is never outgrown: removals
+	// compact in place and insertions come after room was made.
+	drains []sim.Ticks
+	stalls uint64
+	stallT sim.Ticks
 }
 
 // NewWriteBuffer creates a write buffer with the given entry count.
@@ -19,7 +22,7 @@ func NewWriteBuffer(entries int) *WriteBuffer {
 	if entries <= 0 {
 		entries = 1
 	}
-	return &WriteBuffer{entries: entries}
+	return &WriteBuffer{entries: entries, drains: make([]sim.Ticks, 0, entries)}
 }
 
 // Push records a store issued at time t whose memory operation completes
@@ -28,25 +31,8 @@ func NewWriteBuffer(entries int) *WriteBuffer {
 // full.
 func (w *WriteBuffer) Push(t, done sim.Ticks) sim.Ticks {
 	w.expire(t)
-	proceed := t
-	if len(w.drains) >= w.entries {
-		oldest := w.drains[0]
-		w.drains = w.drains[1:]
-		if oldest > proceed {
-			w.stalls++
-			w.stallT += oldest - proceed
-			proceed = oldest
-		}
-	}
-	// Insert keeping ascending order (completions can be out of order
-	// only through contention skew; keep it sorted for correctness).
-	i := len(w.drains)
-	for i > 0 && w.drains[i-1] > done {
-		i--
-	}
-	w.drains = append(w.drains, 0)
-	copy(w.drains[i+1:], w.drains[i:])
-	w.drains[i] = done
+	proceed := w.admit(t)
+	w.insert(done)
 	return proceed
 }
 
@@ -60,19 +46,10 @@ func (w *WriteBuffer) Push(t, done sim.Ticks) sim.Ticks {
 // buffer).
 func (w *WriteBuffer) PushPending(t sim.Ticks) (proceed sim.Ticks, ok bool) {
 	w.expire(t)
-	proceed = t
-	if len(w.drains) >= w.entries {
-		if w.drains[0] == sim.Forever {
-			return 0, false
-		}
-		oldest := w.drains[0]
-		w.drains = w.drains[1:]
-		if oldest > proceed {
-			w.stalls++
-			w.stallT += oldest - proceed
-			proceed = oldest
-		}
+	if len(w.drains) >= w.entries && w.drains[0] == sim.Forever {
+		return 0, false
 	}
+	proceed = w.admit(t)
 	w.drains = append(w.drains, sim.Forever)
 	return proceed, true
 }
@@ -83,20 +60,41 @@ func (w *WriteBuffer) PushPending(t sim.Ticks) (proceed sim.Ticks, ok bool) {
 // FIFO-correct.
 func (w *WriteBuffer) Patch(done sim.Ticks) {
 	for i, d := range w.drains {
-		if d != sim.Forever {
-			continue
+		if d == sim.Forever {
+			w.remove(i, 1)
+			w.insert(done)
+			return
 		}
-		copy(w.drains[i:], w.drains[i+1:])
-		w.drains = w.drains[:len(w.drains)-1]
-		j := len(w.drains)
-		for j > 0 && w.drains[j-1] > done {
-			j--
-		}
-		w.drains = append(w.drains, 0)
-		copy(w.drains[j+1:], w.drains[j:])
-		w.drains[j] = done
-		return
 	}
+}
+
+// admit makes room for a store issued at t: on a full buffer the oldest
+// entry leaves and the processor waits for its drain. It returns when
+// the processor may proceed.
+func (w *WriteBuffer) admit(t sim.Ticks) sim.Ticks {
+	if len(w.drains) < w.entries {
+		return t
+	}
+	oldest := w.drains[0]
+	w.remove(0, 1)
+	if oldest > t {
+		w.stalls++
+		w.stallT += oldest - t
+		return oldest
+	}
+	return t
+}
+
+// insert places done in ascending order (completions can be out of
+// order only through contention skew; keep it sorted for correctness).
+// The caller has made room.
+func (w *WriteBuffer) insert(done sim.Ticks) {
+	i := len(w.drains)
+	w.drains = w.drains[:i+1]
+	for ; i > 0 && w.drains[i-1] > done; i-- {
+		w.drains[i] = w.drains[i-1]
+	}
+	w.drains[i] = done
 }
 
 // DrainBy returns the time by which every buffered store has completed,
@@ -121,8 +119,13 @@ func (w *WriteBuffer) expire(t sim.Ticks) {
 		n++
 	}
 	if n > 0 {
-		w.drains = w.drains[n:]
+		w.remove(0, n)
 	}
+}
+
+// remove drops the n entries at index i, compacting in place.
+func (w *WriteBuffer) remove(i, n int) {
+	w.drains = w.drains[:i+copy(w.drains[i:], w.drains[i+n:])]
 }
 
 // Stalls returns how many stores stalled on a full buffer and the total
@@ -141,10 +144,15 @@ func (w *WriteBuffer) Occupied(t sim.Ticks) int {
 // busy must wait for the earliest completion.
 type MSHRs struct {
 	n       int
-	pending map[uint64]sim.Ticks // line addr -> completion time
+	pending []mshr // outstanding misses, at most one per line, unordered
 	merges  uint64
 	stalls  uint64
 	stallT  sim.Ticks
+}
+
+type mshr struct {
+	line uint64
+	done sim.Ticks // when the line's miss completes
 }
 
 // NewMSHRs creates an MSHR file with n registers.
@@ -152,36 +160,40 @@ func NewMSHRs(n int) *MSHRs {
 	if n <= 0 {
 		n = 1
 	}
-	return &MSHRs{n: n, pending: make(map[uint64]sim.Ticks, n)}
+	return &MSHRs{n: n, pending: make([]mshr, 0, n)}
 }
 
 // Lookup reports whether a miss on lineAddr is already outstanding at
 // time t and, if so, when it completes (the new request merges).
 func (m *MSHRs) Lookup(lineAddr uint64, t sim.Ticks) (sim.Ticks, bool) {
 	m.expire(t)
-	done, ok := m.pending[lineAddr]
-	if ok {
-		m.merges++
+	for _, r := range m.pending {
+		if r.line == lineAddr {
+			m.merges++
+			return r.done, true
+		}
 	}
-	return done, ok
+	return 0, false
 }
 
 // Reserve allocates a register for a miss on lineAddr issued at time t.
 // It returns the time the miss may actually be issued to the memory
 // system: t if a register is free, else the earliest completion time
-// among outstanding misses.
+// among outstanding misses (the lowest line address among equals gives
+// up its register).
 func (m *MSHRs) Reserve(lineAddr uint64, t sim.Ticks) sim.Ticks {
 	m.expire(t)
 	issue := t
 	if len(m.pending) >= m.n {
-		earliest := sim.Forever
-		var victim uint64
-		for a, d := range m.pending {
-			if d < earliest || (d == earliest && a < victim) {
-				earliest, victim = d, a
+		v := 0
+		for i, r := range m.pending {
+			if c := m.pending[v]; r.done < c.done || (r.done == c.done && r.line < c.line) {
+				v = i
 			}
 		}
-		delete(m.pending, victim)
+		earliest := m.pending[v].done
+		m.pending[v] = m.pending[len(m.pending)-1]
+		m.pending = m.pending[:len(m.pending)-1]
 		if earliest > issue {
 			m.stalls++
 			m.stallT += earliest - issue
@@ -192,15 +204,26 @@ func (m *MSHRs) Reserve(lineAddr uint64, t sim.Ticks) sim.Ticks {
 }
 
 // Complete records that the miss on lineAddr completes at done.
-func (m *MSHRs) Complete(lineAddr uint64, done sim.Ticks) { m.pending[lineAddr] = done }
+func (m *MSHRs) Complete(lineAddr uint64, done sim.Ticks) {
+	for i := range m.pending {
+		if m.pending[i].line == lineAddr {
+			m.pending[i].done = done
+			return
+		}
+	}
+	m.pending = append(m.pending, mshr{lineAddr, done})
+}
 
 // expire retires registers whose misses completed by t.
 func (m *MSHRs) expire(t sim.Ticks) {
-	for a, d := range m.pending {
-		if d <= t {
-			delete(m.pending, a)
+	k := 0
+	for _, r := range m.pending {
+		if r.done > t {
+			m.pending[k] = r
+			k++
 		}
 	}
+	m.pending = m.pending[:k]
 }
 
 // Merges returns the number of merged (piggybacked) requests.

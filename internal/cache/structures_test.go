@@ -101,6 +101,84 @@ func TestMSHRExpiry(t *testing.T) {
 	}
 }
 
+// TestMSHRVictimTieBreak pins the rule for two registers completing on
+// the same tick: the lowest line address gives up its register,
+// whatever order the misses were issued in.
+func TestMSHRVictimTieBreak(t *testing.T) {
+	for _, order := range [][3]uint64{{0x100, 0x200, 0x300}, {0x200, 0x100, 0x300}, {0x300, 0x200, 0x100}} {
+		m := NewMSHRs(3)
+		for _, line := range order {
+			m.Reserve(line, 0)
+			m.Complete(line, 400)
+		}
+		m.Complete(0x300, 900) // a re-completed line keeps its one register
+		if issue := m.Reserve(0x400, 10); issue != 400 {
+			t.Fatalf("order %x: issue = %d, want 400", order, issue)
+		}
+		m.Complete(0x400, 1000)
+		if _, ok := m.Lookup(0x100, 10); ok {
+			t.Fatalf("order %x: lowest address kept its register", order)
+		}
+		if done, ok := m.Lookup(0x200, 10); !ok || done != 400 {
+			t.Fatalf("order %x: 0x200 lost its register (%d, %v)", order, done, ok)
+		}
+		if done, ok := m.Lookup(0x300, 10); !ok || done != 900 {
+			t.Fatalf("order %x: 0x300 = (%d, %v), want (900, true)", order, done, ok)
+		}
+		if got := m.Outstanding(10); got != 3 {
+			t.Fatalf("order %x: %d outstanding, want 3", order, got)
+		}
+		// At t=400 only 0x200 retires; the next victim is the earlier of
+		// the two that remain.
+		if issue := m.Reserve(0x500, 400); issue != 400 {
+			t.Fatalf("order %x: free register not used: %d", order, issue)
+		}
+		m.Complete(0x500, 2000)
+		if issue := m.Reserve(0x600, 500); issue != 900 {
+			t.Fatalf("order %x: issue = %d, want 900", order, issue)
+		}
+	}
+}
+
+// TestWriteBufferPendingCycleDoesNotAllocate cycles placeholders through
+// a full buffer the way the barrier does (PushPending in the parallel
+// phase, Patch at the barrier), with out-of-order completions, and
+// checks results against the stall arithmetic as well as the allocator.
+func TestWriteBufferPendingCycleDoesNotAllocate(t *testing.T) {
+	wb := NewWriteBuffer(4)
+	now := sim.Ticks(0)
+	for i := 0; i < 3; i++ {
+		wb.PushPending(now)
+		wb.Patch(now + 1000)
+	}
+	// AllocsPerRun reports whole allocations per run, so one run is many
+	// stores: a buffer that reallocates once in a while must not round
+	// down to zero.
+	i := 0
+	if a := testing.AllocsPerRun(100, func() {
+		for k := 0; k < 64; k++ {
+			i++
+			now += 10
+			proceed, ok := wb.PushPending(now)
+			if !ok || proceed < now {
+				t.Fatalf("PushPending(%d) = (%d, %v)", now, proceed, ok)
+			}
+			if proceed > now {
+				now = proceed
+			}
+			wb.Patch(now + 300 + sim.Ticks(i%3)*200)
+			if wb.Occupied(now) > 4 {
+				t.Fatal("buffer over capacity")
+			}
+		}
+	}); a != 0 {
+		t.Fatalf("PushPending+Patch allocates %.0f objects per 64 stores", a)
+	}
+	if stalls, _ := wb.Stalls(); stalls == 0 {
+		t.Fatal("the cycle never filled the buffer")
+	}
+}
+
 func TestL2InterfaceDisabled(t *testing.T) {
 	l := &L2Interface{Enabled: false, TransferTicks: 100}
 	if l.AcquireForRefill(50) != 50 || l.AcquireForTagCheck(50) != 50 {

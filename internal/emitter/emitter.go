@@ -35,14 +35,15 @@ const BatchSize = 2048
 // chanDepth is the number of in-flight batches per thread.
 const chanDepth = 8
 
-// poolSize is the number of instruction-batch buffers per thread. The
-// buffers circulate: Thread fills one, sends it on the data channel,
+// poolSize is the most instruction-batch buffers a thread ever owns.
+// The buffers circulate: Thread fills one, sends it on the data channel,
 // and takes its next from the free channel, which the Reader refills as
 // it finishes consuming each batch. chanDepth can be in flight, one is
 // being filled, and the slack buffer keeps the producer from blocking
 // on the Reader's hand-off in steady state — so a billion-instruction
 // run reuses this fixed set of slabs instead of allocating one per
-// send.
+// send. A slab is made only when the producer needs one and none has
+// come back yet, so a thread that emits three batches owns three.
 const poolSize = chanDepth + 1
 
 // maxDepDistance caps encoded dependence distances; anything further
@@ -79,6 +80,7 @@ type Thread struct {
 	free  chan []isa.Instr // recycled batch buffers from the Reader
 	abort <-chan struct{}
 	buf   []isa.Instr
+	slabs int    // batch buffers made so far, at most poolSize
 	count uint64 // instructions emitted so far
 	rng   uint64 // per-thread deterministic PRNG state
 	held  map[uint32]*sync.Mutex
@@ -114,9 +116,12 @@ func (t *Thread) emit(in isa.Instr) Val {
 	return Val{idx: t.count}
 }
 
-func (t *Thread) flush() {
+// send hands a non-empty batch to the consumer and reports whether it
+// did; t.buf then belongs to the consumer, so only flush, which replaces
+// it, and the end of the stream call this.
+func (t *Thread) send() bool {
 	if len(t.buf) == 0 {
-		return
+		return false
 	}
 	if t.tap != nil {
 		// Mirror the batch before it leaves the producer: the tap reads
@@ -129,10 +134,25 @@ func (t *Thread) flush() {
 	case <-t.abort:
 		panic(abortPanic{})
 	}
-	// Take the next slab from the recycling pool. The Reader returns
-	// each consumed buffer before blocking for the next batch, so this
-	// receive cannot deadlock against a live consumer; an abandoned
-	// consumer is handled by the abort arm.
+	return true
+}
+
+// flush hands the batch being filled to the consumer and takes an empty
+// slab for the next one.
+func (t *Thread) flush() {
+	if !t.send() {
+		return
+	}
+	// Take the next slab: a new one while none has come back and the
+	// pool is short of poolSize, else from the recycling pool. The
+	// Reader returns each consumed buffer before blocking for the next
+	// batch, so this receive cannot deadlock against a live consumer;
+	// an abandoned consumer is handled by the abort arm.
+	if len(t.free) == 0 && t.slabs < poolSize {
+		t.slabs++
+		t.buf = make([]isa.Instr, 0, BatchSize)
+		return
+	}
 	select {
 	case b := <-t.free:
 		t.buf = b[:0]
@@ -472,13 +492,10 @@ func StartTapped(nthreads int, body func(t *Thread), tap Tap) *Streams {
 	}
 	for i := 0; i < nthreads; i++ {
 		ch := make(chan []isa.Instr, chanDepth)
-		// The batch pool: poolSize slabs per thread, allocated once here
-		// and recycled through free for the life of the stream. One
-		// starts in the Thread's hands; the rest wait in free.
+		// The batch pool: up to poolSize slabs per thread, recycled
+		// through free for the life of the stream. The first starts in
+		// the Thread's hands; flush makes the others as it needs them.
 		free := make(chan []isa.Instr, poolSize)
-		for j := 0; j < poolSize-1; j++ {
-			free <- make([]isa.Instr, 0, BatchSize)
-		}
 		s.Readers[i] = &Reader{ch: ch, free: free}
 		t := &Thread{
 			ID:    i,
@@ -488,6 +505,7 @@ func StartTapped(nthreads int, body func(t *Thread), tap Tap) *Streams {
 			free:  free,
 			abort: s.abortCh,
 			buf:   make([]isa.Instr, 0, BatchSize),
+			slabs: 1,
 			rng:   0x9E3779B97F4A7C15 ^ (uint64(i+1) * 0xBF58476D1CE4E5B9),
 			tap:   tap,
 		}
@@ -509,7 +527,7 @@ func StartTapped(nthreads int, body func(t *Thread), tap Tap) *Streams {
 				}
 			}()
 			body(t)
-			t.flush()
+			t.send() // the last batch needs no successor slab
 		}()
 	}
 	return s

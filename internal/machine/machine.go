@@ -180,7 +180,7 @@ func (m *Machine) step(n *node, now sim.Ticks) {
 		m.finishTimes[n.id] = out.Time
 		n.shard.finished++
 	case cpu.SyncOp:
-		n.port.push(pendingOp{kind: opSync, t: out.Time, instr: out.Instr})
+		n.port.push(pendingOp{kind: opSync, t: out.Time, op: out.Instr.Op, aux: out.Instr.Aux})
 	}
 }
 
@@ -206,11 +206,10 @@ const (
 // the barrier's serial phase: every earlier deferred store has already
 // patched its write-buffer placeholder (per-node op order), so DrainBy
 // sees only resolved drain times.
-func (m *Machine) handleSync(n *node, out cpu.Outcome) {
-	id := out.Instr.Aux
-	switch out.Instr.Op {
+func (m *Machine) handleSync(n *node, at sim.Ticks, op isa.Op, id uint32) {
+	switch op {
 	case isa.Barrier:
-		t := n.port.wb.DrainBy(out.Time)
+		t := n.port.wb.DrainBy(at)
 		w := m.mem.Write(t, n.id, m.syncPA(barrierFrameBase, id))
 		bs := m.barriers[id]
 		if bs == nil {
@@ -231,7 +230,7 @@ func (m *Machine) handleSync(n *node, out cpu.Outcome) {
 			bs.maxT = 0
 		}
 	case isa.Lock:
-		t := n.port.wb.DrainBy(out.Time)
+		t := n.port.wb.DrainBy(at)
 		w := m.mem.Write(t, n.id, m.syncPA(lockFrameBase, id))
 		ls := m.locks[id]
 		if ls == nil {
@@ -245,7 +244,7 @@ func (m *Machine) handleSync(n *node, out cpu.Outcome) {
 			ls.queue = append(ls.queue, lockWaiter{node: n.id, ready: w.Done})
 		}
 	case isa.Unlock:
-		t := n.port.wb.DrainBy(out.Time)
+		t := n.port.wb.DrainBy(at)
 		w := m.mem.Write(t, n.id, m.syncPA(lockFrameBase, id))
 		ls := m.locks[id]
 		if ls == nil || !ls.held {
@@ -269,7 +268,7 @@ func (m *Machine) handleSync(n *node, out cpu.Outcome) {
 			ls.held = false
 		}
 	default:
-		m.runErr = fmt.Errorf("machine %q: unexpected sync op %v", m.cfg.Name, out.Instr.Op)
+		m.runErr = fmt.Errorf("machine %q: unexpected sync op %v", m.cfg.Name, op)
 	}
 }
 

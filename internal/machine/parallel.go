@@ -1,8 +1,9 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"flashsim/internal/cpu"
 	"flashsim/internal/isa"
@@ -102,9 +103,21 @@ type pendingOp struct {
 	va      uint64
 	pa      uint64
 	size    uint32
-	aux     uint32
+	aux     uint32 // CACHE sub-op, or the lock/barrier id of an opSync
+	op      isa.Op // the instruction kind, for opSync and opWarmFull
 	tlbMiss bool
-	instr   isa.Instr
+}
+
+// compareOps orders deferred operations by their (t, node, seq) key. The
+// key is unique, so any sort yields the one order.
+func compareOps(a, b pendingOp) int {
+	if c := cmp.Compare(a.t, b.t); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.node, b.node); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // shard is one partition of the machine's nodes with its private event
@@ -188,16 +201,9 @@ func (m *Machine) drive() {
 			if len(merged) == 0 {
 				break
 			}
-			sort.Slice(merged, func(i, j int) bool {
-				a, b := merged[i], merged[j]
-				if a.t != b.t {
-					return a.t < b.t
-				}
-				if a.node != b.node {
-					return a.node < b.node
-				}
-				return a.seq < b.seq
-			})
+			if !slices.IsSortedFunc(merged, compareOps) {
+				slices.SortFunc(merged, compareOps)
+			}
 			for i := range merged {
 				m.execOp(&merged[i])
 			}
@@ -274,7 +280,7 @@ func (m *Machine) execOp(op *pendingOp) {
 	p := n.port
 	switch op.kind {
 	case opSync:
-		m.handleSync(n, cpu.Outcome{Kind: cpu.SyncOp, Time: op.t, Instr: op.instr})
+		m.handleSync(n, op.t, op.op, op.aux)
 	case opLoadMiss:
 		m.deliver(n, p.finishLoadMiss(op.t, op.pa, op.tlbMiss))
 	case opLoadFull:
@@ -301,7 +307,7 @@ func (m *Machine) execOp(op *pendingOp) {
 	case opWarmStore:
 		p.finishWarmStore(op.t, op.pa)
 	case opWarmFull:
-		p.warmAccess(op.t, op.instr, false)
+		p.warmAccess(op.t, op.op, op.va, false)
 	default:
 		m.runErr = fmt.Errorf("machine %q: unknown pending op kind %d", m.cfg.Name, op.kind)
 	}

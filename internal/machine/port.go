@@ -403,15 +403,15 @@ func (p *memPort) SyscallCost(aux uint32) uint32 { return p.m.os.SyscallCost(p.n
 // Warm accesses never suspend the core: deferred shared work is always
 // fire-and-forget, and the finishWarm* rechecks keep a line another
 // deferred op already landed from being fetched twice.
-func (p *memPort) warmAccess(t sim.Ticks, in isa.Instr, canDefer bool) {
-	switch in.Op {
+func (p *memPort) warmAccess(t sim.Ticks, op isa.Op, va uint64, canDefer bool) {
+	switch op {
 	case isa.Load:
-		if canDefer && p.m.os.NeedsFault(in.Addr) {
-			p.push(pendingOp{kind: opWarmFull, t: t, instr: in})
+		if canDefer && p.m.os.NeedsFault(va) {
+			p.push(pendingOp{kind: opWarmFull, t: t, op: op, va: va})
 			return
 		}
 		p.stats.Loads++
-		pa := p.m.os.Translate(p.node, in.Addr).PA
+		pa := p.m.os.Translate(p.node, va).PA
 		if _, hit := p.l1.Access(pa, false); hit {
 			p.stats.L1Hits++
 			return
@@ -428,12 +428,12 @@ func (p *memPort) warmAccess(t sim.Ticks, in isa.Instr, canDefer bool) {
 		p.finishWarmLoad(t, pa)
 
 	case isa.Store:
-		if canDefer && p.m.os.NeedsFault(in.Addr) {
-			p.push(pendingOp{kind: opWarmFull, t: t, instr: in})
+		if canDefer && p.m.os.NeedsFault(va) {
+			p.push(pendingOp{kind: opWarmFull, t: t, op: op, va: va})
 			return
 		}
 		p.stats.Stores++
-		pa := p.m.os.Translate(p.node, in.Addr).PA
+		pa := p.m.os.Translate(p.node, va).PA
 		if st, hit := p.l1.Access(pa, true); hit {
 			p.stats.L1Hits++
 			if st == cache.Exclusive {
@@ -456,11 +456,11 @@ func (p *memPort) warmAccess(t sim.Ticks, in isa.Instr, canDefer bool) {
 	case isa.CacheOp:
 		// State-changing: perform the invalidation and writeback so
 		// later windows see the flushed lines.
-		if canDefer && p.m.os.NeedsFault(in.Addr) {
-			p.push(pendingOp{kind: opWarmFull, t: t, instr: in})
+		if canDefer && p.m.os.NeedsFault(va) {
+			p.push(pendingOp{kind: opWarmFull, t: t, op: op, va: va})
 			return
 		}
-		pa := p.m.os.Translate(p.node, in.Addr).PA
+		pa := p.m.os.Translate(p.node, va).PA
 		dirty := false
 		for a := p.l2.Config().LineAddr(pa); a < p.l2.Config().LineAddr(pa)+p.l2.Config().LineSize; a += p.l1.Config().LineSize {
 			if p.l1.Invalidate(a) == cache.Modified {

@@ -154,6 +154,50 @@ func TestWritebackAndReplaceUpdateDirectory(t *testing.T) {
 	}
 }
 
+// TestFlashLiteSteadyStateDoesNotAllocate pins the loaded path: once
+// every line of a sharing pattern has its directory entry and every
+// controller, bank, link and router on its routes has made its
+// reservation window, reads (clean, dirty-remote, three-hop), writes
+// with invalidation fan-out, upgrades and writebacks allocate nothing.
+func TestFlashLiteSteadyStateDoesNotAllocate(t *testing.T) {
+	const nodes, lines = 8, 64
+	f := newFL(nodes)
+	now := sim.Ticks(0)
+	cycle := func() {
+		for i := 0; i < lines; i++ {
+			h := i % nodes
+			l := pa(h, uint32(1+i))
+			r1, r2, w := (i+1)%nodes, (i+3)%nodes, (i+6)%nodes
+			now = f.Read(now, r1, l).Done
+			f.Read(now+5, r2, l) // three-hop when r1 holds it exclusive
+			f.Read(now+5, h, l)
+			now = f.Write(now+10, w, l).Done // invalidates the sharers
+			f.Write(now, w, l)               // already owned: upgrade
+			f.Read(now+20, h, l)             // dirty at a remote node
+			f.Write(now+25, h, l)
+			f.Read(now+30, r2, l) // dirty at the home node
+			if i%4 == 0 {
+				f.Write(now+40, r1, l)
+				f.Writeback(now+50, r1, l)
+			}
+		}
+	}
+	for k := 0; k < 3; k++ {
+		cycle()
+	}
+	// One run is a whole cycle of several hundred requests: AllocsPerRun
+	// reports whole allocations per run.
+	if a := testing.AllocsPerRun(5, cycle); a != 0 {
+		t.Fatalf("a warm cycle of %d lines allocates %.0f objects", lines, a)
+	}
+	st := f.Directory().Stats()
+	for c := proto.LocalClean; c < proto.NumCases; c++ {
+		if st.CaseCounts[c] == 0 {
+			t.Errorf("pattern never exercised case %v", c)
+		}
+	}
+}
+
 func TestNames(t *testing.T) {
 	if newFL(2).Name() != "flashlite" || NewNUMA(DefaultNUMAConfig(2)).Name() != "numa" {
 		t.Fatal("names")

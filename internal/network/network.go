@@ -44,9 +44,11 @@ func DefaultConfig(nodes int) Config {
 
 // Network is the interconnect instance.
 type Network struct {
-	cfg     Config
-	dims    int
-	links   map[[2]int]*sim.Server
+	cfg  Config
+	dims int
+	// links holds every directed link of the cube: the link leaving
+	// node a along dimension d (to node a^(1<<d)) is links[a*dims+d].
+	links   []sim.Server
 	routers []sim.Server
 	stats   NetStats
 }
@@ -69,13 +71,12 @@ func New(cfg Config) *Network {
 	for 1<<dims < cfg.Nodes {
 		dims++
 	}
-	n := &Network{
+	return &Network{
 		cfg:     cfg,
 		dims:    dims,
-		links:   make(map[[2]int]*sim.Server),
+		links:   make([]sim.Server, dims<<dims),
 		routers: make([]sim.Server, 1<<dims),
 	}
-	return n
 }
 
 // Config returns the interconnect configuration.
@@ -127,16 +128,6 @@ func (n *Network) Hops(src, dst int) int {
 	return h
 }
 
-func (n *Network) link(a, b int) *sim.Server {
-	key := [2]int{a, b}
-	l, ok := n.links[key]
-	if !ok {
-		l = &sim.Server{Name: fmt.Sprintf("link %d->%d", a, b)}
-		n.links[key] = l
-	}
-	return l
-}
-
 // Send models transmitting size bytes from src to dst starting at time
 // t. It returns the time the last byte arrives at dst. With contention
 // modeling on, the message serializes over every directed link of its
@@ -150,10 +141,15 @@ func (n *Network) Send(t sim.Ticks, src, dst int, size int) sim.Ticks {
 	ser := sim.Ticks(uint64(size)*uint64(n.cfg.TicksPerKByte)/1024 + 1)
 	now := t
 	cur := src
-	for _, next := range n.Route(src, dst) {
+	// The e-cube walk of Route, one dimension at a time.
+	for d, diff := 0, src^dst; d < n.dims; d++ {
+		if diff&(1<<d) == 0 {
+			continue
+		}
 		n.stats.Hops++
+		next := cur ^ 1<<d
 		if n.cfg.ModelContention {
-			_, done := n.link(cur, next).Acquire(now, ser)
+			_, done := n.links[cur*n.dims+d].Acquire(now, ser)
 			now = done + n.cfg.HopTicks
 			_, now = n.routers[next].Acquire(now, n.cfg.RouterTicks)
 		} else {
@@ -174,8 +170,8 @@ func (n *Network) LatencyOnly(src, dst int, size int) sim.Ticks {
 
 // Reset clears all reservation state and statistics.
 func (n *Network) Reset() {
-	for _, l := range n.links {
-		l.Reset()
+	for i := range n.links {
+		n.links[i].Reset()
 	}
 	for i := range n.routers {
 		n.routers[i].Reset()
@@ -183,11 +179,15 @@ func (n *Network) Reset() {
 	n.stats = NetStats{}
 }
 
-// LinkStats returns per-link utilization, keyed "a->b".
+// LinkStats returns the utilization of every directed link that has
+// carried traffic, keyed "a->b".
 func (n *Network) LinkStats() map[string]sim.Stats {
-	out := make(map[string]sim.Stats, len(n.links))
-	for k, l := range n.links {
-		out[fmt.Sprintf("%d->%d", k[0], k[1])] = l.Stats()
+	out := make(map[string]sim.Stats)
+	for i := range n.links {
+		if st := n.links[i].Stats(); st.Uses > 0 {
+			a, d := i/n.dims, i%n.dims
+			out[fmt.Sprintf("%d->%d", a, a^1<<d)] = st
+		}
 	}
 	return out
 }

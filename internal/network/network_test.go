@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -136,3 +137,165 @@ func TestSerializationTimeGrowsWithSize(t *testing.T) {
 	}
 	_ = sim.Ticks(0)
 }
+
+// TestSendWalksRoute: on every (src, dst) pair of full, partial and
+// degenerate cubes, one Send reserves exactly the directed links of
+// Route(src, dst), once each, counts Hops(src, dst) hops, and takes the
+// uncontended per-hop time.
+func TestSendWalksRoute(t *testing.T) {
+	for _, nodes := range []int{1, 2, 16, 32, 24} {
+		cfg := DefaultConfig(nodes)
+		n := New(cfg)
+		const size = 144
+		perHop := sim.Ticks(size*uint64(cfg.TicksPerKByte)/1024+1) + cfg.HopTicks + cfg.RouterTicks
+		for src := 0; src < nodes; src++ {
+			for dst := 0; dst < nodes; dst++ {
+				n.Reset()
+				route := n.Route(src, dst)
+				arrive := n.Send(1000, src, dst, size)
+				if want := 1000 + sim.Ticks(len(route))*perHop; arrive != want {
+					t.Fatalf("%d nodes %d->%d: arrival %d, want %d", nodes, src, dst, arrive, want)
+				}
+				if got := n.Stats().Hops; got != uint64(n.Hops(src, dst)) || got != uint64(len(route)) {
+					t.Fatalf("%d nodes %d->%d: %d hops counted, Hops=%d, route %v", nodes, src, dst, got, n.Hops(src, dst), route)
+				}
+				links := n.LinkStats()
+				if len(links) != len(route) {
+					t.Fatalf("%d nodes %d->%d: links %v, route %v", nodes, src, dst, links, route)
+				}
+				cur := src
+				for _, next := range route {
+					key := fmt.Sprintf("%d->%d", cur, next)
+					if links[key].Uses != 1 {
+						t.Fatalf("%d nodes %d->%d: link %s used %d times; links %v, route %v", nodes, src, dst, key, links[key].Uses, links, route)
+					}
+					cur = next
+				}
+			}
+		}
+	}
+}
+
+// TestLinkStatsPinned replays a fixed message script with crossing
+// routes and repeated links and compares LinkStats with the map it
+// produced when links were created on first use and keyed by their
+// endpoints: the same keys, only links that carried traffic, the same
+// counters.
+func TestLinkStatsPinned(t *testing.T) {
+	n := New(DefaultConfig(16))
+	script := []struct {
+		t        sim.Ticks
+		src, dst int
+		size     int
+	}{
+		{0, 0, 15, 144}, {0, 0, 15, 144}, {10, 1, 15, 16}, {20, 15, 0, 144},
+		{30, 3, 7, 1024}, {30, 3, 7, 1024}, {31, 3, 15, 16}, {500, 5, 5, 64},
+		{40, 8, 0, 144}, {41, 9, 0, 144}, {42, 1, 0, 16}, {2000, 0, 1, 144},
+	}
+	for _, m := range script {
+		n.Send(m.t, m.src, m.dst, m.size)
+	}
+	want := map[string]sim.Stats{
+		"0->1":   {Uses: 3, Busy: 1083, Waited: 361, MaxWait: 361},
+		"1->0":   {Uses: 1, Busy: 41},
+		"1->3":   {Uses: 3, Busy: 763},
+		"3->7":   {Uses: 6, Busy: 5926, Waited: 5661, MaxWait: 4111},
+		"7->15":  {Uses: 4, Busy: 804},
+		"8->0":   {Uses: 3, Busy: 1083},
+		"9->8":   {Uses: 1, Busy: 361},
+		"12->8":  {Uses: 1, Busy: 361},
+		"14->12": {Uses: 1, Busy: 361},
+		"15->14": {Uses: 1, Busy: 361},
+	}
+	got := n.LinkStats()
+	if len(got) != len(want) {
+		t.Errorf("%d links reported, want %d", len(got), len(want))
+	}
+	for k, w := range want {
+		if got[k] != w {
+			t.Errorf("link %s: %+v, want %+v", k, got[k], w)
+		}
+	}
+	for k, g := range got {
+		if _, ok := want[k]; !ok {
+			t.Errorf("unexpected link %s: %+v", k, g)
+		}
+	}
+	if st := n.Stats(); st.Messages != 12 || st.Hops != 24 {
+		t.Errorf("stats %+v", st)
+	}
+	n.Reset()
+	if got := n.LinkStats(); len(got) != 0 {
+		t.Errorf("links reported after Reset: %v", got)
+	}
+	if n.Stats() != (NetStats{}) {
+		t.Errorf("stats after Reset: %+v", n.Stats())
+	}
+	// The table is reusable after Reset: the first message meets no
+	// leftover reservation.
+	if got, want := n.Send(0, 0, 1, 16), New(DefaultConfig(16)).Send(0, 0, 1, 16); got != want {
+		t.Errorf("send after Reset arrives at %d, fresh network %d", got, want)
+	}
+}
+
+// TestSingleNodeNetwork: one node means zero dimensions and an empty
+// link table; nothing may index it.
+func TestSingleNodeNetwork(t *testing.T) {
+	n := New(DefaultConfig(1))
+	if got := n.Send(7, 0, 0, 144); got != 7 {
+		t.Fatalf("self send arrives at %d", got)
+	}
+	if n.Route(0, 0) != nil || n.Hops(0, 0) != 0 {
+		t.Fatal("single node has a route")
+	}
+	if len(n.LinkStats()) != 0 {
+		t.Fatalf("links reported: %v", n.LinkStats())
+	}
+	n.Reset()
+	if st := n.Stats(); st != (NetStats{}) {
+		t.Fatalf("stats after reset %+v", st)
+	}
+}
+
+// sendScript is a fixed all-pairs-ish traffic pattern over a 32-node
+// cube: it returns the i-th message's endpoints.
+func sendScript(i int) (src, dst int) { return i * 7 % 32, (i*13 + 5) % 32 }
+
+// TestSendDoesNotAllocate pins the contended send path: once every
+// link and router on the script's routes has made its window, a message
+// costs no allocation.
+func TestSendDoesNotAllocate(t *testing.T) {
+	n := New(DefaultConfig(32))
+	now, i := sim.Ticks(0), 0
+	send := func() {
+		src, dst := sendScript(i)
+		n.Send(now, src, dst, 144)
+		now += 20
+		i++
+	}
+	round := func() {
+		for k := 0; k < 32*32; k++ {
+			send()
+		}
+	}
+	round()
+	// One run is a whole round: AllocsPerRun reports whole allocations
+	// per run, and a hop slice per message or a window per slide must not
+	// round down to zero.
+	if a := testing.AllocsPerRun(10, round); a != 0 {
+		t.Fatalf("Send allocates %.0f objects per %d messages", a, 32*32)
+	}
+}
+
+func BenchmarkNetworkSend(b *testing.B) {
+	n := New(DefaultConfig(32))
+	now := sim.Ticks(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		src, dst := sendScript(i)
+		sinkTicks = n.Send(now, src, dst, 144)
+		now += 20
+	}
+}
+
+var sinkTicks sim.Ticks

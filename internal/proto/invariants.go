@@ -38,8 +38,8 @@ func (d *Directory) check(line uint64, e *entry) {
 // CheckLine verifies one line's directory entry against the protocol
 // invariants. Lines never touched are trivially valid.
 func (d *Directory) CheckLine(line uint64) error {
-	e, ok := d.entries[line]
-	if !ok {
+	e := d.lookup(line)
+	if e == nil {
 		return nil
 	}
 	return d.checkEntry(line, e)
@@ -48,8 +48,8 @@ func (d *Directory) CheckLine(line uint64) error {
 // CheckAll verifies every materialized directory entry, returning the
 // first violation found.
 func (d *Directory) CheckAll() error {
-	for line, e := range d.entries {
-		if err := d.checkEntry(line, e); err != nil {
+	for line, i := range d.index {
+		if err := d.checkEntry(line, &d.slab[i]); err != nil {
 			return err
 		}
 	}

@@ -124,7 +124,7 @@ func TestCheckerCatchesCorruption(t *testing.T) {
 			d := NewDirectory(4, 0)
 			const line = 0x2000
 			d.Read(line, 0, 1) // materialize the entry
-			c.corrupt(d, d.entries[line])
+			c.corrupt(d, d.lookup(line))
 			err := d.CheckLine(line)
 			if err == nil {
 				t.Fatal("corruption not detected")
@@ -149,7 +149,7 @@ func TestCheckPanicsWhenEnabled(t *testing.T) {
 	d.SetInvariantChecks(true)
 	const line = 0x3000
 	d.Read(line, 0, 1)
-	e := d.entries[line]
+	e := d.lookup(line)
 	e.owner = 99 // corrupt behind the directory's back
 	defer func() {
 		if recover() == nil {

@@ -131,12 +131,13 @@ type WriteResult struct {
 // Directory tracks the coherence state of every line homed across the
 // machine. Entries materialize lazily in DirUnowned state.
 type Directory struct {
-	nodes   int
-	store   *PointerStore
-	entries map[uint64]*entry
-	stats   DirStats
-	inval   []int // scratch backing WriteResult.Invalidate
-	checks  bool  // per-operation invariant verification (invariants.go)
+	nodes  int
+	store  *PointerStore
+	index  map[uint64]int32 // line -> slot in slab
+	slab   []entry          // entries by value, in first-touch order
+	stats  DirStats
+	inval  []int // scratch backing WriteResult.Invalidate
+	checks bool  // per-operation invariant verification (invariants.go)
 }
 
 type entry struct {
@@ -166,9 +167,9 @@ func NewDirectory(nodes int, storeLinks int) *Directory {
 		storeLinks = 1 << 20
 	}
 	return &Directory{
-		nodes:   nodes,
-		store:   NewPointerStore(storeLinks),
-		entries: make(map[uint64]*entry),
+		nodes: nodes,
+		store: NewPointerStore(storeLinks),
+		index: make(map[uint64]int32),
 	}
 }
 
@@ -188,20 +189,29 @@ func (d *Directory) transition(e *entry, st EntryState, owner int32) {
 	e.owner = owner
 }
 
-func (d *Directory) entryFor(line uint64) *entry {
-	e, ok := d.entries[line]
-	if !ok {
-		e = &entry{state: DirUnowned, owner: -1, head: -1}
-		d.entries[line] = e
+// lookup returns line's entry, or nil if the line was never touched.
+// The pointer is into the slab: it is good until the next entryFor.
+func (d *Directory) lookup(line uint64) *entry {
+	if i, ok := d.index[line]; ok {
+		return &d.slab[i]
 	}
-	return e
+	return nil
+}
+
+func (d *Directory) entryFor(line uint64) *entry {
+	if e := d.lookup(line); e != nil {
+		return e
+	}
+	d.index[line] = int32(len(d.slab))
+	d.slab = append(d.slab, entry{state: DirUnowned, owner: -1, head: -1})
+	return &d.slab[len(d.slab)-1]
 }
 
 // State returns the directory state, owner, and sharer list of a line
 // (owner is -1 unless dirty). Intended for tests and invariant checks.
 func (d *Directory) State(line uint64) (EntryState, int, []int) {
-	e, ok := d.entries[line]
-	if !ok {
+	e := d.lookup(line)
+	if e == nil {
 		return DirUnowned, -1, nil
 	}
 	return e.state, int(e.owner), d.store.Collect(e.head)
@@ -247,8 +257,8 @@ func (d *Directory) Read(line uint64, home, requester int) ReadResult {
 // the directory drops the node from its records without a data
 // writeback.
 func (d *Directory) Replace(line uint64, node int) {
-	e, ok := d.entries[line]
-	if !ok {
+	e := d.lookup(line)
+	if e == nil {
 		return
 	}
 	switch e.state {
@@ -322,4 +332,4 @@ func (d *Directory) Writeback(line uint64, owner int) {
 func (d *Directory) NoteStaleInval() { d.stats.StaleInvals++ }
 
 // Lines returns the number of materialized directory entries.
-func (d *Directory) Lines() int { return len(d.entries) }
+func (d *Directory) Lines() int { return len(d.slab) }

@@ -24,9 +24,15 @@ package sim
 type Server struct {
 	Name string
 
-	// busy holds reserved [start, end) intervals, sorted by start.
-	// Old intervals are pruned as the reservation frontier advances.
-	busy   []interval
+	// win[lo:] holds the reserved [start, end) intervals, sorted by
+	// start, at most maxIntervals of them. The window slides through one
+	// backing array made on first use and compacted in place at its end,
+	// so steady-state reservations allocate nothing. A positive-length
+	// interval starts at or after the end of every interval before it;
+	// zero-length ones (dur == 0 is configurable) need not, so ends are
+	// not sorted (DESIGN.md, "Interval-based resource reservation").
+	win    []interval
+	lo     int
 	busyT  Ticks  // total occupied time
 	uses   uint64 // number of reservations
 	waited Ticks  // total queueing delay imposed
@@ -39,11 +45,26 @@ type interval struct{ start, end Ticks }
 // oldest intervals are merged away (they are in the causal past).
 const maxIntervals = 48
 
+// windowCap is the backing array's length: the live window plus the room
+// it slides through between compactions.
+const windowCap = 2 * maxIntervals
+
 // schedule finds the earliest service start >= t for dur given the busy
-// list (without mutating).
+// list (without mutating): the first gap of sufficient length in start
+// order. The scan starts after the newest positive-length interval that
+// ends at or before t: it and everything older lie wholly before t, so
+// they can neither end the scan nor move it. A zero-length interval
+// cannot be that boundary — it does not bound the ends before it.
 func (s *Server) schedule(t, dur Ticks) Ticks {
+	busy := s.win[s.lo:]
+	i := len(busy)
+	for ; i > 0; i-- {
+		if iv := busy[i-1]; iv.end <= t && iv.start < iv.end {
+			break
+		}
+	}
 	start := t
-	for _, iv := range s.busy {
+	for _, iv := range busy[i:] {
 		if start+dur <= iv.start {
 			break
 		}
@@ -72,21 +93,28 @@ func (s *Server) Acquire(t, dur Ticks) (start, done Ticks) {
 
 // insert adds iv keeping the list sorted and bounded.
 func (s *Server) insert(iv interval) {
-	i := len(s.busy)
-	for i > 0 && s.busy[i-1].start > iv.start {
-		i--
+	if len(s.win) == cap(s.win) {
+		if s.win == nil {
+			s.win = make([]interval, 0, windowCap)
+		} else {
+			s.win = s.win[:copy(s.win, s.win[s.lo:])]
+			s.lo = 0
+		}
 	}
-	s.busy = append(s.busy, interval{})
-	copy(s.busy[i+1:], s.busy[i:])
-	s.busy[i] = iv
-	if len(s.busy) > maxIntervals {
+	i := len(s.win)
+	s.win = s.win[:i+1]
+	for ; i > s.lo && s.win[i-1].start > iv.start; i-- {
+		s.win[i] = s.win[i-1]
+	}
+	s.win[i] = iv
+	if busy := s.win[s.lo:]; len(busy) > maxIntervals {
 		// Merge the two oldest intervals (pessimistically bridging
 		// the gap between them; they are in the causal past).
-		s.busy[1].start = s.busy[0].start
-		if s.busy[0].end > s.busy[1].end {
-			s.busy[1].end = s.busy[0].end
+		busy[1].start = busy[0].start
+		if busy[0].end > busy[1].end {
+			busy[1].end = busy[0].end
 		}
-		s.busy = s.busy[1:]
+		s.lo++
 	}
 }
 
@@ -95,7 +123,7 @@ func (s *Server) insert(iv interval) {
 func (s *Server) Peek(t Ticks) Ticks { return s.schedule(t, 1) }
 
 // Reset clears reservation state and statistics.
-func (s *Server) Reset() { *s = Server{Name: s.Name} }
+func (s *Server) Reset() { *s = Server{Name: s.Name, win: s.win[:0]} }
 
 // Stats describes accumulated utilization of a resource.
 type Stats struct {

@@ -274,13 +274,200 @@ func TestServerPeek(t *testing.T) {
 	}
 }
 
+// TestServerIntervalPruning checks the maxIntervals bound through what a
+// caller can observe: once more than maxIntervals reservations exist,
+// the oldest are merged into one interval that bridges their gaps, so a
+// request in the causal past is served after the merged block while the
+// gaps between the retained intervals still backfill.
 func TestServerIntervalPruning(t *testing.T) {
 	var s Server
-	for i := 0; i < maxIntervals*4; i++ {
+	const n = maxIntervals * 4
+	for i := 0; i < n; i++ {
 		s.Acquire(Ticks(i*100), 10)
 	}
+	// The newest maxIntervals-1 reservations are retained one by one;
+	// everything older is one block ending where the last merged one did.
+	merged := n - (maxIntervals - 1)
+	blockEnd := Ticks((merged-1)*100 + 10)
+	if got := s.Peek(15); got != blockEnd {
+		t.Fatalf("request inside the merged block starts at %d, want %d", got, blockEnd)
+	}
+	if got := s.Peek(blockEnd + 5); got != blockEnd+5 {
+		t.Fatalf("gap after the merged block not backfilled: %d", got)
+	}
+	if got := s.Peek(blockEnd - 5); got != blockEnd {
+		t.Fatalf("last merged gap still open: %d", got)
+	}
+}
+
+// refServer is the forward-scan, reslice-and-append Server this package
+// shipped before the bounded window: schedule walks every retained
+// interval from the oldest, insert lets the slice creep through its
+// backing array. It is the oracle TestServerMatchesReference holds the
+// current implementation to.
+type refServer struct {
+	busy   []interval
+	busyT  Ticks
+	uses   uint64
+	waited Ticks
+	maxQ   Ticks
+}
+
+func (s *refServer) schedule(t, dur Ticks) Ticks {
+	start := t
+	for _, iv := range s.busy {
+		if start+dur <= iv.start {
+			break
+		}
+		if start < iv.end {
+			start = iv.end
+		}
+	}
+	return start
+}
+
+func (s *refServer) Acquire(t, dur Ticks) (start, done Ticks) {
+	start = s.schedule(t, dur)
+	wait := start - t
+	s.waited += wait
+	if wait > s.maxQ {
+		s.maxQ = wait
+	}
+	done = start + dur
+	s.insert(interval{start, done})
+	s.busyT += dur
+	s.uses++
+	return start, done
+}
+
+func (s *refServer) insert(iv interval) {
+	i := len(s.busy)
+	for i > 0 && s.busy[i-1].start > iv.start {
+		i--
+	}
+	s.busy = append(s.busy, interval{})
+	copy(s.busy[i+1:], s.busy[i:])
+	s.busy[i] = iv
 	if len(s.busy) > maxIntervals {
-		t.Fatalf("interval list grew to %d", len(s.busy))
+		s.busy[1].start = s.busy[0].start
+		if s.busy[0].end > s.busy[1].end {
+			s.busy[1].end = s.busy[0].end
+		}
+		s.busy = s.busy[1:]
+	}
+}
+
+func (s *refServer) Peek(t Ticks) Ticks { return s.schedule(t, 1) }
+
+func (s *refServer) Stats() Stats {
+	return Stats{Uses: s.uses, Busy: s.busyT, Waited: s.waited, MaxWait: s.maxQ}
+}
+
+// TestServerMatchesReference drives Server and refServer with the same
+// request streams and requires identical grants, probes and statistics
+// after every call. Each stream mixes the shapes the machine produces:
+// requests at the reservation frontier, far-future reservations (a full
+// MSHR ladder), requests in the causal past, and zero-length
+// reservations (router or handler time configured to 0), in runs far
+// longer than maxIntervals so the oldest-pair merge is exercised
+// throughout.
+func TestServerMatchesReference(t *testing.T) {
+	type mix struct {
+		name                          string
+		frontier, future, past, zeros int // relative weights
+		maxDur                        int64
+	}
+	mixes := []mix{
+		{"frontier", 90, 4, 4, 2, 40},
+		{"ladder", 50, 40, 8, 2, 40},
+		{"past-heavy", 30, 10, 55, 5, 40},
+		{"zero-heavy", 40, 5, 15, 40, 6},
+		{"all-zero", 0, 0, 0, 1, 1},
+		{"dense", 70, 10, 10, 10, 3},
+	}
+	const acquires = 100_000
+	for _, m := range mixes {
+		t.Run(m.name, func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(int64(len(m.name)) * 7919))
+			var s Server
+			var ref refServer
+			now := Ticks(0) // the stream's notion of current time
+			total := m.frontier + m.future + m.past + m.zeros
+			for i := 0; i < acquires; i++ {
+				now += Ticks(rng.Int63n(25))
+				at := now
+				dur := Ticks(rng.Int63n(m.maxDur) + 1)
+				switch k := rng.Intn(total); {
+				case k < m.frontier:
+					at += Ticks(rng.Int63n(30))
+				case k < m.frontier+m.future:
+					at += Ticks(500 + rng.Int63n(5000))
+				case k < m.frontier+m.future+m.past:
+					if back := Ticks(rng.Int63n(3000)); back < at {
+						at -= back
+					} else {
+						at = 0
+					}
+				default:
+					// Zero-length, landing on and around recent
+					// boundaries so it collides with existing starts.
+					dur = 0
+					at += Ticks(rng.Int63n(12)) - 6
+					if at < 0 {
+						at = 0
+					}
+				}
+				if rng.Intn(4) == 0 {
+					p := at + Ticks(rng.Int63n(200)) - 100
+					if p < 0 {
+						p = 0
+					}
+					if got, want := s.Peek(p), ref.Peek(p); got != want {
+						t.Fatalf("call %d: Peek(%d) = %d, reference %d", i, p, got, want)
+					}
+				}
+				gs, gd := s.Acquire(at, dur)
+				ws, wd := ref.Acquire(at, dur)
+				if gs != ws || gd != wd {
+					t.Fatalf("call %d: Acquire(%d, %d) = (%d, %d), reference (%d, %d)", i, at, dur, gs, gd, ws, wd)
+				}
+				if s.Stats() != ref.Stats() {
+					t.Fatalf("call %d: stats %+v, reference %+v", i, s.Stats(), ref.Stats())
+				}
+			}
+		})
+	}
+}
+
+// TestServerAcquireDoesNotAllocate pins the steady state: once a server
+// has made its window, reservations of every shape reuse it.
+func TestServerAcquireDoesNotAllocate(t *testing.T) {
+	var s Server
+	s.Acquire(0, 10)
+	now := Ticks(0)
+	i := 0
+	// AllocsPerRun reports whole allocations per run, so one run is
+	// several windows' worth of reservations: a window that reallocates
+	// once per slide must not round down to zero.
+	if a := testing.AllocsPerRun(20, func() {
+		for k := 0; k < 4*windowCap; k++ {
+			i++
+			now += 7
+			at, dur := now, Ticks(5)
+			switch i % 8 {
+			case 3:
+				at += 900 // far future
+			case 5:
+				at -= at / 2 // causal past
+			case 7:
+				dur = 0
+			}
+			s.Acquire(at, dur)
+			s.Peek(at)
+		}
+	}); a != 0 {
+		t.Fatalf("steady-state Acquire allocates %.0f objects per %d calls", a, 4*windowCap)
 	}
 }
 
@@ -321,3 +508,40 @@ func TestBanksReset(t *testing.T) {
 		t.Fatal("reset did not clear reservations")
 	}
 }
+
+// BenchmarkServerAcquire prices one reservation on a full window.
+// "frontier" is the common case, every request at or just behind the
+// newest reservation; "ladder" sends one request in four far into the
+// future, the MSHR-ladder shape that leaves gaps for later requests to
+// backfill.
+func BenchmarkServerAcquire(b *testing.B) {
+	for _, mix := range []struct {
+		name   string
+		future int // one request in `future` is far-future; 0 = none
+	}{{"frontier", 0}, {"ladder", 4}} {
+		b.Run(mix.name, func(b *testing.B) {
+			var s Server
+			rng := rand.New(rand.NewSource(1))
+			offs := make([]Ticks, 1024)
+			for i := range offs {
+				offs[i] = Ticks(rng.Int63n(40))
+			}
+			now := Ticks(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now += 12
+				at := now - offs[i%len(offs)]
+				if at < 0 {
+					at = 0
+				}
+				if mix.future != 0 && i%mix.future == 0 {
+					at = now + 2000 + offs[i%len(offs)]*50
+				}
+				_, sinkTicks = s.Acquire(at, 10)
+			}
+		})
+	}
+}
+
+var sinkTicks Ticks
