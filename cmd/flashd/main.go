@@ -4,16 +4,10 @@
 //
 //	flashd -addr :8023 -cache-dir /var/cache/flashsim -cache-max-bytes 256MiB
 //
-// Several flashd replicas form a serving ring: give each the others'
-// base URLs with -peers and its own advertised URL with -self, and the
-// memo store becomes distributed — results route by consistent hashing
-// over the run fingerprint, a miss on the submitting replica is fetched
-// (with a hedged second request) from the key's ring owner, and every
-// locally computed result is written back to its owners. One replica
-// with no -peers is bit-identical to the undistributed daemon.
-//
-//	flashd -addr 127.0.0.1:8101 -self http://127.0.0.1:8101 \
-//	       -peers http://127.0.0.1:8102,http://127.0.0.1:8103
+// Several replicas on one host need nothing more than a shared
+// -cache-dir: every result is a file there, a memory miss reads through
+// to it, so a run any replica computed is a cached hit on the others and
+// survives the replica that computed it.
 //
 // Endpoints (see internal/serve):
 //
@@ -26,10 +20,6 @@
 //	GET    /v1/jobs/{id}/result  fetch a finished job's payload
 //	GET    /v1/jobs/{id}/events  stream status transitions (SSE)
 //	DELETE /v1/jobs/{id}         cancel
-//	GET    /v1/store/{fp}        peer store API: fetch one memoized result
-//	PUT    /v1/store/{fp}        peer store API: accept a ring back-fill
-//	GET    /v1/health            ring health (status + membership view)
-//	GET    /v1/ring              ring membership; ?key= resolves owners
 //	GET    /metrics              Prometheus exposition
 //	GET    /v1/params            the tunable-parameter registry
 //	GET    /healthz              liveness ("ok" or "draining")
@@ -43,18 +33,15 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"flashsim/internal/cliutil"
 	"flashsim/internal/runner"
 	"flashsim/internal/serve"
-	"flashsim/internal/serve/client"
 )
 
 func main() {
@@ -70,12 +57,6 @@ func run() int {
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint attached to 429 responses")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a shutdown waits for accepted jobs before cancelling them")
 	traceDir := flag.String("trace-dir", "", "content-addressed trace store enabling /v1/captures and /v1/replays")
-	storeKind := flag.String("store", "lru", "local memo backend: 'lru' (in-process, -cache-dir/-cache-max-bytes) or 'disk' (shared on-disk directory, requires -cache-dir)")
-	peers := flag.String("peers", "", "comma-separated base URLs of the other ring replicas (enables the distributed store)")
-	self := flag.String("self", "", "this replica's advertised base URL in the ring (required with -peers)")
-	replicate := flag.Int("replicate", 1, "ring owners each computed result is written back to")
-	hedgeAfter := flag.Duration("hedge-after", 25*time.Millisecond, "minimum wait before the hedged second peer fetch (the effective threshold adapts up to the observed p95)")
-	healthEvery := flag.Duration("health-every", 2*time.Second, "period of the ring health poll feeding membership (0 disables)")
 	flag.Parse()
 	if err := cf.Finish(); err != nil {
 		log.Print(err)
@@ -91,27 +72,11 @@ func run() int {
 		}
 	}()
 
-	local, lru, err := buildBackend(*storeKind, cf.CacheDir, int64(cf.CacheMax))
+	pool, store, err := cf.Pool()
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
-
-	// The pool memoizes through the distributed store when a ring is
-	// configured, and straight through the local backend otherwise.
-	var memo runner.Backend = local
-	var dist *runner.DistStore
-	if *peers != "" {
-		dist, err = buildRing(local, *self, *peers, *replicate, *hedgeAfter, *healthEvery)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		defer dist.Close()
-		memo = dist
-		log.Printf("ring of %d replicas (self %s, replicate %d)", len(dist.Ring().Members()), dist.Self(), *replicate)
-	}
-	pool := cf.PoolWith(memo)
 
 	var traces *runner.TraceStore
 	if *traceDir != "" {
@@ -127,8 +92,6 @@ func run() int {
 		QueueDepth: *queueDepth,
 		RetryAfter: *retryAfter,
 		Traces:     traces,
-		Memo:       local, // peers read our local store, never the ring wrapper
-		Dist:       dist,
 	})
 	// Listen before serving so the resolved address — not the flag,
 	// which may carry port 0 — is what gets logged; the smoke scripts
@@ -146,10 +109,8 @@ func run() int {
 
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
-	if lru != nil {
-		if cached := lru.MaxBytes(); cached > 0 {
-			log.Printf("cache bounded at %d bytes (%d on disk)", cached, lru.DiskBytes())
-		}
+	if bound := store.MaxBytes(); bound > 0 {
+		log.Printf("cache bounded at %d bytes (%d on disk)", bound, store.DiskBytes())
 	}
 	log.Printf("listening on %s (workers %d, queue depth %d)", ln.Addr(), pool.Workers(), *queueDepth)
 
@@ -180,63 +141,4 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// buildBackend assembles the local memo backend -store names. The
-// second return is non-nil only for the LRU store (it carries the
-// bounded-cache bookkeeping the startup log reports).
-func buildBackend(kind, cacheDir string, cacheMax int64) (runner.Backend, *runner.Store, error) {
-	switch kind {
-	case "lru":
-		store, err := runner.NewBoundedStore(cacheDir, cacheMax)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cache: %w", err)
-		}
-		return store, store, nil
-	case "disk":
-		if cacheDir == "" {
-			return nil, nil, fmt.Errorf("-store disk requires -cache-dir (the shared directory)")
-		}
-		db, err := runner.NewDiskBackend(cacheDir)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cache: %w", err)
-		}
-		return db, nil, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown -store %q (want lru or disk)", kind)
-	}
-}
-
-// buildRing assembles the distributed store over the local backend and
-// the -peers list.
-func buildRing(local runner.Backend, self, peerList string, replicate int, hedgeAfter, healthEvery time.Duration) (*runner.DistStore, error) {
-	if self == "" {
-		return nil, fmt.Errorf("-peers requires -self (this replica's advertised base URL)")
-	}
-	self = strings.TrimRight(self, "/")
-	var peers []runner.PeerStore
-	for _, raw := range strings.Split(peerList, ",") {
-		u := strings.TrimRight(strings.TrimSpace(raw), "/")
-		if u == "" {
-			continue
-		}
-		if u == self {
-			return nil, fmt.Errorf("-peers contains -self (%s); list only the other replicas", self)
-		}
-		if !strings.Contains(u, "://") {
-			return nil, fmt.Errorf("-peers entry %q is not a base URL (want e.g. http://host:port)", raw)
-		}
-		peers = append(peers, client.NewStoreClient(u, nil))
-	}
-	if len(peers) == 0 {
-		return nil, fmt.Errorf("-peers given but no usable entries in %q", peerList)
-	}
-	return runner.NewDistStore(runner.DistOptions{
-		Self:        self,
-		Local:       local,
-		Peers:       peers,
-		Replicate:   replicate,
-		HedgeFloor:  hedgeAfter,
-		HealthEvery: healthEvery,
-	}), nil
 }

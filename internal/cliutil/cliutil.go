@@ -115,6 +115,9 @@ func (f *Flags) Finish() error {
 		fmt.Print(param.Describe())
 		os.Exit(0)
 	}
+	if f.CacheMax > 0 && f.CacheDir == "" {
+		return fmt.Errorf("-cache-max-bytes bounds the on-disk cache and needs -cache-dir; without one the in-memory store is unbounded")
+	}
 	if f.ConfigFile != "" {
 		data, err := os.ReadFile(f.ConfigFile)
 		if err != nil {
@@ -257,21 +260,13 @@ func (f *Flags) Pool() (*runner.Pool, *runner.Store, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("cache: %w", err)
 	}
-	return f.PoolWith(store), store, nil
-}
-
-// PoolWith is Pool over an explicit memo backend — the seam flashd
-// uses to run the pool against a shared on-disk or distributed store
-// instead of the default in-process one. The -metrics-out wiring is
-// identical to Pool's.
-func (f *Flags) PoolWith(b runner.Backend) *runner.Pool {
-	pool := runner.New(f.Jobs, b)
+	pool := runner.New(f.Jobs, store)
 	if f.MetricsOut != "" {
 		f.collector = obs.NewCollector()
 		pool.SetMetrics(f.collector)
 	}
 	f.pool = pool
-	return pool
+	return pool, store, nil
 }
 
 // writeMetrics writes the -metrics-out report. A no-op when the flag is

@@ -91,6 +91,24 @@ func TestBadCacheDirFailsAtPool(t *testing.T) {
 	}
 }
 
+// TestCacheMaxWithoutCacheDirFailsAtFinish: a byte bound with no
+// directory has nothing to bound and would leave the in-memory store
+// unbounded; Finish rejects it and names both flags.
+func TestCacheMaxWithoutCacheDirFailsAtFinish(t *testing.T) {
+	_, err := parse(t, "-cache-max-bytes", "1MiB")
+	if err == nil {
+		t.Fatal("-cache-max-bytes without -cache-dir must fail Finish")
+	}
+	for _, name := range []string{"-cache-max-bytes", "-cache-dir"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error does not name %s: %v", name, err)
+		}
+	}
+	if _, err := parse(t, "-cache-max-bytes", "0"); err != nil {
+		t.Errorf("an explicit unbounded -cache-max-bytes 0 needs no -cache-dir: %v", err)
+	}
+}
+
 // TestBadArtifactSinksFailAtFinish: unwritable -cpuprofile and -trace
 // targets are caught by Finish, before any simulation work starts.
 func TestBadArtifactSinksFailAtFinish(t *testing.T) {

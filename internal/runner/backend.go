@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 
 	"flashsim/internal/machine"
@@ -11,27 +13,18 @@ import (
 
 // Backend is the memo-store seam of the run pool: anything that can
 // answer "have we computed this fingerprint before?" and remember a
-// fresh result. The pool treats a Backend exactly as it always treated
-// *Store — Get before simulating, Put after — so every execution mode
-// that worked against the in-process store works unchanged against any
-// other backend.
+// fresh result. The pool does Get before simulating and Put after,
+// and knows nothing else about where results live.
 //
-// Three implementations ship with the tree, forming the distribution
-// ladder of the serving tier:
+// Two implementations ship with the tree, one per medium:
 //
-//   - *Store: the in-process LRU (optionally write-through to a
-//     private -cache-dir). The single-process default; one replica of
-//     flashd with this backend is bit-identical to the daemon before
-//     the seam existed.
-//   - *DiskBackend: a shared on-disk store. No in-memory cache, every
-//     Get reads the directory — so several processes (or several flashd
-//     replicas on one host) can share a cache directory and observe
-//     each other's writes immediately.
-//   - *DistStore: the multi-replica wrapper — a local Backend fronted
-//     by a consistent-hash ring of remote peers (each reached through a
-//     PeerStore, in practice flashd's /v1/store API), with hedged
-//     fetches, health-fed membership, read-through fill, and
-//     write-back.
+//   - *DiskBackend: the on-disk store, one <key>.json per fingerprint.
+//     It is the only code that reads, validates and atomically writes
+//     an entry. No in-memory copy, so every Get sees what any process
+//     sharing the directory has written.
+//   - *Store: the in-memory map, optionally wrapped around a
+//     DiskBackend (-cache-dir) and optionally a byte-bounded LRU over
+//     it (-cache-max-bytes). What every CLI and flashd use.
 //
 // Backends must be safe for concurrent use, and a Get that cannot
 // produce a complete, correct result must report a miss — the caller
@@ -45,13 +38,12 @@ type Backend interface {
 var (
 	_ Backend = (*Store)(nil)
 	_ Backend = (*DiskBackend)(nil)
-	_ Backend = (*DistStore)(nil)
 )
 
-// DiskBackend is the shared on-disk memo store: one JSON file per
-// fingerprint in the same <key>.json layout *Store persists (the
-// -cache-dir format), but with no in-memory copy, so every Get re-reads
-// the directory and sees writes made by other processes sharing it.
+// DiskBackend is the on-disk memo store: one JSON file per fingerprint,
+// <key>.json under the -cache-dir. It keeps no in-memory copy, so every
+// Get re-reads the directory and sees writes made by other processes
+// sharing it.
 //
 // Concurrent handles on one directory are safe: writes land via
 // temp-file + rename, so a reader observes either the complete previous
@@ -65,8 +57,7 @@ type DiskBackend struct {
 	err error
 }
 
-// NewDiskBackend returns a shared store rooted at dir, creating it if
-// missing.
+// NewDiskBackend returns a store rooted at dir, creating it if missing.
 func NewDiskBackend(dir string) (*DiskBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -74,7 +65,7 @@ func NewDiskBackend(dir string) (*DiskBackend, error) {
 	return &DiskBackend{dir: dir}, nil
 }
 
-// Dir returns the shared directory.
+// Dir returns the directory.
 func (b *DiskBackend) Dir() string { return b.dir }
 
 func (b *DiskBackend) path(key string) string {
@@ -86,23 +77,32 @@ func (b *DiskBackend) path(key string) string {
 // filesystem, or written by an incompatible build — is a miss: the run
 // is recomputed and rewritten, never served partially.
 func (b *DiskBackend) Get(key string) (machine.Result, bool) {
+	res, _, ok := b.read(key)
+	return res, ok
+}
+
+// read is Get that also reports the entry's size on disk.
+func (b *DiskBackend) read(key string) (machine.Result, int64, bool) {
 	data, err := os.ReadFile(b.path(key))
 	if err != nil {
-		return machine.Result{}, false
+		return machine.Result{}, 0, false
 	}
 	var res machine.Result
 	if err := json.Unmarshal(data, &res); err != nil {
-		return machine.Result{}, false
+		return machine.Result{}, 0, false
 	}
-	return res, true
+	return res, int64(len(data)), true
 }
 
 // Put persists res under key atomically (temp file + rename). The
 // first I/O error is retained (Err) and later Puts keep trying.
-func (b *DiskBackend) Put(key string, res machine.Result) {
+func (b *DiskBackend) Put(key string, res machine.Result) { b.write(key, res) }
+
+// write is Put that also reports the bytes written, -1 on failure.
+func (b *DiskBackend) write(key string, res machine.Result) int64 {
 	data, err := json.Marshal(res)
 	if err == nil {
-		err = writeAtomic(b.dir, b.path(key), key, data)
+		err = b.writeAtomic(key, data)
 	}
 	if err != nil {
 		b.mu.Lock()
@@ -110,20 +110,16 @@ func (b *DiskBackend) Put(key string, res machine.Result) {
 			b.err = err
 		}
 		b.mu.Unlock()
+		return -1
 	}
+	return int64(len(data))
 }
 
-// Err returns the first I/O error encountered, if any.
-func (b *DiskBackend) Err() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.err
-}
-
-// writeAtomic lands data at path via a temp file in dir and a rename,
-// so a concurrent reader never observes a partial entry.
-func writeAtomic(dir, path, key string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, key+".tmp*")
+// writeAtomic lands data at key's path via a temp file in the same
+// directory and a rename, so a concurrent reader never observes a
+// partial entry.
+func (b *DiskBackend) writeAtomic(key string, data []byte) error {
+	tmp, err := os.CreateTemp(b.dir, key+".tmp*")
 	if err != nil {
 		return err
 	}
@@ -136,5 +132,51 @@ func writeAtomic(dir, path, key string, data []byte) error {
 		}
 		return cerr
 	}
-	return os.Rename(tmp.Name(), path)
+	return os.Rename(tmp.Name(), b.path(key))
+}
+
+// remove deletes key's entry; a missing entry is not an error (another
+// process sharing the directory may have evicted it first).
+func (b *DiskBackend) remove(key string) { os.Remove(b.path(key)) }
+
+// diskEntry is one entry found by entries.
+type diskEntry struct {
+	key  string
+	size int64
+	mod  int64
+}
+
+// entries lists what the directory holds, oldest modification first.
+// Entries that cannot be inspected are skipped (they will surface as
+// misses and be rewritten later).
+func (b *DiskBackend) entries() []diskEntry {
+	dirents, err := os.ReadDir(b.dir)
+	if err != nil {
+		return nil
+	}
+	var out []diskEntry
+	for _, e := range dirents {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".json") {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
+			continue
+		}
+		out = append(out, diskEntry{
+			key:  strings.TrimSuffix(name, ".json"),
+			size: info.Size(),
+			mod:  info.ModTime().UnixNano(),
+		})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].mod < out[j].mod })
+	return out
+}
+
+// Err returns the first I/O error encountered, if any.
+func (b *DiskBackend) Err() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.err
 }

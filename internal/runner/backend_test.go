@@ -51,31 +51,52 @@ func TestDiskBackendSharesAcrossHandles(t *testing.T) {
 	}
 }
 
+// openers are the three ways to put a memo backend on a directory.
+var openers = map[string]func(dir string) (Backend, error){
+	"disk":          func(dir string) (Backend, error) { return NewDiskBackend(dir) },
+	"store":         func(dir string) (Backend, error) { return NewStore(dir) },
+	"bounded-store": func(dir string) (Backend, error) { return NewBoundedStore(dir, 1<<20) },
+}
+
 // TestDiskBackendGarbageIsMiss pins the "never serve a partial result"
-// contract: truncated, corrupt, or non-JSON entries are misses.
+// contract: truncated, corrupt, or non-JSON entries are misses, whether
+// the directory is read bare or through a Store, and the next Put
+// repairs the entry for every other handle on the directory.
 func TestDiskBackendGarbageIsMiss(t *testing.T) {
-	dir := t.TempDir()
-	b, err := NewDiskBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := map[string][]byte{
 		"truncated": []byte(`{"Instructions": 42`),
 		"garbage":   []byte("\x00\x01\x02 not json"),
 		"empty":     nil,
 	}
-	for key, body := range cases {
-		if err := os.WriteFile(filepath.Join(dir, key+".json"), body, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := b.Get(key); ok {
-			t.Fatalf("%s entry served as a hit", key)
-		}
-	}
-	// A later Put repairs the entry.
-	b.Put("truncated", machine.Result{Instructions: 9})
-	if res, ok := b.Get("truncated"); !ok || res.Instructions != 9 {
-		t.Fatalf("repaired Get = (%v, %v)", res, ok)
+	for name, open := range openers {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			b, err := open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for key, body := range cases {
+				if err := os.WriteFile(filepath.Join(dir, key+".json"), body, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := b.Get(key); ok {
+					t.Fatalf("%s entry served as a hit", key)
+				}
+			}
+			// A later Put repairs the entries, on disk and not just in b.
+			other, err := NewDiskBackend(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for key := range cases {
+				b.Put(key, machine.Result{Instructions: 9})
+				for _, h := range []Backend{b, other} {
+					if res, ok := h.Get(key); !ok || res.Instructions != 9 {
+						t.Fatalf("repaired %s Get = (%v, %v)", key, res, ok)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -131,75 +152,131 @@ func TestDiskBackendConcurrentHandles(t *testing.T) {
 }
 
 // TestBoundedStoreConcurrentEviction drives a byte-bounded LRU store
-// with concurrent Get/Put well past its budget under -race: hits must
-// stay correct while eviction churns, and the footprint must respect
-// the bound when the dust settles.
+// and an unbounded second store on the same directory (two flashd on
+// one -cache-dir) with concurrent Get/Put well past the budget under
+// -race: whichever store answers, a hit must be the value that was
+// stored — from memory, from disk, or a clean miss while eviction
+// churns — and the bounded store's footprint must respect the bound
+// when the dust settles.
 func TestBoundedStoreConcurrentEviction(t *testing.T) {
 	dir := t.TempDir()
 	// Small budget: a handful of entries fit, so eviction runs
 	// constantly under the write load.
-	probe, err := NewStore("")
+	const budget = 8 << 10
+	bounded, err := NewBoundedStore(dir, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe.Put("size-probe", machine.Result{Instructions: 1})
-	store, err := NewBoundedStore(dir, 8<<10)
+	unbounded, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stores := []*Store{bounded, unbounded}
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			mine, theirs := stores[g%2], stores[(g+1)%2]
 			for i := 0; i < 150; i++ {
 				key := fmt.Sprintf("g%dk%03d", g, i)
-				store.Put(key, machine.Result{Instructions: uint64(i)})
-				if res, ok := store.Get(key); ok && res.Instructions != uint64(i) {
-					t.Errorf("key %s = %d, want %d", key, res.Instructions, i)
-					return
-				}
-				// Cross-goroutine reads race with eviction on purpose.
+				mine.Put(key, machine.Result{Instructions: uint64(i)})
+				// Reads of another goroutine's keys race with eviction
+				// on purpose.
 				other := fmt.Sprintf("g%dk%03d", (g+1)%6, i)
-				if res, ok := store.Get(other); ok && res.Instructions != uint64(i) {
-					t.Errorf("key %s = %d, want %d", other, res.Instructions, i)
-					return
+				for _, k := range []string{key, other} {
+					for _, st := range []*Store{mine, theirs} {
+						if res, ok := st.Get(k); ok && res.Instructions != uint64(i) {
+							t.Errorf("key %s = %d, want %d", k, res.Instructions, i)
+							return
+						}
+					}
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if err := store.Err(); err != nil {
-		t.Fatal(err)
+	for _, st := range stores {
+		if err := st.Err(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if store.DiskBytes() > 8<<10 {
-		t.Fatalf("footprint %d exceeds the %d budget after the storm", store.DiskBytes(), 8<<10)
+	if bounded.DiskBytes() > budget {
+		t.Fatalf("footprint %d exceeds the %d budget after the storm", bounded.DiskBytes(), budget)
 	}
-	if store.Evictions() == 0 {
+	if bounded.Evictions() == 0 {
 		t.Fatal("no evictions under a load far past the budget")
 	}
 }
 
-// TestStoreAndDiskBackendShareFormat pins the compatibility claim in
-// the DiskBackend doc: the two backends read each other's entries, so
-// a -cache-dir can migrate between -store lru and -store disk freely.
-func TestStoreAndDiskBackendShareFormat(t *testing.T) {
+// TestEvictionSeenFromOtherStores: when a bounded store evicts an entry,
+// a second store on the directory that had read it still answers from
+// its memory, and one that had not sees a clean miss.
+func TestEvictionSeenFromOtherStores(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
+	probe, err := NewDiskBackend(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Put("from-store", machine.Result{Instructions: 11})
-	disk, err := NewDiskBackend(dir)
+	size := probe.write("probe", machine.Result{Instructions: 1})
+	a, err := NewBoundedStore(dir, 2*size+size/2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, ok := disk.Get("from-store"); !ok || res.Instructions != 11 {
-		t.Fatalf("DiskBackend read of Store entry = (%v, %v)", res, ok)
+	sawIt, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	disk.Put("from-disk", machine.Result{Instructions: 22})
-	if res, ok := store.Get("from-disk"); !ok || res.Instructions != 22 {
-		t.Fatalf("Store read of DiskBackend entry = (%v, %v)", res, ok)
+	neverSawIt, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Put("k1", machine.Result{Instructions: 1})
+	if res, ok := sawIt.Get("k1"); !ok || res.Instructions != 1 {
+		t.Fatalf("second store Get = (%v, %v)", res, ok)
+	}
+	a.Put("k2", machine.Result{Instructions: 2})
+	a.Put("k3", machine.Result{Instructions: 3}) // evicts k1
+	if _, ok := a.Get("k1"); ok {
+		t.Fatal("k1 survived a 2-entry budget")
+	}
+	if res, ok := sawIt.Get("k1"); !ok || res.Instructions != 1 {
+		t.Fatalf("store that had read k1 now answers (%v, %v)", res, ok)
+	}
+	if _, ok := neverSawIt.Get("k1"); ok {
+		t.Fatal("evicted entry still readable from disk")
+	}
+	// A recompute by anyone puts it back for everyone.
+	neverSawIt.Put("k1", machine.Result{Instructions: 1})
+	if res, ok := a.Get("k1"); !ok || res.Instructions != 1 {
+		t.Fatalf("re-put entry Get = (%v, %v)", res, ok)
+	}
+}
+
+// TestStoreAndDiskBackendShareFormat pins that there is one entry
+// format: whichever way two handles open a directory, each reads what
+// the other wrote.
+func TestStoreAndDiskBackendShareFormat(t *testing.T) {
+	for an, openA := range openers {
+		for bn, openB := range openers {
+			dir := t.TempDir()
+			a, err := openA(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := openB(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Put("from-a", machine.Result{Instructions: 11})
+			if res, ok := b.Get("from-a"); !ok || res.Instructions != 11 {
+				t.Fatalf("%s read of %s entry = (%v, %v)", bn, an, res, ok)
+			}
+			b.Put("from-b", machine.Result{Instructions: 22})
+			if res, ok := a.Get("from-b"); !ok || res.Instructions != 22 {
+				t.Fatalf("%s read of %s entry = (%v, %v)", an, bn, res, ok)
+			}
+		}
 	}
 }
 

@@ -130,8 +130,8 @@ type Pool struct {
 
 // New returns a pool with the given concurrency. workers <= 0 selects
 // DefaultWorkers; workers == 1 is strictly serial. store is any memo
-// Backend — the in-process *Store, the shared *DiskBackend, or a
-// multi-replica *DistStore — and may be nil to disable memoization.
+// Backend — a *Store or a bare *DiskBackend — and may be nil to
+// disable memoization.
 func New(workers int, store Backend) *Pool {
 	if workers <= 0 {
 		workers = defaultWorkers

@@ -2,45 +2,40 @@ package runner
 
 import (
 	"container/list"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 
 	"flashsim/internal/machine"
 )
 
-// Store memoizes simulation results by fingerprint. It always keeps an
-// in-memory map; with a directory it additionally persists every
-// result as one JSON file per key, so a later process (or a later
-// figure in the same CLI invocation pattern) reuses runs an earlier
-// one already paid for — cmd/validate -figure 3 rereads the reference
-// runs -figure 1 produced, and the Calibrator's repeated snbench
-// probes hit cache across simulator configurations.
+// Store memoizes simulation results by fingerprint. It is an in-memory
+// map; with a directory it wraps a DiskBackend, writing every result
+// through and reading through on a memory miss, so a later process (or
+// another process sharing the directory) reuses runs an earlier one
+// already paid for — cmd/validate -figure 3 rereads the reference runs
+// -figure 1 produced, and the Calibrator's repeated snbench probes hit
+// cache across simulator configurations. The file format, validation
+// and atomic write are all DiskBackend's.
 //
 // A persistent store may be byte-bounded (NewBoundedStore, the CLIs'
-// -cache-max-bytes): when the on-disk footprint exceeds the bound, the
-// least-recently-accessed entries are evicted — file and memory entry
-// together, so an evicted key is a clean miss everywhere — until the
-// footprint fits. Access order is updated by both hits and writes, and
-// an existing cache directory is inventoried at open (ordered by file
-// modification time), so a daemon restarted over an old cache evicts
-// sensibly from the start.
+// -cache-max-bytes): when the on-disk footprint of the entries this
+// store has seen exceeds the bound, the least-recently-accessed are
+// evicted — file and memory entry together, so an evicted key is a
+// clean miss everywhere — until the footprint fits. Access order is
+// updated by both hits and writes, and an existing cache directory is
+// inventoried at open (ordered by file modification time), so a daemon
+// restarted over an old cache evicts sensibly from the start.
 //
 // A Store is safe for concurrent use. Disk writes are best-effort: the
 // first I/O error is retained (Err) and the store keeps serving from
 // memory.
 type Store struct {
-	dir      string
+	disk     *DiskBackend // nil = memory only
 	maxBytes int64
 
-	mu      sync.RWMutex
-	mem     map[string]machine.Result
-	diskErr error
+	mu  sync.RWMutex
+	mem map[string]machine.Result
 
-	// LRU bookkeeping, live only when maxBytes > 0 and dir != "".
+	// LRU bookkeeping, live only when maxBytes > 0.
 	// lru front = most recently accessed; elem indexes keys into it.
 	lru       *list.List
 	elem      map[string]*list.Element
@@ -59,77 +54,41 @@ type lruEntry struct {
 func NewStore(dir string) (*Store, error) { return NewBoundedStore(dir, 0) }
 
 // NewBoundedStore is NewStore with an on-disk byte budget; maxBytes <= 0
-// means unbounded. Entries already present under dir are counted
-// against the budget (and evicted oldest-first if it is already
-// exceeded).
+// means unbounded, and a memory-only store (dir == "") has no footprint
+// to bound. Entries already present under dir are counted against the
+// budget (and evicted oldest-first if it is already exceeded).
 func NewBoundedStore(dir string, maxBytes int64) (*Store, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
+	s := &Store{mem: make(map[string]machine.Result)}
+	if dir == "" {
+		return s, nil
 	}
-	s := &Store{dir: dir, mem: make(map[string]machine.Result)}
-	if dir != "" && maxBytes > 0 {
+	disk, err := NewDiskBackend(dir)
+	if err != nil {
+		return nil, err
+	}
+	s.disk = disk
+	if maxBytes > 0 {
 		s.maxBytes = maxBytes
 		s.lru = list.New()
 		s.elem = make(map[string]*list.Element)
-		s.scan()
-		s.mu.Lock()
+		for _, e := range disk.entries() {
+			s.touch(e.key, e.size)
+		}
 		s.evict()
-		s.mu.Unlock()
 	}
 	return s, nil
 }
 
-// scan inventories pre-existing cache files into the LRU, oldest
-// modification time least recent. Unreadable entries are skipped (they
-// will surface as misses and be rewritten or evicted later).
-func (s *Store) scan() {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	type file struct {
-		key  string
-		size int64
-		mod  int64
-	}
-	var files []file
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, file{
-			key:  strings.TrimSuffix(name, ".json"),
-			size: info.Size(),
-			mod:  info.ModTime().UnixNano(),
-		})
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mod < files[j].mod })
-	for _, f := range files {
-		s.elem[f.key] = s.lru.PushFront(&lruEntry{key: f.key, size: f.size})
-		s.diskBytes += f.size
-	}
-}
-
 // Dir returns the on-disk root ("" for a memory-only store).
-func (s *Store) Dir() string { return s.dir }
+func (s *Store) Dir() string {
+	if s.disk == nil {
+		return ""
+	}
+	return s.disk.Dir()
+}
 
 // MaxBytes returns the on-disk budget (0 for unbounded).
 func (s *Store) MaxBytes() int64 { return s.maxBytes }
-
-// path returns the file backing a key.
-func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, key+".json")
-}
-
-// bounded reports whether LRU bookkeeping is live.
-func (s *Store) bounded() bool { return s.maxBytes > 0 && s.dir != "" }
 
 // Get returns the memoized result for key, consulting memory first and
 // then disk. A disk hit is promoted into memory. Either hit refreshes
@@ -139,86 +98,63 @@ func (s *Store) Get(key string) (machine.Result, bool) {
 	res, ok := s.mem[key]
 	s.mu.RUnlock()
 	if ok {
-		if s.bounded() {
+		if s.maxBytes > 0 {
 			s.mu.Lock()
-			s.touch(key, 0)
+			s.touch(key, -1)
 			s.mu.Unlock()
 		}
 		return res, true
 	}
-	if s.dir == "" {
+	if s.disk == nil {
 		return machine.Result{}, false
 	}
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return machine.Result{}, false
-	}
-	var disk machine.Result
-	if err := json.Unmarshal(data, &disk); err != nil {
-		// A truncated or stale-format entry is a miss, not an error:
-		// the run is simply recomputed and rewritten.
+	res, size, ok := s.disk.read(key)
+	if !ok {
 		return machine.Result{}, false
 	}
 	s.mu.Lock()
-	s.mem[key] = disk
-	if s.bounded() {
-		s.touch(key, int64(len(data)))
+	s.mem[key] = res
+	if s.maxBytes > 0 {
+		s.touch(key, size)
 	}
 	s.mu.Unlock()
-	return disk, true
-}
-
-// touch moves key to the front of the LRU, inserting it (with size)
-// when untracked. Caller holds mu.
-func (s *Store) touch(key string, size int64) {
-	if el, ok := s.elem[key]; ok {
-		s.lru.MoveToFront(el)
-		return
-	}
-	s.elem[key] = s.lru.PushFront(&lruEntry{key: key, size: size})
-	s.diskBytes += size
+	return res, true
 }
 
 // Put memoizes a result under key, writing through to disk when the
 // store is persistent and evicting least-recently-accessed entries
-// when a bounded store overflows.
+// when a bounded store overflows. A failed write still memoizes in
+// memory.
 func (s *Store) Put(key string, res machine.Result) {
-	if s.dir == "" {
-		s.mu.Lock()
-		s.mem[key] = res
-		s.mu.Unlock()
-		return
+	size := int64(-1)
+	if s.disk != nil {
+		size = s.disk.write(key, res)
 	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		s.mu.Lock()
-		s.mem[key] = res
-		if s.diskErr == nil {
-			s.diskErr = err
-		}
-		s.mu.Unlock()
-		return
-	}
-	werr := s.writeFile(key, data)
 	s.mu.Lock()
 	s.mem[key] = res
-	if werr != nil {
-		if s.diskErr == nil {
-			s.diskErr = werr
-		}
-	} else if s.bounded() {
-		if el, ok := s.elem[key]; ok {
-			// Overwrite: replace the tracked size in place.
-			e := el.Value.(*lruEntry)
-			s.diskBytes += int64(len(data)) - e.size
-			e.size = int64(len(data))
-			s.lru.MoveToFront(el)
-		} else {
-			s.touch(key, int64(len(data)))
-		}
+	if s.maxBytes > 0 && size >= 0 {
+		s.touch(key, size)
 		s.evict()
 	}
 	s.mu.Unlock()
+}
+
+// touch makes key the most recently accessed, tracking it if new; a
+// size >= 0 also records that as its on-disk footprint. Caller holds
+// mu.
+func (s *Store) touch(key string, size int64) {
+	el, ok := s.elem[key]
+	if ok {
+		s.lru.MoveToFront(el)
+	} else {
+		el = s.lru.PushFront(&lruEntry{key: key})
+		s.elem[key] = el
+	}
+	if size >= 0 {
+		e := el.Value.(*lruEntry)
+		s.diskBytes += size - e.size
+		e.size = size
+	}
 }
 
 // evict removes least-recently-accessed entries (disk file and memory
@@ -237,21 +173,8 @@ func (s *Store) evict() {
 		delete(s.mem, e.key)
 		s.diskBytes -= e.size
 		s.evictions++
-		os.Remove(s.path(e.key))
+		s.disk.remove(e.key)
 	}
-}
-
-// writeFile persists one entry atomically (temp file + rename), so a
-// concurrent reader never observes a partial entry.
-func (s *Store) writeFile(key string, data []byte) error {
-	return writeAtomic(s.dir, s.path(key), key, data)
-}
-
-// Len returns the number of in-memory entries.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.mem)
 }
 
 // DiskBytes returns the tracked on-disk footprint (0 when unbounded —
@@ -272,7 +195,8 @@ func (s *Store) Evictions() int64 {
 // Err returns the first disk I/O error encountered, if any. The store
 // remains usable in memory after a disk failure.
 func (s *Store) Err() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.diskErr
+	if s.disk == nil {
+		return nil
+	}
+	return s.disk.Err()
 }

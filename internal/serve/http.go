@@ -27,10 +27,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	s.mux.HandleFunc("GET /v1/params", s.handleParams)
-	s.mux.HandleFunc("GET /v1/store/{fp}", s.handleStoreGet)
-	s.mux.HandleFunc("PUT /v1/store/{fp}", s.handleStorePut)
-	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
-	s.mux.HandleFunc("GET /v1/ring", s.handleRing)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 }
@@ -408,32 +404,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("flashd_queue_capacity", "Bounded queue capacity.", int64(s.queueDepth))
 	gauge("flashd_workers", "Concurrent job executors.", int64(s.workers))
 	gauge("flashd_draining", "1 while the server refuses new jobs.", int64(draining))
-	if s.memo != nil {
-		counter("flashd_store_api_gets_total", "Peer store GETs served with a result.", s.storeGets.Load())
-		counter("flashd_store_api_misses_total", "Peer store GETs answered 404.", s.storeMisses.Load())
-		counter("flashd_store_api_puts_total", "Peer store back-fill PUTs accepted.", s.storePuts.Load())
-	}
-	if s.dist != nil {
-		snap := s.dist.Counters().Snapshot()
-		counter("flashd_store_local_hits_total", "Memo lookups answered by the local backend.", snap.LocalHits)
-		counter("flashd_store_local_misses_total", "Memo lookups that missed the local backend.", snap.LocalMisses)
-		counter("flashd_store_remote_hits_total", "Memo lookups answered by a ring peer.", snap.RemoteHits)
-		counter("flashd_store_remote_misses_total", "Ring peer fetches that returned a definitive miss.", snap.RemoteMisses)
-		counter("flashd_store_remote_errors_total", "Ring peer fetches that failed (network, validation).", snap.RemoteErrors)
-		counter("flashd_store_hedges_total", "Hedged second fetches launched past the latency threshold.", snap.Hedges)
-		counter("flashd_store_hedge_wins_total", "Hedged fetches that answered first.", snap.HedgeWins)
-		counter("flashd_store_fallbacks_total", "Lookups that fell back to local compute.", snap.Fallbacks)
-		counter("flashd_store_backfills_total", "Results pushed to ring owners after a local compute.", snap.Backfills)
-		counter("flashd_store_backfill_errors_total", "Back-fill pushes that failed.", snap.BackfillErrors)
-		counter("flashd_store_backfill_drops_total", "Back-fills dropped because the queue was full.", snap.BackfillDrops)
-		live := int64(0)
-		for _, st := range s.dist.PeerHealth() {
-			if st.Up {
-				live++
-			}
-		}
-		gauge("flashd_store_peers_live", "Ring members currently considered up (self included).", live)
-	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

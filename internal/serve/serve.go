@@ -42,17 +42,6 @@ type Options struct {
 	// captures store containers here, replays load them (flashd
 	// -trace-dir). Without it those submissions are rejected with 400.
 	Traces *runner.TraceStore
-	// Memo, when non-nil, exposes this replica's LOCAL memo backend on
-	// the peer store API (/v1/store/{fingerprint} GET/PUT). It must be
-	// the backend underneath any DistStore — peers resolve ring
-	// ownership by asking us, so answering from the distributed wrapper
-	// would bounce their fetch back into the ring.
-	Memo runner.Backend
-	// Dist, when non-nil, is the replica's distribution layer; it backs
-	// /v1/ring, enriches /v1/health with the membership view, and feeds
-	// the flashd_store_* series on /metrics. The server does not own it
-	// (no Close on Drain) — lifecycle stays with the caller, like Pool.
-	Dist *runner.DistStore
 }
 
 // Server is the HTTP front end: a bounded job queue feeding the runner
@@ -108,15 +97,6 @@ type Server struct {
 	traces *runner.TraceStore
 	imgMu  sync.Mutex
 	images map[string]*machine.ReplayImage
-
-	// memo and dist expose the serving-tier store (see Options.Memo and
-	// Options.Dist); both may be nil on a plain single-replica server.
-	memo runner.Backend
-	dist *runner.DistStore
-
-	storeGets   atomic.Int64 // /v1/store GET hits served
-	storeMisses atomic.Int64 // /v1/store GET misses (404)
-	storePuts   atomic.Int64 // /v1/store PUT back-fills accepted
 }
 
 // New returns a running server (workers started, ready for Handler).
@@ -147,8 +127,6 @@ func New(opts Options) *Server {
 		sessions:   make(map[harness.Scale]*harness.Session),
 		traces:     opts.Traces,
 		images:     make(map[string]*machine.ReplayImage),
-		memo:       opts.Memo,
-		dist:       opts.Dist,
 	}
 	// Every outcome the pool produces is recorded, so /metrics always
 	// has data; a collector attached by the caller (e.g. -metrics-out)
@@ -478,7 +456,10 @@ func (s *Server) admit(kind JobKind, fp string, timeoutMS int64, fill func(*jobR
 		s.refused.Add(1)
 		return nil, false, admitDraining
 	}
-	if rec, ok := s.fpIndex[fp]; ok {
+	// A record that has finished but not yet been unindexed (finish
+	// releases its waiters first) is not active: a resubmission racing
+	// that window is a new job, and a hit on the memo store.
+	if rec, ok := s.fpIndex[fp]; ok && !rec.Status().State.Terminal() {
 		s.coalesced.Add(1)
 		return rec, true, admitOK
 	}
