@@ -3,8 +3,8 @@ package flashsim_test
 // One benchmark per table and figure of the paper's evaluation section,
 // plus ablation benchmarks for the modeling choices DESIGN.md calls out.
 // Benchmarks run at ScaleQuick so `go test -bench=.` finishes in
-// minutes; cmd/validate and cmd/speedup regenerate the full-scale
-// numbers recorded in EXPERIMENTS.md.
+// minutes; `flashsim validate` regenerates the full-scale numbers
+// recorded in EXPERIMENTS.md.
 
 import (
 	"runtime"

@@ -229,7 +229,7 @@ var benchmarks = []struct {
 	}},
 	{name: "sim-speed-sampled", fn: func(b *testing.B) {
 		// Execution-driven sampling under the default warm schedule: the
-		// speed side of the validate -experiment sampling error rows.
+		// speed side of the flashsim validate sampling error rows.
 		// Live generation and warm-state touches bound the win.
 		cfg := core.SimOSMipsy(1, 150, true)
 		cfg.Sampling = machine.DefaultSampling()
@@ -244,7 +244,7 @@ var benchmarks = []struct {
 		// The speed end of the trade-off: trace fast-forward with a
 		// sparse cold schedule (2% detailed, no warm touches). Compare
 		// against sim-speed-mipsy for the sampled-vs-execution-driven
-		// speedup; validate -experiment sampling prices the error.
+		// speedup; flashsim validate sampling prices the error.
 		sched := machine.DefaultSampling()
 		sched.Period = 100_000
 		sched.ColdState = true
@@ -269,7 +269,7 @@ var benchmarks = []struct {
 	{name: "figure1-sampled", fn: func(b *testing.B) {
 		// The same figure with every study simulator running the default
 		// sampling schedule: the speed axis of the sampled-simulation
-		// trade-off, paired with validate -experiment sampling's error
+		// trade-off, paired with flashsim validate sampling's error
 		// axis. The hardware reference is outside the override and stays
 		// as-is, so the delta vs figure1-quick is the simulators' win.
 		s := harness.NewSession(harness.ScaleQuick)

@@ -51,7 +51,7 @@ func main() {
 func run() int {
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 	log.SetPrefix("flashd: ")
-	cf := cliutil.Register()
+	cf := cliutil.RegisterOn(flag.CommandLine)
 	addr := flag.String("addr", ":8023", "listen address (port 0 picks a free port; the resolved address is logged)")
 	queueDepth := flag.Int("queue-depth", 64, "accepted-but-unstarted jobs to hold before rejecting with 429")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint attached to 429 responses")
@@ -59,10 +59,6 @@ func run() int {
 	traceDir := flag.String("trace-dir", "", "content-addressed trace store enabling /v1/captures and /v1/replays")
 	flag.Parse()
 	if err := cf.Finish(); err != nil {
-		log.Print(err)
-		return 1
-	}
-	if err := cf.ForbidTrace("flashd"); err != nil {
 		log.Print(err)
 		return 1
 	}

@@ -1,137 +1,337 @@
-// Command flashsim runs one workload on one machine configuration and
-// prints the detailed result — the general-purpose front end to the
-// library.
+// Command flashsim is the one command-line front end to the library:
+// single runs, the paper's evaluation, the calibration loop, and the
+// trace tool chain are subcommands sharing one flag block
+// (internal/cliutil) and one setup and teardown.
 //
-// Usage:
+//	flashsim run -app fft -procs 4                 # one workload on one machine (default: the hardware reference)
+//	flashsim run -app ocean -sim solo-mipsy -mhz 225 -set os.tlb.handler_cycles=65
+//	flashsim run -app gups -p hot_pct=50 -procs 32 -shards 4
+//	flashsim run -app fft -trace-out fft.fltr      # capture; -trace-in fft.fltr replays
+//	flashsim run -list-workloads                   # registry: names, parameters
 //
-//	flashsim -app fft -procs 4                    # hardware reference
-//	flashsim -app radix -p radix=32 -procs 16
-//	flashsim -app ocean -sim solo-mipsy -mhz 225
-//	flashsim -app lu -sim simos-mxs -mem numa
-//	flashsim -app gups -p hot_pct=50 -procs 32
-//	flashsim -list-workloads                  # registry: names, parameters
-//	flashsim -sim simos-mipsy -set os.tlb.handler_cycles=65
-//	flashsim -app fft -metrics-out m.json     # per-run counter report
-//	flashsim -app radix -check-coherence      # directory invariant checks
-//	flashsim -app fft -trace-out fft.fltr     # capture the instruction streams
-//	flashsim -app fft -trace-in fft.fltr      # trace-driven replay of a capture
+//	flashsim validate -quick figure1 tlb           # rows of the experiment table (no names: list it)
+//	flashsim validate -all -jobs 8 -cache-dir .flashcache
+//	flashsim worksweep -quick -json WORKLOAD_SWEEP_2026-08-07.json
+//
+//	flashsim tune -sim simos-mxs                   # close the loop for one simulator
+//	flashsim snbench -sim simos-mipsy -tuned       # microbenchmarks, hardware vs. simulator
+//
+//	flashsim trace capture -app fft -procs 4 -o fft.fltr
+//	flashsim trace inspect fft.fltr
+//	flashsim trace replay -sim simos-mipsy fft.fltr
+//	flashsim trace sweep -app fft -procs 4 -points 24 -json sweep.json
+//
+// Every subcommand takes -jobs, -cache-dir, -config/-set, -sample,
+// -shards, -metrics-out and the profiling flags; `flashsim <subcommand>
+// -h` prints them. An artifact that cannot be written is an error: the
+// command reports it and exits 1.
 package main
 
 import (
-	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"flashsim/internal/cliutil"
 	"flashsim/internal/core"
-	"flashsim/internal/hw"
+	"flashsim/internal/harness"
 	"flashsim/internal/machine"
-	"flashsim/internal/proto"
-	"flashsim/internal/sim"
+	"flashsim/internal/runner"
+	"flashsim/internal/workload"
 )
 
-func main() {
-	log.SetFlags(0)
-	var (
-		procs   = flag.Int("procs", 1, "processor count")
-		simName = flag.String("sim", "hw", "hw, simos-mipsy, simos-mxs, solo-mipsy")
-		mhz     = flag.Int("mhz", 150, "Mipsy clock (150, 225, 300)")
-		mem     = flag.String("mem", "flashlite", "memory system: flashlite, numa")
-		seed    = flag.Uint64("seed", 1, "jitter/branch seed")
-		check   = flag.Bool("check-coherence", false, "verify directory protocol invariants after every operation")
-		wf      = cliutil.RegisterWorkload()
-		cf      = cliutil.Register()
-	)
-	flag.Parse()
-	if err := wf.Finish(); err != nil {
-		log.Fatal(err)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// command is one subcommand: setup registers its own flags on fs (next
+// to the shared block, already registered as cf) and returns the body
+// to run once the environment is up.
+type command struct {
+	name    string
+	summary string
+	setup   func(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error
+}
+
+var commands = []command{
+	{"run", "run one workload on one machine configuration and print the detailed result", runCmd},
+	{"validate", "run rows of the experiment table, by name or -all", validateCmd},
+	{"worksweep", "the worksweep experiment over a chosen workload × size matrix, with a JSON report", worksweepCmd},
+	{"tune", "calibrate one simulator against the hardware reference", tuneCmd},
+	{"snbench", "run the microbenchmark suite on the hardware and, optionally, a simulator", snbenchCmd},
+	{"trace capture", "run a workload execution-driven and record its streams", captureCmd},
+	{"trace inspect", "print a container's metadata, layout, and integrity status", inspectCmd},
+	{"trace replay", "run a captured trace trace-driven on a chosen machine", replayCmd},
+	{"trace sweep", "replay one capture across a memory-system parameter grid against the execution-driven CPU-detail ladder", sweepCmd},
+}
+
+// env is what the one setup hands a subcommand body.
+type env struct {
+	cf    *cliutil.Flags
+	pool  *runner.Pool
+	store *runner.Store
+	args  []string // positional arguments
+	out   io.Writer
+}
+
+// usageError marks a mistake in how the command was invoked (exit 2)
+// as opposed to a run that failed (exit 1).
+type usageError struct{ error }
+
+func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
+
+// run is the whole CLI: resolve the subcommand, parse its flags, bring
+// the environment up, run the body, tear down. It returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	name := ""
+	if len(args) > 0 {
+		name, args = args[0], args[1:]
+	}
+	if name == "trace" && len(args) > 0 {
+		name, args = "trace "+args[0], args[1:]
+	}
+	var cmd *command
+	for i := range commands {
+		if commands[i].name == name {
+			cmd = &commands[i]
+		}
+	}
+	if cmd == nil {
+		status := 2
+		switch name {
+		case "":
+		case "help", "-h", "-help", "--help":
+			status = 0
+		default:
+			fmt.Fprintf(stderr, "flashsim: unknown subcommand %q\n", name)
+		}
+		fmt.Fprintln(stderr, "usage: flashsim <subcommand> [flags] [arguments]")
+		for _, c := range commands {
+			fmt.Fprintf(stderr, "  %-14s %s\n", c.name, c.summary)
+		}
+		return status
+	}
+
+	fs := flag.NewFlagSet("flashsim "+cmd.name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cf := cliutil.RegisterOn(fs)
+	body := cmd.setup(fs, cf)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "flashsim %s: %v\n", cmd.name, err)
+		if errors.As(err, &usageError{}) {
+			return 2
+		}
+		return 1
 	}
 	if err := cf.Finish(); err != nil {
-		log.Fatal(err)
+		return fail(usageError{err})
 	}
-	defer func() {
-		if err := cf.Close(); err != nil {
-			log.Print(err)
-		}
-	}()
-	// An interrupt flushes the same artifacts before exiting.
+	// An interrupt flushes the same artifacts Close does, then exits.
 	stop := cf.ExitOnSignal()
 	defer stop()
 
-	var cfg machine.Config
-	switch *simName {
-	case "hw":
-		cfg = hw.Config(*procs, true)
-	case "simos-mipsy":
-		cfg = core.SimOSMipsy(*procs, *mhz, true)
-	case "simos-mxs":
-		cfg = core.SimOSMXS(*procs, true)
-	case "solo-mipsy":
-		cfg = core.SoloMipsy(*procs, *mhz, true)
-	default:
-		log.Fatalf("unknown simulator %q", *simName)
-	}
-	if *mem == "numa" {
-		cfg = core.WithNUMA(cfg)
-	}
-	cfg.Seed = *seed
-	cfg.CheckCoherence = *check
-	cfg, err := cf.Apply(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	prog, _, err := wf.Program(*procs)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	pool, store, err := cf.Pool()
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	t0 := time.Now()
-	out, err := cf.ExecuteRun(context.Background(), pool, cfg, prog, nil, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res := out.Result
-	switch out.Mode {
-	case cliutil.ModeCapture:
-		fmt.Printf("[captured trace: %s]\n", cf.TraceOut)
-	case cliutil.ModeReplay:
-		fmt.Printf("[trace-driven: replayed %s (%d instructions)]\n", out.Image.Workload(), out.Image.Instructions())
-	}
-	wall := time.Since(t0)
-	if st := pool.Stats(); st.CacheHits > 0 {
-		fmt.Printf("[memoized: result served from %s]\n", store.Dir())
-	}
-
-	fmt.Printf("%s on %s, %d processor(s)\n", prog.FullName(), cfg.Name, *procs)
-	fmt.Printf("  parallel section: %.3f ms simulated\n", res.ExecSeconds()*1e3)
-	fmt.Printf("  total:            %.3f ms simulated (%v wall, %.1fM instr/s)\n",
-		float64(res.Total)/sim.TickHz*1e3, wall.Round(time.Millisecond),
-		float64(res.Instructions)/wall.Seconds()/1e6)
-	fmt.Printf("  instructions:     %d\n", res.Instructions)
-	fmt.Printf("  L1 miss rate:     %.2f%%\n", 100*res.L1MissRate())
-	fmt.Printf("  L2 miss rate:     %.2f%%\n", 100*res.L2MissRate())
-	fmt.Printf("  TLB misses:       %d\n", res.TLBMisses)
-	fmt.Printf("  pages mapped:     %d\n", res.PagesMapped)
-	if res.Sampled {
-		s := res.Sampling
-		fmt.Printf("  sampling:         %d windows; %d detailed + %d functional instrs (%d warmup, %d warm touches)\n",
-			s.Windows, s.DetailedInstrs, s.FunctionalInstrs, s.WarmupInstrs, s.WarmTouches)
-	}
-	fmt.Printf("  protocol cases:\n")
-	for c := proto.Case(0); c < proto.NumCases; c++ {
-		if res.CaseCounts[c] > 0 {
-			fmt.Printf("    %-22s %d\n", c, res.CaseCounts[c])
+	if err == nil {
+		err = body(&env{cf: cf, pool: pool, store: store, args: fs.Args(), out: stdout})
+		if st := pool.Stats(); st.Jobs > 0 {
+			fmt.Fprintf(stdout, "[runner: %s]\n", st)
 		}
 	}
-	if res.Dir.StaleInvals > 0 {
-		fmt.Printf("  stale invalidations: %d\n", res.Dir.StaleInvals)
+	// Close runs on the error path too: a failed study still leaves its
+	// profile and the metrics of what did run.
+	if cerr := cf.Close(); err == nil {
+		err = cerr
+	} else if cerr != nil {
+		fmt.Fprintf(stderr, "flashsim %s: %v\n", cmd.name, cerr)
 	}
+	if err != nil {
+		return fail(err)
+	}
+	return 0
+}
+
+// simFlags is the machine-selection block of the subcommands that
+// build a configuration by name.
+type simFlags struct {
+	name *string
+	mhz  *int
+	seed *uint64 // nil on the calibration commands, which keep the model's own seed
+}
+
+func addSimFlags(fs *flag.FlagSet, def string, seeded bool) simFlags {
+	sf := simFlags{
+		name: fs.String("sim", def, strings.Join(core.ConfigNames, ", ")),
+		mhz:  fs.Int("mhz", 150, "Mipsy clock (150, 225, 300)"),
+	}
+	if seeded {
+		sf.seed = fs.Uint64("seed", 1, "jitter/branch seed")
+	}
+	return sf
+}
+
+// config resolves -sim at the given size, seeds it, and applies the
+// -config/-set/-sample/-shards overrides.
+func (sf simFlags) config(cf *cliutil.Flags, procs int) (machine.Config, error) {
+	cfg, err := core.ConfigByName(*sf.name, procs, *sf.mhz, true)
+	if err != nil {
+		return cfg, usageError{err}
+	}
+	if sf.seed != nil {
+		cfg.Seed = *sf.seed
+	}
+	return cf.Apply(cfg)
+}
+
+// simulator is config for the calibration commands, whose subject is a
+// simulator at the snbench machine size: the hardware is what it is
+// measured against, not a choice.
+func (sf simFlags) simulator(cf *cliutil.Flags) (machine.Config, error) {
+	if *sf.name == "hw" {
+		return machine.Config{}, usagef("-sim hw: the hardware reference is what a simulator is compared against (want %s)",
+			strings.Join(core.ConfigNames[1:], ", "))
+	}
+	return sf.config(cf, 4)
+}
+
+// session builds the evaluation session over the environment's pool
+// with the parameter overrides routed into every simulator.
+func (e *env) session(quick bool) *harness.Session {
+	scale := harness.ScaleFull
+	if quick {
+		scale = harness.ScaleQuick
+	}
+	s := harness.NewSessionWithPool(scale, e.pool)
+	s.Override = e.cf.Apply
+	return s
+}
+
+// experiment runs one row of the table and prints its text block.
+func (e *env) experiment(s *harness.Session, x harness.Experiment) (data any, wall time.Duration, err error) {
+	t0 := time.Now()
+	data, text, err := x.Run(s)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", x.Name, err)
+	}
+	wall = time.Since(t0)
+	fmt.Fprintf(e.out, "%s\n[%s took %v]\n\n", text, x.Name, wall.Round(time.Millisecond))
+	return data, wall, nil
+}
+
+func validateCmd(fs *flag.FlagSet, _ *cliutil.Flags) func(*env) error {
+	all := fs.Bool("all", false, "run every row of the experiment table")
+	quick := fs.Bool("quick", false, "use reduced problem sizes")
+	return func(e *env) error {
+		exps, err := harness.Find(e.args...)
+		if err != nil {
+			return usageError{err}
+		}
+		if *all {
+			exps = harness.Experiments
+		}
+		if len(exps) == 0 {
+			var table strings.Builder
+			for _, x := range harness.Experiments {
+				fmt.Fprintf(&table, "\n  %-10s %s", x.Name, x.Title)
+			}
+			return usagef("name the experiments to run, or -all:%s", &table)
+		}
+		s := e.session(*quick)
+		for _, x := range exps {
+			if _, _, err := e.experiment(s, x); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// worksweepReport is the committed WORKLOAD_SWEEP_<date>.json evidence: the
+// widened trend study and sampling taxonomy rows, plus enough
+// provenance to rerun it.
+type worksweepReport struct {
+	Date      string                     `json:"date"`
+	Scale     string                     `json:"scale"`
+	Sizes     []int                      `json:"sizes"`
+	Workloads []string                   `json:"workloads"`
+	Trend     []harness.WorkloadTrendRow `json:"trend"`
+	Sampling  []harness.SamplingRow      `json:"sampling"`
+	Schedule  map[string]uint64          `json:"schedule"`
+	WallMS    float64                    `json:"wall_ms"`
+}
+
+// worksweepCmd is `flashsim worksweep`: the table's worksweep row over
+// a chosen matrix, optionally written as the JSON evidence file.
+func worksweepCmd(fs *flag.FlagSet, _ *cliutil.Flags) func(*env) error {
+	names := fs.String("workloads", strings.Join(harness.SweepWorkloads, ","), "comma-separated registry workload names")
+	sizes := fs.String("sizes", "", "comma-separated node counts (default 32,64,128)")
+	quick := fs.Bool("quick", false, "use the registry's quick problem sizes")
+	jsonOut := fs.String("json", "", "write the sweep report as JSON to this file")
+	date := fs.String("date", time.Now().Format("2006-01-02"), "date stamp recorded in the report")
+	return func(e *env) error {
+		s := e.session(*quick)
+		commaOrSpace := func(r rune) bool { return r == ',' || r == ' ' }
+		for _, n := range strings.FieldsFunc(*names, commaOrSpace) {
+			if _, err := workload.Lookup(n); err != nil {
+				return usageError{err}
+			}
+			s.SweepNames = append(s.SweepNames, n)
+		}
+		for _, v := range strings.FieldsFunc(*sizes, commaOrSpace) {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				return usagef("-sizes: %v", err)
+			}
+			s.SweepSizes = append(s.SweepSizes, n)
+		}
+		exps, err := harness.Find("worksweep")
+		if err != nil {
+			return err
+		}
+		data, wall, err := e.experiment(s, exps[0])
+		if err != nil || *jsonOut == "" {
+			return err
+		}
+		d := data.(harness.WorkloadSweepData)
+		sc := d.Sampling.Schedule
+		rep := worksweepReport{
+			Date:      *date,
+			Scale:     "full",
+			Sizes:     d.Sizes,
+			Workloads: s.SweepNames,
+			Trend:     d.Trend,
+			Sampling:  d.Sampling.Rows,
+			Schedule: map[string]uint64{
+				"period": sc.Period, "window": sc.Window, "warmup": sc.Warmup, "phase": sc.Phase,
+			},
+			WallMS: float64(wall.Microseconds()) / 1e3,
+		}
+		if *quick {
+			rep.Scale = "quick"
+		}
+		return writeJSON(e.out, *jsonOut, rep)
+	}
+}
+
+// writeJSON writes v indented to path and says so.
+func writeJSON(out io.Writer, path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "wrote %s\n", path)
+	return nil
 }

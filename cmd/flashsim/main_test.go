@@ -1,0 +1,200 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"flashsim/internal/core"
+	"flashsim/internal/harness"
+)
+
+// flashsim drives the CLI in-process.
+func flashsim(args ...string) (stdout, stderr string, status int) {
+	var out, errb bytes.Buffer
+	status = run(args, &out, &errb)
+	return out.String(), errb.String(), status
+}
+
+var (
+	timingLine = regexp.MustCompile(`(?m)^\[(runner: .*|.* took .*)\]\n`)
+	wallClock  = regexp.MustCompile(`(?m)\([^()]* wall, [^()]* instr/s\)|\bin [0-9.]+(ns|µs|ms|s)$`)
+	blankRun   = regexp.MustCompile(`\n{3,}`)
+)
+
+// stable removes what legitimately differs between two runs of one
+// command: the [runner: …] and [… took …] lines, wall-clock figures
+// inside a line, and the blank-line padding around the removed lines.
+func stable(s string) string {
+	s = timingLine.ReplaceAllString(s, "")
+	s = wallClock.ReplaceAllString(s, "~")
+	s = blankRun.ReplaceAllString(s, "\n\n")
+	return strings.TrimRight(s, "\n") + "\n"
+}
+
+// TestOutputMatchesTheFoldedCLIs pins the fold: testdata/ holds the
+// stdout of the seven binaries this command replaced (built at the
+// commit before the fold, passed through stable), and every subcommand
+// must still print the same thing. The study outputs are seeded
+// simulations, identical at any -jobs.
+func TestOutputMatchesTheFoldedCLIs(t *testing.T) {
+	dir := t.TempDir()
+	fltr := filepath.Join(dir, "fft.fltr")
+	for _, tc := range []struct {
+		golden string // files under testdata/, concatenated
+		args   string
+	}{
+		// validate -all -quick, then speedup -all -quick, on one session.
+		{"validate_all_quick.txt speedup_all_quick.txt", "validate -quick table1 table2 table3 figure1 figure2 tuning figure3 figure4" +
+			" tlb blocking muldiv defects trace sampling figure5 figure6 figure7"},
+		{"tune_mxs.txt", "tune -sim simos-mxs"},
+		{"snbench_mipsy_tuned.txt", "snbench -sim simos-mipsy -tuned"},
+		{"worksweep_quick_gups_4.txt", "worksweep -quick -workloads gups -sizes 4"},
+		{"run_fft_2p_quick.txt", "run -app fft -procs 2 -full=false"},
+		{"trace_capture.txt", "trace capture -app fft -procs 2 -full=false -o " + fltr},
+		{"trace_inspect.txt", "trace inspect " + fltr},
+		{"trace_replay.txt", "trace replay -sim simos-mipsy " + fltr},
+	} {
+		var want string
+		for _, name := range strings.Fields(tc.golden) {
+			data, err := os.ReadFile(filepath.Join("testdata", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += string(data) + "\n"
+		}
+		stdout, stderr, status := flashsim(strings.Fields(tc.args)...)
+		if status != 0 {
+			t.Fatalf("flashsim %s: exit %d\n%s", tc.args, status, stderr)
+		}
+		got := stable(strings.ReplaceAll(stdout, dir+string(filepath.Separator), ""))
+		if want = stable(want); got != want {
+			g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+			i := 0
+			for i < len(g) && i < len(w) && g[i] == w[i] {
+				i++
+			}
+			t.Errorf("flashsim %s: output departs from %s at line %d:\n got: %q\nwant: %q",
+				tc.args, tc.golden, i+1, strings.Join(g[i:min(i+3, len(g))], "\n"), strings.Join(w[i:min(i+3, len(w))], "\n"))
+		}
+	}
+}
+
+// TestUsageErrors: a mistake in the invocation exits 2 and names the
+// valid choices.
+func TestUsageErrors(t *testing.T) {
+	var experiments []string
+	for _, x := range harness.Experiments {
+		experiments = append(experiments, x.Name)
+	}
+	for _, tc := range []struct {
+		args string
+		want []string // substrings of stderr
+	}{
+		{"", []string{"validate", "trace capture"}},
+		{"speedup -all", []string{`unknown subcommand "speedup"`, "run", "validate", "worksweep", "tune", "snbench", "trace sweep"}},
+		{"trace rewind", []string{`unknown subcommand "trace rewind"`}},
+		{"validate -quick figure9", append([]string{`unknown experiment "figure9"`}, experiments...)},
+		{"validate -quick", experiments},
+		{"run -sim vax", core.ConfigNames},
+		{"tune -sim hw", []string{"-sim hw", "simos-mipsy"}},
+		{"snbench -sim hw", []string{"-sim hw"}},
+		{"run -app nosuch", []string{"nosuch", "fft"}},
+		{"worksweep -workloads nosuch", []string{"nosuch", "gups"}},
+		// A container describes one run: only `run` takes the trace flags.
+		{"validate -trace-out x.fltr figure1", []string{"flag provided but not defined: -trace-out"}},
+		{"worksweep -trace-out x.fltr", []string{"flag provided but not defined: -trace-out"}},
+		{"tune -trace-in x.fltr", []string{"flag provided but not defined: -trace-in"}},
+		{"validate -figure 1", []string{"flag provided but not defined: -figure"}},
+		{"run -set no.such.knob=1", []string{"no.such.knob"}},
+	} {
+		stdout, stderr, status := flashsim(strings.Fields(tc.args)...)
+		if status != 2 {
+			t.Errorf("flashsim %s: exit %d, want 2\n%s", tc.args, status, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("flashsim %s: a usage error wrote to stdout: %q", tc.args, stdout)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(stderr, want) {
+				t.Errorf("flashsim %s: stderr does not mention %q:\n%s", tc.args, want, stderr)
+			}
+		}
+	}
+	if _, err := os.Stat("x.fltr"); err == nil {
+		t.Error("a rejected -trace-out still wrote x.fltr")
+	}
+}
+
+// TestUnwritableArtifactFailsEverySubcommand: the one teardown reports
+// a -metrics-out (or -memprofile) that cannot be written and exits 1,
+// whichever subcommand ran — after printing the results it did get.
+func TestUnwritableArtifactFailsEverySubcommand(t *testing.T) {
+	dir := t.TempDir()
+	fltr := filepath.Join(dir, "fft.fltr")
+	if _, stderr, status := flashsim("trace", "capture", "-app", "fft", "-full=false", "-o", fltr); status != 0 {
+		t.Fatalf("capture: exit %d\n%s", status, stderr)
+	}
+	bad := filepath.Join(dir, "no-such-dir", "out")
+	for _, args := range []string{
+		"run -app fft -full=false",
+		"validate -quick table1 tlb",
+		"worksweep -quick -workloads gups -sizes 2",
+		"tune",
+		"snbench",
+		"trace capture -app fft -full=false -o " + filepath.Join(dir, "again.fltr"),
+		"trace inspect " + fltr,
+		"trace replay " + fltr,
+		"trace sweep -app fft -full=false -points 2 -ladder=false",
+	} {
+		for _, flag := range []string{"-metrics-out", "-memprofile"} {
+			sub := strings.Fields(args)
+			n := 1
+			if sub[0] == "trace" {
+				n = 2
+			}
+			argv := append(append(append([]string{}, sub[:n]...), flag, bad), sub[n:]...)
+			stdout, stderr, status := flashsim(argv...)
+			if status != 1 || !strings.Contains(stderr, flag) {
+				t.Errorf("flashsim %s: exit %d, stderr %q; want exit 1 naming %s", strings.Join(argv, " "), status, stderr, flag)
+			}
+			if stdout == "" {
+				t.Errorf("flashsim %s: the failed artifact write swallowed the results", strings.Join(argv, " "))
+			}
+		}
+	}
+
+	// And a writable one is written.
+	good := filepath.Join(dir, "m.json")
+	if _, stderr, status := flashsim("trace", "replay", "-metrics-out", good, fltr); status != 0 {
+		t.Fatalf("replay -metrics-out: exit %d\n%s", status, stderr)
+	}
+	if data, err := os.ReadFile(good); err != nil || !bytes.Contains(data, []byte(`"Jobs": 1`)) {
+		t.Errorf("metrics report: %v\n%.300s", err, data)
+	}
+}
+
+// TestWorksweepJSONReport: the evidence file carries the matrix that
+// was asked for and one row per cell.
+func TestWorksweepJSONReport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	stdout, stderr, status := flashsim("worksweep", "-quick", "-workloads", "gups", "-sizes", "2", "-date", "2000-11-12", "-json", path)
+	if status != 0 {
+		t.Fatalf("exit %d\n%s", status, stderr)
+	}
+	if !strings.Contains(stdout, "wrote "+path) {
+		t.Errorf("stdout does not report the file:\n%s", stdout)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"date": "2000-11-12"`, `"scale": "quick"`, `"gups"`, `"Workload": "GUPS"`, `"period"`} {
+		if !bytes.Contains(data, []byte(want)) {
+			t.Errorf("report lacks %s:\n%s", want, data)
+		}
+	}
+}

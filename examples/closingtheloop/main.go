@@ -13,7 +13,7 @@ import (
 	"log"
 
 	"flashsim/internal/core"
-	"flashsim/internal/proto"
+	"flashsim/internal/harness"
 )
 
 func main() {
@@ -32,28 +32,12 @@ func main() {
 		fmt.Printf("  %v\n", a)
 	}
 
-	hwLat, err := cal.DependentLoadLatencies()
+	dl, err := harness.MeasureDepLoads(cal, untuned, c.Apply(untuned))
 	if err != nil {
 		log.Fatal(err)
 	}
-	tuned := c.Apply(untuned)
-
 	fmt.Println("\ndependent-load latencies (Table 3):")
 	fmt.Printf("  %-22s %8s %16s %16s\n", "protocol case", "hw/ns", "untuned", "tuned")
-	for _, pc := range []proto.Case{
-		proto.LocalClean, proto.LocalDirtyRemote, proto.RemoteClean,
-		proto.RemoteDirtyHome, proto.RemoteDirtyRemote,
-	} {
-		u, err := core.SimDepLatency(untuned, pc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tn, err := core.SimDepLatency(tuned, pc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %-22s %8.0f %8.0f (%.2f) %8.0f (%.2f)\n",
-			pc, hwLat[pc], u, u/hwLat[pc], tn, tn/hwLat[pc])
-	}
+	fmt.Print(dl.Rows(8, ""))
 	fmt.Println("\nwithout a hardware reference, none of these errors would be visible.")
 }

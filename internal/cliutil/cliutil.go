@@ -1,11 +1,15 @@
-// Package cliutil is the shared command-line plumbing of the cmd/
-// front ends. Every CLI gets the same knobs with one canonical
-// description each — -jobs and -cache-dir (the runner pool), -config
-// and -set (machine-parameter overrides through the internal/param
-// registry), -cpuprofile/-memprofile/-trace (pprof and execution-trace
-// artifacts), -metrics-out (the per-run observability report of
-// internal/obs) — plus -list-params for registry introspection, instead
-// of five drifting copies of the same flag declarations.
+// Package cliutil is the command-line plumbing under cmd/flashsim's
+// subcommands and cmd/flashd: one flag block with one canonical
+// description per knob — -jobs and -cache-dir (the runner pool),
+// -config and -set (machine-parameter overrides through the
+// internal/param registry), -sample and -shards (execution modes),
+// -cpuprofile/-memprofile/-trace (pprof and execution-trace artifacts),
+// -metrics-out (the per-run observability report of internal/obs),
+// -list-params — and the lifecycle around it: Finish validates, Pool
+// builds the runner, ExitOnSignal and Close flush the artifacts. The
+// subcommands that build a program add the workload block
+// (RegisterWorkloadOn); CaptureRun and LoadReplay are the two ends of
+// the trace tool chain.
 package cliutil
 
 import (
@@ -36,8 +40,6 @@ const (
 	memProfileUsage = "write an allocation profile to this file on exit (go tool pprof)"
 	traceUsage      = "write a runtime execution trace to this file (go tool trace)"
 	metricsOutUsage = "write the aggregated per-run metrics report (obs.Report JSON) to this file on exit"
-	traceOutUsage   = "capture the run's instruction streams into this trace container (execution-driven run, bypasses the memo store)"
-	traceInUsage    = "replay a previously captured trace container instead of executing the workload (trace-driven run)"
 	sampleUsage     = "enable sampled simulation: 'on' for the default schedule, or period:window:warmup[:phase] instruction counts"
 	sampleColdUsage = "sampled fast-forward leaves cache/TLB/directory state cold instead of warming it (requires -sample)"
 	shardsUsage     = "partition simulated nodes across this many host cores inside each run (results are bit-identical at any value; clamped to the processor count)"
@@ -54,8 +56,6 @@ type Flags struct {
 	MemProfile string
 	TraceFile  string
 	MetricsOut string
-	TraceOut   string
-	TraceIn    string
 	Sample     string
 	SampleCold bool
 	Shards     int
@@ -81,11 +81,8 @@ func (s *stringList) Set(v string) error {
 	return nil
 }
 
-// Register installs the shared flags on the process flag set. Call
-// before flag.Parse, then Finish after it.
-func Register() *Flags { return RegisterOn(flag.CommandLine) }
-
-// RegisterOn installs the shared flags on fs.
+// RegisterOn installs the shared flags on fs. Call before fs.Parse,
+// then Finish after it.
 func RegisterOn(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.IntVar(&f.Jobs, "jobs", runner.DefaultWorkers(), jobsUsage)
@@ -98,8 +95,6 @@ func RegisterOn(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.MemProfile, "memprofile", "", memProfileUsage)
 	fs.StringVar(&f.TraceFile, "trace", "", traceUsage)
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", metricsOutUsage)
-	fs.StringVar(&f.TraceOut, "trace-out", "", traceOutUsage)
-	fs.StringVar(&f.TraceIn, "trace-in", "", traceInUsage)
 	fs.StringVar(&f.Sample, "sample", "", sampleUsage)
 	fs.BoolVar(&f.SampleCold, "sample-cold", false, sampleColdUsage)
 	fs.IntVar(&f.Shards, "shards", 1, shardsUsage)
@@ -285,7 +280,3 @@ func (f *Flags) writeMetrics() error {
 	}
 	return nil
 }
-
-// Settings returns the validated -set overrides (file overrides are in
-// the snapshot, retrievable via Apply).
-func (f *Flags) Settings() []param.Setting { return f.settings }

@@ -1,16 +1,12 @@
 package cliutil
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
 
-	"flashsim/internal/emitter"
 	"flashsim/internal/machine"
 	"flashsim/internal/param"
-	"flashsim/internal/runner"
 )
 
 // sampleSettings translates -sample/-sample-cold into sampling.*
@@ -61,66 +57,4 @@ func (f *Flags) sampleSettings() ([]param.Setting, error) {
 		out = append(out, s)
 	}
 	return out, nil
-}
-
-// RunMode names which execution mode the shared dispatch selected.
-type RunMode int
-
-const (
-	// ModeExecute is an execution-driven run through the pool.
-	ModeExecute RunMode = iota
-	// ModeCapture is an execution-driven run with a trace tap; it
-	// bypasses the pool because a memoized result emits no instructions
-	// and can never fill a trace.
-	ModeCapture
-	// ModeReplay is a trace-driven run of a loaded container.
-	ModeReplay
-)
-
-// RunOutcome is ExecuteRun's result: the machine Result plus which
-// mode produced it (and, under ModeReplay, the image that was run).
-type RunOutcome struct {
-	Result machine.Result
-	Mode   RunMode
-	// Image is the replayed container under ModeReplay.
-	Image *machine.ReplayImage
-}
-
-// ExecuteRun dispatches one run across the three execution modes the
-// shared trace flags select — the run-mode logic every single-run
-// front end (flashsim, flashtrace) shares instead of reimplementing:
-//
-//   - -trace-out captures prog execution-driven into the container
-//   - -trace-in (or a preloaded img) replays a container trace-driven
-//   - otherwise prog executes through the pool
-//
-// img, when non-nil, is a container the caller already loaded (e.g.
-// to size the machine from the trace's thread count); it forces
-// ModeReplay without re-decoding.
-func (f *Flags) ExecuteRun(ctx context.Context, pool *runner.Pool, cfg machine.Config, prog emitter.Program, source json.RawMessage, img *machine.ReplayImage) (RunOutcome, error) {
-	if f.TraceOut != "" && (f.TraceIn != "" || img != nil) {
-		return RunOutcome{}, fmt.Errorf("-trace-out and -trace-in are mutually exclusive (capture or replay, not both)")
-	}
-	if f.TraceOut != "" {
-		res, err := CaptureRun(f.TraceOut, cfg, prog, source)
-		return RunOutcome{Result: res, Mode: ModeCapture}, err
-	}
-	if img == nil && f.TraceIn != "" {
-		var err error
-		if img, err = LoadReplay(f.TraceIn); err != nil {
-			return RunOutcome{Mode: ModeReplay}, err
-		}
-	}
-	if img != nil {
-		results, err := pool.Run(ctx, []runner.Job{{Config: cfg, Replay: img}})
-		if err != nil {
-			return RunOutcome{Mode: ModeReplay}, err
-		}
-		return RunOutcome{Result: results[0], Mode: ModeReplay, Image: img}, nil
-	}
-	results, err := pool.Run(ctx, []runner.Job{{Config: cfg, Prog: prog}})
-	if err != nil {
-		return RunOutcome{}, err
-	}
-	return RunOutcome{Result: results[0]}, nil
 }

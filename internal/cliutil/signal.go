@@ -36,9 +36,9 @@ func NotifyShutdown(handler func(os.Signal)) (stop func()) {
 // SIGINT or SIGTERM the artifact sinks are finalized — the
 // -metrics-out report is written with whatever ran before the
 // interrupt, profiles and traces are closed — and the process exits
-// with the conventional 128+signal status. Mains call it after Finish
-// and disarm via the returned stop on the normal path (where the
-// deferred Close writes the artifacts instead).
+// with the conventional 128+signal status. The caller arms it after
+// Finish and disarms via the returned stop on the normal path (where
+// its own Close writes the artifacts instead).
 func (f *Flags) ExitOnSignal() (stop func()) {
 	return NotifyShutdown(func(sig os.Signal) {
 		fmt.Fprintf(os.Stderr, "interrupted by %v; flushing artifacts\n", sig)

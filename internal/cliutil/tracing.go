@@ -11,17 +11,6 @@ import (
 	"flashsim/internal/trace"
 )
 
-// ForbidTrace rejects -trace-out/-trace-in on commands whose run plan
-// spans many (config, workload) tuples — a single container cannot
-// describe a sweep. Single-run front ends (flashsim) and the dedicated
-// trace CLI (flashtrace) support them.
-func (f *Flags) ForbidTrace(cmd string) error {
-	if f.TraceOut != "" || f.TraceIn != "" {
-		return fmt.Errorf("%s runs many workload/config combinations; -trace-out/-trace-in apply to single runs (use flashsim or flashtrace)", cmd)
-	}
-	return nil
-}
-
 // CaptureRun executes prog under cfg execution-driven while capturing
 // its instruction streams into the container file at path. The capture
 // bypasses any memo store by design: a cache hit replays a stored

@@ -30,9 +30,6 @@ type WorkloadFlags struct {
 	params        stringList
 }
 
-// RegisterWorkload installs the workload flags on the process flag set.
-func RegisterWorkload() *WorkloadFlags { return RegisterWorkloadOn(flag.CommandLine) }
-
 // RegisterWorkloadOn installs the workload flags on fs.
 func RegisterWorkloadOn(fs *flag.FlagSet) *WorkloadFlags {
 	w := &WorkloadFlags{}

@@ -113,14 +113,7 @@ func (c *Calibrator) pool() *runner.Pool {
 
 // runOne executes a single probe run through a pool (nil = serial).
 func runOne(p *runner.Pool, cfg machine.Config, prog emitter.Program) (machine.Result, error) {
-	if p == nil {
-		p = runner.Serial()
-	}
-	results, err := p.Run(context.Background(), []runner.Job{{Config: cfg, Prog: prog}})
-	if err != nil {
-		return machine.Result{}, err
-	}
-	return results[0], nil
+	return runner.RunOne(p, runner.Job{Config: cfg, Prog: prog})
 }
 
 // hwTLBCycles measures the reference TLB-refill cost.

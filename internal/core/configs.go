@@ -18,7 +18,9 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
+	"flashsim/internal/hw"
 	"flashsim/internal/machine"
 	"flashsim/internal/memsys"
 	"flashsim/internal/osmodel"
@@ -91,6 +93,27 @@ func StandardConfigs(procs int, scaled bool) []machine.Config {
 		SoloMipsy(procs, 225, scaled),
 		SoloMipsy(procs, 300, scaled),
 	}
+}
+
+// ConfigNames lists the machine models ConfigByName resolves: the
+// hardware reference and the three simulator families of the study.
+var ConfigNames = []string{"hw", "simos-mipsy", "simos-mxs", "solo-mipsy"}
+
+// ConfigByName builds the named machine model — the one place a -sim
+// flag or a job spec's base name becomes a configuration. mhz applies
+// to the Mipsy-based models only (MXS and the hardware run at 150).
+func ConfigByName(name string, procs, mhz int, scaled bool) (machine.Config, error) {
+	switch name {
+	case "hw":
+		return hw.Config(procs, scaled), nil
+	case "simos-mipsy":
+		return SimOSMipsy(procs, mhz, scaled), nil
+	case "simos-mxs":
+		return SimOSMXS(procs, scaled), nil
+	case "solo-mipsy":
+		return SoloMipsy(procs, mhz, scaled), nil
+	}
+	return machine.Config{}, fmt.Errorf("unknown simulator %q (want %s)", name, strings.Join(ConfigNames, ", "))
 }
 
 // WideSizes is the widened machine matrix of the server-class workload

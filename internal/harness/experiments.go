@@ -11,6 +11,76 @@ import (
 	"flashsim/internal/workload"
 )
 
+// Experiment is one row of the evaluation: a name the CLI and the tests
+// address it by, a one-line title, and the function that runs it on a
+// session and returns its structured result and text rendering.
+type Experiment struct {
+	Name  string
+	Title string
+	Run   func(*Session) (data any, text string, err error)
+}
+
+// Experiments is the evaluation, declared once: every table, figure and
+// in-text experiment of the paper plus this reproduction's own studies.
+// `flashsim validate` iterates it, so adding an experiment is adding a
+// row here.
+var Experiments = []Experiment{
+	{"table1", "FLASH hardware configuration", textRow(func(*Session) (string, error) { return Table1(), nil })},
+	{"table2", "SPLASH-2 problem sizes, paper vs. scaled", textRow(func(s *Session) (string, error) { return Table2(s.Scale), nil })},
+	{"table3", "dependent-load latencies: hardware vs. tuned and untuned FlashLite", row((*Session).Table3)},
+	{"figure1", "initial uniprocessor comparison, simulators untuned", row((*Session).Figure1)},
+	{"figure2", "uniprocessor comparison after the application blocking fixes", row((*Session).Figure2)},
+	{"figure3", "final uniprocessor comparison, simulators tuned", row((*Session).Figure3)},
+	{"figure4", "final 4-processor comparison, simulators tuned", row((*Session).Figure4)},
+	{"figure5", "FFT speedup trend study", row((*Session).Figure5)},
+	{"figure6", "Radix-Sort speedup trend study", row((*Session).Figure6)},
+	{"figure7", "unplaced Radix-Sort across memory-system models", row((*Session).Figure7)},
+	{"tlb", "TLB-refill cost on hardware, Mipsy and MXS", row((*Session).ExperimentTLBCost)},
+	{"blocking", "application TLB-blocking fixes measured on hardware", row((*Session).ExperimentBlockingFixes)},
+	{"muldiv", "multiply/divide latency correction", row((*Session).ExperimentMulDiv)},
+	{"defects", "historical simulator defects, injected and measured", textRow((*Session).ExperimentDefects)},
+	{"trace", "trace-driven error across the CPU-detail ladder at 4p", row(func(s *Session) (TraceReplayData, string, error) { return s.ExperimentTraceReplay(4) })},
+	{"sampling", "sampled-simulation error at 2p and 4p", row(func(s *Session) (SamplingData, string, error) { return s.ExperimentSampling(2, 4) })},
+	{"tuning", "each study simulator's calibration as a registry diff", textRow(func(s *Session) (string, error) { return s.TuningDiffs(1) })},
+	{"worksweep", "trend and sampling error for server-class workloads at 32-128 nodes", row(func(s *Session) (WorkloadSweepData, string, error) {
+		return s.ExperimentWorkloadSweep(s.SweepNames, s.SweepSizes...)
+	})},
+}
+
+// row adapts a typed experiment method to a table row.
+func row[T any](f func(*Session) (T, string, error)) func(*Session) (any, string, error) {
+	return func(s *Session) (any, string, error) { return f(s) }
+}
+
+// textRow adapts an experiment whose only result is its rendering.
+func textRow(f func(*Session) (string, error)) func(*Session) (any, string, error) {
+	return func(s *Session) (any, string, error) {
+		text, err := f(s)
+		return text, text, err
+	}
+}
+
+// Find resolves experiment names against the table, in argument order.
+// An unknown name's error lists the valid ones.
+func Find(names ...string) ([]Experiment, error) {
+	out := make([]Experiment, 0, len(names))
+next:
+	for _, name := range names {
+		for _, x := range Experiments {
+			if x.Name == name {
+				out = append(out, x)
+				continue next
+			}
+		}
+		valid := make([]string, len(Experiments))
+		for i, x := range Experiments {
+			valid[i] = x.Name
+		}
+		return nil, fmt.Errorf("unknown experiment %q (want %s)", name, strings.Join(valid, ", "))
+	}
+	return out, nil
+}
+
 // Table1 renders the FLASH hardware configuration (Table 1), both the
 // paper's full-scale values and the scaled geometry actually simulated.
 func Table1() string {
@@ -57,6 +127,62 @@ func Table2(s Scale) string {
 	return b.String()
 }
 
+// DepLoadCases are the five protocol read cases of Table 3, in the
+// paper's row order.
+var DepLoadCases = []proto.Case{
+	proto.LocalClean, proto.LocalDirtyRemote, proto.RemoteClean,
+	proto.RemoteDirtyHome, proto.RemoteDirtyRemote,
+}
+
+// DepLoads is the dependent-load comparison every calibration report
+// shows (Table 3, `flashsim tune`, `flashsim snbench`): ns per load on
+// the hardware and on each simulator, per protocol case.
+type DepLoads struct {
+	HW   map[proto.Case]float64
+	Sims []map[proto.Case]float64 // one per configuration, in argument order
+}
+
+// MeasureDepLoads runs the dependent-load microbenchmark on cal's
+// hardware reference and on each of cfgs.
+func MeasureDepLoads(cal *core.Calibrator, cfgs ...machine.Config) (DepLoads, error) {
+	hw, err := cal.DependentLoadLatencies()
+	if err != nil {
+		return DepLoads{}, err
+	}
+	d := DepLoads{HW: hw, Sims: make([]map[proto.Case]float64, len(cfgs))}
+	for i := range d.Sims {
+		d.Sims[i] = make(map[proto.Case]float64)
+	}
+	for _, pc := range DepLoadCases {
+		for i, cfg := range cfgs {
+			if d.Sims[i][pc], err = cal.SimDepLatency(cfg, pc); err != nil {
+				return d, err
+			}
+		}
+	}
+	return d, nil
+}
+
+// Rows renders one line per protocol case: the hardware latency at
+// width w, then each simulator's latency and its ratio to the hardware.
+// hwLabel and simLabels[i] are written in front of their cells; under
+// a header row that already names the columns they are left out.
+func (d DepLoads) Rows(w int, hwLabel string, simLabels ...string) string {
+	var b strings.Builder
+	for _, pc := range DepLoadCases {
+		fmt.Fprintf(&b, "  %-22s %s%*.0f", pc, hwLabel, w, d.HW[pc])
+		for i, sim := range d.Sims {
+			label := ""
+			if i < len(simLabels) {
+				label = simLabels[i]
+			}
+			fmt.Fprintf(&b, " %s%*.0f (%.2f)", label, w, sim[pc], sim[pc]/d.HW[pc])
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // Table3Data holds dependent-load latencies per protocol case (ns).
 type Table3Data struct {
 	Cases   []proto.Case
@@ -69,20 +195,7 @@ type Table3Data struct {
 // and untuned FlashLite for the five protocol read cases. The simulator
 // column uses SimOS-Mipsy at the hardware clock, as snbench did.
 func (s *Session) Table3() (Table3Data, string, error) {
-	cal := s.calibrator()
-	d := Table3Data{
-		Tuned:   make(map[proto.Case]float64),
-		Untuned: make(map[proto.Case]float64),
-	}
-	hw, err := cal.DependentLoadLatencies()
-	if err != nil {
-		return d, "", err
-	}
-	d.HW = hw
-	d.Cases = []proto.Case{
-		proto.LocalClean, proto.LocalDirtyRemote, proto.RemoteClean,
-		proto.RemoteDirtyHome, proto.RemoteDirtyRemote,
-	}
+	var d Table3Data
 	untuned, err := s.override(core.SimOSMipsy(4, 150, true))
 	if err != nil {
 		return d, "", err
@@ -91,88 +204,100 @@ func (s *Session) Table3() (Table3Data, string, error) {
 	if err != nil {
 		return d, "", err
 	}
-	tuned := calib.Apply(untuned)
-	for _, pc := range d.Cases {
-		u, err := cal.SimDepLatency(untuned, pc)
-		if err != nil {
-			return d, "", err
-		}
-		tn, err := cal.SimDepLatency(tuned, pc)
-		if err != nil {
-			return d, "", err
-		}
-		d.Untuned[pc] = u
-		d.Tuned[pc] = tn
+	dl, err := MeasureDepLoads(core.NewCalibrator(s.Ref), calib.Apply(untuned), untuned)
+	if err != nil {
+		return d, "", err
 	}
-	var b strings.Builder
-	b.WriteString("Table 3: dependent load latencies (ns; parenthesized = relative to hardware)\n")
-	fmt.Fprintf(&b, "  %-22s %10s %18s %18s\n", "Protocol Case", "HW", "Tuned FL", "Untuned FL")
-	for _, pc := range d.Cases {
-		fmt.Fprintf(&b, "  %-22s %10.0f %10.0f (%.2f) %10.0f (%.2f)\n",
-			pc, d.HW[pc], d.Tuned[pc], d.Tuned[pc]/d.HW[pc], d.Untuned[pc], d.Untuned[pc]/d.HW[pc])
+	d = Table3Data{Cases: DepLoadCases, HW: dl.HW, Tuned: dl.Sims[0], Untuned: dl.Sims[1]}
+	text := "Table 3: dependent load latencies (ns; parenthesized = relative to hardware)\n" +
+		fmt.Sprintf("  %-22s %10s %18s %18s\n", "Protocol Case", "HW", "Tuned FL", "Untuned FL") +
+		dl.Rows(10, "")
+	return d, text, nil
+}
+
+// compare is the body of Figures 1-4: the seven study simulators,
+// untuned or calibrated, against the hardware on apps at procs.
+func (s *Session) compare(title string, tuned bool, apps []core.Workload, procs int) (core.CompareResult, string, error) {
+	var cfgs []machine.Config
+	var err error
+	if tuned {
+		cfgs, err = s.TunedConfigs(procs)
+	} else {
+		cfgs, err = s.UntunedConfigs(procs)
 	}
-	return d, b.String(), nil
+	if err != nil {
+		return core.CompareResult{}, "", err
+	}
+	res, err := core.NewStudy(s.Ref, cfgs...).Compare(apps, procs)
+	if err != nil {
+		return res, "", err
+	}
+	return res, renderRelTable(title, res), nil
 }
 
 // Figure1 reproduces the initial uniprocessor comparison: untuned
 // simulators, applications blocked as originally recommended.
 func (s *Session) Figure1() (core.CompareResult, string, error) {
-	cfgs, err := s.UntunedConfigs(1)
-	if err != nil {
-		return core.CompareResult{}, "", err
-	}
-	study := core.NewStudy(s.Ref, cfgs...)
-	res, err := study.Compare(s.Scale.InitialApps(), 1)
-	if err != nil {
-		return res, "", err
-	}
-	return res, renderRelTable("Figure 1: initial uniprocessor SPLASH-2 results before simulator tuning", res), nil
+	return s.compare("Figure 1: initial uniprocessor SPLASH-2 results before simulator tuning", false, s.Scale.InitialApps(), 1)
 }
 
 // Figure2 reproduces the uniprocessor comparison after the application
 // TLB-blocking fixes (FFT blocked for the TLB, radix 256 -> 32),
 // simulators still untuned.
 func (s *Session) Figure2() (core.CompareResult, string, error) {
-	cfgs, err := s.UntunedConfigs(1)
-	if err != nil {
-		return core.CompareResult{}, "", err
-	}
-	study := core.NewStudy(s.Ref, cfgs...)
-	res, err := study.Compare(s.Scale.FixedApps(), 1)
-	if err != nil {
-		return res, "", err
-	}
-	return res, renderRelTable("Figure 2: uniprocessor SPLASH-2 results after blocking fixes", res), nil
+	return s.compare("Figure 2: uniprocessor SPLASH-2 results after blocking fixes", false, s.Scale.FixedApps(), 1)
 }
 
 // Figure3 reproduces the final uniprocessor comparison with tuned
 // simulators.
 func (s *Session) Figure3() (core.CompareResult, string, error) {
-	cfgs, err := s.TunedConfigs(1)
-	if err != nil {
-		return core.CompareResult{}, "", err
-	}
-	study := core.NewStudy(s.Ref, cfgs...)
-	res, err := study.Compare(s.Scale.FixedApps(), 1)
-	if err != nil {
-		return res, "", err
-	}
-	return res, renderRelTable("Figure 3: final uniprocessor SPLASH-2 comparison", res), nil
+	return s.compare("Figure 3: final uniprocessor SPLASH-2 comparison", true, s.Scale.FixedApps(), 1)
 }
 
 // Figure4 reproduces the final four-processor comparison with tuned
 // simulators.
 func (s *Session) Figure4() (core.CompareResult, string, error) {
-	cfgs, err := s.TunedConfigs(4)
+	return s.compare("Figure 4: final 4-processor SPLASH-2 comparison", true, s.Scale.FixedApps(), 4)
+}
+
+// trendSim is one simulator curve of a trend study.
+type trendSim struct {
+	base  machine.Config // before the session override
+	tuned bool           // calibrate against the reference first
+	label string         // curve label; "" keeps the configuration's name
+}
+
+// trend is the body of Figures 5-7: the hardware speedup curve for w
+// over procs, then one predicted curve per simulator.
+func (s *Session) trend(title string, w core.Workload, procs []int, sims ...trendSim) ([]core.Curve, string, error) {
+	ta := core.NewTrendAnalyzer(s.Ref)
+	hwC, err := ta.HardwareSpeedup(w, procs)
 	if err != nil {
-		return core.CompareResult{}, "", err
+		return nil, "", err
 	}
-	study := core.NewStudy(s.Ref, cfgs...)
-	res, err := study.Compare(s.Scale.FixedApps(), 4)
-	if err != nil {
-		return res, "", err
+	curves := []core.Curve{hwC}
+	for _, ts := range sims {
+		cfg, err := s.override(ts.base)
+		if err != nil {
+			return nil, "", err
+		}
+		if ts.tuned {
+			cal, err := s.Calibrate(cfg)
+			if err != nil {
+				return nil, "", err
+			}
+			cfg = cal.Apply(cfg)
+		}
+		if ts.label != "" {
+			cfg.Name = ts.label
+		}
+		c, err := ta.SimSpeedup(cfg, w, procs)
+		if err != nil {
+			return nil, "", err
+		}
+		curves = append(curves, c)
 	}
-	return res, renderRelTable("Figure 4: final 4-processor SPLASH-2 comparison", res), nil
+	return curves, renderCurves(title, curves), nil
 }
 
 // speedupProcs is the Figures 5-6 processor sweep.
@@ -182,32 +307,9 @@ var speedupProcs = []int{1, 2, 4, 8, 16}
 // SimOS-MXS vs. SimOS-Mipsy at 300 MHz (the over-driven in-order model
 // whose extra request rate invents contention and wrecks the trend).
 func (s *Session) Figure5() ([]core.Curve, string, error) {
-	w := s.Scale.FFTWorkload(true)
-	ta := core.NewTrendAnalyzer(s.Ref)
-	hwC, err := ta.HardwareSpeedup(w, speedupProcs)
-	if err != nil {
-		return nil, "", err
-	}
-	curves := []core.Curve{hwC}
-	for _, base := range []machine.Config{
-		core.SimOSMXS(1, true),
-		core.SimOSMipsy(1, 300, true),
-	} {
-		base, err := s.override(base)
-		if err != nil {
-			return nil, "", err
-		}
-		cal, err := s.Calibrate(base)
-		if err != nil {
-			return nil, "", err
-		}
-		c, err := ta.SimSpeedup(cal.Apply(base), w, speedupProcs)
-		if err != nil {
-			return nil, "", err
-		}
-		curves = append(curves, c)
-	}
-	return curves, renderCurves("Figure 5: speedup trend study for FFT", curves), nil
+	return s.trend("Figure 5: speedup trend study for FFT", s.Scale.FFTWorkload(true), speedupProcs,
+		trendSim{base: core.SimOSMXS(1, true), tuned: true},
+		trendSim{base: core.SimOSMipsy(1, 300, true), tuned: true})
 }
 
 // Figure6 reproduces the Radix speedup study: hardware (poor speedup)
@@ -215,32 +317,9 @@ func (s *Session) Figure5() ([]core.Curve, string, error) {
 // predicts good speedup: IRIX page-coloring conflicts are absent under
 // Solo's allocator).
 func (s *Session) Figure6() ([]core.Curve, string, error) {
-	w := s.Scale.RadixWorkload(32, false)
-	ta := core.NewTrendAnalyzer(s.Ref)
-	hwC, err := ta.HardwareSpeedup(w, speedupProcs)
-	if err != nil {
-		return nil, "", err
-	}
-	curves := []core.Curve{hwC}
-	for _, base := range []machine.Config{
-		core.SimOSMipsy(1, 225, true),
-		core.SoloMipsy(1, 225, true),
-	} {
-		base, err := s.override(base)
-		if err != nil {
-			return nil, "", err
-		}
-		cal, err := s.Calibrate(base)
-		if err != nil {
-			return nil, "", err
-		}
-		c, err := ta.SimSpeedup(cal.Apply(base), w, speedupProcs)
-		if err != nil {
-			return nil, "", err
-		}
-		curves = append(curves, c)
-	}
-	return curves, renderCurves("Figure 6: speedup trend study for Radix", curves), nil
+	return s.trend("Figure 6: speedup trend study for Radix", s.Scale.RadixWorkload(32, false), speedupProcs,
+		trendSim{base: core.SimOSMipsy(1, 225, true), tuned: true},
+		trendSim{base: core.SoloMipsy(1, 225, true), tuned: true})
 }
 
 // Figure7 reproduces the memory-system sensitivity study: unplaced
@@ -249,40 +328,11 @@ func (s *Session) Figure6() ([]core.Curve, string, error) {
 // and the NUMA model. NUMA correctly predicts terrible speedup but
 // misses the MAGIC-occupancy hotspot magnitude.
 func (s *Session) Figure7() ([]core.Curve, string, error) {
-	w := s.Scale.RadixWorkload(32, true)
-	procs := []int{1, 8, 16}
-	ta := core.NewTrendAnalyzer(s.Ref)
-	hwC, err := ta.HardwareSpeedup(w, procs)
-	if err != nil {
-		return nil, "", err
-	}
-	curves := []core.Curve{hwC}
-
-	base, err := s.override(core.SimOSMipsy(1, 225, true))
-	if err != nil {
-		return nil, "", err
-	}
-	cal, err := s.Calibrate(base)
-	if err != nil {
-		return nil, "", err
-	}
-	tuned := cal.Apply(base)
-	tuned.Name = "Tuned FlashLite"
-	untuned := base
-	untuned.Name = "Untuned FlashLite"
-	numa, err := s.override(core.WithNUMA(core.SimOSMipsy(1, 225, true)))
-	if err != nil {
-		return nil, "", err
-	}
-	numa.Name = "NUMA"
-	for _, cfg := range []machine.Config{tuned, untuned, numa} {
-		c, err := ta.SimSpeedup(cfg, w, procs)
-		if err != nil {
-			return nil, "", err
-		}
-		curves = append(curves, c)
-	}
-	return curves, renderCurves("Figure 7: speedup for unplaced Radix-Sort (SimOS-Mipsy 225MHz)", curves), nil
+	mipsy := core.SimOSMipsy(1, 225, true)
+	return s.trend("Figure 7: speedup for unplaced Radix-Sort (SimOS-Mipsy 225MHz)", s.Scale.RadixWorkload(32, true), []int{1, 8, 16},
+		trendSim{base: mipsy, tuned: true, label: "Tuned FlashLite"},
+		trendSim{base: mipsy, label: "Untuned FlashLite"},
+		trendSim{base: core.WithNUMA(mipsy), label: "NUMA"})
 }
 
 // TLBCostData is the §3.1.2 in-text TLB experiment: measured refill
@@ -297,7 +347,7 @@ type TLBCostData struct {
 // 25 vs MXS 35).
 func (s *Session) ExperimentTLBCost() (TLBCostData, string, error) {
 	var d TLBCostData
-	cal := s.calibrator()
+	cal := core.NewCalibrator(s.Ref)
 	hwMeas, err := s.Ref.MeasureAt(snbench.TLBTimer(0, 0, 0), 1)
 	if err != nil {
 		return d, "", err

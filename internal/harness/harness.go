@@ -1,13 +1,18 @@
 // Package harness turns the library into the paper's evaluation
-// section: a named, runnable experiment for every table and figure
-// (Tables 1–3, Figures 1–7) plus the in-text experiments (TLB-miss
-// cost, application blocking fixes, the multiply/divide latency
-// correction, and defect injection). Each experiment returns structured
-// data plus a text rendering that mirrors the paper's presentation.
+// section. Experiments is the one table that declares it: a row (name,
+// title, function) for every table and figure (Tables 1–3, Figures
+// 1–7), the in-text experiments (TLB-miss cost, application blocking
+// fixes, the multiply/divide latency correction, defect injection) and
+// this reproduction's own studies (trace replay, sampling, tuning
+// diffs, the server-class workload sweep). `flashsim validate` iterates
+// the table; each row runs on a Session and returns structured data
+// plus a text rendering that mirrors the paper's presentation. Rows
+// that differ only in their inputs share a body: Figures 1–4 are
+// compare, Figures 5–7 are trend, the sampling rows of `sampling` and
+// `worksweep` are samplingRows.
 package harness
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -58,16 +63,6 @@ func (s Scale) RadixWorkload(radix int, unplaced bool) core.Workload {
 	return s.Workload("radix", map[string]any{"radix": radix, "unplaced": unplaced})
 }
 
-// LUWorkload returns the blocked LU workload.
-func (s Scale) LUWorkload() core.Workload {
-	return s.Workload("lu", nil)
-}
-
-// OceanWorkload returns the Ocean workload.
-func (s Scale) OceanWorkload() core.Workload {
-	return s.Workload("ocean", nil)
-}
-
 // InitialApps returns the four SPLASH-2 workloads as originally tuned
 // (FFT blocked for the cache, Radix-Sort with radix 256) — the Figure 1
 // inputs.
@@ -75,8 +70,8 @@ func (s Scale) InitialApps() []core.Workload {
 	return []core.Workload{
 		s.FFTWorkload(false),
 		s.RadixWorkload(256, false),
-		s.LUWorkload(),
-		s.OceanWorkload(),
+		s.Workload("lu", nil),
+		s.Workload("ocean", nil),
 	}
 }
 
@@ -86,8 +81,8 @@ func (s Scale) FixedApps() []core.Workload {
 	return []core.Workload{
 		s.FFTWorkload(true),
 		s.RadixWorkload(32, false),
-		s.LUWorkload(),
-		s.OceanWorkload(),
+		s.Workload("lu", nil),
+		s.Workload("ocean", nil),
 	}
 }
 
@@ -100,7 +95,7 @@ type Session struct {
 	Scale Scale
 
 	// Override, when set, rewrites every *simulator* configuration an
-	// experiment builds before it runs — the hook the CLIs use to route
+	// experiment builds before it runs — the hook the CLI uses to route
 	// -config/-set parameter overrides into the studies. It is applied
 	// to untuned and pre-calibration configurations alike, and never to
 	// the hardware reference: overriding a simulator knob changes a
@@ -108,6 +103,12 @@ type Session struct {
 	// lets `-set os.tlb.handler_cycles=65` reproduce the paper's X1
 	// correction with no code changes.
 	Override func(machine.Config) (machine.Config, error)
+
+	// SweepNames and SweepSizes narrow the worksweep experiment's
+	// matrix: registry workload names and machine sizes (empty =
+	// SweepWorkloads at core.WideSizes).
+	SweepNames []string
+	SweepSizes []int
 
 	pool *runner.Pool
 	cals map[string]core.Calibration
@@ -134,25 +135,10 @@ func NewSessionWithPool(scale Scale, pool *runner.Pool) *Session {
 // Pool returns the session's pool (nil when running serially).
 func (s *Session) Pool() *runner.Pool { return s.pool }
 
-// calibrator returns a fresh calibrator wired to the session's pool.
-func (s *Session) calibrator() *core.Calibrator {
-	cal := core.NewCalibrator(s.Ref)
-	cal.Pool = s.pool
-	return cal
-}
-
 // runOne executes a single machine run through the session's pool so it
 // participates in memoization; with no pool it is exactly machine.Run.
 func (s *Session) runOne(cfg machine.Config, prog emitter.Program) (machine.Result, error) {
-	pool := s.pool
-	if pool == nil {
-		pool = runner.Serial()
-	}
-	results, err := pool.Run(context.Background(), []runner.Job{{Config: cfg, Prog: prog}})
-	if err != nil {
-		return machine.Result{}, err
-	}
-	return results[0], nil
+	return runner.RunOne(s.pool, runner.Job{Config: cfg, Prog: prog})
 }
 
 // Calibrate returns the (cached) calibration for cfg.
@@ -160,7 +146,7 @@ func (s *Session) Calibrate(cfg machine.Config) (core.Calibration, error) {
 	if cal, ok := s.cals[cfg.Name]; ok {
 		return cal, nil
 	}
-	cal, err := s.calibrator().Calibrate(cfg)
+	cal, err := core.NewCalibrator(s.Ref).Calibrate(cfg)
 	if err != nil {
 		return cal, err
 	}

@@ -1,17 +1,88 @@
 package harness_test
 
 import (
+	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
-	"bytes"
-
+	"flashsim/internal/core"
 	"flashsim/internal/harness"
 	"flashsim/internal/hw"
 	"flashsim/internal/machine"
 	"flashsim/internal/param"
 	"flashsim/internal/proto"
+	"flashsim/internal/runner"
 )
+
+// quick is the one pooled, memoizing quick-scale session every test
+// without an override of its own shares, so a run any of them needs is
+// paid for once. Its worksweep matrix is one cell: the 32-128-node
+// default is minutes of simulation, and one cell walks the same code.
+var quick = sync.OnceValue(func() *harness.Session {
+	store, err := runner.NewStore("")
+	if err != nil {
+		panic(err)
+	}
+	s := harness.NewSessionWithPool(harness.ScaleQuick, runner.New(runner.DefaultWorkers(), store))
+	s.SweepNames, s.SweepSizes = []string{"gups"}, []int{4}
+	return s
+})
+
+// shapes are the per-row assertions of TestExperimentsTable, beyond
+// "runs and renders".
+var shapes = map[string]func(t *testing.T, data any, text string){
+	"table3":  func(t *testing.T, d any, text string) { checkTable3(t, d.(harness.Table3Data), text) },
+	"figure1": func(t *testing.T, d any, text string) { checkFigure1(t, d.(core.CompareResult), text) },
+	"tlb":     func(t *testing.T, d any, text string) { checkTLBCost(t, d.(harness.TLBCostData), text) },
+	"trace":   func(t *testing.T, d any, text string) { checkTraceReplay(t, d.(harness.TraceReplayData), 4, text) },
+	"sampling": func(t *testing.T, d any, text string) {
+		checkSampling(t, d.(harness.SamplingData), []int{2, 4}, text)
+	},
+	"worksweep": func(t *testing.T, d any, text string) {
+		sweep := d.(harness.WorkloadSweepData)
+		if len(sweep.Trend) != 1 || sweep.Trend[0].Workload != "GUPS" || len(sweep.Sampling.Rows) != 1 {
+			t.Errorf("one-cell sweep returned %+v", sweep)
+		}
+	},
+}
+
+// TestExperimentsTable runs the evaluation the way `flashsim validate
+// -all -quick` does: every row of the table, in order, on one session.
+func TestExperimentsTable(t *testing.T) {
+	s := quick()
+	seen := make(map[string]bool)
+	for _, x := range harness.Experiments {
+		if x.Name == "" || x.Title == "" || seen[x.Name] {
+			t.Errorf("row %+v: empty or repeated name/title", x)
+		}
+		seen[x.Name] = true
+		t.Run(x.Name, func(t *testing.T) {
+			data, text, err := x.Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data == nil || strings.TrimSpace(text) == "" {
+				t.Fatalf("data %v, text %q", data, text)
+			}
+			if check := shapes[x.Name]; check != nil {
+				check(t, data, text)
+			}
+		})
+	}
+	for name := range shapes {
+		if !seen[name] {
+			t.Errorf("shape check for %q names no row of the table", name)
+		}
+	}
+	found, err := harness.Find("tlb", "figure1")
+	if err != nil || len(found) != 2 || found[0].Name != "tlb" || found[1].Name != "figure1" {
+		t.Errorf("Find(tlb, figure1) = %v, %v", found, err)
+	}
+	if _, err := harness.Find("figure1", "figure8"); err == nil || !strings.Contains(err.Error(), "worksweep") {
+		t.Errorf("Find of an unknown name: %v; want an error listing the table", err)
+	}
+}
 
 func TestTable1Renders(t *testing.T) {
 	out := harness.Table1()
@@ -34,11 +105,14 @@ func TestTable2Renders(t *testing.T) {
 }
 
 func TestTable3ShapeQuick(t *testing.T) {
-	s := harness.NewSession(harness.ScaleQuick)
-	d, text, err := s.Table3()
+	d, text, err := quick().Table3()
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTable3(t, d, text)
+}
+
+func checkTable3(t *testing.T, d harness.Table3Data, text string) {
 	if !strings.Contains(text, "local-clean") {
 		t.Error("missing protocol cases in render")
 	}
@@ -59,11 +133,14 @@ func TestTable3ShapeQuick(t *testing.T) {
 }
 
 func TestFigure1ShapeQuick(t *testing.T) {
-	s := harness.NewSession(harness.ScaleQuick)
-	res, text, err := s.Figure1()
+	res, text, err := quick().Figure1()
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure1(t, res, text)
+}
+
+func checkFigure1(t *testing.T, res core.CompareResult, text string) {
 	if text == "" || len(res.Configs) != 7 {
 		t.Fatalf("render/configs: %d configs", len(res.Configs))
 	}
@@ -83,11 +160,14 @@ func TestFigure1ShapeQuick(t *testing.T) {
 }
 
 func TestExperimentTLBCostQuick(t *testing.T) {
-	s := harness.NewSession(harness.ScaleQuick)
-	d, text, err := s.ExperimentTLBCost()
+	d, text, err := quick().ExperimentTLBCost()
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTLBCost(t, d, text)
+}
+
+func checkTLBCost(t *testing.T, d harness.TLBCostData, text string) {
 	if !strings.Contains(text, "FLASH hardware") {
 		t.Error("render")
 	}
@@ -148,8 +228,7 @@ func TestOverrideReproducesTLBCorrection(t *testing.T) {
 // TestTuningDiffsRender checks that the registry-diff rendering names
 // the corrected knobs by dotted path.
 func TestTuningDiffsRender(t *testing.T) {
-	s := harness.NewSession(harness.ScaleQuick)
-	out, err := s.TuningDiffs(1)
+	out, err := quick().TuningDiffs(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +240,7 @@ func TestTuningDiffsRender(t *testing.T) {
 }
 
 func TestTunedConfigsCached(t *testing.T) {
-	s := harness.NewSession(harness.ScaleQuick)
+	s := quick()
 	a, err := s.TunedConfigs(1)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +269,7 @@ func TestTunedConfigsCached(t *testing.T) {
 // measurements while the hardware reference keeps both its canonical
 // parameters and its measured numbers.
 func TestOverrideNeverTouchesHardwareReference(t *testing.T) {
-	baseline, _, err := harness.NewSession(harness.ScaleQuick).ExperimentTLBCost()
+	baseline, _, err := quick().ExperimentTLBCost()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,16 +312,19 @@ func TestOverrideNeverTouchesHardwareReference(t *testing.T) {
 }
 
 func TestExperimentTraceReplayQuick(t *testing.T) {
-	s := harness.NewSession(harness.ScaleQuick)
-	d, text, err := s.ExperimentTraceReplay(2)
+	d, text, err := quick().ExperimentTraceReplay(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Procs != 2 {
+	checkTraceReplay(t, d, 2, text)
+}
+
+func checkTraceReplay(t *testing.T, d harness.TraceReplayData, procs int, text string) {
+	if d.Procs != procs {
 		t.Errorf("procs %d", d.Procs)
 	}
 	// Three ladder rungs per fixed workload, in capture-first order.
-	apps := s.Scale.FixedApps()
+	apps := harness.ScaleQuick.FixedApps()
 	if len(d.Rows) != 3*len(apps) {
 		t.Fatalf("%d rows for %d workloads", len(d.Rows), len(apps))
 	}

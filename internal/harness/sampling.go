@@ -55,20 +55,41 @@ func (d SamplingData) MaxRelErr() float64 {
 // error per app × machine size as taxonomy rows — the same
 // differential machinery as the trace experiment, with the fast-
 // forward's omitted core model as the error source.
+func (s *Session) ExperimentSampling(sizes ...int) (SamplingData, string, error) {
+	if len(sizes) == 0 {
+		sizes = []int{2, 4}
+	}
+	d, err := s.samplingRows(s.Scale.FixedApps(), sizes)
+	if err != nil {
+		return d, "", err
+	}
+	sc := d.Schedule
+	head := fmt.Sprintf("Sampled-simulation error (schedule %d/%d/%d", sc.Period, sc.Window, sc.Warmup)
+	if sc.Phase > 0 {
+		head += fmt.Sprintf(" phase %d", sc.Phase)
+	}
+	if sc.ColdState {
+		head += ", cold"
+	} else {
+		head += ", warm"
+	}
+	return d, head + "; sampled ExecTicks relative to full-detail):\n" + d.render(), nil
+}
+
+// samplingRows measures one SamplingRow per machine size × workload:
+// classic SimOS-Mipsy full-detail against the same machine under the
+// sampling schedule.
 //
 // The schedule comes from the session override when it enables one
 // (-sample / -set sampling.*) and defaults to machine.DefaultSampling
 // otherwise; the full-detail baseline always runs unsampled, so an
 // override cannot silently sample both sides of the comparison.
-func (s *Session) ExperimentSampling(sizes ...int) (SamplingData, string, error) {
-	if len(sizes) == 0 {
-		sizes = []int{2, 4}
-	}
+func (s *Session) samplingRows(apps []core.Workload, sizes []int) (SamplingData, error) {
 	var d SamplingData
 	for _, procs := range sizes {
 		base, err := s.override(core.SimOSMipsy(procs, 150, true))
 		if err != nil {
-			return d, "", err
+			return d, err
 		}
 		sampled := base
 		if !sampled.Sampling.Enabled {
@@ -78,18 +99,18 @@ func (s *Session) ExperimentSampling(sizes ...int) (SamplingData, string, error)
 		base.Sampling = machine.SamplingConfig{}
 		d.Schedule = sampled.Sampling
 
-		for _, w := range s.Scale.FixedApps() {
+		for _, w := range apps {
 			prog := w.Make(procs)
 			full, err := s.runOne(base, prog)
 			if err != nil {
-				return d, "", fmt.Errorf("%s full-detail at %dp: %w", w.Name, procs, err)
+				return d, fmt.Errorf("%s full-detail at %dp: %w", w.Name, procs, err)
 			}
 			samp, err := s.runOne(sampled, prog)
 			if err != nil {
-				return d, "", fmt.Errorf("%s sampled at %dp: %w", w.Name, procs, err)
+				return d, fmt.Errorf("%s sampled at %dp: %w", w.Name, procs, err)
 			}
 			if !samp.Sampled {
-				return d, "", fmt.Errorf("%s at %dp: sampled config produced an unsampled result", w.Name, procs)
+				return d, fmt.Errorf("%s at %dp: sampled config produced an unsampled result", w.Name, procs)
 			}
 			row := SamplingRow{
 				Workload: w.Name,
@@ -104,24 +125,18 @@ func (s *Session) ExperimentSampling(sizes ...int) (SamplingData, string, error)
 			d.Rows = append(d.Rows, row)
 		}
 	}
+	return d, nil
+}
 
+// render tabulates the rows under their column header, closing with the
+// largest error.
+func (d SamplingData) render() string {
 	var b strings.Builder
-	sc := d.Schedule
-	fmt.Fprintf(&b, "Sampled-simulation error (schedule %d/%d/%d", sc.Period, sc.Window, sc.Warmup)
-	if sc.Phase > 0 {
-		fmt.Fprintf(&b, " phase %d", sc.Phase)
-	}
-	if sc.ColdState {
-		fmt.Fprintf(&b, ", cold")
-	} else {
-		fmt.Fprintf(&b, ", warm")
-	}
-	fmt.Fprintf(&b, "; sampled ExecTicks relative to full-detail):\n")
 	fmt.Fprintf(&b, "  %-16s %5s %-10s %8s %9s %8s\n", "workload", "procs", "class", "rel", "detailed", "windows")
 	for _, r := range d.Rows {
 		fmt.Fprintf(&b, "  %-16s %5d %-10s %8.3f %8.1f%% %8d\n",
 			r.Workload, r.Procs, r.Class, r.Relative, 100*r.DetailedFrac, r.Windows)
 	}
 	fmt.Fprintf(&b, "  max relative error: %.1f%%\n", 100*d.MaxRelErr())
-	return d, b.String(), nil
+	return b.String()
 }

@@ -9,18 +9,21 @@ import (
 )
 
 func TestExperimentSamplingQuick(t *testing.T) {
-	s := harness.NewSession(harness.ScaleQuick)
-	d, text, err := s.ExperimentSampling(2)
+	d, text, err := quick().ExperimentSampling(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	apps := s.Scale.FixedApps()
-	if len(d.Rows) != len(apps) {
-		t.Fatalf("got %d rows, want one per workload (%d)", len(d.Rows), len(apps))
+	checkSampling(t, d, []int{2}, text)
+}
+
+func checkSampling(t *testing.T, d harness.SamplingData, sizes []int, text string) {
+	apps := harness.ScaleQuick.FixedApps()
+	if len(d.Rows) != len(sizes)*len(apps) {
+		t.Fatalf("got %d rows, want one per workload (%d) and size %v", len(d.Rows), len(apps), sizes)
 	}
-	for _, r := range d.Rows {
-		if r.Procs != 2 {
-			t.Errorf("%s: procs = %d, want 2", r.Workload, r.Procs)
+	for i, r := range d.Rows {
+		if want := sizes[i/len(apps)]; r.Procs != want {
+			t.Errorf("%s: procs = %d, want %d", r.Workload, r.Procs, want)
 		}
 		if r.Class != "omission" {
 			t.Errorf("%s: class = %q, want omission", r.Workload, r.Class)

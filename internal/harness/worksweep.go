@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"flashsim/internal/core"
-	"flashsim/internal/machine"
 )
 
 // WorkloadTrendRow is one workload of the widened trend study: the
@@ -28,22 +27,27 @@ type WorkloadSweepData struct {
 	Sampling SamplingData
 }
 
+// SweepWorkloads is the default worksweep matrix: the four server-class
+// registry workloads.
+var SweepWorkloads = []string{"barnes", "gups", "oltp", "webserve"}
+
 // ExperimentWorkloadSweep reruns the paper's two scaling analyses over
-// registry workloads at server-class machine sizes (default
-// core.WideSizes, 32-128 nodes): the trend study — does the simulator
-// predict the hardware's speedup curve, before and after closing the
-// calibration loop — and the sampled-simulation error taxonomy. Each
-// workload resolves through the registry at the session's scale with
-// its registered defaults.
+// registry workloads (default SweepWorkloads) at server-class machine
+// sizes (default core.WideSizes, 32-128 nodes): the trend study — does
+// the simulator predict the hardware's speedup curve, before and after
+// closing the calibration loop — and the sampled-simulation error
+// taxonomy. Each workload resolves through the registry at the
+// session's scale with its registered defaults.
 func (s *Session) ExperimentWorkloadSweep(names []string, sizes ...int) (WorkloadSweepData, string, error) {
+	if len(names) == 0 {
+		names = SweepWorkloads
+	}
 	if len(sizes) == 0 {
 		sizes = core.WideSizes
 	}
 	d := WorkloadSweepData{Sizes: sizes}
 	sweep := append([]int{1}, sizes...)
-
 	ta := core.NewTrendAnalyzer(s.Ref)
-	ta.Pool = s.pool
 
 	untuned, err := s.override(core.SimOSMipsy(1, 150, true))
 	if err != nil {
@@ -56,8 +60,10 @@ func (s *Session) ExperimentWorkloadSweep(names []string, sizes ...int) (Workloa
 	tuned := cal.Apply(untuned)
 	tuned.Name += " tuned"
 
-	for _, name := range names {
+	apps := make([]core.Workload, len(names))
+	for i, name := range names {
 		w := s.Scale.Workload(name, nil)
+		apps[i] = w
 		hw, err := ta.HardwareSpeedup(w, sweep)
 		if err != nil {
 			return d, "", err
@@ -79,46 +85,9 @@ func (s *Session) ExperimentWorkloadSweep(names []string, sizes ...int) (Workloa
 		})
 	}
 
-	// The sampling-error taxonomy across the same matrix: full-detail
-	// vs. sampled SimOS-Mipsy per workload x machine size, the omission
-	// class of the error taxonomy (the fast-forward omits the core
-	// timing model between windows).
-	for _, procs := range sizes {
-		base, err := s.override(core.SimOSMipsy(procs, 150, true))
-		if err != nil {
-			return d, "", err
-		}
-		sampled := base
-		if !sampled.Sampling.Enabled {
-			sampled.Sampling = machine.DefaultSampling()
-		}
-		sampled.Name += " sampled"
-		base.Sampling = machine.SamplingConfig{}
-		d.Sampling.Schedule = sampled.Sampling
-
-		for _, name := range names {
-			w := s.Scale.Workload(name, nil)
-			prog := w.Make(procs)
-			full, err := s.runOne(base, prog)
-			if err != nil {
-				return d, "", fmt.Errorf("%s full-detail at %dp: %w", w.Name, procs, err)
-			}
-			samp, err := s.runOne(sampled, prog)
-			if err != nil {
-				return d, "", fmt.Errorf("%s sampled at %dp: %w", w.Name, procs, err)
-			}
-			row := SamplingRow{
-				Workload: w.Name,
-				Procs:    procs,
-				Class:    core.Omission.String(),
-				Relative: float64(samp.Exec) / float64(full.Exec),
-				Windows:  samp.Sampling.Windows,
-			}
-			if samp.Instructions > 0 {
-				row.DetailedFrac = float64(samp.Sampling.DetailedInstrs) / float64(samp.Instructions)
-			}
-			d.Sampling.Rows = append(d.Sampling.Rows, row)
-		}
+	// The sampling-error taxonomy across the same matrix.
+	if d.Sampling, err = s.samplingRows(apps, sizes); err != nil {
+		return d, "", err
 	}
 
 	var b strings.Builder
@@ -133,11 +102,6 @@ func (s *Session) ExperimentWorkloadSweep(names []string, sizes ...int) (Workloa
 	sc := d.Sampling.Schedule
 	fmt.Fprintf(&b, "Sampling error (schedule %d/%d/%d; sampled ExecTicks relative to full-detail):\n",
 		sc.Period, sc.Window, sc.Warmup)
-	fmt.Fprintf(&b, "  %-16s %5s %-10s %8s %9s %8s\n", "workload", "procs", "class", "rel", "detailed", "windows")
-	for _, r := range d.Sampling.Rows {
-		fmt.Fprintf(&b, "  %-16s %5d %-10s %8.3f %8.1f%% %8d\n",
-			r.Workload, r.Procs, r.Class, r.Relative, 100*r.DetailedFrac, r.Windows)
-	}
-	fmt.Fprintf(&b, "  max relative error: %.1f%%\n", 100*d.Sampling.MaxRelErr())
+	b.WriteString(d.Sampling.render())
 	return d, b.String(), nil
 }

@@ -209,6 +209,39 @@ func TestBoundedStoreConcurrentEviction(t *testing.T) {
 	}
 }
 
+// TestBoundedStoreEvictsOnRead is the deterministic form of the storm
+// above: an unbounded store writes well past the budget, then a bounded
+// store on the same directory — opened before the writes, so its
+// inventory is empty — reads every entry back. No Put is ever issued on
+// the bounded store, so reading alone must keep it inside its budget.
+func TestBoundedStoreEvictsOnRead(t *testing.T) {
+	dir := t.TempDir()
+	const budget, n = 8 << 10, 60
+	bounded, err := NewBoundedStore(dir, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		writer.Put(fmt.Sprintf("k%03d", i), machine.Result{Instructions: uint64(i)})
+	}
+	for i := 0; i < n; i++ {
+		res, ok := bounded.Get(fmt.Sprintf("k%03d", i))
+		if !ok || res.Instructions != uint64(i) {
+			t.Fatalf("k%03d = (%v, %v)", i, res.Instructions, ok)
+		}
+		if got := bounded.DiskBytes(); got > budget {
+			t.Fatalf("after reading %d entries the footprint is %d, budget %d", i+1, got, budget)
+		}
+	}
+	if bounded.Evictions() == 0 {
+		t.Fatalf("read %d entries past an %d-byte budget with no eviction", n, budget)
+	}
+}
+
 // TestEvictionSeenFromOtherStores: when a bounded store evicts an entry,
 // a second store on the directory that had read it still answers from
 // its memory, and one that had not sees a clean miss.

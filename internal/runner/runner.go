@@ -144,6 +144,19 @@ func New(workers int, store Backend) *Pool {
 // consumer that is not handed an explicit pool.
 func Serial() *Pool { return New(1, nil) }
 
+// RunOne executes a single job through p (nil = Serial), so the run
+// memoizes and counts like any batch of one.
+func RunOne(p *Pool, job Job) (machine.Result, error) {
+	if p == nil {
+		p = Serial()
+	}
+	results, err := p.Run(context.Background(), []Job{job})
+	if err != nil {
+		return machine.Result{}, err
+	}
+	return results[0], nil
+}
+
 // Workers returns the pool's concurrency.
 func (p *Pool) Workers() int { return p.workers }
 

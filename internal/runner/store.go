@@ -11,10 +11,10 @@ import (
 // map; with a directory it wraps a DiskBackend, writing every result
 // through and reading through on a memory miss, so a later process (or
 // another process sharing the directory) reuses runs an earlier one
-// already paid for — cmd/validate -figure 3 rereads the reference runs
-// -figure 1 produced, and the Calibrator's repeated snbench probes hit
-// cache across simulator configurations. The file format, validation
-// and atomic write are all DiskBackend's.
+// already paid for — `flashsim validate figure3` rereads the reference
+// runs `validate figure1` produced, and the Calibrator's repeated
+// snbench probes hit cache across simulator configurations. The file
+// format, validation and atomic write are all DiskBackend's.
 //
 // A persistent store may be byte-bounded (NewBoundedStore, the CLIs'
 // -cache-max-bytes): when the on-disk footprint of the entries this
@@ -92,7 +92,9 @@ func (s *Store) MaxBytes() int64 { return s.maxBytes }
 
 // Get returns the memoized result for key, consulting memory first and
 // then disk. A disk hit is promoted into memory. Either hit refreshes
-// the key's access recency in a bounded store.
+// the key's access recency in a bounded store, and a disk hit counts the
+// entry against the budget, so a store that only reads what another
+// process wrote stays inside its bound too.
 func (s *Store) Get(key string) (machine.Result, bool) {
 	s.mu.RLock()
 	res, ok := s.mem[key]
@@ -116,6 +118,7 @@ func (s *Store) Get(key string) (machine.Result, bool) {
 	s.mem[key] = res
 	if s.maxBytes > 0 {
 		s.touch(key, size)
+		s.evict()
 	}
 	s.mu.Unlock()
 	return res, true

@@ -26,7 +26,6 @@ import (
 
 	"flashsim/internal/core"
 	"flashsim/internal/emitter"
-	"flashsim/internal/hw"
 	"flashsim/internal/machine"
 	"flashsim/internal/param"
 	"flashsim/internal/workload"
@@ -212,21 +211,16 @@ func (c ConfigSpec) Config() (machine.Config, error) {
 	if mhz == 0 {
 		mhz = 150
 	}
-	scaled := boolOr(c.Scaled, true)
-	var cfg machine.Config
-	switch c.Base {
-	case "hw", "flash":
-		cfg = hw.Config(procs, scaled)
-	case "simos-mipsy":
-		cfg = core.SimOSMipsy(procs, mhz, scaled)
-	case "simos-mxs":
-		cfg = core.SimOSMXS(procs, scaled)
-	case "solo-mipsy":
-		cfg = core.SoloMipsy(procs, mhz, scaled)
+	base := c.Base
+	switch base {
 	case "":
 		return machine.Config{}, fmt.Errorf("base config missing")
-	default:
-		return machine.Config{}, fmt.Errorf("unknown base %q (want hw, simos-mipsy, simos-mxs, or solo-mipsy)", c.Base)
+	case "flash":
+		base = "hw"
+	}
+	cfg, err := core.ConfigByName(base, procs, mhz, boolOr(c.Scaled, true))
+	if err != nil {
+		return machine.Config{}, err
 	}
 	if c.Seed != 0 {
 		cfg.Seed = c.Seed

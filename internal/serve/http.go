@@ -166,7 +166,7 @@ func (s *Server) handleSubmitCalibration(w http.ResponseWriter, r *http.Request)
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Calibration probes run at 4 processors like cmd/tune; the spec's
+	// Calibration probes run at 4 processors like `flashsim tune`; the spec's
 	// procs field is accepted but irrelevant, so it is pinned to keep
 	// the dedup key canonical.
 	req.Procs = 4

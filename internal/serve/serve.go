@@ -292,9 +292,7 @@ func failState(err error) JobState {
 func (s *Server) calibrate(cfg machine.Config) (core.Calibration, error) {
 	ref := core.NewReference(4, true)
 	ref.Pool = s.pool
-	cal := core.NewCalibrator(ref)
-	cal.Pool = s.pool
-	return cal.Calibrate(cfg)
+	return core.NewCalibrator(ref).Calibrate(cfg)
 }
 
 // runFigure executes one paper figure through a scale-shared session.
@@ -310,31 +308,12 @@ func (s *Server) runFigure(req FigureRequest) (string, any, error) {
 		sess = harness.NewSessionWithPool(scale, s.pool)
 		s.sessions[scale] = sess
 	}
-	switch req.Figure {
-	case 1:
-		res, text, err := sess.Figure1()
-		return text, res, err
-	case 2:
-		res, text, err := sess.Figure2()
-		return text, res, err
-	case 3:
-		res, text, err := sess.Figure3()
-		return text, res, err
-	case 4:
-		res, text, err := sess.Figure4()
-		return text, res, err
-	case 5:
-		curves, text, err := sess.Figure5()
-		return text, curves, err
-	case 6:
-		curves, text, err := sess.Figure6()
-		return text, curves, err
-	case 7:
-		curves, text, err := sess.Figure7()
-		return text, curves, err
-	default:
+	exps, err := harness.Find(fmt.Sprintf("figure%d", req.Figure))
+	if err != nil {
 		return "", nil, fmt.Errorf("unknown figure %d (want 1-7)", req.Figure)
 	}
+	data, text, err := exps[0].Run(sess)
+	return text, data, err
 }
 
 // runCapture executes one capture job: run the workload

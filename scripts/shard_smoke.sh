@@ -11,12 +11,12 @@ trap 'kill "$pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 # CLI leg: serial vs -shards 4, reports bit-identical modulo wall time.
 go build -o "$workdir/flashsim" ./cmd/flashsim
-"$workdir/flashsim" -app fft -procs 4 -full=false | grep -v 'wall' >"$workdir/serial.txt"
-"$workdir/flashsim" -app fft -procs 4 -full=false -shards 4 | grep -v 'wall' >"$workdir/sharded.txt"
+"$workdir/flashsim" run -app fft -procs 4 -full=false | grep -v 'wall' >"$workdir/serial.txt"
+"$workdir/flashsim" run -app fft -procs 4 -full=false -shards 4 | grep -v 'wall' >"$workdir/sharded.txt"
 if ! diff -u "$workdir/serial.txt" "$workdir/sharded.txt"; then
   echo "sharded flashsim report diverged from serial" >&2; exit 1
 fi
-echo "flashsim -shards 4 report identical to serial"
+echo "flashsim run -shards 4 report identical to serial"
 
 # Daemon leg: cold sharded job, then the serial resubmission must be a
 # warm cache hit with the same counters. Port 0 avoids collisions with

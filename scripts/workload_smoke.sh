@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Registry-wide workload smoke: every workload the registry knows must
-# execute end to end through flashsim at quick scale with the sharded
+# execute end to end through `flashsim run` at quick scale with the sharded
 # engine (-shards 2), and a server-class generator must be servable as
 # a flashd job by name with a parameter override. The workload list is
 # read from -list-workloads, so a generator registered without riding
@@ -15,7 +15,7 @@ go build -o "$workdir/flashsim" ./cmd/flashsim
 go build -o "$workdir/flashd" ./cmd/flashd
 
 # Unindented lines of the listing are the registered names.
-names=$("$workdir/flashsim" -list-workloads | grep -v '^ ')
+names=$("$workdir/flashsim" run -list-workloads | grep -v '^ ')
 [ -n "$names" ] || { echo "-list-workloads printed nothing" >&2; exit 1; }
 count=$(echo "$names" | wc -l)
 if [ "$count" -lt 9 ]; then
@@ -30,19 +30,19 @@ for name in $names; do
     snbench.dependent-loads) procs=4 ;;
     snbench.*) procs=1 ;;
   esac
-  if ! "$workdir/flashsim" -app "$name" -procs "$procs" -full=false -shards 2 \
+  if ! "$workdir/flashsim" run -app "$name" -procs "$procs" -full=false -shards 2 \
       >"$workdir/$name.txt" 2>&1; then
-    echo "flashsim -app $name failed:" >&2; cat "$workdir/$name.txt" >&2; exit 1
+    echo "flashsim run -app $name failed:" >&2; cat "$workdir/$name.txt" >&2; exit 1
   fi
   grep -q 'ms simulated' "$workdir/$name.txt" || {
-    echo "flashsim -app $name printed no report:" >&2
+    echo "flashsim run -app $name printed no report:" >&2
     cat "$workdir/$name.txt" >&2; exit 1
   }
   echo "flashsim OK: $name"
 done
 
 # An unknown name must fail and list what is registered.
-if "$workdir/flashsim" -app no-such-workload -full=false >"$workdir/bad.txt" 2>&1; then
+if "$workdir/flashsim" run -app no-such-workload -full=false >"$workdir/bad.txt" 2>&1; then
   echo "flashsim accepted an unknown workload name" >&2; exit 1
 fi
 grep -q 'gups' "$workdir/bad.txt" || {
