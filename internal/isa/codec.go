@@ -3,6 +3,8 @@ package isa
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // Binary codec for instruction streams.
@@ -74,81 +76,63 @@ func AppendInstr(dst []byte, in Instr) []byte {
 	return dst
 }
 
-// DecodeInstr decodes one instruction from the front of b, returning it
-// with the number of bytes consumed. It rejects — with an error, never
-// a panic — unknown opcodes, unknown presence bits, truncated or
-// overlong varints, field values that overflow their type, and
-// non-canonical encodings (a present field holding zero).
+// DecodeInstr is DecodeInto for callers that want the instruction as a
+// value: it returns it with the number of bytes consumed.
 func DecodeInstr(b []byte) (Instr, int, error) {
 	var in Instr
+	n, err := DecodeInto(&in, b)
+	return in, n, err
+}
+
+// DecodeInto decodes one instruction from the front of b into *in and
+// returns the number of bytes consumed, so a decode loop copies no
+// Instr on the way out. It rejects — with an error, never a panic —
+// unknown opcodes, unknown presence bits, truncated or overlong
+// varints, field values that overflow their type, and non-canonical
+// encodings (a present field holding zero), leaving in *in the fields
+// that precede the offending one.
+func DecodeInto(in *Instr, b []byte) (n int, err error) {
+	*in = Instr{}
 	if len(b) < 2 {
-		return in, 0, fmt.Errorf("isa: truncated instruction header (%d bytes)", len(b))
+		return 0, fmt.Errorf("isa: truncated instruction header (%d bytes)", len(b))
 	}
 	if Op(b[0]) >= NumOps {
-		return in, 0, fmt.Errorf("isa: unknown opcode %d", b[0])
+		return 0, fmt.Errorf("isa: unknown opcode %d", b[0])
 	}
 	in.Op = Op(b[0])
 	flags := b[1]
 	if flags&^byte(flagsValid) != 0 {
-		return in, 0, fmt.Errorf("isa: unknown presence bits %#x", flags&^byte(flagsValid))
+		return 0, fmt.Errorf("isa: unknown presence bits %#x", flags&^byte(flagsValid))
 	}
-	n := 2
-	field := func(name string, max uint64) (uint64, error) {
-		v, w := binary.Uvarint(b[n:])
-		if w <= 0 {
-			return 0, fmt.Errorf("isa: bad varint for %s at offset %d", name, n)
+	n = 2
+	var f [5]uint64 // addr, size, dep1, dep2, aux: the presence bits' order
+	for m := flags; m != 0 && err == nil; m &= m - 1 {
+		i := bits.TrailingZeros8(m)
+		// Most fields (sizes, dependence distances, ids) are one
+		// nonzero byte; anything else goes through longField.
+		if n < len(b) && b[n]-1 < 0x7f {
+			f[i], n = uint64(b[n]), n+1
+		} else if f[i], n = longField(b, n, i > 0); f[i] == 0 {
+			n, err = 0, fmt.Errorf("isa: field %s at byte %d is a truncated, overlong, zero or overflowing varint",
+				[...]string{"addr", "size", "dep1", "dep2", "aux"}[i], n)
 		}
-		// Reject overlong encodings (0x81 0x00 is 1 in two bytes):
-		// canonicality is what makes the codec bijective.
-		var tmp [binary.MaxVarintLen64]byte
-		if binary.PutUvarint(tmp[:], v) != w {
-			return 0, fmt.Errorf("isa: overlong varint for %s at offset %d", name, n)
-		}
-		n += w
-		if v == 0 {
-			return 0, fmt.Errorf("isa: non-canonical zero %s", name)
-		}
-		if v > max {
-			return 0, fmt.Errorf("isa: %s %d overflows", name, v)
-		}
-		return v, nil
 	}
-	if flags&flagAddr != 0 {
-		v, err := field("addr", 1<<64-1)
-		if err != nil {
-			return in, 0, err
-		}
-		in.Addr = v
+	in.Addr, in.Size, in.Dep1, in.Dep2, in.Aux = f[0], uint32(f[1]), uint32(f[2]), uint32(f[3]), uint32(f[4])
+	return n, err
+}
+
+// longField reads the field varint at b[n:] and returns its value and
+// the offset after it, or 0 and n when the field must be rejected (a
+// present field never holds zero, so zero is free to mean that).
+func longField(b []byte, n int, is32 bool) (uint64, int) {
+	v, w := binary.Uvarint(b[n:])
+	// w <= 0 is a truncated varint or one past 64 bits. A varint whose
+	// last byte is zero is the one-byte zero or overlong (0x81 0x00 is 1
+	// in two bytes): canonicality is what makes the codec bijective.
+	if w <= 0 || is32 && v > math.MaxUint32 || b[n+w-1] == 0 {
+		return 0, n
 	}
-	if flags&flagSize != 0 {
-		v, err := field("size", 1<<32-1)
-		if err != nil {
-			return in, 0, err
-		}
-		in.Size = uint32(v)
-	}
-	if flags&flagDep1 != 0 {
-		v, err := field("dep1", 1<<32-1)
-		if err != nil {
-			return in, 0, err
-		}
-		in.Dep1 = uint32(v)
-	}
-	if flags&flagDep2 != 0 {
-		v, err := field("dep2", 1<<32-1)
-		if err != nil {
-			return in, 0, err
-		}
-		in.Dep2 = uint32(v)
-	}
-	if flags&flagAux != 0 {
-		v, err := field("aux", 1<<32-1)
-		if err != nil {
-			return in, 0, err
-		}
-		in.Aux = uint32(v)
-	}
-	return in, n, nil
+	return v, n + w
 }
 
 // EncodeStream encodes a whole instruction stream.

@@ -1,0 +1,219 @@
+package machine_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
+	"testing"
+
+	"flashsim/internal/emitter"
+	"flashsim/internal/isa"
+	"flashsim/internal/machine"
+	"flashsim/internal/trace"
+	"flashsim/internal/workload"
+)
+
+// quickProgram builds a registry workload at its quick sizes for procs
+// threads (microbenchmarks with an intrinsic thread count keep theirs).
+func quickProgram(tb testing.TB, def *workload.Definition, procs int) emitter.Program {
+	tb.Helper()
+	vals, err := def.Resolve(nil, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return def.Build(vals, procs)
+}
+
+// registryPrograms is every registered workload at its quick sizes:
+// between them they emit every op replay classifies — webserve's
+// syscalls, oltp's and barnes's locks, gups's scattered updates,
+// fft/lu/ocean prefetches, cachemgmt's CACHE ops.
+func registryPrograms(tb testing.TB, procs int) []emitter.Program {
+	tb.Helper()
+	var progs []emitter.Program
+	for _, def := range workload.All() {
+		progs = append(progs, quickProgram(tb, def, procs))
+	}
+	return progs
+}
+
+// quickCapture captures the named registry workload at its quick sizes
+// on a procs-processor replayConfig machine and returns the container.
+func quickCapture(tb testing.TB, name string, procs int) []byte {
+	tb.Helper()
+	def, err := workload.Lookup(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog := quickProgram(tb, def, procs)
+	_, data := captureInto(tb, replayConfig(prog.Threads), prog)
+	return data
+}
+
+// refActions is the image builder PrepareReplay replaced — whole
+// batches out of the cursor, every isa.Instr copied, actions grown by
+// append — kept as the oracle for the one-pass builder.
+func refActions(tr *trace.Trace) (acts [][]machine.Action, tails []uint64, err error) {
+	acts = make([][]machine.Action, tr.Threads())
+	tails = make([]uint64, tr.Threads())
+	for i := 0; i < tr.Threads(); i++ {
+		cur := tr.Thread(i)
+		var skip uint64
+		for {
+			batch, err := cur.NextBatch()
+			if err != nil {
+				return nil, nil, err
+			}
+			if batch == nil {
+				break
+			}
+			for _, in := range batch {
+				if in.Op.IsMem() || in.Op.IsSync() || in.Op == isa.Syscall {
+					arg := in.Aux
+					if in.Op == isa.Load || in.Op == isa.Store {
+						arg = in.Size
+					}
+					acts[i] = append(acts[i], machine.Action{Op: in.Op, Addr: in.Addr, Skip: skip, Arg: arg})
+					skip = 0
+				} else {
+					skip++
+				}
+			}
+		}
+		tails[i] = skip
+	}
+	return acts, tails, nil
+}
+
+// sameAsReference fails unless img holds exactly the reference
+// builder's actions and tails for tr.
+func sameAsReference(t *testing.T, tr *trace.Trace, img *machine.ReplayImage) {
+	t.Helper()
+	want, tails, err := refActions(tr)
+	if err != nil {
+		t.Fatalf("PrepareReplay accepted a trace the reference builder rejects: %v", err)
+	}
+	for i := range want {
+		got, tail := img.Actions(i)
+		if tail != tails[i] {
+			t.Fatalf("thread %d: tail %d, reference %d", i, tail, tails[i])
+		}
+		if len(got) != len(want[i]) {
+			t.Fatalf("thread %d: %d actions, reference %d", i, len(got), len(want[i]))
+		}
+		for k := range got {
+			if got[k] != want[i][k] {
+				t.Fatalf("thread %d action %d: %+v, reference %+v", i, k, got[k], want[i][k])
+			}
+		}
+	}
+}
+
+// TestPrepareReplayMatchesReference pins the one-pass image against the
+// reference builder on every registry workload.
+func TestPrepareReplayMatchesReference(t *testing.T) {
+	for _, prog := range registryPrograms(t, 2) {
+		prog := prog
+		t.Run(prog.FullName(), func(t *testing.T) {
+			t.Parallel()
+			_, data := captureInto(t, replayConfig(prog.Threads), prog)
+			tr, err := trace.Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, err := machine.PrepareReplay(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAsReference(t, tr, img)
+		})
+	}
+}
+
+// FuzzPrepareReplay pins PrepareReplay's robustness on arbitrary
+// containers: it never panics, it accepts exactly what the reference
+// builder accepts, and what it accepts it images identically. The
+// seeds are trace.TestDecodeRejectsCorruption's mutants of a small
+// real capture: two threads of the CACHE-op kernel, which holds
+// loads, stores, cache ops and barriers.
+func FuzzPrepareReplay(f *testing.F) {
+	data := quickCapture(f, "cachemgmt", 2)
+	f.Add(data)
+	for _, n := range []int{0, 4, 8, 12, len(data) / 2, len(data) - 1} {
+		f.Add(data[:n])
+	}
+	mutant := func(edit func(m []byte)) {
+		m := bytes.Clone(data)
+		edit(m)
+		f.Add(m)
+	}
+	mutant(func(m []byte) { m[0] ^= 0xFF })
+	mutant(func(m []byte) { binary.LittleEndian.PutUint32(m[8:12], trace.FormatVersion+1) })
+	mutant(func(m []byte) { m[len(m)-1] ^= 0xFF })
+	mutant(func(m []byte) { binary.LittleEndian.PutUint64(m[len(m)-16:len(m)-8], uint64(len(m))) })
+	flen := binary.LittleEndian.Uint64(data[len(data)-16 : len(data)-8])
+	for off := 12; off < len(data)-16-int(flen); off += 64 {
+		mutant(func(m []byte) { m[off] ^= 0x01 })
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := trace.Decode(data)
+		if err != nil {
+			return
+		}
+		img, err := machine.PrepareReplay(tr)
+		if err != nil {
+			if _, _, refErr := refActions(tr); refErr == nil {
+				t.Fatalf("PrepareReplay rejects a trace the reference builder accepts: %v", err)
+			}
+			return
+		}
+		sameAsReference(t, tr, img)
+	})
+}
+
+// TestPrepareReplayAllocBound pins the one-copy property: everything
+// PrepareReplay allocates — the image, the scratch buffer it was
+// classified into, the inflate state — stays under twice the image
+// plus 1 MB, on the lu 4p quick capture (replay-sweep's largest
+// trace). Growing the action lists by append alone is 5x.
+func TestPrepareReplayAllocBound(t *testing.T) {
+	tr, err := trace.Decode(quickCapture(t, "lu", 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	img, err := machine.PrepareReplay(tr)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, bound := after.TotalAlloc-before.TotalAlloc, 2*img.ActionBytes()+1<<20
+	if got > bound {
+		t.Fatalf("PrepareReplay allocated %d bytes for a %d-byte image; bound %d", got, img.ActionBytes(), bound)
+	}
+}
+
+var sinkImage *machine.ReplayImage
+
+// BenchmarkPrepareReplay times container -> replay image (index
+// decode, inflate, CRC, codec validation, classification) on the lu 4p
+// quick capture.
+func BenchmarkPrepareReplay(b *testing.B) {
+	data := quickCapture(b, "lu", 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var instrs uint64
+	for i := 0; i < b.N; i++ {
+		tr, err := trace.Decode(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sinkImage, err = machine.PrepareReplay(tr); err != nil {
+			b.Fatal(err)
+		}
+		instrs = tr.Instructions()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(instrs), "ns/instr")
+	b.ReportMetric(float64(len(data))/float64(instrs), "B/instr")
+}

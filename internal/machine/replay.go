@@ -37,9 +37,27 @@ func RunCapture(cfg Config, prog emitter.Program, tw *trace.Writer) (Result, err
 // time, the same stats, and the same next reservation as stepping them
 // one by one — and the quantum bound still yields at the same
 // instruction boundaries.
+//
+// It keeps, in 24 bytes, the isa.Instr fields replay reads: arg is Size
+// for a load or store and Aux (lock or barrier id, CACHE sub-op, syscall
+// number) for any other op, the one of the two its consumers take.
+// Dep1/Dep2 go: only MXS reads them, and replay never runs MXS.
 type replayAction struct {
+	addr uint64
 	skip uint64
-	in   isa.Instr
+	arg  uint32
+	op   isa.Op
+}
+
+// instr rebuilds the recorded instruction, for the per-sync outcome and
+// the sampled replayStream only (per action it costs replayCPU.Run
+// 12-18%); a second op compare here costs the sampled replay 10%.
+func (a *replayAction) instr() isa.Instr {
+	var size uint32
+	if a.op-isa.Load < 2 { // Load or Store, adjacent opcodes
+		size = a.arg
+	}
+	return isa.Instr{Op: a.op, Addr: a.addr, Size: size, Aux: a.arg ^ size}
 }
 
 // ReplayImage is a trace decoded and collapsed into directly
@@ -70,29 +88,40 @@ func PrepareReplay(tr *trace.Trace) (*ReplayImage, error) {
 		instrs:   tr.Instructions(),
 		batches:  tr.Batches(),
 	}
+	// Instructions are classified off the chunk bytes into one scratch
+	// buffer and each thread's actions copied out at their exact length,
+	// the only copy made. The longest thread sizes the buffer, up to 1M
+	// actions (24 MB): the index's counts are unproven file input.
+	longest := uint64(0)
 	for i := 0; i < tr.Threads(); i++ {
-		cur := tr.Thread(i)
-		var acts []replayAction
-		var skip uint64
+		longest = max(longest, tr.ThreadInstructions(i))
+	}
+	scratch := make([]replayAction, 0, min(longest, 1<<20))
+	var in isa.Instr
+	for i := 0; i < tr.Threads(); i++ {
+		acts, skip, cur := scratch[:0], uint64(0), tr.Thread(i)
 		for {
-			batch, err := cur.NextBatch()
+			ok, err := cur.Next(&in)
 			if err != nil {
 				return nil, fmt.Errorf("machine: preparing replay of thread %d: %w", i, err)
 			}
-			if batch == nil {
+			if !ok {
 				break
 			}
-			for _, in := range batch {
-				if in.Op.IsMem() || in.Op.IsSync() || in.Op == isa.Syscall {
-					acts = append(acts, replayAction{skip: skip, in: in})
-					skip = 0
-				} else {
-					skip++
-				}
+			if !in.Op.IsMem() && !in.Op.IsSync() && in.Op != isa.Syscall {
+				skip++
+				continue
 			}
+			arg := in.Aux
+			if in.Op == isa.Load || in.Op == isa.Store {
+				arg = in.Size
+			}
+			acts = append(acts, replayAction{addr: in.Addr, skip: skip, arg: arg, op: in.Op})
+			skip = 0
 		}
-		img.actions[i] = acts
+		img.actions[i] = append([]replayAction(nil), acts...)
 		img.tails[i] = skip
+		scratch = acts
 	}
 	return img, nil
 }
@@ -217,7 +246,7 @@ func (s *replayStream) NextRun(max uint64) (skip uint64, in isa.Instr, hasIn, ok
 		s.fill = 0
 	}
 	if s.pos < len(s.acts) {
-		in = s.acts[s.pos].in
+		in = s.acts[s.pos].instr()
 		s.pos++
 		if s.pos < len(s.acts) {
 			s.fill = s.acts[s.pos].skip
@@ -236,7 +265,7 @@ func (s *replayStream) Next() (isa.Instr, bool) {
 		return isa.Instr{Op: isa.IntALU}, true
 	}
 	if s.pos < len(s.acts) {
-		in := s.acts[s.pos].in
+		in := s.acts[s.pos].instr()
 		s.pos++
 		if s.pos < len(s.acts) {
 			s.fill = s.acts[s.pos].skip
@@ -347,19 +376,19 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 			// burned by the time we get here.
 			return cpu.Outcome{Kind: cpu.Finished, Time: t}
 		}
-		in := acts[c.pos].in
+		in := &acts[c.pos]
 		c.pos++
 		c.loadPending()
 		n++
 		c.stats.Instructions++
-		switch in.Op {
+		switch in.op {
 		case isa.Lock, isa.Unlock, isa.Barrier:
 			t += period
 			c.cycAdd++
-			return cpu.Outcome{Kind: cpu.SyncOp, Time: t, Instr: in}
+			return cpu.Outcome{Kind: cpu.SyncOp, Time: t, Instr: in.instr()}
 
 		case isa.Load:
-			mi := c.port.Load(t, in.Addr, in.Size)
+			mi := c.port.Load(t, in.addr, in.arg)
 			if mi.Pending {
 				c.pendT, c.pendIsLoad = t, true
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
@@ -375,7 +404,7 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 			}
 
 		case isa.Store:
-			mi := c.port.Store(t, in.Addr, in.Size)
+			mi := c.port.Store(t, in.addr, in.arg)
 			if mi.Pending {
 				c.pendT, c.pendIsLoad = t, false
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
@@ -390,11 +419,11 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 			}
 
 		case isa.Prefetch:
-			c.port.Prefetch(t, in.Addr)
+			c.port.Prefetch(t, in.addr)
 			t += period
 
 		case isa.CacheOp:
-			mi := c.port.CacheOp(t, in.Addr, in.Aux)
+			mi := c.port.CacheOp(t, in.addr, in.arg)
 			if mi.Pending {
 				c.pendT, c.pendIsLoad = t, false
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
@@ -406,7 +435,7 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 			t = c.clock.Align(next)
 
 		case isa.Syscall:
-			t += period * sim.Ticks(1+c.port.SyscallCost(in.Aux))
+			t += period * sim.Ticks(1+c.port.SyscallCost(in.arg))
 
 		default:
 			// Unreachable via PrepareReplay's classification; charge a

@@ -96,7 +96,7 @@ type Server struct {
 	// distinct stored traces.
 	traces *runner.TraceStore
 	imgMu  sync.Mutex
-	images map[string]*machine.ReplayImage
+	images map[string]func() (*machine.ReplayImage, error)
 }
 
 // New returns a running server (workers started, ready for Handler).
@@ -126,7 +126,7 @@ func New(opts Options) *Server {
 		fpIndex:    make(map[string]*jobRecord),
 		sessions:   make(map[harness.Scale]*harness.Session),
 		traces:     opts.Traces,
-		images:     make(map[string]*machine.ReplayImage),
+		images:     make(map[string]func() (*machine.ReplayImage, error)),
 	}
 	// Every outcome the pool produces is recorded, so /metrics always
 	// has data; a collector attached by the caller (e.g. -metrics-out)
@@ -393,13 +393,30 @@ func (s *Server) runReplay(ctx context.Context, req ReplayRequest) (ReplayRespon
 
 // replayImage returns the prepared replay image for a stored trace,
 // decoding it at most once per server lifetime (the cache grows at most
-// one entry per distinct stored container).
+// one entry per distinct stored container). imgMu covers the map only:
+// the read and the prepare run under the entry's once, so one trace is
+// prepared once and nobody waits behind another trace's prepare. A
+// failed prepare leaves the map, to be retried.
 func (s *Server) replayImage(fp string) (*machine.ReplayImage, error) {
 	s.imgMu.Lock()
-	defer s.imgMu.Unlock()
-	if img, ok := s.images[fp]; ok {
-		return img, nil
+	load := s.images[fp]
+	if load == nil {
+		load = sync.OnceValues(func() (*machine.ReplayImage, error) {
+			img, err := s.prepareImage(fp)
+			if err != nil {
+				s.imgMu.Lock()
+				delete(s.images, fp)
+				s.imgMu.Unlock()
+			}
+			return img, err
+		})
+		s.images[fp] = load
 	}
+	s.imgMu.Unlock()
+	return load()
+}
+
+func (s *Server) prepareImage(fp string) (*machine.ReplayImage, error) {
 	if !s.traces.Has(fp) {
 		return nil, fmt.Errorf("no trace %q in the store (capture it first)", fp)
 	}
@@ -407,12 +424,7 @@ func (s *Server) replayImage(fp string) (*machine.ReplayImage, error) {
 	if err != nil {
 		return nil, err
 	}
-	img, err := machine.PrepareReplay(tr)
-	if err != nil {
-		return nil, err
-	}
-	s.images[fp] = img
-	return img, nil
+	return machine.PrepareReplay(tr)
 }
 
 // admitError classifies a rejected submission.

@@ -180,17 +180,14 @@ func (t *Trace) Thread(i int) *Cursor {
 // layers. It reports the total instruction count.
 func (t *Trace) Verify() (uint64, error) {
 	var total uint64
+	var in isa.Instr
 	for i := 0; i < t.Threads(); i++ {
-		cur := t.Thread(i)
-		for {
-			batch, err := cur.NextBatch()
-			if err != nil {
+		for cur := t.Thread(i); ; total++ {
+			if ok, err := cur.Next(&in); err != nil {
 				return total, fmt.Errorf("thread %d: %w", i, err)
-			}
-			if batch == nil {
+			} else if !ok {
 				break
 			}
-			total += uint64(len(batch))
 		}
 	}
 	return total, nil
@@ -202,55 +199,83 @@ type Cursor struct {
 	t    *Trace
 	idxs []int
 	next int
-	raw  []byte
+	raw  []byte // the current chunk, inflated
+	rest []byte // its undecoded tail
+	left uint64 // instructions the index says rest holds
 	buf  []isa.Instr
 	fr   io.ReadCloser
 }
 
-// NextBatch decodes the next chunk's instructions, reusing the
-// cursor's internal buffer (valid until the following call). It
-// returns nil at end of stream.
-func (c *Cursor) NextBatch() ([]isa.Instr, error) {
+// nextChunk inflates the next chunk into c.rest (false at end of stream),
+// checking its CRC, its exact length, and that nothing follows it.
+func (c *Cursor) nextChunk() (bool, error) {
 	if c.next >= len(c.idxs) {
-		return nil, nil
+		return false, nil
 	}
 	ch := c.t.chunks[c.idxs[c.next]]
 	c.next++
 	comp := c.t.data[ch.Offset : ch.Offset+ch.Comp]
 	if crc := crc32.ChecksumIEEE(comp); crc != ch.CRC {
-		return nil, fmt.Errorf("trace: chunk CRC mismatch (have %#x, recorded %#x)", crc, ch.CRC)
+		return false, fmt.Errorf("trace: chunk CRC mismatch (have %#x, recorded %#x)", crc, ch.CRC)
 	}
 	if c.fr == nil {
 		c.fr = flate.NewReader(bytes.NewReader(comp))
 	} else if err := c.fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
-		return nil, fmt.Errorf("trace: resetting decompressor: %w", err)
+		return false, fmt.Errorf("trace: resetting decompressor: %w", err)
 	}
 	if int64(cap(c.raw)) < ch.Raw {
 		c.raw = make([]byte, ch.Raw)
 	}
 	c.raw = c.raw[:ch.Raw]
 	if _, err := io.ReadFull(c.fr, c.raw); err != nil {
-		return nil, fmt.Errorf("trace: decompressing chunk: %w", err)
+		return false, fmt.Errorf("trace: decompressing chunk: %w", err)
 	}
 	var extra [1]byte
 	if n, _ := c.fr.Read(extra[:]); n != 0 {
-		return nil, fmt.Errorf("trace: chunk decompresses past its recorded %d bytes", ch.Raw)
+		return false, fmt.Errorf("trace: chunk decompresses past its recorded %d bytes", ch.Raw)
 	}
-	if cap(c.buf) < int(ch.Count) {
-		c.buf = make([]isa.Instr, 0, ch.Count)
-	}
-	c.buf = c.buf[:0]
-	b := c.raw
-	for len(b) > 0 {
-		in, n, err := isa.DecodeInstr(b)
-		if err != nil {
-			return nil, fmt.Errorf("trace: chunk instruction %d: %w", len(c.buf), err)
+	c.rest, c.left = c.raw, ch.Count
+	return true, nil
+}
+
+// Next decodes the stream's next instruction off the chunk bytes into
+// *in (false at end of stream) — the one decode step of NextBatch,
+// Verify and machine.PrepareReplay. A chunk fails as soon as its bytes
+// and its declared instruction count part ways.
+func (c *Cursor) Next(in *isa.Instr) (bool, error) {
+	if len(c.rest) == 0 {
+		if ok, err := c.nextChunk(); !ok {
+			return false, err
 		}
-		c.buf = append(c.buf, in)
-		b = b[n:]
 	}
-	if uint64(len(c.buf)) != ch.Count {
-		return nil, fmt.Errorf("trace: chunk decodes to %d instructions, index says %d", len(c.buf), ch.Count)
+	n, err := isa.DecodeInto(in, c.rest)
+	if err != nil {
+		return false, fmt.Errorf("trace: chunk byte %d: %w", len(c.raw)-len(c.rest), err)
+	}
+	c.rest, c.left = c.rest[n:], c.left-1
+	if (c.left == 0) != (len(c.rest) == 0) {
+		return false, fmt.Errorf("trace: chunk has %d bytes left for the %d instructions its index still expects", len(c.rest), c.left)
+	}
+	return true, nil
+}
+
+// NextBatch decodes the rest of the current chunk (all of the next one,
+// unless Next has started it), reusing the cursor's internal buffer
+// (valid until the following call). It returns nil at end of stream.
+func (c *Cursor) NextBatch() ([]isa.Instr, error) {
+	if len(c.rest) == 0 {
+		if ok, err := c.nextChunk(); !ok {
+			return nil, err
+		}
+	}
+	if uint64(cap(c.buf)) < c.left {
+		c.buf = make([]isa.Instr, c.left)
+	}
+	c.buf = c.buf[:c.left]
+	for i := range c.buf {
+		if _, err := c.Next(&c.buf[i]); err != nil {
+			return nil, err
+		}
 	}
 	return c.buf, nil
 }
