@@ -53,16 +53,23 @@ type Driver interface {
 // engine entry point behind Run, RunCapture, and RunReplay. Each call
 // builds a fresh machine; state never leaks between runs.
 func RunWith(cfg Config, d Driver) (Result, error) {
-	fail := func(err error) (Result, error) {
-		d.Finish(false)
+	// Every way out that has not reached Finish takes it here: a rejected
+	// configuration, and a panic in build or the event loop (a coherence
+	// invariant violation, a core or stream failure re-raised from a
+	// shard worker). The panic goes on to the caller; the driver's
+	// producer goroutines and artifacts must not stay behind it.
+	released := false
+	defer func() {
+		if !released {
+			d.Finish(false)
+		}
+	}()
+	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if err := cfg.Validate(); err != nil {
-		return fail(err)
-	}
 	if d.Threads() != cfg.Procs {
-		return fail(fmt.Errorf("machine %q: %s supplies %d instruction streams but machine has %d processors",
-			cfg.Name, d.Workload(), d.Threads(), cfg.Procs))
+		return Result{}, fmt.Errorf("machine %q: %s supplies %d instruction streams but machine has %d processors",
+			cfg.Name, d.Workload(), d.Threads(), cfg.Procs)
 	}
 	sched := cfg.Sampling.Schedule()
 
@@ -78,8 +85,8 @@ func RunWith(cfg Config, d Driver) (Result, error) {
 	m.drive()
 
 	finished := m.finishedTotal()
-	ok := m.runErr == nil && finished == cfg.Procs
-	em, err := d.Finish(ok)
+	released = true
+	em, err := d.Finish(m.runErr == nil && finished == cfg.Procs)
 	if err != nil {
 		return Result{}, fmt.Errorf("machine %q: %w", cfg.Name, err)
 	}

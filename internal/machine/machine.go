@@ -168,11 +168,7 @@ func (m *Machine) step(n *node, now sim.Ticks) {
 	out := n.core.Run(now)
 	switch out.Kind {
 	case cpu.Yield:
-		at := out.Time
-		if at < now {
-			at = now
-		}
-		n.shard.queue.ScheduleFn(at, int32(n.id), m, uint64(n.id))
+		m.resume(n, max(out.Time, now))
 	case cpu.Blocked:
 		// Suspended mid-instruction on a deferred access; the barrier
 		// phase executes the pending op and delivers the resume.
@@ -180,11 +176,13 @@ func (m *Machine) step(n *node, now sim.Ticks) {
 		m.finishTimes[n.id] = out.Time
 		n.shard.finished++
 	case cpu.SyncOp:
-		n.port.push(pendingOp{kind: opSync, t: out.Time, op: out.Instr.Op, aux: out.Instr.Aux})
+		n.port.push(pendingOp{kind: opSync, t: out.Time, acc: access{op: out.Instr.Op, aux: out.Instr.Aux}})
 	}
 }
 
-// resume schedules a node's next slice at time t (serial phase only).
+// resume schedules a node's next slice at time t: on its own shard's
+// queue, so from the node's own step in a parallel phase or from the
+// engine goroutine in a serial one.
 func (m *Machine) resume(n *node, t sim.Ticks) {
 	n.shard.queue.ScheduleFn(t, int32(n.id), m, uint64(n.id))
 }
@@ -275,16 +273,7 @@ func (m *Machine) handleSync(n *node, at sim.Ticks, op isa.Op, id uint32) {
 // Invalidate implements memsys.Peers over node n's cache hierarchy.
 func (m *Machine) Invalidate(n int, line uint64) bool {
 	p := m.nodes[n].port
-	present := false
-	for a := line; a < line+p.l2.Config().LineSize; a += p.l1.Config().LineSize {
-		if p.l1.Invalidate(a) != cache.Invalid {
-			present = true
-		}
-	}
-	if p.l2.Invalidate(line) != cache.Invalid {
-		present = true
-	}
-	return present
+	return max(p.dropL1(line), p.l2.Invalidate(line)) != cache.Invalid
 }
 
 // Downgrade implements memsys.Peers over node n's cache hierarchy.

@@ -60,34 +60,14 @@ const eventCap = 2_000_000_000
 type opKind uint8
 
 const (
-	// opSync is a LOCK/UNLOCK/BARRIER instruction (instr).
+	// opSync is a LOCK/UNLOCK/BARRIER instruction (acc.op, acc.aux).
 	opSync opKind = iota
-	// opLoadMiss finishes a load L2 miss (blocking).
-	opLoadMiss
-	// opLoadFull re-runs a whole load whose page needs a fault (blocking).
-	opLoadFull
-	// opStoreMiss finishes a store L2 miss behind a write-buffer
-	// placeholder (fire-and-forget; patches the placeholder).
-	opStoreMiss
-	// opStoreMissBlock finishes a store L2 miss that found the write
-	// buffer full of placeholders (blocking).
-	opStoreMissBlock
-	// opStoreFull re-runs a whole store whose page needs a fault (blocking).
-	opStoreFull
-	// opCacheFull re-runs a whole CACHE op whose page needs a fault (blocking).
-	opCacheFull
-	// opPrefetch issues a deferred prefetch read (fire-and-forget).
-	opPrefetch
-	// opPrefetchFull re-runs a whole prefetch whose page needs a
-	// backdoor fault (fire-and-forget; Solo only).
-	opPrefetchFull
+	// opAccess re-runs a whole access whose page needs a fault.
+	opAccess
+	// opMiss finishes an L2 miss the prefix detected at pa.
+	opMiss
 	// opWriteback issues a deferred dirty-line writeback (fire-and-forget).
 	opWriteback
-	// opWarmLoad / opWarmStore finish warm-path misses; opWarmFull
-	// re-runs a whole warm access needing a fault (all fire-and-forget).
-	opWarmLoad
-	opWarmStore
-	opWarmFull
 )
 
 // pendingOp is one deferred shared-state operation. The (t, node, seq)
@@ -95,17 +75,16 @@ const (
 // time (kept monotone per node by memPort.push), node breaks ties, seq
 // preserves each node's issue order.
 type pendingOp struct {
-	t    sim.Ticks
-	node int
-	seq  uint64
-	kind opKind
-
-	va      uint64
+	t       sim.Ticks
+	node    int
+	seq     uint64
 	pa      uint64
-	size    uint32
-	aux     uint32 // CACHE sub-op, or the lock/barrier id of an opSync
-	op      isa.Op // the instruction kind, for opSync and opWarmFull
+	acc     access
+	kind    opKind
 	tlbMiss bool
+	// placeholder marks a store miss the processor is not waiting on:
+	// finishing it patches the write-buffer slot the prefix reserved.
+	placeholder bool
 }
 
 // compareOps orders deferred operations by their (t, node, seq) key. The
@@ -157,7 +136,7 @@ func shardOf(i, procs, shards int) int { return i * shards / procs }
 // drive runs the windowed engine to quiescence.
 func (m *Machine) drive() {
 	for _, n := range m.nodes {
-		n.shard.queue.ScheduleFn(0, int32(n.id), m, uint64(n.id))
+		m.resume(n, 0)
 	}
 	par := len(m.shards) > 1
 	if par {
@@ -277,39 +256,30 @@ func (m *Machine) finishedTotal() int {
 // nodes' caches via the coherence protocol's peer invalidations.
 func (m *Machine) execOp(op *pendingOp) {
 	n := m.nodes[op.node]
-	p := n.port
+	var mi cpu.MemInfo
 	switch op.kind {
 	case opSync:
-		m.handleSync(n, op.t, op.op, op.aux)
-	case opLoadMiss:
-		m.deliver(n, p.finishLoadMiss(op.t, op.pa, op.tlbMiss))
-	case opLoadFull:
-		m.deliver(n, p.load(op.t, op.va, op.size, false))
-	case opStoreMiss:
-		mdone, _ := p.finishStoreMiss(op.t, op.pa)
-		p.wb.Patch(mdone)
-	case opStoreMissBlock:
-		mdone, issuedAt := p.finishStoreMiss(op.t, op.pa)
-		proceed := p.wb.Push(op.t, mdone)
-		m.deliver(n, cpu.MemInfo{Done: proceed, TLBMiss: op.tlbMiss, WentToMemory: true, IssuedAt: issuedAt})
-	case opStoreFull:
-		m.deliver(n, p.store(op.t, op.va, op.size, false))
-	case opCacheFull:
-		m.deliver(n, p.cacheOp(op.t, op.va, op.aux, false))
-	case opPrefetch:
-		p.finishPrefetch(op.t, op.pa)
-	case opPrefetchFull:
-		p.prefetch(op.t, op.va, false)
+		m.handleSync(n, op.t, op.acc.op, op.acc.aux)
+		return
 	case opWriteback:
 		m.mem.Writeback(op.t, op.node, op.pa)
-	case opWarmLoad:
-		p.finishWarmLoad(op.t, op.pa)
-	case opWarmStore:
-		p.finishWarmStore(op.t, op.pa)
-	case opWarmFull:
-		p.warmAccess(op.t, op.op, op.va, false)
+		return
+	case opAccess:
+		if op.acc.op == isa.Prefetch {
+			n.port.prefetch(op.t, op.acc, false)
+		} else {
+			mi = n.port.touch(op.t, op.acc, false)
+		}
+	case opMiss:
+		mi = n.port.finish(op.t, op.acc, op.pa, op.tlbMiss, op.placeholder)
 	default:
 		m.runErr = fmt.Errorf("machine %q: unknown pending op kind %d", m.cfg.Name, op.kind)
+		return
+	}
+	// A core is suspended on every timed access except a prefetch and a
+	// store behind a placeholder; warm touches are all fire-and-forget.
+	if !op.acc.warm && op.acc.op != isa.Prefetch && !op.placeholder {
+		m.deliver(n, mi)
 	}
 }
 
@@ -318,6 +288,5 @@ func (m *Machine) execOp(op *pendingOp) {
 // the node's shard already dispatched this window — that is the reason
 // shard queues run relaxed.
 func (m *Machine) deliver(n *node, mi cpu.MemInfo) {
-	t := n.core.(cpu.Blocking).Deliver(mi)
-	n.shard.queue.ScheduleFn(t, int32(n.id), m, uint64(n.id))
+	m.resume(n, n.core.(cpu.Blocking).Deliver(mi))
 }

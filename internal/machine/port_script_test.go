@@ -26,27 +26,36 @@ var transcriptDir = flag.String("port.transcripts", "", "write TestPortScriptPin
 // portAccess issues one access on p: through the cpu.Port entry the
 // parallel phase uses (canDefer), through the barrier executor's
 // synchronous re-entry, or as a functional warm touch. It is the one
-// place the white-box tests spell the port's internal entry points.
+// place the scripted tests spell the port's internal entry points.
 func portAccess(p *memPort, t sim.Ticks, op isa.Op, va uint64, warm, canDefer bool) cpu.MemInfo {
 	switch {
+	case warm && canDefer:
+		p.warmTouch(t, op, va)
 	case warm:
-		p.warmAccess(t, op, va, canDefer)
-	case op == isa.Load && canDefer:
-		return p.Load(t, va, 8)
+		// Loads and Stores are counted by the entry wrappers, which a
+		// synchronous re-entry comes after; the script's constants were
+		// recorded when the warm body still counted for itself.
+		switch op {
+		case isa.Load:
+			p.stats.Loads++
+		case isa.Store:
+			p.stats.Stores++
+		case isa.Prefetch:
+			return cpu.MemInfo{}
+		}
+		p.touch(t, access{op: op, va: va, warm: true}, false)
+	case op == isa.Prefetch && !canDefer:
+		p.prefetch(t, access{op: op, va: va}, false)
+	case !canDefer:
+		return p.touch(t, access{op: op, va: va}, false)
 	case op == isa.Load:
-		return p.load(t, va, 8, false)
-	case op == isa.Store && canDefer:
-		return p.Store(t, va, 8)
+		return p.Load(t, va, 8)
 	case op == isa.Store:
-		return p.store(t, va, 8, false)
-	case op == isa.Prefetch && canDefer:
-		p.Prefetch(t, va)
+		return p.Store(t, va, 8)
 	case op == isa.Prefetch:
-		p.prefetch(t, va, false)
-	case canDefer:
-		return p.CacheOp(t, va, 0)
+		p.Prefetch(t, va)
 	default:
-		return p.cacheOp(t, va, 0, false)
+		return p.CacheOp(t, va, 0)
 	}
 	return cpu.MemInfo{}
 }
@@ -114,15 +123,14 @@ func (r *portRig) do(n int, op isa.Op, va uint64, warm bool) {
 	}
 	mi := portAccess(r.m.nodes[n].port, r.now, op, va, warm, r.deferred)
 	r.blocked[n] = mi.Pending
+	if !r.quiet {
+		w := ""
+		if warm {
+			w = "warm-"
+		}
+		fmt.Fprintf(&r.log, "%d n%d %s%v +%#x -> %+v\n", r.now, n, w, op, va-r.base, mi)
+	}
 	r.tick(7)
-	if r.quiet {
-		return
-	}
-	w := ""
-	if warm {
-		w = "warm-"
-	}
-	fmt.Fprintf(&r.log, "%d n%d %s%v +%#x -> %+v\n", r.now-sim.NS(7), n, w, op, va-r.base, mi)
 }
 
 func (r *portRig) ld(n int, va uint64)  { r.do(n, isa.Load, va, false) }
@@ -173,6 +181,17 @@ func (r *portRig) finish() string {
 	}
 	fmt.Fprintf(&r.log, "dir %+v\ntlb %+v\nos %+v\n", r.m.mem.Directory().Stats(), r.m.os.TLBStats(), r.m.os.Counters())
 	return r.log.String()
+}
+
+// seeded returns a xorshift generator for the scripts: next(n) draws
+// from [0, n).
+func seeded(seed uint64) func(n uint64) uint64 {
+	return func(n uint64) uint64 {
+		seed ^= seed << 13
+		seed ^= seed >> 7
+		seed ^= seed << 17
+		return seed % n
+	}
 }
 
 // portScript is the pinned script. Each block names the arm of the
@@ -373,13 +392,7 @@ func portScript(r *portRig) {
 	// kind, both nodes, timed and warm interleaved, a third of the
 	// accesses re-touching the node's previous line, irregular gaps and
 	// barriers. It pins the interactions the blocks above keep apart.
-	rng := uint64(0x9E3779B97F4A7C15)
-	next := func(n uint64) uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng % n
-	}
+	next := seeded(0x9E3779B97F4A7C15)
 	ops := []isa.Op{isa.Load, isa.Load, isa.Load, isa.Store, isa.Store, isa.Prefetch, isa.CacheOp}
 	last := [2]uint64{r.page(300, 0), r.page(300, 0)}
 	for i := 0; i < 4000; i++ {
@@ -473,13 +486,7 @@ func TestWarmLeavesTimedState(t *testing.T) {
 			timed := newPortRig(t, osKind, 2, false)
 			warm := newPortRig(t, osKind, 2, false)
 			timed.quiet, warm.quiet = true, true
-			rng := uint64(0x2545F4914F6CDD1D)
-			next := func(n uint64) uint64 {
-				rng ^= rng << 13
-				rng ^= rng >> 7
-				rng ^= rng << 17
-				return rng % n
-			}
+			next := seeded(0x2545F4914F6CDD1D)
 			ops := []isa.Op{isa.Load, isa.Load, isa.Load, isa.Store, isa.Store, isa.CacheOp}
 			var last [2]uint64
 			for i := 0; i < 200_000; i++ {

@@ -2,9 +2,11 @@ package machine
 
 import (
 	"testing"
+	"unsafe"
 
 	"flashsim/internal/cache"
 	"flashsim/internal/emitter"
+	"flashsim/internal/isa"
 	"flashsim/internal/memsys"
 	"flashsim/internal/osmodel"
 	"flashsim/internal/sim"
@@ -46,11 +48,11 @@ func testMachine(t *testing.T, osKind osmodel.Kind) (*Machine, *memPort, emitter
 
 func TestPortLoadMissThenHits(t *testing.T) {
 	_, p, r := testMachine(t, osmodel.Solo)
-	mi := p.load(0, r.Base, 8, false)
+	mi := p.touch(0, access{op: isa.Load, va: r.Base}, false)
 	if !mi.WentToMemory || mi.L1Hit {
 		t.Fatalf("cold load: %+v", mi)
 	}
-	mi2 := p.load(mi.Done, r.Base+8, 8, false)
+	mi2 := p.touch(mi.Done, access{op: isa.Load, va: r.Base + 8}, false)
 	if !mi2.L1Hit {
 		t.Fatalf("second load in same line should hit L1: %+v", mi2)
 	}
@@ -61,12 +63,12 @@ func TestPortLoadMissThenHits(t *testing.T) {
 
 func TestPortL2HitAfterL1Eviction(t *testing.T) {
 	_, p, r := testMachine(t, osmodel.Solo)
-	now := p.load(0, r.Base, 8, false).Done
+	now := p.touch(0, access{op: isa.Load, va: r.Base}, false).Done
 	// Evict the L1 line by filling its set (L1: 4 KB way, 2 ways).
 	for i := 1; i <= 2; i++ {
-		now = p.load(now, r.Base+uint64(i)*4096, 8, false).Done
+		now = p.touch(now, access{op: isa.Load, va: r.Base + uint64(i)*4096}, false).Done
 	}
-	mi := p.load(now, r.Base, 8, false)
+	mi := p.touch(now, access{op: isa.Load, va: r.Base}, false)
 	if !mi.L2Hit || mi.L1Hit {
 		t.Fatalf("expected L2 hit: %+v", mi)
 	}
@@ -75,9 +77,9 @@ func TestPortL2HitAfterL1Eviction(t *testing.T) {
 func TestPortStoreGetsExclusiveThenSilentUpgrade(t *testing.T) {
 	_, p, r := testMachine(t, osmodel.Solo)
 	// Load first: exclusive grant (unowned line).
-	mi := p.load(0, r.Base, 8, false)
+	mi := p.touch(0, access{op: isa.Load, va: r.Base}, false)
 	// Store to the same line: must be an L1 hit (E -> M), no upgrade.
-	st := p.store(mi.Done, r.Base, 8, false)
+	st := p.touch(mi.Done, access{op: isa.Store, va: r.Base}, false)
 	if !st.L1Hit {
 		t.Fatalf("store to exclusively held line missed: %+v", st)
 	}
@@ -94,7 +96,7 @@ func TestPortWriteBufferAbsorbsStoreMisses(t *testing.T) {
 	// Four store misses to distinct lines proceed immediately.
 	var now sim.Ticks
 	for i := 0; i < 4; i++ {
-		mi := p.store(now, r.Base+uint64(i)*128, 8, false)
+		mi := p.touch(now, access{op: isa.Store, va: r.Base + uint64(i)*128}, false)
 		if mi.Done > now+p.cyc(25) {
 			t.Fatalf("store %d stalled: %d -> %d", i, now, mi.Done)
 		}
@@ -104,11 +106,11 @@ func TestPortWriteBufferAbsorbsStoreMisses(t *testing.T) {
 
 func TestPortPrefetchFillsCache(t *testing.T) {
 	_, p, r := testMachine(t, osmodel.Solo)
-	p.prefetch(0, r.Base, false)
+	p.prefetch(0, access{op: isa.Prefetch, va: r.Base}, false)
 	if p.l2.Lookup(pToPA(p, r.Base)) == cache.Invalid {
 		t.Fatal("prefetch did not fill L2")
 	}
-	mi := p.load(sim.NS(10000), r.Base, 8, false)
+	mi := p.touch(sim.NS(10000), access{op: isa.Load, va: r.Base}, false)
 	if !mi.L1Hit {
 		t.Fatalf("post-prefetch load missed: %+v", mi)
 	}
@@ -116,7 +118,7 @@ func TestPortPrefetchFillsCache(t *testing.T) {
 
 func TestPortPrefetchDroppedOnTLBMissUnderSimOS(t *testing.T) {
 	_, p, r := testMachine(t, osmodel.SimOS)
-	p.prefetch(0, r.Base, false) // page never touched: TLB cold -> dropped
+	p.prefetch(0, access{op: isa.Prefetch, va: r.Base}, false) // page never touched: TLB cold -> dropped
 	if p.stats.PrefetchDrops != 1 {
 		t.Fatalf("drops %d", p.stats.PrefetchDrops)
 	}
@@ -127,7 +129,7 @@ func TestPortPrefetchDroppedOnTLBMissUnderSimOS(t *testing.T) {
 
 func TestPortTLBPenaltyCharged(t *testing.T) {
 	_, p, r := testMachine(t, osmodel.SimOS)
-	mi := p.load(0, r.Base, 8, false)
+	mi := p.touch(0, access{op: isa.Load, va: r.Base}, false)
 	if !mi.TLBMiss {
 		t.Fatal("first touch must miss the TLB")
 	}
@@ -138,8 +140,8 @@ func TestPortTLBPenaltyCharged(t *testing.T) {
 
 func TestPortCacheOpWritesBackDirtyLine(t *testing.T) {
 	_, p, r := testMachine(t, osmodel.Solo)
-	st := p.store(0, r.Base, 8, false)
-	mi := p.cacheOp(st.Done, r.Base, 0, false)
+	st := p.touch(0, access{op: isa.Store, va: r.Base}, false)
+	mi := p.touch(st.Done, access{op: isa.CacheOp, va: r.Base}, false)
 	if !mi.DirtyCacheOp {
 		t.Fatal("dirty line not detected")
 	}
@@ -149,7 +151,7 @@ func TestPortCacheOpWritesBackDirtyLine(t *testing.T) {
 	// Directory must show the line back in memory.
 	stDir, _, _ := p.m.mem.Directory().State(p.l2.Config().LineAddr(pToPA(p, r.Base)))
 	_ = stDir // state checked indirectly: a re-load must be a clean case
-	mi2 := p.load(mi.Done+sim.NS(5000), r.Base, 8, false)
+	mi2 := p.touch(mi.Done+sim.NS(5000), access{op: isa.Load, va: r.Base}, false)
 	if !mi2.WentToMemory {
 		t.Fatal("re-load after flush should go to memory")
 	}
@@ -172,9 +174,9 @@ func TestPortInclusionOnL2Eviction(t *testing.T) {
 	var now sim.Ticks
 	target := func(i int) uint64 { return r.Base + uint64(i)*16*vm.PageSize }
 	for i := 0; i < 3; i++ {
-		now = p.load(now, target(i), 8, false).Done
+		now = p.touch(now, access{op: isa.Load, va: target(i)}, false).Done
 		for f := 1; f < 16; f++ {
-			now = p.load(now, target(i)+uint64(f)*vm.PageSize, 8, false).Done
+			now = p.touch(now, access{op: isa.Load, va: target(i) + uint64(f)*vm.PageSize}, false).Done
 		}
 	}
 	pa0, pa1, pa2 := pToPA(p, target(0)), pToPA(p, target(1)), pToPA(p, target(2))
@@ -187,5 +189,13 @@ func TestPortInclusionOnL2Eviction(t *testing.T) {
 	}
 	if p.l1.Lookup(pa0) != cache.Invalid {
 		t.Fatal("inclusion violated: L1 retains an evicted L2 line")
+	}
+}
+
+// TestPendingOpSize keeps the barrier's sort element at the 56 bytes the
+// typed merge sort was measured with: the sort moves pendingOps by value.
+func TestPendingOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(pendingOp{}); n > 56 {
+		t.Fatalf("pendingOp is %d bytes, want <= 56", n)
 	}
 }

@@ -340,7 +340,7 @@ func (c *sampledCPU) runFunctional(t sim.Ticks) (cpu.Outcome, bool) {
 		switch {
 		case in.Op.IsMem():
 			if c.warm != nil {
-				c.warm.warmAccess(t, in.Op, in.Addr, true)
+				c.warm.warmTouch(t, in.Op, in.Addr)
 				c.meta.WarmTouches++
 			}
 		case in.Op.IsSync():

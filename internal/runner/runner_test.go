@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"flashsim/internal/emitter"
+	"flashsim/internal/isa"
 	"flashsim/internal/machine"
 	"flashsim/internal/magic"
 	"flashsim/internal/memsys"
@@ -115,6 +118,44 @@ func TestPanicFailsTheJobNotTheProcess(t *testing.T) {
 	}
 	if _, err := runner.New(1, nil).Run(context.Background(), jobs); err == nil {
 		t.Error("Run should surface the first failed job")
+	}
+}
+
+// TestPanicInsideTheRunLeavesNothingBehind is the event-loop version of
+// the test above: the workload is well-formed enough to launch, and the
+// panic comes out of a core mid-run (an op code the latency table has
+// no row for) with both emitter threads parked on full channels. The
+// pool must name the panic in the job's error, the run must release
+// its goroutines on the way out, and the same pool must serve the next
+// job.
+func TestPanicInsideTheRunLeavesNothingBehind(t *testing.T) {
+	cfg := testCfg(2)
+	cfg.ModelInstrLatency = true
+	bad := runner.Job{Config: cfg, Prog: emitter.Program{
+		Name:    "runner-test",
+		Variant: "bad-op",
+		Threads: 2,
+		Body: func(t *emitter.Thread, _ any) {
+			t.IntOps(100)
+			t.Op(isa.NumOps+1, emitter.None, emitter.None)
+			t.IntOps(1 << 20)
+		},
+	}}
+	pool := runner.New(1, nil)
+	before := runtime.NumGoroutine()
+	out := pool.RunAll(context.Background(), []runner.Job{bad})[0]
+	if out.Err == nil || !strings.Contains(out.Err.Error(), "index out of range") {
+		t.Fatalf("job error = %v, want the core's panic value and stack", out.Err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines before the panicking run, %d after it", before, n)
+	}
+	if next := pool.RunAll(context.Background(), []runner.Job{{Config: testCfg(2), Prog: tinyProg(2, 100)}})[0]; next.Err != nil {
+		t.Errorf("the job after the panicking one failed: %v", next.Err)
 	}
 }
 
