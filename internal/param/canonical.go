@@ -3,7 +3,9 @@ package param
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"flashsim/internal/machine"
@@ -38,19 +40,48 @@ func SnapshotOf(cfg machine.Config) Snapshot {
 }
 
 // Canonical returns the canonical JSON encoding of cfg: schema version
-// plus all registered parameters with keys in sorted order (encoding/
-// json sorts map keys), independent of Go field order, field additions
-// that register new paths at their defaults... the same semantics
-// always produce the same bytes. This is the runner's fingerprint
-// payload.
+// plus all registered parameters with keys in sorted order, independent
+// of Go field order, field additions that register new paths at their
+// defaults... the same semantics always produce the same bytes. This is
+// the runner's fingerprint payload, which a memo hit pays for before it
+// can look anything up, so the bytes — json.Marshal(SnapshotOf(cfg))
+// exactly; every cache on disk is keyed on them — are appended directly:
+// keys sorted and quoted at registration, each value written from the
+// Config by its typed appender, no map, boxing or reflection.
 func Canonical(cfg machine.Config) []byte {
-	data, err := json.Marshal(SnapshotOf(cfg))
-	if err != nil {
-		// Registered values are plain scalars; a failure here is a
-		// programming error in a registration, not a runtime condition.
-		panic(fmt.Sprintf("param: canonical encoding failed: %v", err))
+	if encodeHook != nil {
+		encodeHook()
 	}
-	return data
+	dst := append(make([]byte, 0, 2<<10), `{"schema":`...) // encodings run to ≈1.6 KB
+	dst = append(strconv.AppendInt(dst, SchemaVersion, 10), `,"params":{`...)
+	for _, p := range ordered {
+		dst = append(p.app(append(dst, p.key...), &cfg), ',')
+	}
+	dst[len(dst)-1] = '}' // the last separator closes "params"
+	return append(dst, '}')
+}
+
+// encodeHook, when non-nil, runs in every Canonical: tests count
+// encodings with it. It is nil in production.
+var encodeHook func()
+
+// appendFloat writes f as encoding/json does: the shortest decimal that
+// round-trips, in exponent form below 1e-6 and from 1e21, a two-digit
+// negative exponent shortened (e-07 becomes e-7). NaN and the infinities
+// have no JSON form; json.Marshal refused them and Canonical panicked.
+func appendFloat(dst []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		panic(fmt.Sprintf("param: canonical encoding failed: unsupported value %v", f))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst = append(dst[:n-2], dst[n-1])
+	}
+	return dst
 }
 
 // ParseSnapshot decodes a snapshot file. Both the full versioned form

@@ -2,6 +2,7 @@ package param_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,7 +14,8 @@ import (
 // never panics, whatever the input; and when it *accepts* a numeric
 // value, the value actually lands inside the parameter's declared
 // [Min, Max] bounds — a delta can never smuggle an out-of-range knob
-// into a config.
+// into a config. A third rides along: the accepted config's canonical
+// encoding equals the reference encoder's (canonical_test.go).
 func FuzzApplyDeltas(f *testing.F) {
 	f.Add("os.tlb.handler_cycles", []byte("65"))
 	f.Add("os.tlb.handler_cycles", []byte("-1"))
@@ -46,6 +48,9 @@ func FuzzApplyDeltas(f *testing.F) {
 		if gerr != nil {
 			t.Fatalf("accepted delta not readable back: %v", gerr)
 		}
+		// Whatever value landed, the direct canonical encoder writes it
+		// as encoding/json would.
+		requireCanonical(t, fmt.Sprintf("%s=%s", path, raw), out)
 		var fv float64
 		switch n := got.(type) {
 		case int64:

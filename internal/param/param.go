@@ -19,7 +19,7 @@ package param
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -87,6 +87,10 @@ type Param struct {
 
 	get func(*machine.Config) any
 	set func(*machine.Config, any)
+	// key and app are the parameter's half of Canonical: `"path":`, and
+	// an appender of what json.Marshal writes for get's value.
+	key string
+	app func(dst []byte, c *machine.Config) []byte
 }
 
 // Get reads the parameter from cfg.
@@ -184,8 +188,9 @@ func (p Param) ParseValue(raw string) (any, error) {
 	}
 }
 
-// registry state. Registration happens in package init (registry.go)
-// and is immutable afterwards, so lock-free reads are safe.
+// registry state; ordered is kept sorted by path. Registration happens
+// in package init (registry.go) and is immutable afterwards, so
+// lock-free reads are safe.
 var (
 	byPath  = make(map[string]*Param)
 	ordered []*Param
@@ -199,10 +204,12 @@ func register(p Param) {
 	}
 	ref := referenceConfig()
 	p.Default = p.get(&ref)
+	p.key = strconv.Quote(p.Path) + ":" // plain ASCII quotes as encoding/json would; tested
 	sp := new(Param)
 	*sp = p
 	byPath[p.Path] = sp
-	ordered = append(ordered, sp)
+	at, _ := slices.BinarySearchFunc(ordered, p.Path, func(o *Param, path string) int { return strings.Compare(o.Path, path) })
+	ordered = slices.Insert(ordered, at, sp)
 }
 
 // referenceConfig is the configuration defaults are read from: the
@@ -219,17 +226,6 @@ func All() []Param {
 	for _, p := range ordered {
 		out = append(out, *p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
-
-// Paths returns every registered path, sorted.
-func Paths() []string {
-	out := make([]string, 0, len(byPath))
-	for path := range byPath {
-		out = append(out, path)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -16,13 +16,15 @@ import (
 func defaultOS() osmodel.Config { return osmodel.DefaultSimOS() }
 
 // Typed registration helpers. Each takes a field selector returning a
-// pointer into the config, so Get and Set share one accessor.
+// pointer into the config, so Get, Set and app — the field's JSON form,
+// appended without boxing it — share one accessor.
 
 func boolParam(path, field, doc string, sel func(*machine.Config) *bool) {
 	register(Param{
 		Path: path, Kind: Bool, Doc: doc, Field: field,
 		get: func(c *machine.Config) any { return *sel(c) },
 		set: func(c *machine.Config, v any) { *sel(c) = v.(bool) },
+		app: func(dst []byte, c *machine.Config) []byte { return strconv.AppendBool(dst, *sel(c)) },
 	})
 }
 
@@ -31,6 +33,7 @@ func intParam(path, field, unit, doc string, min, max float64, sel func(*machine
 		Path: path, Kind: Int, Unit: unit, Doc: doc, Min: min, Max: max, Field: field,
 		get: func(c *machine.Config) any { return int64(*sel(c)) },
 		set: func(c *machine.Config, v any) { *sel(c) = int(v.(int64)) },
+		app: func(dst []byte, c *machine.Config) []byte { return strconv.AppendInt(dst, int64(*sel(c)), 10) },
 	})
 }
 
@@ -39,6 +42,7 @@ func u32Param(path, field, unit, doc string, min, max float64, sel func(*machine
 		Path: path, Kind: Uint, Unit: unit, Doc: doc, Min: min, Max: max, Field: field,
 		get: func(c *machine.Config) any { return uint64(*sel(c)) },
 		set: func(c *machine.Config, v any) { *sel(c) = uint32(v.(uint64)) },
+		app: func(dst []byte, c *machine.Config) []byte { return strconv.AppendUint(dst, uint64(*sel(c)), 10) },
 	})
 }
 
@@ -47,6 +51,7 @@ func u64Param(path, field, unit, doc string, min, max float64, sel func(*machine
 		Path: path, Kind: Uint, Unit: unit, Doc: doc, Min: min, Max: max, Field: field,
 		get: func(c *machine.Config) any { return *sel(c) },
 		set: func(c *machine.Config, v any) { *sel(c) = v.(uint64) },
+		app: func(dst []byte, c *machine.Config) []byte { return strconv.AppendUint(dst, *sel(c), 10) },
 	})
 }
 
@@ -55,6 +60,7 @@ func floatParam(path, field, unit, doc string, min, max float64, sel func(*machi
 		Path: path, Kind: Float, Unit: unit, Doc: doc, Min: min, Max: max, Field: field,
 		get: func(c *machine.Config) any { return *sel(c) },
 		set: func(c *machine.Config, v any) { *sel(c) = v.(float64) },
+		app: func(dst []byte, c *machine.Config) []byte { return appendFloat(dst, *sel(c)) },
 	})
 }
 
@@ -63,29 +69,34 @@ func enumParam(path, field, doc string, values []string, get func(*machine.Confi
 		Path: path, Kind: Enum, Doc: doc, Values: values, Field: field,
 		get: func(c *machine.Config) any { return get(c) },
 		set: func(c *machine.Config, v any) { set(c, v.(string)) },
+		app: func(dst []byte, c *machine.Config) []byte { return strconv.AppendQuote(dst, get(c)) },
 	})
 }
 
 // effNUMA returns the configuration's effective NUMA parameters: the
-// pointer's contents when set, DefaultNUMAConfig otherwise. Reading
-// through the effective value — and materializing the pointer only on
-// Set — canonicalizes nil-vs-explicit-default so semantically identical
+// pointer when set, otherwise the defaults (one shared read-only copy,
+// so Canonical allocates nothing per parameter). Reading through the
+// effective value — and materializing the pointer only on Set —
+// canonicalizes nil-vs-explicit-default so semantically identical
 // configs encode (and therefore fingerprint) identically.
-func effNUMA(c *machine.Config) memsys.NUMAConfig {
+func effNUMA(c *machine.Config) *memsys.NUMAConfig {
 	if c.NUMA != nil {
-		return *c.NUMA
+		return c.NUMA
 	}
-	return memsys.DefaultNUMAConfig(c.Procs)
+	return &numaDefaults
 }
+
+var numaDefaults, rtlOccupancies = memsys.DefaultNUMAConfig(0), magic.RTLOccupancies()
 
 // numaParam registers one NUMA latency field. NUMAConfig.Nodes is
 // deliberately not registered: machine.New forces it to Procs.
 func numaParam(path, field, doc string, sel func(*memsys.NUMAConfig) *float64) {
 	register(Param{
 		Path: path, Kind: Float, Unit: "ns", Doc: doc, Min: 0, Max: 1e9, Field: field,
-		get: func(c *machine.Config) any { n := effNUMA(c); return *sel(&n) },
+		get: func(c *machine.Config) any { return *sel(effNUMA(c)) },
+		app: func(dst []byte, c *machine.Config) []byte { return appendFloat(dst, *sel(effNUMA(c))) },
 		set: func(c *machine.Config, v any) {
-			n := effNUMA(c)
+			n := *effNUMA(c)
 			*sel(&n) = v.(float64)
 			c.NUMA = &n
 		},
@@ -93,11 +104,11 @@ func numaParam(path, field, doc string, sel func(*memsys.NUMAConfig) *float64) {
 }
 
 // effMagic is effNUMA for the MAGIC occupancy table (nil = RTL values).
-func effMagic(c *machine.Config) magic.OccupancyTable {
+func effMagic(c *machine.Config) *magic.OccupancyTable {
 	if c.MagicTable != nil {
-		return *c.MagicTable
+		return c.MagicTable
 	}
-	return magic.RTLOccupancies()
+	return &rtlOccupancies
 }
 
 func init() {
@@ -198,8 +209,11 @@ func init() {
 		Path: "numa.memory_banks", Kind: Int, Doc: "contended memory banks per node",
 		Min: 1, Max: 64, Field: "NUMA.MemoryBanks",
 		get: func(c *machine.Config) any { return int64(effNUMA(c).MemoryBanks) },
+		app: func(dst []byte, c *machine.Config) []byte {
+			return strconv.AppendInt(dst, int64(effNUMA(c).MemoryBanks), 10)
+		},
 		set: func(c *machine.Config, v any) {
-			n := effNUMA(c)
+			n := *effNUMA(c)
 			n.MemoryBanks = int(v.(int64))
 			c.NUMA = &n
 		},
@@ -216,8 +230,9 @@ func init() {
 			Min: 0, Max: 1e6,
 			Field: magicField(int(h)),
 			get:   func(c *machine.Config) any { return uint64(effMagic(c)[h]) },
+			app:   func(dst []byte, c *machine.Config) []byte { return strconv.AppendUint(dst, uint64(effMagic(c)[h]), 10) },
 			set: func(c *machine.Config, v any) {
-				t := effMagic(c)
+				t := *effMagic(c)
 				t[h] = uint32(v.(uint64))
 				c.MagicTable = &t
 			},

@@ -4,7 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
+	"strconv"
+	"strings"
 
 	"flashsim/internal/emitter"
 	"flashsim/internal/machine"
@@ -19,18 +20,13 @@ import (
 // identity. Two runs share a fingerprint exactly when machine.Run is
 // guaranteed to produce the same Result for both.
 //
-// Hashing the canonical encoding rather than the raw struct gives the
-// store three safety properties the old encoding lacked:
-//
-//   - configs that differ only in display labels (Config.Name) or in
-//     nil-vs-explicit-default pointer fields (Config.NUMA,
-//     Config.MagicTable) hash identically, so semantically identical
-//     runs are never recomputed;
-//   - the hash is independent of Go field order and of struct layout
-//     churn that does not change the registered parameter surface;
-//   - the embedded schema version changes whenever the parameter
-//     surface changes incompatibly, so stale on-disk caches from an
-//     older build self-invalidate instead of serving wrong results.
+// Hashing the canonical encoding rather than the raw struct means that
+// display labels (Config.Name) and nil-vs-explicit-default pointer
+// fields (Config.NUMA, Config.MagicTable) do not change the key, so
+// semantically identical runs are never recomputed; that Go field order
+// and struct layout churn do not either; and that a param.SchemaVersion
+// bump changes every key, so stale on-disk caches from an older build
+// self-invalidate instead of serving wrong results.
 //
 // The workload identity is Program.FullName() plus the thread count;
 // the apps and snbench constructors encode their parameterization in
@@ -38,21 +34,61 @@ import (
 // program whose Variant omits a behavior-changing parameter must not
 // be memoized (leave the pool's store nil, or make the Variant
 // complete).
+//
+// What is hashed is the JSON object {"Config":…,"Workload":…,
+// "Threads":…} and a newline, byte for byte what json.Encoder writes —
+// the keys on disk were issued that way — but appended directly around
+// the canonical bytes and hashed in one call: a memo hit pays for its
+// key before it can look anything up. For the same reason a job is
+// keyed once: Job.Keyed memoizes the key at admission, and the
+// in-flight map and the pool's store lookup and fill read it there.
 func Fingerprint(cfg machine.Config, prog emitter.Program) string {
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	err := enc.Encode(struct {
-		Config   json.RawMessage
-		Workload string
-		Threads  int
-	}{param.Canonical(cfg), prog.FullName(), prog.Threads})
-	if err != nil {
-		// The payload is a pre-encoded JSON blob plus plain data; an
-		// encoding failure is a programming error, not a runtime
-		// condition.
-		panic(fmt.Sprintf("runner: fingerprint encoding failed: %v", err))
+	return workloadKey(runHead, param.Canonical(cfg), prog)
+}
+
+// runHead opens a run key's envelope, traceHead a trace key's at a
+// given format version (the schema-versioning test bumps it).
+const runHead = `{"Config":`
+
+func traceHead(version int) string {
+	return `{"Kind":"trace","TraceFormat":` + strconv.Itoa(version) + `,"Config":`
+}
+
+// workloadKey hashes one run or trace envelope: head, which ends at the
+// "Config" key, the encoded configuration, the workload identity.
+func workloadKey(head string, canon []byte, prog emitter.Program) string {
+	b := append(append(make([]byte, 0, len(head)+len(canon)+192), head...), canon...)
+	b = appendJSONString(append(b, `,"Workload":`...), prog.FullName())
+	b = strconv.AppendInt(append(b, `,"Threads":`...), int64(prog.Threads), 10)
+	return sum(append(b, "}\n"...))
+}
+
+// appendJSONString writes s as encoding/json does: printable ASCII free
+// of what it escapes (", \, and for HTML's sake <, >, &) is copied
+// between quotes, anything else left to json.Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || strings.IndexByte(`"\<>&`, c) >= 0 {
+			quoted, _ := json.Marshal(s) // cannot fail: invalid UTF-8 is replaced
+			return append(b, quoted...)
+		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// sum is the one hash step of every fingerprint: hex SHA-256.
+func sum(b []byte) string {
+	h := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], h[:])
+	return string(out[:])
+}
+
+// ConfigFingerprint is the key of a configuration alone, for front ends
+// that dedup jobs without a workload (a calibration) as soundly as the
+// memo store would: the hash of the canonical encoding, no envelope.
+func ConfigFingerprint(cfg machine.Config) string {
+	return sum(param.Canonical(cfg))
 }
 
 // TraceFingerprint returns the content address of a trace artifact: the
@@ -70,26 +106,7 @@ func Fingerprint(cfg machine.Config, prog emitter.Program) string {
 // snapshots provenance (Meta.Config, Meta.Fingerprint), and keying on
 // the full tuple keeps "which run produced this trace" unambiguous.
 func TraceFingerprint(cfg machine.Config, prog emitter.Program) string {
-	return traceFingerprintAt(trace.FormatVersion, cfg, prog)
-}
-
-// traceFingerprintAt is TraceFingerprint pinned to an explicit format
-// version, so the schema-versioning test can prove that bumping the
-// version changes every key.
-func traceFingerprintAt(version int, cfg machine.Config, prog emitter.Program) string {
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	err := enc.Encode(struct {
-		Kind        string
-		TraceFormat int
-		Config      json.RawMessage
-		Workload    string
-		Threads     int
-	}{"trace", version, param.Canonical(cfg), prog.FullName(), prog.Threads})
-	if err != nil {
-		panic(fmt.Sprintf("runner: trace fingerprint encoding failed: %v", err))
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return workloadKey(traceHead(trace.FormatVersion), param.Canonical(cfg), prog)
 }
 
 // ReplayFingerprint returns the store key of a trace-driven run: replay
@@ -101,17 +118,10 @@ func traceFingerprintAt(version int, cfg machine.Config, prog emitter.Program) s
 // embeds trace.FormatVersion) means a trace schema bump invalidates
 // the derived replay results too.
 func ReplayFingerprint(cfg machine.Config, traceFP string) string {
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	err := enc.Encode(struct {
-		Kind   string
-		Config json.RawMessage
-		Trace  string
-	}{"replay", param.Canonical(cfg), traceFP})
-	if err != nil {
-		panic(fmt.Sprintf("runner: replay fingerprint encoding failed: %v", err))
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	canon := param.Canonical(cfg)
+	b := append(append(make([]byte, 0, len(canon)+128), `{"Kind":"replay","Config":`...), canon...)
+	b = appendJSONString(append(b, `,"Trace":`...), traceFP)
+	return sum(append(b, "}\n"...))
 }
 
 // TraceMeta assembles the container metadata for capturing prog under
@@ -120,12 +130,13 @@ func ReplayFingerprint(cfg machine.Config, traceFP string) string {
 // when non-nil, is a machine-readable workload spec recorded verbatim
 // (tools use it to rebuild the execution-driven program).
 func TraceMeta(cfg machine.Config, prog emitter.Program, source json.RawMessage) trace.Meta {
+	canon := param.Canonical(cfg)
 	return trace.Meta{
 		Workload:    prog.FullName(),
 		Threads:     prog.Threads,
-		Fingerprint: Fingerprint(cfg, prog),
-		Artifact:    TraceFingerprint(cfg, prog),
-		Config:      param.Canonical(cfg),
+		Fingerprint: workloadKey(runHead, canon, prog),
+		Artifact:    workloadKey(traceHead(trace.FormatVersion), canon, prog),
+		Config:      canon,
 		Source:      source,
 	}
 }

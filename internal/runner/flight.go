@@ -66,12 +66,13 @@ func (f *Flight) Coalesced() int64 { return f.coalesced.Load() }
 // execution if one exists. The bool reports whether this call coalesced
 // onto a run it did not start. If ctx dies while waiting, Run returns
 // ctx's error; the run itself is cancelled only when the last waiter
-// leaves.
+// leaves. A job without a key (a replay of an unaddressed image, which
+// always executes) has no identity to share: it runs alone.
 func (f *Flight) Run(ctx context.Context, j Job) (Outcome, bool) {
-	key := j.Fingerprint()
+	j = j.Keyed() // the pool below reuses the key
 
 	f.mu.Lock()
-	if c, ok := f.inflight[key]; ok {
+	if c, ok := f.inflight[j.key]; ok {
 		c.refs++
 		f.mu.Unlock()
 		f.coalesced.Add(1)
@@ -79,7 +80,9 @@ func (f *Flight) Run(ctx context.Context, j Job) (Outcome, bool) {
 	}
 	runCtx, cancel := context.WithCancel(f.base)
 	c := &flightCall{done: make(chan struct{}), refs: 1, cancel: cancel}
-	f.inflight[key] = c
+	if j.key != "" {
+		f.inflight[j.key] = c
+	}
 	f.mu.Unlock()
 
 	// The execution runs on its own goroutine so the caller that
@@ -89,7 +92,7 @@ func (f *Flight) Run(ctx context.Context, j Job) (Outcome, bool) {
 		out := f.pool.RunOne(runCtx, j)
 		f.mu.Lock()
 		c.out = out
-		delete(f.inflight, key)
+		delete(f.inflight, j.key)
 		f.mu.Unlock()
 		close(c.done)
 		cancel()

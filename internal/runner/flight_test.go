@@ -1,12 +1,15 @@
 package runner_test
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
 	"time"
 
+	"flashsim/internal/machine"
 	"flashsim/internal/runner"
+	"flashsim/internal/trace"
 )
 
 // TestFlightCoalescesIdenticalSubmissions pins the serving dedup
@@ -174,5 +177,84 @@ func TestFlightAllWaitersGoneCancelsRun(t *testing.T) {
 	}
 	if st := pool.Stats(); st.Ran != 1 || st.Failed != 1 {
 		t.Errorf("stats after abandon: ran %d failed %d, want 1 ran (blocker) and 1 failed (cancelled flight)", st.Ran, st.Failed)
+	}
+}
+
+// TestFlightNeverCoalescesUnkeyedJobs: a replay of an image with no
+// artifact address has no key ("always executes"), so two of them in
+// flight at once have nothing in common to coalesce on — filed under
+// the empty key they would share one execution and one result, whatever
+// their configurations.
+func TestFlightNeverCoalescesUnkeyedJobs(t *testing.T) {
+	prog := tinyProg(1, 20000)
+	var buf bytes.Buffer
+	tw, err := trace.NewWriter(&buf, trace.Meta{Workload: prog.FullName(), Threads: prog.Threads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := machine.RunCapture(testCfg(1), prog, tw); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := machine.PrepareReplay(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Two configurations that replay the image to different times.
+	jobs := []runner.Job{{Config: testCfg(1), Replay: img}, {Config: testCfg(1), Replay: img}}
+	jobs[1].Config.ClockMHz = 300
+	var want [2]machine.Result
+	for i, j := range jobs {
+		if j.Fingerprint() != "" {
+			t.Fatal("replay of an unaddressed image has a key")
+		}
+		if want[i], err = machine.RunReplay(j.Config, img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want[0].Exec == want[1].Exec {
+		t.Fatal("the two configurations replay to the same time; the check is vacuous")
+	}
+
+	// A serial pool busy with a long blocker holds both submissions in
+	// flight together.
+	pool := runner.New(1, nil)
+	blockerDone := make(chan struct{})
+	go func() {
+		defer close(blockerDone)
+		pool.RunOne(context.Background(), runner.Job{Config: testCfg(1), Prog: tinyProg(1, 2_000_000), Seed: 99})
+	}()
+	time.Sleep(10 * time.Millisecond) // let the blocker take the worker
+
+	f := runner.NewFlight(pool, nil)
+	var (
+		wg     sync.WaitGroup
+		outs   [2]runner.Outcome
+		joined [2]bool
+	)
+	for i := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], joined[i] = f.Run(context.Background(), jobs[i])
+		}()
+	}
+	wg.Wait()
+	<-blockerDone
+
+	for i, out := range outs {
+		if out.Err != nil {
+			t.Fatalf("replay %d: %v", i, out.Err)
+		}
+		if joined[i] || out.Result.Exec != want[i].Exec {
+			t.Errorf("replay %d: coalesced %v, exec %v, want its own run's %v", i, joined[i], out.Result.Exec, want[i].Exec)
+		}
+	}
+	if ran := pool.Stats().Ran; ran != 3 {
+		t.Errorf("pool ran %d executions, want 3 (the blocker and both replays)", ran)
 	}
 }

@@ -45,6 +45,10 @@ type Job struct {
 	Procs int
 	// Seed overrides Config.Seed when nonzero.
 	Seed uint64
+
+	// key is the job's Fingerprint once Keyed has computed it; nothing
+	// else sets it, so a job is never filed under a key not its own.
+	key string
 }
 
 // config returns the effective configuration with overrides applied.
@@ -59,11 +63,23 @@ func (j Job) config() machine.Config {
 	return cfg
 }
 
+// Keyed returns j carrying its own Fingerprint, so that every later use
+// of the key — a front end's admission, Flight's in-flight map, the
+// pool's store lookup and fill — reads it instead of encoding the
+// configuration again. Key a job after its last change; then run it.
+func (j Job) Keyed() Job {
+	j.key = j.Fingerprint()
+	return j
+}
+
 // Fingerprint returns the job's content-addressed store key. Replay
 // jobs key on the trace artifact's address chained through
 // ReplayFingerprint, so they never alias execution-driven results; a
 // replay of an unaddressed image gets an empty key (not memoizable).
 func (j Job) Fingerprint() string {
+	if j.key != "" {
+		return j.key
+	}
 	if j.Replay != nil {
 		if j.Replay.Artifact() == "" {
 			return ""

@@ -7,6 +7,7 @@ import (
 
 	"flashsim/internal/emitter"
 	"flashsim/internal/machine"
+	"flashsim/internal/param"
 	"flashsim/internal/trace"
 )
 
@@ -39,17 +40,17 @@ func TestTraceFingerprintSchemaVersioned(t *testing.T) {
 	}
 
 	// The trace key is pinned to the container format version.
-	if traceFingerprintAt(trace.FormatVersion, cfg, prog) != tr {
+	if workloadKey(traceHead(trace.FormatVersion), param.Canonical(cfg), prog) != tr {
 		t.Fatal("TraceFingerprint must hash the current FormatVersion")
 	}
-	if bumped := traceFingerprintAt(trace.FormatVersion+1, cfg, prog); bumped == tr {
+	if bumped := workloadKey(traceHead(trace.FormatVersion+1), param.Canonical(cfg), prog); bumped == tr {
 		t.Fatal("a FormatVersion bump must change every trace fingerprint")
 	}
 
 	// Replay keys chain from the artifact: a different trace (e.g. one
 	// written under a bumped schema) yields a different replay key
 	// under the same machine configuration.
-	other := traceFingerprintAt(trace.FormatVersion+1, cfg, prog)
+	other := workloadKey(traceHead(trace.FormatVersion+1), param.Canonical(cfg), prog)
 	if ReplayFingerprint(cfg, other) == rp {
 		t.Fatal("replay fingerprints must chain the trace artifact identity")
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 	"strconv"
 
 	"flashsim/internal/param"
@@ -149,7 +150,8 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "workload: %v", err)
 		return
 	}
-	job := runner.Job{Config: cfg, Prog: prog}
+	// Keyed once, here: admission, flight and pool all read this key.
+	job := runner.Job{Config: cfg, Prog: prog}.Keyed()
 	rec, coalesced, why := s.admit(KindRun, job.Fingerprint(), req.TimeoutMS, func(rec *jobRecord) {
 		rec.job = job
 	})
@@ -226,9 +228,11 @@ func (s *Server) handleSubmitCapture(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "workload: %v", err)
 		return
 	}
-	fp := "capture:" + runner.TraceFingerprint(cfg, prog)
-	rec, coalesced, why := s.admit(KindCapture, fp, req.TimeoutMS, func(rec *jobRecord) {
-		rec.capture = req
+	fp := runner.TraceFingerprint(cfg, prog)
+	rec, coalesced, why := s.admit(KindCapture, "capture:"+fp, req.TimeoutMS, func(rec *jobRecord) {
+		rec.job = runner.Job{Config: cfg, Prog: prog}
+		rec.source = req.Workload
+		rec.trace = fp
 	})
 	if why != admitOK {
 		s.rejectAdmission(w, why)
@@ -276,11 +280,16 @@ func (s *Server) handleSubmitReplay(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	statuses := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		statuses = append(statuses, s.jobs[id].Status())
+	statuses := make([]JobStatus, 0, len(s.jobs))
+	for _, rec := range s.jobs {
+		statuses = append(statuses, rec.Status())
 	}
 	s.mu.Unlock()
+	// Submission order: ids count up, so shorter is older, then by digits.
+	sort.Slice(statuses, func(i, j int) bool {
+		a, b := statuses[i].ID, statuses[j].ID
+		return len(a) < len(b) || len(a) == len(b) && a < b
+	})
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": statuses})
 }
 

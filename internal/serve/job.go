@@ -24,12 +24,13 @@ type jobRecord struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// Exactly one of these is meaningful, per kind.
-	job     runner.Job     // KindRun
-	calCfg  machine.Config // KindCalibration
-	figure  FigureRequest  // KindFigure
-	capture CaptureRequest // KindCapture
-	replay  ReplayRequest  // KindReplay
+	// What to execute, per kind; a run's job arrives keyed (fp is its key).
+	job    runner.Job     // KindRun, KindCapture
+	source WorkloadSpec   // KindCapture: recorded in the container
+	trace  string         // KindCapture: the container's address
+	calCfg machine.Config // KindCalibration
+	figure FigureRequest  // KindFigure
+	replay ReplayRequest  // KindReplay
 
 	mu      sync.Mutex
 	status  JobStatus

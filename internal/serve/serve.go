@@ -2,13 +2,12 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +16,6 @@ import (
 	"flashsim/internal/harness"
 	"flashsim/internal/machine"
 	"flashsim/internal/obs"
-	"flashsim/internal/param"
 	"flashsim/internal/runner"
 	"flashsim/internal/trace"
 )
@@ -64,11 +62,12 @@ type Server struct {
 
 	// mu guards admission state: draining, the job registry, the
 	// dedup index, and the enqueue itself (so Drain can close the
-	// queue without racing a submit).
+	// queue without racing a submit). finished is the registry's
+	// finished jobs, oldest first, at most jobRetention of them.
 	mu       sync.Mutex
 	draining bool
 	jobs     map[string]*jobRecord
-	order    []string
+	finished []*jobRecord
 	fpIndex  map[string]*jobRecord
 	nextID   int64
 
@@ -77,11 +76,11 @@ type Server struct {
 	refused   atomic.Int64 // draining 503s
 	coalesced atomic.Int64 // admission-level dedup joins
 
-	// execGate, when non-nil, is received from at the top of every job
+	// execGate, when non-nil, is called at the top of every job
 	// execution. Tests set it (before submitting anything) to hold
-	// workers at a known point and then close it to release them; it is
+	// workers at a known point until they choose to release them; it is
 	// nil in production.
-	execGate chan struct{}
+	execGate func(*jobRecord)
 
 	// sessMu serializes figure jobs: a harness.Session caches
 	// calibrations in a plain map and is not safe for concurrent use.
@@ -212,9 +211,9 @@ func (s *Server) worker() {
 
 // execute runs one job to its terminal state.
 func (s *Server) execute(rec *jobRecord) {
-	defer s.unindex(rec)
+	defer s.retire(rec)
 	if s.execGate != nil {
-		<-s.execGate
+		s.execGate(rec)
 	}
 	if err := rec.ctx.Err(); err != nil {
 		rec.finish(StateCanceled, err.Error(), false, nil)
@@ -253,7 +252,7 @@ func (s *Server) execute(rec *jobRecord) {
 		st.State = StateDone
 		rec.finish(StateDone, "", false, FigureResponse{Job: st, Figure: rec.figure.Figure, Text: text, Data: data})
 	case KindCapture:
-		resp, cached, err := s.runCapture(rec.ctx, rec.capture)
+		resp, cached, err := s.runCapture(rec)
 		if err != nil {
 			rec.finish(failState(err), err.Error(), false, nil)
 			return
@@ -320,22 +319,12 @@ func (s *Server) runFigure(req FigureRequest) (string, any, error) {
 // execution-driven with a tap into the trace store. When the container
 // already exists the simulation still runs (through the flight, so it
 // memoizes and coalesces like any run) but no second container is
-// written — store once, replay many.
-func (s *Server) runCapture(ctx context.Context, req CaptureRequest) (CaptureResponse, bool, error) {
-	if s.traces == nil {
-		return CaptureResponse{}, false, fmt.Errorf("no trace store configured (start flashd with -trace-dir)")
-	}
-	cfg, err := req.Config()
-	if err != nil {
-		return CaptureResponse{}, false, fmt.Errorf("config: %w", err)
-	}
-	prog, err := req.Workload.Program(cfg.Procs)
-	if err != nil {
-		return CaptureResponse{}, false, fmt.Errorf("workload: %w", err)
-	}
-	fp := runner.TraceFingerprint(cfg, prog)
+// written — store once, replay many. The record carries what admission
+// resolved: the run (rec.job) and the container's address (rec.trace).
+func (s *Server) runCapture(rec *jobRecord) (CaptureResponse, bool, error) {
+	cfg, prog, fp := rec.job.Config, rec.job.Prog, rec.trace
 	if !s.traces.Has(fp) {
-		source, err := json.Marshal(req.Workload)
+		source, err := json.Marshal(rec.source)
 		if err != nil {
 			return CaptureResponse{}, false, err
 		}
@@ -357,7 +346,7 @@ func (s *Server) runCapture(ctx context.Context, req CaptureRequest) (CaptureRes
 	}
 	// Already captured: serve the result like a plain run (memoized when
 	// the pool has a store) and point at the existing container.
-	out, _ := s.flight.Run(ctx, runner.Job{Config: cfg, Prog: prog})
+	out, _ := s.flight.Run(rec.ctx, rec.job)
 	if out.Err != nil {
 		return CaptureResponse{}, false, out.Err
 	}
@@ -368,9 +357,6 @@ func (s *Server) runCapture(ctx context.Context, req CaptureRequest) (CaptureRes
 // for the requested trace and run it trace-driven through the flight,
 // memoizing under ReplayFingerprint.
 func (s *Server) runReplay(ctx context.Context, req ReplayRequest) (ReplayResponse, bool, error) {
-	if s.traces == nil {
-		return ReplayResponse{}, false, fmt.Errorf("no trace store configured (start flashd with -trace-dir)")
-	}
 	img, err := s.replayImage(req.Trace)
 	if err != nil {
 		return ReplayResponse{}, false, err
@@ -447,7 +433,7 @@ func (s *Server) admit(kind JobKind, fp string, timeoutMS int64, fill func(*jobR
 		s.refused.Add(1)
 		return nil, false, admitDraining
 	}
-	// A record that has finished but not yet been unindexed (finish
+	// A record that has finished but not yet been retired (finish
 	// releases its waiters first) is not active: a resubmission racing
 	// that window is a new job, and a hit on the memo store.
 	if rec, ok := s.fpIndex[fp]; ok && !rec.Status().State.Terminal() {
@@ -470,19 +456,30 @@ func (s *Server) admit(kind JobKind, fp string, timeoutMS int64, fill func(*jobR
 		return nil, false, admitFull
 	}
 	s.jobs[rec.id] = rec
-	s.order = append(s.order, rec.id)
 	s.fpIndex[fp] = rec
 	s.accepted.Add(1)
 	return rec, false, admitOK
 }
 
-// unindex drops a finished job from the dedup index (the registry keeps
-// it for status/result queries).
-func (s *Server) unindex(rec *jobRecord) {
+// jobRetention is how many finished jobs stay answerable by id; without
+// a bound the registry, and every GC cycle's marking of it, grow with
+// every job the daemon has ever served.
+const jobRetention = 1024
+
+// retire drops a finished job from the dedup index and files it among
+// the finished jobs the registry still answers for. Beyond jobRetention
+// the one that finished first leaves, and its id answers 404 like one
+// never issued; a job still queued or running is never dropped.
+func (s *Server) retire(rec *jobRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fpIndex[rec.fp] == rec {
 		delete(s.fpIndex, rec.fp)
+	}
+	s.finished = append(s.finished, rec)
+	if len(s.finished) > jobRetention {
+		delete(s.jobs, s.finished[0].id)
+		s.finished = slices.Delete(s.finished, 0, 1)
 	}
 }
 
@@ -499,6 +496,5 @@ func (s *Server) lookup(id string) (*jobRecord, bool) {
 // runner.Fingerprint hashes, so dedup stays exactly as sound as the
 // memo store's key.
 func configFingerprint(kind JobKind, cfg machine.Config) string {
-	h := sha256.Sum256(param.Canonical(cfg))
-	return string(kind) + ":" + hex.EncodeToString(h[:])
+	return string(kind) + ":" + runner.ConfigFingerprint(cfg)
 }

@@ -27,7 +27,7 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server, chan 
 	}
 	s := New(opts)
 	gate := make(chan struct{})
-	s.execGate = gate
+	s.execGate = func(*jobRecord) { <-gate }
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
