@@ -18,15 +18,17 @@
 //	POST   /v1/replays           replay a stored capture trace-driven by fingerprint
 //	GET    /v1/jobs              list jobs; /v1/jobs/{id} one status
 //	GET    /v1/jobs/{id}/result  fetch a finished job's payload
-//	GET    /v1/jobs/{id}/events  stream status transitions (SSE)
 //	DELETE /v1/jobs/{id}         cancel
 //	GET    /metrics              Prometheus exposition
 //	GET    /v1/params            the tunable-parameter registry
 //	GET    /healthz              liveness ("ok" or "draining")
 //
-// A full queue answers 429 with Retry-After; SIGINT/SIGTERM drains:
-// admissions stop (503), accepted jobs finish, the -metrics-out report
-// is flushed, and the process exits 0.
+// A submission that could never run (malformed, unknown parameter or
+// workload, a config machine.Config.Validate rejects, procs over 1024)
+// answers 400 before it is queued. A full queue answers 429 with
+// Retry-After; SIGINT/SIGTERM drains: admissions stop (503), accepted
+// jobs finish, the -metrics-out report is flushed, and the process
+// exits 0.
 package main
 
 import (

@@ -1,6 +1,6 @@
 // Serveclient: the serving loop end to end in one process — boot the
 // flashd server layer on a loopback port, submit a run through the
-// typed client, follow its status stream, then resubmit the identical
+// typed client, poll its status to done, then resubmit the identical
 // request to show the memo cache answering without a second
 // simulation. Against a long-lived daemon the client half is all you
 // need; point client.New at its address.
@@ -12,6 +12,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"time"
 
 	"flashsim/internal/param"
 	"flashsim/internal/runner"
@@ -53,13 +54,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("submitted %s (fingerprint %.12s…)\n", st.ID, st.Fingerprint)
-	final, err := c.Watch(ctx, st.ID, func(s serve.JobStatus) {
-		fmt.Printf("  %s: %s\n", s.ID, s.State)
-	})
-	if err != nil {
-		log.Fatal(err)
+	for !st.State.Terminal() {
+		time.Sleep(10 * time.Millisecond)
+		if st, err = c.Job(ctx, st.ID); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  %s: %s\n", st.ID, st.State)
 	}
-	res, err := c.RunResult(ctx, final.ID)
+	res, err := c.RunResult(ctx, st.ID)
 	if err != nil {
 		log.Fatal(err)
 	}

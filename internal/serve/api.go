@@ -14,7 +14,6 @@
 //     store);
 //   - deadlines and cancellation — a request's timeout travels a
 //     context chain into the pool, and DELETE cancels a queued job;
-//   - streaming — job status is observable by polling or by SSE;
 //   - graceful drain — Drain stops admissions (503), lets every
 //     accepted job finish, and leaves results fetchable until
 //     shutdown.
@@ -62,7 +61,7 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// JobStatus is the poll/stream view of one job.
+// JobStatus is the poll view of one job.
 type JobStatus struct {
 	ID    string   `json:"id"`
 	Kind  JobKind  `json:"kind"`
@@ -192,33 +191,33 @@ func (s SamplingSpec) schedule() machine.SamplingConfig {
 	return sc
 }
 
-// boolOr returns *p or def.
-func boolOr(p *bool, def bool) bool {
-	if p == nil {
-		return def
-	}
-	return *p
-}
+// maxProcs bounds the machine a spec may ask for: 8× the largest any
+// experiment builds (core.WideSizes), and the registry's own bound on a
+// "procs" setting. A machine's memory grows with its processor count
+// and running out of it kills the daemon — no recover catches that — so
+// the bound is checked here, before a queue slot is taken.
+const maxProcs = 1024
 
 // Config materializes the spec through core's constructors and the
-// param registry.
+// param registry and validates the result: a spec this accepts is one
+// machine.New builds.
 func (c ConfigSpec) Config() (machine.Config, error) {
-	procs := c.Procs
-	if procs == 0 {
-		procs = 1
+	if c.Procs == 0 {
+		c.Procs = 1
 	}
-	mhz := c.MHz
-	if mhz == 0 {
-		mhz = 150
+	if c.Procs < 1 || c.Procs > maxProcs {
+		return machine.Config{}, fmt.Errorf("procs %d out of range [1, %d]", c.Procs, maxProcs)
 	}
-	base := c.Base
-	switch base {
+	if c.MHz == 0 {
+		c.MHz = 150
+	}
+	switch c.Base {
 	case "":
 		return machine.Config{}, fmt.Errorf("base config missing")
 	case "flash":
-		base = "hw"
+		c.Base = "hw"
 	}
-	cfg, err := core.ConfigByName(base, procs, mhz, boolOr(c.Scaled, true))
+	cfg, err := core.ConfigByName(c.Base, c.Procs, c.MHz, c.Scaled == nil || *c.Scaled)
 	if err != nil {
 		return machine.Config{}, err
 	}
@@ -229,7 +228,10 @@ func (c ConfigSpec) Config() (machine.Config, error) {
 		cfg.Sampling = c.Sampling.schedule()
 	}
 	cfg.Shards = c.Shards
-	return param.ApplySettings(cfg, c.Set)
+	if cfg, err = param.ApplySettings(cfg, c.Set); err != nil {
+		return machine.Config{}, err
+	}
+	return cfg, cfg.Validate()
 }
 
 // RunRequest submits one simulation run.
@@ -323,6 +325,21 @@ type ReplayResponse struct {
 	Trace    string         `json:"trace"`
 	Workload string         `json:"workload"`
 }
+
+// response is a finished job's payload: one of the five *Response
+// structs, which share nothing but the status they are sent under.
+// withJob returns the payload carrying st — a copy, since one record's
+// payload answers every submission that joined it, each under its own
+// status.
+type response interface {
+	withJob(st JobStatus) response
+}
+
+func (r RunResponse) withJob(st JobStatus) response         { r.Job = st; return r }
+func (r CalibrationResponse) withJob(st JobStatus) response { r.Job = st; return r }
+func (r FigureResponse) withJob(st JobStatus) response      { r.Job = st; return r }
+func (r CaptureResponse) withJob(st JobStatus) response     { r.Job = st; return r }
+func (r ReplayResponse) withJob(st JobStatus) response      { r.Job = st; return r }
 
 // ErrorResponse is the JSON body of every non-2xx response.
 type ErrorResponse struct {

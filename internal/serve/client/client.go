@@ -4,7 +4,6 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -18,9 +17,9 @@ import (
 	"flashsim/internal/serve"
 )
 
-// Client talks to one flashd base URL. The zero HTTPClient means
-// http.DefaultClient; SSE watches need a client without a global
-// timeout, which the default satisfies.
+// Client talks to one flashd base URL. A blocking call (Run,
+// Calibrate, Figure) holds its request open for as long as the job
+// takes, so a client with a global timeout bounds jobs, not just I/O.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -165,44 +164,6 @@ func (c *Client) Cancel(ctx context.Context, id string) (serve.JobStatus, error)
 	var out serve.JobStatus
 	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &out)
 	return out, err
-}
-
-// Watch follows a job's SSE stream, invoking fn (if non-nil) on every
-// status event, and returns the terminal status. It returns when the
-// job finishes, the stream drops, or ctx ends.
-func (c *Client) Watch(ctx context.Context, id string, fn func(serve.JobStatus)) (serve.JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return serve.JobStatus{}, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return serve.JobStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return serve.JobStatus{}, apiError(resp)
-	}
-	var last serve.JobStatus
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if data, ok := strings.CutPrefix(line, "data: "); ok {
-			if err := json.Unmarshal([]byte(data), &last); err != nil {
-				return last, fmt.Errorf("bad event payload %q: %w", data, err)
-			}
-			if fn != nil {
-				fn(last)
-			}
-			if last.State.Terminal() {
-				return last, nil
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return last, err
-	}
-	return last, fmt.Errorf("event stream for %s ended before a terminal state", id)
 }
 
 // Metrics fetches the raw Prometheus exposition text.

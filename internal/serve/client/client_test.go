@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -36,7 +37,7 @@ func restartReq(lines int) serve.RunRequest {
 }
 
 // TestClientRunAndWatch drives the full client surface against a live
-// server: synchronous run, async submit + SSE watch, job listing,
+// server: synchronous run, async submit + status polling, job listing,
 // result fetch, health, and metrics.
 func TestClientRunAndWatch(t *testing.T) {
 	_, c := newPair(t, serve.Options{})
@@ -54,13 +55,14 @@ func TestClientRunAndWatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SubmitRun: %v", err)
 	}
-	var seen int
-	final, err := c.Watch(ctx, st.ID, func(serve.JobStatus) { seen++ })
-	if err != nil {
-		t.Fatalf("Watch: %v", err)
+	for !st.State.Terminal() {
+		time.Sleep(2 * time.Millisecond)
+		if st, err = c.Job(ctx, st.ID); err != nil {
+			t.Fatalf("Job: %v", err)
+		}
 	}
-	if final.State != serve.StateDone || seen == 0 {
-		t.Errorf("Watch ended with state %s after %d events", final.State, seen)
+	if st.State != serve.StateDone {
+		t.Errorf("polling ended with state %s: %s", st.State, st.Error)
 	}
 
 	res, err := c.RunResult(ctx, st.ID)
@@ -104,5 +106,47 @@ func TestClientSurfacesBackpressure(t *testing.T) {
 	}
 	if !strings.Contains(apiErr.Message, "queue full") {
 		t.Errorf("error body not decoded: %q", apiErr.Message)
+	}
+}
+
+// TestWarmRunAllocations pins what a memo hit costs end to end in one
+// process: a warm POST /v1/runs?wait=true — served-mix's request —
+// through client.Run, the httptest server, admission, the flight, the
+// store and both JSON codecs. The count is every goroutine's
+// (AllocsPerRun reads the process-wide counter). With five hand-written
+// submit handlers it read 235; the one path reads 235 too, and may not
+// come to cost more than two objects over that: served-mix's
+// allocs_per_op bound is 2.5 objects per request.
+func TestWarmRunAllocations(t *testing.T) {
+	// The race detector's sync.Pool drops a quarter of what is put in it,
+	// so net/http and encoding/json allocate what they otherwise reuse.
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are pinned without -race")
+			}
+		}
+	}
+	store, err := runner.NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c := newPair(t, serve.Options{Pool: runner.New(1, store)})
+	ctx := t.Context()
+	req := serve.RunRequest{
+		ConfigSpec: serve.ConfigSpec{Base: "simos-mipsy", Procs: 1, Seed: 1},
+		Workload:   serve.Workload("fft", map[string]any{"logn": 8}),
+	}
+	if _, err := c.Run(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if resp, err := c.Run(ctx, req); err != nil || !resp.Job.Cached {
+			t.Fatalf("warm run: cached %v, err %v", resp.Job.Cached, err)
+		}
+	})
+	t.Logf("a warm run allocates %.0f objects", got)
+	if got > 237 {
+		t.Errorf("a warm run allocates %.0f objects, want at most 237", got)
 	}
 }

@@ -2,19 +2,16 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
-
-	"flashsim/internal/machine"
-	"flashsim/internal/runner"
 )
 
 // jobRecord is the server-side state of one accepted job. Identical
-// concurrent run submissions share one record (admission-level dedup),
-// so a record may have many waiters and subscribers.
+// concurrent submissions share one record (admission-level dedup), so a
+// record may have many waiters.
 type jobRecord struct {
-	id   string
-	kind JobKind
+	id string
 	// fp is the dedup key: runner.Fingerprint for runs, a kind-prefixed
 	// derivation for calibrations and figures.
 	fp string
@@ -24,26 +21,20 @@ type jobRecord struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// What to execute, per kind; a run's job arrives keyed (fp is its key).
-	job    runner.Job     // KindRun, KindCapture
-	source WorkloadSpec   // KindCapture: recorded in the container
-	trace  string         // KindCapture: the container's address
-	calCfg machine.Config // KindCalibration
-	figure FigureRequest  // KindFigure
-	replay ReplayRequest  // KindReplay
+	// job is what to execute: the decoded, prepared submission.
+	job job
 
 	mu      sync.Mutex
 	status  JobStatus
-	payload any // RunResponse / CalibrationResponse / FigureResponse
-	subs    []chan JobStatus
+	payload response
 	done    chan struct{}
 }
 
-func newJobRecord(id string, kind JobKind, fp string, ctx context.Context, cancel context.CancelFunc) *jobRecord {
+func newJobRecord(id string, kind JobKind, fp string, j job, ctx context.Context, cancel context.CancelFunc) *jobRecord {
 	return &jobRecord{
 		id:     id,
-		kind:   kind,
 		fp:     fp,
+		job:    j,
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),
@@ -64,79 +55,48 @@ func (j *jobRecord) Status() JobStatus {
 	return j.status
 }
 
-// transition applies mutate to the status under the lock and fans the
-// new snapshot out to subscribers. Sends never block: a subscriber that
-// falls behind misses intermediate states, not the terminal one (the
-// events handler re-reads the final status on done).
-func (j *jobRecord) transition(mutate func(*JobStatus)) {
-	j.mu.Lock()
-	mutate(&j.status)
-	snap := j.status
-	subs := j.subs
-	j.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- snap:
-		default:
-		}
-	}
+// outwaits reports whether the record will wait at least until
+// deadline (zero = forever) before its own context gives up.
+func (j *jobRecord) outwaits(deadline time.Time) bool {
+	own, bounded := j.ctx.Deadline()
+	return !bounded || !deadline.IsZero() && !deadline.After(own)
 }
 
 // start marks the job running.
 func (j *jobRecord) start() {
-	j.transition(func(s *JobStatus) {
-		s.State = StateRunning
-		s.StartedMS = time.Now().UnixMilli()
-	})
+	j.mu.Lock()
+	j.status.State = StateRunning
+	j.status.StartedMS = time.Now().UnixMilli()
+	j.mu.Unlock()
 }
 
-// finish records the terminal state, attaches the payload, and releases
-// every waiter.
-func (j *jobRecord) finish(state JobState, errMsg string, cached bool, payload any) {
+// finish records how the job's run came out — done with its payload,
+// or canceled or failed with err — and releases every waiter.
+func (j *jobRecord) finish(payload response, cached bool, err error) {
 	j.mu.Lock()
-	j.status.State = state
-	j.status.Error = errMsg
+	j.status.State = StateDone
+	if err != nil {
+		j.status.State, j.status.Error = failState(err), err.Error()
+	}
 	j.status.Cached = cached
 	j.status.FinishedMS = time.Now().UnixMilli()
 	j.payload = payload
-	snap := j.status
-	subs := j.subs
 	j.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- snap:
-		default:
-		}
-	}
 	close(j.done)
 	j.cancel()
 }
 
-// subscribe registers a status channel and returns it along with the
-// current snapshot.
-func (j *jobRecord) subscribe() (chan JobStatus, JobStatus) {
-	ch := make(chan JobStatus, 16)
-	j.mu.Lock()
-	j.subs = append(j.subs, ch)
-	snap := j.status
-	j.mu.Unlock()
-	return ch, snap
-}
-
-// unsubscribe removes a channel registered by subscribe.
-func (j *jobRecord) unsubscribe(ch chan JobStatus) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for i, c := range j.subs {
-		if c == ch {
-			j.subs = append(j.subs[:i], j.subs[i+1:]...)
-			return
-		}
+// failState maps an execution error to canceled (context death) or
+// failed (everything else).
+func failState(err error) JobState {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return StateCanceled
 	}
+	return StateFailed
 }
 
 // Payload returns the terminal payload (nil before finish).
-func (j *jobRecord) Payload() any {
+func (j *jobRecord) Payload() response {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.payload

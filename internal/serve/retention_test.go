@@ -95,7 +95,7 @@ func TestJobTableIsBounded(t *testing.T) {
 		}
 	}
 
-	for _, suffix := range []string{"", "/result", "/events"} {
+	for _, suffix := range []string{"", "/result"} {
 		for _, id := range ids[:50] {
 			if code := status(id, suffix); code != http.StatusNotFound {
 				t.Fatalf("GET /v1/jobs/%s%s = %d for an evicted job, want 404", id, suffix, code)

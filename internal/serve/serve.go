@@ -2,22 +2,17 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"flashsim/internal/core"
 	"flashsim/internal/harness"
 	"flashsim/internal/machine"
 	"flashsim/internal/obs"
 	"flashsim/internal/runner"
-	"flashsim/internal/trace"
 )
 
 // Options configures a Server.
@@ -43,9 +38,9 @@ type Options struct {
 }
 
 // Server is the HTTP front end: a bounded job queue feeding the runner
-// pool, with fingerprint dedup, per-job cancellation, SSE status
-// streaming, and Prometheus metrics. Create with New, expose with
-// Handler, stop with Drain (graceful) or Close (abort).
+// pool, with fingerprint dedup, per-job cancellation, and Prometheus
+// metrics. Create with New, expose with Handler, stop with Drain
+// (graceful) or Close (abort).
 type Server struct {
 	pool       *runner.Pool
 	collector  *obs.Collector
@@ -209,172 +204,19 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one job to its terminal state.
+// execute runs one job to its terminal state: the same gate, context
+// check, start and finish for every kind around the job's own run.
 func (s *Server) execute(rec *jobRecord) {
 	defer s.retire(rec)
 	if s.execGate != nil {
 		s.execGate(rec)
 	}
 	if err := rec.ctx.Err(); err != nil {
-		rec.finish(StateCanceled, err.Error(), false, nil)
+		rec.finish(nil, false, err)
 		return
 	}
 	rec.start()
-	switch rec.kind {
-	case KindRun:
-		out, _ := s.flight.Run(rec.ctx, rec.job)
-		if out.Err != nil {
-			rec.finish(failState(out.Err), out.Err.Error(), false, nil)
-			return
-		}
-		st := rec.Status()
-		st.State = StateDone
-		st.Cached = out.Cached
-		rec.finish(StateDone, "", out.Cached, RunResponse{Job: st, Result: out.Result})
-	case KindCalibration:
-		cal, err := s.calibrate(rec.calCfg)
-		if err != nil {
-			rec.finish(failState(err), err.Error(), false, nil)
-			return
-		}
-		st := rec.Status()
-		st.State = StateDone
-		rec.finish(StateDone, "", false, CalibrationResponse{
-			Job: st, Deltas: cal.Deltas, Report: cal.Report, Diff: cal.RenderDiff(),
-		})
-	case KindFigure:
-		text, data, err := s.runFigure(rec.figure)
-		if err != nil {
-			rec.finish(failState(err), err.Error(), false, nil)
-			return
-		}
-		st := rec.Status()
-		st.State = StateDone
-		rec.finish(StateDone, "", false, FigureResponse{Job: st, Figure: rec.figure.Figure, Text: text, Data: data})
-	case KindCapture:
-		resp, cached, err := s.runCapture(rec)
-		if err != nil {
-			rec.finish(failState(err), err.Error(), false, nil)
-			return
-		}
-		st := rec.Status()
-		st.State = StateDone
-		st.Cached = cached
-		resp.Job = st
-		rec.finish(StateDone, "", cached, resp)
-	case KindReplay:
-		resp, cached, err := s.runReplay(rec.ctx, rec.replay)
-		if err != nil {
-			rec.finish(failState(err), err.Error(), false, nil)
-			return
-		}
-		st := rec.Status()
-		st.State = StateDone
-		st.Cached = cached
-		resp.Job = st
-		rec.finish(StateDone, "", cached, resp)
-	default:
-		rec.finish(StateFailed, fmt.Sprintf("unknown job kind %q", rec.kind), false, nil)
-	}
-}
-
-// failState maps an execution error to canceled (context death) or
-// failed (everything else).
-func failState(err error) JobState {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return StateCanceled
-	}
-	return StateFailed
-}
-
-// calibrate closes the loop for one simulator configuration.
-func (s *Server) calibrate(cfg machine.Config) (core.Calibration, error) {
-	ref := core.NewReference(4, true)
-	ref.Pool = s.pool
-	return core.NewCalibrator(ref).Calibrate(cfg)
-}
-
-// runFigure executes one paper figure through a scale-shared session.
-func (s *Server) runFigure(req FigureRequest) (string, any, error) {
-	scale := harness.ScaleFull
-	if req.Quick {
-		scale = harness.ScaleQuick
-	}
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	sess, ok := s.sessions[scale]
-	if !ok {
-		sess = harness.NewSessionWithPool(scale, s.pool)
-		s.sessions[scale] = sess
-	}
-	exps, err := harness.Find(fmt.Sprintf("figure%d", req.Figure))
-	if err != nil {
-		return "", nil, fmt.Errorf("unknown figure %d (want 1-7)", req.Figure)
-	}
-	data, text, err := exps[0].Run(sess)
-	return text, data, err
-}
-
-// runCapture executes one capture job: run the workload
-// execution-driven with a tap into the trace store. When the container
-// already exists the simulation still runs (through the flight, so it
-// memoizes and coalesces like any run) but no second container is
-// written — store once, replay many. The record carries what admission
-// resolved: the run (rec.job) and the container's address (rec.trace).
-func (s *Server) runCapture(rec *jobRecord) (CaptureResponse, bool, error) {
-	cfg, prog, fp := rec.job.Config, rec.job.Prog, rec.trace
-	if !s.traces.Has(fp) {
-		source, err := json.Marshal(rec.source)
-		if err != nil {
-			return CaptureResponse{}, false, err
-		}
-		var res machine.Result
-		stored, err := s.traces.Save(fp, func(w io.Writer) error {
-			tw, err := trace.NewWriter(w, runner.TraceMeta(cfg, prog, source))
-			if err != nil {
-				return err
-			}
-			res, err = machine.RunCapture(cfg, prog, tw)
-			return err
-		})
-		if err != nil {
-			return CaptureResponse{}, false, err
-		}
-		if stored {
-			return CaptureResponse{Result: res, Trace: fp, Stored: true}, false, nil
-		}
-	}
-	// Already captured: serve the result like a plain run (memoized when
-	// the pool has a store) and point at the existing container.
-	out, _ := s.flight.Run(rec.ctx, rec.job)
-	if out.Err != nil {
-		return CaptureResponse{}, false, out.Err
-	}
-	return CaptureResponse{Result: out.Result, Trace: fp, Stored: false}, out.Cached, nil
-}
-
-// runReplay executes one replay job: load (or reuse) the prepared image
-// for the requested trace and run it trace-driven through the flight,
-// memoizing under ReplayFingerprint.
-func (s *Server) runReplay(ctx context.Context, req ReplayRequest) (ReplayResponse, bool, error) {
-	img, err := s.replayImage(req.Trace)
-	if err != nil {
-		return ReplayResponse{}, false, err
-	}
-	if req.Procs == 0 {
-		// The machine must match the trace's thread count; default to it
-		// rather than ConfigSpec's one-processor default.
-		req.Procs = img.Threads()
-	}
-	cfg, err := req.Config()
-	if err != nil {
-		return ReplayResponse{}, false, fmt.Errorf("config: %w", err)
-	}
-	out, _ := s.flight.Run(ctx, runner.Job{Config: cfg, Replay: img})
-	if out.Err != nil {
-		return ReplayResponse{}, false, out.Err
-	}
-	return ReplayResponse{Result: out.Result, Trace: req.Trace, Workload: img.Workload()}, out.Cached, nil
+	rec.finish(rec.job.run(rec.ctx, s))
 }
 
 // replayImage returns the prepared replay image for a stored trace,
@@ -403,9 +245,6 @@ func (s *Server) replayImage(fp string) (*machine.ReplayImage, error) {
 }
 
 func (s *Server) prepareImage(fp string) (*machine.ReplayImage, error) {
-	if !s.traces.Has(fp) {
-		return nil, fmt.Errorf("no trace %q in the store (capture it first)", fp)
-	}
 	tr, err := s.traces.Load(fp)
 	if err != nil {
 		return nil, err
@@ -413,52 +252,54 @@ func (s *Server) prepareImage(fp string) (*machine.ReplayImage, error) {
 	return machine.PrepareReplay(tr)
 }
 
-// admitError classifies a rejected submission.
-type admitError int
-
-const (
-	admitOK admitError = iota
-	admitDraining
-	admitFull
-)
-
-// admit performs admission control for one submission: dedup against
-// active identical jobs, then a non-blocking enqueue into the bounded
-// queue. Returns the (possibly shared) record, whether this submission
-// coalesced onto an existing job, and the rejection class.
-func (s *Server) admit(kind JobKind, fp string, timeoutMS int64, fill func(*jobRecord)) (*jobRecord, bool, admitError) {
+// admit performs admission control for one prepared submission: dedup
+// against active identical jobs, then a non-blocking enqueue into the
+// bounded queue. Returns the (possibly shared) record and whether this
+// submission coalesced onto an existing job — or the status it is turned
+// away with: 503 while draining, 429 when the queue is full.
+func (s *Server) admit(kind JobKind, fp string, j job) (rec *jobRecord, coalesced bool, refused int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		s.refused.Add(1)
-		return nil, false, admitDraining
+		return nil, false, http.StatusServiceUnavailable
+	}
+	var deadline time.Time // zero = wait as long as it takes
+	if ms := j.timeout(); ms > 0 {
+		deadline = time.Now().Add(time.Duration(ms) * time.Millisecond)
 	}
 	// A record that has finished but not yet been retired (finish
 	// releases its waiters first) is not active: a resubmission racing
-	// that window is a new job, and a hit on the memo store.
-	if rec, ok := s.fpIndex[fp]; ok && !rec.Status().State.Terminal() {
+	// that window is a new job, and a hit on the memo store. Nor is a
+	// record joined that gives up before this submission would — its
+	// deadline is a stranger's. That one gets its own record below (and
+	// the index, so later submissions find the more patient of the
+	// two); their runs still share one simulation through the flight.
+	if twin, ok := s.fpIndex[fp]; ok && !twin.Status().State.Terminal() && twin.outwaits(deadline) {
 		s.coalesced.Add(1)
-		return rec, true, admitOK
+		return twin, true, 0
 	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	if timeoutMS > 0 {
-		ctx, cancel = context.WithTimeout(s.baseCtx, time.Duration(timeoutMS)*time.Millisecond)
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if deadline.IsZero() {
+		ctx, cancel = context.WithCancel(s.baseCtx)
+	} else {
+		ctx, cancel = context.WithDeadline(s.baseCtx, deadline)
 	}
 	s.nextID++
-	rec := newJobRecord(fmt.Sprintf("j%06d", s.nextID), kind, fp, ctx, cancel)
-	fill(rec)
+	rec = newJobRecord(fmt.Sprintf("j%06d", s.nextID), kind, fp, j, ctx, cancel)
 	select {
 	case s.queue <- rec:
 	default:
 		cancel()
 		s.nextID--
 		s.rejected.Add(1)
-		return nil, false, admitFull
+		return nil, false, http.StatusTooManyRequests
 	}
 	s.jobs[rec.id] = rec
 	s.fpIndex[fp] = rec
 	s.accepted.Add(1)
-	return rec, false, admitOK
+	return rec, false, 0
 }
 
 // jobRetention is how many finished jobs stay answerable by id; without
@@ -489,12 +330,4 @@ func (s *Server) lookup(id string) (*jobRecord, bool) {
 	defer s.mu.Unlock()
 	rec, ok := s.jobs[id]
 	return rec, ok
-}
-
-// configFingerprint keys non-run jobs: a kind prefix over the config's
-// canonical parameter snapshot — the same schema-versioned encoding
-// runner.Fingerprint hashes, so dedup stays exactly as sound as the
-// memo store's key.
-func configFingerprint(kind JobKind, cfg machine.Config) string {
-	return string(kind) + ":" + runner.ConfigFingerprint(cfg)
 }

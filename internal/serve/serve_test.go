@@ -1,14 +1,12 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -343,6 +341,8 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		"unknown field":    `{"base":"simos-mipsy","typo":1,"workload":{"name":"snbench.restart","lines":8}}`,
 		"unknown setting":  `{"base":"simos-mipsy","set":[{"path":"no.such.knob","value":"1"}],"workload":{"name":"snbench.restart","lines":8}}`,
 		"bad case":         `{"base":"simos-mipsy","workload":{"name":"snbench.dependent-loads","case":"nope","lines":8}}`,
+		"second document":  `{"base":"simos-mipsy","workload":{"name":"snbench.restart","lines":8}}{"base":"hw"}`,
+		"trailing garbage": `{"base":"simos-mipsy","workload":{"name":"snbench.restart","lines":8}} trailing garbage`,
 	} {
 		resp, data := postJSON(t, ts.URL+"/v1/runs", []byte(body))
 		if resp.StatusCode != http.StatusBadRequest {
@@ -357,51 +357,6 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	}
 	if got := s.accepted.Load(); got != 0 {
 		t.Errorf("bad submissions consumed %d queue slots", got)
-	}
-}
-
-// TestServerEventsStreamsToTerminal: the SSE endpoint emits status
-// events and closes with a done event carrying the terminal state.
-func TestServerEventsStreamsToTerminal(t *testing.T) {
-	_, ts, gate := newTestServer(t, Options{})
-
-	_, data := postJSON(t, ts.URL+"/v1/runs", runBody(32))
-	var st JobStatus
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	close(gate)
-
-	var events []string
-	var last JobStatus
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "event: ") {
-			events = append(events, strings.TrimPrefix(line, "event: "))
-		}
-		if strings.HasPrefix(line, "data: ") {
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &last); err != nil {
-				t.Fatalf("bad SSE data line %q: %v", line, err)
-			}
-		}
-		if len(events) > 0 && events[len(events)-1] == "done" {
-			break
-		}
-	}
-	if len(events) < 2 || events[len(events)-1] != "done" {
-		t.Fatalf("event sequence %v, want ...done", events)
-	}
-	if last.State != StateDone {
-		t.Errorf("terminal SSE state = %s, want done", last.State)
 	}
 }
 

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the serving loop: boot flashd, submit one snbench
 # run over HTTP, resubmit it to hit the warm cache, capture a workload
-# into the trace store and replay it by fingerprint, then SIGTERM the
-# daemon and require a clean drain. A second leg boots two replicas on
-# one shared -cache-dir: what A computes is a cached hit on B, and still
-# is after A is SIGKILLed. CI runs this after the unit tests; it needs
-# only curl and a Go toolchain.
+# into the trace store and replay it by fingerprint, have two unrunnable
+# specs refused with 400, then SIGTERM the daemon and require a clean
+# drain. A second leg boots two replicas on one shared -cache-dir: what
+# A computes is a cached hit on B, and still is after A is SIGKILLed. CI
+# runs this after the unit tests; it needs only curl and a Go toolchain.
 set -euo pipefail
 
 workdir=$(mktemp -d)
@@ -84,6 +84,18 @@ if [ -z "$cap_exec" ] || [ "$cap_exec" != "$rep_exec" ]; then
   echo "replay Exec ($rep_exec) != captured Exec ($cap_exec)" >&2; exit 1
 fi
 
+# A spec that could never run is refused at the door: 20000 processors
+# used to take the daemon down with an out-of-memory fault nothing can
+# recover, -1 came back as a 500 with a goroutine dump for a body. Both
+# are 400s now, and the daemon is still there afterwards.
+for procs in 20000 -1; do
+  code=$(submit "$workdir/refused.json" "$base" \
+    "{\"base\":\"simos-mipsy\",\"procs\":$procs,\"workload\":{\"name\":\"gups\",\"log_table\":10,\"updates\":64}}")
+  [ "$code" = 400 ] || { echo "procs $procs: HTTP $code, want 400" >&2; cat "$workdir/refused.json" >&2; exit 1; }
+  grep -q '"error": "config: ' "$workdir/refused.json" || { echo "procs $procs: refusal does not name the config" >&2; exit 1; }
+done
+curl -fsS "$base/healthz" | grep -q '"ok"' || { echo "healthz not ok after the refusals" >&2; exit 1; }
+
 # Two pool executions: the cold run and the replay (the capture runs
 # outside the pool by design — a memo hit can't fill a trace).
 curl -fsS -o "$workdir/metrics.prom" "$base/metrics"
@@ -135,4 +147,4 @@ if ! wait "$pid_b"; then
   echo "replica B exited nonzero on SIGTERM:" >&2; cat "$workdir/b.log" >&2; exit 1
 fi
 
-echo "serve smoke OK: cold run simulated, warm run cached, capture stored, replay bit-identical, drained cleanly; two replicas on one -cache-dir: cross-replica cached hit, identical result after SIGKILL of the computing replica"
+echo "serve smoke OK: cold run simulated, warm run cached, capture stored, replay bit-identical, unrunnable specs refused, drained cleanly; two replicas on one -cache-dir: cross-replica cached hit, identical result after SIGKILL of the computing replica"
