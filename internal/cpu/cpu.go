@@ -12,36 +12,51 @@ import (
 	"flashsim/internal/sim"
 )
 
-// MemInfo describes what happened on a data access.
+// MemInfo describes what happened on a data access. Port calls return
+// it by value per instruction, so it stays a struct Go's SSA keeps in
+// registers — four fields, 32 bytes (TestMemInfoStaysInRegisters): the
+// conditions beyond L1Hit are one flag set read through accessors.
 type MemInfo struct {
 	// Done is when the data is available to the core (loads) or when
 	// the store has been accepted (after any write-buffer stall).
 	Done sim.Ticks
-	// L1Hit and L2Hit report where the access was satisfied.
-	L1Hit bool
-	L2Hit bool
-	// TLBMiss reports that a TLB refill ran (its cost is inside Done).
-	TLBMiss bool
-	// WentToMemory reports that the access left the chip (L2 miss),
-	// which is the processor's cue to yield to the event loop so that
-	// shared-resource reservations stay in global time order.
-	WentToMemory bool
-	// IssuedAt is the time the transaction was issued to the memory
-	// system (valid when WentToMemory). Processors yield to at least
-	// this time so the next transaction's reservations are made in
-	// global time order.
+	// IssuedAt is when the transaction was issued to the memory system
+	// (valid when WentToMemory). Processors yield to at least this time so
+	// the next transaction's reservations are made in global time order.
 	IssuedAt sim.Ticks
-	// DirtyCacheOp reports a CACHE instruction that hit a dirty line
-	// (the trigger of the historical MXS stall bug).
-	DirtyCacheOp bool
-	// Pending reports that the access needs the shared memory system
-	// and has been deferred to the engine's next barrier phase: no
-	// other field is meaningful yet. The processor must save enough
-	// context to finish the instruction later, return a Blocked
-	// outcome, and complete the access when Deliver hands it the final
-	// MemInfo.
-	Pending bool
+	// L1Hit reports that the primary cache satisfied the access.
+	L1Hit bool
+	Flags MemFlags
 }
+
+// MemFlags is the set of conditions a MemInfo reports beyond L1Hit.
+type MemFlags uint8
+
+const (
+	// FlagL2Hit: the secondary cache satisfied the access.
+	FlagL2Hit MemFlags = 1 << iota
+	// FlagTLBMiss: a TLB refill ran (its cost is inside Done).
+	FlagTLBMiss
+	// FlagWentToMemory: the access left the chip (L2 miss), which is
+	// the processor's cue to yield to the event loop so that
+	// shared-resource reservations stay in global time order.
+	FlagWentToMemory
+	// FlagDirtyCacheOp: a CACHE instruction hit a dirty line (the
+	// trigger of the historical MXS stall bug).
+	FlagDirtyCacheOp
+	// FlagPending: the access needs the shared memory system and has
+	// been deferred to the engine's next barrier phase; nothing else in
+	// the MemInfo is meaningful yet, and the processor suspends the
+	// instruction (see Blocked and Blocking).
+	FlagPending
+)
+
+// L2Hit, TLBMiss, WentToMemory, DirtyCacheOp and Pending report their flag.
+func (mi MemInfo) L2Hit() bool        { return mi.Flags&FlagL2Hit != 0 }
+func (mi MemInfo) TLBMiss() bool      { return mi.Flags&FlagTLBMiss != 0 }
+func (mi MemInfo) WentToMemory() bool { return mi.Flags&FlagWentToMemory != 0 }
+func (mi MemInfo) DirtyCacheOp() bool { return mi.Flags&FlagDirtyCacheOp != 0 }
+func (mi MemInfo) Pending() bool      { return mi.Flags&FlagPending != 0 }
 
 // Port is the machine-side memory interface a processor model drives.
 // Implementations encapsulate the TLB, the cache hierarchy, the write
@@ -72,6 +87,70 @@ type Stream interface {
 	// Next returns the next instruction, or ok=false when the stream
 	// is exhausted (or, for a gated stream, closed for now).
 	Next() (isa.Instr, bool)
+}
+
+// BatchStream is a Stream that also lends its instructions out in place.
+type BatchStream interface {
+	Stream
+	// NextBatch returns the unread rest of the stream's current batch,
+	// nil when exhausted; valid until the next call to Next or NextBatch.
+	NextBatch() []isa.Instr
+}
+
+// Cursor is how a core reads its Stream: Next yields a pointer to the
+// next instruction where it already lies — a slot of a BatchStream's own
+// batch, the stream being called once per batch. Any other Stream is
+// adapted one instruction at a time through the cursor's own slot, never
+// reading ahead and never remembering an ok=false: a gated stream closes
+// and reopens, and its other reader must see exactly what the core did
+// not take. The pointer is valid until the next call to Next, which may
+// hand the batch back to its producer: copy what must outlive that (a
+// SyncOp's Outcome.Instr). The cursor lives by value in its core and
+// must not be copied once Next has been called.
+type Cursor struct {
+	batch []isa.Instr // the current batch, read up to pos
+	pos   int
+	src   Stream
+	bat   BatchStream // src, when it lends batches
+	one   [1]isa.Instr
+}
+
+// NewCursor returns a cursor at the start of src.
+func NewCursor(src Stream) Cursor {
+	bat, _ := src.(BatchStream)
+	return Cursor{src: src, bat: bat}
+}
+
+// Next returns the next instruction in place, or nil when the stream
+// has (for now) no more. refill hands back the first instruction itself
+// so that Next fits Go's inlining budget: a core pays a call per batch.
+func (c *Cursor) Next() (in *isa.Instr) {
+	if c.pos == len(c.batch) {
+		return c.refill()
+	}
+	in = &c.batch[c.pos]
+	c.pos++
+	return
+}
+
+// refill takes the next batch (adapting: the next instruction). When
+// the stream has none the cursor stays spent, so the next call asks again.
+func (c *Cursor) refill() *isa.Instr {
+	if c.bat != nil {
+		c.batch, c.pos = c.bat.NextBatch(), 0
+		if len(c.batch) == 0 {
+			return nil
+		}
+	} else {
+		in, ok := c.src.Next()
+		if !ok {
+			return nil
+		}
+		c.one[0] = in
+		c.batch = c.one[:]
+	}
+	c.pos = 1
+	return &c.batch[0]
 }
 
 // OutcomeKind says why a processor yielded.

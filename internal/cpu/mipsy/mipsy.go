@@ -41,11 +41,17 @@ type Config struct {
 // CPU is one Mipsy core.
 type CPU struct {
 	cfg    Config
-	rd     cpu.Stream
+	cur    cpu.Cursor
 	port   cpu.Port
 	lat    isa.LatencyTable
 	stats  cpu.Stats
 	useLat bool
+
+	// stats.Cycles is kept as cycBase/period + cycAdd and materialized in
+	// Stats, its only reader (it was a 64-bit divide per instruction): a
+	// full write sets cycBase = t, cycAdd = 0; a sync op bumps cycAdd.
+	cycBase sim.Ticks
+	cycAdd  uint64
 
 	// Suspension context for a port-deferred access (cpu.Blocking):
 	// the instruction's start time and whether the load-stall counter
@@ -64,11 +70,15 @@ func New(cfg Config, rd cpu.Stream, port cpu.Port) *CPU {
 	if lat == zero {
 		lat = isa.R10000Latencies()
 	}
-	return &CPU{cfg: cfg, rd: rd, port: port, lat: lat, useLat: cfg.ModelInstrLatency}
+	return &CPU{cfg: cfg, cur: cpu.NewCursor(rd), port: port, lat: lat, useLat: cfg.ModelInstrLatency}
 }
 
 // Stats returns the core's counters.
-func (c *CPU) Stats() cpu.Stats { return c.stats }
+func (c *CPU) Stats() cpu.Stats {
+	st := c.stats
+	st.Cycles = uint64(c.cycBase/c.cfg.Clock.Period) + c.cycAdd
+	return st
+}
 
 // Deliver implements cpu.Blocking: it completes the access the port
 // deferred, running the same timing tail the inline path runs, and
@@ -83,7 +93,7 @@ func (c *CPU) Deliver(mi cpu.MemInfo) sim.Ticks {
 		next = mi.Done
 	}
 	t := c.cfg.Clock.Align(next)
-	c.stats.Cycles = uint64(t / period)
+	c.cycBase, c.cycAdd = t, 0
 	return t
 }
 
@@ -91,8 +101,8 @@ func (c *CPU) Deliver(mi cpu.MemInfo) sim.Ticks {
 func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 	period := c.cfg.Clock.Period
 	for n := 0; n < c.cfg.Quantum; n++ {
-		in, ok := c.rd.Next()
-		if !ok {
+		in := c.cur.Next()
+		if in == nil {
 			return cpu.Outcome{Kind: cpu.Finished, Time: t}
 		}
 		c.stats.Instructions++
@@ -100,12 +110,12 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 		case isa.Lock, isa.Unlock, isa.Barrier:
 			// One cycle to execute, then hand to the machine.
 			t += period
-			c.stats.Cycles++
-			return cpu.Outcome{Kind: cpu.SyncOp, Time: t, Instr: in}
+			c.cycAdd++
+			return cpu.Outcome{Kind: cpu.SyncOp, Time: t, Instr: *in}
 
 		case isa.Load:
 			mi := c.port.Load(t, in.Addr, in.Size)
-			if mi.Pending {
+			if mi.Pending() {
 				c.pendT, c.pendIsLoad = t, true
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
@@ -116,7 +126,7 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 				next = mi.Done
 			}
 			t = c.cfg.Clock.Align(next)
-			if mi.WentToMemory {
+			if mi.WentToMemory() {
 				// Yield so shared-resource reservations stay in
 				// global time order.
 				return cpu.Outcome{Kind: cpu.Yield, Time: t}
@@ -124,7 +134,7 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 
 		case isa.Store:
 			mi := c.port.Store(t, in.Addr, in.Size)
-			if mi.Pending {
+			if mi.Pending() {
 				c.pendT, c.pendIsLoad = t, false
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
@@ -133,7 +143,7 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 				next = mi.Done
 			}
 			t = c.cfg.Clock.Align(next)
-			if mi.WentToMemory {
+			if mi.WentToMemory() {
 				return cpu.Outcome{Kind: cpu.Yield, Time: t}
 			}
 
@@ -143,7 +153,7 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 
 		case isa.CacheOp:
 			mi := c.port.CacheOp(t, in.Addr, in.Aux)
-			if mi.Pending {
+			if mi.Pending() {
 				c.pendT, c.pendIsLoad = t, false
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
@@ -163,7 +173,7 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 			}
 			t += period * cycles
 		}
-		c.stats.Cycles = uint64(t / period) // approximate: wall cycles
+		c.cycBase, c.cycAdd = t, 0 // approximate: wall cycles
 	}
 	return cpu.Outcome{Kind: cpu.Yield, Time: t}
 }

@@ -23,7 +23,7 @@ type fakePort struct {
 func (p *fakePort) Load(t sim.Ticks, addr uint64, size uint32) cpu.MemInfo {
 	p.loads++
 	if addr >= p.missAddr {
-		return cpu.MemInfo{Done: t + p.missT, WentToMemory: true, IssuedAt: t}
+		return cpu.MemInfo{Done: t + p.missT, IssuedAt: t, Flags: cpu.FlagWentToMemory}
 	}
 	return cpu.MemInfo{Done: t + p.clock.Cycles(uint64(p.hitCyc)), L1Hit: true}
 }

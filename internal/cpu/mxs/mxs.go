@@ -105,7 +105,7 @@ const histSize = 4096 // completion-time history ring (power of two)
 // CPU is one MXS core.
 type CPU struct {
 	cfg  Config
-	rd   cpu.Stream
+	cur  cpu.Cursor
 	port cpu.Port
 
 	n          uint64 // absolute instruction index
@@ -152,7 +152,7 @@ func New(cfg Config, rd cpu.Stream, port cpu.Port) *CPU {
 	}
 	c := &CPU{
 		cfg:           cfg,
-		rd:            rd,
+		cur:           cpu.NewCursor(rd),
 		port:          port,
 		retireRing:    make([]sim.Ticks, cfg.Window),
 		rng:           cfg.Seed*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
@@ -246,7 +246,7 @@ func (c *CPU) Deliver(mi cpu.MemInfo) sim.Ticks {
 	if c.pendCacheOp {
 		// Mirror the inline CACHE path: no latency floor, no TLB
 		// squash, but the historical dirty-line stall bug applies.
-		if c.cfg.Fidelity.BugCacheOpStall && mi.DirtyCacheOp {
+		if c.cfg.Fidelity.BugCacheOpStall && mi.DirtyCacheOp() {
 			stall := c.cfg.Fidelity.CacheOpStallCycles
 			if stall == 0 {
 				stall = 1_000_000
@@ -258,7 +258,7 @@ func (c *CPU) Deliver(mi cpu.MemInfo) sim.Ticks {
 		if m := c.pendIssueT + period*sim.Ticks(c.pendLat.Cycles); completeT < m {
 			completeT = m
 		}
-		c.completeInstr(c.pendLat, c.pendIssueT, completeT, c.pendDepsReady, mi.TLBMiss)
+		c.completeInstr(c.pendLat, c.pendIssueT, completeT, c.pendDepsReady, mi.TLBMiss())
 	}
 	at := c.curFetch
 	if mi.IssuedAt > at {
@@ -278,8 +278,8 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 		c.prevRetire = t
 	}
 	for k := 0; k < c.cfg.Quantum; k++ {
-		in, ok := c.rd.Next()
-		if !ok {
+		in := c.cur.Next()
+		if in == nil {
 			return cpu.Outcome{Kind: cpu.Finished, Time: c.prevRetire}
 		}
 		c.stats.Instructions++
@@ -287,7 +287,7 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 		if in.Op.IsSync() {
 			// Serializing: drain the window, then hand to the machine.
 			drain := c.prevRetire + period
-			return cpu.Outcome{Kind: cpu.SyncOp, Time: drain, Instr: in}
+			return cpu.Outcome{Kind: cpu.SyncOp, Time: drain, Instr: *in}
 		}
 
 		// Fetch: window occupancy, then bandwidth.
@@ -345,7 +345,7 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 		switch in.Op {
 		case isa.Load:
 			mi := c.port.Load(issueT, in.Addr, in.Size)
-			if mi.Pending {
+			if mi.Pending() {
 				c.pendLat, c.pendIssueT, c.pendDepsReady, c.pendCacheOp = lat, issueT, depsReady, false
 				return cpu.Outcome{Kind: cpu.Blocked, Time: issueT}
 			}
@@ -353,12 +353,12 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 			if m := issueT + period*sim.Ticks(lat.Cycles); completeT < m {
 				completeT = m
 			}
-			memYield = mi.WentToMemory
+			memYield = mi.WentToMemory()
 			memIssued = mi.IssuedAt
-			tlbFlush = mi.TLBMiss
+			tlbFlush = mi.TLBMiss()
 		case isa.Store:
 			mi := c.port.Store(issueT, in.Addr, in.Size)
-			if mi.Pending {
+			if mi.Pending() {
 				c.pendLat, c.pendIssueT, c.pendDepsReady, c.pendCacheOp = lat, issueT, depsReady, false
 				return cpu.Outcome{Kind: cpu.Blocked, Time: issueT}
 			}
@@ -366,27 +366,27 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 			if mi.Done > completeT {
 				completeT = mi.Done
 			}
-			memYield = mi.WentToMemory
+			memYield = mi.WentToMemory()
 			memIssued = mi.IssuedAt
-			tlbFlush = mi.TLBMiss
+			tlbFlush = mi.TLBMiss()
 		case isa.Prefetch:
 			c.port.Prefetch(issueT, in.Addr)
 			completeT = issueT + period
 		case isa.CacheOp:
 			mi := c.port.CacheOp(issueT, in.Addr, in.Aux)
-			if mi.Pending {
+			if mi.Pending() {
 				c.pendLat, c.pendIssueT, c.pendDepsReady, c.pendCacheOp = lat, issueT, depsReady, true
 				return cpu.Outcome{Kind: cpu.Blocked, Time: issueT}
 			}
 			completeT = mi.Done
-			if c.cfg.Fidelity.BugCacheOpStall && mi.DirtyCacheOp {
+			if c.cfg.Fidelity.BugCacheOpStall && mi.DirtyCacheOp() {
 				stall := c.cfg.Fidelity.CacheOpStallCycles
 				if stall == 0 {
 					stall = 1_000_000
 				}
 				completeT += period * sim.Ticks(stall)
 			}
-			memYield = mi.WentToMemory
+			memYield = mi.WentToMemory()
 		case isa.Syscall:
 			completeT = issueT + period*sim.Ticks(1+c.port.SyscallCost(in.Aux))
 		case isa.Branch:

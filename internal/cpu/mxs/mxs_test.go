@@ -19,7 +19,7 @@ type fakePort struct {
 func (p *fakePort) Load(t sim.Ticks, addr uint64, size uint32) cpu.MemInfo {
 	p.loads++
 	if addr >= p.base {
-		return cpu.MemInfo{Done: t + p.missT, WentToMemory: true, IssuedAt: t}
+		return cpu.MemInfo{Done: t + p.missT, IssuedAt: t, Flags: cpu.FlagWentToMemory}
 	}
 	return cpu.MemInfo{Done: t + p.clock.Cycles(2), L1Hit: true}
 }
@@ -31,7 +31,7 @@ func (p *fakePort) Store(t sim.Ticks, addr uint64, size uint32) cpu.MemInfo {
 func (p *fakePort) Prefetch(t sim.Ticks, addr uint64) {}
 
 func (p *fakePort) CacheOp(t sim.Ticks, addr uint64, aux uint32) cpu.MemInfo {
-	return cpu.MemInfo{Done: t + p.clock.Cycles(1), DirtyCacheOp: true}
+	return cpu.MemInfo{Done: t + p.clock.Cycles(1), Flags: cpu.FlagDirtyCacheOp}
 }
 
 func (p *fakePort) SyscallCost(aux uint32) uint32 { return 50 }
@@ -177,7 +177,7 @@ type tlbPort struct {
 }
 
 func (p *tlbPort) Load(t sim.Ticks, addr uint64, size uint32) cpu.MemInfo {
-	return cpu.MemInfo{Done: t + p.clock.Cycles(65+1), L1Hit: true, TLBMiss: true}
+	return cpu.MemInfo{Done: t + p.clock.Cycles(65+1), L1Hit: true, Flags: cpu.FlagTLBMiss}
 }
 func (p *tlbPort) Store(t sim.Ticks, addr uint64, size uint32) cpu.MemInfo {
 	return cpu.MemInfo{Done: t + p.clock.Cycles(1), L1Hit: true}

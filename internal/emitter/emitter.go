@@ -28,8 +28,10 @@ import (
 	"flashsim/internal/obs"
 )
 
-// BatchSize is the number of instructions per channel send. Batching
-// amortizes channel overhead to well under 10 ns per instruction.
+// BatchSize is the number of instructions per channel send: it amortizes
+// the hand-off, leaving the slab write and read. One IntOps instruction
+// through emit and Next (BenchmarkEmitterThroughput -cpu 1) is 6.0-7.1 ns;
+// it was 12.1-14.5 while emit took an isa.Instr by value and appended it.
 const BatchSize = 2048
 
 // chanDepth is the number of in-flight batches per thread.
@@ -107,10 +109,17 @@ func (t *Thread) dist(v Val) uint32 {
 	return uint32(d)
 }
 
-func (t *Thread) emit(in isa.Instr) Val {
-	t.buf = append(t.buf, in)
+// emit writes one instruction straight into the slab being filled. It
+// takes the fields as scalars because an isa.Instr passed by value
+// bounces off the stack (DESIGN.md §7), and writes all six every time
+// because the recycled slot still holds what was emitted into it last.
+func (t *Thread) emit(op isa.Op, addr uint64, size, dep1, dep2, aux uint32) Val {
+	n := len(t.buf)
+	t.buf = t.buf[:n+1] // every slab has cap BatchSize and is flushed when full
+	in := &t.buf[n]
+	in.Op, in.Addr, in.Size, in.Dep1, in.Dep2, in.Aux = op, addr, size, dep1, dep2, aux
 	t.count++
-	if len(t.buf) == BatchSize {
+	if n+1 == BatchSize {
 		t.flush()
 	}
 	return Val{idx: t.count}
@@ -171,29 +180,29 @@ func (t *Thread) Count() uint64 { return t.count }
 // values (e.g. the value that the address was computed from). It returns
 // the loaded value's handle.
 func (t *Thread) Load(addr uint64, size uint32, d1, d2 Val) Val {
-	return t.emit(isa.Instr{Op: isa.Load, Addr: addr, Size: size, Dep1: t.dist(d1), Dep2: t.dist(d2)})
+	return t.emit(isa.Load, addr, size, t.dist(d1), t.dist(d2), 0)
 }
 
 // Store emits a store of size bytes at addr whose data depends on d1 and
 // whose address depends on d2.
 func (t *Thread) Store(addr uint64, size uint32, d1, d2 Val) {
-	t.emit(isa.Instr{Op: isa.Store, Addr: addr, Size: size, Dep1: t.dist(d1), Dep2: t.dist(d2)})
+	t.emit(isa.Store, addr, size, t.dist(d1), t.dist(d2), 0)
 }
 
 // Prefetch emits a non-binding prefetch of the line containing addr.
 func (t *Thread) Prefetch(addr uint64) {
-	t.emit(isa.Instr{Op: isa.Prefetch, Addr: addr, Size: 4})
+	t.emit(isa.Prefetch, addr, 4, 0, 0, 0)
 }
 
 // CacheOp emits a MIPS CACHE instruction (sub-operation aux) on the line
 // containing addr.
 func (t *Thread) CacheOp(addr uint64, aux uint32) {
-	t.emit(isa.Instr{Op: isa.CacheOp, Addr: addr, Size: 4, Aux: aux})
+	t.emit(isa.CacheOp, addr, 4, 0, 0, aux)
 }
 
 // Op emits a non-memory instruction of kind op with dependences d1, d2.
 func (t *Thread) Op(op isa.Op, d1, d2 Val) Val {
-	return t.emit(isa.Instr{Op: op, Dep1: t.dist(d1), Dep2: t.dist(d2)})
+	return t.emit(op, 0, 0, t.dist(d1), t.dist(d2), 0)
 }
 
 // IntALU emits a 1-cycle integer op.
@@ -221,26 +230,26 @@ func (t *Thread) Branch(d1 Val) { t.Op(isa.Branch, d1, None) }
 // overhead) in bulk.
 func (t *Thread) IntOps(n int) {
 	for i := 0; i < n; i++ {
-		t.emit(isa.Instr{Op: isa.IntALU})
+		t.emit(isa.IntALU, 0, 0, 0, 0, 0)
 	}
 }
 
 // Syscall emits a system call with number aux.
 func (t *Thread) Syscall(aux uint32) {
-	t.emit(isa.Instr{Op: isa.Syscall, Aux: aux})
+	t.emit(isa.Syscall, 0, 0, 0, 0, aux)
 }
 
 // Barrier emits a BARRIER instruction and then joins the real barrier so
 // that program data stays phase-consistent across threads.
 func (t *Thread) Barrier(id uint32) {
-	t.emit(isa.Instr{Op: isa.Barrier, Aux: id})
+	t.emit(isa.Barrier, 0, 0, 0, 0, id)
 	t.flush()
 	t.coord.barrier(id, t.N).await(t.abort)
 }
 
 // Lock emits a LOCK instruction and acquires the mirroring real mutex.
 func (t *Thread) Lock(id uint32) {
-	t.emit(isa.Instr{Op: isa.Lock, Aux: id})
+	t.emit(isa.Lock, 0, 0, 0, 0, id)
 	t.flush()
 	m := t.coord.lock(id)
 	m.Lock()
@@ -256,7 +265,7 @@ func (t *Thread) Unlock(id uint32) {
 		m.Unlock()
 		delete(t.held, id)
 	}
-	t.emit(isa.Instr{Op: isa.Unlock, Aux: id})
+	t.emit(isa.Unlock, 0, 0, 0, 0, id)
 	t.flush()
 }
 
@@ -360,9 +369,9 @@ func (b *cyclicBarrier) release() {
 
 // Reader consumes one thread's instruction stream.
 //
-// The counters are plain fields: Next runs on the consumer goroutine
-// (the machine's event loop) only, so no synchronization is needed and
-// none would be affordable on this path.
+// The counters are plain fields: Next and NextBatch run on the consumer
+// goroutine (the machine's event loop) only, so no synchronization is
+// needed and none would be affordable on this path.
 type Reader struct {
 	ch      <-chan []isa.Instr
 	free    chan<- []isa.Instr // consumed buffers go back to the Thread
@@ -374,38 +383,57 @@ type Reader struct {
 	reuses  uint64 // consumed buffers successfully recycled to the pool
 }
 
-// Next returns the next instruction, or ok=false at end of stream.
-func (r *Reader) Next() (in isa.Instr, ok bool) {
-	if r.pos >= len(r.buf) {
-		if r.done {
-			return isa.Instr{}, false
-		}
-		if r.buf != nil {
-			// Recycle the consumed batch before blocking for the next
-			// one, so the producer always has a slab to fill. The pool
-			// channel has room for every buffer in circulation, so this
-			// send never blocks; the default arm only covers readers
-			// fed outside Start (tests).
-			select {
-			case r.free <- r.buf[:0]:
-				r.reuses++
-			default:
-			}
-			r.buf = nil
-		}
-		batch, open := <-r.ch
-		if !open {
-			r.done = true
-			return isa.Instr{}, false
-		}
-		r.buf = batch
-		r.pos = 0
-		r.batches++
+// refill recycles the spent batch and blocks for the next one; false at
+// end of stream.
+func (r *Reader) refill() bool {
+	if r.done {
+		return false
 	}
-	in = r.buf[r.pos]
+	if r.buf != nil {
+		// Recycle the consumed batch before blocking for the next
+		// one, so the producer always has a slab to fill. The pool
+		// channel has room for every buffer in circulation, so this
+		// send never blocks; the default arm only covers readers
+		// fed outside Start (tests).
+		select {
+		case r.free <- r.buf[:0]:
+			r.reuses++
+		default:
+		}
+		r.buf = nil
+	}
+	batch, open := <-r.ch
+	if !open {
+		r.done = true
+		return false
+	}
+	r.buf = batch
+	r.pos = 0
+	r.batches++
+	return true
+}
+
+// Next returns the next instruction, or ok=false at end of stream.
+func (r *Reader) Next() (isa.Instr, bool) {
+	if r.pos >= len(r.buf) && !r.refill() {
+		return isa.Instr{}, false
+	}
 	r.pos++
 	r.read++
-	return in, true
+	return r.buf[r.pos-1], true
+}
+
+// NextBatch returns the unread rest of the current batch (of the next,
+// when that one is spent) and counts it read; nil at end of stream. The
+// slice is the slab itself, lent until the next call to Next or NextBatch.
+func (r *Reader) NextBatch() []isa.Instr {
+	if r.pos >= len(r.buf) && !r.refill() {
+		return nil
+	}
+	rest := r.buf[r.pos:]
+	r.pos = len(r.buf)
+	r.read += uint64(len(rest))
+	return rest
 }
 
 // Consumed returns how many instructions have been read.

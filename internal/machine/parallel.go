@@ -75,13 +75,13 @@ const (
 // time (kept monotone per node by memPort.push), node breaks ties, seq
 // preserves each node's issue order.
 type pendingOp struct {
-	t       sim.Ticks
-	node    int
-	seq     uint64
-	pa      uint64
-	acc     access
-	kind    opKind
-	tlbMiss bool
+	t    sim.Ticks
+	node int
+	seq  uint64
+	pa   uint64
+	acc  access
+	kind opKind
+	tlb  cpu.MemFlags // FlagTLBMiss when the prefix's translation refilled
 	// placeholder marks a store miss the processor is not waiting on:
 	// finishing it patches the write-buffer slot the prefix reserved.
 	placeholder bool
@@ -271,7 +271,7 @@ func (m *Machine) execOp(op *pendingOp) {
 			mi = n.port.touch(op.t, op.acc, false)
 		}
 	case opMiss:
-		mi = n.port.finish(op.t, op.acc, op.pa, op.tlbMiss, op.placeholder)
+		mi = n.port.finish(op.t, op.acc, op.pa, op.tlb, op.placeholder)
 	default:
 		m.runErr = fmt.Errorf("machine %q: unknown pending op kind %d", m.cfg.Name, op.kind)
 		return

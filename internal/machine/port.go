@@ -204,7 +204,7 @@ func (p *memPort) touch(t sim.Ticks, a access, canDefer bool) cpu.MemInfo {
 		// Page faults mutate the shared page table: defer the whole
 		// access to the serial phase.
 		p.push(pendingOp{kind: opAccess, t: t, acc: a})
-		return cpu.MemInfo{Pending: true}
+		return cpu.MemInfo{Flags: cpu.FlagPending}
 	}
 	tr := p.m.os.Translate(p.node, a.va)
 	if tr.PenaltyCycles > 0 && !a.warm {
@@ -215,9 +215,12 @@ func (p *memPort) touch(t sim.Ticks, a access, canDefer bool) cpu.MemInfo {
 		}
 		t += d
 	}
-	pa := tr.PA
+	pa, tlb := tr.PA, cpu.MemFlags(0) // tlb goes into the MemInfo, however the access ends
+	if tr.TLBMiss {
+		tlb = cpu.FlagTLBMiss
+	}
 	if a.op == isa.CacheOp {
-		return p.flush(t, pa, tr.TLBMiss, a.warm, canDefer)
+		return p.flush(t, pa, tlb, a.warm, canDefer)
 	}
 	write := a.op == isa.Store
 	if st, hit := p.l1.Access(pa, write); hit {
@@ -227,7 +230,7 @@ func (p *memPort) touch(t sim.Ticks, a access, canDefer bool) cpu.MemInfo {
 			// dirtiness to the inclusive L2 copy.
 			p.l2.MarkDirty(pa)
 		}
-		return cpu.MemInfo{Done: t + p.cyc(p.m.cfg.L1HitCycles), L1Hit: true, TLBMiss: tr.TLBMiss}
+		return cpu.MemInfo{Done: t + p.cyc(p.m.cfg.L1HitCycles), L1Hit: true, Flags: tlb}
 	}
 	if !a.warm {
 		t += p.cyc(p.m.cfg.L1HitCycles) // L1 miss detection
@@ -236,7 +239,7 @@ func (p *memPort) touch(t sim.Ticks, a access, canDefer bool) cpu.MemInfo {
 	if st2, hit2 := p.l2.Access(pa, write); hit2 {
 		p.stats.L2Hits++
 		p.fillL1(pa, l1State(write, st2))
-		return cpu.MemInfo{Done: t + p.cyc(p.m.cfg.L2HitCycles), L2Hit: true, TLBMiss: tr.TLBMiss}
+		return cpu.MemInfo{Done: t + p.cyc(p.m.cfg.L2HitCycles), Flags: cpu.FlagL2Hit | tlb}
 	}
 	if !a.warm {
 		// L2 miss (for a store, also an upgrade): the off-chip tag check
@@ -244,7 +247,7 @@ func (p *memPort) touch(t sim.Ticks, a access, canDefer bool) cpu.MemInfo {
 		t += p.cyc(p.m.cfg.L2HitCycles)
 	}
 	if !canDefer {
-		return p.finish(t, a, pa, tr.TLBMiss, false)
+		return p.finish(t, a, pa, tlb, false)
 	}
 	if write && !a.warm {
 		// L2 write miss or upgrade: fetch/own through the memory system,
@@ -253,13 +256,13 @@ func (p *memPort) touch(t sim.Ticks, a access, canDefer bool) cpu.MemInfo {
 		// immediately and the barrier patches the slot's drain time.
 		if proceed, ok := p.wb.PushPending(t); ok {
 			p.push(pendingOp{kind: opMiss, t: t, pa: pa, acc: a, placeholder: true})
-			return cpu.MemInfo{Done: proceed, TLBMiss: tr.TLBMiss, WentToMemory: true, IssuedAt: t}
+			return cpu.MemInfo{Done: proceed, IssuedAt: t, Flags: cpu.FlagWentToMemory | tlb}
 		}
 		// Every slot holds an unpatched placeholder: the oldest drain
 		// time is unknowable until the barrier, so the store blocks.
 	}
-	p.push(pendingOp{kind: opMiss, t: t, pa: pa, acc: a, tlbMiss: tr.TLBMiss})
-	return cpu.MemInfo{Pending: true}
+	p.push(pendingOp{kind: opMiss, t: t, pa: pa, acc: a, tlb: tlb})
+	return cpu.MemInfo{Flags: cpu.FlagPending}
 }
 
 // prefetch is the Prefetch body (see touch for the canDefer contract).
@@ -288,32 +291,34 @@ func (p *memPort) prefetch(t sim.Ticks, a access, canDefer bool) {
 		p.push(pendingOp{kind: opMiss, t: t, pa: pa, acc: a})
 		return
 	}
-	p.finish(t, a, pa, false, false)
+	p.finish(t, a, pa, 0, false)
 }
 
 // flush is the CacheOp body, behind touch's translation. The
 // invalidations are node-local; only a dirty line's writeback touches
 // the memory system, and the processor never waits on it.
-func (p *memPort) flush(t sim.Ticks, pa uint64, tlbMiss, warm, canDefer bool) cpu.MemInfo {
+func (p *memPort) flush(t sim.Ticks, pa uint64, flags cpu.MemFlags, warm, canDefer bool) cpu.MemInfo {
 	line := p.l2.Config().LineAddr(pa)
 	dirty := max(p.dropL1(line), p.l2.Invalidate(pa)) == cache.Modified
 	if !warm {
 		t += p.cyc(p.m.cfg.L2HitCycles)
 	}
-	switch {
-	case dirty && canDefer:
-		p.push(pendingOp{kind: opWriteback, t: t, pa: line})
-	case dirty:
-		p.m.mem.Writeback(t, p.node, line)
+	if dirty {
+		flags |= cpu.FlagDirtyCacheOp | cpu.FlagWentToMemory
+		if canDefer {
+			p.push(pendingOp{kind: opWriteback, t: t, pa: line})
+		} else {
+			p.m.mem.Writeback(t, p.node, line)
+		}
 	}
-	return cpu.MemInfo{Done: t, DirtyCacheOp: dirty, TLBMiss: tlbMiss, WentToMemory: dirty}
+	return cpu.MemInfo{Done: t, Flags: flags}
 }
 
 // finish is the shared tail of an L2 miss, entered at the barrier (or
 // synchronously from the re-run path): acquire the line, then answer
 // whoever waits — nobody for a prefetch or a warm touch; a store only
 // for the write buffer, where its memory operation drains at done.
-func (p *memPort) finish(t sim.Ticks, a access, pa uint64, tlbMiss, placeholder bool) cpu.MemInfo {
+func (p *memPort) finish(t sim.Ticks, a access, pa uint64, tlb cpu.MemFlags, placeholder bool) cpu.MemInfo {
 	done, issuedAt := p.acquire(t, a, pa)
 	if a.warm || a.op == isa.Prefetch {
 		return cpu.MemInfo{}
@@ -325,7 +330,7 @@ func (p *memPort) finish(t sim.Ticks, a access, pa uint64, tlbMiss, placeholder 
 		}
 		done = p.wb.Push(t, done)
 	}
-	return cpu.MemInfo{Done: done, TLBMiss: tlbMiss, WentToMemory: true, IssuedAt: issuedAt}
+	return cpu.MemInfo{Done: done, IssuedAt: issuedAt, Flags: cpu.FlagWentToMemory | tlb}
 }
 
 // acquire gets the missed line in the state the access needs (Modified

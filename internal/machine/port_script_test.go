@@ -60,6 +60,14 @@ func portAccess(p *memPort, t sim.Ticks, op isa.Op, va uint64, warm, canDefer bo
 	return cpu.MemInfo{}
 }
 
+// memInfoText renders mi the way %+v did when the pinned transcripts
+// were recorded and cpu.MemInfo still had eight fields: the same names
+// in the same order, so the hashes outlive the flag set.
+func memInfoText(mi cpu.MemInfo) string {
+	return fmt.Sprintf("{Done:%d L1Hit:%t L2Hit:%t TLBMiss:%t WentToMemory:%t IssuedAt:%d DirtyCacheOp:%t Pending:%t}",
+		mi.Done, mi.L1Hit, mi.L2Hit(), mi.TLBMiss(), mi.WentToMemory(), mi.IssuedAt, mi.DirtyCacheOp(), mi.Pending())
+}
+
 // scriptCore stands in for a suspended processor: Deliver writes the
 // MemInfo the barrier hands back into the rig's transcript.
 type scriptCore struct {
@@ -70,7 +78,7 @@ type scriptCore struct {
 func (c *scriptCore) Run(t sim.Ticks) cpu.Outcome { return cpu.Outcome{Kind: cpu.Finished, Time: t} }
 func (c *scriptCore) Stats() cpu.Stats            { return cpu.Stats{} }
 func (c *scriptCore) Deliver(mi cpu.MemInfo) sim.Ticks {
-	fmt.Fprintf(&c.rig.log, "  n%d <- %+v\n", c.node, mi)
+	fmt.Fprintf(&c.rig.log, "  n%d <- %s\n", c.node, memInfoText(mi))
 	c.rig.blocked[c.node] = false
 	return mi.Done
 }
@@ -122,13 +130,13 @@ func (r *portRig) do(n int, op isa.Op, va uint64, warm bool) {
 		r.barrier()
 	}
 	mi := portAccess(r.m.nodes[n].port, r.now, op, va, warm, r.deferred)
-	r.blocked[n] = mi.Pending
+	r.blocked[n] = mi.Pending()
 	if !r.quiet {
 		w := ""
 		if warm {
 			w = "warm-"
 		}
-		fmt.Fprintf(&r.log, "%d n%d %s%v +%#x -> %+v\n", r.now, n, w, op, va-r.base, mi)
+		fmt.Fprintf(&r.log, "%d n%d %s%v +%#x -> %s\n", r.now, n, w, op, va-r.base, memInfoText(mi))
 	}
 	r.tick(7)
 }

@@ -49,7 +49,7 @@ func testMachine(t *testing.T, osKind osmodel.Kind) (*Machine, *memPort, emitter
 func TestPortLoadMissThenHits(t *testing.T) {
 	_, p, r := testMachine(t, osmodel.Solo)
 	mi := p.touch(0, access{op: isa.Load, va: r.Base}, false)
-	if !mi.WentToMemory || mi.L1Hit {
+	if !mi.WentToMemory() || mi.L1Hit {
 		t.Fatalf("cold load: %+v", mi)
 	}
 	mi2 := p.touch(mi.Done, access{op: isa.Load, va: r.Base + 8}, false)
@@ -69,7 +69,7 @@ func TestPortL2HitAfterL1Eviction(t *testing.T) {
 		now = p.touch(now, access{op: isa.Load, va: r.Base + uint64(i)*4096}, false).Done
 	}
 	mi := p.touch(now, access{op: isa.Load, va: r.Base}, false)
-	if !mi.L2Hit || mi.L1Hit {
+	if !mi.L2Hit() || mi.L1Hit {
 		t.Fatalf("expected L2 hit: %+v", mi)
 	}
 }
@@ -130,7 +130,7 @@ func TestPortPrefetchDroppedOnTLBMissUnderSimOS(t *testing.T) {
 func TestPortTLBPenaltyCharged(t *testing.T) {
 	_, p, r := testMachine(t, osmodel.SimOS)
 	mi := p.touch(0, access{op: isa.Load, va: r.Base}, false)
-	if !mi.TLBMiss {
+	if !mi.TLBMiss() {
 		t.Fatal("first touch must miss the TLB")
 	}
 	if p.stats.TLBPenaltyTicks == 0 {
@@ -142,7 +142,7 @@ func TestPortCacheOpWritesBackDirtyLine(t *testing.T) {
 	_, p, r := testMachine(t, osmodel.Solo)
 	st := p.touch(0, access{op: isa.Store, va: r.Base}, false)
 	mi := p.touch(st.Done, access{op: isa.CacheOp, va: r.Base}, false)
-	if !mi.DirtyCacheOp {
+	if !mi.DirtyCacheOp() {
 		t.Fatal("dirty line not detected")
 	}
 	if p.l2.Lookup(pToPA(p, r.Base)) != cache.Invalid || p.l1.Lookup(pToPA(p, r.Base)) != cache.Invalid {
@@ -152,7 +152,7 @@ func TestPortCacheOpWritesBackDirtyLine(t *testing.T) {
 	stDir, _, _ := p.m.mem.Directory().State(p.l2.Config().LineAddr(pToPA(p, r.Base)))
 	_ = stDir // state checked indirectly: a re-load must be a clean case
 	mi2 := p.touch(mi.Done+sim.NS(5000), access{op: isa.Load, va: r.Base}, false)
-	if !mi2.WentToMemory {
+	if !mi2.WentToMemory() {
 		t.Fatal("re-load after flush should go to memory")
 	}
 }

@@ -295,10 +295,10 @@ type replayCPU struct {
 	tailLoaded bool
 	stats      cpu.Stats
 
-	// Cycles is tracked symbolically to keep the per-action t/period
-	// division off the hot path: the counter's value is cycBase/period
-	// + cycAdd, materialized in Stats. A full write (Mipsy's bottom
-	// `stats.Cycles = t/period`) sets cycBase=t, cycAdd=0; the sync
+	// Cycles is tracked symbolically, as in mipsy.CPU, to keep the
+	// per-action t/period division off the hot path: the counter's
+	// value is cycBase/period + cycAdd, materialized in Stats. A full
+	// write ("wall cycles at t") sets cycBase=t, cycAdd=0; the sync
 	// path's bare increment bumps cycAdd.
 	cycBase sim.Ticks
 	cycAdd  uint64
@@ -330,8 +330,7 @@ func (c *replayCPU) loadPending() {
 	}
 }
 
-// Deliver implements cpu.Blocking, cloning mipsy's Deliver with the
-// symbolic cycle write in place of the direct stats.Cycles store.
+// Deliver implements cpu.Blocking, cloning mipsy's Deliver.
 func (c *replayCPU) Deliver(mi cpu.MemInfo) sim.Ticks {
 	period := c.clock.Period
 	next := c.pendT + period
@@ -389,7 +388,7 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 
 		case isa.Load:
 			mi := c.port.Load(t, in.addr, in.arg)
-			if mi.Pending {
+			if mi.Pending() {
 				c.pendT, c.pendIsLoad = t, true
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
@@ -399,13 +398,13 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 				next = mi.Done
 			}
 			t = c.clock.Align(next)
-			if mi.WentToMemory {
+			if mi.WentToMemory() {
 				return cpu.Outcome{Kind: cpu.Yield, Time: t}
 			}
 
 		case isa.Store:
 			mi := c.port.Store(t, in.addr, in.arg)
-			if mi.Pending {
+			if mi.Pending() {
 				c.pendT, c.pendIsLoad = t, false
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
@@ -414,7 +413,7 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 				next = mi.Done
 			}
 			t = c.clock.Align(next)
-			if mi.WentToMemory {
+			if mi.WentToMemory() {
 				return cpu.Outcome{Kind: cpu.Yield, Time: t}
 			}
 
@@ -424,7 +423,7 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 
 		case isa.CacheOp:
 			mi := c.port.CacheOp(t, in.addr, in.arg)
-			if mi.Pending {
+			if mi.Pending() {
 				c.pendT, c.pendIsLoad = t, false
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
