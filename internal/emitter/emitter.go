@@ -37,16 +37,58 @@ const BatchSize = 2048
 // chanDepth is the number of in-flight batches per thread.
 const chanDepth = 8
 
-// poolSize is the most instruction-batch buffers a thread ever owns.
+// poolSize is the most instruction-batch buffers a thread ever holds.
 // The buffers circulate: Thread fills one, sends it on the data channel,
 // and takes its next from the free channel, which the Reader refills as
 // it finishes consuming each batch. chanDepth can be in flight, one is
 // being filled, and the slack buffer keeps the producer from blocking
 // on the Reader's hand-off in steady state — so a billion-instruction
-// run reuses this fixed set of slabs instead of allocating one per
-// send. A slab is made only when the producer needs one and none has
-// come back yet, so a thread that emits three batches owns three.
+// run reuses this fixed set of slabs instead of taking one per send. A
+// slab is borrowed from the process (slabPool) only when the producer
+// needs one and none has come back yet, so a thread that emits three
+// batches holds three; Streams.Abort gives them all back, and the next
+// run fills the same arrays instead of making and zeroing its own.
 const poolSize = chanDepth + 1
+
+// maxRetained bounds what slabPool keeps while no run holds it: 32
+// threads x poolSize = 288 slabs = 18 MB, all that an mp-contend-sized
+// run has in flight. A 128-node run has 1 152; it makes the rest, and
+// they are dropped on return rather than held by an idle process.
+const maxRetained = 32 * poolSize
+
+// slabPool is the process-wide free list: a LIFO under a mutex, not a
+// sync.Pool, which two GC cycles inside a run empty before lock-heavy
+// threads ask for their later slabs (DESIGN.md §7). Slabs come back and
+// go out dirty: emit writes every field of every slot it hands on.
+var slabPool struct {
+	mu   sync.Mutex
+	free [][]isa.Instr
+	made uint64 // slabs getSlab had to make; only tests read it
+}
+
+// getSlab lends an empty slab, a retained one before a new one.
+func getSlab() []isa.Instr {
+	slabPool.mu.Lock()
+	defer slabPool.mu.Unlock()
+	n := len(slabPool.free)
+	if n == 0 {
+		slabPool.made++
+		return make([]isa.Instr, 0, BatchSize)
+	}
+	b := slabPool.free[n-1]
+	slabPool.free = slabPool.free[:n-1]
+	return b
+}
+
+// putSlab takes back a slab (nil: none) that no stream references any
+// more; past maxRetained it is left to the collector.
+func putSlab(b []isa.Instr) {
+	slabPool.mu.Lock()
+	defer slabPool.mu.Unlock()
+	if b != nil && len(slabPool.free) < maxRetained {
+		slabPool.free = append(slabPool.free, b[:0])
+	}
+}
 
 // maxDepDistance caps encoded dependence distances; anything further
 // back than this is out of every model's window and irrelevant.
@@ -82,7 +124,7 @@ type Thread struct {
 	free  chan []isa.Instr // recycled batch buffers from the Reader
 	abort <-chan struct{}
 	buf   []isa.Instr
-	slabs int    // batch buffers made so far, at most poolSize
+	slabs int    // batch buffers borrowed so far, at most poolSize
 	count uint64 // instructions emitted so far
 	rng   uint64 // per-thread deterministic PRNG state
 	held  map[uint32]*sync.Mutex
@@ -126,8 +168,9 @@ func (t *Thread) emit(op isa.Op, addr uint64, size, dep1, dep2, aux uint32) Val 
 }
 
 // send hands a non-empty batch to the consumer and reports whether it
-// did; t.buf then belongs to the consumer, so only flush, which replaces
-// it, and the end of the stream call this.
+// did; the slab is then the consumer's and t.buf lets go of it (an abort
+// must not find it on both sides), so only flush, which replaces it, and
+// the end of the stream call this.
 func (t *Thread) send() bool {
 	if len(t.buf) == 0 {
 		return false
@@ -143,6 +186,7 @@ func (t *Thread) send() bool {
 	case <-t.abort:
 		panic(abortPanic{})
 	}
+	t.buf = nil
 	return true
 }
 
@@ -152,14 +196,14 @@ func (t *Thread) flush() {
 	if !t.send() {
 		return
 	}
-	// Take the next slab: a new one while none has come back and the
-	// pool is short of poolSize, else from the recycling pool. The
-	// Reader returns each consumed buffer before blocking for the next
-	// batch, so this receive cannot deadlock against a live consumer;
-	// an abandoned consumer is handled by the abort arm.
+	// Take the next slab: one more of the process's while none has come
+	// back and the thread holds fewer than poolSize, else from the ring.
+	// The Reader returns each consumed buffer before blocking for the
+	// next batch, so this receive cannot deadlock against a live
+	// consumer; an abandoned consumer is handled by the abort arm.
 	if len(t.free) == 0 && t.slabs < poolSize {
 		t.slabs++
-		t.buf = make([]isa.Instr, 0, BatchSize)
+		t.buf = getSlab()
 		return
 	}
 	select {
@@ -450,6 +494,7 @@ func (r *Reader) SlabReuses() uint64 { return r.reuses }
 // plumbing.
 type Streams struct {
 	Readers []*Reader
+	threads []*Thread
 	coord   *Coordinator
 	abortCh chan struct{}
 	once    sync.Once
@@ -458,8 +503,11 @@ type Streams struct {
 	err     error
 }
 
-// Abort stops all emitter goroutines (used when a simulation is
-// abandoned early). Safe to call multiple times.
+// Abort releases the stream, finished or abandoned: it stops the emitter
+// goroutines, waits for them and gives the slabs back to the process.
+// The consumer calls it when it is done with the Readers; they read as
+// exhausted afterwards and a slice NextBatch lent is dead. Safe to call
+// multiple times.
 func (s *Streams) Abort() {
 	s.once.Do(func() {
 		close(s.abortCh)
@@ -473,8 +521,28 @@ func (s *Streams) Abort() {
 		for _, b := range bs {
 			b.release()
 		}
+		s.wg.Wait()
+		s.release()
 	})
-	s.wg.Wait()
+}
+
+// release gives every borrowed slab back from the one place that holds
+// it now the producers have exited: the batch the Reader was on and the
+// one an aborted producer was filling, those sent and not yet read
+// (their channel is closed), and the spent ones waiting in the ring.
+func (s *Streams) release() {
+	for i, r := range s.Readers {
+		t := s.threads[i]
+		putSlab(r.buf)
+		putSlab(t.buf)
+		r.buf, t.buf, r.done = nil, nil, true
+		for b := range r.ch {
+			putSlab(b)
+		}
+		for len(t.free) > 0 {
+			putSlab(<-t.free)
+		}
+	}
 }
 
 // Err returns the first panic (other than abort) raised by a workload
@@ -515,6 +583,7 @@ func StartTapped(nthreads int, body func(t *Thread), tap Tap) *Streams {
 	}
 	s := &Streams{
 		Readers: make([]*Reader, nthreads),
+		threads: make([]*Thread, nthreads),
 		coord:   newCoordinator(),
 		abortCh: make(chan struct{}),
 	}
@@ -532,11 +601,12 @@ func StartTapped(nthreads int, body func(t *Thread), tap Tap) *Streams {
 			ch:    ch,
 			free:  free,
 			abort: s.abortCh,
-			buf:   make([]isa.Instr, 0, BatchSize),
+			buf:   getSlab(),
 			slabs: 1,
 			rng:   0x9E3779B97F4A7C15 ^ (uint64(i+1) * 0xBF58476D1CE4E5B9),
 			tap:   tap,
 		}
+		s.threads[i] = t
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()

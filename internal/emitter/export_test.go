@@ -1,0 +1,56 @@
+package emitter
+
+import "flashsim/internal/isa"
+
+// What the external tests (package emitter_test, which can run whole
+// machines over the streams) see of the slab pool.
+
+const (
+	PoolSize    = poolSize
+	MaxRetained = maxRetained
+)
+
+// SlabsMade is how many slabs the process has had to make so far.
+func SlabsMade() uint64 {
+	slabPool.mu.Lock()
+	defer slabPool.mu.Unlock()
+	return slabPool.made
+}
+
+// FreeSlabs identifies every slab on the free list by its first slot.
+func FreeSlabs() []*isa.Instr {
+	slabPool.mu.Lock()
+	defer slabPool.mu.Unlock()
+	ids := make([]*isa.Instr, len(slabPool.free))
+	for i, b := range slabPool.free {
+		ids[i] = &b[:1][0]
+	}
+	return ids
+}
+
+// DropFreeSlabs empties the free list: the pool of a process that has
+// not run anything yet.
+func DropFreeSlabs() {
+	slabPool.mu.Lock()
+	defer slabPool.mu.Unlock()
+	slabPool.free = nil
+}
+
+// Holds counts the slabs s still references; zero once Abort returned.
+func (s *Streams) Holds() int {
+	n := 0
+	for i, r := range s.Readers {
+		t := s.threads[i]
+		if r.buf != nil {
+			n++
+		}
+		if t.buf != nil {
+			n++
+		}
+		n += len(r.ch) + len(t.free)
+	}
+	return n
+}
+
+// InFlight is how many batches thread i has sent that are not yet read.
+func (s *Streams) InFlight(i int) int { return len(s.Readers[i].ch) }

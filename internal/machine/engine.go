@@ -113,7 +113,9 @@ type execDriver struct {
 
 // NewExecutionDriver launches prog's emitter threads and returns the
 // execution-driven driver over them. The driver owns the producer
-// goroutines; RunWith's Finish call releases them on every path.
+// goroutines and the slabs they borrowed from the process; RunWith's
+// Finish call releases both on every path, and nothing built over the
+// driver's streams (a core's cursor, a window gate) may be run after it.
 func NewExecutionDriver(cfg Config, prog emitter.Program) Driver {
 	space, streams := prog.Launch()
 	return &execDriver{cfg: cfg, name: prog.FullName(), space: space, streams: streams}
@@ -132,18 +134,13 @@ func (d *execDriver) NewCore(i int, clock sim.Clock, src cpu.Stream, port cpu.Po
 }
 
 func (d *execDriver) Finish(ok bool) (obs.EmitterCounters, error) {
-	if !ok {
-		d.streams.Abort()
-		// Surface a workload panic over the machine's own failure: the
-		// stream dying is usually why the run did not drain.
-		return obs.EmitterCounters{}, d.streams.Err()
-	}
-	if err := d.streams.Err(); err != nil {
-		d.streams.Abort()
-		return obs.EmitterCounters{}, err
-	}
 	em := d.streams.Counters()
 	d.streams.Abort()
+	// Surface a workload panic over the machine's own failure: the
+	// stream dying is usually why the run did not drain.
+	if err := d.streams.Err(); err != nil || !ok {
+		return obs.EmitterCounters{}, err
+	}
 	return em, nil
 }
 
@@ -196,17 +193,19 @@ func NewCaptureDriver(cfg Config, prog emitter.Program, tw *trace.Writer) (Drive
 }
 
 func (d *captureDriver) Finish(ok bool) (obs.EmitterCounters, error) {
-	em, err := d.execDriver.Finish(ok)
-	if !ok || err != nil {
-		return em, err
+	if !ok || d.streams.Err() != nil {
+		return d.execDriver.Finish(ok)
 	}
 	// Every reader drained (all cores finished), so every producer has
 	// flushed through the tap; Wait pins the goroutine exits before the
-	// container is sealed.
+	// container is sealed, and the seal comes before the slabs the tap
+	// read go back to the process.
 	d.streams.Wait()
 	d.tw.SetLayout(d.space)
-	if err := d.tw.Finish(); err != nil {
-		return em, fmt.Errorf("sealing trace: %w", err)
+	sealErr := d.tw.Finish()
+	em, err := d.execDriver.Finish(true)
+	if err == nil && sealErr != nil {
+		err = fmt.Errorf("sealing trace: %w", sealErr)
 	}
-	return em, nil
+	return em, err
 }

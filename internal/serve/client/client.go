@@ -17,9 +17,9 @@ import (
 	"flashsim/internal/serve"
 )
 
-// Client talks to one flashd base URL. A blocking call (Run,
-// Calibrate, Figure) holds its request open for as long as the job
-// takes, so a client with a global timeout bounds jobs, not just I/O.
+// Client talks to one flashd base URL. A blocking call (Run) holds its
+// request open for as long as the job takes, so a client with a global
+// timeout bounds jobs, not just I/O.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -115,27 +115,6 @@ func (c *Client) SubmitRun(ctx context.Context, req serve.RunRequest) (serve.Job
 	return out, err
 }
 
-// Calibrate submits a calibration and blocks until its report.
-func (c *Client) Calibrate(ctx context.Context, req serve.CalibrationRequest) (serve.CalibrationResponse, error) {
-	var out serve.CalibrationResponse
-	err := c.do(ctx, http.MethodPost, "/v1/calibrations?wait=true", req, &out)
-	return out, err
-}
-
-// Figure submits a paper figure and blocks until its rendering.
-func (c *Client) Figure(ctx context.Context, req serve.FigureRequest) (serve.FigureResponse, error) {
-	var out serve.FigureResponse
-	err := c.do(ctx, http.MethodPost, "/v1/figures?wait=true", req, &out)
-	return out, err
-}
-
-// SubmitFigure enqueues a figure without waiting.
-func (c *Client) SubmitFigure(ctx context.Context, req serve.FigureRequest) (serve.JobStatus, error) {
-	var out serve.JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/figures", req, &out)
-	return out, err
-}
-
 // Job returns one job's status.
 func (c *Client) Job(ctx context.Context, id string) (serve.JobStatus, error) {
 	var out serve.JobStatus
@@ -156,13 +135,6 @@ func (c *Client) Jobs(ctx context.Context) ([]serve.JobStatus, error) {
 func (c *Client) RunResult(ctx context.Context, id string) (serve.RunResponse, error) {
 	var out serve.RunResponse
 	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, &out)
-	return out, err
-}
-
-// Cancel cancels a job and returns its status.
-func (c *Client) Cancel(ctx context.Context, id string) (serve.JobStatus, error) {
-	var out serve.JobStatus
-	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &out)
 	return out, err
 }
 
