@@ -123,7 +123,7 @@ var benchmarks = []struct {
 				}
 				n++
 			}
-			s.Wait()
+			s.Abort()
 			if n != 1<<16 {
 				b.Fatal("short stream")
 			}

@@ -46,8 +46,8 @@ const chanDepth = 8
 // run reuses this fixed set of slabs instead of taking one per send. A
 // slab is borrowed from the process (slabPool) only when the producer
 // needs one and none has come back yet, so a thread that emits three
-// batches holds three; Streams.Abort gives them all back, and the next
-// run fills the same arrays instead of making and zeroing its own.
+// batches holds three; Streams.Abort gives them back, and the next run
+// fills the same arrays instead of making and zeroing its own.
 const poolSize = chanDepth + 1
 
 // maxRetained bounds what slabPool keeps while no run holds it: 32
@@ -76,6 +76,7 @@ func getSlab() []isa.Instr {
 		return make([]isa.Instr, 0, BatchSize)
 	}
 	b := slabPool.free[n-1]
+	slabPool.free[n-1] = nil // or the list pins a slab its borrower dropped
 	slabPool.free = slabPool.free[:n-1]
 	return b
 }
@@ -504,10 +505,10 @@ type Streams struct {
 }
 
 // Abort releases the stream, finished or abandoned: it stops the emitter
-// goroutines, waits for them and gives the slabs back to the process.
-// The consumer calls it when it is done with the Readers; they read as
-// exhausted afterwards and a slice NextBatch lent is dead. Safe to call
-// multiple times.
+// goroutines, waits for them and gives the slabs back to the process,
+// all but the batch a Reader is on. That one stays the consumer's, which
+// need not have stopped: a shard worker outlives the panic that ends its
+// run (a drained Reader is on none). Safe to call multiple times.
 func (s *Streams) Abort() {
 	s.once.Do(func() {
 		close(s.abortCh)
@@ -526,16 +527,16 @@ func (s *Streams) Abort() {
 	})
 }
 
-// release gives every borrowed slab back from the one place that holds
-// it now the producers have exited: the batch the Reader was on and the
-// one an aborted producer was filling, those sent and not yet read
-// (their channel is closed), and the spent ones waiting in the ring.
+// release gives every slab back from the one place that holds it now the
+// producers have exited: the one an aborted producer was filling, those
+// sent and not yet read (their channel is closed), and the spent ones in
+// the ring. It touches channels and the Thread only, so a consumer still
+// running takes or recycles a batch either before the drain or past it.
 func (s *Streams) release() {
 	for i, r := range s.Readers {
 		t := s.threads[i]
-		putSlab(r.buf)
 		putSlab(t.buf)
-		r.buf, t.buf, r.done = nil, nil, true
+		t.buf = nil
 		for b := range r.ch {
 			putSlab(b)
 		}
@@ -553,7 +554,8 @@ func (s *Streams) Err() error {
 	return s.err
 }
 
-// Wait blocks until all emitter goroutines have finished.
+// Wait blocks until all emitter goroutines have finished. It gives no
+// slab back: that is Abort's, after Wait as much as instead of it.
 func (s *Streams) Wait() { s.wg.Wait() }
 
 // Counters sums the consumer-side stream counters across all Readers.
@@ -570,7 +572,10 @@ func (s *Streams) Counters() obs.EmitterCounters {
 }
 
 // Start launches nthreads goroutines running body and returns their
-// streams. body receives the per-thread emission context.
+// streams. body receives the per-thread emission context. The streams
+// hold slabs borrowed from the process until Abort, which every caller
+// owes them, a drained stream included; one that is merely dropped takes
+// its slabs to the collector and the next run makes new ones.
 func Start(nthreads int, body func(t *Thread)) *Streams {
 	return StartTapped(nthreads, body, nil)
 }

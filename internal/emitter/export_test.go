@@ -28,6 +28,20 @@ func FreeSlabs() []*isa.Instr {
 	return ids
 }
 
+// StaleSlots counts the lent slabs the list's array still names past its
+// length: each would stay reachable after a borrower dropped it.
+func StaleSlots() int {
+	slabPool.mu.Lock()
+	defer slabPool.mu.Unlock()
+	n := 0
+	for _, b := range slabPool.free[len(slabPool.free):cap(slabPool.free)] {
+		if b != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // DropFreeSlabs empties the free list: the pool of a process that has
 // not run anything yet.
 func DropFreeSlabs() {
@@ -36,14 +50,12 @@ func DropFreeSlabs() {
 	slabPool.free = nil
 }
 
-// Holds counts the slabs s still references; zero once Abort returned.
+// Holds counts the slabs s still references, the batches its Readers are
+// on (which Abort leaves with them) apart; zero once Abort returned.
 func (s *Streams) Holds() int {
 	n := 0
 	for i, r := range s.Readers {
 		t := s.threads[i]
-		if r.buf != nil {
-			n++
-		}
 		if t.buf != nil {
 			n++
 		}

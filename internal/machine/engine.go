@@ -114,8 +114,9 @@ type execDriver struct {
 // NewExecutionDriver launches prog's emitter threads and returns the
 // execution-driven driver over them. The driver owns the producer
 // goroutines and the slabs they borrowed from the process; RunWith's
-// Finish call releases both on every path, and nothing built over the
-// driver's streams (a core's cursor, a window gate) may be run after it.
+// Finish call releases both on every path. A consumer still running
+// then (a shard worker, after a panic elsewhere) keeps the batch it is
+// on and finds the stream ended after it.
 func NewExecutionDriver(cfg Config, prog emitter.Program) Driver {
 	space, streams := prog.Launch()
 	return &execDriver{cfg: cfg, name: prog.FullName(), space: space, streams: streams}
@@ -134,14 +135,15 @@ func (d *execDriver) NewCore(i int, clock sim.Clock, src cpu.Stream, port cpu.Po
 }
 
 func (d *execDriver) Finish(ok bool) (obs.EmitterCounters, error) {
-	em := d.streams.Counters()
 	d.streams.Abort()
 	// Surface a workload panic over the machine's own failure: the
 	// stream dying is usually why the run did not drain.
 	if err := d.streams.Err(); err != nil || !ok {
 		return obs.EmitterCounters{}, err
 	}
-	return em, nil
+	// Not read on the way out of a failure: a shard worker that outlived
+	// a panic may still be moving its Readers.
+	return d.streams.Counters(), nil
 }
 
 // newConfiguredCore constructs the processor model cfg selects. Every

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"flashsim/internal/emitter"
 	"flashsim/internal/machine"
 	"flashsim/internal/runner"
 	"flashsim/internal/trace"
@@ -16,16 +17,25 @@ import (
 // contract: N concurrent submissions of one identical job execute
 // machine.Run exactly once, and every caller gets the same result.
 func TestFlightCoalescesIdenticalSubmissions(t *testing.T) {
-	// A serial pool busy with a long blocker keeps the coalesced job
-	// queued on the pool semaphore, holding its in-flight key open
-	// until every caller has verifiably joined — no sleep races.
+	// A serial pool busy with a blocker keeps the coalesced job queued
+	// on the pool semaphore, holding its in-flight key open until every
+	// caller has verifiably joined. The blocker is a run whose one thread
+	// says when it has started — it has the worker then — and emits
+	// nothing until told: no sleep, and no race with the host's speed.
 	pool := runner.New(1, nil) // no store: coalescing alone must dedup
+	started, release := make(chan struct{}), make(chan struct{})
+	blocker := tinyProg(1, 1)
+	blocker.Body = func(th *emitter.Thread, _ any) {
+		close(started)
+		<-release
+		th.IntOps(1)
+	}
 	blockerDone := make(chan struct{})
 	go func() {
 		defer close(blockerDone)
-		pool.RunOne(context.Background(), runner.Job{Config: testCfg(1), Prog: tinyProg(1, 2_000_000), Seed: 99})
+		pool.RunOne(context.Background(), runner.Job{Config: testCfg(1), Prog: blocker, Seed: 99})
 	}()
-	time.Sleep(10 * time.Millisecond) // let the blocker take the worker
+	<-started
 
 	f := runner.NewFlight(pool, nil)
 	job := runner.Job{Config: testCfg(1), Prog: tinyProg(1, 20000), Seed: 7}
@@ -60,9 +70,10 @@ func TestFlightCoalescesIdenticalSubmissions(t *testing.T) {
 	}
 	select {
 	case <-blockerDone:
-		t.Fatal("blocker finished before the callers joined; test lost its window")
+		t.Fatal("blocker finished before it was released")
 	default:
 	}
+	close(release)
 	wg.Wait()
 	<-blockerDone
 
