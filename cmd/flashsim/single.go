@@ -91,9 +91,9 @@ func report(w io.Writer, res machine.Result, wall time.Duration, detail bool) {
 		fmt.Fprintf(w, "  L1 miss rate:     %.2f%%\n", 100*res.L1MissRate())
 	}
 	fmt.Fprintf(w, "  L2 miss rate:     %.2f%%\n", 100*res.L2MissRate())
-	fmt.Fprintf(w, "  TLB misses:       %d\n", res.TLBMisses)
+	fmt.Fprintf(w, "  TLB misses:       %d\n", res.Metrics.TLB.Misses)
 	if detail {
-		fmt.Fprintf(w, "  pages mapped:     %d\n", res.PagesMapped)
+		fmt.Fprintf(w, "  pages mapped:     %d\n", res.Metrics.OS.PagesMapped)
 	}
 	if res.Sampled {
 		s := res.Sampling
@@ -112,7 +112,7 @@ func report(w io.Writer, res machine.Result, wall time.Duration, detail bool) {
 			fmt.Fprintf(w, "    %-22s %d\n", c, res.CaseCounts[c])
 		}
 	}
-	if res.Dir.StaleInvals > 0 {
-		fmt.Fprintf(w, "  stale invalidations: %d\n", res.Dir.StaleInvals)
+	if n := res.Metrics.Dir.StaleInvals; n > 0 {
+		fmt.Fprintf(w, "  stale invalidations: %d\n", n)
 	}
 }

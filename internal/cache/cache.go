@@ -99,12 +99,22 @@ type Victim struct {
 
 // Stats counts cache events.
 type Stats struct {
-	Hits        uint64
-	Misses      uint64
-	Evictions   uint64
-	Writebacks  uint64
-	Invals      uint64 // external invalidations received
-	Interventio uint64 // external downgrades/forwards served
+	Hits          uint64
+	Misses        uint64
+	Evictions     uint64
+	Writebacks    uint64
+	Invalidations uint64 // external invalidations received
+	Interventions uint64 // external downgrades/forwards served
+}
+
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+	s.Writebacks += o.Writebacks
+	s.Invalidations += o.Invalidations
+	s.Interventions += o.Interventions
 }
 
 // Cache is a set-associative tag array with true-LRU replacement.
@@ -257,7 +267,7 @@ func (c *Cache) Invalidate(pa uint64) State {
 		if set[i].state != Invalid && set[i].tag == la {
 			st := set[i].state
 			set[i].state = Invalid
-			c.stats.Invals++
+			c.stats.Invalidations++
 			return st
 		}
 	}
@@ -275,7 +285,7 @@ func (c *Cache) Downgrade(pa uint64) State {
 			st := set[i].state
 			if st == Modified || st == Exclusive {
 				set[i].state = Shared
-				c.stats.Interventio++
+				c.stats.Interventions++
 			}
 			return st
 		}

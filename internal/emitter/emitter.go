@@ -25,7 +25,6 @@ import (
 	"sync"
 
 	"flashsim/internal/isa"
-	"flashsim/internal/obs"
 )
 
 // BatchSize is the number of instructions per channel send: it amortizes
@@ -558,11 +557,30 @@ func (s *Streams) Err() error {
 // slab back: that is Abort's, after Wait as much as instead of it.
 func (s *Streams) Wait() { s.wg.Wait() }
 
+// Stats counts instruction-stream activity.
+type Stats struct {
+	// Batches is the number of instruction batches consumed by the
+	// processor models.
+	Batches uint64
+	// Instructions is the number of instructions read from the streams.
+	Instructions uint64
+	// SlabReuses is the number of consumed batch buffers returned to
+	// the producer's recycling pool instead of being garbage.
+	SlabReuses uint64
+}
+
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.Batches += o.Batches
+	s.Instructions += o.Instructions
+	s.SlabReuses += o.SlabReuses
+}
+
 // Counters sums the consumer-side stream counters across all Readers.
 // Call it from the consumer goroutine after the run drains (the Reader
 // counters are unsynchronized by design).
-func (s *Streams) Counters() obs.EmitterCounters {
-	var c obs.EmitterCounters
+func (s *Streams) Counters() Stats {
+	var c Stats
 	for _, r := range s.Readers {
 		c.Batches += r.batches
 		c.Instructions += r.read

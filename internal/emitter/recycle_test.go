@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"flashsim/internal/isa"
-	"flashsim/internal/obs"
 )
 
 // TestBatchBuffersAreRecycled pins the slab pool: a stream long enough
@@ -112,7 +111,7 @@ func TestNextAndNextBatchAgree(t *testing.T) {
 	}
 	type drained struct {
 		ins []isa.Instr
-		ctr obs.EmitterCounters
+		ctr Stats
 	}
 	drainBy := func(next func(r *Reader, i int) []isa.Instr) drained {
 		s := Start(1, body)

@@ -28,7 +28,7 @@ func TestDeterministicResults(t *testing.T) {
 	if a.Exec != b.Exec || a.Instructions != b.Instructions {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
 	}
-	if a.L2.Misses != b.L2.Misses || a.TLBMisses != b.TLBMisses {
+	if a.Metrics.L2.Misses != b.Metrics.L2.Misses || a.TLBMisses != b.TLBMisses {
 		t.Fatal("cache/TLB behavior nondeterministic")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"flashsim/internal/cpu/mipsy"
 	"flashsim/internal/cpu/mxs"
 	"flashsim/internal/emitter"
-	"flashsim/internal/obs"
 	"flashsim/internal/sim"
 	"flashsim/internal/trace"
 )
@@ -46,7 +45,7 @@ type Driver interface {
 	// instruction-stream accounting folded into Result.Metrics. ok
 	// reports whether the run drained cleanly; the error returned on
 	// ok=true failures (stream errors, artifact sealing) fails the run.
-	Finish(ok bool) (obs.EmitterCounters, error)
+	Finish(ok bool) (emitter.Stats, error)
 }
 
 // RunWith executes one run of cfg with the supplied driver: the single
@@ -98,7 +97,7 @@ func RunWith(cfg Config, d Driver) (Result, error) {
 			cfg.Name, finished, cfg.Procs, m.pendingEvents())
 	}
 	res := m.collect(em)
-	res.Metrics.Workload = d.Workload()
+	res.Workload = d.Workload()
 	return res, nil
 }
 
@@ -134,12 +133,12 @@ func (d *execDriver) NewCore(i int, clock sim.Clock, src cpu.Stream, port cpu.Po
 	return newConfiguredCore(d.cfg, i, clock, src, port)
 }
 
-func (d *execDriver) Finish(ok bool) (obs.EmitterCounters, error) {
+func (d *execDriver) Finish(ok bool) (emitter.Stats, error) {
 	d.streams.Abort()
 	// Surface a workload panic over the machine's own failure: the
 	// stream dying is usually why the run did not drain.
 	if err := d.streams.Err(); err != nil || !ok {
-		return obs.EmitterCounters{}, err
+		return emitter.Stats{}, err
 	}
 	// Not read on the way out of a failure: a shard worker that outlived
 	// a panic may still be moving its Readers.
@@ -194,7 +193,7 @@ func NewCaptureDriver(cfg Config, prog emitter.Program, tw *trace.Writer) (Drive
 	}, nil
 }
 
-func (d *captureDriver) Finish(ok bool) (obs.EmitterCounters, error) {
+func (d *captureDriver) Finish(ok bool) (emitter.Stats, error) {
 	if !ok || d.streams.Err() != nil {
 		return d.execDriver.Finish(ok)
 	}

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"flashsim/internal/cpu"
+	"flashsim/internal/emitter"
 	"flashsim/internal/machine"
-	"flashsim/internal/obs"
 	"flashsim/internal/sim"
 )
 
@@ -43,7 +43,7 @@ func (d *panickyDriver) NewCore(i int, clock sim.Clock, src cpu.Stream, port cpu
 	return core
 }
 
-func (d *panickyDriver) Finish(ok bool) (obs.EmitterCounters, error) {
+func (d *panickyDriver) Finish(ok bool) (emitter.Stats, error) {
 	d.finishes = append(d.finishes, ok)
 	return d.Driver.Finish(ok)
 }

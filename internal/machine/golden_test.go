@@ -97,8 +97,8 @@ func checkGolden(t *testing.T, res machine.Result, want golden) {
 		exec:      int64(res.Exec),
 		total:     int64(res.Total),
 		instrs:    res.Instructions,
-		l1Hits:    res.L1.Hits,
-		l2Misses:  res.L2.Misses,
+		l1Hits:    res.Metrics.L1.Hits,
+		l2Misses:  res.Metrics.L2.Misses,
 		tlbMisses: res.TLBMisses,
 	}
 	if got != want {

@@ -7,6 +7,7 @@ import (
 
 	"flashsim/internal/hw"
 	"flashsim/internal/machine"
+	"flashsim/internal/proto"
 )
 
 // simosConfig is simpleConfig's SimOS sibling (hardware reference): TLB,
@@ -22,13 +23,10 @@ func TestRunMetricsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Config != "test-hw" || res.Workload == "" || res.Procs != 4 {
+		t.Fatalf("labels wrong: %v", res)
+	}
 	m := res.Metrics
-	if m.Config != "test-hw" || m.Workload == "" || m.Procs != 4 || m.Runs != 1 {
-		t.Fatalf("labels wrong: %+v", m)
-	}
-	if m.Instructions != res.Instructions || m.ExecTicks != uint64(res.Exec) || m.TotalTicks != uint64(res.Total) {
-		t.Fatalf("headline numbers disagree with Result: %+v vs %v", m, res)
-	}
 	if m.Queue.Scheduled == 0 || m.Queue.Fired == 0 || m.Queue.Recycled == 0 {
 		t.Fatalf("queue counters empty: %+v", m.Queue)
 	}
@@ -52,7 +50,7 @@ func TestRunMetricsPopulated(t *testing.T) {
 	if m.Dir.Writes == 0 || m.Dir.Transitions == 0 {
 		t.Fatalf("directory counters empty: %+v", m.Dir)
 	}
-	if len(m.Dir.Cases) == 0 {
+	if m.Dir.CaseCounts == [proto.NumCases]uint64{} {
 		t.Fatalf("no protocol cases recorded: %+v", m.Dir)
 	}
 	if m.Net.Messages == 0 || m.Net.Hops == 0 {
@@ -130,7 +128,60 @@ func TestCheckCoherenceCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Dir.Writes == 0 || res.Dir.Transitions == 0 {
-		t.Fatalf("invariant-checked run saw no directory traffic: %+v", res.Dir)
+	if dir := res.Metrics.Dir; dir.Writes == 0 || dir.Transitions == 0 {
+		t.Fatalf("invariant-checked run saw no directory traffic: %+v", dir)
+	}
+}
+
+// TestCaseCountsArePortIssued records why Result.CaseCounts is not a
+// copy of Metrics.Dir.CaseCounts, so nobody folds it: it is the sum of
+// Ports[i].CaseCounts, the data accesses the ports issued, while the
+// directory also classifies the lock and barrier writes the machine
+// sends to the memory system past the ports. Every registry workload
+// crosses at least the start and end barriers, so the directory's total
+// is strictly the larger on all of them. Result.TLBMisses, by contrast,
+// is a copy, kept for its last reader, the frozen benchmark/probes.go.
+func TestCaseCountsArePortIssued(t *testing.T) {
+	type vec = [proto.NumCases]uint64
+	pinned := map[string][2]vec{
+		"snbench-loads/remote-clean":    {{0, 0, 256, 0, 0, 0}, {0, 3, 259, 3, 3, 0}},
+		"webserve/req=48 pages=2 sys=6": {{1884, 131, 1034, 131, 271, 23}, {1886, 134, 1040, 134, 275, 37}},
+	}
+	for _, prog := range registryPrograms(t, 4) {
+		res, err := machine.Run(hw.Config(prog.Threads, true), prog)
+		if err != nil {
+			t.Fatalf("%s: %v", prog.FullName(), err)
+		}
+		var ports vec
+		var portTotal, dirTotal uint64
+		dir := res.Metrics.Dir.CaseCounts
+		for _, p := range res.Ports {
+			for c, n := range p.CaseCounts {
+				ports[c] += n
+			}
+		}
+		if res.CaseCounts != ports {
+			t.Errorf("%s: CaseCounts %v, ports sum to %v", prog.FullName(), res.CaseCounts, ports)
+		}
+		for c := range ports {
+			if ports[c] > dir[c] {
+				t.Errorf("%s: case %v: ports issued %d, directory saw %d", prog.FullName(), proto.Case(c), ports[c], dir[c])
+			}
+			portTotal += ports[c]
+			dirTotal += dir[c]
+		}
+		if portTotal >= dirTotal {
+			t.Errorf("%s: ports issued %d cases, directory classified %d: barrier writes missing", prog.FullName(), portTotal, dirTotal)
+		}
+		if want, ok := pinned[prog.FullName()]; ok && (ports != want[0] || dir != want[1]) {
+			t.Errorf("%s: ports %v directory %v, pinned %v %v", prog.FullName(), ports, dir, want[0], want[1])
+		}
+		delete(pinned, prog.FullName())
+		if res.TLBMisses != res.Metrics.TLB.Misses {
+			t.Errorf("%s: TLBMisses %d, tree has %d", prog.FullName(), res.TLBMisses, res.Metrics.TLB.Misses)
+		}
+	}
+	for name := range pinned {
+		t.Errorf("pinned workload %q not in the registry", name)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"flashsim/internal/cache"
 	"flashsim/internal/cpu"
 	"flashsim/internal/emitter"
 	"flashsim/internal/isa"
@@ -66,6 +67,13 @@ func portAccess(p *memPort, t sim.Ticks, op isa.Op, va uint64, warm, canDefer bo
 func memInfoText(mi cpu.MemInfo) string {
 	return fmt.Sprintf("{Done:%d L1Hit:%t L2Hit:%t TLBMiss:%t WentToMemory:%t IssuedAt:%d DirtyCacheOp:%t Pending:%t}",
 		mi.Done, mi.L1Hit, mi.L2Hit(), mi.TLBMiss(), mi.WentToMemory(), mi.IssuedAt, mi.DirtyCacheOp(), mi.Pending())
+}
+
+// cacheStatsText renders s the way %+v did when the pinned transcripts
+// were recorded and cache.Stats abbreviated its last two names.
+func cacheStatsText(s cache.Stats) string {
+	return fmt.Sprintf("{Hits:%d Misses:%d Evictions:%d Writebacks:%d Invals:%d Interventio:%d}",
+		s.Hits, s.Misses, s.Evictions, s.Writebacks, s.Invalidations, s.Interventions)
 }
 
 // scriptCore stands in for a suspended processor: Deliver writes the
@@ -184,8 +192,8 @@ func (r *portRig) finish() string {
 		p := n.port
 		wbN, wbT := p.wb.Stalls()
 		msN, msT := p.mshr.Stalls()
-		fmt.Fprintf(&r.log, "n%d port %+v\n  l1 %+v\n  l2 %+v\n  wb stalls %d/%d mshr stalls %d/%d merges %d\n",
-			n.id, p.stats, p.l1.Stats(), p.l2.Stats(), wbN, wbT, msN, msT, p.mshr.Merges())
+		fmt.Fprintf(&r.log, "n%d port %+v\n  l1 %s\n  l2 %s\n  wb stalls %d/%d mshr stalls %d/%d merges %d\n",
+			n.id, p.stats, cacheStatsText(p.l1.Stats()), cacheStatsText(p.l2.Stats()), wbN, wbT, msN, msT, p.mshr.Merges())
 	}
 	fmt.Fprintf(&r.log, "dir %+v\ntlb %+v\nos %+v\n", r.m.mem.Directory().Stats(), r.m.os.TLBStats(), r.m.os.Counters())
 	return r.log.String()

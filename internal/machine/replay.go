@@ -7,7 +7,6 @@ import (
 	"flashsim/internal/cpu/mipsy"
 	"flashsim/internal/emitter"
 	"flashsim/internal/isa"
-	"flashsim/internal/obs"
 	"flashsim/internal/sim"
 	"flashsim/internal/trace"
 )
@@ -192,11 +191,11 @@ func (d *replayDriver) NewCore(i int, clock sim.Clock, src cpu.Stream, port cpu.
 	return mipsy.New(mipsy.Config{Clock: clock, Quantum: d.cfg.Quantum}, src, port)
 }
 
-func (d *replayDriver) Finish(bool) (obs.EmitterCounters, error) {
+func (d *replayDriver) Finish(bool) (emitter.Stats, error) {
 	// The recorded stream accounting stands in for the live emitter
 	// counters. Slab reuses equal batches in a machine-fed run (every
 	// consumed buffer is recycled), so the metrics match bit for bit.
-	return obs.EmitterCounters{
+	return emitter.Stats{
 		Batches:      d.img.batches,
 		Instructions: d.img.instrs,
 		SlabReuses:   d.img.batches,

@@ -5,15 +5,20 @@ import (
 
 	"flashsim/internal/cache"
 	"flashsim/internal/cpu"
-	"flashsim/internal/obs"
+	"flashsim/internal/emitter"
+	"flashsim/internal/network"
+	"flashsim/internal/osmodel"
 	"flashsim/internal/proto"
 	"flashsim/internal/sim"
+	"flashsim/internal/tlb"
 )
 
 // Result is the outcome of one machine run.
 type Result struct {
-	// Config names the simulator that produced the result.
-	Config string
+	// Config names the simulator that produced the result; Workload
+	// names the program it ran.
+	Config   string
+	Workload string
 	// Procs is the processor count.
 	Procs int
 
@@ -30,18 +35,15 @@ type Result struct {
 	// Ports carries each node's memory-path counters.
 	Ports []PortStats
 
-	// L1 and L2 aggregate cache statistics across nodes.
-	L1 cache.Stats
-	L2 cache.Stats
-	// TLBMisses aggregates TLB refills (zero under Solo).
+	// TLBMisses is Metrics.TLB.Misses. It stays only because the frozen
+	// benchmark/probes.go reads it, and goes when that does.
 	TLBMisses uint64
-	// PagesMapped is the page-table population at the end of the run.
-	PagesMapped int
 
-	// CaseCounts aggregates protocol cases across nodes.
+	// CaseCounts is the sum of Ports[i].CaseCounts: the protocol cases
+	// of the data accesses the ports issued. It is not a copy of
+	// Metrics.Dir.CaseCounts, which also counts the lock and barrier
+	// writes the machine sends to the memory system past the ports.
 	CaseCounts [proto.NumCases]uint64
-	// Dir is the directory's view of protocol activity.
-	Dir proto.DirStats
 
 	// BarrierReleases records the release time(s) of every barrier id.
 	BarrierReleases map[uint32][]sim.Ticks
@@ -51,10 +53,37 @@ type Result struct {
 	Sampled  bool
 	Sampling SamplingStats
 
-	// Metrics is the per-run observability snapshot (internal/obs). It
-	// is part of the Result, so memoized results replay their metrics
-	// from the store exactly as a fresh run would report them.
-	Metrics obs.RunMetrics
+	// Metrics is every subsystem's counters. It is part of the Result,
+	// so memoized results replay their metrics from the store exactly
+	// as a fresh run would report them.
+	Metrics Metrics
+}
+
+// Metrics is one run's counter tree: each subsystem's own stats type,
+// held once, the caches and TLBs summed over nodes. A counter is a
+// field of its subsystem's struct, a line of that struct's Add and a
+// line of obs.WritePrometheus; nothing else names it.
+type Metrics struct {
+	Queue   sim.QueueStats
+	Emitter emitter.Stats
+	L1      cache.Stats
+	L2      cache.Stats
+	TLB     tlb.Stats
+	Dir     proto.DirStats
+	Net     network.NetStats
+	OS      osmodel.Counters
+}
+
+// Add accumulates o into m.
+func (m *Metrics) Add(o Metrics) {
+	m.Queue.Add(o.Queue)
+	m.Emitter.Add(o.Emitter)
+	m.L1.Add(o.L1)
+	m.L2.Add(o.L2)
+	m.TLB.Add(o.TLB)
+	m.Dir.Add(o.Dir)
+	m.Net.Add(o.Net)
+	m.OS.Add(o.OS)
 }
 
 // ExecSeconds returns the parallel-section time in seconds.
@@ -64,10 +93,10 @@ func (r Result) ExecSeconds() float64 { return float64(r.Exec) / sim.TickHz }
 func (r Result) ExecNS() float64 { return sim.ToNS(r.Exec) }
 
 // L1MissRate returns misses/(hits+misses) for the L1 data caches.
-func (r Result) L1MissRate() float64 { return missRate(r.L1) }
+func (r Result) L1MissRate() float64 { return missRate(r.Metrics.L1) }
 
 // L2MissRate returns misses/(hits+misses) for the secondary caches.
-func (r Result) L2MissRate() float64 { return missRate(r.L2) }
+func (r Result) L2MissRate() float64 { return missRate(r.Metrics.L2) }
 
 func missRate(s cache.Stats) float64 {
 	tot := s.Hits + s.Misses
@@ -80,22 +109,36 @@ func missRate(s cache.Stats) float64 {
 // String summarizes the result.
 func (r Result) String() string {
 	return fmt.Sprintf("%s p=%d exec=%.3fms instr=%d l2miss=%.2f%% tlbmiss=%d",
-		r.Config, r.Procs, r.ExecSeconds()*1e3, r.Instructions, 100*r.L2MissRate(), r.TLBMisses)
+		r.Config, r.Procs, r.ExecSeconds()*1e3, r.Instructions, 100*r.L2MissRate(), r.Metrics.TLB.Misses)
 }
 
 // collect assembles the Result after the event loop drains. em is the
 // instruction-stream accounting: the drained Streams counters for an
 // execution-driven run, or the replay image's recorded equivalents.
-func (m *Machine) collect(em obs.EmitterCounters) Result {
+func (m *Machine) collect(em emitter.Stats) Result {
 	r := Result{
 		Config:          m.cfg.Name,
 		Procs:           m.cfg.Procs,
 		PerProc:         make([]cpu.Stats, len(m.nodes)),
 		Ports:           make([]PortStats, len(m.nodes)),
 		BarrierReleases: m.barrierRel,
-		PagesMapped:     m.os.PageTable().Mapped(),
-		TLBMisses:       m.os.TLBMisses(),
-		Dir:             m.mem.Directory().Stats(),
+		Metrics: Metrics{
+			Emitter: em,
+			TLB:     m.os.TLBStats(),
+			Dir:     m.mem.Directory().Stats(),
+			OS:      m.os.Counters(),
+		},
+	}
+	r.TLBMisses = r.Metrics.TLB.Misses
+	if net := m.mem.Net(); net != nil {
+		r.Metrics.Net = net.Stats()
+	}
+	// The shard-local event queues merge in shard-index order. Each node
+	// holds at most one outstanding pooled event, so every queue's cold
+	// allocations equal its node count and the sum is bit-identical at
+	// any shard count.
+	for _, sh := range m.shards {
+		r.Metrics.Queue.Add(sh.queue.Stats())
 	}
 	for i, n := range m.nodes {
 		r.PerProc[i] = n.core.Stats()
@@ -107,8 +150,8 @@ func (m *Machine) collect(em obs.EmitterCounters) Result {
 		_, r.Ports[i].WBStallTicks = n.port.wb.Stalls()
 		_, r.Ports[i].MSHRStallTicks = n.port.mshr.Stalls()
 		r.Instructions += r.PerProc[i].Instructions
-		addCache(&r.L1, n.port.l1.Stats())
-		addCache(&r.L2, n.port.l2.Stats())
+		r.Metrics.L1.Add(n.port.l1.Stats())
+		r.Metrics.L2.Add(n.port.l2.Stats())
 		for c := 0; c < int(proto.NumCases); c++ {
 			r.CaseCounts[c] += n.port.stats.CaseCounts[c]
 		}
@@ -129,17 +172,7 @@ func (m *Machine) collect(em obs.EmitterCounters) Result {
 	if m.cfg.JitterPct != 0 {
 		r.Exec = jitter(r.Exec, m.cfg.JitterPct, m.cfg.Seed)
 	}
-	r.Metrics = m.buildMetrics(&r, em)
 	return r
-}
-
-func addCache(dst *cache.Stats, s cache.Stats) {
-	dst.Hits += s.Hits
-	dst.Misses += s.Misses
-	dst.Evictions += s.Evictions
-	dst.Writebacks += s.Writebacks
-	dst.Invals += s.Invals
-	dst.Interventio += s.Interventio
 }
 
 // jitter perturbs t by a deterministic pseudo-random factor in

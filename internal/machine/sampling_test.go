@@ -221,8 +221,8 @@ func TestBackToBackWindows(t *testing.T) {
 		t.Fatalf("back-to-back windows fast-forwarded %d instructions", res.Sampling.FunctionalInstrs)
 	}
 	if res.Exec != full.Exec || res.Total != full.Total ||
-		res.Instructions != full.Instructions || res.L1 != full.L1 ||
-		res.L2 != full.L2 || res.TLBMisses != full.TLBMisses {
+		res.Instructions != full.Instructions || res.Metrics.L1 != full.Metrics.L1 ||
+		res.Metrics.L2 != full.Metrics.L2 || res.TLBMisses != full.TLBMisses {
 		t.Fatalf("all-detailed schedule diverged from unsampled run:\nfull:    %v\nsampled: %v", full, res)
 	}
 }

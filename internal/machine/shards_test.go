@@ -163,7 +163,7 @@ func TestShardMetricsByteStable(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		c := obs.NewCollector()
-		c.Record(res.Metrics)
+		c.Record(res)
 		rep := c.Snapshot()
 		jsonOut, err = rep.JSON()
 		if err != nil {

@@ -60,6 +60,13 @@ type NetStats struct {
 	Hops     uint64
 }
 
+// Add accumulates o into s.
+func (s *NetStats) Add(o NetStats) {
+	s.Messages += o.Messages
+	s.Bytes += o.Bytes
+	s.Hops += o.Hops
+}
+
 // New builds the interconnect. Node counts that are not powers of two
 // are rounded up to the enclosing hypercube (FLASH configures partial
 // cubes the same way).

@@ -6,10 +6,14 @@ import (
 	"os"
 	"sort"
 	"sync"
+
+	"flashsim/internal/machine"
 )
 
-// ReportSchema versions the metrics-report JSON layout.
-const ReportSchema = 1
+// ReportSchema versions the metrics-report JSON layout. 2: directory
+// case counts are Dir.CaseCounts, an array indexed by proto.Case, where
+// schema 1 had the name-keyed Dir.Cases.
+const ReportSchema = 2
 
 // RunnerCounters is the run-execution view of a batch: how the pool
 // sourced the runs whose metrics the report aggregates.
@@ -61,28 +65,42 @@ func (r Report) WriteFile(path string) error {
 	return nil
 }
 
-// Collector aggregates RunMetrics across the concurrent runs of a pool.
+// Collector aggregates the counters of the concurrent runs of a pool.
 // It is the one concurrency boundary of the package: per-run counters
 // are plain fields (one goroutine per machine), and the collector's
 // mutex serializes only the end-of-run Record calls.
 type Collector struct {
 	mu        sync.Mutex
 	total     RunMetrics
-	perConfig map[string]*RunMetrics
+	perConfig map[configKey]*RunMetrics
+}
+
+// configKey identifies a PerConfig row.
+type configKey struct {
+	config, workload string
+	procs            int
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{perConfig: make(map[string]*RunMetrics)}
+	return &Collector{perConfig: make(map[configKey]*RunMetrics)}
 }
 
-// Record merges one run's metrics into the collector. Safe for
-// concurrent use.
-func (c *Collector) Record(m RunMetrics) {
-	if m.Runs == 0 {
-		m.Runs = 1
+// Record merges one run into the collector, under r's own labels. Safe
+// for concurrent use; a run whose row exists allocates nothing (flashd
+// records every job it serves, memo hits included).
+func (c *Collector) Record(r machine.Result) {
+	m := RunMetrics{
+		Config:       r.Config,
+		Workload:     r.Workload,
+		Procs:        r.Procs,
+		Runs:         1,
+		Instructions: r.Instructions,
+		ExecTicks:    uint64(r.Exec),
+		TotalTicks:   uint64(r.Total),
+		Metrics:      r.Metrics,
 	}
-	key := m.Config + "\x00" + m.Workload + "\x00" + fmt.Sprint(m.Procs)
+	key := configKey{r.Config, r.Workload, r.Procs}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.total.Merge(m)
@@ -107,14 +125,9 @@ func (c *Collector) Snapshot() Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rep := Report{Schema: ReportSchema, Total: c.total}
-	// The total's Cases map is shared with the accumulator; deep-copy
-	// so the snapshot is immune to later Record calls.
-	rep.Total.Dir.Cases = copyCases(c.total.Dir.Cases)
 	rep.PerConfig = make([]RunMetrics, 0, len(c.perConfig))
 	for _, pc := range c.perConfig {
-		m := *pc
-		m.Dir.Cases = copyCases(pc.Dir.Cases)
-		rep.PerConfig = append(rep.PerConfig, m)
+		rep.PerConfig = append(rep.PerConfig, *pc)
 	}
 	sort.Slice(rep.PerConfig, func(i, j int) bool {
 		a, b := rep.PerConfig[i], rep.PerConfig[j]
@@ -127,15 +140,4 @@ func (c *Collector) Snapshot() Report {
 		return a.Procs < b.Procs
 	})
 	return rep
-}
-
-func copyCases(m map[string]uint64) map[string]uint64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

@@ -1,7 +1,8 @@
-// Package obs is the per-run observability layer: plain uint64 counter
-// structs that the hot subsystems embed directly, snapshotted at
-// end-of-run into a RunMetrics record that rides alongside memoized
-// results and is written out by the CLIs' -metrics-out flag.
+// Package obs is what sits above a machine run's counters: the
+// Collector that merges every run a pool finishes, the Report the CLIs'
+// -metrics-out flag writes, and its Prometheus rendering. The counters
+// themselves are the subsystems' own stats types, gathered once in
+// machine.Result.Metrics; obs declares none of them.
 //
 // The counters are deliberately plain fields, not atomics. A machine
 // run is single-goroutine — the event loop drives every subsystem of
@@ -13,164 +14,19 @@
 // simulation hot path, breaking the 0 allocs/op + minimal-overhead
 // contract. Cross-run aggregation is the only concurrent step, and it
 // happens in Collector, behind a mutex, once per run.
-//
-// obs is a leaf package (stdlib imports only) so that sim, emitter,
-// tlb, osmodel, and the other hot subsystems can embed its structs
-// without import cycles.
 package obs
 
-// QueueCounters counts event-queue activity (internal/sim).
-type QueueCounters struct {
-	// Scheduled is the number of events inserted (both the closure and
-	// the pooled ScheduleFn forms).
-	Scheduled uint64
-	// Fired is the number of events dispatched.
-	Fired uint64
-	// Recycled is the number of pooled events reused from the free
-	// list rather than freshly allocated — the zero-allocation path.
-	Recycled uint64
-}
+import "flashsim/internal/machine"
 
-// Add accumulates o into c.
-func (c *QueueCounters) Add(o QueueCounters) {
-	c.Scheduled += o.Scheduled
-	c.Fired += o.Fired
-	c.Recycled += o.Recycled
-}
-
-// EmitterCounters counts instruction-stream activity (internal/emitter).
-type EmitterCounters struct {
-	// Batches is the number of instruction batches consumed by the
-	// processor models.
-	Batches uint64
-	// Instructions is the number of instructions read from the streams.
-	Instructions uint64
-	// SlabReuses is the number of consumed batch buffers returned to
-	// the producer's recycling pool instead of being garbage.
-	SlabReuses uint64
-}
-
-// Add accumulates o into c.
-func (c *EmitterCounters) Add(o EmitterCounters) {
-	c.Batches += o.Batches
-	c.Instructions += o.Instructions
-	c.SlabReuses += o.SlabReuses
-}
-
-// CacheCounters counts one cache level's activity (aggregated across
-// nodes).
-type CacheCounters struct {
-	Hits          uint64
-	Misses        uint64
-	Evictions     uint64
-	Writebacks    uint64
-	Invalidations uint64 // external invalidations received
-	Interventions uint64 // external downgrades/forwards served
-}
-
-// Add accumulates o into c.
-func (c *CacheCounters) Add(o CacheCounters) {
-	c.Hits += o.Hits
-	c.Misses += o.Misses
-	c.Evictions += o.Evictions
-	c.Writebacks += o.Writebacks
-	c.Invalidations += o.Invalidations
-	c.Interventions += o.Interventions
-}
-
-// TLBCounters counts TLB activity (internal/tlb, aggregated across
-// CPUs). All zero under the Solo OS model, which omits the TLB.
-type TLBCounters struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-}
-
-// Add accumulates o into c.
-func (c *TLBCounters) Add(o TLBCounters) {
-	c.Hits += o.Hits
-	c.Misses += o.Misses
-	c.Evictions += o.Evictions
-}
-
-// DirectoryCounters counts coherence-directory activity
-// (internal/proto).
-type DirectoryCounters struct {
-	Reads         uint64
-	Writes        uint64
-	Writebacks    uint64
-	Invalidations uint64
-	// Transitions counts directory (state, owner) changes.
-	Transitions uint64
-	StaleInvals uint64
-	// Cases maps protocol-case names (Table 3) to occurrence counts;
-	// zero-count cases are omitted.
-	Cases map[string]uint64
-}
-
-// Add accumulates o into c.
-func (c *DirectoryCounters) Add(o DirectoryCounters) {
-	c.Reads += o.Reads
-	c.Writes += o.Writes
-	c.Writebacks += o.Writebacks
-	c.Invalidations += o.Invalidations
-	c.Transitions += o.Transitions
-	c.StaleInvals += o.StaleInvals
-	if len(o.Cases) == 0 {
-		return
-	}
-	if c.Cases == nil {
-		c.Cases = make(map[string]uint64, len(o.Cases))
-	}
-	for k, v := range o.Cases {
-		c.Cases[k] += v
-	}
-}
-
-// NetworkCounters counts interconnect activity (internal/network). All
-// zero for memory systems without a modeled network.
-type NetworkCounters struct {
-	Messages uint64
-	Bytes    uint64
-	Hops     uint64
-}
-
-// Add accumulates o into c.
-func (c *NetworkCounters) Add(o NetworkCounters) {
-	c.Messages += o.Messages
-	c.Bytes += o.Bytes
-	c.Hops += o.Hops
-}
-
-// OSCounters counts operating-system-model activity (internal/osmodel).
-type OSCounters struct {
-	// PagesMapped is the page-table population at end of run.
-	PagesMapped uint64
-	// ColdFaults is the number of charged cold page faults (SimOS).
-	ColdFaults uint64
-	// Syscalls is the number of charged system calls (SimOS).
-	Syscalls uint64
-}
-
-// Add accumulates o into c.
-func (c *OSCounters) Add(o OSCounters) {
-	c.PagesMapped += o.PagesMapped
-	c.ColdFaults += o.ColdFaults
-	c.Syscalls += o.Syscalls
-}
-
-// RunMetrics is the end-of-run snapshot of every subsystem's counters
-// for one machine run. It is embedded in machine.Result, so it is
-// serialized into (and restored from) the runner.Store alongside the
-// timing results it explains.
+// RunMetrics is one row of the report: the counters of the runs merged
+// into it, under the labels they share.
 type RunMetrics struct {
 	// Config names the machine configuration; Workload names the
 	// program. Merged records blank a label when sources disagree.
 	Config   string
 	Workload string
 	Procs    int
-	// Runs is the number of runs merged into this record (1 for a
-	// single run).
+	// Runs is the number of runs merged into this record.
 	Runs uint64
 
 	Instructions uint64
@@ -178,14 +34,7 @@ type RunMetrics struct {
 	ExecTicks  uint64
 	TotalTicks uint64
 
-	Queue   QueueCounters
-	Emitter EmitterCounters
-	L1      CacheCounters
-	L2      CacheCounters
-	TLB     TLBCounters
-	Dir     DirectoryCounters
-	Net     NetworkCounters
-	OS      OSCounters
+	machine.Metrics
 }
 
 // Merge accumulates o into m. Labels (Config, Workload, Procs) are kept
@@ -210,12 +59,5 @@ func (m *RunMetrics) Merge(o RunMetrics) {
 	m.Instructions += o.Instructions
 	m.ExecTicks += o.ExecTicks
 	m.TotalTicks += o.TotalTicks
-	m.Queue.Add(o.Queue)
-	m.Emitter.Add(o.Emitter)
-	m.L1.Add(o.L1)
-	m.L2.Add(o.L2)
-	m.TLB.Add(o.TLB)
-	m.Dir.Add(o.Dir)
-	m.Net.Add(o.Net)
-	m.OS.Add(o.OS)
+	m.Metrics.Add(o.Metrics)
 }

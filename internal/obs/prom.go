@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"flashsim/internal/proto"
 )
 
 // WritePrometheus renders the report in the Prometheus text exposition
@@ -60,16 +62,19 @@ func (r Report) WritePrometheus(w io.Writer) error {
 	p.counter("flashsim_dir_invalidations_total", "Coherence-directory invalidations sent.", int64(t.Dir.Invalidations))
 	p.counter("flashsim_dir_transitions_total", "Directory (state, owner) transitions.", int64(t.Dir.Transitions))
 	p.counter("flashsim_dir_stale_invals_total", "Stale invalidations observed.", int64(t.Dir.StaleInvals))
-	if len(t.Dir.Cases) > 0 {
+	// Cases that occurred, by name; a run set with none has no series.
+	var cases []proto.Case
+	for c, n := range t.Dir.CaseCounts {
+		if n != 0 {
+			cases = append(cases, proto.Case(c))
+		}
+	}
+	sort.Slice(cases, func(i, j int) bool { return cases[i].String() < cases[j].String() })
+	if len(cases) > 0 {
 		p.help("flashsim_dir_cases_total", "Protocol-case occurrences (Table 3 taxonomy).", "counter")
-		cases := make([]string, 0, len(t.Dir.Cases))
-		for c := range t.Dir.Cases {
-			cases = append(cases, c)
-		}
-		sort.Strings(cases)
-		for _, c := range cases {
-			p.sample("flashsim_dir_cases_total", map[string]string{"case": c}, fmt.Sprintf("%d", t.Dir.Cases[c]))
-		}
+	}
+	for _, c := range cases {
+		p.sample("flashsim_dir_cases_total", map[string]string{"case": c.String()}, fmt.Sprintf("%d", t.Dir.CaseCounts[c]))
 	}
 
 	p.counter("flashsim_net_messages_total", "Interconnect messages.", int64(t.Net.Messages))

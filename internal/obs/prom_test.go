@@ -7,7 +7,12 @@ import (
 	"strings"
 	"testing"
 
+	"flashsim/internal/cache"
+	"flashsim/internal/machine"
 	"flashsim/internal/obs"
+	"flashsim/internal/proto"
+	"flashsim/internal/sim"
+	"flashsim/internal/tlb"
 )
 
 // parseProm is a strict-enough parser for the exposition format: it
@@ -88,18 +93,22 @@ func splitLabels(s string) []string {
 
 func sampleReport() obs.Report {
 	c := obs.NewCollector()
-	c.Record(obs.RunMetrics{
+	a := machine.Result{
 		Config: `Sim "A"`, Workload: "fft", Procs: 2,
-		Instructions: 1000, ExecTicks: 50, TotalTicks: 80,
-		Queue: obs.QueueCounters{Scheduled: 10, Fired: 9, Recycled: 8},
-		L1:    obs.CacheCounters{Hits: 7, Misses: 3},
-		L2:    obs.CacheCounters{Hits: 2, Misses: 1},
-		TLB:   obs.TLBCounters{Misses: 4},
-		Dir:   obs.DirectoryCounters{Transitions: 5, Cases: map[string]uint64{"remote-clean": 2}},
-	})
-	c.Record(obs.RunMetrics{
+		Instructions: 1000, Exec: 50, Total: 80,
+		Metrics: machine.Metrics{
+			Queue: sim.QueueStats{Scheduled: 10, Fired: 9, Recycled: 8},
+			L1:    cache.Stats{Hits: 7, Misses: 3},
+			L2:    cache.Stats{Hits: 2, Misses: 1},
+			TLB:   tlb.Stats{Misses: 4},
+			Dir:   proto.DirStats{Transitions: 5},
+		},
+	}
+	a.Metrics.Dir.CaseCounts[proto.RemoteClean] = 2
+	c.Record(a)
+	c.Record(machine.Result{
 		Config: "Sim B", Workload: "lu", Procs: 1,
-		Instructions: 500, ExecTicks: 20, TotalTicks: 30,
+		Instructions: 500, Exec: 20, Total: 30,
 	})
 	rep := c.Snapshot()
 	rep.Runner = obs.RunnerCounters{Jobs: 3, Ran: 2, CacheHits: 1, WallNS: 2_500_000_000, CPUNS: 3_000_000_000}

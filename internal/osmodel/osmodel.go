@@ -16,7 +16,6 @@ package osmodel
 
 import (
 	"flashsim/internal/emitter"
-	"flashsim/internal/obs"
 	"flashsim/internal/tlb"
 	"flashsim/internal/vm"
 )
@@ -172,33 +171,41 @@ func (o *OS) NeedsFault(va uint64) bool {
 	return !ok
 }
 
-// TLBMisses sums TLB misses across CPUs.
-func (o *OS) TLBMisses() uint64 {
-	var n uint64
-	for _, t := range o.tlbs {
-		n += t.Misses()
-	}
-	return n
-}
-
 // TLBStats sums the per-CPU TLB counters (all zero under Solo).
-func (o *OS) TLBStats() obs.TLBCounters {
-	var c obs.TLBCounters
+func (o *OS) TLBStats() tlb.Stats {
+	var c tlb.Stats
 	for _, t := range o.tlbs {
 		c.Add(t.Stats())
 	}
 	return c
 }
 
+// Counters counts operating-system-model activity.
+type Counters struct {
+	// PagesMapped is the page-table population at end of run.
+	PagesMapped uint64
+	// ColdFaults is the number of charged cold page faults (SimOS).
+	ColdFaults uint64
+	// Syscalls is the number of charged system calls (SimOS).
+	Syscalls uint64
+}
+
+// Add accumulates o into c.
+func (c *Counters) Add(o Counters) {
+	c.PagesMapped += o.PagesMapped
+	c.ColdFaults += o.ColdFaults
+	c.Syscalls += o.Syscalls
+}
+
 // Counters returns the OS model's end-of-run counters. Per-node
 // syscall counts are summed in node order, so the total is identical
 // at any shard count.
-func (o *OS) Counters() obs.OSCounters {
+func (o *OS) Counters() Counters {
 	var sys uint64
 	for _, n := range o.syscalls {
 		sys += n
 	}
-	return obs.OSCounters{
+	return Counters{
 		PagesMapped: uint64(o.pt.Mapped()),
 		ColdFaults:  o.faults,
 		Syscalls:    sys,

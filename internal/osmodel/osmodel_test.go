@@ -31,7 +31,7 @@ func TestSoloTranslationsAreFree(t *testing.T) {
 	if os.SyscallCost(0, 1) != 0 {
 		t.Fatal("solo syscalls are backdoors")
 	}
-	if os.TLBMisses() != 0 {
+	if os.TLBStats().Misses != 0 {
 		t.Fatal("solo TLB misses")
 	}
 }
@@ -58,8 +58,8 @@ func TestSimOSChargesTLBAndFaults(t *testing.T) {
 	if os.SyscallCost(0, 1) != cfg.SyscallCycles {
 		t.Fatal("syscall cost")
 	}
-	if os.TLBMisses() != 1 {
-		t.Fatalf("tlb misses %d", os.TLBMisses())
+	if os.TLBStats().Misses != 1 {
+		t.Fatalf("tlb misses %d", os.TLBStats().Misses)
 	}
 }
 
@@ -74,13 +74,13 @@ func TestSimOSTLBThrash(t *testing.T) {
 	for p := uint64(0); p < 8; p++ {
 		os.Translate(0, r.Base+p*vm.PageSize)
 	}
-	before := os.TLBMisses()
+	before := os.TLBStats().Misses
 	for round := 0; round < 3; round++ {
 		for p := uint64(0); p < 8; p++ {
 			os.Translate(0, r.Base+p*vm.PageSize)
 		}
 	}
-	if got := os.TLBMisses() - before; got != 24 {
+	if got := os.TLBStats().Misses - before; got != 24 {
 		t.Fatalf("cycling 8 pages through a 4-entry TLB: %d misses, want 24", got)
 	}
 }

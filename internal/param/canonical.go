@@ -19,7 +19,10 @@ import (
 // of serving results computed under an old Config layout.
 // Version 4: the sampling.* group joined the registry and Result grew
 // sampling metadata (Sampled/Sampling fields).
-const SchemaVersion = 4
+// Version 5: Result carries each counter once — the subsystems' stats
+// types under Metrics, directory case counts an array — so a version-4
+// entry would decode with silent zeros where its counters moved.
+const SchemaVersion = 5
 
 // Snapshot is the canonical, versioned form of a machine.Config: every
 // registered parameter by dotted path. The config's Name is a display

@@ -154,8 +154,24 @@ type DirStats struct {
 	Writebacks    uint64
 	Invalidations uint64 // individual invalidation messages sent
 	Transitions   uint64 // directory (state, owner) changes
-	CaseCounts    [NumCases]uint64
-	StaleInvals   uint64 // invalidations sent to nodes that silently evicted
+	// CaseCounts is every request the directory classified (Table 3),
+	// indexed by Case: the ports' data accesses plus the lock and
+	// barrier writes the machine sends straight to the memory system.
+	CaseCounts  [NumCases]uint64
+	StaleInvals uint64 // invalidations sent to nodes that silently evicted
+}
+
+// Add accumulates o into s.
+func (s *DirStats) Add(o DirStats) {
+	s.Reads += o.Reads
+	s.Writes += o.Writes
+	s.Writebacks += o.Writebacks
+	s.Invalidations += o.Invalidations
+	s.Transitions += o.Transitions
+	s.StaleInvals += o.StaleInvals
+	for c, n := range o.CaseCounts {
+		s.CaseCounts[c] += n
+	}
 }
 
 // NewDirectory creates a directory for an n-node machine backed by a

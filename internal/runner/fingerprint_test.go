@@ -100,15 +100,15 @@ func requireSameKeys(t *testing.T, cfg machine.Config, prog emitter.Program) {
 	}
 }
 
-// registryProgram builds a registered workload at its full-scale
-// defaults.
-func registryProgram(t *testing.T, name string, procs int) emitter.Program {
+// registryProgram builds a registered workload at its full-scale or
+// quick defaults.
+func registryProgram(t *testing.T, name string, procs int, quick bool) emitter.Program {
 	t.Helper()
 	def, err := workload.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := def.Resolve(nil, false)
+	vals, err := def.Resolve(nil, quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,28 +163,29 @@ func TestFingerprintsEscapeLikeJSON(t *testing.T) {
 	}
 }
 
-// TestFingerprintsPinned holds four keys recorded at the commit before
-// the direct encoders (8e45159): a warm cache stays warm only if these
-// exact strings keep coming out.
+// TestFingerprintsPinned holds four keys: a warm cache stays warm only
+// if these exact strings keep coming out. They were recorded when the
+// schema tag became 5, which moved every key on purpose; the reference
+// encoders above are what ties them to the keys first issued.
 func TestFingerprintsPinned(t *testing.T) {
-	fft, lu := registryProgram(t, "fft", 4), registryProgram(t, "lu", 4)
+	fft, lu := registryProgram(t, "fft", 4, false), registryProgram(t, "lu", 4, false)
 	mipsy := core.SimOSMipsy(4, 150, true)
-	const tracePin = "03c85ee14b8db01aa2abef75a8101f1b5828321871260c213dae845848c01b7f"
+	const tracePin = "a9b14f4ba21e349a707324c849be22d4f1bad28c0f7c251ef7fa56b6744e7719"
 	for _, c := range []struct{ what, got, want string }{
 		{"Fingerprint(simos-mipsy, fft)", runner.Fingerprint(mipsy, fft),
-			"18e2c7552b27ccefab578ccbc316f8f4ef2608cc934b0f6edfea4e525023db1e"},
+			"24d41e53b5fd3703bf99329b519de3e5cb94c077a8d74b7fa9ef13d2cdd151ab"},
 		{"Fingerprint(hw, lu)", runner.Fingerprint(hw.Config(4, true), lu),
-			"33665db84b25f1eb1704bc6c73539c07e69d04b364b11fa3ddb4cf1e1c9ffad5"},
+			"7663b03dc2d14e26503e671db1ea3adb1c5a7427f2d55bbc690a59adf11e936a"},
 		{"TraceFingerprint(simos-mipsy, fft)", runner.TraceFingerprint(mipsy, fft), tracePin},
 		{"ReplayFingerprint(simos-mxs, that trace)", runner.ReplayFingerprint(core.SimOSMXS(4, true), tracePin),
-			"f3729f051ca3fab1f9f2350f35ab489bc2f7a0ca7b71ad4e0954ac1f06f5a72f"},
+			"c97d7a15d226b9a8dfd3b4874c47ee995ab73f92dd31ed284cd7f506225f5cf4"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %s, pinned %s", c.what, c.got, c.want)
 		}
 	}
-	if param.SchemaVersion != 4 {
-		t.Errorf("SchemaVersion = %d; the pins above were recorded under 4", param.SchemaVersion)
+	if param.SchemaVersion != 5 {
+		t.Errorf("SchemaVersion = %d; the pins above were recorded under 5", param.SchemaVersion)
 	}
 }
 
@@ -192,7 +193,7 @@ func TestFingerprintsPinned(t *testing.T) {
 // three config-dependent fields from one encoding; they must be the
 // ones the separate functions give.
 func TestTraceMetaMatchesReference(t *testing.T) {
-	cfg, prog := core.SimOSMXS(4, true), registryProgram(t, "ocean", 4)
+	cfg, prog := core.SimOSMXS(4, true), registryProgram(t, "ocean", 4, false)
 	meta := runner.TraceMeta(cfg, prog, nil)
 	if meta.Fingerprint != refFingerprint(cfg, prog) || meta.Artifact != refTraceFingerprint(cfg, prog) ||
 		string(meta.Config) != string(refCanonical(cfg)) {
@@ -221,7 +222,7 @@ func TestKeyedJobCarriesItsOwnKey(t *testing.T) {
 // name and the hex string; a memo hit adds the pool's bookkeeping and
 // the store's copy of the result.
 func TestKeyAllocations(t *testing.T) {
-	cfg, prog := core.SimOSMipsy(1, 150, true), registryProgram(t, "fft", 1)
+	cfg, prog := core.SimOSMipsy(1, 150, true), registryProgram(t, "fft", 1, false)
 	if n := testing.AllocsPerRun(100, func() { runner.Fingerprint(cfg, prog) }); n > 6 {
 		t.Errorf("Fingerprint: %v allocs per call, want at most 6", n)
 	}

@@ -70,9 +70,12 @@ func TestCacheHitReplaysStoredMetrics(t *testing.T) {
 	if b.Total.Runs != 1 {
 		t.Fatalf("hit not recorded: %+v", b.Total)
 	}
-	if out[0].Result.Metrics.Config != "relabeled" || b.Total.Config != "relabeled" {
-		t.Fatalf("hit metrics not re-stamped: result=%q collected=%q",
-			out[0].Result.Metrics.Config, b.Total.Config)
+	// The label lives once, in Result.Config; the collector's total and
+	// its per-config row read it from there.
+	if out[0].Result.Config != "relabeled" || b.Total.Config != "relabeled" ||
+		len(b.PerConfig) != 1 || b.PerConfig[0].Config != "relabeled" {
+		t.Fatalf("hit not re-stamped: result=%q collected=%q rows=%+v",
+			out[0].Result.Config, b.Total.Config, b.PerConfig)
 	}
 	// Apart from the label, the replayed metrics are bit-identical.
 	am, bm := a.Total, b.Total

@@ -9,30 +9,14 @@ import (
 
 	"flashsim/internal/core"
 	"flashsim/internal/hw"
-	"flashsim/internal/machine"
 	"flashsim/internal/obs"
 	"flashsim/internal/runner"
-	"flashsim/internal/workload"
 )
 
 // updateReport rewrites testdata/report.{prom,json} from what the
 // collector reports now. Only a change that means to move the metrics
 // contract runs it.
 var updateReport = flag.Bool("report.update", false, "rewrite testdata/report.prom and report.json")
-
-// quickJob is a registered workload at its quick-scale defaults on cfg.
-func quickJob(t *testing.T, cfg machine.Config, name string) runner.Job {
-	t.Helper()
-	def, err := workload.Lookup(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, err := def.Resolve(nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return runner.Job{Config: cfg, Prog: def.Build(vals, cfg.Procs)}
-}
 
 // TestReportGolden pins both renderings of the metrics report — the
 // Prometheus exposition flashd serves and the -metrics-out JSON — over
@@ -41,10 +25,10 @@ func quickJob(t *testing.T, cfg machine.Config, name string) runner.Job {
 // again under another label. Wall and CPU time are the only fields not
 // a function of the inputs; they are left zero.
 func TestReportGolden(t *testing.T) {
-	fft := quickJob(t, core.SimOSMipsy(1, 225, true), "fft")
+	fft := runner.Job{Config: core.SimOSMipsy(1, 225, true), Prog: registryProgram(t, "fft", 1, true)}
 	renamed := fft
 	renamed.Config.Name = "renamed"
-	jobs := []runner.Job{fft, quickJob(t, hw.Config(8, true), "gups"), renamed}
+	jobs := []runner.Job{fft, {Config: hw.Config(8, true), Prog: registryProgram(t, "gups", 8, true)}, renamed}
 
 	store, err := runner.NewStore("")
 	if err != nil {

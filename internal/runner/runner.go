@@ -180,7 +180,7 @@ func (p *Pool) Workers() int { return p.workers }
 func (p *Pool) Store() Backend { return p.store }
 
 // SetMetrics attaches a collector that receives every successful
-// outcome's RunMetrics — fresh runs and cache hits alike, so the report
+// outcome's Result — fresh runs and cache hits alike, so the report
 // describes the batch the caller asked for, not just the runs that
 // missed the memo store. Call before submitting jobs; nil detaches.
 func (p *Pool) SetMetrics(c *obs.Collector) { p.metrics = c }
@@ -298,10 +298,9 @@ func (p *Pool) runOne(ctx context.Context, j Job) (o Outcome) {
 			// The fingerprint is Name-blind, so a hit may come from a
 			// run under a different label; re-stamp it with ours.
 			res.Config = cfg.Name
-			res.Metrics.Config = cfg.Name
 			p.hits.add(1)
 			if p.metrics != nil {
-				p.metrics.Record(res.Metrics)
+				p.metrics.Record(res)
 			}
 			return Outcome{Result: res, Cached: true}
 		}
@@ -324,7 +323,7 @@ func (p *Pool) runOne(ctx context.Context, j Job) (o Outcome) {
 		p.store.Put(key, res)
 	}
 	if p.metrics != nil {
-		p.metrics.Record(res.Metrics)
+		p.metrics.Record(res)
 	}
 	return Outcome{Result: res}
 }

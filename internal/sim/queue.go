@@ -1,7 +1,5 @@
 package sim
 
-import "flashsim/internal/obs"
-
 // Event is a scheduled callback. Events fire in (At, Prio, Seq) order,
 // which makes simulations deterministic regardless of insertion order:
 // Seq is assigned monotonically by the queue at insertion.
@@ -49,11 +47,30 @@ type Queue struct {
 	// stats counters are plain fields: a queue belongs to exactly one
 	// machine run (one goroutine), and atomic increments here would sit
 	// on the simulation's hottest path.
-	stats obs.QueueCounters
+	stats QueueStats
+}
+
+// QueueStats counts event-queue activity.
+type QueueStats struct {
+	// Scheduled is the number of events inserted (both the closure and
+	// the pooled ScheduleFn forms).
+	Scheduled uint64
+	// Fired is the number of events dispatched.
+	Fired uint64
+	// Recycled is the number of pooled events reused from the free
+	// list rather than freshly allocated — the zero-allocation path.
+	Recycled uint64
+}
+
+// Add accumulates o into s.
+func (s *QueueStats) Add(o QueueStats) {
+	s.Scheduled += o.Scheduled
+	s.Fired += o.Fired
+	s.Recycled += o.Recycled
 }
 
 // Stats returns the queue's accumulated event counters.
-func (q *Queue) Stats() obs.QueueCounters { return q.stats }
+func (q *Queue) Stats() QueueStats { return q.stats }
 
 // NewQueue returns an empty event queue at time zero.
 func NewQueue() *Queue { return &Queue{} }

@@ -13,8 +13,6 @@
 // machine's TLB microbenchmark, reproducing the paper's tuning step.
 package tlb
 
-import "flashsim/internal/obs"
-
 // Config describes a TLB model.
 type Config struct {
 	// Entries is the number of TLB entries (R10000: 64).
@@ -44,7 +42,23 @@ type TLB struct {
 	stamps []uint64 // per-slot recency; larger = more recent
 	clock  uint64
 	mru    int // slot of the last hit/refill, -1 when unknown
-	stats  obs.TLBCounters
+	stats  Stats
+}
+
+// Stats counts TLB activity. All zero under the Solo OS model, which
+// omits the TLB.
+type Stats struct {
+	Hits   uint64
+	Misses uint64
+	// Evictions is the misses that displaced a resident entry.
+	Evictions uint64
+}
+
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
 }
 
 // New creates an empty TLB.
@@ -150,18 +164,8 @@ func (t *TLB) insert(vp uint64) {
 	t.mru = len(t.vps) - 1
 }
 
-// Hits returns the number of TLB hits.
-func (t *TLB) Hits() uint64 { return t.stats.Hits }
-
-// Misses returns the number of TLB misses.
-func (t *TLB) Misses() uint64 { return t.stats.Misses }
-
-// Evictions returns the number of LRU evictions (misses that displaced
-// a resident entry).
-func (t *TLB) Evictions() uint64 { return t.stats.Evictions }
-
 // Stats returns the accumulated counters.
-func (t *TLB) Stats() obs.TLBCounters { return t.stats }
+func (t *TLB) Stats() Stats { return t.stats }
 
 // Resident returns the number of valid entries.
 func (t *TLB) Resident() int { return len(t.vps) }

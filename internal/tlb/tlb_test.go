@@ -15,8 +15,8 @@ func TestHitAfterMiss(t *testing.T) {
 	if !tl.Access(1) {
 		t.Fatal("second access should hit")
 	}
-	if tl.Hits() != 1 || tl.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d", tl.Hits(), tl.Misses())
+	if tl.Stats().Hits != 1 || tl.Stats().Misses != 1 {
+		t.Fatalf("hits=%d misses=%d", tl.Stats().Hits, tl.Stats().Misses)
 	}
 }
 
@@ -60,8 +60,8 @@ func TestThrashingWorkingSet(t *testing.T) {
 			tl.Access(vp)
 		}
 	}
-	if tl.Hits() != 0 {
-		t.Fatalf("LRU cycling should never hit: hits=%d", tl.Hits())
+	if tl.Stats().Hits != 0 {
+		t.Fatalf("LRU cycling should never hit: hits=%d", tl.Stats().Hits)
 	}
 }
 
@@ -99,10 +99,10 @@ func TestFlush(t *testing.T) {
 func TestProbeDoesNotPerturb(t *testing.T) {
 	tl := small()
 	tl.Access(1)
-	h, m := tl.Hits(), tl.Misses()
+	h, m := tl.Stats().Hits, tl.Stats().Misses
 	tl.Probe(1)
 	tl.Probe(2)
-	if tl.Hits() != h || tl.Misses() != m {
+	if tl.Stats().Hits != h || tl.Stats().Misses != m {
 		t.Fatal("probe changed counters")
 	}
 }
@@ -137,7 +137,7 @@ func TestResidencyBoundProperty(t *testing.T) {
 				return false
 			}
 		}
-		return tl.Hits()+tl.Misses() == uint64(len(pages))
+		return tl.Stats().Hits+tl.Stats().Misses == uint64(len(pages))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
