@@ -8,11 +8,14 @@ import (
 	"testing"
 
 	"flashsim/internal/apps"
+	"flashsim/internal/core"
 	"flashsim/internal/emitter"
 	"flashsim/internal/machine"
 	"flashsim/internal/memsys"
 	"flashsim/internal/osmodel"
+	"flashsim/internal/param"
 	"flashsim/internal/trace"
+	"flashsim/internal/workload"
 )
 
 // replayConfig returns a small SimOS-Mipsy machine at the default rung
@@ -174,6 +177,64 @@ func TestReplayImageIsReusable(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("image reuse diverged:\nfirst:  %+v\nsecond: %+v", first, second)
+	}
+}
+
+// TestReplayTracksMemsysParameter pins that a trace is a property of the
+// workload, not of the memory system that captured it: captured once
+// under SimOS-Mipsy 150, it replays bit-identically to an
+// execution-driven run at every other setting of a memory-system
+// parameter (router_ns=0 puts zero-duration reservations in play, as
+// in TestContentionResultsPinned). The detailed-CPU rungs, where replay
+// is an approximation, are `validate trace`'s non-exact rows.
+func TestReplayTracksMemsysParameter(t *testing.T) {
+	for _, tc := range []struct {
+		app   string
+		procs int
+	}{{"fft", 2}, {"ocean", 4}} {
+		tc := tc
+		t.Run(fmt.Sprintf("%s/%dp", tc.app, tc.procs), func(t *testing.T) {
+			t.Parallel()
+			def, err := workload.Lookup(tc.app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := quickProgram(t, def, tc.procs)
+			base := core.SimOSMipsy(tc.procs, 150, true)
+			_, data := captureInto(t, base, prog)
+			tr, err := trace.Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, err := machine.PrepareReplay(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []param.Setting{
+				{Path: "flash.inbox_ns", Value: "10"},
+				{Path: "flash.inbox_ns", Value: "67.5"},
+				{Path: "flash.inbox_ns", Value: "125"},
+				{Path: "flash.router_ns", Value: "0"},
+				{Path: "flash.router_ns", Value: "25"},
+				{Path: "flash.router_ns", Value: "50"},
+			} {
+				cfg, err := param.ApplySettings(base, []param.Setting{s})
+				if err != nil {
+					t.Fatal(err)
+				}
+				exec, err := machine.Run(cfg, prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				replay, err := machine.RunReplay(cfg, img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(replay, exec) {
+					t.Errorf("%s=%s: replay of the base capture diverged from the run:\nexec:   %+v\nreplay: %+v", s.Path, s.Value, exec, replay)
+				}
+			}
+		})
 	}
 }
 
