@@ -1,7 +1,8 @@
 package flashsim_test
 
-// One benchmark per table and figure of the paper's evaluation section,
-// plus ablation benchmarks for the modeling choices DESIGN.md calls out.
+// One benchmark per row of the experiment table (the paper's tables and
+// figures and this reproduction's own studies), plus ablation benchmarks
+// for the modeling choices DESIGN.md calls out.
 // Benchmarks run at ScaleQuick so `go test -bench=.` finishes in
 // minutes; `flashsim validate` regenerates the full-scale numbers
 // recorded in EXPERIMENTS.md.
@@ -23,107 +24,20 @@ import (
 // session is shared across benchmarks so calibrations are reused.
 var session = harness.NewSession(harness.ScaleQuick)
 
-func BenchmarkTable1Config(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if harness.Table1() == "" {
-			b.Fatal("empty table")
+// BenchmarkExperiment runs every row of the experiment table
+// (BenchmarkExperiment/figure1, ...) on the shared session.
+func BenchmarkExperiment(b *testing.B) {
+	for _, x := range harness.Experiments {
+		if x.Name == "worksweep" {
+			continue // 32-128 nodes: ~35 s an iteration even at quick sizes
 		}
-	}
-}
-
-func BenchmarkTable3DependentLoads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := session.Table3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure1InitialUni(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := session.Figure1(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure2BlockingFixes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := session.Figure2(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure3TunedUni(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := session.Figure3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure4TunedQuad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := session.Figure4(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure5FFTSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := session.Figure5(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure6RadixSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := session.Figure6(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure7Hotspot(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := session.Figure7(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExperimentTLBCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := session.ExperimentTLBCost(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExperimentBlockingFixes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := session.ExperimentBlockingFixes(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExperimentMulDiv(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := session.ExperimentMulDiv(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExperimentDefects(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := session.ExperimentDefects(); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(x.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, text, err := x.Run(session); err != nil || text == "" {
+					b.Fatalf("empty row or error: %v", err)
+				}
+			}
+		})
 	}
 }
 
@@ -220,23 +134,4 @@ func BenchmarkSnbenchChase(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkEmitterThroughput(b *testing.B) {
-	// Raw instruction-stream generation and consumption rate.
-	for i := 0; i < b.N; i++ {
-		s := emitter.Start(1, func(t *emitter.Thread) { t.IntOps(1 << 16) })
-		n := 0
-		for {
-			if _, ok := s.Readers[0].Next(); !ok {
-				break
-			}
-			n++
-		}
-		s.Wait()
-		if n != 1<<16 {
-			b.Fatal("short stream")
-		}
-	}
-	b.ReportMetric(float64(1<<16), "instrs/op")
 }

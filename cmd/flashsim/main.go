@@ -19,7 +19,6 @@
 //	flashsim trace capture -app fft -procs 4 -o fft.fltr
 //	flashsim trace inspect fft.fltr
 //	flashsim trace replay -sim simos-mipsy fft.fltr
-//	flashsim trace sweep -app fft -procs 4 -points 24 -json sweep.json
 //
 // Every subcommand takes -jobs, -cache-dir, -config/-set, -sample,
 // -shards, -metrics-out and the profiling flags; `flashsim <subcommand>
@@ -66,7 +65,6 @@ var commands = []command{
 	{"trace capture", "run a workload execution-driven and record its streams", captureCmd},
 	{"trace inspect", "print a container's metadata, layout, and integrity status", inspectCmd},
 	{"trace replay", "run a captured trace trace-driven on a chosen machine", replayCmd},
-	{"trace sweep", "replay one capture across a memory-system parameter grid against the execution-driven CPU-detail ladder", sweepCmd},
 }
 
 // env is what the one setup hands a subcommand body.

@@ -95,7 +95,7 @@ func TestUsageErrors(t *testing.T) {
 		want []string // substrings of stderr
 	}{
 		{"", []string{"validate", "trace capture"}},
-		{"speedup -all", []string{`unknown subcommand "speedup"`, "run", "validate", "worksweep", "tune", "snbench", "trace sweep"}},
+		{"speedup -all", []string{`unknown subcommand "speedup"`, "run", "validate", "worksweep", "tune", "snbench", "trace capture", "trace inspect", "trace replay"}},
 		{"trace rewind", []string{`unknown subcommand "trace rewind"`}},
 		{"validate -quick figure9", append([]string{`unknown experiment "figure9"`}, experiments...)},
 		{"validate -quick", experiments},
@@ -148,7 +148,6 @@ func TestUnwritableArtifactFailsEverySubcommand(t *testing.T) {
 		"trace capture -app fft -full=false -o " + filepath.Join(dir, "again.fltr"),
 		"trace inspect " + fltr,
 		"trace replay " + fltr,
-		"trace sweep -app fft -full=false -points 2 -ladder=false",
 	} {
 		for _, flag := range []string{"-metrics-out", "-memprofile"} {
 			sub := strings.Fields(args)
@@ -174,6 +173,41 @@ func TestUnwritableArtifactFailsEverySubcommand(t *testing.T) {
 	}
 	if data, err := os.ReadFile(good); err != nil || !bytes.Contains(data, []byte(`"Jobs": 1`)) {
 		t.Errorf("metrics report: %v\n%.300s", err, data)
+	}
+}
+
+// TestDefectsRunThroughThePool: the defects row's twelve runs (six
+// defects, baseline and injected) are counted in the report and served
+// by a -cache-dir like every other row's, with the same text either way.
+func TestDefectsRunThroughThePool(t *testing.T) {
+	dir := t.TempDir()
+	report, cache := filepath.Join(dir, "m.json"), filepath.Join(dir, "cache")
+	var first string
+	for _, wantRan := range []string{"", `"Ran": 0,`} {
+		stdout, stderr, status := flashsim("validate", "-quick", "-metrics-out", report, "-cache-dir", cache, "defects")
+		if status != 0 {
+			t.Fatalf("exit %d\n%s", status, stderr)
+		}
+		data, err := os.ReadFile(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{`"Jobs": 12,`, `"Runs": 12,`, wantRan} {
+			if !bytes.Contains(data, []byte(want)) {
+				t.Errorf("report lacks %s:\n%.400s", want, data)
+			}
+		}
+		if bytes.Contains(data, []byte(`"Instructions": 0,`)) {
+			t.Errorf("report counts no instructions:\n%.400s", data)
+		}
+		if !strings.Contains(stdout, "[runner: 12 jobs") {
+			t.Errorf("no runner line:\n%s", stdout)
+		}
+		if first == "" {
+			first = stable(stdout)
+		} else if stable(stdout) != first {
+			t.Errorf("cached defects row differs from the run one:\n%s\n---\n%s", stable(stdout), first)
+		}
 	}
 }
 

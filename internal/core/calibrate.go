@@ -91,24 +91,11 @@ type Calibrator struct {
 	MaxRounds int
 	// TolNS is the dependent-load convergence tolerance (default 20ns).
 	TolNS float64
-
-	// Pool executes the probe runs; nil falls back to the Reference's
-	// pool. The fitting loops are inherently sequential, but a pool
-	// with a store memoizes the hardware microbenchmarks and every
-	// probe, which pays off across the seven study configurations.
-	Pool *runner.Pool
 }
 
 // NewCalibrator returns a calibrator against ref.
 func NewCalibrator(ref *Reference) *Calibrator {
 	return &Calibrator{Ref: ref, MaxRounds: 6, TolNS: 20}
-}
-
-func (c *Calibrator) pool() *runner.Pool {
-	if c.Pool != nil {
-		return c.Pool
-	}
-	return c.Ref.pool()
 }
 
 // runOne executes a single probe run through a pool (nil = serial).
@@ -174,7 +161,7 @@ func (c *Calibrator) DependentLoadLatencies() (map[proto.Case]float64, error) {
 		offs[i] = len(jobs)
 		jobs = append(jobs, c.Ref.measureJobs(snbench.DependentLoads(pc, 0), snbench.CaseProcs(pc))...)
 	}
-	results, err := c.pool().Run(context.Background(), jobs)
+	results, err := c.Ref.pool().Run(context.Background(), jobs)
 	if err != nil {
 		return nil, fmt.Errorf("dependent loads: %w", err)
 	}
@@ -211,7 +198,7 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 	if maxRounds <= 0 {
 		maxRounds = 6
 	}
-	pool := c.pool()
+	pool := c.Ref.pool()
 	var cal Calibration
 	// work is the evolving tuned configuration; cfg stays untouched so
 	// the final registry diff is exactly the calibration.
@@ -363,7 +350,7 @@ func SimTLBCycles(cfg machine.Config) (float64, error) { return simTLBCycles(nil
 // SimTLBCycles is SimTLBCycles through the calibrator's pool, so the
 // probe is memoized alongside the tuning runs.
 func (c *Calibrator) SimTLBCycles(cfg machine.Config) (float64, error) {
-	return simTLBCycles(c.pool(), cfg)
+	return simTLBCycles(c.Ref.pool(), cfg)
 }
 
 // SimDepLatency measures one Table 3 dependent-load case on a simulator
@@ -374,5 +361,5 @@ func SimDepLatency(cfg machine.Config, pc proto.Case) (float64, error) {
 
 // SimDepLatency is SimDepLatency through the calibrator's pool.
 func (c *Calibrator) SimDepLatency(cfg machine.Config, pc proto.Case) (float64, error) {
-	return simDepLatency(c.pool(), cfg, pc)
+	return simDepLatency(c.Ref.pool(), cfg, pc)
 }

@@ -230,7 +230,7 @@ func TestDefectInjection(t *testing.T) {
 		if d.Name != "mxs-fast-issue" {
 			continue
 		}
-		imp, err := core.MeasureDefect(d, base, core.Workload{Name: "fft", Make: smallFFT}, 1)
+		imp, err := core.MeasureDefect(nil, d, base, core.Workload{Name: "fft", Make: smallFFT}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

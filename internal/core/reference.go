@@ -55,10 +55,10 @@ type Reference struct {
 	// default 5, per the methodology).
 	Repeats int
 
-	// Pool executes the repeat runs; nil selects a serial pool,
-	// preserving the strictly sequential behavior. Sharing one pool
-	// (with a store) across the Reference, Study, Calibrator, and
-	// TrendAnalyzer of a session lets every consumer reuse every run.
+	// Pool executes the repeat runs and every run of the Study,
+	// Calibrator and TrendAnalyzer built on this Reference, so one pool
+	// (with a store) lets every consumer reuse every run; nil selects a
+	// serial pool, preserving the strictly sequential behavior.
 	Pool *runner.Pool
 
 	base machine.Config

@@ -60,23 +60,11 @@ func (c CompareResult) MaxAbsError() float64 {
 type Study struct {
 	Ref     *Reference
 	Configs []machine.Config
-
-	// Pool executes the sweep; nil falls back to the Reference's pool
-	// (and ultimately to serial execution).
-	Pool *runner.Pool
 }
 
 // NewStudy builds a study over the given simulator configurations.
 func NewStudy(ref *Reference, configs ...machine.Config) *Study {
 	return &Study{Ref: ref, Configs: configs}
-}
-
-// pool returns the study's pool, the reference's, or a serial fallback.
-func (s *Study) pool() *runner.Pool {
-	if s.Pool != nil {
-		return s.Pool
-	}
-	return s.Ref.pool()
 }
 
 // Compare runs every workload on the hardware (averaged) and on every
@@ -109,7 +97,7 @@ func (s *Study) Compare(workloads []Workload, procs int) (CompareResult, error) 
 			jobs = append(jobs, runner.Job{Config: cfg, Prog: prog})
 		}
 	}
-	results, err := s.pool().Run(context.Background(), jobs)
+	results, err := s.Ref.pool().Run(context.Background(), jobs)
 	if err != nil {
 		return out, fmt.Errorf("study at %dp: %w", procs, err)
 	}

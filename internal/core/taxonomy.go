@@ -5,6 +5,7 @@ import (
 
 	"flashsim/internal/hw"
 	"flashsim/internal/machine"
+	"flashsim/internal/runner"
 )
 
 // ErrorClass is the paper's taxonomy of simulator error sources
@@ -169,16 +170,18 @@ type DefectImpact struct {
 	Relative float64
 }
 
-// MeasureDefect quantifies one defect on one workload at procs.
-func MeasureDefect(d Defect, base machine.Config, w Workload, procs int) (DefectImpact, error) {
+// MeasureDefect quantifies one defect on one workload at procs; both
+// runs go through pool (nil = serial), so they count and memoize like
+// every other run of a study.
+func MeasureDefect(pool *runner.Pool, d Defect, base machine.Config, w Workload, procs int) (DefectImpact, error) {
 	base.Procs = procs
-	baseRes, err := machine.Run(base, w.Make(procs))
+	baseRes, err := runner.RunOne(pool, runner.Job{Config: base, Prog: w.Make(procs)})
 	if err != nil {
 		return DefectImpact{}, fmt.Errorf("baseline %s: %w", w.Name, err)
 	}
 	inj := d.Inject(base)
 	inj.Procs = procs
-	injRes, err := machine.Run(inj, w.Make(procs))
+	injRes, err := runner.RunOne(pool, runner.Job{Config: inj, Prog: w.Make(procs)})
 	if err != nil {
 		return DefectImpact{}, fmt.Errorf("injected %s on %s: %w", d.Name, w.Name, err)
 	}

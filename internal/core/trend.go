@@ -35,21 +35,11 @@ func (c Curve) At(p int) float64 {
 // changes across a variety of alternative designs."
 type TrendAnalyzer struct {
 	Ref *Reference
-
-	// Pool executes the sweeps; nil falls back to the Reference's pool.
-	Pool *runner.Pool
 }
 
 // NewTrendAnalyzer returns an analyzer against ref.
 func NewTrendAnalyzer(ref *Reference) *TrendAnalyzer {
 	return &TrendAnalyzer{Ref: ref}
-}
-
-func (t *TrendAnalyzer) pool() *runner.Pool {
-	if t.Pool != nil {
-		return t.Pool
-	}
-	return t.Ref.pool()
 }
 
 // HardwareSpeedup measures the reference's speedup curve for w over the
@@ -63,7 +53,7 @@ func (t *TrendAnalyzer) HardwareSpeedup(w Workload, procs []int) (Curve, error) 
 		offs[i] = len(jobs)
 		jobs = append(jobs, t.Ref.measureJobs(w.Make(p), p)...)
 	}
-	results, err := t.pool().Run(context.Background(), jobs)
+	results, err := t.Ref.pool().Run(context.Background(), jobs)
 	if err != nil {
 		return c, fmt.Errorf("hardware %s sweep: %w", w.Name, err)
 	}
@@ -93,7 +83,7 @@ func (t *TrendAnalyzer) SimSpeedup(cfg machine.Config, w Workload, procs []int) 
 		cp.Procs = p
 		jobs[i] = runner.Job{Config: cp, Prog: w.Make(p)}
 	}
-	results, err := t.pool().Run(context.Background(), jobs)
+	results, err := t.Ref.pool().Run(context.Background(), jobs)
 	if err != nil {
 		return c, fmt.Errorf("%s %s sweep: %w", cfg.Name, w.Name, err)
 	}

@@ -486,7 +486,7 @@ func (s *Session) ExperimentDefects() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		imp, err := core.MeasureDefect(d, base, w, 1)
+		imp, err := core.MeasureDefect(s.pool, d, base, w, 1)
 		if err != nil {
 			return "", err
 		}
