@@ -175,13 +175,13 @@ type DefectImpact struct {
 // every other run of a study.
 func MeasureDefect(pool *runner.Pool, d Defect, base machine.Config, w Workload, procs int) (DefectImpact, error) {
 	base.Procs = procs
-	baseRes, err := runner.RunOne(pool, runner.Job{Config: base, Prog: w.Make(procs)})
+	baseRes, err := runOne(pool, base, w.Make(procs))
 	if err != nil {
 		return DefectImpact{}, fmt.Errorf("baseline %s: %w", w.Name, err)
 	}
 	inj := d.Inject(base)
 	inj.Procs = procs
-	injRes, err := runner.RunOne(pool, runner.Job{Config: inj, Prog: w.Make(procs)})
+	injRes, err := runOne(pool, inj, w.Make(procs))
 	if err != nil {
 		return DefectImpact{}, fmt.Errorf("injected %s on %s: %w", d.Name, w.Name, err)
 	}
