@@ -1,8 +1,8 @@
 package flashsim_test
 
 // One benchmark per row of the experiment table (the paper's tables and
-// figures and this reproduction's own studies), plus ablation benchmarks
-// for the modeling choices DESIGN.md calls out.
+// figures and this reproduction's own studies), plus simulator-speed and
+// substrate benchmarks.
 // Benchmarks run at ScaleQuick so `go test -bench=.` finishes in
 // minutes; `flashsim validate` regenerates the full-scale numbers
 // recorded in EXPERIMENTS.md.
@@ -64,7 +64,7 @@ func BenchmarkRunnerSpeedup(b *testing.B) {
 	b.ReportMetric(speedup, "speedup")
 }
 
-// --- Ablations and substrate benchmarks -----------------------------
+// --- Simulator speed and substrate benchmarks -------------------------
 
 // benchRun reports simulated-instructions-per-second for one machine
 // run — the simulator's own speed, the axis the paper trades against
@@ -103,20 +103,6 @@ func BenchmarkSimSpeedSolo(b *testing.B) {
 func BenchmarkSimSpeedHardwareModel(b *testing.B) {
 	cfg := hw.Config(1, true)
 	cfg.JitterPct = 0
-	benchRun(b, cfg, quickFFT(1))
-}
-
-func BenchmarkAblationNoInterlocks(b *testing.B) {
-	cfg := hw.Config(1, true)
-	cfg.JitterPct = 0
-	cfg.MXS.ModelAddressInterlocks = false
-	benchRun(b, cfg, quickFFT(1))
-}
-
-func BenchmarkAblationNoOccupancy(b *testing.B) {
-	cfg := hw.Config(1, true)
-	cfg.JitterPct = 0
-	cfg.ModelL2InterfaceOccupancy = false
 	benchRun(b, cfg, quickFFT(1))
 }
 

@@ -8,16 +8,15 @@ import (
 	"flashsim/internal/core"
 	"flashsim/internal/harness"
 	"flashsim/internal/machine"
-	"flashsim/internal/snbench"
 )
 
-// calibrator returns the 4-processor hardware reference the snbench
-// microbenchmarks run on, wired to the environment's pool, and a
-// calibrator against it.
-func (e *env) calibrator() (*core.Reference, *core.Calibrator) {
+// calibrator returns a calibrator against the 4-processor hardware
+// reference the snbench microbenchmarks run on, wired to the
+// environment's pool.
+func (e *env) calibrator() *core.Calibrator {
 	ref := core.NewReference(4, true)
 	ref.Pool = e.pool
-	return ref, core.NewCalibrator(ref)
+	return core.NewCalibrator(ref)
 }
 
 // tuneCmd is `flashsim tune`: close the simulation loop for one
@@ -31,7 +30,7 @@ func tuneCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 		if err != nil {
 			return err
 		}
-		_, cal := e.calibrator()
+		cal := e.calibrator()
 		fmt.Fprintf(e.out, "calibrating %s against the hardware reference...\n", cfg.Name)
 		c, err := cal.Calibrate(cfg)
 		if err != nil {
@@ -70,7 +69,7 @@ func snbenchCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 			}
 			sims = append(sims, cfg)
 		}
-		ref, cal := e.calibrator()
+		cal := e.calibrator()
 		fmt.Fprintln(e.out, "Dependent loads (ns per load):")
 		var labels []string
 		for i, cfg := range sims {
@@ -91,12 +90,11 @@ func snbenchCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 		}
 		fmt.Fprint(e.out, dl.Rows(6, "hw ", labels...))
 
-		hwMeas, err := ref.MeasureAt(snbench.TLBTimer(0, 0, 0), 1)
+		hwTLB, err := cal.HWTLBCycles()
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(e.out, "TLB refill: hw %.1f cycles",
-			snbench.TLBHandlerCycles(hwMeas.Runs[0], ref.ConfigAt(1).ClockMHz, 0, 0, 0))
+		fmt.Fprintf(e.out, "TLB refill: hw %.1f cycles", hwTLB)
 		for _, cfg := range sims {
 			simTLB, err := cal.SimTLBCycles(cfg)
 			if err != nil {
@@ -106,12 +104,11 @@ func snbenchCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 		}
 		fmt.Fprintln(e.out)
 
-		restart, err := ref.MeasureAt(snbench.Restart(0), 1)
+		restart, err := cal.HWRestartNS()
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(e.out, "Restart (independent loads): hw %.0f ns/load\n",
-			snbench.ThroughputNSPerLoad(restart.Runs[0], 0))
+		fmt.Fprintf(e.out, "Restart (independent loads): hw %.0f ns/load\n", restart)
 		return nil
 	}
 }

@@ -98,13 +98,14 @@ func NewCalibrator(ref *Reference) *Calibrator {
 	return &Calibrator{Ref: ref, MaxRounds: 6, TolNS: 20}
 }
 
-// runOne executes a single probe run through a pool (nil = serial).
-func runOne(p *runner.Pool, cfg machine.Config, prog emitter.Program) (machine.Result, error) {
-	return runner.RunOne(p, runner.Job{Config: cfg, Prog: prog})
+// probe executes a single simulator run through the reference's pool.
+func (c *Calibrator) probe(cfg machine.Config, prog emitter.Program) (machine.Result, error) {
+	return runner.RunOne(c.Ref.Pool, runner.Job{Config: cfg, Prog: prog})
 }
 
-// hwTLBCycles measures the reference TLB-refill cost.
-func (c *Calibrator) hwTLBCycles() (float64, error) {
+// HWTLBCycles measures the reference TLB-refill cost with the snbench
+// TLB timer.
+func (c *Calibrator) HWTLBCycles() (float64, error) {
 	meas, err := c.Ref.MeasureAt(snbench.TLBTimer(0, 0, 0), 1)
 	if err != nil {
 		return 0, err
@@ -114,18 +115,20 @@ func (c *Calibrator) hwTLBCycles() (float64, error) {
 	return snbench.TLBHandlerCycles(meas.Runs[0], cfg.ClockMHz, 0, 0, 0), nil
 }
 
-// simTLBCycles measures a simulator's TLB-refill cost.
-func simTLBCycles(p *runner.Pool, cfg machine.Config) (float64, error) {
+// SimTLBCycles measures a simulator configuration's TLB-refill cost with
+// the snbench TLB timer.
+func (c *Calibrator) SimTLBCycles(cfg machine.Config) (float64, error) {
 	cfg.Procs = 1
-	res, err := runOne(p, cfg, snbench.TLBTimer(0, 0, 0))
+	res, err := c.probe(cfg, snbench.TLBTimer(0, 0, 0))
 	if err != nil {
 		return 0, err
 	}
 	return snbench.TLBHandlerCycles(res, cfg.ClockMHz, 0, 0, 0), nil
 }
 
-// hwRestartNS measures the reference back-to-back load throughput.
-func (c *Calibrator) hwRestartNS() (float64, error) {
+// HWRestartNS measures the reference back-to-back load throughput with
+// the snbench restart-time test (ns per load).
+func (c *Calibrator) HWRestartNS() (float64, error) {
 	meas, err := c.Ref.MeasureAt(snbench.Restart(0), 1)
 	if err != nil {
 		return 0, err
@@ -133,17 +136,18 @@ func (c *Calibrator) hwRestartNS() (float64, error) {
 	return snbench.ThroughputNSPerLoad(meas.Runs[0], 0), nil
 }
 
-func simRestartNS(p *runner.Pool, cfg machine.Config) (float64, error) {
+func (c *Calibrator) simRestartNS(cfg machine.Config) (float64, error) {
 	cfg.Procs = 1
-	res, err := runOne(p, cfg, snbench.Restart(0))
+	res, err := c.probe(cfg, snbench.Restart(0))
 	if err != nil {
 		return 0, err
 	}
 	return snbench.ThroughputNSPerLoad(res, 0), nil
 }
 
-// depCases are the Table 3 protocol cases, in table order.
-var depCases = []proto.Case{
+// DepCases are the five protocol read cases of Table 3, in the paper's
+// row order.
+var DepCases = []proto.Case{
 	proto.LocalClean,
 	proto.LocalDirtyRemote,
 	proto.RemoteClean,
@@ -156,19 +160,19 @@ var depCases = []proto.Case{
 // pool.
 func (c *Calibrator) DependentLoadLatencies() (map[proto.Case]float64, error) {
 	var jobs []runner.Job
-	offs := make([]int, len(depCases))
-	for i, pc := range depCases {
+	offs := make([]int, len(DepCases))
+	for i, pc := range DepCases {
 		offs[i] = len(jobs)
 		jobs = append(jobs, c.Ref.measureJobs(snbench.DependentLoads(pc, 0), snbench.CaseProcs(pc))...)
 	}
-	results, err := c.Ref.pool().Run(context.Background(), jobs)
+	results, err := c.Ref.Pool.Run(context.Background(), jobs)
 	if err != nil {
 		return nil, fmt.Errorf("dependent loads: %w", err)
 	}
-	out := make(map[proto.Case]float64, len(depCases))
-	for i, pc := range depCases {
+	out := make(map[proto.Case]float64, len(DepCases))
+	for i, pc := range DepCases {
 		end := len(results)
-		if i+1 < len(depCases) {
+		if i+1 < len(DepCases) {
 			end = offs[i+1]
 		}
 		meas := measurementFrom(results[offs[i]:end])
@@ -177,10 +181,11 @@ func (c *Calibrator) DependentLoadLatencies() (map[proto.Case]float64, error) {
 	return out, nil
 }
 
-// simDepLatency measures one dependent-load case on a simulator.
-func simDepLatency(p *runner.Pool, cfg machine.Config, pc proto.Case) (float64, error) {
+// SimDepLatency measures one Table 3 dependent-load case on a simulator
+// configuration (ns per load).
+func (c *Calibrator) SimDepLatency(cfg machine.Config, pc proto.Case) (float64, error) {
 	cfg.Procs = snbench.CaseProcs(pc)
-	res, err := runOne(p, cfg, snbench.DependentLoads(pc, 0))
+	res, err := c.probe(cfg, snbench.DependentLoads(pc, 0))
 	if err != nil {
 		return 0, err
 	}
@@ -198,7 +203,6 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 	if maxRounds <= 0 {
 		maxRounds = 6
 	}
-	pool := c.Ref.pool()
 	var cal Calibration
 	// work is the evolving tuned configuration; cfg stays untouched so
 	// the final registry diff is exactly the calibration.
@@ -209,12 +213,12 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 	// simulators to give the correct value"). Solo configurations keep
 	// no TLB — there is nothing to correct; the omission is the point.
 	if cfg.OS.TLBHandlerCycles > 0 {
-		hwC, err := c.hwTLBCycles()
+		hwC, err := c.HWTLBCycles()
 		if err != nil {
 			return cal, err
 		}
 		before := float64(work.OS.TLBHandlerCycles)
-		simBefore, err := simTLBCycles(pool, work)
+		simBefore, err := c.SimTLBCycles(work)
 		if err != nil {
 			return cal, err
 		}
@@ -225,7 +229,7 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 				next = 1
 			}
 			work.OS.TLBHandlerCycles = uint32(next + 0.5)
-			simC, err = simTLBCycles(pool, work)
+			simC, err = c.SimTLBCycles(work)
 			if err != nil {
 				return cal, err
 			}
@@ -239,13 +243,13 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 
 	// Step 2: secondary-cache interface occupancy (restart-time test).
 	{
-		hwT, err := c.hwRestartNS()
+		hwT, err := c.HWRestartNS()
 		if err != nil {
 			return cal, err
 		}
 		probe := work
 		probe.ModelL2InterfaceOccupancy = false
-		simBefore, err := simRestartNS(pool, probe)
+		simBefore, err := c.simRestartNS(probe)
 		if err != nil {
 			return cal, err
 		}
@@ -253,7 +257,7 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 		if simT < hwT*0.97 {
 			work.ModelL2InterfaceOccupancy = true
 			for round := 0; round < maxRounds && math.Abs(hwT-simT) > 3; round++ {
-				simT, err = simRestartNS(pool, work)
+				simT, err = c.simRestartNS(work)
 				if err != nil {
 					return cal, err
 				}
@@ -290,15 +294,15 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 		before := work.FlashTiming
 		var simLC, simRC, simLDR float64
 		for round := 0; round < maxRounds; round++ {
-			simLC, err = simDepLatency(pool, work, proto.LocalClean)
+			simLC, err = c.SimDepLatency(work, proto.LocalClean)
 			if err != nil {
 				return cal, err
 			}
-			simRC, err = simDepLatency(pool, work, proto.RemoteClean)
+			simRC, err = c.SimDepLatency(work, proto.RemoteClean)
 			if err != nil {
 				return cal, err
 			}
-			simLDR, err = simDepLatency(pool, work, proto.LocalDirtyRemote)
+			simLDR, err = c.SimDepLatency(work, proto.LocalDirtyRemote)
 			if err != nil {
 				return cal, err
 			}
@@ -340,26 +344,4 @@ func clampNS(v float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// SimTLBCycles measures a simulator configuration's TLB-refill cost via
-// the snbench TLB timer (exported for the harness's in-text
-// experiments). The serial variant of (*Calibrator).SimTLBCycles.
-func SimTLBCycles(cfg machine.Config) (float64, error) { return simTLBCycles(nil, cfg) }
-
-// SimTLBCycles is SimTLBCycles through the calibrator's pool, so the
-// probe is memoized alongside the tuning runs.
-func (c *Calibrator) SimTLBCycles(cfg machine.Config) (float64, error) {
-	return simTLBCycles(c.Ref.pool(), cfg)
-}
-
-// SimDepLatency measures one Table 3 dependent-load case on a simulator
-// configuration (ns per load).
-func SimDepLatency(cfg machine.Config, pc proto.Case) (float64, error) {
-	return simDepLatency(nil, cfg, pc)
-}
-
-// SimDepLatency is SimDepLatency through the calibrator's pool.
-func (c *Calibrator) SimDepLatency(cfg machine.Config, pc proto.Case) (float64, error) {
-	return simDepLatency(c.Ref.pool(), cfg, pc)
 }

@@ -13,7 +13,9 @@
 //   - Study: relative-execution-time comparison of simulators against
 //     the reference (Figures 1–4);
 //   - TrendAnalyzer: speedup-curve prediction studies (Figures 5–7);
-//   - the error taxonomy with injectable historical defects (§3.1.2).
+//   - Reference.Walk: execution time along a path of registry deltas
+//     between two configurations, and the historical defects (§3.1.2)
+//     as a table of such deltas.
 package core
 
 import (

@@ -1,12 +1,15 @@
 package core_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"flashsim/internal/core"
 	"flashsim/internal/machine"
 	"flashsim/internal/osmodel"
+	"flashsim/internal/param"
+	"flashsim/internal/workload"
 )
 
 func TestStandardConfigsMatchThePaper(t *testing.T) {
@@ -127,30 +130,41 @@ func TestCurveAt(t *testing.T) {
 	}
 }
 
-func TestErrorClassStrings(t *testing.T) {
-	for _, c := range []core.ErrorClass{core.Bug, core.Omission, core.LackOfDetail} {
-		if c.String() == "" {
-			t.Errorf("class %d unnamed", c)
-		}
-	}
-}
-
+// TestKnownDefectsComplete: a defect is data the registries can resolve.
+// Its path is registered and carries a class, its base holds the good
+// value and validates with and without the delta, and its workload is a
+// workload registry name.
 func TestKnownDefectsComplete(t *testing.T) {
 	ds := core.KnownDefects()
-	if len(ds) < 6 {
-		t.Fatalf("only %d defects", len(ds))
-	}
+	var classes []param.ErrorClass
 	for _, d := range ds {
-		if d.Inject == nil || d.Baseline == nil || d.Name == "" || d.Description == "" {
-			t.Errorf("defect %q incomplete", d.Name)
+		if d.Name == "" || d.Description == "" {
+			t.Errorf("defect %+v: no name or description", d)
 		}
-		cfg := d.Baseline(1, true)
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("defect %q baseline: %v", d.Name, err)
+		if _, ok := param.Lookup(d.Delta.Path); !ok {
+			t.Errorf("defect %s: path %s is not registered", d.Name, d.Delta.Path)
+			continue
 		}
-		inj := d.Inject(cfg)
-		if err := inj.Validate(); err != nil {
-			t.Errorf("defect %q injected: %v", d.Name, err)
+		classes = append(classes, d.Delta.Class())
+		if got, _ := param.Get(&d.Base, d.Delta.Path); got != d.Delta.Before {
+			t.Errorf("defect %s: base holds %s = %v, delta starts at %v", d.Name, d.Delta.Path, got, d.Delta.Before)
 		}
+		if err := d.Base.Validate(); err != nil {
+			t.Errorf("defect %s base: %v", d.Name, err)
+		}
+		inj, err := param.ApplyDeltas(d.Base, []param.Delta{d.Delta})
+		if err == nil {
+			err = inj.Validate()
+		}
+		if err != nil {
+			t.Errorf("defect %s injected: %v", d.Name, err)
+		}
+		if _, err := workload.Lookup(d.Workload); err != nil {
+			t.Errorf("defect %s: %v", d.Name, err)
+		}
+	}
+	want := []param.ErrorClass{param.Bug, param.Bug, param.Omission, param.LackOfDetail, param.LackOfDetail, param.LackOfDetail}
+	if !slices.Equal(classes, want) {
+		t.Errorf("defect classes %v, want %v", classes, want)
 	}
 }

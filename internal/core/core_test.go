@@ -171,7 +171,7 @@ func TestCalibratedSimulatorMatchesTable3(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pc := range []proto.Case{proto.LocalClean, proto.RemoteClean, proto.LocalDirtyRemote} {
-		simNS, err := core.SimDepLatency(tuned, pc)
+		simNS, err := cal.SimDepLatency(tuned, pc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,22 +222,4 @@ func TestTrendAnalyzerSpeedup(t *testing.T) {
 	}
 	te := core.CompareTrend(hwC, simC)
 	t.Logf("hw %v sim %v trend err max=%.2f", hwC.Speedup, simC.Speedup, te.MaxErr)
-}
-
-func TestDefectInjection(t *testing.T) {
-	base := core.SimOSMXS(1, true)
-	for _, d := range core.KnownDefects() {
-		if d.Name != "mxs-fast-issue" {
-			continue
-		}
-		imp, err := core.MeasureDefect(nil, d, base, core.Workload{Name: "fft", Make: smallFFT}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("%s: relative %.3f", d.Name, imp.Relative)
-		if imp.Relative > 1.001 {
-			t.Errorf("fast-issue bug should not slow the simulator down: %.3f", imp.Relative)
-		}
-	}
-	_ = machine.Config{}
 }

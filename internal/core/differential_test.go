@@ -16,21 +16,12 @@ import (
 // match. A simulator can be absolutely wrong yet still ordered right;
 // these tests pin both properties separately.
 
-// allDepCases is Table 3 in table order.
-var allDepCases = []proto.Case{
-	proto.LocalClean,
-	proto.LocalDirtyRemote,
-	proto.RemoteClean,
-	proto.RemoteDirtyHome,
-	proto.RemoteDirtyRemote,
-}
-
 // depLatencies measures all five cases on one simulator config.
-func depLatencies(t *testing.T, cfg machine.Config) map[proto.Case]float64 {
+func depLatencies(t *testing.T, cal *core.Calibrator, cfg machine.Config) map[proto.Case]float64 {
 	t.Helper()
-	out := make(map[proto.Case]float64, len(allDepCases))
-	for _, pc := range allDepCases {
-		ns, err := core.SimDepLatency(cfg, pc)
+	out := make(map[proto.Case]float64, len(core.DepCases))
+	for _, pc := range core.DepCases {
+		ns, err := cal.SimDepLatency(cfg, pc)
 		if err != nil {
 			t.Fatalf("%v: %v", pc, err)
 		}
@@ -58,8 +49,8 @@ func TestDifferentialDependentLoadBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simLat := depLatencies(t, tuned)
-	for _, pc := range allDepCases {
+	simLat := depLatencies(t, cal, tuned)
+	for _, pc := range core.DepCases {
 		rel := simLat[pc] / hwLat[pc]
 		t.Logf("%-20v hw %6.0f ns, tuned sim %6.0f ns (rel %.2f)", pc, hwLat[pc], simLat[pc], rel)
 		if rel < 0.75 || rel > 1.25 {
@@ -80,9 +71,9 @@ func TestDifferentialCaseRankOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simLat := depLatencies(t, core.SimOSMipsy(4, 150, true))
-	for i, a := range allDepCases {
-		for _, b := range allDepCases[i+1:] {
+	simLat := depLatencies(t, cal, core.SimOSMipsy(4, 150, true))
+	for i, a := range core.DepCases {
+		for _, b := range core.DepCases[i+1:] {
 			// Only pairs the hardware separates decisively.
 			if hwLat[a] >= hwLat[b]*0.85 && hwLat[b] >= hwLat[a]*0.85 {
 				continue
@@ -129,15 +120,15 @@ func TestDifferentialTLBTrendDirection(t *testing.T) {
 	}
 	tuned := c.Apply(cfg)
 
-	hwCyc, err := core.SimTLBCycles(ref.ConfigAt(1))
+	hwCyc, err := cal.SimTLBCycles(ref.ConfigAt(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	untunedCyc, err := core.SimTLBCycles(cfg)
+	untunedCyc, err := cal.SimTLBCycles(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tunedCyc, err := core.SimTLBCycles(tuned)
+	tunedCyc, err := cal.SimTLBCycles(tuned)
 	if err != nil {
 		t.Fatal(err)
 	}

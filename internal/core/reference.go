@@ -56,9 +56,9 @@ type Reference struct {
 	Repeats int
 
 	// Pool executes the repeat runs and every run of the Study,
-	// Calibrator and TrendAnalyzer built on this Reference, so one pool
-	// (with a store) lets every consumer reuse every run; nil selects a
-	// serial pool, preserving the strictly sequential behavior.
+	// Calibrator, TrendAnalyzer and Walk built on this Reference, so one
+	// pool (with a store) lets every consumer reuse every run.
+	// NewReference starts it serial: strictly sequential, no store.
 	Pool *runner.Pool
 
 	base machine.Config
@@ -67,15 +67,7 @@ type Reference struct {
 // NewReference returns the hardware standard sized at procs processors.
 // scaled selects the 1/16-scale cache geometry (see EXPERIMENTS.md).
 func NewReference(procs int, scaled bool) *Reference {
-	return &Reference{Repeats: 5, base: hw.Config(procs, scaled)}
-}
-
-// pool returns the configured pool or a serial fallback.
-func (r *Reference) pool() *runner.Pool {
-	if r.Pool != nil {
-		return r.Pool
-	}
-	return runner.Serial()
+	return &Reference{Repeats: 5, Pool: runner.Serial(), base: hw.Config(procs, scaled)}
 }
 
 // Procs returns the machine size.
@@ -116,7 +108,7 @@ func (r *Reference) Measure(prog emitter.Program) (Measurement, error) {
 
 // MeasureAt is Measure on a machine resized to procs processors.
 func (r *Reference) MeasureAt(prog emitter.Program, procs int) (Measurement, error) {
-	runs, err := r.pool().Run(context.Background(), r.measureJobs(prog, procs))
+	runs, err := r.Pool.Run(context.Background(), r.measureJobs(prog, procs))
 	if err != nil {
 		return Measurement{}, fmt.Errorf("reference: %w", err)
 	}

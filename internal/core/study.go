@@ -97,7 +97,7 @@ func (s *Study) Compare(workloads []Workload, procs int) (CompareResult, error) 
 			jobs = append(jobs, runner.Job{Config: cfg, Prog: prog})
 		}
 	}
-	results, err := s.Ref.pool().Run(context.Background(), jobs)
+	results, err := s.Ref.Pool.Run(context.Background(), jobs)
 	if err != nil {
 		return out, fmt.Errorf("study at %dp: %w", procs, err)
 	}

@@ -1,195 +1,84 @@
 package core
 
 import (
-	"fmt"
-
 	"flashsim/internal/hw"
 	"flashsim/internal/machine"
-	"flashsim/internal/runner"
+	"flashsim/internal/param"
 )
 
-// ErrorClass is the paper's taxonomy of simulator error sources
-// (§3.1.2): performance bugs, deliberate omission of large effects, and
-// lack of sufficient detail in modeled effects.
-type ErrorClass uint8
-
-const (
-	// Bug: an outright modeling defect ("subtle performance bugs can
-	// live in a production simulator for years").
-	Bug ErrorClass = iota
-	// Omission: a deliberately unmodeled effect (Solo's missing TLB
-	// and OS, Mipsy's unit instruction latencies).
-	Omission
-	// LackOfDetail: an effect that is modeled but not modeled
-	// correctly (the 25/35-cycle TLB refill, the missing
-	// secondary-cache interface occupancy, NUMA's missing occupancy).
-	LackOfDetail
-)
-
-// String names the class.
-func (c ErrorClass) String() string {
-	switch c {
-	case Bug:
-		return "bug"
-	case Omission:
-		return "omission"
-	case LackOfDetail:
-		return "lack-of-detail"
-	}
-	return fmt.Sprintf("class(%d)", uint8(c))
-}
-
-// Defect is one historical simulator error, injectable into a
-// configuration so its performance impact can be quantified.
+// Defect is one historical simulator error as data: the registry change
+// that puts it into a defect-free configuration, and the workload that
+// makes it visible. Measuring it is a one-step Reference.Walk.
 type Defect struct {
 	Name        string
-	Class       ErrorClass
 	Description string
-	// Inject returns cfg with the defect present.
-	Inject func(cfg machine.Config) machine.Config
-	// Baseline returns the defect-free configuration the defect is
-	// measured against (full fidelity for the knob in question).
-	Baseline func(procs int, scaled bool) machine.Config
-	// WorkloadHint names the workload class that makes the defect
-	// visible: "fft", "lu", "radix", "cachemgmt".
-	WorkloadHint string
+	// Base is the defect-free 1-processor configuration (full fidelity
+	// for the knob in question).
+	Base machine.Config
+	// Delta is the defect: good value -> bad value. Its Class is the
+	// defect's place in the paper's taxonomy (§3.1.2).
+	Delta param.Delta
+	// Workload is the workload registry name that exposes the defect.
+	Workload string
 }
 
-// fullFidelityMXS is the reference-grade out-of-order configuration
-// defects are injected into (the hardware model minus jitter).
-func fullFidelityMXS(procs int, scaled bool) machine.Config {
-	cfg := hw.Config(procs, scaled)
-	cfg.JitterPct = 0
-	cfg.Name = "MXS full-fidelity"
-	return cfg
-}
-
-// KnownDefects returns the paper's documented simulator errors, each
-// paired with the defect-free baseline and a workload class that makes
-// it visible.
+// KnownDefects returns the paper's documented simulator errors.
 func KnownDefects() []Defect {
+	// The reference-grade out-of-order configuration: the hardware
+	// model minus jitter.
+	mxs := hw.Config(1, true)
+	mxs.JitterPct = 0
+	mxs.Name = "MXS full-fidelity"
+	mipsy := SimOSMipsy(1, 225, true)
+	mipsy.ModelInstrLatency = true
+	mipsy.OS.TLBHandlerCycles = hw.TrueTLBHandlerCycles
 	return []Defect{
 		{
-			Name:  "mxs-fast-issue",
-			Class: Bug,
+			Name: "mxs-fast-issue",
 			Description: "MXS moved an instruction through the pipeline too quickly " +
 				"when all of its resources were available at issue (found by the " +
 				"Rivet pipeline visualizer)",
-			Baseline:     fullFidelityMXS,
-			WorkloadHint: "lu",
-			Inject: func(cfg machine.Config) machine.Config {
-				cfg.MXS.BugFastIssue = true
-				cfg.Name += " +fast-issue-bug"
-				return cfg
-			},
+			Base: mxs, Workload: "lu",
+			Delta: param.Delta{Path: "mxs.bug_fast_issue", Before: false, After: true},
 		},
 		{
-			Name:  "mxs-cacheop-stall",
-			Class: Bug,
+			Name: "mxs-cacheop-stall",
 			Description: "the MIPS CACHE instruction on a dirty line never signaled " +
 				"completion; the processor stalled ~1M cycles until a timer " +
 				"interrupt retried it (unnoticed for months)",
-			Baseline:     fullFidelityMXS,
-			WorkloadHint: "cachemgmt",
-			Inject: func(cfg machine.Config) machine.Config {
-				cfg.MXS.BugCacheOpStall = true
-				cfg.Name += " +cacheop-bug"
-				return cfg
-			},
+			Base: mxs, Workload: "cachemgmt",
+			Delta: param.Delta{Path: "mxs.bug_cache_op_stall", Before: false, After: true},
 		},
 		{
-			Name:  "mipsy-unit-latency",
-			Class: Omission,
+			Name: "mipsy-unit-latency",
 			Description: "Mipsy executes every instruction in one cycle; integer " +
 				"multiply (5 cycles) and divide (19 cycles) are under-charged, " +
 				"under-predicting Radix-Sort and Ocean",
-			Baseline: func(procs int, scaled bool) machine.Config {
-				cfg := SimOSMipsy(procs, 225, scaled)
-				cfg.ModelInstrLatency = true
-				cfg.OS.TLBHandlerCycles = 65
-				return cfg
-			},
-			WorkloadHint: "radix",
-			Inject: func(cfg machine.Config) machine.Config {
-				cfg.ModelInstrLatency = false
-				return cfg
-			},
+			Base: mipsy, Workload: "radix",
+			Delta: param.Delta{Path: "cpu.model_instr_latency", Before: true, After: false},
 		},
 		{
-			Name:  "tlb-cost-25",
-			Class: LackOfDetail,
+			Name: "tlb-cost-25",
 			Description: "the TLB is modeled but its refill is charged 25 cycles " +
 				"instead of the hardware's 65 (exception overhead, serial " +
 				"dependences, pipeline-flushing coprocessor instructions)",
-			Baseline:     fullFidelityMXS,
-			WorkloadHint: "radix",
-			Inject: func(cfg machine.Config) machine.Config {
-				if cfg.OS.TLBHandlerCycles > 0 {
-					cfg.OS.TLBHandlerCycles = UntunedMipsyTLBCycles
-				}
-				return cfg
-			},
+			Base: mxs, Workload: "radix",
+			Delta: param.Delta{Path: "os.tlb.handler_cycles", Before: uint64(hw.TrueTLBHandlerCycles), After: uint64(UntunedMipsyTLBCycles)},
 		},
 		{
-			Name:  "no-l2-interface-occupancy",
-			Class: LackOfDetail,
+			Name: "no-l2-interface-occupancy",
 			Description: "back-to-back load latency mispredicted because the " +
 				"occupancy of the R10000's external cache interface was not modeled",
-			Baseline:     fullFidelityMXS,
-			WorkloadHint: "fft",
-			Inject: func(cfg machine.Config) machine.Config {
-				cfg.ModelL2InterfaceOccupancy = false
-				return cfg
-			},
+			Base: mxs, Workload: "fft",
+			Delta: param.Delta{Path: "l2.model_interface_occupancy", Before: true, After: false},
 		},
 		{
-			Name:  "no-address-interlocks",
-			Class: LackOfDetail,
+			Name: "no-address-interlocks",
 			Description: "generic out-of-order models omit R10000 address " +
 				"interlocks, which can cost 20-30% (Ofelt); MXS runs that much " +
 				"faster than the hardware",
-			Baseline:     fullFidelityMXS,
-			WorkloadHint: "lu",
-			Inject: func(cfg machine.Config) machine.Config {
-				cfg.MXS.ModelAddressInterlocks = false
-				return cfg
-			},
+			Base: mxs, Workload: "lu",
+			Delta: param.Delta{Path: "mxs.model_address_interlocks", Before: true, After: false},
 		},
 	}
-}
-
-// DefectImpact measures a defect's effect: the workload's execution time
-// with the defect injected relative to the baseline configuration.
-type DefectImpact struct {
-	Defect   Defect
-	Workload string
-	Baseline machine.Result
-	Injected machine.Result
-	// Relative is injected/baseline exec time; < 1 means the defect
-	// makes the simulator optimistic.
-	Relative float64
-}
-
-// MeasureDefect quantifies one defect on one workload at procs; both
-// runs go through pool (nil = serial), so they count and memoize like
-// every other run of a study.
-func MeasureDefect(pool *runner.Pool, d Defect, base machine.Config, w Workload, procs int) (DefectImpact, error) {
-	base.Procs = procs
-	baseRes, err := runOne(pool, base, w.Make(procs))
-	if err != nil {
-		return DefectImpact{}, fmt.Errorf("baseline %s: %w", w.Name, err)
-	}
-	inj := d.Inject(base)
-	inj.Procs = procs
-	injRes, err := runOne(pool, inj, w.Make(procs))
-	if err != nil {
-		return DefectImpact{}, fmt.Errorf("injected %s on %s: %w", d.Name, w.Name, err)
-	}
-	return DefectImpact{
-		Defect:   d,
-		Workload: w.Name,
-		Baseline: baseRes,
-		Injected: injRes,
-		Relative: float64(injRes.Exec) / float64(baseRes.Exec),
-	}, nil
 }

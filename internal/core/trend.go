@@ -53,7 +53,7 @@ func (t *TrendAnalyzer) HardwareSpeedup(w Workload, procs []int) (Curve, error) 
 		offs[i] = len(jobs)
 		jobs = append(jobs, t.Ref.measureJobs(w.Make(p), p)...)
 	}
-	results, err := t.Ref.pool().Run(context.Background(), jobs)
+	results, err := t.Ref.Pool.Run(context.Background(), jobs)
 	if err != nil {
 		return c, fmt.Errorf("hardware %s sweep: %w", w.Name, err)
 	}
@@ -83,7 +83,7 @@ func (t *TrendAnalyzer) SimSpeedup(cfg machine.Config, w Workload, procs []int) 
 		cp.Procs = p
 		jobs[i] = runner.Job{Config: cp, Prog: w.Make(p)}
 	}
-	results, err := t.Ref.pool().Run(context.Background(), jobs)
+	results, err := t.Ref.Pool.Run(context.Background(), jobs)
 	if err != nil {
 		return c, fmt.Errorf("%s %s sweep: %w", cfg.Name, w.Name, err)
 	}

@@ -6,8 +6,8 @@ import (
 
 	"flashsim/internal/core"
 	"flashsim/internal/machine"
+	"flashsim/internal/param"
 	"flashsim/internal/proto"
-	"flashsim/internal/snbench"
 	"flashsim/internal/workload"
 )
 
@@ -39,6 +39,7 @@ var Experiments = []Experiment{
 	{"blocking", "application TLB-blocking fixes measured on hardware", row((*Session).ExperimentBlockingFixes)},
 	{"muldiv", "multiply/divide latency correction", row((*Session).ExperimentMulDiv)},
 	{"defects", "historical simulator defects, injected and measured", textRow((*Session).ExperimentDefects)},
+	{"decompose", "the simulator-hardware gap by registry path and error class", row((*Session).ExperimentDecompose)},
 	{"trace", "trace-driven error across the CPU-detail ladder at 4p", row(func(s *Session) (TraceReplayData, string, error) { return s.ExperimentTraceReplay(4) })},
 	{"sampling", "sampled-simulation error at 2p and 4p", row(func(s *Session) (SamplingData, string, error) { return s.ExperimentSampling(2, 4) })},
 	{"tuning", "each study simulator's calibration as a registry diff", textRow(func(s *Session) (string, error) { return s.TuningDiffs(1) })},
@@ -127,13 +128,6 @@ func Table2(s Scale) string {
 	return b.String()
 }
 
-// DepLoadCases are the five protocol read cases of Table 3, in the
-// paper's row order.
-var DepLoadCases = []proto.Case{
-	proto.LocalClean, proto.LocalDirtyRemote, proto.RemoteClean,
-	proto.RemoteDirtyHome, proto.RemoteDirtyRemote,
-}
-
 // DepLoads is the dependent-load comparison every calibration report
 // shows (Table 3, `flashsim tune`, `flashsim snbench`): ns per load on
 // the hardware and on each simulator, per protocol case.
@@ -153,7 +147,7 @@ func MeasureDepLoads(cal *core.Calibrator, cfgs ...machine.Config) (DepLoads, er
 	for i := range d.Sims {
 		d.Sims[i] = make(map[proto.Case]float64)
 	}
-	for _, pc := range DepLoadCases {
+	for _, pc := range core.DepCases {
 		for i, cfg := range cfgs {
 			if d.Sims[i][pc], err = cal.SimDepLatency(cfg, pc); err != nil {
 				return d, err
@@ -169,7 +163,7 @@ func MeasureDepLoads(cal *core.Calibrator, cfgs ...machine.Config) (DepLoads, er
 // a header row that already names the columns they are left out.
 func (d DepLoads) Rows(w int, hwLabel string, simLabels ...string) string {
 	var b strings.Builder
-	for _, pc := range DepLoadCases {
+	for _, pc := range core.DepCases {
 		fmt.Fprintf(&b, "  %-22s %s%*.0f", pc, hwLabel, w, d.HW[pc])
 		for i, sim := range d.Sims {
 			label := ""
@@ -208,7 +202,7 @@ func (s *Session) Table3() (Table3Data, string, error) {
 	if err != nil {
 		return d, "", err
 	}
-	d = Table3Data{Cases: DepLoadCases, HW: dl.HW, Tuned: dl.Sims[0], Untuned: dl.Sims[1]}
+	d = Table3Data{Cases: core.DepCases, HW: dl.HW, Tuned: dl.Sims[0], Untuned: dl.Sims[1]}
 	text := "Table 3: dependent load latencies (ns; parenthesized = relative to hardware)\n" +
 		fmt.Sprintf("  %-22s %10s %18s %18s\n", "Protocol Case", "HW", "Tuned FL", "Untuned FL") +
 		dl.Rows(10, "")
@@ -348,11 +342,10 @@ type TLBCostData struct {
 func (s *Session) ExperimentTLBCost() (TLBCostData, string, error) {
 	var d TLBCostData
 	cal := core.NewCalibrator(s.Ref)
-	hwMeas, err := s.Ref.MeasureAt(snbench.TLBTimer(0, 0, 0), 1)
-	if err != nil {
+	var err error
+	if d.HWCycles, err = cal.HWTLBCycles(); err != nil {
 		return d, "", err
 	}
-	d.HWCycles = snbench.TLBHandlerCycles(hwMeas.Runs[0], s.Ref.ConfigAt(1).ClockMHz, 0, 0, 0)
 	mipsy, err := s.override(core.SimOSMipsy(1, 150, true))
 	if err != nil {
 		return d, "", err
@@ -443,18 +436,12 @@ func (s *Session) ExperimentMulDiv() (MulDivData, string, error) {
 	if err != nil {
 		return d, "", err
 	}
-	tuned := cal.Apply(base)
-	res, err := s.runOne(tuned, w.Make(1))
+	exec, err := s.Ref.Walk(cal.Apply(base), []param.Delta{{Path: "cpu.model_instr_latency", Before: false, After: true}}, w)
 	if err != nil {
 		return d, "", err
 	}
-	d.RelWithout = float64(res.Exec) / float64(hwMeas.Mean)
-	tuned.ModelInstrLatency = true
-	res2, err := s.runOne(tuned, w.Make(1))
-	if err != nil {
-		return d, "", err
-	}
-	d.RelWith = float64(res2.Exec) / float64(hwMeas.Mean)
+	d.RelWithout = float64(exec[0]) / float64(hwMeas.Mean)
+	d.RelWith = float64(exec[1]) / float64(hwMeas.Mean)
 	text := fmt.Sprintf("Instruction-latency correction (Radix on SimOS-Mipsy 225MHz, tuned):\n"+
 		"  unit latencies:          rel. time %.2f (paper 0.71)\n"+
 		"  + 5-cycle mul, 19-cycle div: rel. time %.2f (paper 1.02)\n",
@@ -462,36 +449,28 @@ func (s *Session) ExperimentMulDiv() (MulDivData, string, error) {
 	return d, text, nil
 }
 
-// defectWorkload maps a defect's workload hint to a concrete workload:
-// hints are registry names, resolved at the session's scale with the
-// registered defaults; hints naming no registered workload fall back
-// to FFT.
-func (s *Session) defectWorkload(hint string) core.Workload {
-	if _, err := workload.Lookup(hint); err != nil {
-		hint = "fft"
-	}
-	return s.Scale.Workload(hint, nil)
-}
-
 // ExperimentDefects quantifies the historical simulator errors: each
-// defect is injected into its full-fidelity baseline and measured on a
-// workload that exposes it. Relative < 1 means the defect makes the
+// defect's delta is applied to its defect-free base and both ends run on
+// the workload that exposes it. Relative < 1 means the defect makes the
 // simulator optimistic.
 func (s *Session) ExperimentDefects() (string, error) {
 	var b strings.Builder
 	b.WriteString("Defect injection (execution time relative to defect-free simulator):\n")
 	for _, d := range core.KnownDefects() {
-		w := s.defectWorkload(d.WorkloadHint)
-		base, err := s.override(d.Baseline(1, true))
+		if _, err := workload.Lookup(d.Workload); err != nil {
+			return "", fmt.Errorf("defect %s: %w", d.Name, err)
+		}
+		w := s.Scale.Workload(d.Workload, nil)
+		base, err := s.override(d.Base)
 		if err != nil {
 			return "", err
 		}
-		imp, err := core.MeasureDefect(s.pool, d, base, w, 1)
+		exec, err := s.Ref.Walk(base, []param.Delta{d.Delta}, w)
 		if err != nil {
-			return "", err
+			return "", fmt.Errorf("defect %s: %w", d.Name, err)
 		}
 		fmt.Fprintf(&b, "  %-26s [%-14s] on %-14s rel %.3f — %s\n",
-			d.Name, d.Class, w.Name, imp.Relative, d.Description)
+			d.Name, d.Delta.Class(), w.Name, float64(exec[1])/float64(exec[0]), d.Description)
 	}
 	return b.String(), nil
 }

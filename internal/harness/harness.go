@@ -3,12 +3,14 @@
 // title, function) for every table and figure (Tables 1–3, Figures
 // 1–7), the in-text experiments (TLB-miss cost, application blocking
 // fixes, the multiply/divide latency correction, defect injection) and
-// this reproduction's own studies (trace replay, sampling, tuning
-// diffs, the server-class workload sweep). `flashsim validate` iterates
-// the table; each row runs on a Session and returns structured data
-// plus a text rendering that mirrors the paper's presentation. Rows
-// that differ only in their inputs share a body: Figures 1–4 are
-// compare, Figures 5–7 are trend, the sampling rows of `sampling` and
+// this reproduction's own studies (the computed taxonomy, trace replay,
+// sampling, tuning diffs, the server-class workload sweep). `flashsim
+// validate` iterates the table; each row runs on a Session and returns
+// structured data plus a text rendering that mirrors the paper's
+// presentation. Rows that differ only in their inputs share a body:
+// Figures 1–4 are compare, Figures 5–7 are trend, `muldiv`, `defects`
+// and `decompose` are core.Reference.Walk (one step, one step per
+// defect, all of param.Diff), the sampling rows of `sampling` and
 // `worksweep` are samplingRows.
 package harness
 
@@ -110,35 +112,34 @@ type Session struct {
 	SweepNames []string
 	SweepSizes []int
 
-	pool *runner.Pool
 	cals map[string]core.Calibration
 }
 
 // NewSession builds a session with a 16-processor hardware reference at
 // the scaled cache geometry, executing runs serially.
-func NewSession(scale Scale) *Session { return NewSessionWithPool(scale, nil) }
+func NewSession(scale Scale) *Session { return NewSessionWithPool(scale, runner.Serial()) }
 
 // NewSessionWithPool is NewSession with every experiment's runs routed
-// through pool (nil = serial). The pool is wired into the reference, so
-// the Study, Calibrator, and TrendAnalyzer instances the figures build
-// against it inherit it too; a pool with a store memoizes runs across
-// figures (figure 3 reuses the reference runs figure 2 paid for).
+// through pool. The pool lives in the reference, so the Study,
+// Calibrator, TrendAnalyzer and Walk the rows build against it use it
+// too; a pool with a store memoizes runs across figures (figure 3 reuses
+// the reference runs figure 2 paid for).
 func NewSessionWithPool(scale Scale, pool *runner.Pool) *Session {
 	ref := core.NewReference(16, true)
 	ref.Pool = pool
 	if scale == ScaleQuick {
 		ref.Repeats = 2
 	}
-	return &Session{Ref: ref, Scale: scale, pool: pool, cals: make(map[string]core.Calibration)}
+	return &Session{Ref: ref, Scale: scale, cals: make(map[string]core.Calibration)}
 }
 
-// Pool returns the session's pool (nil when running serially).
-func (s *Session) Pool() *runner.Pool { return s.pool }
+// Pool returns the pool every run of the session goes through.
+func (s *Session) Pool() *runner.Pool { return s.Ref.Pool }
 
 // runOne executes a single machine run through the session's pool so it
-// participates in memoization; with no pool it is exactly machine.Run.
+// participates in memoization.
 func (s *Session) runOne(cfg machine.Config, prog emitter.Program) (machine.Result, error) {
-	return runner.RunOne(s.pool, runner.Job{Config: cfg, Prog: prog})
+	return runner.RunOne(s.Ref.Pool, runner.Job{Config: cfg, Prog: prog})
 }
 
 // Calibrate returns the (cached) calibration for cfg.

@@ -2,6 +2,8 @@ package harness_test
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -36,6 +38,9 @@ var shapes = map[string]func(t *testing.T, data any, text string){
 	"figure1": func(t *testing.T, d any, text string) { checkFigure1(t, d.(core.CompareResult), text) },
 	"tlb":     func(t *testing.T, d any, text string) { checkTLBCost(t, d.(harness.TLBCostData), text) },
 	"trace":   func(t *testing.T, d any, text string) { checkTraceReplay(t, d.(harness.TraceReplayData), 4, text) },
+	"decompose": func(t *testing.T, d any, text string) {
+		checkDecompose(t, d.([]harness.Decomposition), text)
+	},
 	"sampling": func(t *testing.T, d any, text string) {
 		checkSampling(t, d.(harness.SamplingData), []int{2, 4}, text)
 	},
@@ -82,6 +87,65 @@ func TestExperimentsTable(t *testing.T) {
 	if _, err := harness.Find("figure1", "figure8"); err == nil || !strings.Contains(err.Error(), "worksweep") {
 		t.Errorf("Find of an unknown name: %v; want an error listing the table", err)
 	}
+}
+
+// checkDecompose: every walk of the row telescopes in ticks, in both
+// orders, and the paper's findings come out of the loop as ranks that
+// hold whichever way the registry is crossed.
+func checkDecompose(t *testing.T, bars []harness.Decomposition, text string) {
+	if len(bars) != 12 || !strings.Contains(text, "lack-of-detail") {
+		t.Fatalf("%d bars, want 3 simulators x 4 workloads; text:\n%s", len(bars), text)
+	}
+	for _, d := range bars {
+		n := len(d.Steps)
+		if len(d.Forward) != n+1 || len(d.Reverse) != n+1 || d.Forward[0] != d.Reverse[0] || d.Forward[n] != d.Reverse[n] {
+			t.Fatalf("%s x %s: walks %v and %v over %d paths do not share their ends", d.Config, d.Workload, d.Forward, d.Reverse, n)
+		}
+		var fwd, rev int64
+		for i := 0; i < n; i++ {
+			fwd += int64(d.Forward[i+1]) - int64(d.Forward[i])
+			rev += int64(d.Reverse[i+1]) - int64(d.Reverse[i])
+		}
+		if gap := int64(d.Forward[n]) - int64(d.Forward[0]); fwd != gap || rev != gap {
+			t.Errorf("%s x %s: steps sum to %d / %d ticks, the gap is %d", d.Config, d.Workload, fwd, rev, gap)
+		}
+	}
+	bar := func(config, workload string) harness.Decomposition {
+		i := slices.IndexFunc(bars, func(d harness.Decomposition) bool { return d.Config == config && d.Workload == workload })
+		if i < 0 {
+			t.Fatalf("no bar %s x %s", config, workload)
+		}
+		return bars[i]
+	}
+	share := func(d harness.Decomposition, path string) (fwd, rev float64) {
+		i := slices.IndexFunc(d.Steps, func(st param.Delta) bool { return st.Path == path })
+		if i < 0 {
+			t.Fatalf("%s x %s: no step %s", d.Config, d.Workload, path)
+		}
+		return d.Share(i)
+	}
+	within := func(d harness.Decomposition, path string, lo, hi float64) {
+		if fwd, rev := share(d, path); fwd < lo || fwd > hi || rev < lo || rev > hi {
+			t.Errorf("%s x %s: %s carries %+.2f / %+.2f of the gap, want [%v, %v] in both orders", d.Config, d.Workload, path, fwd, rev, lo, hi)
+		}
+	}
+	inf := math.Inf(1)
+	// Page colouring: Solo's allocator is what Ocean sees, more than any
+	// other path.
+	ocean := bar("Solo-Mipsy 225MHz", "Ocean")
+	osF, osR := share(ocean, "os.kind")
+	for i, st := range ocean.Steps {
+		if fwd, rev := ocean.Share(i); st.Path != "os.kind" && (fwd >= osF || rev >= osR) {
+			t.Errorf("Solo x Ocean: %s carries %+.2f / %+.2f, os.kind %+.2f / %+.2f", st.Path, fwd, rev, osF, osR)
+		}
+	}
+	within(bar("SimOS-MXS 150MHz", "LU"), "mxs.model_address_interlocks", 0.95, inf)
+	// The best bar of Figure 1 is two errors cancelling ...
+	within(bar("SimOS-Mipsy 225MHz", "LU"), "cpu.clock_mhz", 1, inf)
+	within(bar("SimOS-Mipsy 225MHz", "LU"), "cpu.kind", -inf, -0.3)
+	// ... and the worst is the same two adding up.
+	within(bar("SimOS-Mipsy 225MHz", "Radix(r=256)"), "cpu.clock_mhz", 0, inf)
+	within(bar("SimOS-Mipsy 225MHz", "Radix(r=256)"), "cpu.kind", 0, inf)
 }
 
 func TestTable1Renders(t *testing.T) {

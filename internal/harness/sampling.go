@@ -6,6 +6,7 @@ import (
 
 	"flashsim/internal/core"
 	"flashsim/internal/machine"
+	"flashsim/internal/param"
 )
 
 // SamplingRow is one (workload, machine size) cell of the sampled-
@@ -115,7 +116,7 @@ func (s *Session) samplingRows(apps []core.Workload, sizes []int) (SamplingData,
 			row := SamplingRow{
 				Workload: w.Name,
 				Procs:    procs,
-				Class:    core.Omission.String(),
+				Class:    string(param.Omission),
 				Relative: float64(samp.Exec) / float64(full.Exec),
 				Windows:  samp.Sampling.Windows,
 			}

@@ -8,6 +8,7 @@ import (
 
 	"flashsim/internal/core"
 	"flashsim/internal/machine"
+	"flashsim/internal/param"
 	"flashsim/internal/runner"
 	"flashsim/internal/trace"
 )
@@ -21,7 +22,7 @@ type TraceReplayRow struct {
 	Rung     string
 	// Class is the taxonomy class of the rung's trace-driven error:
 	// "exact" at the capture rung (classic Mipsy, where replay timing
-	// rules coincide with the core's), core.Omission at the detailed
+	// rules coincide with the core's), param.Omission at the detailed
 	// rungs (the replay deliberately omits the core detail).
 	Class string
 	// Relative is replay ExecTicks / execution-driven ExecTicks.
@@ -108,7 +109,7 @@ func (s *Session) ExperimentTraceReplay(procs int) (TraceReplayData, string, err
 			d.Rows = append(d.Rows, TraceReplayRow{
 				Workload:  w.Name,
 				Rung:      rung.name,
-				Class:     core.Omission.String(),
+				Class:     string(param.Omission),
 				Relative:  float64(repRes.Exec) / float64(execRes.Exec),
 				Identical: repRes.Exec == execRes.Exec,
 			})

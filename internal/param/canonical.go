@@ -142,6 +142,12 @@ func (d Delta) String() string {
 	return fmt.Sprintf("%-30s %s -> %s%s", d.Path, renderValue(d.Before), renderValue(d.After), unit)
 }
 
+// Class is the error class of the path the delta changes.
+func (d Delta) Class() ErrorClass {
+	p, _ := Lookup(d.Path)
+	return p.Class
+}
+
 // renderValue formats a delta endpoint for humans: floats at a sensible
 // precision (they come out of fitting loops with full float64 noise),
 // everything else via %v.

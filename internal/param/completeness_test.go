@@ -3,6 +3,7 @@ package param_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"flashsim/internal/machine"
@@ -96,7 +97,7 @@ func TestEveryConfigFieldIsRegisteredOrExcluded(t *testing.T) {
 
 // TestDeficiencyTableKnobsResolve pins the DESIGN.md §3 deficiency
 // table to registry paths: every knob the paper's error taxonomy names
-// must resolve by dotted path.
+// must resolve by dotted path and carry its class.
 func TestDeficiencyTableKnobsResolve(t *testing.T) {
 	knobs := []string{
 		"cpu.model_instr_latency",      // Mipsy: no instruction latencies
@@ -116,12 +117,47 @@ func TestDeficiencyTableKnobsResolve(t *testing.T) {
 	}
 	cfg := machine.Base(4, true)
 	for _, path := range knobs {
-		if _, ok := param.Lookup(path); !ok {
+		p, ok := param.Lookup(path)
+		if !ok {
 			t.Errorf("deficiency-table knob %s is not registered", path)
 			continue
+		}
+		if p.Class == "" {
+			t.Errorf("deficiency-table knob %s has no error class", path)
 		}
 		if _, err := param.Get(&cfg, path); err != nil {
 			t.Errorf("Get(%s): %v", path, err)
 		}
+	}
+}
+
+// TestErrorClassStrings: the classes print as the experiment rows, the
+// docs and CI's greps spell them.
+func TestErrorClassStrings(t *testing.T) {
+	for class, want := range map[param.ErrorClass]string{
+		param.Bug: "bug", param.Omission: "omission", param.LackOfDetail: "lack-of-detail",
+	} {
+		if string(class) != want {
+			t.Errorf("class %q, want %q", class, want)
+		}
+	}
+}
+
+// TestClassColumnIsForFidelityPaths: what describes the machine or the
+// run, not a modeling choice, carries no class.
+func TestClassColumnIsForFidelityPaths(t *testing.T) {
+	classed := 0
+	for _, p := range param.All() {
+		if p.Class != "" {
+			classed++
+		}
+		for _, prefix := range []string{"procs", "quantum", "seed", "jitter_pct", "sampling.", "l1d.", "l2.size", "l2.line", "l2.ways"} {
+			if strings.HasPrefix(p.Path, prefix) && p.Class != "" {
+				t.Errorf("%s is classed %s", p.Path, p.Class)
+			}
+		}
+	}
+	if classed < 20 {
+		t.Errorf("only %d classed paths", classed)
 	}
 }

@@ -61,6 +61,26 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
+// ErrorClass is the paper's taxonomy of simulator error sources
+// (§3.1.2), the Class column of the registry: what kind of error a wrong
+// value of the parameter is. Parameters that describe the machine or the
+// run rather than a modeling choice (geometry, procs, seed, sampling)
+// carry none.
+type ErrorClass string
+
+const (
+	// Bug: an outright modeling defect ("subtle performance bugs can
+	// live in a production simulator for years").
+	Bug ErrorClass = "bug"
+	// Omission: a deliberately unmodeled effect (Solo's missing TLB
+	// and OS, Mipsy's unit instruction latencies).
+	Omission ErrorClass = "omission"
+	// LackOfDetail: an effect that is modeled but not modeled
+	// correctly (the 25/35-cycle TLB refill, the missing
+	// secondary-cache interface occupancy, NUMA's missing occupancy).
+	LackOfDetail ErrorClass = "lack-of-detail"
+)
+
 // Param describes one registered tunable.
 type Param struct {
 	// Path is the dotted registry path ("os.tlb.handler_cycles").
@@ -84,6 +104,9 @@ type Param struct {
 	// Default is the parameter's value in the registry's reference
 	// configuration (machine.Base(4, true) with the SimOS OS model).
 	Default any
+	// Class is the kind of simulator error a wrong value is ("" for
+	// parameters that are not fidelity choices).
+	Class ErrorClass
 
 	get func(*machine.Config) any
 	set func(*machine.Config, any)

@@ -300,6 +300,23 @@ func init() {
 		func(c *machine.Config) *bool { return &c.MXS.BugCacheOpStall })
 	u32Param("mxs.cache_op_stall_cycles", "MXS.CacheOpStallCycles", "cycles", "stall length of the CACHE-op bug",
 		0, 1e8, func(c *machine.Config) *uint32 { return &c.MXS.CacheOpStallCycles })
+
+	// The Class column: every path that separates a study simulator
+	// from the hardware model, or that a historical defect flips.
+	for class, paths := range map[ErrorClass][]string{
+		Bug: {"mxs.bug_fast_issue", "mxs.bug_cache_op_stall", "mxs.cache_op_stall_cycles"},
+		Omission: {"cpu.kind", "cpu.model_instr_latency", "os.kind", "os.tlb.entries",
+			"os.page_fault_cycles", "os.syscall_cycles"},
+		LackOfDetail: {"cpu.clock_mhz", "os.tlb.handler_cycles", "mem.kind",
+			"l2.model_interface_occupancy", "l2.transfer_ns",
+			"mxs.model_address_interlocks", "mxs.interlock_cycles", "mxs.interlock_max_dist",
+			"flash.bus_request_ns", "flash.bus_reply_ns", "flash.router_ns",
+			"flash.inbox_ns", "flash.outbox_ns", "flash.intervention_ns"},
+	} {
+		for _, path := range paths {
+			byPath[path].Class = class
+		}
+	}
 }
 
 // magicField names the Go field path of one MAGIC occupancy slot.

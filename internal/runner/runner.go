@@ -160,12 +160,9 @@ func New(workers int, store Backend) *Pool {
 // consumer that is not handed an explicit pool.
 func Serial() *Pool { return New(1, nil) }
 
-// RunOne executes a single job through p (nil = Serial), so the run
-// memoizes and counts like any batch of one.
+// RunOne executes a single job through p, so the run memoizes and
+// counts like any batch of one.
 func RunOne(p *Pool, job Job) (machine.Result, error) {
-	if p == nil {
-		p = Serial()
-	}
 	results, err := p.Run(context.Background(), []Job{job})
 	if err != nil {
 		return machine.Result{}, err
