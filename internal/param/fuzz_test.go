@@ -28,6 +28,7 @@ func FuzzApplyDeltas(f *testing.F) {
 	f.Add("flash.bus_request_ns", []byte("null"))
 	f.Add("machine.procs", []byte("3.5"))
 	f.Add("machine.procs", []byte(`{"nested":"object"}`))
+	f.Add("l2.transfer_ns", []byte("NaN")) // not JSON: arrives as the text "NaN"
 	f.Fuzz(func(t *testing.T, path string, raw []byte) {
 		var v any
 		if err := json.Unmarshal(raw, &v); err != nil {
