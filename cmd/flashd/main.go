@@ -11,9 +11,7 @@
 //
 // Endpoints (see internal/serve):
 //
-//	POST   /v1/runs              submit a run ({base, set, workload}); ?wait=true blocks for the result
-//	POST   /v1/calibrations      submit a closing-the-loop calibration
-//	POST   /v1/figures           submit a paper figure (1-7)
+//	POST   /v1/runs              submit a run ({base, mhz, procs, seed, shards, set} + workload); ?wait=true blocks for the result
 //	POST   /v1/captures          run execution-driven, recording the streams (-trace-dir)
 //	POST   /v1/replays           replay a stored capture trace-driven by fingerprint
 //	GET    /v1/jobs              list jobs; /v1/jobs/{id} one status
@@ -22,6 +20,9 @@
 //	GET    /metrics              Prometheus exposition
 //	GET    /v1/params            the tunable-parameter registry
 //	GET    /healthz              liveness ("ok" or "draining")
+//
+// Calibrations and the paper's figures are not served; they are
+// `flashsim tune` and `flashsim validate figureN`.
 //
 // A submission that could never run (malformed, unknown parameter or
 // workload, a config machine.Config.Validate rejects, procs over 1024)

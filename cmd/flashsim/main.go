@@ -6,7 +6,6 @@
 //	flashsim run -app fft -procs 4                 # one workload on one machine (default: the hardware reference)
 //	flashsim run -app ocean -sim solo-mipsy -mhz 225 -set os.tlb.handler_cycles=65
 //	flashsim run -app gups -p hot_pct=50 -procs 32 -shards 4
-//	flashsim run -app fft -trace-out fft.fltr      # capture; -trace-in fft.fltr replays
 //	flashsim run -list-workloads                   # registry: names, parameters
 //
 //	flashsim validate -quick figure1 tlb           # rows of the experiment table (no names: list it)

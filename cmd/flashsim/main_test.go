@@ -104,12 +104,18 @@ func TestUsageErrors(t *testing.T) {
 		{"snbench -sim hw", []string{"-sim hw"}},
 		{"run -app nosuch", []string{"nosuch", "fft"}},
 		{"worksweep -workloads nosuch", []string{"nosuch", "gups"}},
-		// A container describes one run: only `run` takes the trace flags.
+		// Capture and replay are `trace capture -o` and `trace replay`; no
+		// other subcommand takes a container.
+		{"run -trace-out x.fltr", []string{"flag provided but not defined: -trace-out"}},
+		{"run -trace-in x.fltr", []string{"flag provided but not defined: -trace-in"}},
 		{"validate -trace-out x.fltr figure1", []string{"flag provided but not defined: -trace-out"}},
 		{"worksweep -trace-out x.fltr", []string{"flag provided but not defined: -trace-out"}},
 		{"tune -trace-in x.fltr", []string{"flag provided but not defined: -trace-in"}},
 		{"validate -figure 1", []string{"flag provided but not defined: -figure"}},
 		{"run -set no.such.knob=1", []string{"no.such.knob"}},
+		// NaN passes every comparison against a bound; it is refused by name.
+		{"run -set l2.transfer_ns=NaN", []string{"l2.transfer_ns", "NaN"}},
+		{"run -app fft -p logn=NaN", []string{"workload fft: parameter logn", "NaN"}},
 	} {
 		stdout, stderr, status := flashsim(strings.Fields(tc.args)...)
 		if status != 2 {

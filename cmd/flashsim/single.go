@@ -15,23 +15,16 @@ import (
 )
 
 // runCmd is `flashsim run`: one workload on one machine, executed
-// through the pool, captured (-trace-out) or replayed (-trace-in). A
-// container describes one run, so this is the only subcommand with the
-// trace flags.
+// through the pool.
 func runCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 	procs := fs.Int("procs", 1, "processor count")
 	sf := addSimFlags(fs, "hw", true)
 	mem := fs.String("mem", "flashlite", "memory system: flashlite, numa")
 	check := fs.Bool("check-coherence", false, "verify directory protocol invariants after every operation")
-	traceOut := fs.String("trace-out", "", "capture the run's instruction streams into this trace container (execution-driven run, bypasses the memo store)")
-	traceIn := fs.String("trace-in", "", "replay a previously captured trace container instead of executing the workload (trace-driven run)")
 	wf := cliutil.RegisterWorkloadOn(fs)
 	return func(e *env) error {
 		if err := wf.Finish(); err != nil {
 			return usageError{err}
-		}
-		if *traceOut != "" && *traceIn != "" {
-			return usagef("-trace-out and -trace-in are mutually exclusive (capture or replay, not both)")
 		}
 		cfg, err := sf.config(cf, *procs)
 		if err != nil {
@@ -47,28 +40,11 @@ func runCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 		}
 
 		t0 := time.Now()
-		var res machine.Result
-		var mode string
-		switch {
-		case *traceOut != "":
-			// Not through the pool: a memoized result emits no
-			// instructions and can never fill a trace.
-			res, err = cliutil.CaptureRun(*traceOut, cfg, prog, nil)
-			mode = fmt.Sprintf("[captured trace: %s]\n", *traceOut)
-		case *traceIn != "":
-			var img *machine.ReplayImage
-			if img, err = cliutil.LoadReplay(*traceIn); err == nil {
-				res, err = runner.RunOne(e.pool, runner.Job{Config: cfg, Replay: img})
-				mode = fmt.Sprintf("[trace-driven: replayed %s (%d instructions)]\n", img.Workload(), img.Instructions())
-			}
-		default:
-			res, err = runner.RunOne(e.pool, runner.Job{Config: cfg, Prog: prog})
-		}
+		res, err := runner.RunOne(e.pool, runner.Job{Config: cfg, Prog: prog})
 		if err != nil {
 			return err
 		}
 		wall := time.Since(t0)
-		fmt.Fprint(e.out, mode)
 		if e.pool.Stats().CacheHits > 0 {
 			fmt.Fprintf(e.out, "[memoized: result served from %s]\n", e.store.Dir())
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -53,22 +52,10 @@ func captureCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 			if err != nil {
 				return err
 			}
-			fp := runner.TraceFingerprint(cfg, prog)
 			t0 := time.Now()
-			var res machine.Result
-			stored := false
-			if !ts.Has(fp) {
-				stored, err = ts.Save(fp, func(wr io.Writer) error {
-					tw, err := trace.NewWriter(wr, runner.TraceMeta(cfg, prog, source))
-					if err != nil {
-						return err
-					}
-					res, err = machine.RunCapture(cfg, prog, tw)
-					return err
-				})
-				if err != nil {
-					return err
-				}
+			res, fp, stored, err := ts.Capture(cfg, prog, source)
+			if err != nil {
+				return err
 			}
 			if !stored {
 				fmt.Fprintf(e.out, "already captured: %s\n", ts.Path(fp))

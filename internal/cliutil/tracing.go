@@ -20,13 +20,13 @@ import (
 func CaptureRun(path string, cfg machine.Config, prog emitter.Program, source json.RawMessage) (machine.Result, error) {
 	fh, err := os.Create(path)
 	if err != nil {
-		return machine.Result{}, fmt.Errorf("-trace-out: %w", err)
+		return machine.Result{}, err
 	}
 	tw, err := trace.NewWriter(fh, runner.TraceMeta(cfg, prog, source))
 	if err != nil {
 		fh.Close()
 		os.Remove(path)
-		return machine.Result{}, fmt.Errorf("-trace-out: %w", err)
+		return machine.Result{}, fmt.Errorf("%s: %w", path, err)
 	}
 	res, err := machine.RunCapture(cfg, prog, tw)
 	if err != nil {
@@ -36,7 +36,7 @@ func CaptureRun(path string, cfg machine.Config, prog emitter.Program, source js
 	}
 	if err := fh.Close(); err != nil {
 		os.Remove(path)
-		return machine.Result{}, fmt.Errorf("-trace-out: %w", err)
+		return machine.Result{}, err
 	}
 	return res, nil
 }
@@ -45,11 +45,11 @@ func CaptureRun(path string, cfg machine.Config, prog emitter.Program, source js
 func LoadReplay(path string) (*machine.ReplayImage, error) {
 	tr, err := trace.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("-trace-in: %w", err)
+		return nil, err
 	}
 	img, err := machine.PrepareReplay(tr)
 	if err != nil {
-		return nil, fmt.Errorf("-trace-in: %s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return img, nil
 }

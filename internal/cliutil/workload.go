@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"flashsim/internal/emitter"
+	"flashsim/internal/param"
 	"flashsim/internal/workload"
 )
 
@@ -58,9 +59,13 @@ func (w *WorkloadFlags) Resolve() (*workload.Definition, workload.Values, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	raw, err := workload.ParseAssignments(w.params)
-	if err != nil {
-		return nil, nil, err
+	raw := make(map[string]any, len(w.params))
+	for _, kv := range w.params {
+		s, err := param.ParseSetting(kv)
+		if err != nil {
+			return nil, nil, fmt.Errorf("-p %s: want key=value", kv)
+		}
+		raw[s.Path] = s.Value
 	}
 	vals, err := def.Resolve(raw, !w.Full)
 	if err != nil {

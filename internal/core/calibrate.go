@@ -87,15 +87,18 @@ func (c Calibration) RenderDiff() string { return param.RenderDeltas(c.Deltas) }
 // parameters until the measurements agree.
 type Calibrator struct {
 	Ref *Reference
-	// MaxRounds bounds each fitting loop (default 6).
-	MaxRounds int
-	// TolNS is the dependent-load convergence tolerance (default 20ns).
-	TolNS float64
 }
+
+// Each fitting loop runs at most maxRounds times; the dependent-load
+// loop stops once every case is within tolNS of the hardware.
+const (
+	maxRounds = 6
+	tolNS     = 20
+)
 
 // NewCalibrator returns a calibrator against ref.
 func NewCalibrator(ref *Reference) *Calibrator {
-	return &Calibrator{Ref: ref, MaxRounds: 6, TolNS: 20}
+	return &Calibrator{Ref: ref}
 }
 
 // probe executes a single simulator run through the reference's pool.
@@ -199,10 +202,6 @@ func (c *Calibrator) SimDepLatency(cfg machine.Config, pc proto.Case) (float64, 
 // original and the fitted configuration, so every adjusted knob —
 // present and future — flows through the same generic path.
 func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
-	maxRounds := c.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 6
-	}
 	var cal Calibration
 	// work is the evolving tuned configuration; cfg stays untouched so
 	// the final registry diff is exactly the calibration.
@@ -309,7 +308,7 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 			dLC := hwLat[proto.LocalClean] - simLC
 			dRC := hwLat[proto.RemoteClean] - simRC
 			dLDR := hwLat[proto.LocalDirtyRemote] - simLDR
-			if math.Abs(dLC) < c.TolNS && math.Abs(dRC) < c.TolNS && math.Abs(dLDR) < c.TolNS {
+			if math.Abs(dLC) < tolNS && math.Abs(dRC) < tolNS && math.Abs(dLDR) < tolNS {
 				break
 			}
 			// Local clean is bus + controller + memory: split the

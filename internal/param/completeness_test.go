@@ -2,6 +2,7 @@ package param_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -159,5 +160,35 @@ func TestClassColumnIsForFidelityPaths(t *testing.T) {
 	}
 	if classed < 20 {
 		t.Errorf("only %d classed paths", classed)
+	}
+}
+
+// TestNoPathAcceptsNaN: NaN compares false against every bound, and a
+// NaN that reached a Config would panic in Canonical on the way to the
+// fingerprint. No path takes it, as text or as a value, and a refusal
+// leaves the config as it was.
+func TestNoPathAcceptsNaN(t *testing.T) {
+	floats := 0
+	for _, p := range param.All() {
+		if p.Kind == param.Float {
+			floats++
+		}
+		cfg := machine.Base(4, true)
+		for _, text := range []string{"NaN", "nan", "+Inf", "-Inf"} {
+			if err := param.SetString(&cfg, p.Path, text); err == nil || !strings.Contains(err.Error(), p.Path) {
+				t.Errorf("%s=%s: err %v, want a refusal naming the path", p.Path, text, err)
+			}
+		}
+		for _, v := range []any{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if err := param.SetValue(&cfg, p.Path, v); err == nil {
+				t.Errorf("%s: value %v accepted", p.Path, v)
+			}
+		}
+		if d := param.Diff(machine.Base(4, true), cfg); len(d) != 0 {
+			t.Errorf("%s: a refused value changed the config: %v", p.Path, d)
+		}
+	}
+	if floats < 10 {
+		t.Errorf("the walk met only %d float paths", floats)
 	}
 }

@@ -17,6 +17,7 @@
 package param
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -28,7 +29,7 @@ import (
 
 // Kind is a parameter's value type. Canonical Go representations are
 // bool (Bool), int64 (Int), uint64 (Uint), float64 (Float), and string
-// (Enum); Get returns them and Set/SetValue coerce onto them.
+// (Enum); Get returns them and Coerce converts onto them.
 type Kind uint8
 
 const (
@@ -119,96 +120,84 @@ type Param struct {
 // Get reads the parameter from cfg.
 func (p Param) Get(cfg *machine.Config) any { return p.get(cfg) }
 
-// Set writes a pre-coerced value into cfg; use SetValue or SetString
-// for arbitrary input.
-func (p Param) Set(cfg *machine.Config, v any) error {
-	cv, err := p.coerce(v)
-	if err != nil {
-		return err
-	}
-	p.set(cfg, cv)
-	return nil
-}
-
-// coerce converts v to the parameter's canonical representation,
-// checking bounds and enum membership. JSON numbers (float64) are
-// accepted for integer kinds when integral.
-func (p Param) coerce(v any) (any, error) {
-	fail := func() (any, error) {
-		return nil, fmt.Errorf("param %s: cannot use %v (%T) as %s", p.Path, v, v, p.Kind)
-	}
-	switch p.Kind {
+// Coerce converts a raw value to the canonical representation of kind
+// k, checking the inclusive bounds of a numeric kind and the membership
+// of an Enum. It is the one conversion under this registry and the
+// workload registry, so one rule decides what raw may be in both: a
+// string is the text form (a -set or -p value, a string in a JSON
+// document) and is parsed; anything else must be the native or
+// JSON-decoded form — a bool for Bool, a Go integer, float64 or
+// json.Number for the numeric kinds (integral for Int and Uint), nothing
+// for Enum. NaN is refused everywhere: it would pass any comparison
+// against the bounds. The error is unprefixed; each registry names its
+// own parameter.
+func Coerce(k Kind, min, max float64, values []string, raw any) (any, error) {
+	text, isText := raw.(string)
+	var f float64
+	switch k {
 	case Bool:
-		b, ok := v.(bool)
-		if !ok {
-			return fail()
+		if b, ok := raw.(bool); ok {
+			return b, nil
 		}
-		return b, nil
+		if isText {
+			b, err := strconv.ParseBool(text)
+			if err != nil {
+				return nil, fmt.Errorf("%q is not a bool", text)
+			}
+			return b, nil
+		}
 	case Enum:
-		s, ok := v.(string)
-		if !ok {
-			return fail()
+		if isText {
+			if !slices.Contains(values, text) {
+				return nil, fmt.Errorf("%q is not one of %s", text, strings.Join(values, "|"))
+			}
+			return text, nil
 		}
-		for _, allowed := range p.Values {
-			if s == allowed {
-				return s, nil
+	default:
+		// Numeric kinds go through float64, which the bounds are.
+		switch n := raw.(type) {
+		case int:
+			f = float64(n)
+		case int64:
+			f = float64(n)
+		case uint32:
+			f = float64(n)
+		case uint64:
+			f = float64(n)
+		case float64:
+			f = n
+		case json.Number:
+			text, isText = string(n), true
+		default:
+			if !isText {
+				return nil, cannotUse(raw, k)
 			}
 		}
-		return nil, fmt.Errorf("param %s: %q is not one of %s", p.Path, s, strings.Join(p.Values, "|"))
-	}
-	// Numeric kinds: normalize through float64 (bounds are float64),
-	// rejecting non-integral values for Int/Uint.
-	var f float64
-	switch n := v.(type) {
-	case int:
-		f = float64(n)
-	case int64:
-		f = float64(n)
-	case uint32:
-		f = float64(n)
-	case uint64:
-		f = float64(n)
-	case float64:
-		f = n
-	default:
-		return fail()
-	}
-	if f < p.Min || f > p.Max {
-		return nil, fmt.Errorf("param %s: %v out of range [%v, %v]", p.Path, f, p.Min, p.Max)
-	}
-	switch p.Kind {
-	case Int, Uint:
-		if f != math.Trunc(f) {
-			return nil, fmt.Errorf("param %s: %v is not an integer", p.Path, f)
+		if isText {
+			var err error
+			if f, err = strconv.ParseFloat(text, 64); err != nil {
+				return nil, fmt.Errorf("%q is not a number", text)
+			}
 		}
-		if p.Kind == Int {
+		if math.IsNaN(f) || f < min || f > max {
+			return nil, fmt.Errorf("%v out of range [%v, %v]", f, min, max)
+		}
+		if k == Float {
+			return f, nil
+		}
+		if f != math.Trunc(f) {
+			return nil, fmt.Errorf("%v is not an integer", f)
+		}
+		if k == Int {
 			return int64(f), nil
 		}
 		return uint64(f), nil
-	default:
-		return f, nil
 	}
+	return nil, cannotUse(raw, k)
 }
 
-// ParseValue parses raw into the parameter's canonical representation
-// without applying it.
-func (p Param) ParseValue(raw string) (any, error) {
-	switch p.Kind {
-	case Bool:
-		b, err := strconv.ParseBool(raw)
-		if err != nil {
-			return nil, fmt.Errorf("param %s: %q is not a bool", p.Path, raw)
-		}
-		return b, nil
-	case Enum:
-		return p.coerce(raw)
-	default:
-		f, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return nil, fmt.Errorf("param %s: %q is not a number", p.Path, raw)
-		}
-		return p.coerce(f)
-	}
+func cannotUse(raw any, k Kind) error {
+	return fmt.Errorf("cannot use %v (%T) as %s", raw, raw, k)
 }
 
 // registry state; ordered is kept sorted by path. Registration happens
@@ -277,17 +266,18 @@ func SetValue(cfg *machine.Config, path string, v any) error {
 	if !ok {
 		return fmt.Errorf("param: unknown path %q", path)
 	}
-	return p.Set(cfg, v)
+	cv, err := Coerce(p.Kind, p.Min, p.Max, p.Values, v)
+	if err != nil {
+		return fmt.Errorf("param %s: %w", path, err)
+	}
+	p.set(cfg, cv)
+	return nil
 }
 
 // SetString parses raw and writes it into cfg by path — the engine of
 // the CLIs' -set path=value flag.
 func SetString(cfg *machine.Config, path, raw string) error {
-	p, ok := byPath[path]
-	if !ok {
-		return fmt.Errorf("param: unknown path %q", path)
-	}
-	v, err := p.ParseValue(raw)
+	p, v, err := Setting{path, raw}.parse()
 	if err != nil {
 		return err
 	}
@@ -311,14 +301,23 @@ func ParseSetting(s string) (Setting, error) {
 	return Setting{Path: path, Value: value}, nil
 }
 
+// parse finds the setting's parameter and converts its text.
+func (s Setting) parse() (*Param, any, error) {
+	p, ok := byPath[s.Path]
+	if !ok {
+		return nil, nil, fmt.Errorf("param: unknown path %q", s.Path)
+	}
+	v, err := Coerce(p.Kind, p.Min, p.Max, p.Values, s.Value)
+	if err != nil {
+		return nil, nil, fmt.Errorf("param %s: %w", s.Path, err)
+	}
+	return p, v, nil
+}
+
 // Validate checks the setting against the registry (path exists, value
 // parses, bounds hold) without touching any configuration.
 func (s Setting) Validate() error {
-	p, ok := byPath[s.Path]
-	if !ok {
-		return fmt.Errorf("param: unknown path %q", s.Path)
-	}
-	_, err := p.ParseValue(s.Value)
+	_, _, err := s.parse()
 	return err
 }
 

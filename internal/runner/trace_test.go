@@ -137,6 +137,32 @@ func TestTraceStoreFailedSaveLeavesNoEntry(t *testing.T) {
 	}
 }
 
+// TestTraceStoreCapture: a capture lands at the run's TraceFingerprint
+// with its source recorded, and a second capture of the same run
+// neither runs nor writes.
+func TestTraceStoreCapture(t *testing.T) {
+	ts, err := NewTraceStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, prog := machine.Base(2, true), fpProg(2)
+	res, fp, stored, err := ts.Capture(cfg, prog, []byte(`{"name":"fp-test"}`))
+	if err != nil || !stored || fp != TraceFingerprint(cfg, prog) || res.Instructions == 0 {
+		t.Fatalf("first capture: fp %s, stored %v, %d instructions, err %v", fp, stored, res.Instructions, err)
+	}
+	tr, err := ts.Load(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := tr.Meta(); m.Artifact != fp || string(m.Source) != `{"name":"fp-test"}` || tr.Instructions() != res.Instructions {
+		t.Errorf("container meta %+v, %d instructions; captured %d", m, tr.Instructions(), res.Instructions)
+	}
+	res, again, stored, err := ts.Capture(cfg, prog, nil)
+	if err != nil || stored || again != fp || res.Instructions != 0 {
+		t.Errorf("second capture: fp %s, stored %v, %d instructions, err %v", again, stored, res.Instructions, err)
+	}
+}
+
 // TestReplayJobsMemoizeUnderReplayKey runs one captured trace through
 // a pooled replay twice: the second run must be a cache hit, under a
 // key distinct from the execution-driven run's (both kinds coexist in

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"sync"
 
+	"flashsim/internal/emitter"
+	"flashsim/internal/machine"
 	"flashsim/internal/trace"
 )
 
@@ -85,6 +88,26 @@ func (s *TraceStore) Save(fp string, write func(w io.Writer) error) (bool, error
 		return false, err
 	}
 	return true, nil
+}
+
+// Capture runs prog under cfg execution-driven with its instruction
+// streams recorded into the container at TraceFingerprint(cfg, prog),
+// source in its metadata. A container already there is left alone:
+// nothing runs, res is zero and stored is false.
+func (s *TraceStore) Capture(cfg machine.Config, prog emitter.Program, source json.RawMessage) (res machine.Result, fp string, stored bool, err error) {
+	fp = TraceFingerprint(cfg, prog)
+	if s.Has(fp) {
+		return res, fp, false, nil
+	}
+	stored, err = s.Save(fp, func(w io.Writer) error {
+		tw, err := trace.NewWriter(w, TraceMeta(cfg, prog, source))
+		if err != nil {
+			return err
+		}
+		res, err = machine.RunCapture(cfg, prog, tw)
+		return err
+	})
+	return res, fp, stored, err
 }
 
 // Load decodes the container stored under fp.

@@ -1,7 +1,7 @@
 // Package serve is the network front end of the stack: a
 // simulation-as-a-service daemon layer exposing the runner pool, the
-// memo store, the parameter registry, the calibrator, and the paper's
-// figure harness over HTTP. cmd/flashd is a thin main around it.
+// memo store, the parameter registry and the trace store over HTTP.
+// cmd/flashd is a thin main around it.
 //
 // The server behaves like an inference server, not a batch CLI:
 //
@@ -34,9 +34,7 @@ import (
 type JobKind string
 
 const (
-	KindRun         JobKind = "run"
-	KindCalibration JobKind = "calibration"
-	KindFigure      JobKind = "figure"
+	KindRun JobKind = "run"
 	// KindCapture runs a workload execution-driven while recording its
 	// instruction streams into the server's trace store; KindReplay runs
 	// a stored capture trace-driven under a chosen configuration. Both
@@ -146,11 +144,6 @@ type ConfigSpec struct {
 	Procs int `json:"procs,omitempty"`
 	// Seed overrides the configuration's jitter seed when nonzero.
 	Seed uint64 `json:"seed,omitempty"`
-	// Scaled selects the 1/16-of-paper cache geometry (default true).
-	Scaled *bool `json:"scaled,omitempty"`
-	// Sampling, when non-nil, enables sampled simulation with this
-	// schedule (the CLIs' -sample flag as a spec field).
-	Sampling *SamplingSpec `json:"sampling,omitempty"`
 	// Shards partitions the simulated nodes across this many host
 	// cores inside the run (the CLIs' -shards flag). An execution
 	// knob, not a model parameter: results are bit-identical at any
@@ -159,36 +152,6 @@ type ConfigSpec struct {
 	// Set is the parameter-override list, validated against the
 	// registry exactly like the CLIs' -set flags.
 	Set []param.Setting `json:"set,omitempty"`
-}
-
-// SamplingSpec is the job-spec form of a sampling schedule. Zero
-// counts inherit the default schedule, so {} requests default
-// sampling and partial specs override only what they name.
-type SamplingSpec struct {
-	PeriodInstrs uint64 `json:"period_instrs,omitempty"`
-	WindowInstrs uint64 `json:"window_instrs,omitempty"`
-	WarmupInstrs uint64 `json:"warmup_instrs,omitempty"`
-	PhaseInstrs  uint64 `json:"phase_instrs,omitempty"`
-	// ColdState leaves cache/TLB/directory state untouched during
-	// fast-forward (default: warm).
-	ColdState bool `json:"cold_state,omitempty"`
-}
-
-// schedule materializes the spec over the default schedule.
-func (s SamplingSpec) schedule() machine.SamplingConfig {
-	sc := machine.DefaultSampling()
-	if s.PeriodInstrs > 0 {
-		sc.Period = s.PeriodInstrs
-	}
-	if s.WindowInstrs > 0 {
-		sc.Window = s.WindowInstrs
-	}
-	if s.WarmupInstrs > 0 {
-		sc.Warmup = s.WarmupInstrs
-	}
-	sc.Phase = s.PhaseInstrs
-	sc.ColdState = s.ColdState
-	return sc
 }
 
 // maxProcs bounds the machine a spec may ask for: 8× the largest any
@@ -217,15 +180,12 @@ func (c ConfigSpec) Config() (machine.Config, error) {
 	case "flash":
 		c.Base = "hw"
 	}
-	cfg, err := core.ConfigByName(c.Base, c.Procs, c.MHz, c.Scaled == nil || *c.Scaled)
+	cfg, err := core.ConfigByName(c.Base, c.Procs, c.MHz, true)
 	if err != nil {
 		return machine.Config{}, err
 	}
 	if c.Seed != 0 {
 		cfg.Seed = c.Seed
-	}
-	if c.Sampling != nil {
-		cfg.Sampling = c.Sampling.schedule()
 	}
 	cfg.Shards = c.Shards
 	if cfg, err = param.ApplySettings(cfg, c.Set); err != nil {
@@ -248,41 +208,6 @@ type RunRequest struct {
 type RunResponse struct {
 	Job    JobStatus      `json:"job"`
 	Result machine.Result `json:"result"`
-}
-
-// CalibrationRequest submits a closing-the-loop calibration of the
-// specified simulator against the hardware reference.
-type CalibrationRequest struct {
-	ConfigSpec
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-// CalibrationResponse is the completed payload of a calibration job.
-type CalibrationResponse struct {
-	Job JobStatus `json:"job"`
-	// Deltas is the tuned-parameter diff by registry path; Report the
-	// per-adjustment fitting log; Diff its text rendering.
-	Deltas []param.Delta     `json:"deltas"`
-	Report []core.Adjustment `json:"report"`
-	Diff   string            `json:"diff"`
-}
-
-// FigureRequest submits one of the paper's figures (1-7).
-type FigureRequest struct {
-	Figure int `json:"figure"`
-	// Quick selects the reduced problem sizes.
-	Quick     bool  `json:"quick,omitempty"`
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-// FigureResponse is the completed payload of a figure job.
-type FigureResponse struct {
-	Job    JobStatus `json:"job"`
-	Figure int       `json:"figure"`
-	// Text is the harness's rendering; Data the structured result (a
-	// core.CompareResult for figures 1-4, []core.Curve for 5-7).
-	Text string `json:"text"`
-	Data any    `json:"data,omitempty"`
 }
 
 // CaptureRequest submits an execution-driven run of a workload that
@@ -326,7 +251,7 @@ type ReplayResponse struct {
 	Workload string         `json:"workload"`
 }
 
-// response is a finished job's payload: one of the five *Response
+// response is a finished job's payload: one of the three *Response
 // structs, which share nothing but the status they are sent under.
 // withJob returns the payload carrying st — a copy, since one record's
 // payload answers every submission that joined it, each under its own
@@ -335,11 +260,9 @@ type response interface {
 	withJob(st JobStatus) response
 }
 
-func (r RunResponse) withJob(st JobStatus) response         { r.Job = st; return r }
-func (r CalibrationResponse) withJob(st JobStatus) response { r.Job = st; return r }
-func (r FigureResponse) withJob(st JobStatus) response      { r.Job = st; return r }
-func (r CaptureResponse) withJob(st JobStatus) response     { r.Job = st; return r }
-func (r ReplayResponse) withJob(st JobStatus) response      { r.Job = st; return r }
+func (r RunResponse) withJob(st JobStatus) response     { r.Job = st; return r }
+func (r CaptureResponse) withJob(st JobStatus) response { r.Job = st; return r }
+func (r ReplayResponse) withJob(st JobStatus) response  { r.Job = st; return r }
 
 // ErrorResponse is the JSON body of every non-2xx response.
 type ErrorResponse struct {

@@ -13,7 +13,7 @@ import (
 type jobRecord struct {
 	id string
 	// fp is the dedup key: runner.Fingerprint for runs, a kind-prefixed
-	// derivation for calibrations and figures.
+	// derivation for captures and replays.
 	fp string
 
 	// ctx governs the job through queue wait and execution; cancel is

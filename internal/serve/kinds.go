@@ -5,14 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
-	"flashsim/internal/core"
-	"flashsim/internal/harness"
-	"flashsim/internal/machine"
 	"flashsim/internal/runner"
-	"flashsim/internal/trace"
 )
 
 // job is one submission on its way through the server: the request its
@@ -45,8 +40,6 @@ type kind struct {
 // response in api.go, and its job type below.
 var kinds = []kind{
 	{KindRun, "/v1/runs", func() (job, any) { j := new(runJob); return j, &j.RunRequest }},
-	{KindCalibration, "/v1/calibrations", func() (job, any) { j := new(calibrationJob); return j, &j.CalibrationRequest }},
-	{KindFigure, "/v1/figures", func() (job, any) { j := new(figureJob); return j, &j.FigureRequest }},
 	{KindCapture, "/v1/captures", func() (job, any) { j := new(captureJob); return j, &j.CaptureRequest }},
 	{KindReplay, "/v1/replays", func() (job, any) { j := new(replayJob); return j, &j.ReplayRequest }},
 }
@@ -63,14 +56,6 @@ func simulation(c ConfigSpec, w WorkloadSpec) (runner.Job, error) {
 		return runner.Job{}, fmt.Errorf("workload: %w", err)
 	}
 	return runner.Job{Config: cfg, Prog: prog}, nil
-}
-
-// configFingerprint keys non-run jobs: a kind prefix over the config's
-// canonical parameter snapshot — the same schema-versioned encoding
-// runner.Fingerprint hashes, so dedup stays exactly as sound as the
-// memo store's key.
-func configFingerprint(kind JobKind, cfg machine.Config) string {
-	return string(kind) + ":" + runner.ConfigFingerprint(cfg)
 }
 
 // errNoTraceStore refuses capture and replay submissions on a server
@@ -103,79 +88,11 @@ func (j *runJob) run(ctx context.Context, s *Server) (response, bool, error) {
 	return RunResponse{Result: out.Result}, out.Cached, nil
 }
 
-// calibrationJob closes the loop for one simulator configuration.
-type calibrationJob struct {
-	CalibrationRequest
-	cfg machine.Config
-}
-
-func (j *calibrationJob) timeout() int64 { return j.TimeoutMS }
-
-func (j *calibrationJob) prepare(*Server) (string, int, error) {
-	// Calibration probes run at 4 processors like `flashsim tune`; the spec's
-	// procs field is accepted but irrelevant, so it is pinned to keep
-	// the dedup key canonical.
-	j.Procs = 4
-	cfg, err := j.Config()
-	if err != nil {
-		return "", http.StatusBadRequest, fmt.Errorf("config: %w", err)
-	}
-	j.cfg = cfg
-	return configFingerprint(KindCalibration, cfg), 0, nil
-}
-
-func (j *calibrationJob) run(_ context.Context, s *Server) (response, bool, error) {
-	ref := core.NewReference(4, true)
-	ref.Pool = s.pool
-	cal, err := core.NewCalibrator(ref).Calibrate(j.cfg)
-	if err != nil {
-		return nil, false, err
-	}
-	return CalibrationResponse{Deltas: cal.Deltas, Report: cal.Report, Diff: cal.RenderDiff()}, false, nil
-}
-
-// figureJob is one paper figure, run through a scale-shared session.
-type figureJob struct{ FigureRequest }
-
-func (j *figureJob) timeout() int64 { return j.TimeoutMS }
-
-func (j *figureJob) prepare(*Server) (string, int, error) {
-	if j.Figure < 1 || j.Figure > 7 {
-		return "", http.StatusBadRequest, fmt.Errorf("figure %d out of range 1-7", j.Figure)
-	}
-	return fmt.Sprintf("figure:%d:quick=%v", j.Figure, j.Quick), 0, nil
-}
-
-func (j *figureJob) run(_ context.Context, s *Server) (response, bool, error) {
-	scale := harness.ScaleFull
-	if j.Quick {
-		scale = harness.ScaleQuick
-	}
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	sess, ok := s.sessions[scale]
-	if !ok {
-		sess = harness.NewSessionWithPool(scale, s.pool)
-		s.sessions[scale] = sess
-	}
-	exps, err := harness.Find(fmt.Sprintf("figure%d", j.Figure))
-	if err != nil {
-		return nil, false, fmt.Errorf("unknown figure %d (want 1-7)", j.Figure)
-	}
-	data, text, err := exps[0].Run(sess)
-	if err != nil {
-		return nil, false, err
-	}
-	return FigureResponse{Figure: j.Figure, Text: text, Data: data}, false, nil
-}
-
 // captureJob runs a workload execution-driven with a tap into the trace
-// store. It carries what admission resolved: the run and the
-// container's address.
+// store. It carries the run admission resolved.
 type captureJob struct {
 	CaptureRequest
-	job   runner.Job
-	trace string
+	job runner.Job
 }
 
 func (j *captureJob) timeout() int64 { return j.TimeoutMS }
@@ -188,35 +105,24 @@ func (j *captureJob) prepare(s *Server) (string, int, error) {
 	if err != nil {
 		return "", http.StatusBadRequest, err
 	}
-	j.job, j.trace = run, runner.TraceFingerprint(run.Config, run.Prog)
-	return "capture:" + j.trace, 0, nil
+	j.job = run
+	return "capture:" + runner.TraceFingerprint(run.Config, run.Prog), 0, nil
 }
 
 // run captures. When the container already exists the simulation still
 // runs (through the flight, so it memoizes and coalesces like any run)
 // but no second container is written — store once, replay many.
 func (j *captureJob) run(ctx context.Context, s *Server) (response, bool, error) {
-	cfg, prog, fp := j.job.Config, j.job.Prog, j.trace
-	if !s.traces.Has(fp) {
-		source, err := json.Marshal(j.Workload)
-		if err != nil {
-			return nil, false, err
-		}
-		var res machine.Result
-		stored, err := s.traces.Save(fp, func(w io.Writer) error {
-			tw, err := trace.NewWriter(w, runner.TraceMeta(cfg, prog, source))
-			if err != nil {
-				return err
-			}
-			res, err = machine.RunCapture(cfg, prog, tw)
-			return err
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		if stored {
-			return CaptureResponse{Result: res, Trace: fp, Stored: true}, false, nil
-		}
+	source, err := json.Marshal(j.Workload)
+	if err != nil {
+		return nil, false, err
+	}
+	res, fp, stored, err := s.traces.Capture(j.job.Config, j.job.Prog, source)
+	if err != nil {
+		return nil, false, err
+	}
+	if stored {
+		return CaptureResponse{Result: res, Trace: fp, Stored: true}, false, nil
 	}
 	// Already captured: serve the result like a plain run (memoized when
 	// the pool has a store) and point at the existing container.
@@ -248,9 +154,10 @@ func (j *replayJob) prepare(s *Server) (string, int, error) {
 		return "", http.StatusBadRequest, fmt.Errorf("config: %w", err)
 	}
 	// The dedup key covers the requested spec verbatim (procs 0 means
-	// "the trace's thread count"; run resolves it); the memo store
-	// underneath keys on the resolved runner.ReplayFingerprint.
-	return configFingerprint(KindReplay, cfg) + ":" + j.Trace, 0, nil
+	// "the trace's thread count"; run resolves it) through the canonical
+	// encoding runner.Fingerprint hashes; the memo store underneath keys
+	// on the resolved runner.ReplayFingerprint.
+	return "replay:" + runner.ConfigFingerprint(cfg) + ":" + j.Trace, 0, nil
 }
 
 // run loads (or reuses) the prepared image of the requested trace and

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -17,11 +19,9 @@ import (
 // the test plants (%s). TestEveryKind fails on a row of kinds that has
 // no body here, so a new kind is tested by being added.
 var kindBodies = map[JobKind]string{
-	KindRun:         `{"base":"simos-mipsy","workload":{"name":"snbench.restart","lines":8}}`,
-	KindCalibration: `{"base":"simos-mipsy"}`,
-	KindFigure:      `{"figure":5,"quick":true}`,
-	KindCapture:     `{"base":"simos-mipsy","workload":{"name":"snbench.restart","lines":8}}`,
-	KindReplay:      `{"base":"simos-mipsy","trace":"%s"}`,
+	KindRun:     `{"base":"simos-mipsy","workload":{"name":"snbench.restart","lines":8}}`,
+	KindCapture: `{"base":"simos-mipsy","workload":{"name":"snbench.restart","lines":8}}`,
+	KindReplay:  `{"base":"simos-mipsy","trace":"%s"}`,
 }
 
 // TestEveryKind ranges over the job table itself and requires of each
@@ -142,7 +142,7 @@ func TestUnrunnableSpecRefusedAtTheDoor(t *testing.T) {
 	for name, spec := range map[string]string{
 		"no processors":    `"procs":-1`,
 		"negative clock":   `"mhz":-5`,
-		"window > period":  `"sampling":{"period_instrs":10,"window_instrs":100}`,
+		"window > period":  `"set":[{"path":"sampling.enabled","value":"true"},{"path":"sampling.period_instrs","value":"10"},{"path":"sampling.window_instrs","value":"100"}]`,
 		"20000 processors": `"procs":20000`,
 		"one over":         fmt.Sprintf(`"procs":%d`, maxProcs+1),
 	} {
@@ -228,5 +228,36 @@ func TestJoinedSubmissionKeepsItsOwnDeadline(t *testing.T) {
 	}
 	if ran := s.Pool().Stats().Ran; ran != 1 {
 		t.Errorf("the pool ran %d simulations, want 1", ran)
+	}
+}
+
+// TestDocumentedRoutesExist: every /v1/<route> README.md or cmd/flashd's
+// package comment names is one the server registers — a kind's row or a
+// line of routes() — so the documents cannot advertise a door that was
+// taken out.
+func TestDocumentedRoutesExist(t *testing.T) {
+	s := New(Options{Pool: runner.Serial()})
+	defer s.Close()
+	route := regexp.MustCompile(`/v1/[a-z]+`)
+	for _, doc := range []string{"../../README.md", "../../cmd/flashd/main.go"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := route.FindAllString(string(text), -1)
+		if len(found) == 0 {
+			t.Errorf("%s names no /v1/ route: the walk is broken", doc)
+		}
+		for _, path := range found {
+			registered := false
+			for _, method := range []string{http.MethodGet, http.MethodPost, http.MethodDelete} {
+				req, _ := http.NewRequest(method, path, nil)
+				_, pattern := s.mux.Handler(req)
+				registered = registered || pattern != ""
+			}
+			if !registered {
+				t.Errorf("%s names %s, which the server does not register", doc, path)
+			}
+		}
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"testing"
 
 	"flashsim/internal/machine"
+	"flashsim/internal/param"
 )
 
-// TestConfigSpecSampling pins the spec → schedule materialization:
-// nil means unsampled, {} means the default schedule, and partial
-// specs override only the named counts.
+// TestConfigSpecSampling: a schedule reaches a spec's configuration the
+// way every other parameter does, as sampling.* settings — the form the
+// CLIs' -sample flag takes too. No setting means unsampled, and an
+// enabled schedule with no period is refused like any unrunnable spec.
 func TestConfigSpecSampling(t *testing.T) {
 	base := ConfigSpec{Base: "simos-mipsy", Procs: 2}
 	cfg, err := base.Config()
@@ -21,25 +23,22 @@ func TestConfigSpecSampling(t *testing.T) {
 		t.Error("spec without sampling enabled a schedule")
 	}
 
-	base.Sampling = &SamplingSpec{}
-	cfg, err = base.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Sampling != machine.DefaultSampling() {
-		t.Errorf("empty sampling spec = %+v, want the default schedule", cfg.Sampling)
+	base.Set = []param.Setting{{Path: "sampling.enabled", Value: "true"}}
+	if _, err = base.Config(); err == nil {
+		t.Error("an enabled schedule with no period was accepted")
 	}
 
-	base.Sampling = &SamplingSpec{PeriodInstrs: 50000, ColdState: true}
+	base.Set = append(base.Set,
+		param.Setting{Path: "sampling.period_instrs", Value: "50000"},
+		param.Setting{Path: "sampling.window_instrs", Value: "2000"},
+		param.Setting{Path: "sampling.cold_state", Value: "true"})
 	cfg, err = base.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := machine.DefaultSampling()
-	want.Period = 50000
-	want.ColdState = true
+	want := machine.SamplingConfig{Enabled: true, Period: 50000, Window: 2000, ColdState: true}
 	if cfg.Sampling != want {
-		t.Errorf("partial sampling spec = %+v, want %+v", cfg.Sampling, want)
+		t.Errorf("schedule = %+v, want %+v", cfg.Sampling, want)
 	}
 }
 
@@ -51,7 +50,8 @@ func TestServerSampledRun(t *testing.T) {
 	close(gate)
 
 	sampledBody := []byte(`{"base":"simos-mipsy","procs":1,
-		"sampling":{"period_instrs":5000,"window_instrs":500,"warmup_instrs":100},
+		"set":[{"path":"sampling.enabled","value":"true"},{"path":"sampling.period_instrs","value":"5000"},
+			{"path":"sampling.window_instrs","value":"500"},{"path":"sampling.warmup_instrs","value":"100"}],
 		"workload":{"name":"snbench.restart","lines":64}}`)
 	resp, data := postJSON(t, ts.URL+"/v1/runs?wait=true", sampledBody)
 	if resp.StatusCode != http.StatusOK {

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"flashsim/internal/harness"
 	"flashsim/internal/machine"
 	"flashsim/internal/obs"
 	"flashsim/internal/runner"
@@ -25,8 +24,7 @@ type Options struct {
 	// Workers, so accepted work is at most QueueDepth+Workers jobs.
 	QueueDepth int
 	// Workers is how many jobs execute concurrently (default
-	// Pool.Workers()). Simulation parallelism inside a figure or
-	// calibration job still belongs to the pool.
+	// Pool.Workers()).
 	Workers int
 	// RetryAfter is the backpressure hint attached to 429 responses
 	// (default 1s).
@@ -77,12 +75,6 @@ type Server struct {
 	// nil in production.
 	execGate func(*jobRecord)
 
-	// sessMu serializes figure jobs: a harness.Session caches
-	// calibrations in a plain map and is not safe for concurrent use.
-	// The runs inside a figure still fan out across the pool.
-	sessMu   sync.Mutex
-	sessions map[harness.Scale]*harness.Session
-
 	// traces is the content-addressed container store backing capture
 	// and replay jobs (nil = endpoints disabled). images memoizes
 	// prepared replay images by trace fingerprint — decode once, replay
@@ -118,7 +110,6 @@ func New(opts Options) *Server {
 		queue:      make(chan *jobRecord, opts.QueueDepth),
 		jobs:       make(map[string]*jobRecord),
 		fpIndex:    make(map[string]*jobRecord),
-		sessions:   make(map[harness.Scale]*harness.Session),
 		traces:     opts.Traces,
 		images:     make(map[string]func() (*machine.ReplayImage, error)),
 	}

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -349,14 +351,46 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 			t.Errorf("%s: status %d, want 400; body %s", name, resp.StatusCode, data)
 		}
 	}
-	if resp, data := postJSON(t, ts.URL+"/v1/figures", []byte(`{"figure":12}`)); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("figure 12: status %d, want 400; body %s", resp.StatusCode, data)
-	}
 	if resp := getJSON(t, ts.URL+"/v1/jobs/j999999", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
 	}
 	if got := s.accepted.Load(); got != 0 {
 		t.Errorf("bad submissions consumed %d queue slots", got)
+	}
+}
+
+// TestNaNSettingIsRefusedNotPanicked: NaN passes every comparison
+// against a bound, and unrefused it reached param.Canonical, which
+// panics — the handler died and the client read an empty reply. On both
+// routes that take settings with a workload it is a 400 with a JSON
+// body naming the path, the next request is served, and the server's
+// log holds no panic.
+func TestNaNSettingIsRefusedNotPanicked(t *testing.T) {
+	traces, err := runner.NewTraceStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Pool: runner.New(2, nil), Traces: traces})
+	defer s.Close()
+	var serverLog bytes.Buffer
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ErrorLog = log.New(&serverLog, "", 0)
+	ts.Start()
+
+	for _, path := range []string{"/v1/runs", "/v1/captures"} {
+		resp, data := postJSON(t, ts.URL+path+"?wait=true",
+			[]byte(`{"base":"simos-mipsy","set":[{"path":"l2.transfer_ns","value":"NaN"}],"workload":{"name":"snbench.restart","lines":8}}`))
+		var e ErrorResponse
+		if err := json.Unmarshal(data, &e); err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "l2.transfer_ns") {
+			t.Errorf("NaN on %s: status %d, body %s, want 400 naming l2.transfer_ns", path, resp.StatusCode, data)
+		}
+	}
+	if resp, data := postJSON(t, ts.URL+"/v1/runs?wait=true", runBody(8)); resp.StatusCode != http.StatusOK {
+		t.Errorf("the request after the refusals: status %d, body %s", resp.StatusCode, data)
+	}
+	ts.Close()
+	if strings.Contains(serverLog.String(), "panic") {
+		t.Errorf("the server logged a panic:\n%s", serverLog.String())
 	}
 }
 

@@ -27,12 +27,6 @@ var wireKinds = []struct{ name, path, body, same string }{
 	{"run", "/v1/runs",
 		`{"base":"simos-mipsy","procs":2,"workload":{"name":"fft","logn":8}}`,
 		`{"base":"simos-mipsy","procs":2,"shards":2,"workload":{"logn":8,"name":"fft"}}`},
-	{"calibration", "/v1/calibrations",
-		`{"base":"simos-mipsy"}`,
-		`{"base":"simos-mipsy","procs":9}`},
-	{"figure", "/v1/figures",
-		`{"figure":5,"quick":true}`,
-		`{"quick":true,"figure":5}`},
 	{"capture", "/v1/captures",
 		`{"base":"simos-mipsy","procs":2,"workload":{"name":"lu","n":32}}`,
 		`{"base":"simos-mipsy","procs":2,"workload":{"name":"lu","n":32}}`},
@@ -55,22 +49,11 @@ var wireRejects = []struct{ path, body string }{
 	{"/v1/runs", `{"base":"vax","workload":{"name":"fft","logn":8}}`},
 	{"/v1/runs", `{"base":"simos-mipsy","set":[{"path":"no.such.knob","value":"1"}],"workload":{"name":"fft","logn":8}}`},
 	{"/v1/runs", `{"base":"simos-mipsy","set":[{"path":"cpu.clock_mhz","value":"fast"}],"workload":{"name":"fft","logn":8}}`},
+	{"/v1/runs", `{"base":"simos-mipsy","set":[{"path":"l2.transfer_ns","value":"NaN"}],"workload":{"name":"fft","logn":8}}`},
 	{"/v1/runs", `{"base":"simos-mipsy"}`},
 	{"/v1/runs", `{"base":"simos-mipsy","workload":{"name":"nope"}}`},
 	{"/v1/runs", `{"base":"simos-mipsy","workload":{"name":"fft","logn":"eight"}}`},
 	{"/v1/runs", `{"base":"simos-mipsy","workload":{"name":"snbench.dependent-loads","case":"nope","lines":8}}`},
-	{"/v1/calibrations", `{`},
-	{"/v1/calibrations", `[]`},
-	{"/v1/calibrations", `{"base":7}`},
-	{"/v1/calibrations", `{"base":"simos-mipsy","workload":{"name":"fft"}}`},
-	{"/v1/calibrations", `{}`},
-	{"/v1/calibrations", `{"base":"vax"}`},
-	{"/v1/figures", `{`},
-	{"/v1/figures", `[]`},
-	{"/v1/figures", `{"figure":"five"}`},
-	{"/v1/figures", `{"figure":5,"fast":true}`},
-	{"/v1/figures", `{}`},
-	{"/v1/figures", `{"figure":8}`},
 	{"/v1/captures", `{`},
 	{"/v1/captures", `[]`},
 	{"/v1/captures", `{"base":"simos-mipsy","timeout_ms":"soon","workload":{"name":"fft"}}`},
@@ -174,7 +157,7 @@ func (r *wireRig) terminal(n int) {
 }
 
 // TestWirePinned pins the daemon's wire contract kind by kind: for
-// each of the five job kinds the status line, Content-Type / Location /
+// each of the three job kinds the status line, Content-Type / Location /
 // Retry-After and body bytes of a queued 202, its coalesced twin, 409
 // before terminal, the finished /result, ?wait=true, DELETE then 504, a
 // lapsed timeout_ms, 429 and 503 — plus every validation refusal, a

@@ -33,11 +33,6 @@ var cpuKinds = []string{"mipsy", "mxs"}
 // through SetValue and Resolve; the float rows have no workload twin
 // (no workload parameter is a float). want is the typed value every
 // door must store, nil when every door must refuse.
-//
-// diverges names the doors that answer otherwise at this commit: the
-// two registries convert through two kernels, and these rows are where
-// they part. The test fails when a listed door starts agreeing, so the
-// markers leave with the fork.
 func TestOneVerdict(t *testing.T) {
 	const intPath, boolPath, enumPath, floatPath = "procs", "l2.model_interface_occupancy", "cpu.kind", "l2.transfer_ns"
 	twin := map[string]string{intPath: "n", boolPath: "on", enumPath: "pick"}
@@ -49,59 +44,58 @@ func TestOneVerdict(t *testing.T) {
 	}
 
 	for _, row := range []struct {
-		name     string
-		path     string
-		raw      any
-		want     any
-		diverges string
+		name string
+		path string
+		raw  any
+		want any
 	}{
 		// Integers, bounded [1, 1024].
-		{"int", intPath, 8, int64(8), ""},
-		{"int64", intPath, int64(8), int64(8), ""},
-		{"uint64", intPath, uint64(8), int64(8), ""},
-		{"JSON integral", intPath, float64(8), int64(8), ""},
-		{"JSON fractional", intPath, 8.5, nil, ""},
-		{"json.Number", intPath, json.Number("8"), int64(8), "SetValue"},
-		{"json.Number fractional", intPath, json.Number("8.5"), nil, ""},
-		{`text "8"`, intPath, "8", int64(8), "SetValue"},
-		{`text "1e1"`, intPath, "1e1", int64(10), "SetValue Resolve"},
-		{`text "8.5"`, intPath, "8.5", nil, ""},
-		{`text "eight"`, intPath, "eight", nil, ""},
-		{"empty text", intPath, "", nil, ""},
-		{"below range", intPath, 0, nil, ""},
-		{"above range", intPath, 1025, nil, ""},
-		{"text above range", intPath, "2000", nil, ""},
-		{"2^53+1", intPath, int64(1<<53 + 1), nil, ""},
-		{"uint64 2^53+1", intPath, uint64(1<<53 + 1), nil, ""},
-		{"uint64 max", intPath, uint64(math.MaxUint64), nil, ""},
-		{"NaN", intPath, math.NaN(), nil, ""},
-		{`text "NaN"`, intPath, "NaN", nil, ""},
-		{`text "Inf"`, intPath, "Inf", nil, ""},
-		{"bool for an int", intPath, true, nil, ""},
-		{"null for an int", intPath, nil, nil, ""},
+		{"int", intPath, 8, int64(8)},
+		{"int64", intPath, int64(8), int64(8)},
+		{"uint64", intPath, uint64(8), int64(8)},
+		{"JSON integral", intPath, float64(8), int64(8)},
+		{"JSON fractional", intPath, 8.5, nil},
+		{"json.Number", intPath, json.Number("8"), int64(8)},
+		{"json.Number fractional", intPath, json.Number("8.5"), nil},
+		{`text "8"`, intPath, "8", int64(8)},
+		{`text "1e1"`, intPath, "1e1", int64(10)},
+		{`text "8.5"`, intPath, "8.5", nil},
+		{`text "eight"`, intPath, "eight", nil},
+		{"empty text", intPath, "", nil},
+		{"below range", intPath, 0, nil},
+		{"above range", intPath, 1025, nil},
+		{"text above range", intPath, "2000", nil},
+		{"2^53+1", intPath, int64(1<<53 + 1), nil},
+		{"uint64 2^53+1", intPath, uint64(1<<53 + 1), nil},
+		{"uint64 max", intPath, uint64(math.MaxUint64), nil},
+		{"NaN", intPath, math.NaN(), nil},
+		{`text "NaN"`, intPath, "NaN", nil},
+		{`text "Inf"`, intPath, "Inf", nil},
+		{"bool for an int", intPath, true, nil},
+		{"null for an int", intPath, nil, nil},
 
 		// Booleans.
-		{"bool", boolPath, true, true, ""},
-		{`text "true"`, boolPath, "true", true, "SetValue"},
-		{`text "1"`, boolPath, "1", true, "SetValue"},
-		{`text "yes"`, boolPath, "yes", nil, ""},
-		{"int for a bool", boolPath, 1, nil, ""},
-		{"JSON number for a bool", boolPath, float64(1), nil, ""},
+		{"bool", boolPath, true, true},
+		{`text "true"`, boolPath, "true", true},
+		{`text "1"`, boolPath, "1", true},
+		{`text "yes"`, boolPath, "yes", nil},
+		{"int for a bool", boolPath, 1, nil},
+		{"JSON number for a bool", boolPath, float64(1), nil},
 
 		// Named choices.
-		{"enum", enumPath, "mxs", "mxs", ""},
-		{"enum miss", enumPath, "z80", nil, ""},
-		{"int for an enum", enumPath, 3, nil, ""},
+		{"enum", enumPath, "mxs", "mxs"},
+		{"enum miss", enumPath, "z80", nil},
+		{"int for an enum", enumPath, 3, nil},
 
 		// Floats, bounded [0, 1e6]; the machine registry only.
-		{"float", floatPath, 212.5, 212.5, ""},
-		{"int for a float", floatPath, 200, 200.0, ""},
-		{"text float", floatPath, "212.5", 212.5, "SetValue"},
-		{"float NaN", floatPath, math.NaN(), nil, "SetValue"},
-		{`float text "NaN"`, floatPath, "NaN", nil, "SetString"},
-		{`float text "+Inf"`, floatPath, "+Inf", nil, ""},
-		{`float text "-Inf"`, floatPath, "-Inf", nil, ""},
-		{"float above range", floatPath, 1e308, nil, ""},
+		{"float", floatPath, 212.5, 212.5},
+		{"int for a float", floatPath, 200, 200.0},
+		{"text float", floatPath, "212.5", 212.5},
+		{"float NaN", floatPath, math.NaN(), nil},
+		{`float text "NaN"`, floatPath, "NaN", nil},
+		{`float text "+Inf"`, floatPath, "+Inf", nil},
+		{`float text "-Inf"`, floatPath, "-Inf", nil},
+		{"float above range", floatPath, 1e308, nil},
 	} {
 		doors := map[string]func() (any, error){
 			"SetValue": func() (any, error) {
@@ -138,10 +132,8 @@ func TestOneVerdict(t *testing.T) {
 		}
 		for door, enter := range doors {
 			got, err := enter()
-			agrees := got == row.want && (err == nil) == (row.want != nil)
-			if known := strings.Contains(row.diverges, door); known == agrees {
-				t.Errorf("%s through %s: got %v (%T), err %v; want %v (%T), divergence expected here: %v",
-					row.name, door, got, got, err, row.want, row.want, known)
+			if got != row.want || (err == nil) != (row.want != nil) {
+				t.Errorf("%s through %s: got %v (%T), err %v; want %v (%T)", row.name, door, got, got, err, row.want, row.want)
 			}
 			if err != nil {
 				where := row.path
@@ -158,8 +150,8 @@ func TestOneVerdict(t *testing.T) {
 	// Bounds are declared to be enforced: a schema whose range is one
 	// value wide refuses the others, as the machine registry always has.
 	fixed := workload.Definition{Name: "fixed", Params: []workload.Param{{Name: "n", Kind: workload.Int, Default: 4, Min: 4, Max: 4}}}
-	if _, err := fixed.Resolve(map[string]any{"n": 7}, false); err != nil {
-		t.Errorf("diverges no longer: 7 in [4, 4] is refused (%v); drop this marker", err)
+	if _, err := fixed.Resolve(map[string]any{"n": 7}, false); err == nil {
+		t.Error("7 accepted for a parameter bounded [4, 4]")
 	}
 }
 

@@ -12,64 +12,53 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"flashsim/internal/core"
 	"flashsim/internal/emitter"
+	"flashsim/internal/param"
 )
 
-// Kind is a parameter's type.
-type Kind uint8
-
+// The kinds a workload parameter takes are three of the machine
+// registry's, and values become typed through its kernel
+// (param.Coerce): one raw input has one verdict in both registries.
 const (
-	Int Kind = iota
-	Bool
-	String
+	Int    = param.Int
+	Bool   = param.Bool
+	String = param.Enum
 )
-
-func (k Kind) String() string {
-	switch k {
-	case Int:
-		return "int"
-	case Bool:
-		return "bool"
-	case String:
-		return "string"
-	}
-	return "?"
-}
 
 // Param describes one typed parameter of a workload. Parameter names
 // double as the JSON keys of flashd workload specs and the -p key=value
 // keys of the CLIs.
 type Param struct {
 	Name  string
-	Kind  Kind
+	Kind  param.Kind
 	Usage string
 	// Default is the full-scale default; Quick, when non-nil, replaces
 	// it at quick scale (tests, smoke runs, CI).
 	Default any
 	Quick   any
-	// Min/Max bound Int parameters (enforced when Max > Min).
+	// Min and Max are the inclusive bounds of an Int parameter.
 	Min, Max int
-	// Enum restricts String parameters to these values when non-empty.
+	// Enum lists the values a String parameter takes.
 	Enum []string
 }
 
 // Values is a resolved, validated parameter assignment: every parameter
-// of the definition present, typed int/bool/string.
+// of the definition present, typed int64/bool/string.
 type Values map[string]any
 
 // Int returns an int parameter (panics on a name not in the schema —
 // a registry bug, not an input error).
 func (v Values) Int(name string) int {
-	i, ok := v[name].(int)
+	i, ok := v[name].(int64)
 	if !ok {
 		panic(fmt.Sprintf("workload: no int value %q", name))
 	}
-	return i
+	return int(i)
 }
 
 // Bool returns a bool parameter.
@@ -105,16 +94,6 @@ type Definition struct {
 	// Label renders the study display name ("FFT(cache-blk)",
 	// "Radix(r=32)-unplaced"); nil falls back to Name.
 	Label func(v Values) string
-}
-
-// param looks up a schema entry by name.
-func (d *Definition) param(name string) (Param, bool) {
-	for _, p := range d.Params {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Param{}, false
 }
 
 // registry is the global name -> definition table, populated by
@@ -185,114 +164,38 @@ func Describe() string {
 // Resolve validates a raw parameter assignment against the schema and
 // fills the remaining parameters with defaults (Quick defaults when
 // quick is set). Raw values may be native Go values, JSON-decoded
-// values (float64 numbers), or strings (CLI -p key=value); unknown
-// names, type mismatches, bounds violations, and enum misses all fail
-// with the accepted parameter list in the message.
+// values (float64 numbers), or strings (CLI -p key=value) — what
+// param.Coerce takes; an unknown name fails with the accepted parameter
+// list, a refused value with the parameter's name.
 func (d *Definition) Resolve(raw map[string]any, quick bool) (Values, error) {
-	vals := make(Values, len(d.Params))
-	for name, rv := range raw {
-		p, ok := d.param(name)
-		if !ok {
-			return nil, fmt.Errorf("workload %s: unknown parameter %q (accepts: %s)",
-				d.Name, name, strings.Join(d.paramNames(), ", "))
+	for name := range raw {
+		if !slices.ContainsFunc(d.Params, func(p Param) bool { return p.Name == name }) {
+			names := make([]string, len(d.Params))
+			for i, p := range d.Params {
+				names[i] = p.Name
+			}
+			return nil, fmt.Errorf("workload %s: unknown parameter %q (accepts: %s)", d.Name, name, strings.Join(names, ", "))
 		}
-		v, err := coerce(p, rv)
-		if err != nil {
-			return nil, fmt.Errorf("workload %s: parameter %s: %w", d.Name, name, err)
-		}
-		vals[name] = v
 	}
+	vals := make(Values, len(d.Params))
 	for _, p := range d.Params {
-		if _, ok := vals[p.Name]; ok {
-			continue
+		rv, given := raw[p.Name]
+		if !given {
+			rv = p.Default
+			if quick && p.Quick != nil {
+				rv = p.Quick
+			}
 		}
-		def := p.Default
-		if quick && p.Quick != nil {
-			def = p.Quick
-		}
-		v, err := coerce(p, def)
-		if err != nil {
+		v, err := param.Coerce(p.Kind, float64(p.Min), float64(p.Max), p.Enum, rv)
+		if err != nil && !given {
 			panic(fmt.Sprintf("workload %s: bad default for %s: %v", d.Name, p.Name, err))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("workload %s: parameter %s: %w", d.Name, p.Name, err)
 		}
 		vals[p.Name] = v
 	}
 	return vals, nil
-}
-
-func (d *Definition) paramNames() []string {
-	names := make([]string, len(d.Params))
-	for i, p := range d.Params {
-		names[i] = p.Name
-	}
-	return names
-}
-
-// coerce converts a raw value to the parameter's type and checks its
-// bounds.
-func coerce(p Param, rv any) (any, error) {
-	switch p.Kind {
-	case Int:
-		var i int
-		switch x := rv.(type) {
-		case int:
-			i = x
-		case int64:
-			i = int(x)
-		case uint64:
-			i = int(x)
-		case float64:
-			if x != float64(int(x)) {
-				return nil, fmt.Errorf("want an integer, got %v", x)
-			}
-			i = int(x)
-		case json.Number:
-			n, err := x.Int64()
-			if err != nil {
-				return nil, fmt.Errorf("want an integer, got %v", x)
-			}
-			i = int(n)
-		case string:
-			n, err := strconv.Atoi(x)
-			if err != nil {
-				return nil, fmt.Errorf("want an integer, got %q", x)
-			}
-			i = n
-		default:
-			return nil, fmt.Errorf("want an integer, got %T", rv)
-		}
-		if p.Max > p.Min && (i < p.Min || i > p.Max) {
-			return nil, fmt.Errorf("%d out of range [%d, %d]", i, p.Min, p.Max)
-		}
-		return i, nil
-	case Bool:
-		switch x := rv.(type) {
-		case bool:
-			return x, nil
-		case string:
-			b, err := strconv.ParseBool(x)
-			if err != nil {
-				return nil, fmt.Errorf("want a bool, got %q", x)
-			}
-			return b, nil
-		default:
-			return nil, fmt.Errorf("want a bool, got %T", rv)
-		}
-	case String:
-		s, ok := rv.(string)
-		if !ok {
-			return nil, fmt.Errorf("want a string, got %T", rv)
-		}
-		if len(p.Enum) > 0 {
-			for _, e := range p.Enum {
-				if s == e {
-					return s, nil
-				}
-			}
-			return nil, fmt.Errorf("%q is not one of %s", s, strings.Join(p.Enum, ", "))
-		}
-		return s, nil
-	}
-	return nil, fmt.Errorf("unhandled kind %v", p.Kind)
 }
 
 // DisplayName renders the study label for a resolved assignment.
@@ -310,23 +213,6 @@ func (d *Definition) Workload(v Values) core.Workload {
 		Name: d.DisplayName(v),
 		Make: func(procs int) emitter.Program { return d.Build(v, procs) },
 	}
-}
-
-// ParseAssignments parses CLI key=value pairs into a raw map for
-// Resolve (values stay strings; Resolve coerces per schema).
-func ParseAssignments(pairs []string) (map[string]any, error) {
-	if len(pairs) == 0 {
-		return nil, nil
-	}
-	raw := make(map[string]any, len(pairs))
-	for _, kv := range pairs {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok || k == "" {
-			return nil, fmt.Errorf("workload parameter %q: want key=value", kv)
-		}
-		raw[k] = v
-	}
-	return raw, nil
 }
 
 // EncodeSpec renders a workload selection as the canonical JSON object
