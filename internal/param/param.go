@@ -259,30 +259,34 @@ func Get(cfg *machine.Config, path string) (any, error) {
 	return p.get(cfg), nil
 }
 
+// convert finds path's parameter and coerces raw onto its type.
+func convert(path string, raw any) (*Param, any, error) {
+	p, ok := byPath[path]
+	if !ok {
+		return nil, nil, fmt.Errorf("param: unknown path %q", path)
+	}
+	v, err := Coerce(p.Kind, p.Min, p.Max, p.Values, raw)
+	if err != nil {
+		return nil, nil, fmt.Errorf("param %s: %w", path, err)
+	}
+	return p, v, nil
+}
+
 // SetValue writes one parameter into cfg by path, coercing v onto the
 // parameter's type and checking bounds.
 func SetValue(cfg *machine.Config, path string, v any) error {
-	p, ok := byPath[path]
-	if !ok {
-		return fmt.Errorf("param: unknown path %q", path)
-	}
-	cv, err := Coerce(p.Kind, p.Min, p.Max, p.Values, v)
+	p, cv, err := convert(path, v)
 	if err != nil {
-		return fmt.Errorf("param %s: %w", path, err)
+		return err
 	}
 	p.set(cfg, cv)
 	return nil
 }
 
-// SetString parses raw and writes it into cfg by path — the engine of
-// the CLIs' -set path=value flag.
+// SetString is SetValue of the text form — the engine of the CLIs'
+// -set path=value flag.
 func SetString(cfg *machine.Config, path, raw string) error {
-	p, v, err := Setting{path, raw}.parse()
-	if err != nil {
-		return err
-	}
-	p.set(cfg, v)
-	return nil
+	return SetValue(cfg, path, raw)
 }
 
 // Setting is one textual path=value override, as supplied on a command
@@ -301,23 +305,10 @@ func ParseSetting(s string) (Setting, error) {
 	return Setting{Path: path, Value: value}, nil
 }
 
-// parse finds the setting's parameter and converts its text.
-func (s Setting) parse() (*Param, any, error) {
-	p, ok := byPath[s.Path]
-	if !ok {
-		return nil, nil, fmt.Errorf("param: unknown path %q", s.Path)
-	}
-	v, err := Coerce(p.Kind, p.Min, p.Max, p.Values, s.Value)
-	if err != nil {
-		return nil, nil, fmt.Errorf("param %s: %w", s.Path, err)
-	}
-	return p, v, nil
-}
-
 // Validate checks the setting against the registry (path exists, value
 // parses, bounds hold) without touching any configuration.
 func (s Setting) Validate() error {
-	_, _, err := s.parse()
+	_, _, err := convert(s.Path, s.Value)
 	return err
 }
 

@@ -187,10 +187,10 @@ func (d *Definition) Resolve(raw map[string]any, quick bool) (Values, error) {
 			}
 		}
 		v, err := param.Coerce(p.Kind, float64(p.Min), float64(p.Max), p.Enum, rv)
-		if err != nil && !given {
-			panic(fmt.Sprintf("workload %s: bad default for %s: %v", d.Name, p.Name, err))
-		}
 		if err != nil {
+			if !given {
+				panic(fmt.Sprintf("workload %s: bad default for %s: %v", d.Name, p.Name, err))
+			}
 			return nil, fmt.Errorf("workload %s: parameter %s: %w", d.Name, p.Name, err)
 		}
 		vals[p.Name] = v
