@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -196,8 +197,11 @@ func Coerce(k Kind, min, max float64, values []string, raw any) (any, error) {
 	return nil, cannotUse(raw, k)
 }
 
+// cannotUse names raw's type through reflect, not %v or %T: handing raw
+// itself to fmt would make every caller's value escape, and the string
+// SetString passes down would be boxed on the heap for each setting.
 func cannotUse(raw any, k Kind) error {
-	return fmt.Errorf("cannot use %v (%T) as %s", raw, raw, k)
+	return fmt.Errorf("cannot use a %v as %s", reflect.TypeOf(raw), k)
 }
 
 // registry state; ordered is kept sorted by path. Registration happens

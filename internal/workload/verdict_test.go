@@ -165,8 +165,10 @@ func mustLookup(t *testing.T, path string) param.Param {
 }
 
 // TestConversionAllocations holds the two conversions a served request
-// pays for — its workload parameters and each of its settings — at what
-// they allocated before the registries shared a kernel.
+// pays for — its workload parameters and each of its settings — to the
+// map and the typed values they return: 2 and 3 allocations before the
+// registries shared a kernel, 2 and 2 while param.Coerce keeps its raw
+// argument from escaping.
 func TestConversionAllocations(t *testing.T) {
 	def, err := workload.Lookup("fft")
 	if err != nil {
@@ -185,7 +187,7 @@ func TestConversionAllocations(t *testing.T) {
 		if _, err := param.ApplySettings(cfg, set); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 3 {
-		t.Errorf("ApplySettings of %v allocates %v times, want at most 3", set, n)
+	}); n > 2 {
+		t.Errorf("ApplySettings of %v allocates %v times, want at most 2", set, n)
 	}
 }
