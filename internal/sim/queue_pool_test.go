@@ -18,7 +18,7 @@ func TestScheduleFnDispatchesWithArg(t *testing.T) {
 	h := &countHandler{}
 	q.ScheduleFn(20, 0, h, 42)
 	q.ScheduleFn(10, 0, h, 7)
-	q.Run(0)
+	drain(q)
 	if len(h.fired) != 2 || h.fired[0] != 7 || h.fired[1] != 42 {
 		t.Fatalf("fired %v, want [7 42]", h.fired)
 	}
@@ -67,7 +67,7 @@ func TestScheduleFnRecyclesEvents(t *testing.T) {
 		}
 		q.ScheduleFn(q.Now()+4, 0, h, uint64(i))
 	}
-	q.Run(0)
+	drain(q)
 	if got := len(q.free); got > 8 {
 		t.Fatalf("free list grew to %d events; recycling is broken", got)
 	}
@@ -86,7 +86,7 @@ func TestQueueScheduleFnZeroAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		q.ScheduleFn(Ticks(i), int32(i&3), h, uint64(i))
 	}
-	q.Run(0)
+	drain(q)
 	hc := h.(*countHandler)
 	avg := testing.AllocsPerRun(200, func() {
 		hc.fired = hc.fired[:0]
@@ -132,8 +132,8 @@ func TestPeekAt(t *testing.T) {
 	if _, ok := q.PeekAt(); ok {
 		t.Fatal("PeekAt on empty queue reported an event")
 	}
-	q.Schedule(30, 0, func(Ticks) {})
-	q.Schedule(10, 0, func(Ticks) {})
+	q.ScheduleFn(30, 0, nopHandler{}, 0)
+	q.ScheduleFn(10, 0, nopHandler{}, 0)
 	if at, ok := q.PeekAt(); !ok || at != 10 {
 		t.Fatalf("PeekAt = (%d,%v), want (10,true)", at, ok)
 	}
@@ -144,12 +144,20 @@ func TestPeekAt(t *testing.T) {
 
 func TestStepBatchDispatchesWholeTick(t *testing.T) {
 	q := NewQueue()
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
-		q.Schedule(5, int32(i), func(Ticks) { order = append(order, i) })
+	var order []uint64
+	const chain = 200 // an event that schedules 100 at its own tick
+	var h HandlerFunc
+	h = func(now Ticks, arg uint64) {
+		if arg == chain {
+			q.ScheduleFn(now, 5, h, 100)
+			return
+		}
+		order = append(order, arg)
 	}
-	q.Schedule(9, 0, func(Ticks) { order = append(order, 99) })
+	for i := 0; i < 3; i++ {
+		q.ScheduleFn(5, int32(i), h, uint64(i))
+	}
+	q.ScheduleFn(9, 0, h, 99)
 	if n := q.StepBatch(); n != 3 {
 		t.Fatalf("StepBatch dispatched %d events, want 3", n)
 	}
@@ -157,9 +165,7 @@ func TestStepBatchDispatchesWholeTick(t *testing.T) {
 		t.Fatalf("order %v", order)
 	}
 	// An event scheduled for the current tick during a batch joins it.
-	q.Schedule(9, 0, func(now Ticks) {
-		q.Schedule(now, 5, func(Ticks) { order = append(order, 100) })
-	})
+	q.ScheduleFn(9, 0, h, chain)
 	if n := q.StepBatch(); n != 3 {
 		t.Fatalf("second StepBatch dispatched %d events, want 3", n)
 	}
@@ -169,11 +175,10 @@ func TestStepBatchDispatchesWholeTick(t *testing.T) {
 }
 
 // TestQueueInterleavedOpsOrderProperty hammers the queue with random
-// interleavings of Schedule/ScheduleFn/Cancel/Reschedule/Step and
-// asserts the dispatch contract that the free-list rewrite must
+// interleavings of ScheduleFn and Step, recording dispatches through a
+// Handler, and asserts the dispatch contract the free list must
 // preserve: time never runs backwards, ties break by (Prio, seq) among
-// co-pending events, cancelled events never fire, and everything else
-// fires exactly once.
+// co-pending events, and every event fires exactly once.
 func TestQueueInterleavedOpsOrderProperty(t *testing.T) {
 	type op struct {
 		Kind  uint8
@@ -190,73 +195,31 @@ func TestQueueInterleavedOpsOrderProperty(t *testing.T) {
 		q := NewQueue()
 		var seq uint64 // shadow of the queue's insertion counter
 		keys := map[uint64]evKey{}
-		cancelled := map[uint64]bool{}
 		var fired []uint64
 		var next uint64
-		type live struct {
-			id uint64
-			e  *Event
-		}
-		var handles []live // closure events still cancellable
 		h := HandlerFunc(func(now Ticks, arg uint64) { fired = append(fired, arg) })
-
-		dropFired := func(from int) {
-			for _, id := range fired[from:] {
-				for i := range handles {
-					if handles[i].id == id {
-						handles = append(handles[:i], handles[i+1:]...)
-						break
-					}
-				}
-			}
-		}
 		for _, o := range ops {
-			switch o.Kind % 5 {
-			case 0: // Schedule (closure, retainable handle)
-				id := next
-				next++
-				at := q.Now() + Ticks(o.DT%512)
-				keys[id] = evKey{at, int32(o.Prio), seq}
-				seq++
-				e := q.Schedule(at, int32(o.Prio), func(Ticks) { fired = append(fired, id) })
-				handles = append(handles, live{id, e})
-			case 1: // ScheduleFn (pooled, fire-and-forget)
+			switch o.Kind % 3 {
+			case 0, 1: // ScheduleFn
 				id := next
 				next++
 				at := q.Now() + Ticks(o.DT%512)
 				keys[id] = evKey{at, int32(o.Prio), seq}
 				seq++
 				q.ScheduleFn(at, int32(o.Prio), h, id)
-			case 2: // Cancel a live closure event
-				if len(handles) > 0 {
-					i := int(o.Which) % len(handles)
-					q.Cancel(handles[i].e)
-					cancelled[handles[i].id] = true
-					handles = append(handles[:i], handles[i+1:]...)
-				}
-			case 3: // Reschedule a live closure event
-				if len(handles) > 0 {
-					i := int(o.Which) % len(handles)
-					at := q.Now() + Ticks(o.DT%512)
-					q.Reschedule(handles[i].e, at)
-					keys[handles[i].id] = evKey{at, keys[handles[i].id].prio, seq}
-					seq++
-				}
-			case 4: // Step a few events
+			case 2: // Step a few events
 				for n := 0; n < int(o.Which%4); n++ {
-					before := len(fired)
 					if !q.Step() {
 						break
 					}
-					dropFired(before)
 				}
 			}
 		}
-		q.Run(0)
+		drain(q)
 
 		seen := map[uint64]bool{}
 		for i, id := range fired {
-			if cancelled[id] || seen[id] {
+			if seen[id] {
 				return false
 			}
 			seen[id] = true
@@ -281,13 +244,8 @@ func TestQueueInterleavedOpsOrderProperty(t *testing.T) {
 				}
 			}
 		}
-		// Everything scheduled and not cancelled must have fired.
-		for id := range keys {
-			if !cancelled[id] && !seen[id] {
-				return false
-			}
-		}
-		return true
+		// Everything scheduled must have fired.
+		return len(seen) == len(keys)
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(42))}
 	if err := quick.Check(f, cfg); err != nil {

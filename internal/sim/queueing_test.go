@@ -22,8 +22,9 @@ import (
 // presented in the same order but stamped up to k·D early or late, the
 // bounded skew one synchronous transaction introduces, which is where
 // backfill and the forced merge act. Run with -v to read what they do
-// to the mean; only the invariants (no grant before its arrival, busy
-// time = uses·D) are checked there.
+// to the mean; only the invariants (no grant before its arrival, every
+// grant D long) are checked there. Every wait is read off the grant,
+// start − t.
 func TestServerAgainstMD1(t *testing.T) {
 	const (
 		D = Ticks(1000)
@@ -57,10 +58,6 @@ func TestServerAgainstMD1(t *testing.T) {
 					t.Fatalf("ρ=%.1f request %d: arrival %d waited %d ticks, Lindley's recursion gives %d", rho, i, at, start-at, lindley)
 				}
 				waited += float64(start - at)
-			}
-			st := s.Stats()
-			if st.Uses != n || st.Busy != n*D || float64(st.Waited) != waited {
-				t.Errorf("ρ=%.1f k=%d: stats %+v after %d requests of %d ticks that waited %.0f", rho, k, st, n, D, waited)
 			}
 			mean := waited / n
 			t.Logf("ρ=%.1f  skew ±%2d·D  mean wait %8.1f ticks = %.3f × M/D/1 (%.1f)", rho, k, mean, mean/want, want)

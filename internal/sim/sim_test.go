@@ -57,9 +57,6 @@ func TestClockCycles(t *testing.T) {
 	if got := Clock150.Cycles(10); got != 60 {
 		t.Errorf("150MHz 10 cycles = %d ticks, want 60", got)
 	}
-	if got := Clock75.ToCycles(120); got != 10 {
-		t.Errorf("75MHz 120 ticks = %d cycles, want 10", got)
-	}
 }
 
 func TestClockAlign(t *testing.T) {
@@ -72,14 +69,20 @@ func TestClockAlign(t *testing.T) {
 	}
 }
 
+// drain steps q until it is empty.
+func drain(q *Queue) {
+	for q.Step() {
+	}
+}
+
 func TestQueueFiresInTimeOrder(t *testing.T) {
 	q := NewQueue()
 	var fired []Ticks
+	h := HandlerFunc(func(now Ticks, _ uint64) { fired = append(fired, now) })
 	for _, at := range []Ticks{50, 10, 30, 10, 20} {
-		at := at
-		q.Schedule(at, 0, func(now Ticks) { fired = append(fired, now) })
+		q.ScheduleFn(at, 0, h, 0)
 	}
-	q.Run(0)
+	drain(q)
 	want := []Ticks{10, 10, 20, 30, 50}
 	for i := range want {
 		if fired[i] != want[i] {
@@ -90,28 +93,26 @@ func TestQueueFiresInTimeOrder(t *testing.T) {
 
 func TestQueuePriorityBreaksTies(t *testing.T) {
 	q := NewQueue()
-	var order []int32
+	h := &countHandler{}
 	for _, p := range []int32{3, 1, 2} {
-		p := p
-		q.Schedule(100, p, func(Ticks) { order = append(order, p) })
+		q.ScheduleFn(100, p, h, uint64(p))
 	}
-	q.Run(0)
-	if order[0] != 1 || order[1] != 2 || order[2] != 3 {
+	drain(q)
+	if order := h.fired; order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("tie order %v, want [1 2 3]", order)
 	}
 }
 
 func TestQueueSeqBreaksRemainingTies(t *testing.T) {
 	q := NewQueue()
-	var order []int
+	h := &countHandler{}
 	for i := 0; i < 10; i++ {
-		i := i
-		q.Schedule(7, 0, func(Ticks) { order = append(order, i) })
+		q.ScheduleFn(7, 0, h, uint64(i))
 	}
-	q.Run(0)
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("insertion order not preserved: %v", order)
+	drain(q)
+	for i, arg := range h.fired {
+		if arg != uint64(i) {
+			t.Fatalf("insertion order not preserved: %v", h.fired)
 		}
 	}
 }
@@ -155,11 +156,15 @@ func TestQueueReschedule(t *testing.T) {
 func TestQueueSchedulingDuringDispatch(t *testing.T) {
 	q := NewQueue()
 	var fired []Ticks
-	q.Schedule(1, 0, func(now Ticks) {
+	var h HandlerFunc
+	h = func(now Ticks, arg uint64) {
 		fired = append(fired, now)
-		q.Schedule(now+5, 0, func(n2 Ticks) { fired = append(fired, n2) })
-	})
-	q.Run(0)
+		if arg == 0 {
+			q.ScheduleFn(now+5, 0, h, 1)
+		}
+	}
+	q.ScheduleFn(1, 0, h, 0)
+	drain(q)
 	if len(fired) != 2 || fired[1] != 6 {
 		t.Fatalf("chained scheduling: %v", fired)
 	}
@@ -171,10 +176,11 @@ func TestQueueOrderProperty(t *testing.T) {
 	f := func(times []uint16) bool {
 		q := NewQueue()
 		var fired []Ticks
+		h := HandlerFunc(func(now Ticks, _ uint64) { fired = append(fired, now) })
 		for _, x := range times {
-			q.Schedule(Ticks(x), 0, func(now Ticks) { fired = append(fired, now) })
+			q.ScheduleFn(Ticks(x), 0, h, 0)
 		}
-		q.Run(0)
+		drain(q)
 		for i := 1; i < len(fired); i++ {
 			if fired[i] < fired[i-1] {
 				return false
@@ -278,24 +284,29 @@ func TestServerPeek(t *testing.T) {
 // caller can observe: once more than maxIntervals reservations exist,
 // the oldest are merged into one interval that bridges their gaps, so a
 // request in the causal past is served after the merged block while the
-// gaps between the retained intervals still backfill.
+// gaps between the retained intervals still backfill. Each probe is a
+// one-tick Acquire on a freshly filled server.
 func TestServerIntervalPruning(t *testing.T) {
-	var s Server
 	const n = maxIntervals * 4
-	for i := 0; i < n; i++ {
-		s.Acquire(Ticks(i*100), 10)
+	probe := func(at Ticks) Ticks {
+		var s Server
+		for i := 0; i < n; i++ {
+			s.Acquire(Ticks(i*100), 10)
+		}
+		start, _ := s.Acquire(at, 1)
+		return start
 	}
 	// The newest maxIntervals-1 reservations are retained one by one;
 	// everything older is one block ending where the last merged one did.
 	merged := n - (maxIntervals - 1)
 	blockEnd := Ticks((merged-1)*100 + 10)
-	if got := s.Peek(15); got != blockEnd {
+	if got := probe(15); got != blockEnd {
 		t.Fatalf("request inside the merged block starts at %d, want %d", got, blockEnd)
 	}
-	if got := s.Peek(blockEnd + 5); got != blockEnd+5 {
+	if got := probe(blockEnd + 5); got != blockEnd+5 {
 		t.Fatalf("gap after the merged block not backfilled: %d", got)
 	}
-	if got := s.Peek(blockEnd - 5); got != blockEnd {
+	if got := probe(blockEnd - 5); got != blockEnd {
 		t.Fatalf("last merged gap still open: %d", got)
 	}
 }
@@ -306,11 +317,7 @@ func TestServerIntervalPruning(t *testing.T) {
 // backing array. It is the oracle TestServerMatchesReference holds the
 // current implementation to.
 type refServer struct {
-	busy   []interval
-	busyT  Ticks
-	uses   uint64
-	waited Ticks
-	maxQ   Ticks
+	busy []interval
 }
 
 func (s *refServer) schedule(t, dur Ticks) Ticks {
@@ -328,15 +335,8 @@ func (s *refServer) schedule(t, dur Ticks) Ticks {
 
 func (s *refServer) Acquire(t, dur Ticks) (start, done Ticks) {
 	start = s.schedule(t, dur)
-	wait := start - t
-	s.waited += wait
-	if wait > s.maxQ {
-		s.maxQ = wait
-	}
 	done = start + dur
 	s.insert(interval{start, done})
-	s.busyT += dur
-	s.uses++
 	return start, done
 }
 
@@ -357,20 +357,15 @@ func (s *refServer) insert(iv interval) {
 	}
 }
 
-func (s *refServer) Peek(t Ticks) Ticks { return s.schedule(t, 1) }
-
-func (s *refServer) Stats() Stats {
-	return Stats{Uses: s.uses, Busy: s.busyT, Waited: s.waited, MaxWait: s.maxQ}
-}
-
 // TestServerMatchesReference drives Server and refServer with the same
-// request streams and requires identical grants, probes and statistics
-// after every call. Each stream mixes the shapes the machine produces:
-// requests at the reservation frontier, far-future reservations (a full
-// MSHR ladder), requests in the causal past, and zero-length
-// reservations (router or handler time configured to 0), in runs far
-// longer than maxIntervals so the oldest-pair merge is exercised
-// throughout.
+// request streams and requires identical grants after every call, and
+// so identical waits (start − t), and identical answers to a one-tick
+// probe of the schedule that reserves nothing. Each stream mixes the
+// shapes the machine produces: requests at the reservation frontier,
+// far-future reservations (a full MSHR ladder), requests in the causal
+// past, and zero-length reservations (router or handler time
+// configured to 0), in runs far longer than maxIntervals so the
+// oldest-pair merge is exercised throughout.
 func TestServerMatchesReference(t *testing.T) {
 	type mix struct {
 		name                          string
@@ -423,8 +418,8 @@ func TestServerMatchesReference(t *testing.T) {
 					if p < 0 {
 						p = 0
 					}
-					if got, want := s.Peek(p), ref.Peek(p); got != want {
-						t.Fatalf("call %d: Peek(%d) = %d, reference %d", i, p, got, want)
+					if got, want := s.schedule(p, 1), ref.schedule(p, 1); got != want {
+						t.Fatalf("call %d: probe at %d starts at %d, reference %d", i, p, got, want)
 					}
 				}
 				gs, gd := s.Acquire(at, dur)
@@ -432,8 +427,8 @@ func TestServerMatchesReference(t *testing.T) {
 				if gs != ws || gd != wd {
 					t.Fatalf("call %d: Acquire(%d, %d) = (%d, %d), reference (%d, %d)", i, at, dur, gs, gd, ws, wd)
 				}
-				if s.Stats() != ref.Stats() {
-					t.Fatalf("call %d: stats %+v, reference %+v", i, s.Stats(), ref.Stats())
+				if gs < at {
+					t.Fatalf("call %d: Acquire(%d, %d) granted at %d, a negative wait", i, at, dur, gs)
 				}
 			}
 		})
@@ -464,7 +459,6 @@ func TestServerAcquireDoesNotAllocate(t *testing.T) {
 				dur = 0
 			}
 			s.Acquire(at, dur)
-			s.Peek(at)
 		}
 	}); a != 0 {
 		t.Fatalf("steady-state Acquire allocates %.0f objects per %d calls", a, 4*windowCap)
@@ -490,9 +484,6 @@ func TestBanksIndependentContention(t *testing.T) {
 	}
 	if d2 != 20 {
 		t.Fatalf("same bank should serialize: %d", d2)
-	}
-	if b.N() != 2 {
-		t.Fatal("bank count")
 	}
 }
 
