@@ -29,7 +29,8 @@
 // answers 400 before it is queued. A full queue answers 429 with
 // Retry-After; SIGINT/SIGTERM drains: admissions stop (503), accepted
 // jobs finish, the -metrics-out report is flushed, and the process
-// exits 0.
+// exits 0 — or 1 when the report, or a -cache-dir entry, could not be
+// written.
 package main
 
 import (
@@ -51,7 +52,7 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (status int) {
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 	log.SetPrefix("flashd: ")
 	cf := cliutil.RegisterOn(flag.CommandLine)
@@ -65,9 +66,13 @@ func run() int {
 		log.Print(err)
 		return 1
 	}
+	// Close runs after the drain: it flushes -metrics-out and reports a
+	// -cache-dir entry that could not be written, and either fails the
+	// exit status.
 	defer func() {
 		if err := cf.Close(); err != nil {
 			log.Print(err)
+			status = 1
 		}
 	}()
 

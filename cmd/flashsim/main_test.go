@@ -116,6 +116,10 @@ func TestUsageErrors(t *testing.T) {
 		// NaN passes every comparison against a bound; it is refused by name.
 		{"run -set l2.transfer_ns=NaN", []string{"l2.transfer_ns", "NaN"}},
 		{"run -app fft -p logn=NaN", []string{"workload fft: parameter logn", "NaN"}},
+		// 2^63 bytes does not fit the bound; wrapped, it was a negative
+		// bound that passed for unbounded, without -cache-dir.
+		{"run -cache-max-bytes 8589934592GiB", []string{"-cache-max-bytes", "8589934592GiB"}},
+		{"run -cache-max-bytes 1MiB", []string{"-cache-max-bytes", "-cache-dir"}},
 	} {
 		stdout, stderr, status := flashsim(strings.Fields(tc.args)...)
 		if status != 2 {
@@ -179,6 +183,40 @@ func TestUnwritableArtifactFailsEverySubcommand(t *testing.T) {
 	}
 	if data, err := os.ReadFile(good); err != nil || !bytes.Contains(data, []byte(`"Jobs": 1`)) {
 		t.Errorf("metrics report: %v\n%.300s", err, data)
+	}
+}
+
+// TestUnwritableCacheEntryFailsTheRun: a -cache-dir entry that cannot be
+// written (a directory squats at its path, which fails the rename even
+// for root) leaves the results printed, but the one teardown names the
+// directory with the error and exits 1, and no temp file is left.
+func TestUnwritableCacheEntryFailsTheRun(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"run", "-app", "fft", "-full=false", "-cache-dir", dir}
+	if _, stderr, status := flashsim(args...); status != 0 {
+		t.Fatalf("populating the cache: exit %d\n%s", status, stderr)
+	}
+	entries, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	if len(entries) == 0 {
+		t.Fatal("the run left no cache entry")
+	}
+	for _, e := range entries {
+		if err := os.Remove(e); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(e, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stdout, stderr, status := flashsim(args...)
+	if status != 1 || !strings.Contains(stderr, "cache "+dir+": ") {
+		t.Errorf("exit %d, stderr %q; want exit 1 naming cache %s", status, stderr, dir)
+	}
+	if stdout == "" {
+		t.Error("the failed cache write swallowed the results")
+	}
+	if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmp) > 0 {
+		t.Errorf("failed writes left temp files: %v", tmp)
 	}
 }
 

@@ -13,6 +13,7 @@
 package cliutil
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -69,6 +70,7 @@ type Flags struct {
 
 	collector *obs.Collector
 	pool      *runner.Pool
+	store     *runner.Store
 }
 
 // stringList is a repeatable string flag.
@@ -192,13 +194,14 @@ func (f *Flags) stopCPUProfile() {
 }
 
 // Close finalizes the run artifacts: it writes the -metrics-out report,
-// stops the CPU profile and execution trace, and writes the -memprofile
-// heap snapshot (after a GC, so it reflects live steady-state memory,
-// the figure the allocation regression tests pin). Safe to call when no
-// artifact flag was given. Error paths that exit through log.Fatal skip
-// it, which loses at most a partial artifact.
+// reports a -cache-dir entry that could not be written, stops the CPU
+// profile and execution trace, and writes the -memprofile heap snapshot
+// (after a GC, so it reflects live steady-state memory, the figure the
+// allocation regression tests pin). Safe to call when no artifact flag
+// was given. Error paths that exit through log.Fatal skip it, which
+// loses at most a partial artifact.
 func (f *Flags) Close() error {
-	metricsErr := f.writeMetrics()
+	sinkErr := errors.Join(f.writeMetrics(), f.cacheErr())
 	f.stopCPUProfile()
 	if f.traceFile != nil {
 		trace.Stop()
@@ -216,7 +219,7 @@ func (f *Flags) Close() error {
 			return fmt.Errorf("-memprofile: %w", err)
 		}
 	}
-	return metricsErr
+	return sinkErr
 }
 
 // HasOverrides reports whether -config or -set supplied any parameter
@@ -260,8 +263,21 @@ func (f *Flags) Pool() (*runner.Pool, *runner.Store, error) {
 		f.collector = obs.NewCollector()
 		pool.SetMetrics(f.collector)
 	}
-	f.pool = pool
+	f.pool, f.store = pool, store
 	return pool, store, nil
+}
+
+// cacheErr reports the first -cache-dir entry the store could not
+// write. The run went on without it (the result was served from
+// memory), but the directory does not hold what the run computed.
+func (f *Flags) cacheErr() error {
+	if f.store == nil {
+		return nil
+	}
+	if err := f.store.Err(); err != nil {
+		return fmt.Errorf("cache %s: %w", f.store.Dir(), err)
+	}
+	return nil
 }
 
 // writeMetrics writes the -metrics-out report. A no-op when the flag is

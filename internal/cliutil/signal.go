@@ -2,6 +2,7 @@ package cliutil
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -76,6 +77,9 @@ func (s *sizeFlag) Set(v string) error {
 	}
 	if n < 0 {
 		return fmt.Errorf("size %q: negative", v)
+	}
+	if n > math.MaxInt64/mult {
+		return fmt.Errorf("size %q: more than %d bytes", v, int64(math.MaxInt64))
 	}
 	*s = sizeFlag(n * mult)
 	return nil

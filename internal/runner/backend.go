@@ -117,22 +117,25 @@ func (b *DiskBackend) write(key string, res machine.Result) int64 {
 
 // writeAtomic lands data at key's path via a temp file in the same
 // directory and a rename, so a concurrent reader never observes a
-// partial entry.
+// partial entry. A failed write, close or rename removes the temp file:
+// entries counts only .json files, so a leftover would sit outside any
+// -cache-max-bytes bound.
 func (b *DiskBackend) writeAtomic(key string, data []byte) error {
 	tmp, err := os.CreateTemp(b.dir, key+".tmp*")
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	return os.Rename(tmp.Name(), b.path(key))
+	if err == nil {
+		err = os.Rename(tmp.Name(), b.path(key))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // remove deletes key's entry; a missing entry is not an error (another
