@@ -293,13 +293,6 @@ func (c *Cache) Downgrade(pa uint64) State {
 	return Invalid
 }
 
-// Flush empties the cache, leaving statistics intact.
-func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-}
-
 // Resident returns the number of valid lines (for tests).
 func (c *Cache) Resident() int {
 	n := 0

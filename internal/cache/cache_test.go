@@ -159,16 +159,6 @@ func TestMarkDirty(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c := tiny()
-	c.Insert(0x100, Modified)
-	c.Insert(0x200, Shared)
-	c.Flush()
-	if c.Resident() != 0 {
-		t.Fatal("flush left lines")
-	}
-}
-
 func TestInsertInvalidPanics(t *testing.T) {
 	c := tiny()
 	defer func() {

@@ -132,12 +132,6 @@ func (w *WriteBuffer) remove(i, n int) {
 // stall time.
 func (w *WriteBuffer) Stalls() (uint64, sim.Ticks) { return w.stalls, w.stallT }
 
-// Occupied returns the number of in-flight entries at time t.
-func (w *WriteBuffer) Occupied(t sim.Ticks) int {
-	w.expire(t)
-	return len(w.drains)
-}
-
 // MSHRs models the miss status holding registers that bound the number
 // of outstanding cache misses (4 on the R10000, per Table 1). Requests
 // to a line already outstanding merge; a new miss with all registers
@@ -233,12 +227,6 @@ func (m *MSHRs) Merges() uint64 { return m.merges }
 // total stall time.
 func (m *MSHRs) Stalls() (uint64, sim.Ticks) { return m.stalls, m.stallT }
 
-// Outstanding returns the number of in-flight misses at time t.
-func (m *MSHRs) Outstanding(t sim.Ticks) int {
-	m.expire(t)
-	return len(m.pending)
-}
-
 // L2Interface models the occupancy of the R10000's external
 // (secondary-cache) interface. "While data is being returned from the
 // memory system and the processor is forwarding this data to the
@@ -256,8 +244,6 @@ type L2Interface struct {
 	nextFree sim.Ticks
 	windows  [8]struct{ start, end sim.Ticks }
 	wpos     int
-	uses     uint64
-	tagWaits uint64
 }
 
 // AcquireForRefill reserves the interface for a line transfer whose
@@ -280,7 +266,6 @@ func (l *L2Interface) AcquireForRefill(t sim.Ticks) sim.Ticks {
 	l.nextFree = end
 	l.windows[l.wpos] = struct{ start, end sim.Ticks }{start, end}
 	l.wpos = (l.wpos + 1) % len(l.windows)
-	l.uses++
 	return start
 }
 
@@ -298,15 +283,9 @@ func (l *L2Interface) AcquireForTagCheck(t sim.Ticks) sim.Ticks {
 		for _, w := range l.windows {
 			if t >= w.start && t < w.end {
 				t = w.end
-				l.tagWaits++
 				moved = true
 			}
 		}
 	}
 	return t
-}
-
-// Stats exposes the interface counters.
-func (l *L2Interface) Stats() sim.Stats {
-	return sim.Stats{Uses: l.uses, Waited: sim.Ticks(l.tagWaits)}
 }

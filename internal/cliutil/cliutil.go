@@ -222,12 +222,6 @@ func (f *Flags) Close() error {
 	return sinkErr
 }
 
-// HasOverrides reports whether -config or -set supplied any parameter
-// overrides.
-func (f *Flags) HasOverrides() bool {
-	return f.snapshot != nil || len(f.settings) > 0
-}
-
 // Apply returns cfg with the -config snapshot and then every -set
 // override applied, in order, plus the -shards execution knob (which is
 // not a registry parameter: it never changes results or fingerprints).

@@ -25,9 +25,6 @@ func TestSetOverridesApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.HasOverrides() {
-		t.Error("HasOverrides should be true")
-	}
 	cfg, err := f.Apply(machine.Base(4, true))
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +84,6 @@ func TestNoOverridesIsIdentity(t *testing.T) {
 	f, err := parse(t)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if f.HasOverrides() {
-		t.Error("no overrides expected")
 	}
 	in := machine.Base(4, true)
 	out, err := f.Apply(in)

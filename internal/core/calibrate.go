@@ -61,23 +61,6 @@ func (c Calibration) Apply(cfg machine.Config) machine.Config {
 	return out
 }
 
-// Value returns the post-calibration value of a registry path, if the
-// calibration touched it.
-func (c Calibration) Value(path string) (any, bool) {
-	for _, d := range c.Deltas {
-		if d.Path == path {
-			return d.After, true
-		}
-	}
-	return nil, false
-}
-
-// Changed reports whether the calibration adjusted the given path.
-func (c Calibration) Changed(path string) bool {
-	_, ok := c.Value(path)
-	return ok
-}
-
 // RenderDiff renders the calibration as a registry diff (the
 // untuned-to-tuned parameter changes, one per line).
 func (c Calibration) RenderDiff() string { return param.RenderDeltas(c.Deltas) }

@@ -74,7 +74,7 @@ func TestWithNUMA(t *testing.T) {
 
 func TestReferenceAccessors(t *testing.T) {
 	ref := core.NewReference(8, true)
-	if ref.Procs() != 8 || !ref.Scaled() {
+	if ref.ConfigAt(8).Procs != 8 || !ref.Scaled() {
 		t.Fatal("accessors")
 	}
 	cfg := ref.ConfigAt(2)

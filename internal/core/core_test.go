@@ -17,12 +17,23 @@ func smallFFT(procs int) emitter.Program {
 	return apps.FFT(apps.FFTOpts{LogN: 12, Procs: procs, TLBBlocked: true, Prefetch: true})
 }
 
+// deltaValue returns the post-calibration value of a registry path, if
+// the calibration touched it.
+func deltaValue(c core.Calibration, path string) (any, bool) {
+	for _, d := range c.Deltas {
+		if d.Path == path {
+			return d.After, true
+		}
+	}
+	return nil, false
+}
+
 // calTLBCycles extracts the calibrated TLB-refill cost from the delta
 // list (the calibration must have changed it for these tests to mean
 // anything).
 func calTLBCycles(t *testing.T, c core.Calibration) uint64 {
 	t.Helper()
-	v, ok := c.Value("os.tlb.handler_cycles")
+	v, ok := deltaValue(c, "os.tlb.handler_cycles")
 	if !ok {
 		t.Fatal("calibration did not adjust os.tlb.handler_cycles")
 	}
@@ -44,7 +55,7 @@ func TestCalibratorFixesTLBCost(t *testing.T) {
 	// Mipsy has blocking reads, so its independent-load throughput is
 	// already *slower* than hardware; the interface occupancy is
 	// correctly left off and its latency is absorbed into bus timing.
-	if c.Changed("l2.model_interface_occupancy") {
+	if _, changed := deltaValue(c, "l2.model_interface_occupancy"); changed {
 		t.Error("occupancy should not be enabled for a blocking-read model")
 	}
 	for _, a := range c.Report {
@@ -64,7 +75,7 @@ func TestCalibratorEnablesOccupancyForMXS(t *testing.T) {
 	if tlb := calTLBCycles(t, c); tlb < 55 || tlb > 75 {
 		t.Errorf("calibrated TLB handler = %d cycles, want ~65 (from 35)", tlb)
 	}
-	if v, ok := c.Value("l2.model_interface_occupancy"); !ok || v != true {
+	if v, ok := deltaValue(c, "l2.model_interface_occupancy"); !ok || v != true {
 		t.Error("calibration did not enable L2 interface occupancy for the out-of-order model")
 	}
 	for _, a := range c.Report {
@@ -129,7 +140,7 @@ func TestCalibrationRoundTripsThroughRegistry(t *testing.T) {
 		// with the same landing value, and no-change report lines
 		// (Before == After) must not.
 		for _, a := range c.Report {
-			v, changed := c.Value(a.Param)
+			v, changed := deltaValue(c, a.Param)
 			if a.Before == a.After {
 				if changed {
 					t.Errorf("%s: report says %s unchanged but a delta exists", cfg.Name, a.Param)

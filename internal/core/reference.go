@@ -70,9 +70,6 @@ func NewReference(procs int, scaled bool) *Reference {
 	return &Reference{Repeats: 5, Pool: runner.Serial(), base: hw.Config(procs, scaled)}
 }
 
-// Procs returns the machine size.
-func (r *Reference) Procs() int { return r.base.Procs }
-
 // Scaled reports whether the 1/16-scale geometry is in use.
 func (r *Reference) Scaled() bool { return r.base.L2.Size != 2<<20 }
 

@@ -38,7 +38,7 @@ func (p *fakePort) SyscallCost(aux uint32) uint32 { return 50 }
 
 func runAll(t *testing.T, cfg Config, port cpu.Port, body func(*emitter.Thread)) (sim.Ticks, cpu.Stats) {
 	t.Helper()
-	s := emitter.Start(1, body)
+	s := emitter.Start(1, body, nil)
 	defer s.Abort()
 	c := New(cfg, s.Readers[0], port)
 	var now sim.Ticks

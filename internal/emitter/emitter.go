@@ -217,9 +217,6 @@ func (t *Thread) flush() {
 // abortPanic unwinds an emitter goroutine when the consumer has stopped.
 type abortPanic struct{}
 
-// Count returns the number of instructions this thread has emitted.
-func (t *Thread) Count() uint64 { return t.count }
-
 // Load emits a load of size bytes at addr, depending on up to two prior
 // values (e.g. the value that the address was computed from). It returns
 // the loaded value's handle.
@@ -480,15 +477,8 @@ func (r *Reader) NextBatch() []isa.Instr {
 	return rest
 }
 
-// Consumed returns how many instructions have been read.
-func (r *Reader) Consumed() uint64 { return r.read }
-
 // Batches returns how many instruction batches have been consumed.
 func (r *Reader) Batches() uint64 { return r.batches }
-
-// SlabReuses returns how many consumed batch buffers went back to the
-// producer's recycling pool.
-func (r *Reader) SlabReuses() uint64 { return r.reuses }
 
 // Streams is a running program: one Reader per thread plus abort
 // plumbing.
@@ -593,14 +583,9 @@ func (s *Streams) Counters() Stats {
 // streams. body receives the per-thread emission context. The streams
 // hold slabs borrowed from the process until Abort, which every caller
 // owes them, a drained stream included; one that is merely dropped takes
-// its slabs to the collector and the next run makes new ones.
-func Start(nthreads int, body func(t *Thread)) *Streams {
-	return StartTapped(nthreads, body, nil)
-}
-
-// StartTapped is Start with a Tap mirroring every flushed batch (nil
-// behaves exactly like Start).
-func StartTapped(nthreads int, body func(t *Thread), tap Tap) *Streams {
+// its slabs to the collector and the next run makes new ones. A non-nil
+// tap mirrors every flushed batch.
+func Start(nthreads int, body func(t *Thread), tap Tap) *Streams {
 	if nthreads <= 0 {
 		panic("emitter: nthreads must be positive")
 	}

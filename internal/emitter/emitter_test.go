@@ -23,7 +23,7 @@ func TestSingleThreadEmission(t *testing.T) {
 		v := th.Load(0x1000, 8, None, None)
 		w := th.IntALU(v, None)
 		th.Store(0x2000, 8, w, None)
-	})
+	}, nil)
 	ins := drain(s.Readers[0])
 	s.Wait()
 	if err := s.Err(); err != nil {
@@ -48,7 +48,7 @@ func TestDependenceDistances(t *testing.T) {
 		a := th.Load(0, 8, None, None) // idx 0
 		th.IntOps(5)                   // idx 1..5
 		th.FPAdd(a, None)              // idx 6: distance 6
-	})
+	}, nil)
 	ins := drain(s.Readers[0])
 	s.Wait()
 	if ins[6].Dep1 != 6 {
@@ -59,7 +59,7 @@ func TestDependenceDistances(t *testing.T) {
 func TestNoneDependence(t *testing.T) {
 	s := Start(1, func(th *Thread) {
 		th.IntALU(None, None)
-	})
+	}, nil)
 	ins := drain(s.Readers[0])
 	s.Wait()
 	if ins[0].Dep1 != 0 || ins[0].Dep2 != 0 {
@@ -69,7 +69,7 @@ func TestNoneDependence(t *testing.T) {
 
 func TestBatchBoundary(t *testing.T) {
 	n := BatchSize*3 + 17
-	s := Start(1, func(th *Thread) { th.IntOps(n) })
+	s := Start(1, func(th *Thread) { th.IntOps(n) }, nil)
 	ins := drain(s.Readers[0])
 	s.Wait()
 	if len(ins) != n {
@@ -91,7 +91,7 @@ func TestBarrierKeepsThreadsConsistent(t *testing.T) {
 			panic("barrier did not order writes")
 		}
 		th.IntOps(1)
-	})
+	}, nil)
 	done := make(chan struct{})
 	go func() {
 		for _, r := range s.Readers {
@@ -116,7 +116,7 @@ func TestBarrierInstructionFlushedBeforeBlocking(t *testing.T) {
 		}
 		th.IntOps(3)
 		th.Barrier(9)
-	})
+	}, nil)
 	in, ok := s.Readers[0].Next()
 	if !ok || in.Op != isa.Barrier || in.Aux != 9 {
 		t.Fatalf("expected barrier instruction, got %v ok=%v", in, ok)
@@ -135,7 +135,7 @@ func TestLockMutualExclusion(t *testing.T) {
 			counter++
 			th.Unlock(1)
 		}
-	})
+	}, nil)
 	done := make(chan struct{})
 	go func() {
 		for _, r := range s.Readers {
@@ -154,7 +154,7 @@ func TestAbortUnblocksEverything(t *testing.T) {
 	s := Start(2, func(th *Thread) {
 		th.IntOps(BatchSize * 100) // will block on channel backpressure
 		th.Barrier(1)
-	})
+	}, nil)
 	// Do not consume; abort must unwind both goroutines.
 	s.Abort()
 	if err := s.Err(); err != nil {
@@ -167,14 +167,14 @@ func TestAbortWhileHoldingLock(t *testing.T) {
 		th.Lock(1)
 		th.IntOps(BatchSize * 100) // blocks on backpressure holding the lock
 		th.Unlock(1)
-	})
+	}, nil)
 	s.Abort()
 }
 
 func TestWorkloadPanicIsReported(t *testing.T) {
 	s := Start(1, func(th *Thread) {
 		panic("boom")
-	})
+	}, nil)
 	drain(s.Readers[0])
 	s.Wait()
 	if err := s.Err(); err == nil {
@@ -188,7 +188,7 @@ func TestRandDeterministicPerThread(t *testing.T) {
 		s := Start(2, func(th *Thread) {
 			v := th.Rand()
 			got[th.ID] = v
-		})
+		}, nil)
 		for _, r := range s.Readers {
 			drain(r)
 		}
@@ -205,12 +205,12 @@ func TestRandDeterministicPerThread(t *testing.T) {
 }
 
 func TestReaderConsumedCount(t *testing.T) {
-	s := Start(1, func(th *Thread) { th.IntOps(10) })
+	s := Start(1, func(th *Thread) { th.IntOps(10) }, nil)
 	r := s.Readers[0]
 	drain(r)
 	s.Wait()
-	if r.Consumed() != 10 {
-		t.Fatalf("consumed %d, want 10", r.Consumed())
+	if n := s.Counters().Instructions; n != 10 {
+		t.Fatalf("consumed %d, want 10", n)
 	}
 }
 
@@ -220,5 +220,5 @@ func TestStartRejectsZeroThreads(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Start(0, func(*Thread) {})
+	Start(0, func(*Thread) {}, nil)
 }

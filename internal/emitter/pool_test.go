@@ -65,7 +65,7 @@ func emitterGoroutines() int {
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "emitter.StartTapped.func")
+			return strings.Count(string(buf[:n]), "emitter.Start.func")
 		}
 		buf = make([]byte, 2*len(buf))
 	}
@@ -83,7 +83,7 @@ func startLive(t *testing.T) *liveStream {
 	l := &liveStream{ids: map[*isa.Instr]bool{}}
 	full := make(chan struct{})
 	batches := 0
-	l.s = emitter.StartTapped(1, func(th *emitter.Thread) {
+	l.s = emitter.Start(1, func(th *emitter.Thread) {
 		th.IntOps(4 * emitter.PoolSize * emitter.BatchSize)
 	}, func(_ int, batch []isa.Instr) {
 		// On the emitting goroutine, before each send: the ninth batch
@@ -206,14 +206,16 @@ func (d *stragglerDriver) NewCore(i int, clock sim.Clock, src cpu.Stream, port c
 	return d.Driver.NewCore(i, clock, src, port)
 }
 
-// readEach reads batches from each thread of s in turn until it has
-// delivered n instructions (threads must not wait on one another).
+// readEach reads batches from each thread of s in turn until this call
+// has taken n instructions from it (threads must not wait on one another).
 func readEach(s *emitter.Streams, n uint64) {
 	for _, r := range s.Readers {
-		for r.Consumed() < n {
-			if r.NextBatch() == nil {
+		for read := uint64(0); read < n; {
+			b := r.NextBatch()
+			if b == nil {
 				break
 			}
+			read += uint64(len(b))
 		}
 	}
 }
@@ -326,7 +328,7 @@ func TestEverySlabComesBackOnce(t *testing.T) {
 					th.IntOps(7)
 					th.Unlock(uint32(th.ID))
 				}
-			})
+			}, nil)
 			readEach(s, 3*emitter.BatchSize)
 			s.Abort()
 			if n := s.Holds(); n != 0 {
@@ -416,7 +418,7 @@ func borrowAndReturn(threads int) {
 			v = th.Load(0xdead0000+uint64(i), 8, v, v)
 			th.CacheOp(0xbeef0000+uint64(i), 0x15)
 		}
-	})
+	}, nil)
 	readEach(s, 1) // the ninth send of each needs the first batch taken
 	s.Wait()
 	readEach(s, math.MaxUint64) // to the end: Abort leaves a reader the batch it is on
@@ -442,7 +444,7 @@ func TestDroppedSlabIsNotPinned(t *testing.T) {
 	emitter.DropFreeSlabs()
 	borrowAndReturn(2)
 	made := emitter.SlabsMade()
-	s := emitter.Start(2, func(th *emitter.Thread) { th.IntOps(3 * emitter.BatchSize) })
+	s := emitter.Start(2, func(th *emitter.Thread) { th.IntOps(3 * emitter.BatchSize) }, nil)
 	readEach(s, 3*emitter.BatchSize)
 	s.Wait()
 	if emitter.SlabsMade() != made || s.Holds() == 0 {

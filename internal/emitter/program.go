@@ -177,7 +177,7 @@ func (p Program) Launch() (*AddressSpace, *Streams) {
 	if p.Setup != nil {
 		shared = p.Setup(as)
 	}
-	s := StartTapped(p.Threads, func(t *Thread) { p.Body(t, shared) }, p.Tap)
+	s := Start(p.Threads, func(t *Thread) { p.Body(t, shared) }, p.Tap)
 	return as, s
 }
 

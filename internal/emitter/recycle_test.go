@@ -12,7 +12,7 @@ import (
 // arrays rather than allocating one per send.
 func TestBatchBuffersAreRecycled(t *testing.T) {
 	const batches = 64 // well past poolSize circulations
-	s := Start(1, func(th *Thread) { th.IntOps(batches * BatchSize) })
+	s := Start(1, func(th *Thread) { th.IntOps(batches * BatchSize) }, nil)
 	rd := s.Readers[0]
 	seen := map[*isa.Instr]int{} // first-element pointer identifies a slab
 	n := 0
@@ -48,7 +48,7 @@ func TestEmitterSteadyStateZeroAlloc(t *testing.T) {
 	s := Start(1, func(th *Thread) {
 		// Enough instructions for warmup plus every measured round.
 		th.IntOps(perRound * (rounds + 4))
-	})
+	}, nil)
 	defer s.Abort()
 	rd := s.Readers[0]
 	for i := 0; i < 2*perRound; i++ { // warm the pool to steady state
@@ -79,7 +79,7 @@ func BenchmarkEmitterThroughput(b *testing.B) {
 		for {
 			th.IntOps(BatchSize)
 		}
-	})
+	}, nil)
 	defer s.Abort()
 	rd := s.Readers[0]
 	for i := 0; i < 2*poolSize*BatchSize; i++ { // prime the pool
@@ -114,7 +114,7 @@ func TestNextAndNextBatchAgree(t *testing.T) {
 		ctr Stats
 	}
 	drainBy := func(next func(r *Reader, i int) []isa.Instr) drained {
-		s := Start(1, body)
+		s := Start(1, body, nil)
 		r := s.Readers[0]
 		var d drained
 		for i := 0; ; i++ {
@@ -175,7 +175,7 @@ func TestRecycledSlotsAreFullyOverwritten(t *testing.T) {
 			th.CacheOp(0xbeef0000+uint64(i), 0x15)
 		}
 		th.IntOps(n)
-	})
+	}, nil)
 	rd := s.Readers[0]
 	for i := 0; i < n; i++ {
 		rd.Next()
@@ -187,7 +187,7 @@ func TestRecycledSlotsAreFullyOverwritten(t *testing.T) {
 		}
 	}
 	s.Wait()
-	if rd.SlabReuses() < 2*poolSize {
-		t.Fatalf("only %d slabs were recycled; the test did not reach reused slots", rd.SlabReuses())
+	if reuses := s.Counters().SlabReuses; reuses < 2*poolSize {
+		t.Fatalf("only %d slabs were recycled; the test did not reach reused slots", reuses)
 	}
 }

@@ -76,14 +76,6 @@ func AppendInstr(dst []byte, in Instr) []byte {
 	return dst
 }
 
-// DecodeInstr is DecodeInto for callers that want the instruction as a
-// value: it returns it with the number of bytes consumed.
-func DecodeInstr(b []byte) (Instr, int, error) {
-	var in Instr
-	n, err := DecodeInto(&in, b)
-	return in, n, err
-}
-
 // DecodeInto decodes one instruction from the front of b into *in and
 // returns the number of bytes consumed, so a decode loop copies no
 // Instr on the way out. It rejects — with an error, never a panic —
@@ -133,28 +125,4 @@ func longField(b []byte, n int, is32 bool) (uint64, int) {
 		return 0, n
 	}
 	return v, n + w
-}
-
-// EncodeStream encodes a whole instruction stream.
-func EncodeStream(ins []Instr) []byte {
-	var out []byte
-	for _, in := range ins {
-		out = AppendInstr(out, in)
-	}
-	return out
-}
-
-// DecodeStream decodes a stream until the buffer is exhausted. Any
-// malformed instruction fails the whole stream.
-func DecodeStream(b []byte) ([]Instr, error) {
-	var out []Instr
-	for len(b) > 0 {
-		in, n, err := DecodeInstr(b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, in)
-		b = b[n:]
-	}
-	return out, nil
 }

@@ -7,6 +7,38 @@ import (
 	"testing"
 )
 
+// DecodeInstr is DecodeInto returning the instruction as a value, with
+// the number of bytes consumed.
+func DecodeInstr(b []byte) (Instr, int, error) {
+	var in Instr
+	n, err := DecodeInto(&in, b)
+	return in, n, err
+}
+
+// EncodeStream encodes a whole instruction stream.
+func EncodeStream(ins []Instr) []byte {
+	var out []byte
+	for _, in := range ins {
+		out = AppendInstr(out, in)
+	}
+	return out
+}
+
+// DecodeStream decodes a stream until the buffer is exhausted. Any
+// malformed instruction fails the whole stream.
+func DecodeStream(b []byte) ([]Instr, error) {
+	var out []Instr
+	for len(b) > 0 {
+		in, n, err := DecodeInstr(b)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, in)
+		b = b[n:]
+	}
+	return out, nil
+}
+
 func TestStreamRoundTrip(t *testing.T) {
 	ins := []Instr{
 		{Op: Nop},

@@ -186,18 +186,3 @@ func R10000Latencies() LatencyTable {
 	t[Barrier] = Latency{Cycles: 1, Unit: UnitNone}
 	return t
 }
-
-// UnitLatencies returns a degenerate table in which every op takes one
-// cycle. This is Mipsy's model: "pipeline effects and functional unit
-// latencies are not simulated, so the Mipsy processor executes one
-// instruction per cycle in the absence of memory stalls."
-func UnitLatencies() LatencyTable {
-	var t LatencyTable
-	for op := Op(0); op < NumOps; op++ {
-		t[op] = Latency{Cycles: 1, Unit: UnitALU}
-	}
-	t[Load].Unit = UnitLS
-	t[Store].Unit = UnitLS
-	t[Prefetch].Unit = UnitLS
-	return t
-}

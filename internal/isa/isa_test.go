@@ -59,18 +59,6 @@ func TestR10000Latencies(t *testing.T) {
 	}
 }
 
-func TestUnitLatenciesAreAllOne(t *testing.T) {
-	lat := UnitLatencies()
-	for op := Op(0); op < NumOps; op++ {
-		if lat[op].Cycles != 1 {
-			t.Errorf("Mipsy latency for %v = %d, want 1", op, lat[op].Cycles)
-		}
-		if lat[op].FlushesPipe {
-			t.Errorf("Mipsy models no pipeline flush for %v", op)
-		}
-	}
-}
-
 func TestInstrString(t *testing.T) {
 	in := Instr{Op: Load, Addr: 0x1000, Size: 8, Dep2: 1}
 	if in.String() == "" {

@@ -114,9 +114,9 @@ func build(cfg Config, space *emitter.AddressSpace, newCore func(i int, clock si
 	}
 	m.window = la * windowLookaheadMult
 
-	// Nodes partition into contiguous shard blocks; shard queues run
-	// relaxed because barrier deliveries legitimately resume a node
-	// below its queue's dispatch horizon.
+	// Nodes partition into contiguous shard blocks. A barrier delivery
+	// may resume a node below its queue's dispatch horizon, which
+	// sim.Queue accepts.
 	nshards := cfg.Shards
 	if nshards < 1 {
 		nshards = 1
@@ -126,9 +126,7 @@ func build(cfg Config, space *emitter.AddressSpace, newCore func(i int, clock si
 	}
 	m.shards = make([]*shard, nshards)
 	for s := range m.shards {
-		q := sim.NewQueue()
-		q.SetRelaxed(true)
-		m.shards[s] = &shard{id: s, queue: q}
+		m.shards[s] = &shard{id: s, queue: sim.NewQueue()}
 	}
 
 	clock := sim.NewClock(cfg.ClockMHz)

@@ -285,8 +285,8 @@ func (m *Machine) execOp(op *pendingOp) {
 
 // deliver completes a suspended core's deferred access and reschedules
 // it at the resume time the core reports. The resume may precede events
-// the node's shard already dispatched this window — that is the reason
-// shard queues run relaxed.
+// the node's shard already dispatched this window, which sim.Queue
+// accepts: dispatch order within a round stays (at, prio, seq).
 func (m *Machine) deliver(n *node, mi cpu.MemInfo) {
 	m.resume(n, n.core.(cpu.Blocking).Deliver(mi))
 }

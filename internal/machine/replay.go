@@ -135,9 +135,6 @@ func (img *ReplayImage) Artifact() string { return img.artifact }
 // Threads returns the image's thread count.
 func (img *ReplayImage) Threads() int { return img.threads }
 
-// Instructions returns the total recorded instruction count.
-func (img *ReplayImage) Instructions() uint64 { return img.instrs }
-
 // RunReplay executes a prepared trace image on a machine described by
 // cfg: the same memory system, OS model, and event scheduling as Run,
 // with the core model replaced by a trace-driven core that replays the

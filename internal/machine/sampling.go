@@ -41,23 +41,6 @@ func (s SamplingConfig) Schedule() Schedule {
 // schedule runs everything detailed).
 func (s Schedule) Enabled() bool { return s.Period > 0 }
 
-// SegmentAt returns the segment containing instruction index n: its
-// kind and how many instructions of it remain from n (inclusive).
-// Exposed for tests; the sampled core tracks segments incrementally.
-func (s Schedule) SegmentAt(n uint64) (detailed bool, left uint64) {
-	if !s.Enabled() {
-		return true, ^uint64(0)
-	}
-	if n < s.Phase {
-		return false, s.Phase - n
-	}
-	pos := (n - s.Phase) % s.Period
-	if pos < s.Window {
-		return true, s.Window - pos
-	}
-	return false, s.Period - pos
-}
-
 // SamplingStats is the window accounting of a sampled run, aggregated
 // across nodes into Result.Sampling. The zero value means the run was
 // not sampled.

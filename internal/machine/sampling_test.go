@@ -26,33 +26,6 @@ func sampleFFT(procs int) emitter.Program {
 	return apps.FFT(apps.FFTOpts{LogN: 10, Procs: procs, TLBBlocked: true, Prefetch: true})
 }
 
-func TestScheduleSegmentAt(t *testing.T) {
-	s := machine.Schedule{Phase: 100, Period: 1000, Window: 200}
-	cases := []struct {
-		n        uint64
-		detailed bool
-		left     uint64
-	}{
-		{0, false, 100},    // phase prefix
-		{99, false, 1},     // last phase instruction
-		{100, true, 200},   // first window of period 0
-		{299, true, 1},     // last window instruction
-		{300, false, 800},  // functional gap
-		{1099, false, 1},   // end of period 0
-		{1100, true, 200},  // period 1 window
-		{2400, false, 700}, // period 2 gap, mid-way
-	}
-	for _, c := range cases {
-		d, left := s.SegmentAt(c.n)
-		if d != c.detailed || left != c.left {
-			t.Errorf("SegmentAt(%d) = (%v, %d), want (%v, %d)", c.n, d, left, c.detailed, c.left)
-		}
-	}
-	if d, _ := (machine.Schedule{}).SegmentAt(12345); !d {
-		t.Error("zero schedule should be all-detailed")
-	}
-}
-
 func TestSamplingConfigValidation(t *testing.T) {
 	bad := []machine.SamplingConfig{
 		{Enabled: true},                                      // period 0

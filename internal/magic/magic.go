@@ -136,18 +136,9 @@ func DefaultConfig() Config {
 
 // Controller is one node's MAGIC.
 type Controller struct {
-	cfg   Config
-	pp    sim.Server
-	dram  *sim.Banks
-	stats CtrlStats
-}
-
-// CtrlStats counts controller activity.
-type CtrlStats struct {
-	Handlers   uint64
-	PPCycles   uint64
-	MemAccess  uint64
-	HandlerCnt [NumHandlers]uint64
+	cfg  Config
+	pp   sim.Server
+	dram *sim.Banks
 }
 
 // New creates a MAGIC instance.
@@ -158,15 +149,6 @@ func New(cfg Config) *Controller {
 	}
 	return &Controller{cfg: cfg, dram: sim.NewBanks("dram", banks)}
 }
-
-// Config returns the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
-// Stats returns accumulated counters.
-func (c *Controller) Stats() CtrlStats { return c.stats }
-
-// PPStats returns the protocol processor's utilization counters.
-func (c *Controller) PPStats() sim.Stats { return c.pp.Stats() }
 
 // Inbox returns the time a message arriving at t has traversed the
 // inbox.
@@ -182,9 +164,6 @@ func (c *Controller) Outbox(t sim.Ticks) sim.Ticks { return t + c.cfg.OutboxTick
 func (c *Controller) RunHandler(t sim.Ticks, h Handler, extraCycles uint32) sim.Ticks {
 	cyc := uint64(c.cfg.Table[h] + extraCycles)
 	dur := c.cfg.Clock.Cycles(cyc)
-	c.stats.Handlers++
-	c.stats.PPCycles += cyc
-	c.stats.HandlerCnt[h]++
 	if !c.cfg.ModelOccupancy {
 		return t + dur
 	}
@@ -197,18 +176,10 @@ func (c *Controller) RunHandler(t sim.Ticks, h Handler, extraCycles uint32) sim.
 // streamed (reads/writebacks) or only the critical word matters. It
 // returns the data-ready time.
 func (c *Controller) Memory(t sim.Ticks, pa uint64, fullLine bool) sim.Ticks {
-	c.stats.MemAccess++
 	dur := c.cfg.Mem.FirstWordTicks
 	if fullLine {
 		dur += c.cfg.Mem.TransferTicks
 	}
 	_, done := c.dram.Acquire(pa>>7, t, dur)
 	return done
-}
-
-// Reset clears reservation state and statistics.
-func (c *Controller) Reset() {
-	c.pp.Reset()
-	c.dram.Reset()
-	c.stats = CtrlStats{}
 }

@@ -76,23 +76,6 @@ func TestInboxOutbox(t *testing.T) {
 	}
 }
 
-func TestStatsAndReset(t *testing.T) {
-	c := New(DefaultConfig())
-	c.RunHandler(0, HNIGetX, 0)
-	c.Memory(0, 0, true)
-	st := c.Stats()
-	if st.Handlers != 1 || st.MemAccess != 1 || st.HandlerCnt[HNIGetX] != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-	if c.PPStats().Uses != 1 {
-		t.Fatal("pp stats")
-	}
-	c.Reset()
-	if c.Stats().Handlers != 0 || c.PPStats().Uses != 0 {
-		t.Fatal("reset")
-	}
-}
-
 func TestHandlerNames(t *testing.T) {
 	for h := Handler(0); h < NumHandlers; h++ {
 		if h.String() == "" || h.String() == "handler(?)" {

@@ -114,9 +114,6 @@ func (f *FlashLite) Directory() *proto.Directory { return f.dir }
 // Net exposes the interconnect.
 func (f *FlashLite) Net() *network.Network { return f.net }
 
-// Controller exposes a node's MAGIC (statistics).
-func (f *FlashLite) Controller(node int) *magic.Controller { return f.ctrl[node] }
-
 func (f *FlashLite) busReq(t sim.Ticks) sim.Ticks { return t + sim.NS(f.cfg.Timing.BusRequestNS) }
 func (f *FlashLite) busRep(t sim.Ticks) sim.Ticks { return t + sim.NS(f.cfg.Timing.BusReplyNS) }
 func (f *FlashLite) interv(t sim.Ticks) sim.Ticks { return t + sim.NS(f.cfg.Timing.InterventionNS) }

@@ -9,11 +9,7 @@
 // routers"); FlashLite and the hardware reference enable it.
 package network
 
-import (
-	"fmt"
-
-	"flashsim/internal/sim"
-)
+import "flashsim/internal/sim"
 
 // Config describes the interconnect.
 type Config struct {
@@ -85,9 +81,6 @@ func New(cfg Config) *Network {
 		routers: make([]sim.Server, 1<<dims),
 	}
 }
-
-// Config returns the interconnect configuration.
-func (n *Network) Config() Config { return n.cfg }
 
 // Stats returns accumulated traffic counters.
 func (n *Network) Stats() NetStats { return n.stats }
@@ -165,36 +158,4 @@ func (n *Network) Send(t sim.Ticks, src, dst int, size int) sim.Ticks {
 		cur = next
 	}
 	return now
-}
-
-// LatencyOnly returns the uncontended transit time for size bytes over
-// the src→dst route (used by the NUMA model's fixed-latency paths).
-func (n *Network) LatencyOnly(src, dst int, size int) sim.Ticks {
-	h := sim.Ticks(n.Hops(src, dst))
-	ser := sim.Ticks(uint64(size)*uint64(n.cfg.TicksPerKByte)/1024 + 1)
-	return h*(n.cfg.HopTicks+n.cfg.RouterTicks) + ser*h
-}
-
-// Reset clears all reservation state and statistics.
-func (n *Network) Reset() {
-	for i := range n.links {
-		n.links[i].Reset()
-	}
-	for i := range n.routers {
-		n.routers[i].Reset()
-	}
-	n.stats = NetStats{}
-}
-
-// LinkStats returns the utilization of every directed link that has
-// carried traffic, keyed "a->b".
-func (n *Network) LinkStats() map[string]sim.Stats {
-	out := make(map[string]sim.Stats)
-	for i := range n.links {
-		if st := n.links[i].Stats(); st.Uses > 0 {
-			a, d := i/n.dims, i%n.dims
-			out[fmt.Sprintf("%d->%d", a, a^1<<d)] = st
-		}
-	}
-	return out
 }

@@ -1,7 +1,8 @@
 package network
 
 import (
-	"fmt"
+	"math/bits"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -101,30 +102,12 @@ func TestStatsAccumulate(t *testing.T) {
 	if st.Messages != 1 || st.Bytes != 64 || st.Hops != 2 {
 		t.Fatalf("stats %+v", st)
 	}
-	if len(n.LinkStats()) == 0 {
-		t.Fatal("no link stats")
-	}
-	n.Reset()
-	if n.Stats().Messages != 0 {
-		t.Fatal("reset")
-	}
 }
 
 func TestNonPowerOfTwoRoundsUp(t *testing.T) {
 	n := New(DefaultConfig(12)) // embeds in a 16-node cube
 	if got := n.Hops(0, 11); got != 3 {
 		t.Fatalf("hops in partial cube: %d", got)
-	}
-}
-
-func TestLatencyOnly(t *testing.T) {
-	n := New(DefaultConfig(16))
-	lat := n.LatencyOnly(0, 3, 144)
-	if lat == 0 {
-		t.Fatal("zero latency")
-	}
-	if n.LatencyOnly(0, 15, 144) <= lat {
-		t.Fatal("latency must grow with distance")
 	}
 }
 
@@ -139,18 +122,18 @@ func TestSerializationTimeGrowsWithSize(t *testing.T) {
 }
 
 // TestSendWalksRoute: on every (src, dst) pair of full, partial and
-// degenerate cubes, one Send reserves exactly the directed links of
-// Route(src, dst), once each, counts Hops(src, dst) hops, and takes the
-// uncontended per-hop time.
+// degenerate cubes, one Send on a fresh network reserves exactly the
+// directed links of Route(src, dst), counts Hops(src, dst) hops, and
+// takes the uncontended per-hop time, so no link of the route is
+// reserved twice.
 func TestSendWalksRoute(t *testing.T) {
 	for _, nodes := range []int{1, 2, 16, 32, 24} {
 		cfg := DefaultConfig(nodes)
-		n := New(cfg)
 		const size = 144
 		perHop := sim.Ticks(size*uint64(cfg.TicksPerKByte)/1024+1) + cfg.HopTicks + cfg.RouterTicks
 		for src := 0; src < nodes; src++ {
 			for dst := 0; dst < nodes; dst++ {
-				n.Reset()
+				n := New(cfg)
 				route := n.Route(src, dst)
 				arrive := n.Send(1000, src, dst, size)
 				if want := 1000 + sim.Ticks(len(route))*perHop; arrive != want {
@@ -159,82 +142,24 @@ func TestSendWalksRoute(t *testing.T) {
 				if got := n.Stats().Hops; got != uint64(n.Hops(src, dst)) || got != uint64(len(route)) {
 					t.Fatalf("%d nodes %d->%d: %d hops counted, Hops=%d, route %v", nodes, src, dst, got, n.Hops(src, dst), route)
 				}
-				links := n.LinkStats()
-				if len(links) != len(route) {
-					t.Fatalf("%d nodes %d->%d: links %v, route %v", nodes, src, dst, links, route)
+				reserved := map[int]bool{} // indexes of links holding a reservation
+				for i := range n.links {
+					if !reflect.ValueOf(n.links[i]).IsZero() {
+						reserved[i] = true
+					}
+				}
+				if len(reserved) != len(route) {
+					t.Fatalf("%d nodes %d->%d: %d links reserved, route %v", nodes, src, dst, len(reserved), route)
 				}
 				cur := src
 				for _, next := range route {
-					key := fmt.Sprintf("%d->%d", cur, next)
-					if links[key].Uses != 1 {
-						t.Fatalf("%d nodes %d->%d: link %s used %d times; links %v, route %v", nodes, src, dst, key, links[key].Uses, links, route)
+					if d := bits.TrailingZeros(uint(cur ^ next)); !reserved[cur*n.dims+d] {
+						t.Fatalf("%d nodes %d->%d: link %d->%d not reserved; route %v", nodes, src, dst, cur, next, route)
 					}
 					cur = next
 				}
 			}
 		}
-	}
-}
-
-// TestLinkStatsPinned replays a fixed message script with crossing
-// routes and repeated links and compares LinkStats with the map it
-// produced when links were created on first use and keyed by their
-// endpoints: the same keys, only links that carried traffic, the same
-// counters.
-func TestLinkStatsPinned(t *testing.T) {
-	n := New(DefaultConfig(16))
-	script := []struct {
-		t        sim.Ticks
-		src, dst int
-		size     int
-	}{
-		{0, 0, 15, 144}, {0, 0, 15, 144}, {10, 1, 15, 16}, {20, 15, 0, 144},
-		{30, 3, 7, 1024}, {30, 3, 7, 1024}, {31, 3, 15, 16}, {500, 5, 5, 64},
-		{40, 8, 0, 144}, {41, 9, 0, 144}, {42, 1, 0, 16}, {2000, 0, 1, 144},
-	}
-	for _, m := range script {
-		n.Send(m.t, m.src, m.dst, m.size)
-	}
-	want := map[string]sim.Stats{
-		"0->1":   {Uses: 3, Busy: 1083, Waited: 361, MaxWait: 361},
-		"1->0":   {Uses: 1, Busy: 41},
-		"1->3":   {Uses: 3, Busy: 763},
-		"3->7":   {Uses: 6, Busy: 5926, Waited: 5661, MaxWait: 4111},
-		"7->15":  {Uses: 4, Busy: 804},
-		"8->0":   {Uses: 3, Busy: 1083},
-		"9->8":   {Uses: 1, Busy: 361},
-		"12->8":  {Uses: 1, Busy: 361},
-		"14->12": {Uses: 1, Busy: 361},
-		"15->14": {Uses: 1, Busy: 361},
-	}
-	got := n.LinkStats()
-	if len(got) != len(want) {
-		t.Errorf("%d links reported, want %d", len(got), len(want))
-	}
-	for k, w := range want {
-		if got[k] != w {
-			t.Errorf("link %s: %+v, want %+v", k, got[k], w)
-		}
-	}
-	for k, g := range got {
-		if _, ok := want[k]; !ok {
-			t.Errorf("unexpected link %s: %+v", k, g)
-		}
-	}
-	if st := n.Stats(); st.Messages != 12 || st.Hops != 24 {
-		t.Errorf("stats %+v", st)
-	}
-	n.Reset()
-	if got := n.LinkStats(); len(got) != 0 {
-		t.Errorf("links reported after Reset: %v", got)
-	}
-	if n.Stats() != (NetStats{}) {
-		t.Errorf("stats after Reset: %+v", n.Stats())
-	}
-	// The table is reusable after Reset: the first message meets no
-	// leftover reservation.
-	if got, want := n.Send(0, 0, 1, 16), New(DefaultConfig(16)).Send(0, 0, 1, 16); got != want {
-		t.Errorf("send after Reset arrives at %d, fresh network %d", got, want)
 	}
 }
 
@@ -248,12 +173,8 @@ func TestSingleNodeNetwork(t *testing.T) {
 	if n.Route(0, 0) != nil || n.Hops(0, 0) != 0 {
 		t.Fatal("single node has a route")
 	}
-	if len(n.LinkStats()) != 0 {
-		t.Fatalf("links reported: %v", n.LinkStats())
-	}
-	n.Reset()
-	if st := n.Stats(); st != (NetStats{}) {
-		t.Fatalf("stats after reset %+v", st)
+	if len(n.links) != 0 {
+		t.Fatalf("%d links in a single-node network", len(n.links))
 	}
 }
 

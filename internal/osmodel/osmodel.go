@@ -114,9 +114,6 @@ func New(cfg Config, pt *vm.PageTable, procs int) *OS {
 	return o
 }
 
-// Config returns the model configuration.
-func (o *OS) Config() Config { return o.cfg }
-
 // Kind returns the model kind.
 func (o *OS) Kind() Kind { return o.cfg.Kind }
 

@@ -2,6 +2,7 @@ package param_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -31,7 +32,7 @@ func TestWarmRunEncodesConfigOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := serve.New(serve.Options{Pool: runner.New(1, store)})
-	defer srv.Close()
+	defer srv.Drain(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

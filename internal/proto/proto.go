@@ -192,9 +192,6 @@ func NewDirectory(nodes int, storeLinks int) *Directory {
 // Stats returns accumulated directory statistics.
 func (d *Directory) Stats() DirStats { return d.stats }
 
-// Store exposes the pointer store (for statistics and tests).
-func (d *Directory) Store() *PointerStore { return d.store }
-
 // transition moves e to (st, owner), counting the change when the pair
 // actually changes (sharing-list-only updates are not transitions).
 func (d *Directory) transition(e *entry, st EntryState, owner int32) {

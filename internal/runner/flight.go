@@ -55,9 +55,6 @@ func NewFlight(pool *Pool, base context.Context) *Flight {
 	return &Flight{pool: pool, base: base, inflight: make(map[string]*flightCall)}
 }
 
-// Pool returns the flight's pool.
-func (f *Flight) Pool() *Pool { return f.pool }
-
 // Coalesced returns how many Run calls joined an execution some other
 // caller had already started.
 func (f *Flight) Coalesced() int64 { return f.coalesced.Load() }

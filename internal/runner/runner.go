@@ -173,9 +173,6 @@ func RunOne(p *Pool, job Job) (machine.Result, error) {
 // Workers returns the pool's concurrency.
 func (p *Pool) Workers() int { return p.workers }
 
-// Store returns the pool's memoization backend (nil if none).
-func (p *Pool) Store() Backend { return p.store }
-
 // SetMetrics attaches a collector that receives every successful
 // outcome's Result — fresh runs and cache hits alike, so the report
 // describes the batch the caller asked for, not just the runs that

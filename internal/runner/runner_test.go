@@ -208,9 +208,9 @@ func TestStoreMemoizesWithinAProcess(t *testing.T) {
 	if warm.Ran != 0 {
 		t.Errorf("warm batch performed %d new runs, want 0", warm.Ran)
 	}
-	if warm.CacheHits != int64(len(jobs)) || warm.HitRate() != 1 {
-		t.Errorf("warm batch hits = %d (rate %.2f), want %d (1.00)",
-			warm.CacheHits, warm.HitRate(), len(jobs))
+	if warm.CacheHits != int64(len(jobs)) || warm.Jobs != int64(len(jobs)) {
+		t.Errorf("warm batch hits = %d of %d jobs, want %d of %d",
+			warm.CacheHits, warm.Jobs, len(jobs), len(jobs))
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Error("memoized results differ from computed results")
@@ -289,8 +289,8 @@ func TestStatsString(t *testing.T) {
 	if str := s.String(); !strings.Contains(str, "2 jobs") {
 		t.Errorf("String() = %q", str)
 	}
-	if s.MeanRunTime() <= 0 {
-		t.Error("mean run time should be positive")
+	if s.CPU <= 0 {
+		t.Error("run time should be positive")
 	}
 }
 

@@ -67,14 +67,6 @@ func (s Stats) Speedup() float64 {
 	return float64(s.CPU) / float64(s.Wall)
 }
 
-// HitRate returns the fraction of jobs served from the store.
-func (s Stats) HitRate() float64 {
-	if s.Jobs == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.Jobs)
-}
-
 // String renders the snapshot the way the CLIs print it.
 func (s Stats) String() string {
 	out := fmt.Sprintf("%d jobs (%d run, %d cached", s.Jobs, s.Ran, s.CacheHits)
@@ -99,13 +91,4 @@ func (s Stats) Sub(earlier Stats) Stats {
 		Wall:      s.Wall - earlier.Wall,
 		CPU:       s.CPU - earlier.CPU,
 	}
-}
-
-// MeanRunTime returns the mean per-run execution time (0 if nothing
-// ran).
-func (s Stats) MeanRunTime() time.Duration {
-	if s.Ran == 0 {
-		return 0
-	}
-	return s.CPU / time.Duration(s.Ran)
 }

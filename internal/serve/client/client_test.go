@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -24,7 +25,11 @@ func newPair(t *testing.T, opts serve.Options) (*serve.Server, *client.Client) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		s.Close()
+		// A Drain whose context has already expired cancels every job
+		// and waits for the workers.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_ = s.Drain(ctx)
 	})
 	return s, client.New(ts.URL, nil)
 }

@@ -237,7 +237,7 @@ func TestJoinedSubmissionKeepsItsOwnDeadline(t *testing.T) {
 // taken out.
 func TestDocumentedRoutesExist(t *testing.T) {
 	s := New(Options{Pool: runner.Serial()})
-	defer s.Close()
+	defer stop(s)
 	route := regexp.MustCompile(`/v1/[a-z]+`)
 	for _, doc := range []string{"../../README.md", "../../cmd/flashd/main.go"} {
 		text, err := os.ReadFile(doc)

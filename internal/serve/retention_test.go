@@ -36,7 +36,7 @@ func TestJobTableIsBounded(t *testing.T) {
 	t.Cleanup(func() {
 		release()
 		ts.Close()
-		s.Close()
+		stop(s)
 	})
 
 	resp, data := postJSON(t, ts.URL+"/v1/runs", runBody(8))

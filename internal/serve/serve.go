@@ -177,16 +177,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close aborts everything: admissions stop, queued and in-flight jobs
-// are cancelled. For tests and error paths; production shutdown is
-// Drain.
-func (s *Server) Close() {
-	s.baseCancel()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	_ = s.Drain(ctx)
-}
-
 // worker executes queued jobs until the queue closes.
 func (s *Server) worker() {
 	defer s.workersWG.Done()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,9 +32,18 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server, chan 
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		s.Close()
+		stop(s)
 	})
 	return s, ts, gate
+}
+
+// stop is a test's teardown: admissions stop, queued and in-flight
+// jobs are cancelled, and the workers are waited for. A Drain whose
+// context has already expired does exactly that.
+func stop(s *Server) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = s.Drain(ctx)
 }
 
 // runBody renders a snbench.restart run submission; lines
@@ -371,7 +381,7 @@ func TestNaNSettingIsRefusedNotPanicked(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(Options{Pool: runner.New(2, nil), Traces: traces})
-	defer s.Close()
+	defer stop(s)
 	var serverLog bytes.Buffer
 	ts := httptest.NewUnstartedServer(s.Handler())
 	ts.Config.ErrorLog = log.New(&serverLog, "", 0)

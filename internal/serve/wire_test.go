@@ -103,7 +103,7 @@ func newWireRig(t *testing.T, out *strings.Builder, title string, opts Options) 
 				}
 			}
 		}()
-		r.s.Close()
+		stop(r.s)
 		close(done)
 	})
 	fmt.Fprintf(out, "######## %s\n\n", title)

@@ -24,35 +24,6 @@ func TestScheduleFnDispatchesWithArg(t *testing.T) {
 	}
 }
 
-func TestScheduleFnInterleavesWithClosures(t *testing.T) {
-	q := NewQueue()
-	h := &countHandler{}
-	var order []string
-	q.Schedule(5, 0, func(Ticks) { order = append(order, "closure") })
-	q.ScheduleFn(5, 1, h, 1)
-	q.Schedule(3, 9, func(Ticks) { order = append(order, "early") })
-	q.Run(0)
-	if len(order) != 2 || order[0] != "early" || order[1] != "closure" {
-		t.Fatalf("order %v", order)
-	}
-	if len(h.fired) != 1 {
-		t.Fatalf("handler fired %v", h.fired)
-	}
-}
-
-func TestScheduleFnRejectsPast(t *testing.T) {
-	q := NewQueue()
-	h := &countHandler{}
-	q.ScheduleFn(100, 0, h, 0)
-	q.Step()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic scheduling into the past")
-		}
-	}()
-	q.ScheduleFn(50, 0, h, 0)
-}
-
 // TestScheduleFnRecyclesEvents pins the free list: a long
 // schedule-fire cycle must reuse a bounded set of Event structs.
 func TestScheduleFnRecyclesEvents(t *testing.T) {
@@ -99,31 +70,6 @@ func TestQueueScheduleFnZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("ScheduleFn+StepBatch steady state allocates %.1f allocs/run, want 0", avg)
-	}
-}
-
-// TestCancelAfterStepIsInert guards the remove-clears-index fix: a
-// handle whose event already fired or was removed must never corrupt
-// the heap when cancelled again.
-func TestCancelAfterStepIsInert(t *testing.T) {
-	q := NewQueue()
-	var fired []int
-	mk := func(i int) *Event {
-		return q.Schedule(Ticks(10+i), 0, func(Ticks) { fired = append(fired, i) })
-	}
-	e0, e1, e2 := mk(0), mk(1), mk(2)
-	q.Step() // fires e0
-	// Cancelling a fired event must be a no-op even though two live
-	// events still occupy the heap slots the fired event once used.
-	q.Cancel(e0)
-	q.Cancel(e1)
-	q.Cancel(e1) // double-cancel: also inert
-	q.Run(0)
-	if len(fired) != 2 || fired[0] != 0 || fired[1] != 2 {
-		t.Fatalf("fired %v, want [0 2]", fired)
-	}
-	if e2.index != -1 {
-		t.Fatalf("fired event retains heap index %d", e2.index)
 	}
 }
 
@@ -282,22 +228,5 @@ func BenchmarkEventQueue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q.Step()
 		q.ScheduleFn(q.Now()+pending, int32(i&3), h, uint64(i))
-	}
-}
-
-// BenchmarkEventQueueClosure is the pre-optimization pattern, kept as
-// the comparison point for the allocation trajectory in CI.
-func BenchmarkEventQueueClosure(b *testing.B) {
-	q := NewQueue()
-	nop := func(Ticks) {}
-	const pending = 64
-	for i := 0; i < pending; i++ {
-		q.Schedule(Ticks(i), int32(i&3), nop)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Step()
-		q.Schedule(q.Now()+pending, int32(i&3), nop)
 	}
 }

@@ -31,12 +31,8 @@ type Server struct {
 	// interval starts at or after the end of every interval before it;
 	// zero-length ones (dur == 0 is configurable) need not, so ends are
 	// not sorted (DESIGN.md, "Interval-based resource reservation").
-	win    []interval
-	lo     int
-	busyT  Ticks  // total occupied time
-	uses   uint64 // number of reservations
-	waited Ticks  // total queueing delay imposed
-	maxQ   Ticks  // maximum single queueing delay
+	win []interval
+	lo  int
 }
 
 type interval struct{ start, end Ticks }
@@ -79,15 +75,8 @@ func (s *Server) schedule(t, dur Ticks) Ticks {
 // start time of service (>= t) and the completion time.
 func (s *Server) Acquire(t, dur Ticks) (start, done Ticks) {
 	start = s.schedule(t, dur)
-	wait := start - t
-	s.waited += wait
-	if wait > s.maxQ {
-		s.maxQ = wait
-	}
 	done = start + dur
 	s.insert(interval{start, done})
-	s.busyT += dur
-	s.uses++
 	return start, done
 }
 
@@ -118,68 +107,6 @@ func (s *Server) insert(iv interval) {
 	}
 }
 
-// Peek returns the earliest time a request arriving at t could begin
-// service, without reserving (assuming a zero-length probe).
-func (s *Server) Peek(t Ticks) Ticks { return s.schedule(t, 1) }
-
-// Reset clears reservation state and statistics.
-func (s *Server) Reset() { *s = Server{Name: s.Name, win: s.win[:0]} }
-
-// Stats describes accumulated utilization of a resource.
-type Stats struct {
-	Uses    uint64
-	Busy    Ticks
-	Waited  Ticks
-	MaxWait Ticks
-}
-
-// Stats returns the server's accumulated utilization counters.
-func (s *Server) Stats() Stats {
-	return Stats{Uses: s.uses, Busy: s.busyT, Waited: s.waited, MaxWait: s.maxQ}
-}
-
-// Utilization returns busy time as a fraction of the elapsed time span.
-func (s *Server) Utilization(span Ticks) float64 {
-	if span == 0 {
-		return 0
-	}
-	return float64(s.busyT) / float64(span)
-}
-
-// Pipe is a pipelined resource: a new request can start every II ticks
-// (initiation interval) but each takes Latency ticks to complete. A
-// Server is the special case II == Latency.
-type Pipe struct {
-	Name    string
-	II      Ticks
-	Latency Ticks
-
-	nextStart Ticks
-	uses      uint64
-	waited    Ticks
-}
-
-// Acquire reserves an issue slot at or after t. It returns the slot time
-// and the completion time (slot + Latency).
-func (p *Pipe) Acquire(t Ticks) (start, done Ticks) {
-	start = t
-	if p.nextStart > start {
-		start = p.nextStart
-	}
-	p.waited += start - t
-	p.nextStart = start + p.II
-	p.uses++
-	return start, start + p.Latency
-}
-
-// Reset clears reservation state.
-func (p *Pipe) Reset() { p.nextStart, p.uses, p.waited = 0, 0, 0 }
-
-// Stats returns the pipe's utilization counters.
-func (p *Pipe) Stats() Stats {
-	return Stats{Uses: p.uses, Busy: Ticks(p.uses) * p.II, Waited: p.waited}
-}
-
 // Banks is a set of independently contended servers addressed by an
 // interleaving function, modeling e.g. DRAM banks interleaved by cache
 // line.
@@ -197,32 +124,7 @@ func NewBanks(name string, n int) *Banks {
 	return b
 }
 
-// N returns the number of banks.
-func (b *Banks) N() int { return len(b.banks) }
-
 // Acquire reserves bank (idx mod n) at or after t for dur.
 func (b *Banks) Acquire(idx uint64, t, dur Ticks) (start, done Ticks) {
 	return b.banks[idx%uint64(len(b.banks))].Acquire(t, dur)
-}
-
-// Reset clears all banks.
-func (b *Banks) Reset() {
-	for i := range b.banks {
-		b.banks[i].Reset()
-	}
-}
-
-// Stats sums utilization across banks.
-func (b *Banks) Stats() Stats {
-	var s Stats
-	for i := range b.banks {
-		bs := b.banks[i].Stats()
-		s.Uses += bs.Uses
-		s.Busy += bs.Busy
-		s.Waited += bs.Waited
-		if bs.MaxWait > s.MaxWait {
-			s.MaxWait = bs.MaxWait
-		}
-	}
-	return s
 }

@@ -117,39 +117,22 @@ func TestQueueSeqBreaksRemainingTies(t *testing.T) {
 	}
 }
 
-func TestQueueRejectsPastEvents(t *testing.T) {
+// TestQueueAcceptsPastEvents pins the one mode the queue has: an event
+// below Now is dispatched in (at, prio, seq) order like any other, and
+// Now regresses to its time.
+func TestQueueAcceptsPastEvents(t *testing.T) {
 	q := NewQueue()
-	q.Schedule(100, 0, func(Ticks) {})
+	h := &countHandler{}
+	q.ScheduleFn(100, 0, h, 1)
 	q.Step()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic scheduling into the past")
-		}
-	}()
-	q.Schedule(50, 0, func(Ticks) {})
-}
-
-func TestQueueCancel(t *testing.T) {
-	q := NewQueue()
-	fired := false
-	e := q.Schedule(10, 0, func(Ticks) { fired = true })
-	q.Cancel(e)
-	q.Run(0)
-	if fired {
-		t.Fatal("cancelled event fired")
+	q.ScheduleFn(60, 0, h, 3)
+	q.ScheduleFn(50, 0, h, 2)
+	if !q.Step() || q.Now() != 50 {
+		t.Fatalf("past event: Now = %d, want 50", q.Now())
 	}
-	// Cancelling twice is a no-op.
-	q.Cancel(e)
-}
-
-func TestQueueReschedule(t *testing.T) {
-	q := NewQueue()
-	var at Ticks
-	e := q.Schedule(10, 0, func(now Ticks) { at = now })
-	q.Reschedule(e, 99)
-	q.Run(0)
-	if at != 99 {
-		t.Fatalf("rescheduled event fired at %d, want 99", at)
+	drain(q)
+	if len(h.fired) != 3 || h.fired[1] != 2 || h.fired[2] != 3 {
+		t.Fatalf("fired %v, want [1 2 3]", h.fired)
 	}
 }
 
@@ -250,33 +233,6 @@ func TestServerNoOverlapProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(7))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestServerStats(t *testing.T) {
-	var s Server
-	s.Acquire(0, 10)
-	s.Acquire(0, 10)
-	st := s.Stats()
-	if st.Uses != 2 || st.Busy != 20 || st.Waited != 10 || st.MaxWait != 10 {
-		t.Fatalf("stats %+v", st)
-	}
-	if u := s.Utilization(40); u != 0.5 {
-		t.Fatalf("utilization = %f", u)
-	}
-}
-
-func TestServerPeek(t *testing.T) {
-	var s Server
-	s.Acquire(10, 10)
-	if got := s.Peek(15); got != 20 {
-		t.Fatalf("peek inside busy = %d, want 20", got)
-	}
-	if got := s.Peek(30); got != 30 {
-		t.Fatalf("peek after busy = %d, want 30", got)
-	}
-	if st := s.Stats(); st.Uses != 1 {
-		t.Fatal("peek must not reserve")
 	}
 }
 
@@ -465,15 +421,6 @@ func TestServerAcquireDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestPipeInitiationInterval(t *testing.T) {
-	p := Pipe{II: 2, Latency: 10}
-	s1, d1 := p.Acquire(0)
-	s2, d2 := p.Acquire(0)
-	if s1 != 0 || d1 != 10 || s2 != 2 || d2 != 12 {
-		t.Fatalf("pipe: (%d,%d) (%d,%d)", s1, d1, s2, d2)
-	}
-}
-
 func TestBanksIndependentContention(t *testing.T) {
 	b := NewBanks("m", 2)
 	_, d0 := b.Acquire(0, 0, 10)
@@ -484,19 +431,6 @@ func TestBanksIndependentContention(t *testing.T) {
 	}
 	if d2 != 20 {
 		t.Fatalf("same bank should serialize: %d", d2)
-	}
-}
-
-func TestBanksReset(t *testing.T) {
-	b := NewBanks("m", 2)
-	b.Acquire(0, 0, 10)
-	b.Reset()
-	if st := b.Stats(); st.Uses != 0 {
-		t.Fatalf("reset did not clear stats: %+v", st)
-	}
-	_, d := b.Acquire(0, 0, 10)
-	if d != 10 {
-		t.Fatal("reset did not clear reservations")
 	}
 }
 

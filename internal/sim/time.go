@@ -1,7 +1,7 @@
 // Package sim provides the discrete-event simulation substrate shared by
 // every simulator in the study: a common time base, an event queue with
-// deterministic ordering, and contention-modeling resources (servers,
-// pipelines, and banked servers).
+// deterministic ordering, and contention-modeling resources (servers and
+// banked servers).
 //
 // The time base is chosen so that every clock in the FLASH system is an
 // integral number of ticks: 1 tick = 1/900 GHz ≈ 1.111 ns. The 150 MHz
@@ -58,9 +58,6 @@ func NewClock(mhz int) Clock {
 
 // Cycles converts a cycle count of this clock into ticks.
 func (c Clock) Cycles(n uint64) Ticks { return Ticks(n) * c.Period }
-
-// ToCycles converts ticks into (truncated) cycles of this clock.
-func (c Clock) ToCycles(t Ticks) uint64 { return uint64(t / c.Period) }
 
 // Align rounds t up to the next edge of this clock.
 func (c Clock) Align(t Ticks) Ticks {

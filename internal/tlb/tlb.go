@@ -74,9 +74,6 @@ func New(cfg Config) *TLB {
 	}
 }
 
-// Config returns the TLB's configuration.
-func (t *TLB) Config() Config { return t.cfg }
-
 // Access looks up virtual page vp, refilling on a miss. It reports
 // whether the access hit. Consecutive accesses to one page are the
 // common case, so the slot of the previous hit is checked before the
@@ -121,27 +118,6 @@ func (t *TLB) lookup(vp uint64) int {
 
 // Probe reports whether vp is resident without updating any state.
 func (t *TLB) Probe(vp uint64) bool { return t.lookup(vp) >= 0 }
-
-// Invalidate removes vp if resident (e.g. on page remap).
-func (t *TLB) Invalidate(vp uint64) {
-	i := t.lookup(vp)
-	if i < 0 {
-		return
-	}
-	last := len(t.vps) - 1
-	t.vps[i] = t.vps[last]
-	t.stamps[i] = t.stamps[last]
-	t.vps = t.vps[:last]
-	t.stamps = t.stamps[:last]
-	t.mru = -1
-}
-
-// Flush empties the TLB (context switch).
-func (t *TLB) Flush() {
-	t.vps = t.vps[:0]
-	t.stamps = t.stamps[:0]
-	t.mru = -1
-}
 
 // insert adds vp, evicting the least recently used entry if full.
 func (t *TLB) insert(vp uint64) {

@@ -65,37 +65,6 @@ func TestThrashingWorkingSet(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	tl := small()
-	tl.Access(1)
-	tl.Access(2)
-	tl.Invalidate(1)
-	if tl.Probe(1) {
-		t.Fatal("invalidated page resident")
-	}
-	if !tl.Probe(2) {
-		t.Fatal("other page lost")
-	}
-	tl.Invalidate(99) // absent: no-op
-	if tl.Resident() != 1 {
-		t.Fatalf("resident=%d", tl.Resident())
-	}
-}
-
-func TestFlush(t *testing.T) {
-	tl := small()
-	for vp := uint64(0); vp < 4; vp++ {
-		tl.Access(vp)
-	}
-	tl.Flush()
-	if tl.Resident() != 0 {
-		t.Fatal("flush left entries")
-	}
-	if tl.Access(0) {
-		t.Fatal("post-flush access should miss")
-	}
-}
-
 func TestProbeDoesNotPerturb(t *testing.T) {
 	tl := small()
 	tl.Access(1)

@@ -162,15 +162,6 @@ func (t *Trace) Batches() uint64 {
 // Chunks returns the number of indexed chunks.
 func (t *Trace) Chunks() int { return len(t.chunks) }
 
-// CompressedBytes returns the summed compressed chunk payload size.
-func (t *Trace) CompressedBytes() int64 {
-	var n int64
-	for _, ch := range t.chunks {
-		n += ch.Comp
-	}
-	return n
-}
-
 // Thread returns a cursor over thread i's recorded stream.
 func (t *Trace) Thread(i int) *Cursor {
 	return &Cursor{t: t, idxs: t.perThread[i]}

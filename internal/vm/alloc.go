@@ -1,8 +1,6 @@
 package vm
 
-import (
-	"flashsim/internal/emitter"
-)
+import "flashsim/internal/emitter"
 
 // SequentialAllocator is the Solo policy: Solo "performs physical memory
 // allocation itself" and "neglects the page-coloring algorithms used in
@@ -55,14 +53,6 @@ func NewSequentialAllocator(nodes int, colors uint32) *SequentialAllocator {
 // Name identifies the policy.
 func (a *SequentialAllocator) Name() string { return "solo-sequential" }
 
-// Reset clears all per-node counters.
-func (a *SequentialAllocator) Reset() {
-	for i := range a.next {
-		a.next[i] = 0
-	}
-	a.seen = make(map[string]bool)
-}
-
 // Allocate hands out the next frame on the page's home node, aligning
 // the node's counter on the region's first-ever touch.
 func (a *SequentialAllocator) Allocate(vpage uint64, region emitter.Region, touchNode int) PhysPage {
@@ -110,15 +100,6 @@ func NewColorAllocator(nodes int, colors uint32) *ColorAllocator {
 // Name identifies the policy.
 func (a *ColorAllocator) Name() string { return "irix-coloring" }
 
-// Reset clears all pools.
-func (a *ColorAllocator) Reset() {
-	for i := range a.used {
-		for c := range a.used[i] {
-			a.used[i][c] = 0
-		}
-	}
-}
-
 // Allocate picks the next free frame of color (vpage mod colors) on the
 // page's home node. Frames of color c are c, c+colors, c+2*colors, ...
 func (a *ColorAllocator) Allocate(vpage uint64, region emitter.Region, touchNode int) PhysPage {
@@ -127,28 +108,4 @@ func (a *ColorAllocator) Allocate(vpage uint64, region emitter.Region, touchNode
 	idx := a.used[node][color]
 	a.used[node][color]++
 	return PhysPage{Node: int32(node), Frame: color + idx*a.colors}
-}
-
-// IdentityAllocator maps virtual pages to identical frame numbers on
-// their home node ("a mode where physical addresses equal virtual
-// addresses", which the paper notes many simulators use). Retained for
-// sensitivity studies; note that for private per-node memories identical
-// frames on different nodes do not collide.
-type IdentityAllocator struct {
-	nodes int
-}
-
-// NewIdentityAllocator returns a virtual==physical allocator.
-func NewIdentityAllocator(nodes int) *IdentityAllocator { return &IdentityAllocator{nodes: nodes} }
-
-// Name identifies the policy.
-func (a *IdentityAllocator) Name() string { return "identity" }
-
-// Reset is a no-op: the policy is stateless.
-func (a *IdentityAllocator) Reset() {}
-
-// Allocate maps frame = vpage on the home node.
-func (a *IdentityAllocator) Allocate(vpage uint64, region emitter.Region, touchNode int) PhysPage {
-	node := homeNode(vpage, region, touchNode, a.nodes)
-	return PhysPage{Node: int32(node), Frame: uint32(vpage)}
 }

@@ -39,10 +39,6 @@ func (p PhysPage) Addr(offset uint64) uint64 {
 // NodeOf extracts the home node from a synthetic physical address.
 func NodeOf(pa uint64) int { return int(pa >> 40) }
 
-// FrameBits extracts the within-node part (frame and offset) used for
-// cache indexing.
-func FrameBits(pa uint64) uint64 { return pa & ((1 << 40) - 1) }
-
 // VPage returns the virtual page number of a virtual address.
 func VPage(va uint64) uint64 { return va >> PageShift }
 
@@ -53,8 +49,6 @@ type Allocator interface {
 	Allocate(vpage uint64, region emitter.Region, touchNode int) PhysPage
 	// Name identifies the policy in reports.
 	Name() string
-	// Reset returns the allocator to its initial state.
-	Reset()
 }
 
 // PageTable maps virtual pages to physical pages, populating lazily via
@@ -72,7 +66,6 @@ type PageTable struct {
 	dense  []PhysPage          // vp-indexed; Node < 0 means unmapped
 	sparse map[uint64]PhysPage // vps at or beyond len(dense)
 	mapped int
-	faults uint64
 }
 
 // densePageLimit caps the dense table at 8M entries (a 64 MB table
@@ -132,7 +125,6 @@ func (pt *PageTable) fault(vp, va uint64, touchNode int) (PhysPage, bool) {
 		pt.sparse[vp] = p
 	}
 	pt.mapped++
-	pt.faults++
 	return p, true
 }
 
@@ -149,9 +141,6 @@ func (pt *PageTable) Lookup(va uint64) (PhysPage, bool) {
 
 // Mapped returns the number of mapped pages.
 func (pt *PageTable) Mapped() int { return pt.mapped }
-
-// Faults returns the number of cold page faults taken.
-func (pt *PageTable) Faults() uint64 { return pt.faults }
 
 // homeNode applies the region's placement policy.
 func homeNode(vpage uint64, region emitter.Region, touchNode, nodes int) int {
