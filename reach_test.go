@@ -75,10 +75,11 @@ var reachReasons = []string{"oracle", "observed by a test", "client API"}
 // because their receiver type is converted to an interface and some
 // interface in the binary names a method of that signature (hash.Hash
 // keeps every Reset() of such a type). Those are judged by their
-// receiver type: reached when the type is converted to an interface
-// that names the method, when the standard library finds the method by
-// a run-time assertion (String, Error, MarshalJSON, ...), or when a
-// reached function calls it.
+// receiver type: reached when the type is converted to an interface and
+// an interface declares a method of that name, when the standard
+// library finds the method by a run-time assertion (String, Error,
+// MarshalJSON, ...), or when a reached function calls it, which the
+// call graph shows.
 func TestEveryFunctionIsLinked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("links every entry point")
