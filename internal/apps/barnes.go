@@ -186,7 +186,6 @@ func buildBH(pos [][3]float64) *bhTree {
 }
 
 type barnesShared struct {
-	o      BarnesOpts
 	pos    [][3]float64
 	vel    [][3]float64
 	bodies emitter.Region
@@ -222,7 +221,7 @@ func Barnes(o BarnesOpts) emitter.Program {
 		Variant: fmt.Sprintf("n=%d steps=%d", o.Bodies, o.Steps),
 		Threads: o.Procs,
 		Setup: func(as *emitter.AddressSpace) any {
-			sh := &barnesShared{o: o}
+			sh := &barnesShared{}
 			per := (o.Bodies + o.Procs - 1) / o.Procs
 			sh.bodies = as.AllocPageAligned("bodies", uint64(o.Bodies)*bodyBytes,
 				emitter.Placement{Kind: emitter.PlaceBlocked, Stride: uint64(per) * bodyBytes})

@@ -66,7 +66,6 @@ const (
 )
 
 type oltpShared struct {
-	o     OLTPOpts
 	index emitter.Region
 	rows  emitter.Region
 	leaf  emitter.Region
@@ -89,7 +88,7 @@ func OLTP(o OLTPOpts) emitter.Program {
 		Variant: fmt.Sprintf("rows=%d r/w=%d/%d skew=%d%%", o.Rows, o.ReadPct, 100-o.ReadPct, o.SkewPct),
 		Threads: o.Procs,
 		Setup: func(as *emitter.AddressSpace) any {
-			sh := &oltpShared{o: o}
+			sh := &oltpShared{}
 			sh.inner = (o.Rows + oltpFanout*oltpFanout - 1) / (oltpFanout * oltpFanout)
 			if sh.inner < 1 {
 				sh.inner = 1

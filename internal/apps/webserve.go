@@ -56,7 +56,6 @@ const (
 )
 
 type webShared struct {
-	o     WebServeOpts
 	heap  emitter.Region
 	cache emitter.Region
 }
@@ -79,7 +78,7 @@ func WebServe(o WebServeOpts) emitter.Program {
 		Variant: fmt.Sprintf("req=%d pages=%d sys=%d", o.Requests, o.PagesPerReq, o.SyscallsPerReq),
 		Threads: o.Procs,
 		Setup: func(as *emitter.AddressSpace) any {
-			sh := &webShared{o: o}
+			sh := &webShared{}
 			sh.heap = as.AllocPageAligned("reqheap", perThread*uint64(o.Procs),
 				emitter.Placement{Kind: emitter.PlaceFirstTouch})
 			sh.cache = as.AllocPageAligned("doccache", uint64(o.Docs)*wsDocLines*wsLineBytes,

@@ -13,8 +13,6 @@ type WriteBuffer struct {
 	// Its backing array has entries slots and is never outgrown: removals
 	// compact in place and insertions come after room was made.
 	drains []sim.Ticks
-	stalls uint64
-	stallT sim.Ticks
 }
 
 // NewWriteBuffer creates a write buffer with the given entry count.
@@ -77,12 +75,7 @@ func (w *WriteBuffer) admit(t sim.Ticks) sim.Ticks {
 	}
 	oldest := w.drains[0]
 	w.remove(0, 1)
-	if oldest > t {
-		w.stalls++
-		w.stallT += oldest - t
-		return oldest
-	}
-	return t
+	return max(oldest, t)
 }
 
 // insert places done in ascending order (completions can be out of
@@ -128,10 +121,6 @@ func (w *WriteBuffer) remove(i, n int) {
 	w.drains = w.drains[:i+copy(w.drains[i:], w.drains[i+n:])]
 }
 
-// Stalls returns how many stores stalled on a full buffer and the total
-// stall time.
-func (w *WriteBuffer) Stalls() (uint64, sim.Ticks) { return w.stalls, w.stallT }
-
 // MSHRs models the miss status holding registers that bound the number
 // of outstanding cache misses (4 on the R10000, per Table 1). Requests
 // to a line already outstanding merge; a new miss with all registers
@@ -140,8 +129,6 @@ type MSHRs struct {
 	n       int
 	pending []mshr // outstanding misses, at most one per line, unordered
 	merges  uint64
-	stalls  uint64
-	stallT  sim.Ticks
 }
 
 type mshr struct {
@@ -188,11 +175,7 @@ func (m *MSHRs) Reserve(lineAddr uint64, t sim.Ticks) sim.Ticks {
 		earliest := m.pending[v].done
 		m.pending[v] = m.pending[len(m.pending)-1]
 		m.pending = m.pending[:len(m.pending)-1]
-		if earliest > issue {
-			m.stalls++
-			m.stallT += earliest - issue
-			issue = earliest
-		}
+		issue = max(issue, earliest)
 	}
 	return issue
 }
@@ -222,10 +205,6 @@ func (m *MSHRs) expire(t sim.Ticks) {
 
 // Merges returns the number of merged (piggybacked) requests.
 func (m *MSHRs) Merges() uint64 { return m.merges }
-
-// Stalls returns how many misses stalled for a free register and the
-// total stall time.
-func (m *MSHRs) Stalls() (uint64, sim.Ticks) { return m.stalls, m.stallT }
 
 // L2Interface models the occupancy of the R10000's external
 // (secondary-cache) interface. "While data is being returned from the

@@ -18,9 +18,6 @@ func TestWriteBufferAbsorbsUpToCapacity(t *testing.T) {
 	if proceed := wb.Push(10, 2000); proceed != 1000 {
 		t.Fatalf("full buffer proceed = %d, want 1000", proceed)
 	}
-	if stalls, stallT := wb.Stalls(); stalls != 1 || stallT != 990 {
-		t.Fatalf("stalls=%d stallT=%d", stalls, stallT)
-	}
 }
 
 func TestWriteBufferExpiry(t *testing.T) {
@@ -87,9 +84,6 @@ func TestMSHRCapacityStall(t *testing.T) {
 	// Third miss at t=10: both registers busy; earliest completes 300.
 	if issue := m.Reserve(0x300, 10); issue != 300 {
 		t.Fatalf("issue = %d, want 300", issue)
-	}
-	if stalls, _ := m.Stalls(); stalls != 1 {
-		t.Fatalf("stalls %d", stalls)
 	}
 }
 
@@ -159,7 +153,7 @@ func TestWriteBufferPendingCycleDoesNotAllocate(t *testing.T) {
 	// AllocsPerRun reports whole allocations per run, so one run is many
 	// stores: a buffer that reallocates once in a while must not round
 	// down to zero.
-	i := 0
+	i, stalled := 0, false
 	if a := testing.AllocsPerRun(100, func() {
 		for k := 0; k < 64; k++ {
 			i++
@@ -169,7 +163,7 @@ func TestWriteBufferPendingCycleDoesNotAllocate(t *testing.T) {
 				t.Fatalf("PushPending(%d) = (%d, %v)", now, proceed, ok)
 			}
 			if proceed > now {
-				now = proceed
+				now, stalled = proceed, true
 			}
 			wb.Patch(now + 300 + sim.Ticks(i%3)*200)
 			if len(wb.drains) > wb.entries {
@@ -179,7 +173,7 @@ func TestWriteBufferPendingCycleDoesNotAllocate(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("PushPending+Patch allocates %.0f objects per 64 stores", a)
 	}
-	if stalls, _ := wb.Stalls(); stalls == 0 {
+	if !stalled {
 		t.Fatal("the cycle never filled the buffer")
 	}
 }

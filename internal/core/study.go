@@ -6,7 +6,6 @@ import (
 
 	"flashsim/internal/machine"
 	"flashsim/internal/runner"
-	"flashsim/internal/sim"
 	"flashsim/internal/stats"
 )
 
@@ -15,11 +14,8 @@ import (
 // reported the same time as the hardware; values below 1.0 signify that
 // the simulator was executing faster than hardware").
 type RelEntry struct {
-	Workload string
 	Config   string
 	Relative float64
-	SimExec  sim.Ticks
-	HWExec   sim.Ticks
 	Sim      machine.Result
 }
 
@@ -108,11 +104,8 @@ func (s *Study) Compare(workloads []Workload, procs int) (CompareResult, error) 
 		for ci, cfg := range s.Configs {
 			res := results[simOff[wi]+ci]
 			out.Rows[w.Name] = append(out.Rows[w.Name], RelEntry{
-				Workload: w.Name,
 				Config:   cfg.Name,
 				Relative: float64(res.Exec) / float64(hwMeas.Mean),
-				SimExec:  res.Exec,
-				HWExec:   hwMeas.Mean,
 				Sim:      res,
 			})
 		}

@@ -199,16 +199,6 @@ type CPU interface {
 	// yields. The machine guarantees t is no earlier than the last
 	// outcome's Time.
 	Run(t sim.Ticks) Outcome
-	// Stats returns instruction-accounting counters.
-	Stats() Stats
-}
-
-// Stats counts a processor's activity.
-type Stats struct {
-	Instructions uint64
-	Cycles       uint64 // core cycles charged, excluding sync blocking
-	LoadStalls   sim.Ticks
-	Mispredicts  uint64
-	PipeFlushes  uint64
-	InterlockCyc uint64
+	// Instructions returns the instructions executed so far.
+	Instructions() uint64
 }

@@ -204,16 +204,16 @@ func TestBothArmsAgree(t *testing.T) {
 					syncs++
 				}
 			}
-			if syncs != 3 || ref.Stats().Instructions != uint64(len(ins)) {
-				t.Fatalf("reference arm saw %d sync ops and %d instructions, want 3 and %d", syncs, ref.Stats().Instructions, len(ins))
+			if syncs != 3 || ref.Instructions() != uint64(len(ins)) {
+				t.Fatalf("reference arm saw %d sync ops and %d instructions, want 3 and %d", syncs, ref.Instructions(), len(ins))
 			}
 			for _, size := range []int{1, 4, 6, len(ins), 64} {
 				core := mk(&lender{ins: ins, slab: make([]isa.Instr, size)})
 				if got := transcript(t, clock, core); !reflect.DeepEqual(got, want) {
 					t.Errorf("batches of %d: outcomes\n got %+v\nwant %+v", size, got, want)
 				}
-				if got := core.Stats(); got != ref.Stats() {
-					t.Errorf("batches of %d: stats %+v, want %+v", size, got, ref.Stats())
+				if got := core.Instructions(); got != ref.Instructions() {
+					t.Errorf("batches of %d: %d instructions, want %d", size, got, ref.Instructions())
 				}
 			}
 		})
@@ -263,7 +263,7 @@ func BenchmarkCoreRun(b *testing.B) {
 			var now sim.Ticks
 			b.ReportAllocs()
 			b.ResetTimer()
-			for core.Stats().Instructions < uint64(b.N) {
+			for core.Instructions() < uint64(b.N) {
 				now = core.Run(now).Time
 			}
 		})

@@ -44,20 +44,12 @@ type CPU struct {
 	cur    cpu.Cursor
 	port   cpu.Port
 	lat    isa.LatencyTable
-	stats  cpu.Stats
+	instrs uint64
 	useLat bool
 
-	// stats.Cycles is kept as cycBase/period + cycAdd and materialized in
-	// Stats, its only reader (it was a 64-bit divide per instruction): a
-	// full write sets cycBase = t, cycAdd = 0; a sync op bumps cycAdd.
-	cycBase sim.Ticks
-	cycAdd  uint64
-
-	// Suspension context for a port-deferred access (cpu.Blocking):
-	// the instruction's start time and whether the load-stall counter
-	// applies when the completion arrives.
-	pendT      sim.Ticks
-	pendIsLoad bool
+	// pendT is the start time of the instruction whose access the port
+	// deferred (cpu.Blocking).
+	pendT sim.Ticks
 }
 
 // New binds a Mipsy core to an instruction stream and a memory port.
@@ -73,28 +65,14 @@ func New(cfg Config, rd cpu.Stream, port cpu.Port) *CPU {
 	return &CPU{cfg: cfg, cur: cpu.NewCursor(rd), port: port, lat: lat, useLat: cfg.ModelInstrLatency}
 }
 
-// Stats returns the core's counters.
-func (c *CPU) Stats() cpu.Stats {
-	st := c.stats
-	st.Cycles = uint64(c.cycBase/c.cfg.Clock.Period) + c.cycAdd
-	return st
-}
+// Instructions returns the instructions the core has executed.
+func (c *CPU) Instructions() uint64 { return c.instrs }
 
 // Deliver implements cpu.Blocking: it completes the access the port
 // deferred, running the same timing tail the inline path runs, and
 // returns when the core should resume.
 func (c *CPU) Deliver(mi cpu.MemInfo) sim.Ticks {
-	period := c.cfg.Clock.Period
-	next := c.pendT + period
-	if mi.Done > next {
-		if c.pendIsLoad {
-			c.stats.LoadStalls += mi.Done - next
-		}
-		next = mi.Done
-	}
-	t := c.cfg.Clock.Align(next)
-	c.cycBase, c.cycAdd = t, 0
-	return t
+	return c.cfg.Clock.Align(max(c.pendT+c.cfg.Clock.Period, mi.Done))
 }
 
 // Run executes instructions in order starting at t.
@@ -105,27 +83,21 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 		if in == nil {
 			return cpu.Outcome{Kind: cpu.Finished, Time: t}
 		}
-		c.stats.Instructions++
+		c.instrs++
 		switch in.Op {
 		case isa.Lock, isa.Unlock, isa.Barrier:
 			// One cycle to execute, then hand to the machine.
 			t += period
-			c.cycAdd++
 			return cpu.Outcome{Kind: cpu.SyncOp, Time: t, Instr: *in}
 
 		case isa.Load:
 			mi := c.port.Load(t, in.Addr, in.Size)
 			if mi.Pending() {
-				c.pendT, c.pendIsLoad = t, true
+				c.pendT = t
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
 			// Blocking read: the core waits for the data.
-			next := t + period
-			if mi.Done > next {
-				c.stats.LoadStalls += mi.Done - next
-				next = mi.Done
-			}
-			t = c.cfg.Clock.Align(next)
+			t = c.cfg.Clock.Align(max(t+period, mi.Done))
 			if mi.WentToMemory() {
 				// Yield so shared-resource reservations stay in
 				// global time order.
@@ -135,14 +107,10 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 		case isa.Store:
 			mi := c.port.Store(t, in.Addr, in.Size)
 			if mi.Pending() {
-				c.pendT, c.pendIsLoad = t, false
+				c.pendT = t
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
-			next := t + period
-			if mi.Done > next {
-				next = mi.Done
-			}
-			t = c.cfg.Clock.Align(next)
+			t = c.cfg.Clock.Align(max(t+period, mi.Done))
 			if mi.WentToMemory() {
 				return cpu.Outcome{Kind: cpu.Yield, Time: t}
 			}
@@ -154,14 +122,10 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 		case isa.CacheOp:
 			mi := c.port.CacheOp(t, in.Addr, in.Aux)
 			if mi.Pending() {
-				c.pendT, c.pendIsLoad = t, false
+				c.pendT = t
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
-			next := t + period
-			if mi.Done > next {
-				next = mi.Done
-			}
-			t = c.cfg.Clock.Align(next)
+			t = c.cfg.Clock.Align(max(t+period, mi.Done))
 
 		case isa.Syscall:
 			t += period * sim.Ticks(1+c.port.SyscallCost(in.Aux))
@@ -173,7 +137,6 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 			}
 			t += period * cycles
 		}
-		c.cycBase, c.cycAdd = t, 0 // approximate: wall cycles
 	}
 	return cpu.Outcome{Kind: cpu.Yield, Time: t}
 }

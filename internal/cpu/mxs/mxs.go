@@ -119,7 +119,7 @@ type CPU struct {
 	brThresh   uint64
 
 	retireSpacing sim.Ticks
-	stats         cpu.Stats
+	instrs        uint64 // n and the sync ops
 
 	// Suspension context for a port-deferred access (cpu.Blocking).
 	pendLat       isa.Latency
@@ -169,8 +169,8 @@ func New(cfg Config, rd cpu.Stream, port cpu.Port) *CPU {
 	return c
 }
 
-// Stats returns the core's counters.
-func (c *CPU) Stats() cpu.Stats { return c.stats }
+// Instructions returns the instructions the core has executed.
+func (c *CPU) Instructions() uint64 { return c.instrs }
 
 func (c *CPU) rand() uint64 {
 	x := c.rng
@@ -203,7 +203,6 @@ func (c *CPU) completeInstr(lat isa.Latency, issueT, completeT sim.Ticks, depsRe
 	}
 
 	if lat.FlushesPipe {
-		c.stats.PipeFlushes++
 		resume := completeT + period*sim.Ticks(c.cfg.FlushPenalty)
 		if resume > c.curFetch {
 			c.curFetch = c.cfg.Clock.Align(resume)
@@ -215,7 +214,6 @@ func (c *CPU) completeInstr(lat isa.Latency, issueT, completeT sim.Ticks, depsRe
 		// and no later instruction overlaps the handler. The
 		// handler cost itself is inside completeT (charged by the
 		// port); redirect fetch behind it.
-		c.stats.PipeFlushes++
 		if completeT > c.curFetch {
 			c.curFetch = c.cfg.Clock.Align(completeT)
 			c.fetchedInC = 0
@@ -282,7 +280,7 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 		if in == nil {
 			return cpu.Outcome{Kind: cpu.Finished, Time: c.prevRetire}
 		}
-		c.stats.Instructions++
+		c.instrs++
 
 		if in.Op.IsSync() {
 			// Serializing: drain the window, then hand to the machine.
@@ -318,10 +316,8 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 		if c.cfg.Fidelity.ModelAddressInterlocks {
 			if in.Op.IsMem() && in.Dep2 > 0 && in.Dep2 <= c.cfg.Fidelity.InterlockMaxDist {
 				issueT += period * sim.Ticks(c.cfg.Fidelity.InterlockCycles)
-				c.stats.InterlockCyc += uint64(c.cfg.Fidelity.InterlockCycles)
 			} else if (in.Op == isa.FPAdd || in.Op == isa.FPMul) && in.Dep1 > 0 && in.Dep1 <= 2 {
 				issueT += period
-				c.stats.InterlockCyc++
 			}
 		}
 
@@ -392,7 +388,6 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 		case isa.Branch:
 			completeT = issueT + period*sim.Ticks(lat.Cycles)
 			if c.rand() >= c.brThresh {
-				c.stats.Mispredicts++
 				redirect := completeT + period*sim.Ticks(c.cfg.MispredictPenalty)
 				if redirect > c.curFetch {
 					c.curFetch = c.cfg.Clock.Align(redirect)

@@ -2,6 +2,7 @@ package harness_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -384,8 +385,8 @@ func TestExperimentTraceReplayQuick(t *testing.T) {
 }
 
 func checkTraceReplay(t *testing.T, d harness.TraceReplayData, procs int, text string) {
-	if d.Procs != procs {
-		t.Errorf("procs %d", d.Procs)
+	if want := fmt.Sprintf("(%dp;", procs); !strings.Contains(text, want) {
+		t.Errorf("the table does not name %s:\n%s", want, text)
 	}
 	// Three ladder rungs per fixed workload, in capture-first order.
 	apps := harness.ScaleQuick.FixedApps()

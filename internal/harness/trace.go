@@ -34,8 +34,7 @@ type TraceReplayRow struct {
 
 // TraceReplayData is the trace experiment's structured result.
 type TraceReplayData struct {
-	Procs int
-	Rows  []TraceReplayRow
+	Rows []TraceReplayRow
 }
 
 // ExperimentTraceReplay runs every fixed SPLASH-2 workload both
@@ -51,7 +50,7 @@ type TraceReplayData struct {
 // trace-driven analogue of Solo's missing OS or Mipsy's unit
 // latencies.
 func (s *Session) ExperimentTraceReplay(procs int) (TraceReplayData, string, error) {
-	d := TraceReplayData{Procs: procs}
+	var d TraceReplayData
 	base, err := s.override(core.SimOSMipsy(procs, 150, true))
 	if err != nil {
 		return d, "", err

@@ -3,7 +3,11 @@ package machine
 import (
 	"unsafe"
 
+	"flashsim/internal/cpu"
+	"flashsim/internal/emitter"
 	"flashsim/internal/isa"
+	"flashsim/internal/proto"
+	"flashsim/internal/sim"
 )
 
 // Action is a replayAction as the external tests see it: Arg is Size
@@ -31,4 +35,27 @@ func (img *ReplayImage) ActionBytes() uint64 {
 		n += uint64(len(acts)) * uint64(unsafe.Sizeof(replayAction{}))
 	}
 	return n
+}
+
+// RunPorts runs prog on cfg like Run and also returns what each node's
+// memory port counted: the protocol cases of the lines it fetched.
+func RunPorts(cfg Config, prog emitter.Program) (Result, [][proto.NumCases]uint64, error) {
+	spy := &portSpy{Driver: NewExecutionDriver(cfg, prog)}
+	res, err := RunWith(cfg, spy)
+	cases := make([][proto.NumCases]uint64, len(spy.ports))
+	for i, p := range spy.ports {
+		cases[i] = p.cases
+	}
+	return res, cases, err
+}
+
+// portSpy is a Driver that keeps the ports its cores are built over.
+type portSpy struct {
+	Driver
+	ports []*memPort
+}
+
+func (s *portSpy) NewCore(i int, clock sim.Clock, src cpu.Stream, port cpu.Port) cpu.CPU {
+	s.ports = append(s.ports, port.(*memPort))
+	return s.Driver.NewCore(i, clock, src, port)
 }

@@ -126,7 +126,7 @@ func build(cfg Config, space *emitter.AddressSpace, newCore func(i int, clock si
 	}
 	m.shards = make([]*shard, nshards)
 	for s := range m.shards {
-		m.shards[s] = &shard{id: s, queue: sim.NewQueue()}
+		m.shards[s] = &shard{queue: sim.NewQueue()}
 	}
 
 	clock := sim.NewClock(cfg.ClockMHz)

@@ -135,7 +135,7 @@ func TestCheckCoherenceCleanRun(t *testing.T) {
 
 // TestCaseCountsArePortIssued records why Result.CaseCounts is not a
 // copy of Metrics.Dir.CaseCounts, so nobody folds it: it is the sum of
-// Ports[i].CaseCounts, the data accesses the ports issued, while the
+// the memory ports' case counts, the data accesses they issued, while the
 // directory also classifies the lock and barrier writes the machine
 // sends to the memory system past the ports. Every registry workload
 // crosses at least the start and end barriers, so the directory's total
@@ -148,15 +148,15 @@ func TestCaseCountsArePortIssued(t *testing.T) {
 		"webserve/req=48 pages=2 sys=6": {{1884, 131, 1034, 131, 271, 23}, {1886, 134, 1040, 134, 275, 37}},
 	}
 	for _, prog := range registryPrograms(t, 4) {
-		res, err := machine.Run(hw.Config(prog.Threads, true), prog)
+		res, perPort, err := machine.RunPorts(hw.Config(prog.Threads, true), prog)
 		if err != nil {
 			t.Fatalf("%s: %v", prog.FullName(), err)
 		}
 		var ports vec
 		var portTotal, dirTotal uint64
 		dir := res.Metrics.Dir.CaseCounts
-		for _, p := range res.Ports {
-			for c, n := range p.CaseCounts {
+		for _, p := range perPort {
+			for c, n := range p {
 				ports[c] += n
 			}
 		}

@@ -103,7 +103,6 @@ func compareOps(a, b pendingOp) int {
 // queue. Only the shard's worker (or the engine goroutine, for S=1 or
 // during serial phases) touches it.
 type shard struct {
-	id       int
 	queue    *sim.Queue
 	fired    int
 	finished int

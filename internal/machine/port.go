@@ -10,23 +10,6 @@ import (
 	"flashsim/internal/vm"
 )
 
-// PortStats counts per-node memory-path events.
-type PortStats struct {
-	Loads, Stores   uint64
-	L1Hits, L2Hits  uint64
-	MemReads        uint64
-	MemWrites       uint64
-	Upgrades        uint64
-	Prefetches      uint64
-	PrefetchDrops   uint64 // dropped on TLB miss (non-binding)
-	TLBPenaltyTicks sim.Ticks
-	WBStallTicks    sim.Ticks
-	MSHRStallTicks  sim.Ticks
-	ReadLatTicks    sim.Ticks // sum of memsys read latencies (debug)
-	WriteLatTicks   sim.Ticks // sum of memsys write latencies (debug)
-	CaseCounts      [proto.NumCases]uint64
-}
-
 // memPort is a node's data-access path: TLB/OS translation, L1, L2,
 // write buffer, MSHRs, L2 interface, then the shared memory system. It
 // implements cpu.Port.
@@ -49,7 +32,7 @@ type memPort struct {
 	wb    *cache.WriteBuffer
 	mshr  *cache.MSHRs
 	l2if  *cache.L2Interface
-	stats PortStats
+	cases [proto.NumCases]uint64 // protocol cases of the lines fetch asked for
 
 	// Deferred-operation sink: ops this node produced during the
 	// current parallel phase, drained and merged at the barrier. seq
@@ -141,19 +124,16 @@ func (p *memPort) install(t sim.Ticks, pa uint64, st cache.State) {
 
 // Load implements cpu.Port.
 func (p *memPort) Load(t sim.Ticks, va uint64, size uint32) cpu.MemInfo {
-	p.stats.Loads++
 	return p.touch(t, access{op: isa.Load, va: va}, true)
 }
 
 // Store implements cpu.Port.
 func (p *memPort) Store(t sim.Ticks, va uint64, size uint32) cpu.MemInfo {
-	p.stats.Stores++
 	return p.touch(t, access{op: isa.Store, va: va}, true)
 }
 
 // Prefetch implements cpu.Port: non-binding, dropped on a TLB miss.
 func (p *memPort) Prefetch(t sim.Ticks, va uint64) {
-	p.stats.Prefetches++
 	p.prefetch(t, access{op: isa.Prefetch, va: va}, true)
 }
 
@@ -181,12 +161,7 @@ func (p *memPort) SyscallCost(aux uint32) uint32 { return p.m.os.SyscallCost(p.n
 // fire-and-forget, and the tail's rechecks keep a line another
 // deferred op already landed from being fetched twice.
 func (p *memPort) warmTouch(t sim.Ticks, op isa.Op, va uint64) {
-	switch op {
-	case isa.Load:
-		p.stats.Loads++
-	case isa.Store:
-		p.stats.Stores++
-	case isa.Prefetch:
+	if op == isa.Prefetch {
 		// Non-binding and timing-motivated; dropping prefetches is
 		// part of the functional model.
 		return
@@ -208,12 +183,7 @@ func (p *memPort) touch(t sim.Ticks, a access, canDefer bool) cpu.MemInfo {
 	}
 	tr := p.m.os.Translate(p.node, a.va)
 	if tr.PenaltyCycles > 0 && !a.warm {
-		d := p.cyc(tr.PenaltyCycles)
-		if a.op != isa.CacheOp {
-			// A CACHE op's refill has never been counted: a pinned result.
-			p.stats.TLBPenaltyTicks += d
-		}
-		t += d
+		t += p.cyc(tr.PenaltyCycles)
 	}
 	pa, tlb := tr.PA, cpu.MemFlags(0) // tlb goes into the MemInfo, however the access ends
 	if tr.TLBMiss {
@@ -224,7 +194,6 @@ func (p *memPort) touch(t sim.Ticks, a access, canDefer bool) cpu.MemInfo {
 	}
 	write := a.op == isa.Store
 	if st, hit := p.l1.Access(pa, write); hit {
-		p.stats.L1Hits++
 		if write && st == cache.Exclusive {
 			// First write to an exclusively fetched line: propagate
 			// dirtiness to the inclusive L2 copy.
@@ -237,7 +206,6 @@ func (p *memPort) touch(t sim.Ticks, a access, canDefer bool) cpu.MemInfo {
 		t = p.l2if.AcquireForTagCheck(t)
 	}
 	if st2, hit2 := p.l2.Access(pa, write); hit2 {
-		p.stats.L2Hits++
 		p.fillL1(pa, l1State(write, st2))
 		return cpu.MemInfo{Done: t + p.cyc(p.m.cfg.L2HitCycles), Flags: cpu.FlagL2Hit | tlb}
 	}
@@ -272,7 +240,6 @@ func (p *memPort) prefetch(t sim.Ticks, a access, canDefer bool) {
 	if p.m.os.Kind() == osmodel.SimOS {
 		pp, ok := p.m.os.PageTable().Lookup(a.va)
 		if !ok || !p.m.os.TLB(p.node).Probe(vm.VPage(a.va)) {
-			p.stats.PrefetchDrops++
 			return
 		}
 		pa = pp.Addr(a.va)
@@ -396,12 +363,8 @@ func (p *memPort) acquire(t sim.Ticks, a access, pa uint64) (done, issuedAt sim.
 		// transfer begins; the external interface stays busy for the
 		// whole line. Only a load pays the pipeline restart on top.
 		done = p.l2if.AcquireForRefill(arrive)
-		switch a.op {
-		case isa.Load:
-			p.stats.ReadLatTicks += arrive - issuedAt
+		if a.op == isa.Load {
 			done += restart
-		case isa.Store:
-			p.stats.WriteLatTicks += arrive - issuedAt
 		}
 		p.mshr.Complete(line, done)
 	}
@@ -415,16 +378,11 @@ func (p *memPort) acquire(t sim.Ticks, a access, pa uint64) (done, issuedAt sim.
 func (p *memPort) fetch(t sim.Ticks, line uint64, write bool) (sim.Ticks, cache.State) {
 	if write {
 		res := p.m.mem.Write(t, p.node, line)
-		p.stats.MemWrites++
-		p.stats.CaseCounts[res.Case]++
-		if res.Case == proto.Upgrade {
-			p.stats.Upgrades++
-		}
+		p.cases[res.Case]++
 		return res.Done, cache.Modified
 	}
 	res := p.m.mem.Read(t, p.node, line)
-	p.stats.MemReads++
-	p.stats.CaseCounts[res.Case]++
+	p.cases[res.Case]++
 	if res.Exclusive {
 		return res.Done, cache.Exclusive
 	}

@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"flashsim/internal/cache"
 	"flashsim/internal/cpu"
 	"flashsim/internal/isa"
 	"flashsim/internal/osmodel"
@@ -76,14 +77,14 @@ func TestPortHitPathAllocatesNothing(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		access func()
-		hits   *uint64
+		level  *cache.Cache // whose hit counter the path bumps
 	}{
-		{"l1hit-load", func() { portSink = p.Load(now, l1, 8) }, &p.stats.L1Hits},
-		{"l1hit-store", func() { portSink = p.Store(now, l1, 8) }, &p.stats.L1Hits},
-		{"l2hit-load", func() { portSink = p.Load(now, l2[i%3], 8); i++ }, &p.stats.L2Hits},
-		{"l2hit-store", func() { portSink = p.Store(now, l2[i%3], 8); i++ }, &p.stats.L2Hits},
+		{"l1hit-load", func() { portSink = p.Load(now, l1, 8) }, p.l1},
+		{"l1hit-store", func() { portSink = p.Store(now, l1, 8) }, p.l1},
+		{"l2hit-load", func() { portSink = p.Load(now, l2[i%3], 8); i++ }, p.l2},
+		{"l2hit-store", func() { portSink = p.Store(now, l2[i%3], 8); i++ }, p.l2},
 	} {
-		before := *c.hits
+		before := c.level.Stats().Hits
 		allocs := testing.AllocsPerRun(1000, func() {
 			c.access()
 			now += 100
@@ -92,7 +93,7 @@ func TestPortHitPathAllocatesNothing(t *testing.T) {
 			t.Errorf("%s: %v allocs per access, want 0", c.name, allocs)
 		}
 		// AllocsPerRun makes one warm-up call before its 1000 runs.
-		if got := *c.hits - before; got != 1001 {
+		if got := c.level.Stats().Hits - before; got != 1001 {
 			t.Errorf("%s: %d of 1001 accesses took the path", c.name, got)
 		}
 	}

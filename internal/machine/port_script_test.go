@@ -33,18 +33,9 @@ func portAccess(p *memPort, t sim.Ticks, op isa.Op, va uint64, warm, canDefer bo
 	case warm && canDefer:
 		p.warmTouch(t, op, va)
 	case warm:
-		// Loads and Stores are counted by the entry wrappers, which a
-		// synchronous re-entry comes after; the script's constants were
-		// recorded when the warm body still counted for itself.
-		switch op {
-		case isa.Load:
-			p.stats.Loads++
-		case isa.Store:
-			p.stats.Stores++
-		case isa.Prefetch:
-			return cpu.MemInfo{}
+		if op != isa.Prefetch {
+			p.touch(t, access{op: op, va: va, warm: true}, false)
 		}
-		p.touch(t, access{op: op, va: va, warm: true}, false)
 	case op == isa.Prefetch && !canDefer:
 		p.prefetch(t, access{op: op, va: va}, false)
 	case !canDefer:
@@ -84,7 +75,7 @@ type scriptCore struct {
 }
 
 func (c *scriptCore) Run(t sim.Ticks) cpu.Outcome { return cpu.Outcome{Kind: cpu.Finished, Time: t} }
-func (c *scriptCore) Stats() cpu.Stats            { return cpu.Stats{} }
+func (c *scriptCore) Instructions() uint64        { return 0 }
 func (c *scriptCore) Deliver(mi cpu.MemInfo) sim.Ticks {
 	fmt.Fprintf(&c.rig.log, "  n%d <- %s\n", c.node, memInfoText(mi))
 	c.rig.blocked[c.node] = false
@@ -190,10 +181,8 @@ func (r *portRig) finish() string {
 	r.barrier()
 	for _, n := range r.m.nodes {
 		p := n.port
-		wbN, wbT := p.wb.Stalls()
-		msN, msT := p.mshr.Stalls()
-		fmt.Fprintf(&r.log, "n%d port %+v\n  l1 %s\n  l2 %s\n  wb stalls %d/%d mshr stalls %d/%d merges %d\n",
-			n.id, p.stats, cacheStatsText(p.l1.Stats()), cacheStatsText(p.l2.Stats()), wbN, wbT, msN, msT, p.mshr.Merges())
+		fmt.Fprintf(&r.log, "n%d port {CaseCounts:%v}\n  l1 %s\n  l2 %s\n  merges %d\n",
+			n.id, p.cases, cacheStatsText(p.l1.Stats()), cacheStatsText(p.l2.Stats()), p.mshr.Merges())
 	}
 	fmt.Fprintf(&r.log, "dir %+v\ntlb %+v\nos %+v\n", r.m.mem.Directory().Stats(), r.m.os.TLBStats(), r.m.os.Counters())
 	return r.log.String()
@@ -436,23 +425,25 @@ func portScript(r *portRig) {
 // the deferred CACHE writeback and clean-exclusive and dirty L2
 // evictions — on a 1-node and a 2-node machine under both OS models,
 // once through the deferred path and once through the synchronous
-// bodies. The constants are FNV-1a hashes of the transcript (every
-// returned or delivered MemInfo, then the final PortStats, L1/L2 cache
-// stats, write-buffer and MSHR stalls and merges, directory, TLB and OS
-// counters) as recorded before the five access bodies were folded into
-// one path: a model fix moves them deliberately, a refactor must not.
-// To find where a mismatch starts, write the transcripts with
-// -port.transcripts at both commits and diff them.
+// bodies. The constants are FNV-1a hashes of the transcript: every
+// returned or delivered MemInfo, then each port's protocol-case counts,
+// L1/L2 cache stats and MSHR merges, and the directory, TLB and OS
+// counters. They were recorded before the five access bodies were folded
+// into one path, and re-recorded only when the port's write-only
+// counters were deleted, with every MemInfo line unchanged. A model fix
+// moves them deliberately; a refactor must not. To find where a mismatch
+// starts, write the transcripts with -port.transcripts at both commits
+// and diff them.
 func TestPortScriptPinned(t *testing.T) {
 	pins := map[string]uint64{
-		"solo/1p/deferred":  0x7d7d59afdcbec46a,
-		"solo/1p/sync":      0x2722a47efe8abaf2,
-		"solo/2p/deferred":  0xbcea66d3d051b092,
-		"solo/2p/sync":      0xcfc5d944c15528fe,
-		"simos/1p/deferred": 0xe487df884d3f01e2,
-		"simos/1p/sync":     0x312d9e17cebf3c39,
-		"simos/2p/deferred": 0x9e11d8333fef6443,
-		"simos/2p/sync":     0x58f07d4c05cf70d3,
+		"solo/1p/deferred":  0x0340c7b4f25e0552,
+		"solo/1p/sync":      0xd15787cda891a146,
+		"solo/2p/deferred":  0x85cb1d4b42085c7a,
+		"solo/2p/sync":      0x95d6df29d9286af2,
+		"simos/1p/deferred": 0x8bbb4f878fc27069,
+		"simos/1p/sync":     0xca9e7e5f8d38b751,
+		"simos/2p/deferred": 0xed8cc49ceb417d85,
+		"simos/2p/sync":     0x6a3cc343d1ecd1cf,
 	}
 	for _, osKind := range []osmodel.Kind{osmodel.Solo, osmodel.SimOS} {
 		for _, procs := range []int{1, 2} {
@@ -522,8 +513,8 @@ func TestWarmLeavesTimedState(t *testing.T) {
 					t.Errorf("node %d cache counters: timed L1 %+v L2 %+v, warm L1 %+v L2 %+v",
 						n, tp.l1.Stats(), tp.l2.Stats(), wp.l1.Stats(), wp.l2.Stats())
 				}
-				if tp.stats.CaseCounts != wp.stats.CaseCounts {
-					t.Errorf("node %d case counts: timed %v, warm %v", n, tp.stats.CaseCounts, wp.stats.CaseCounts)
+				if tp.cases != wp.cases {
+					t.Errorf("node %d case counts: timed %v, warm %v", n, tp.cases, wp.cases)
 				}
 				for pg := 0; pg < pages; pg++ {
 					for ln := uint64(0); ln < perPage; ln++ {

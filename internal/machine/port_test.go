@@ -9,6 +9,7 @@ import (
 	"flashsim/internal/isa"
 	"flashsim/internal/memsys"
 	"flashsim/internal/osmodel"
+	"flashsim/internal/proto"
 	"flashsim/internal/sim"
 	"flashsim/internal/vm"
 )
@@ -83,8 +84,8 @@ func TestPortStoreGetsExclusiveThenSilentUpgrade(t *testing.T) {
 	if !st.L1Hit {
 		t.Fatalf("store to exclusively held line missed: %+v", st)
 	}
-	if p.stats.Upgrades != 0 {
-		t.Fatalf("upgrade issued: %d", p.stats.Upgrades)
+	if p.cases[proto.Upgrade] != 0 {
+		t.Fatalf("upgrade issued: %d", p.cases[proto.Upgrade])
 	}
 	if p.l2.Lookup(pToPA(p, r.Base)) != cache.Modified {
 		t.Fatal("dirtiness not propagated to L2")
@@ -119,8 +120,8 @@ func TestPortPrefetchFillsCache(t *testing.T) {
 func TestPortPrefetchDroppedOnTLBMissUnderSimOS(t *testing.T) {
 	_, p, r := testMachine(t, osmodel.SimOS)
 	p.prefetch(0, access{op: isa.Prefetch, va: r.Base}, false) // page never touched: TLB cold -> dropped
-	if p.stats.PrefetchDrops != 1 {
-		t.Fatalf("drops %d", p.stats.PrefetchDrops)
+	if reads := p.m.mem.Directory().Stats().Reads; reads != 0 {
+		t.Fatalf("dropped prefetch reached the directory: %d reads", reads)
 	}
 	if p.l2.Lookup(pToPA(p, r.Base)) != cache.Invalid {
 		t.Fatal("dropped prefetch filled the cache")
@@ -133,8 +134,11 @@ func TestPortTLBPenaltyCharged(t *testing.T) {
 	if !mi.TLBMiss() {
 		t.Fatal("first touch must miss the TLB")
 	}
-	if p.stats.TLBPenaltyTicks == 0 {
-		t.Fatal("no penalty recorded")
+	// The same cold load under Solo pays neither the refill nor the fault.
+	_, solo, sr := testMachine(t, osmodel.Solo)
+	free := solo.touch(0, access{op: isa.Load, va: sr.Base}, false)
+	if want := free.Done + p.cyc(65+100); mi.Done != want {
+		t.Fatalf("cold SimOS load done at %d, want %d (Solo's %d plus refill and fault)", mi.Done, want, free.Done)
 	}
 }
 

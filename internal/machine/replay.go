@@ -276,7 +276,7 @@ func (s *replayStream) Next() (isa.Instr, bool) {
 
 // replayCPU replays a collapsed instruction stream with Mipsy's exact
 // per-op timing rules (mipsy.CPU.Run is the reference; every branch
-// here clones one there, including which paths touch stats.Cycles).
+// here clones one there).
 // Compute instructions always charge one cycle — the trace-driven
 // core abstraction.
 type replayCPU struct {
@@ -289,20 +289,11 @@ type replayCPU struct {
 	pos        int
 	pending    uint64
 	tailLoaded bool
-	stats      cpu.Stats
+	instrs     uint64
 
-	// Cycles is tracked symbolically, as in mipsy.CPU, to keep the
-	// per-action t/period division off the hot path: the counter's
-	// value is cycBase/period + cycAdd, materialized in Stats. A full
-	// write ("wall cycles at t") sets cycBase=t, cycAdd=0; the sync
-	// path's bare increment bumps cycAdd.
-	cycBase sim.Ticks
-	cycAdd  uint64
-
-	// Suspension context for a port-deferred access (cpu.Blocking),
-	// mirroring mipsy's.
-	pendT      sim.Ticks
-	pendIsLoad bool
+	// pendT is the start time of the instruction whose access the port
+	// deferred (cpu.Blocking), mirroring mipsy's.
+	pendT sim.Ticks
 }
 
 func newReplayCPU(clock sim.Clock, quantum int, acts []replayAction, tail uint64, port cpu.Port) *replayCPU {
@@ -328,25 +319,11 @@ func (c *replayCPU) loadPending() {
 
 // Deliver implements cpu.Blocking, cloning mipsy's Deliver.
 func (c *replayCPU) Deliver(mi cpu.MemInfo) sim.Ticks {
-	period := c.clock.Period
-	next := c.pendT + period
-	if mi.Done > next {
-		if c.pendIsLoad {
-			c.stats.LoadStalls += mi.Done - next
-		}
-		next = mi.Done
-	}
-	t := c.clock.Align(next)
-	c.cycBase, c.cycAdd = t, 0
-	return t
+	return c.clock.Align(max(c.pendT+c.clock.Period, mi.Done))
 }
 
-// Stats returns the core's counters.
-func (c *replayCPU) Stats() cpu.Stats {
-	st := c.stats
-	st.Cycles = uint64(c.cycBase/c.clock.Period) + c.cycAdd
-	return st
-}
+// Instructions returns the instructions the core has replayed.
+func (c *replayCPU) Instructions() uint64 { return c.instrs }
 
 // Run executes up to one quantum of recorded instructions from t.
 func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
@@ -362,8 +339,7 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 			t += period * sim.Ticks(k)
 			c.pending -= k
 			n += int(k)
-			c.stats.Instructions += k
-			c.cycBase, c.cycAdd = t, 0
+			c.instrs += k
 			continue
 		}
 		if c.pos >= len(acts) {
@@ -375,25 +351,19 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 		c.pos++
 		c.loadPending()
 		n++
-		c.stats.Instructions++
+		c.instrs++
 		switch in.op {
 		case isa.Lock, isa.Unlock, isa.Barrier:
 			t += period
-			c.cycAdd++
 			return cpu.Outcome{Kind: cpu.SyncOp, Time: t, Instr: in.instr()}
 
 		case isa.Load:
 			mi := c.port.Load(t, in.addr, in.arg)
 			if mi.Pending() {
-				c.pendT, c.pendIsLoad = t, true
+				c.pendT = t
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
-			next := t + period
-			if mi.Done > next {
-				c.stats.LoadStalls += mi.Done - next
-				next = mi.Done
-			}
-			t = c.clock.Align(next)
+			t = c.clock.Align(max(t+period, mi.Done))
 			if mi.WentToMemory() {
 				return cpu.Outcome{Kind: cpu.Yield, Time: t}
 			}
@@ -401,14 +371,10 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 		case isa.Store:
 			mi := c.port.Store(t, in.addr, in.arg)
 			if mi.Pending() {
-				c.pendT, c.pendIsLoad = t, false
+				c.pendT = t
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
-			next := t + period
-			if mi.Done > next {
-				next = mi.Done
-			}
-			t = c.clock.Align(next)
+			t = c.clock.Align(max(t+period, mi.Done))
 			if mi.WentToMemory() {
 				return cpu.Outcome{Kind: cpu.Yield, Time: t}
 			}
@@ -420,14 +386,10 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 		case isa.CacheOp:
 			mi := c.port.CacheOp(t, in.addr, in.arg)
 			if mi.Pending() {
-				c.pendT, c.pendIsLoad = t, false
+				c.pendT = t
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
-			next := t + period
-			if mi.Done > next {
-				next = mi.Done
-			}
-			t = c.clock.Align(next)
+			t = c.clock.Align(max(t+period, mi.Done))
 
 		case isa.Syscall:
 			t += period * sim.Ticks(1+c.port.SyscallCost(in.arg))
@@ -437,7 +399,6 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 			// cycle like any compute instruction.
 			t += period
 		}
-		c.cycBase, c.cycAdd = t, 0
 	}
 	return cpu.Outcome{Kind: cpu.Yield, Time: t}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flashsim/internal/cache"
-	"flashsim/internal/cpu"
 	"flashsim/internal/emitter"
 	"flashsim/internal/network"
 	"flashsim/internal/osmodel"
@@ -30,17 +29,13 @@ type Result struct {
 
 	// Instructions is the total committed instruction count.
 	Instructions uint64
-	// PerProc carries each core's counters.
-	PerProc []cpu.Stats
-	// Ports carries each node's memory-path counters.
-	Ports []PortStats
 
 	// TLBMisses is Metrics.TLB.Misses. It stays only because the frozen
 	// benchmark/probes.go reads it, and goes when that does.
 	TLBMisses uint64
 
-	// CaseCounts is the sum of Ports[i].CaseCounts: the protocol cases
-	// of the data accesses the ports issued. It is not a copy of
+	// CaseCounts sums the nodes' memory ports: the protocol cases of
+	// the data accesses they issued. It is not a copy of
 	// Metrics.Dir.CaseCounts, which also counts the lock and barrier
 	// writes the machine sends to the memory system past the ports.
 	CaseCounts [proto.NumCases]uint64
@@ -119,8 +114,6 @@ func (m *Machine) collect(em emitter.Stats) Result {
 	r := Result{
 		Config:          m.cfg.Name,
 		Procs:           m.cfg.Procs,
-		PerProc:         make([]cpu.Stats, len(m.nodes)),
-		Ports:           make([]PortStats, len(m.nodes)),
 		BarrierReleases: m.barrierRel,
 		Metrics: Metrics{
 			Emitter: em,
@@ -141,19 +134,15 @@ func (m *Machine) collect(em emitter.Stats) Result {
 		r.Metrics.Queue.Add(sh.queue.Stats())
 	}
 	for i, n := range m.nodes {
-		r.PerProc[i] = n.core.Stats()
+		r.Instructions += n.core.Instructions()
 		if sc, ok := n.core.(*sampledCPU); ok {
 			r.Sampled = true
 			r.Sampling.add(sc.sampling())
 		}
-		r.Ports[i] = n.port.stats
-		_, r.Ports[i].WBStallTicks = n.port.wb.Stalls()
-		_, r.Ports[i].MSHRStallTicks = n.port.mshr.Stalls()
-		r.Instructions += r.PerProc[i].Instructions
 		r.Metrics.L1.Add(n.port.l1.Stats())
 		r.Metrics.L2.Add(n.port.l2.Stats())
-		for c := 0; c < int(proto.NumCases); c++ {
-			r.CaseCounts[c] += n.port.stats.CaseCounts[c]
+		for c, k := range n.port.cases {
+			r.CaseCounts[c] += k
 		}
 		if ft := m.finishTimes[i]; ft > r.Total {
 			r.Total = ft

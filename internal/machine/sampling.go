@@ -142,7 +142,6 @@ type sampledCPU struct {
 	started  bool
 	detailed bool
 	segLeft  uint64 // functional instructions left in current segment
-	lastT    sim.Ticks
 	fnInstr  uint64 // instructions committed functionally
 	meta     SamplingStats
 }
@@ -160,15 +159,9 @@ func newSampledCPU(sched Schedule, clock sim.Clock, inner cpu.CPU, gate *windowG
 	return c
 }
 
-// Stats combines the detailed core's counters with the functional
-// driver's instruction count. Cycles reports wall cycles at the last
-// committed instruction, matching Mipsy's accounting convention.
-func (c *sampledCPU) Stats() cpu.Stats {
-	st := c.inner.Stats()
-	st.Instructions += c.fnInstr
-	st.Cycles = uint64(c.lastT / c.clock.Period)
-	return st
-}
+// Instructions counts the detailed core's instructions and those the
+// functional driver committed.
+func (c *sampledCPU) Instructions() uint64 { return c.inner.Instructions() + c.fnInstr }
 
 // sampling returns the core's window accounting (collect aggregates it
 // into Result.Sampling).
@@ -178,9 +171,7 @@ func (c *sampledCPU) sampling() SamplingStats { return c.meta }
 // core: Blocked outcomes only originate inside detailed windows (the
 // functional path's shared-state work is all fire-and-forget).
 func (c *sampledCPU) Deliver(mi cpu.MemInfo) sim.Ticks {
-	t := c.inner.(cpu.Blocking).Deliver(mi)
-	c.lastT = t
-	return t
+	return c.inner.(cpu.Blocking).Deliver(mi)
 }
 
 // openWindow arms the gate for the next detailed window. A schedule
@@ -229,13 +220,11 @@ func (c *sampledCPU) Run(t sim.Ticks) cpu.Outcome {
 		if c.detailed {
 			out := c.inner.Run(t)
 			if out.Kind != cpu.Finished {
-				c.lastT = out.Time
 				return out
 			}
 			if c.gate.eof {
 				// The underlying stream really ended.
 				c.closeWindow()
-				c.lastT = out.Time
 				return out
 			}
 			// The gate closed: the window is over. Continue
@@ -250,7 +239,6 @@ func (c *sampledCPU) Run(t sim.Ticks) cpu.Outcome {
 		}
 		out, more := c.runFunctional(t)
 		if !more {
-			c.lastT = out.Time
 			return out
 		}
 		// A window boundary was reached mid-slice; switch and continue.

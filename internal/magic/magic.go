@@ -147,7 +147,7 @@ func New(cfg Config) *Controller {
 	if banks <= 0 {
 		banks = 1
 	}
-	return &Controller{cfg: cfg, dram: sim.NewBanks("dram", banks)}
+	return &Controller{cfg: cfg, dram: sim.NewBanks(banks)}
 }
 
 // Inbox returns the time a message arriving at t has traversed the

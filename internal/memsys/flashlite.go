@@ -240,7 +240,7 @@ func (f *FlashLite) Write(t sim.Ticks, node int, pa uint64) Result {
 		dataAtReq = f.ctrl[node].RunHandler(dataAtReq, magic.HNIPut, 0)
 	}
 	done := f.busRep(dataAtReq)
-	return Result{Done: done, Case: wr.Case, Invals: len(wr.Invalidate)}
+	return Result{Done: done, Case: wr.Case}
 }
 
 // Writeback retires a dirty eviction. The processor does not wait, but

@@ -51,8 +51,6 @@ type Result struct {
 	Case proto.Case
 	// Exclusive reports a read was granted exclusively (install E).
 	Exclusive bool
-	// Invals is the number of invalidations sent.
-	Invals int
 }
 
 // System is a memory-system simulator: everything beyond the processor

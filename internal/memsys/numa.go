@@ -76,7 +76,7 @@ func NewNUMA(cfg NUMAConfig) *NUMA {
 	}
 	n.dram = make([]*sim.Banks, cfg.Nodes)
 	for i := range n.dram {
-		n.dram[i] = sim.NewBanks("numa-dram", banks)
+		n.dram[i] = sim.NewBanks(banks)
 	}
 	return n
 }
@@ -191,7 +191,7 @@ func (n *NUMA) Write(t sim.Ticks, node int, pa uint64) Result {
 		done = n.hop(t2, h, node, DataBytes)
 	}
 	done = n.ctrl(done)
-	return Result{Done: n.bus(done), Case: wr.Case, Invals: len(wr.Invalidate)}
+	return Result{Done: n.bus(done), Case: wr.Case}
 }
 
 // Writeback retires a dirty eviction; it reserves the home memory bank

@@ -77,8 +77,6 @@ type Translation struct {
 	PenaltyCycles uint32
 	// TLBMiss reports a TLB refill ran.
 	TLBMiss bool
-	// ColdFault reports the page was mapped by this access.
-	ColdFault bool
 }
 
 // OS is one machine's operating-system model: a shared page table plus
@@ -108,7 +106,7 @@ func New(cfg Config, pt *vm.PageTable, procs int) *OS {
 		}
 		o.tlbs = make([]*tlb.TLB, procs)
 		for i := range o.tlbs {
-			o.tlbs[i] = tlb.New(tlb.Config{Entries: entries, HandlerCycles: cfg.TLBHandlerCycles, HandlerInstrs: 14})
+			o.tlbs[i] = tlb.New(tlb.Config{Entries: entries})
 		}
 	}
 	return o
@@ -132,7 +130,7 @@ func (o *OS) TLB(i int) *tlb.TLB {
 // according to the model.
 func (o *OS) Translate(node int, va uint64) Translation {
 	pp, cold := o.pt.Translate(va, node)
-	tr := Translation{PA: pp.Addr(va), ColdFault: cold}
+	tr := Translation{PA: pp.Addr(va)}
 	if o.cfg.Kind == Solo {
 		// Backdoor mapping: no TLB, no fault cost.
 		return tr

@@ -22,8 +22,8 @@ func TestSoloTranslationsAreFree(t *testing.T) {
 	if tr.PenaltyCycles != 0 || tr.TLBMiss {
 		t.Fatalf("solo translation charged: %+v", tr)
 	}
-	if !tr.ColdFault {
-		t.Fatal("first touch should be cold")
+	if c := os.Counters(); c.PagesMapped != 1 || c.ColdFaults != 0 {
+		t.Fatalf("first touch under Solo: %+v, want one page mapped and no fault charged", c)
 	}
 	if os.TLB(0) != nil {
 		t.Fatal("solo has no TLB")
@@ -43,8 +43,8 @@ func TestSimOSChargesTLBAndFaults(t *testing.T) {
 	os := New(cfg, pt, 1)
 	r := as.Regions()[0]
 	tr := os.Translate(0, r.Base)
-	if !tr.TLBMiss || !tr.ColdFault {
-		t.Fatalf("first access flags: %+v", tr)
+	if !tr.TLBMiss || os.Counters().ColdFaults != 1 {
+		t.Fatalf("first access: %+v, counters %+v", tr, os.Counters())
 	}
 	want := cfg.TLBHandlerCycles + cfg.PageFaultCycles
 	if tr.PenaltyCycles != want {
@@ -52,8 +52,8 @@ func TestSimOSChargesTLBAndFaults(t *testing.T) {
 	}
 	// Second access: warm.
 	tr2 := os.Translate(0, r.Base+8)
-	if tr2.PenaltyCycles != 0 || tr2.TLBMiss || tr2.ColdFault {
-		t.Fatalf("warm access charged: %+v", tr2)
+	if tr2.PenaltyCycles != 0 || tr2.TLBMiss || os.Counters().ColdFaults != 1 {
+		t.Fatalf("warm access charged: %+v, counters %+v", tr2, os.Counters())
 	}
 	if os.SyscallCost(0, 1) != cfg.SyscallCycles {
 		t.Fatal("syscall cost")
@@ -105,8 +105,8 @@ func TestPerCPUTLBs(t *testing.T) {
 	if !tr.TLBMiss {
 		t.Fatal("TLBs must be per CPU")
 	}
-	if tr.ColdFault {
-		t.Fatal("page already mapped")
+	if c := os.Counters(); c.ColdFaults != 1 || tr.PenaltyCycles != DefaultSimOS().TLBHandlerCycles {
+		t.Fatalf("second CPU's touch of a mapped page: %+v, counters %+v; want a refill only", tr, c)
 	}
 }
 

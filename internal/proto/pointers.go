@@ -95,15 +95,6 @@ func (s *PointerStore) CollectInto(head int32, out []int) []int {
 	return out
 }
 
-// Len returns the list length.
-func (s *PointerStore) Len(head int32) int {
-	n := 0
-	for l := head; l >= 0; l = s.next[l] {
-		n++
-	}
-	return n
-}
-
 // Remove deletes node from the list at head, returning the new head.
 func (s *PointerStore) Remove(head int32, node int) int32 {
 	var prev int32 = -1

@@ -15,8 +15,8 @@ func TestPointerStoreAddCollect(t *testing.T) {
 	if !s.Contains(head, 3) || !s.Contains(head, 5) || s.Contains(head, 9) {
 		t.Fatal("contains")
 	}
-	if s.Len(head) != 2 || s.InUse() != 2 {
-		t.Fatalf("len=%d inuse=%d", s.Len(head), s.InUse())
+	if len(s.CollectInto(head, nil)) != 2 || s.InUse() != 2 {
+		t.Fatalf("len=%d inuse=%d", len(s.CollectInto(head, nil)), s.InUse())
 	}
 }
 
@@ -27,15 +27,15 @@ func TestPointerStoreRemove(t *testing.T) {
 		head = s.Add(head, n)
 	}
 	head = s.Remove(head, 2)
-	if s.Contains(head, 2) || s.Len(head) != 2 {
+	if s.Contains(head, 2) || len(s.CollectInto(head, nil)) != 2 {
 		t.Fatal("remove middle")
 	}
 	head = s.Remove(head, 3) // 3 is at the list head
-	if s.Contains(head, 3) || s.Len(head) != 1 {
+	if s.Contains(head, 3) || len(s.CollectInto(head, nil)) != 1 {
 		t.Fatal("remove head")
 	}
 	head = s.Remove(head, 99) // absent: no-op
-	if s.Len(head) != 1 {
+	if len(s.CollectInto(head, nil)) != 1 {
 		t.Fatal("remove absent")
 	}
 }
@@ -55,7 +55,7 @@ func TestPointerStoreFree(t *testing.T) {
 	for n := 0; n < 4; n++ {
 		head2 = s.Add(head2, n)
 	}
-	if s.Len(head2) != 4 {
+	if len(s.CollectInto(head2, nil)) != 4 {
 		t.Fatal("reuse after free")
 	}
 }
@@ -72,8 +72,8 @@ func TestPointerStoreExhaustionReclaims(t *testing.T) {
 	if !s.Contains(head, 2) {
 		t.Fatal("newest sharer must be recorded")
 	}
-	if s.Len(head) != 2 {
-		t.Fatalf("len %d after reclaim", s.Len(head))
+	if len(s.CollectInto(head, nil)) != 2 {
+		t.Fatalf("len %d after reclaim", len(s.CollectInto(head, nil)))
 	}
 }
 

@@ -111,8 +111,6 @@ type ReadResult struct {
 	// unowned line, as on FLASH/Origin): the cache may install E and
 	// write without an upgrade.
 	Exclusive bool
-	// SharersAfter is the resulting number of sharers (statistics).
-	SharersAfter int
 }
 
 // WriteResult describes what must happen to satisfy a write miss or
@@ -260,7 +258,6 @@ func (d *Directory) Read(line uint64, home, requester int) ReadResult {
 	default:
 		e.head = d.store.Add(e.head, requester)
 	}
-	res.SharersAfter = d.store.Len(e.head)
 	d.stats.CaseCounts[res.Case]++
 	d.check(line, e)
 	return res

@@ -22,8 +22,6 @@ package sim
 // queueing without bound. Gap backfill keeps service work-conserving
 // under the bounded causality skew of the run loop.
 type Server struct {
-	Name string
-
 	// win[lo:] holds the reserved [start, end) intervals, sorted by
 	// start, at most maxIntervals of them. The window slides through one
 	// backing array made on first use and compacted in place at its end,
@@ -111,18 +109,11 @@ func (s *Server) insert(iv interval) {
 // interleaving function, modeling e.g. DRAM banks interleaved by cache
 // line.
 type Banks struct {
-	Name  string
 	banks []Server
 }
 
 // NewBanks creates n banks.
-func NewBanks(name string, n int) *Banks {
-	b := &Banks{Name: name, banks: make([]Server, n)}
-	for i := range b.banks {
-		b.banks[i].Name = name
-	}
-	return b
-}
+func NewBanks(n int) *Banks { return &Banks{banks: make([]Server, n)} }
 
 // Acquire reserves bank (idx mod n) at or after t for dur.
 func (b *Banks) Acquire(idx uint64, t, dur Ticks) (start, done Ticks) {

@@ -422,7 +422,7 @@ func TestServerAcquireDoesNotAllocate(t *testing.T) {
 }
 
 func TestBanksIndependentContention(t *testing.T) {
-	b := NewBanks("m", 2)
+	b := NewBanks(2)
 	_, d0 := b.Acquire(0, 0, 10)
 	_, d1 := b.Acquire(1, 0, 10)
 	_, d2 := b.Acquire(2, 0, 10) // same bank as 0

@@ -39,8 +39,6 @@ func ToNS(t Ticks) float64 { return float64(t) / 0.9 }
 
 // Clock describes a synchronous clock domain derived from the tick base.
 type Clock struct {
-	// HzMHz is the nominal frequency in MHz, for display.
-	HzMHz int
 	// Period is the number of ticks per cycle of this clock.
 	Period Ticks
 }
@@ -53,7 +51,7 @@ func NewClock(mhz int) Clock {
 	if mhz <= 0 || 900%mhz != 0 {
 		panic(fmt.Sprintf("sim: clock %d MHz does not divide the 900 MHz tick base", mhz))
 	}
-	return Clock{HzMHz: mhz, Period: Ticks(900 / mhz)}
+	return Clock{Period: Ticks(900 / mhz)}
 }
 
 // Cycles converts a cycle count of this clock into ticks.

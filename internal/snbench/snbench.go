@@ -76,7 +76,6 @@ func caseRoles(c proto.Case) (home, dirtier int) {
 type chaseShared struct {
 	region emitter.Region
 	lines  int
-	c      proto.Case
 }
 
 // DependentLoads returns the snbench dependent-load test for the given
@@ -95,7 +94,7 @@ func DependentLoads(c proto.Case, lines int) emitter.Program {
 		Setup: func(as *emitter.AddressSpace) any {
 			r := as.AllocPageAligned("chain", uint64(lines)*lineBytes,
 				emitter.Placement{Kind: emitter.PlaceOnNode, Node: home})
-			return &chaseShared{region: r, lines: lines, c: c}
+			return &chaseShared{region: r, lines: lines}
 		},
 		Body: func(t *emitter.Thread, shared any) {
 			sh := shared.(*chaseShared)

@@ -17,17 +17,11 @@ package tlb
 type Config struct {
 	// Entries is the number of TLB entries (R10000: 64).
 	Entries int
-	// HandlerCycles is the charged cost of a refill, in processor
-	// cycles. Real hardware: 65. Untuned Mipsy: 25. Untuned MXS: 35.
-	HandlerCycles uint32
-	// HandlerInstrs is the handler length in instructions (14 on the
-	// R10000); informational, used for instruction accounting.
-	HandlerInstrs uint32
 }
 
-// R10000 returns the hardware TLB configuration with the true handler
-// cost.
-func R10000() Config { return Config{Entries: 64, HandlerCycles: 65, HandlerInstrs: 14} }
+// R10000 returns the hardware TLB configuration. The refill cost is the
+// OS model's (osmodel.Config.TLBHandlerCycles), not the TLB's.
+func R10000() Config { return Config{Entries: 64} }
 
 // TLB is a fully associative TLB with exact LRU replacement.
 //
