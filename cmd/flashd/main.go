@@ -11,7 +11,7 @@
 //
 // Endpoints (see internal/serve):
 //
-//	POST   /v1/runs              submit a run ({base, mhz, procs, seed, shards, set} + workload); ?wait=true blocks for the result
+//	POST   /v1/runs              submit a run ({base, mhz, procs, seed, set} + workload); ?wait=true blocks for the result
 //	POST   /v1/captures          run execution-driven, recording the streams (-trace-dir)
 //	POST   /v1/replays           replay a stored capture trace-driven by fingerprint
 //	GET    /v1/jobs              list jobs; /v1/jobs/{id} one status

@@ -5,7 +5,7 @@
 //
 //	flashsim run -app fft -procs 4                 # one workload on one machine (default: the hardware reference)
 //	flashsim run -app ocean -sim solo-mipsy -mhz 225 -set os.tlb.handler_cycles=65
-//	flashsim run -app gups -p hot_pct=50 -procs 32 -shards 4
+//	flashsim run -app gups -p hot_pct=50 -procs 32
 //	flashsim run -list-workloads                   # registry: names, parameters
 //
 //	flashsim validate -quick figure1 tlb           # rows of the experiment table (no names: list it)
@@ -20,7 +20,7 @@
 //	flashsim trace replay -sim simos-mipsy fft.fltr
 //
 // Every subcommand takes -jobs, -cache-dir, -config/-set, -sample,
-// -shards, -metrics-out and the profiling flags; `flashsim <subcommand>
+// -metrics-out and the profiling flags; `flashsim <subcommand>
 // -h` prints them. An artifact that cannot be written is an error: the
 // command reports it and exits 1.
 package main
@@ -85,19 +85,7 @@ func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format
 // the environment up, run the body, tear down. It returns the exit
 // status.
 func run(args []string, stdout, stderr io.Writer) int {
-	name := ""
-	if len(args) > 0 {
-		name, args = args[0], args[1:]
-	}
-	if name == "trace" && len(args) > 0 {
-		name, args = "trace "+args[0], args[1:]
-	}
-	var cmd *command
-	for i := range commands {
-		if commands[i].name == name {
-			cmd = &commands[i]
-		}
-	}
+	name, cmd, args := lookup(args)
 	if cmd == nil {
 		status := 2
 		switch name {
@@ -158,6 +146,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// lookup resolves the subcommand that args name ("trace" takes the word
+// after it too) and returns the name, the command (nil when none has
+// it) and the arguments after the name.
+func lookup(args []string) (string, *command, []string) {
+	name := ""
+	if len(args) > 0 {
+		name, args = args[0], args[1:]
+	}
+	if name == "trace" && len(args) > 0 {
+		name, args = "trace "+args[0], args[1:]
+	}
+	for i := range commands {
+		if commands[i].name == name {
+			return name, &commands[i], args
+		}
+	}
+	return name, nil, args
+}
+
 // simFlags is the machine-selection block of the subcommands that
 // build a configuration by name.
 type simFlags struct {
@@ -178,7 +185,7 @@ func addSimFlags(fs *flag.FlagSet, def string, seeded bool) simFlags {
 }
 
 // config resolves -sim at the given size, seeds it, and applies the
-// -config/-set/-sample/-shards overrides.
+// -config/-set/-sample overrides.
 func (sf simFlags) config(cf *cliutil.Flags, procs int) (machine.Config, error) {
 	cfg, err := core.ConfigByName(*sf.name, procs, *sf.mhz, true)
 	if err != nil {

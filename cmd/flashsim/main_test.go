@@ -112,6 +112,8 @@ func TestUsageErrors(t *testing.T) {
 		{"worksweep -trace-out x.fltr", []string{"flag provided but not defined: -trace-out"}},
 		{"tune -trace-in x.fltr", []string{"flag provided but not defined: -trace-in"}},
 		{"validate -figure 1", []string{"flag provided but not defined: -figure"}},
+		// One goroutine runs each simulation; there is no intra-run knob.
+		{"run -shards 2", []string{"flag provided but not defined: -shards"}},
 		{"run -set no.such.knob=1", []string{"no.such.knob"}},
 		// NaN passes every comparison against a bound; it is refused by name.
 		{"run -set l2.transfer_ns=NaN", []string{"l2.transfer_ns", "NaN"}},

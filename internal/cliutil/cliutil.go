@@ -2,7 +2,7 @@
 // subcommands and cmd/flashd: one flag block with one canonical
 // description per knob — -jobs and -cache-dir (the runner pool),
 // -config and -set (machine-parameter overrides through the
-// internal/param registry), -sample and -shards (execution modes),
+// internal/param registry), -sample (sampled execution),
 // -cpuprofile/-memprofile/-trace (pprof and execution-trace artifacts),
 // -metrics-out (the per-run observability report of internal/obs),
 // -list-params — and the lifecycle around it: Finish validates, Pool
@@ -43,7 +43,6 @@ const (
 	metricsOutUsage = "write the aggregated per-run metrics report (obs.Report JSON) to this file on exit"
 	sampleUsage     = "enable sampled simulation: 'on' for the default schedule, or period:window:warmup[:phase] instruction counts"
 	sampleColdUsage = "sampled fast-forward leaves cache/TLB/directory state cold instead of warming it (requires -sample)"
-	shardsUsage     = "partition simulated nodes across this many host cores inside each run (results are bit-identical at any value; clamped to the processor count)"
 )
 
 // Flags carries the shared flag values after flag.Parse.
@@ -59,7 +58,6 @@ type Flags struct {
 	MetricsOut string
 	Sample     string
 	SampleCold bool
-	Shards     int
 
 	sets     stringList
 	settings []param.Setting
@@ -99,7 +97,6 @@ func RegisterOn(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", metricsOutUsage)
 	fs.StringVar(&f.Sample, "sample", "", sampleUsage)
 	fs.BoolVar(&f.SampleCold, "sample-cold", false, sampleColdUsage)
-	fs.IntVar(&f.Shards, "shards", 1, shardsUsage)
 	return f
 }
 
@@ -223,17 +220,9 @@ func (f *Flags) Close() error {
 }
 
 // Apply returns cfg with the -config snapshot and then every -set
-// override applied, in order, plus the -shards execution knob (which is
-// not a registry parameter: it never changes results or fingerprints).
-// It is a no-op without overrides, so it is safe to install
+// override applied, in order. It is a no-op without overrides, so it is safe to install
 // unconditionally as a Session override hook.
 func (f *Flags) Apply(cfg machine.Config) (machine.Config, error) {
-	// -shards 1 (the default) is left unwritten: serial is already the
-	// zero value's behavior, and skipping the write keeps Apply an exact
-	// identity when no flag was given.
-	if f.Shards > 1 {
-		cfg.Shards = f.Shards
-	}
 	var err error
 	if f.snapshot != nil {
 		cfg, err = param.ApplySnapshot(cfg, *f.snapshot)

@@ -275,6 +275,7 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 		}
 		before := work.FlashTiming
 		var simLC, simRC, simLDR float64
+		var first [3]float64 // round 0's latencies, the report's SimBefore
 		for round := 0; round < maxRounds; round++ {
 			simLC, err = c.SimDepLatency(work, proto.LocalClean)
 			if err != nil {
@@ -287,6 +288,9 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 			simLDR, err = c.SimDepLatency(work, proto.LocalDirtyRemote)
 			if err != nil {
 				return cal, err
+			}
+			if round == 0 {
+				first = [3]float64{simLC, simRC, simLDR}
 			}
 			dLC := hwLat[proto.LocalClean] - simLC
 			dRC := hwLat[proto.RemoteClean] - simRC
@@ -310,11 +314,11 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 		// the inbox, so one report row each carries the pair.
 		cal.Report = append(cal.Report,
 			Adjustment{Param: "flash.bus_request_ns", Unit: "ns", Before: before.BusRequestNS, After: work.FlashTiming.BusRequestNS,
-				HWMetric: hwLat[proto.LocalClean], SimBefore: 0, SimAfter: simLC},
+				HWMetric: hwLat[proto.LocalClean], SimBefore: first[0], SimAfter: simLC},
 			Adjustment{Param: "flash.inbox_ns", Unit: "ns", Before: before.InboxNS, After: work.FlashTiming.InboxNS,
-				HWMetric: hwLat[proto.RemoteClean], SimBefore: 0, SimAfter: simRC},
+				HWMetric: hwLat[proto.RemoteClean], SimBefore: first[1], SimAfter: simRC},
 			Adjustment{Param: "flash.intervention_ns", Unit: "ns", Before: before.InterventionNS, After: work.FlashTiming.InterventionNS,
-				HWMetric: hwLat[proto.LocalDirtyRemote], SimBefore: 0, SimAfter: simLDR},
+				HWMetric: hwLat[proto.LocalDirtyRemote], SimBefore: first[2], SimAfter: simLDR},
 		)
 	}
 	cal.Deltas = param.Diff(cfg, work)

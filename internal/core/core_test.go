@@ -140,6 +140,10 @@ func TestCalibrationRoundTripsThroughRegistry(t *testing.T) {
 		// with the same landing value, and no-change report lines
 		// (Before == After) must not.
 		for _, a := range c.Report {
+			// Every row was measured before it was fitted.
+			if a.SimBefore <= 0 {
+				t.Errorf("%s: %s reports sim %v before fitting", cfg.Name, a.Param, a.SimBefore)
+			}
 			v, changed := deltaValue(c, a.Param)
 			if a.Before == a.After {
 				if changed {

@@ -187,7 +187,7 @@ type Outcome struct {
 // core finishes the suspended instruction and returns the time at
 // which the machine should call Run again. Every core the machine
 // constructs implements Blocking — the windowed engine defers all
-// shared-memory operations, at any shard count.
+// shared-memory operations.
 type Blocking interface {
 	Deliver(mi MemInfo) sim.Ticks
 }

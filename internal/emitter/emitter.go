@@ -496,8 +496,8 @@ type Streams struct {
 // Abort releases the stream, finished or abandoned: it stops the emitter
 // goroutines, waits for them and gives the slabs back to the process,
 // all but the batch a Reader is on. That one stays the consumer's, which
-// need not have stopped: a shard worker outlives the panic that ends its
-// run (a drained Reader is on none). Safe to call multiple times.
+// may go on reading it after Abort (a drained Reader is on none). Safe
+// to call multiple times.
 func (s *Streams) Abort() {
 	s.once.Do(func() {
 		close(s.abortCh)

@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -159,53 +158,6 @@ func (d explodingDriver) NewCore(i int, clock sim.Clock, src cpu.Stream, port cp
 	return core
 }
 
-// stragglerDriver is an execution driver at two shards whose node-0 core
-// panics once node 3's core, on the other shard, has been lent its first
-// batch. That core sits on the batch until release is closed, and done
-// carries whether the batch is still what the core was lent.
-type stragglerDriver struct {
-	machine.Driver
-	lent, release chan struct{}
-	done          chan bool
-}
-
-type parkedStream struct {
-	cpu.BatchStream
-	d *stragglerDriver
-}
-
-func (s *parkedStream) NextBatch() []isa.Instr {
-	b := s.BatchStream.NextBatch()
-	if d := s.d; d != nil {
-		s.d = nil
-		was := slices.Clone(b)
-		close(d.lent)
-		<-d.release
-		defer func() { d.done <- slices.Equal(b, was) }()
-	}
-	return b
-}
-
-type doomedCore struct {
-	cpu.CPU
-	lent chan struct{}
-}
-
-func (c *doomedCore) Run(sim.Ticks) cpu.Outcome {
-	<-c.lent
-	panic("core exploded")
-}
-
-func (d *stragglerDriver) NewCore(i int, clock sim.Clock, src cpu.Stream, port cpu.Port) cpu.CPU {
-	switch i {
-	case 0:
-		return &doomedCore{CPU: d.Driver.NewCore(i, clock, src, port), lent: d.lent}
-	case 3:
-		src = &parkedStream{BatchStream: src.(cpu.BatchStream), d: d}
-	}
-	return d.Driver.NewCore(i, clock, src, port)
-}
-
 // readEach reads batches from each thread of s in turn until this call
 // has taken n instructions from it (threads must not wait on one another).
 func readEach(s *emitter.Streams, n uint64) {
@@ -244,45 +196,14 @@ func TestEverySlabComesBackOnce(t *testing.T) {
 				t.Fatal("a 2-thread program ran on a 4-processor machine")
 			}
 		}},
-		{"event-loop panic", 8, func(t *testing.T) {
-			for _, shards := range []int{1, 2} {
-				cfg := mipsy4
-				cfg.Shards = shards
-				d := explodingDriver{machine.NewExecutionDriver(cfg, quickProgram(t, "radix", 4))}
-				func() {
-					defer func() {
-						if r := recover(); r != "core exploded" {
-							t.Errorf("shards=%d: recovered %v, want the core's panic", shards, r)
-						}
-					}()
-					machine.RunWith(cfg, d)
-				}()
-			}
-		}},
-		{"event-loop panic with another shard mid-batch", 4, func(t *testing.T) {
-			// The panic goes on without waiting for the other shard's
-			// worker, so Finish runs with a core still on a lent batch:
-			// that batch must stay the core's while the rest go back and
-			// are lent again, here to a stream that writes every slot.
-			cfg := mipsy4
-			cfg.Shards = 2
-			d := &stragglerDriver{
-				Driver: machine.NewExecutionDriver(cfg, quickProgram(t, "radix", 4)),
-				lent:   make(chan struct{}), release: make(chan struct{}), done: make(chan bool),
-			}
-			func() {
-				defer func() {
-					if r := recover(); r != "core exploded" {
-						t.Errorf("recovered %v, want the core's panic", r)
-					}
-				}()
-				machine.RunWith(cfg, d)
+		{"event-loop panic", 4, func(t *testing.T) {
+			d := explodingDriver{machine.NewExecutionDriver(mipsy4, quickProgram(t, "radix", 4))}
+			defer func() {
+				if r := recover(); r != "core exploded" {
+					t.Errorf("recovered %v, want the core's panic", r)
+				}
 			}()
-			borrowAndReturn(4)
-			close(d.release)
-			if !<-d.done {
-				t.Error("the batch a core was on was lent to another stream under it")
-			}
+			machine.RunWith(mipsy4, d)
 		}},
 		{"workload panics on thread 3 of 8", 8, func(t *testing.T) {
 			// Thread 3 dies holding the lock the others queue on; they

@@ -406,8 +406,8 @@ func (s *Session) ExperimentBlockingFixes() (BlockingFixData, string, error) {
 		return d, "", err
 	}
 	text := fmt.Sprintf("Application TLB fixes measured on hardware:\n"+
-		"  FFT TLB blocking:   +%4.1f%% on 1p (paper 14%%), +%4.1f%% on 4p (paper 16%%)\n"+
-		"  Radix 256 -> 32:    +%4.1f%% on 1p (paper 31%%), +%4.1f%% on 4p (paper 34%%)\n",
+		"  FFT TLB blocking:   %+5.1f%% on 1p (paper 14%%), %+5.1f%% on 4p (paper 16%%)\n"+
+		"  Radix 256 -> 32:    %+5.1f%% on 1p (paper 31%%), %+5.1f%% on 4p (paper 34%%)\n",
 		100*d.FFTGain1, 100*d.FFTGain4, 100*d.RadixGain1, 100*d.RadixGain4)
 	return d, text, nil
 }

@@ -118,13 +118,8 @@ type Config struct {
 	// fingerprints.
 	CheckCoherence bool
 
-	// Shards is the number of worker goroutines the windowed engine
-	// partitions the nodes across (0 or 1 = run the window loop on the
-	// calling goroutine). An execution knob like CheckCoherence, not a
-	// model parameter: the engine is bit-identical at every shard count,
-	// so Shards is deliberately excluded from the param registry and the
-	// run fingerprints — the same job spec at different shard counts
-	// memoizes to the same result. Values above Procs are clamped.
+	// Deprecated: ignored. Every run executes on one goroutine; the
+	// field stays only while the frozen benchmark still writes it.
 	Shards int
 }
 

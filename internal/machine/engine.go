@@ -54,9 +54,9 @@ type Driver interface {
 func RunWith(cfg Config, d Driver) (Result, error) {
 	// Every way out that has not reached Finish takes it here: a rejected
 	// configuration, and a panic in build or the event loop (a coherence
-	// invariant violation, a core or stream failure re-raised from a
-	// shard worker). The panic goes on to the caller; the driver's
-	// producer goroutines and artifacts must not stay behind it.
+	// invariant violation, a core or stream failure). The panic goes on
+	// to the caller; the driver's producer goroutines and artifacts must
+	// not stay behind it.
 	released := false
 	defer func() {
 		if !released {
@@ -83,18 +83,17 @@ func RunWith(cfg Config, d Driver) (Result, error) {
 	})
 	m.drive()
 
-	finished := m.finishedTotal()
 	released = true
-	em, err := d.Finish(m.runErr == nil && finished == cfg.Procs)
+	em, err := d.Finish(m.runErr == nil && m.finished == cfg.Procs)
 	if err != nil {
 		return Result{}, fmt.Errorf("machine %q: %w", cfg.Name, err)
 	}
 	if m.runErr != nil {
 		return Result{}, m.runErr
 	}
-	if finished != cfg.Procs {
+	if m.finished != cfg.Procs {
 		return Result{}, fmt.Errorf("machine %q: deadlock: %d of %d processors finished (pending events %d)",
-			cfg.Name, finished, cfg.Procs, m.pendingEvents())
+			cfg.Name, m.finished, cfg.Procs, m.queue.Len())
 	}
 	res := m.collect(em)
 	res.Workload = d.Workload()
@@ -113,9 +112,7 @@ type execDriver struct {
 // NewExecutionDriver launches prog's emitter threads and returns the
 // execution-driven driver over them. The driver owns the producer
 // goroutines and the slabs they borrowed from the process; RunWith's
-// Finish call releases both on every path. A consumer still running
-// then (a shard worker, after a panic elsewhere) keeps the batch it is
-// on and finds the stream ended after it.
+// Finish call releases both on every path.
 func NewExecutionDriver(cfg Config, prog emitter.Program) Driver {
 	space, streams := prog.Launch()
 	return &execDriver{cfg: cfg, name: prog.FullName(), space: space, streams: streams}
@@ -140,8 +137,6 @@ func (d *execDriver) Finish(ok bool) (emitter.Stats, error) {
 	if err := d.streams.Err(); err != nil || !ok {
 		return emitter.Stats{}, err
 	}
-	// Not read on the way out of a failure: a shard worker that outlived
-	// a panic may still be moving its Readers.
 	return d.streams.Counters(), nil
 }
 

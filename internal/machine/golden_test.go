@@ -12,7 +12,7 @@ import (
 // golden is one pinned result per CPU-detail rung. The values were
 // first recorded from the three-entry-point machine immediately before
 // the Driver/RunWith seam landed, and re-pinned once when the windowed
-// (shard-parallel) engine replaced the single global event loop.
+// engine replaced the single global event loop.
 //
 // The windowed engine executes every shared-memory transaction at a
 // window barrier in strict global (t, node, seq) order, where the old

@@ -23,11 +23,14 @@ const (
 // Machine is one fully composed simulated system executing one program.
 type Machine struct {
 	cfg    Config
-	shards []*shard
+	queue  *sim.Queue
 	window sim.Ticks // windowed-engine quantum W (lookahead-derived)
 	mem    memsys.System
 	os     *osmodel.OS
 	nodes  []*node
+
+	fired    int // events dispatched (the eventCap guard)
+	finished int // processors that ran to completion
 
 	barriers   map[uint32]*barrierState
 	locks      map[uint32]*lockState
@@ -38,10 +41,9 @@ type Machine struct {
 }
 
 type node struct {
-	id    int
-	core  cpu.CPU
-	port  *memPort
-	shard *shard
+	id   int
+	core cpu.CPU
+	port *memPort
 }
 
 type barrierState struct {
@@ -76,6 +78,7 @@ func Run(cfg Config, prog emitter.Program) (Result, error) {
 func build(cfg Config, space *emitter.AddressSpace, newCore func(i int, clock sim.Clock, p *memPort) cpu.CPU) *Machine {
 	m := &Machine{
 		cfg:        cfg,
+		queue:      sim.NewQueue(),
 		barriers:   make(map[uint32]*barrierState),
 		locks:      make(map[uint32]*lockState),
 		barrierRel: make(map[uint32][]sim.Ticks),
@@ -106,28 +109,13 @@ func build(cfg Config, space *emitter.AddressSpace, newCore func(i int, clock si
 
 	// Window width: the interconnect's conservative lookahead (45 ticks
 	// per hop by default) scaled by a fixed multiplier. Config-derived,
-	// never host- or shard-derived, so the quantization — and with it
-	// every result — is a function of the configuration alone.
+	// never host-derived, so the quantization — and with it every
+	// result — is a function of the configuration alone.
 	la := sim.NS(50)
 	if net := m.mem.Net(); net != nil {
 		la = net.Lookahead()
 	}
 	m.window = la * windowLookaheadMult
-
-	// Nodes partition into contiguous shard blocks. A barrier delivery
-	// may resume a node below its queue's dispatch horizon, which
-	// sim.Queue accepts.
-	nshards := cfg.Shards
-	if nshards < 1 {
-		nshards = 1
-	}
-	if nshards > cfg.Procs {
-		nshards = cfg.Procs
-	}
-	m.shards = make([]*shard, nshards)
-	for s := range m.shards {
-		m.shards[s] = &shard{queue: sim.NewQueue()}
-	}
 
 	clock := sim.NewClock(cfg.ClockMHz)
 	m.nodes = make([]*node, cfg.Procs)
@@ -146,7 +134,7 @@ func build(cfg Config, space *emitter.AddressSpace, newCore func(i int, clock si
 				TransferTicks: sim.NS(cfg.L2TransferNS),
 			},
 		}
-		m.nodes[i] = &node{id: i, core: newCore(i, clock, p), port: p, shard: m.shards[shardOf(i, cfg.Procs, nshards)]}
+		m.nodes[i] = &node{id: i, core: newCore(i, clock, p), port: p}
 	}
 	return m
 }
@@ -158,10 +146,9 @@ func (m *Machine) HandleEvent(now sim.Ticks, arg uint64) {
 	m.step(m.nodes[arg], now)
 }
 
-// step runs one scheduling slice of a node's processor. It executes on
-// the node's shard (a worker goroutine during parallel phases) and must
-// touch only node-local state: sync operations defer to the barrier
-// like any other shared-state work.
+// step runs one scheduling slice of a node's processor. It executes in
+// the node phase and must touch only node-local state: sync operations
+// defer to the barrier like any other shared-state work.
 func (m *Machine) step(n *node, now sim.Ticks) {
 	out := n.core.Run(now)
 	switch out.Kind {
@@ -172,17 +159,17 @@ func (m *Machine) step(n *node, now sim.Ticks) {
 		// phase executes the pending op and delivers the resume.
 	case cpu.Finished:
 		m.finishTimes[n.id] = out.Time
-		n.shard.finished++
+		m.finished++
 	case cpu.SyncOp:
 		n.port.push(pendingOp{kind: opSync, t: out.Time, acc: access{op: out.Instr.Op, aux: out.Instr.Aux}})
 	}
 }
 
-// resume schedules a node's next slice at time t: on its own shard's
-// queue, so from the node's own step in a parallel phase or from the
-// engine goroutine in a serial one.
+// resume schedules a node's next slice at time t, from the node's own
+// step or from the barrier. A barrier delivery may resume a node below
+// the queue's dispatch horizon, which sim.Queue accepts.
 func (m *Machine) resume(n *node, t sim.Ticks) {
-	n.shard.queue.ScheduleFn(t, int32(n.id), m, uint64(n.id))
+	m.queue.ScheduleFn(t, int32(n.id), m, uint64(n.id))
 }
 
 // syncPA synthesizes the physical line address backing a lock or

@@ -16,7 +16,7 @@ import (
 //
 // Under the windowed engine every access splits into a node-local
 // prefix (translation of mapped pages, L1/L2 tag checks, write-buffer
-// slot reservation) that runs inside the parallel phase, and a shared
+// slot reservation) that runs inside the node phase, and a shared
 // tail (memory-system transactions, MSHR bookkeeping against ops that
 // executed in between, page faults) that is deferred as a pendingOp and
 // executed at the next barrier in global (t, node, seq) order. touch
@@ -35,7 +35,7 @@ type memPort struct {
 	cases [proto.NumCases]uint64 // protocol cases of the lines fetch asked for
 
 	// Deferred-operation sink: ops this node produced during the
-	// current parallel phase, drained and merged at the barrier. seq
+	// current node phase, drained and merged at the barrier. seq
 	// numbers ops per node; lastOpT keeps per-node op times monotone so
 	// the global (t, node, seq) sort preserves each node's issue order.
 	ops     []pendingOp
@@ -143,7 +143,7 @@ func (p *memPort) CacheOp(t sim.Ticks, va uint64, aux uint32) cpu.MemInfo {
 }
 
 // SyscallCost implements cpu.Port.
-func (p *memPort) SyscallCost(aux uint32) uint32 { return p.m.os.SyscallCost(p.node, aux) }
+func (p *memPort) SyscallCost(uint32) uint32 { return p.m.os.SyscallCost() }
 
 // warmTouch is the functional fast-forward's state path: it performs
 // the translation, cache, and directory transitions an access would
@@ -170,7 +170,7 @@ func (p *memPort) warmTouch(t sim.Ticks, op isa.Op, va uint64) {
 }
 
 // touch is the access path of a load, a store or a CACHE op. canDefer
-// selects the parallel-phase prefix (shared work becomes a pendingOp)
+// selects the node-phase prefix (shared work becomes a pendingOp)
 // versus the barrier executor's synchronous re-entry. A warm touch
 // skips only the statements that charge time or occupy the L2
 // interface; the MemInfo it returns is meaningless.

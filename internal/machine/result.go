@@ -126,13 +126,7 @@ func (m *Machine) collect(em emitter.Stats) Result {
 	if net := m.mem.Net(); net != nil {
 		r.Metrics.Net = net.Stats()
 	}
-	// The shard-local event queues merge in shard-index order. Each node
-	// holds at most one outstanding pooled event, so every queue's cold
-	// allocations equal its node count and the sum is bit-identical at
-	// any shard count.
-	for _, sh := range m.shards {
-		r.Metrics.Queue.Add(sh.queue.Stats())
-	}
+	r.Metrics.Queue = m.queue.Stats()
 	for i, n := range m.nodes {
 		r.Instructions += n.core.Instructions()
 		if sc, ok := n.core.(*sampledCPU); ok {

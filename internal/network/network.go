@@ -88,10 +88,10 @@ func (n *Network) Stats() NetStats { return n.stats }
 // Lookahead returns the conservative lookahead horizon the interconnect
 // guarantees: no message sent at time t can affect another node before
 // t+Lookahead, because one hop costs at least HopTicks on the wire
-// (50 ns = 45 ticks on FLASH). The windowed parallel engine derives its
-// window width from this, so configuration changes keep it correct. A
+// (50 ns = 45 ticks on FLASH). The windowed engine derives its window
+// width from this, so configuration changes keep it correct. A
 // degenerate single-node network has no cross-node path; one hop is
-// still the right floor (nothing crosses shards at all).
+// still the right floor.
 func (n *Network) Lookahead() sim.Ticks {
 	la := n.cfg.HopTicks
 	if la <= 0 {

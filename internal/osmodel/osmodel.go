@@ -82,23 +82,16 @@ type Translation struct {
 // OS is one machine's operating-system model: a shared page table plus
 // per-CPU TLBs.
 type OS struct {
-	cfg  Config
-	pt   *vm.PageTable
-	tlbs []*tlb.TLB
-	// faults is a plain scalar: cold faults are only charged on the
-	// serial fault path (the parallel phase defers any access whose page
-	// is unmapped), so exactly one goroutine ever touches it.
-	faults uint64 // charged cold page faults (SimOS)
-	// syscalls is per node: SyscallCost runs inside the parallel phase
-	// (a syscall never touches shared memory-system state), so each
-	// shard increments only its own nodes' slots. Counters sums them in
-	// node order, which is deterministic at any shard count.
-	syscalls []uint64 // charged system calls (SimOS), per node
+	cfg      Config
+	pt       *vm.PageTable
+	tlbs     []*tlb.TLB
+	faults   uint64 // charged cold page faults (SimOS)
+	syscalls uint64 // charged system calls (SimOS)
 }
 
 // New builds the OS model over a page table for an n-CPU machine.
 func New(cfg Config, pt *vm.PageTable, procs int) *OS {
-	o := &OS{cfg: cfg, pt: pt, syscalls: make([]uint64, procs)}
+	o := &OS{cfg: cfg, pt: pt}
 	if cfg.Kind == SimOS {
 		entries := cfg.TLBEntries
 		if entries <= 0 {
@@ -146,20 +139,20 @@ func (o *OS) Translate(node int, va uint64) Translation {
 	return tr
 }
 
-// SyscallCost returns the charged CPU cycles for a system call on the
-// given node. The processor models call it exactly once per Syscall
-// instruction, so it doubles as the syscall counter.
-func (o *OS) SyscallCost(node int, aux uint32) uint32 {
+// SyscallCost returns the charged CPU cycles for a system call. The
+// processor models call it exactly once per Syscall instruction, so it
+// doubles as the syscall counter.
+func (o *OS) SyscallCost() uint32 {
 	if o.cfg.Kind == Solo {
 		return 0
 	}
-	o.syscalls[node]++
+	o.syscalls++
 	return o.cfg.SyscallCycles
 }
 
 // NeedsFault reports whether an access to va would map a new page (a
-// cold fault). The parallel phase uses it to decide whether to defer
-// the whole access to the serial fault path; it never mutates shared
+// cold fault). The node phase uses it to decide whether to defer the
+// whole access to the barrier's fault path; it never mutates shared
 // state.
 func (o *OS) NeedsFault(va uint64) bool {
 	_, ok := o.pt.Lookup(va)
@@ -192,18 +185,12 @@ func (c *Counters) Add(o Counters) {
 	c.Syscalls += o.Syscalls
 }
 
-// Counters returns the OS model's end-of-run counters. Per-node
-// syscall counts are summed in node order, so the total is identical
-// at any shard count.
+// Counters returns the OS model's end-of-run counters.
 func (o *OS) Counters() Counters {
-	var sys uint64
-	for _, n := range o.syscalls {
-		sys += n
-	}
 	return Counters{
 		PagesMapped: uint64(o.pt.Mapped()),
 		ColdFaults:  o.faults,
-		Syscalls:    sys,
+		Syscalls:    o.syscalls,
 	}
 }
 

@@ -28,7 +28,7 @@ func TestSoloTranslationsAreFree(t *testing.T) {
 	if os.TLB(0) != nil {
 		t.Fatal("solo has no TLB")
 	}
-	if os.SyscallCost(0, 1) != 0 {
+	if os.SyscallCost() != 0 {
 		t.Fatal("solo syscalls are backdoors")
 	}
 	if os.TLBStats().Misses != 0 {
@@ -55,7 +55,7 @@ func TestSimOSChargesTLBAndFaults(t *testing.T) {
 	if tr2.PenaltyCycles != 0 || tr2.TLBMiss || os.Counters().ColdFaults != 1 {
 		t.Fatalf("warm access charged: %+v, counters %+v", tr2, os.Counters())
 	}
-	if os.SyscallCost(0, 1) != cfg.SyscallCycles {
+	if os.SyscallCost() != cfg.SyscallCycles {
 		t.Fatal("syscall cost")
 	}
 	if os.TLBStats().Misses != 1 {

@@ -22,7 +22,7 @@ var excludedFields = map[string]string{
 	"L2.Name":        "display label on the cache geometry",
 	"NUMA.Nodes":     "derived: machine.New forces it to Procs",
 	"CheckCoherence": "verification flag: cannot change results, so it must not change fingerprints",
-	"Shards":         "execution knob: parallel execution is bit-identical to serial, so it must not change fingerprints",
+	"Shards":         "deprecated and ignored: the frozen benchmark still writes it",
 }
 
 // leafFields walks a struct type and returns every leaf field path.

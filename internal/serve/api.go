@@ -144,11 +144,6 @@ type ConfigSpec struct {
 	Procs int `json:"procs,omitempty"`
 	// Seed overrides the configuration's jitter seed when nonzero.
 	Seed uint64 `json:"seed,omitempty"`
-	// Shards partitions the simulated nodes across this many host
-	// cores inside the run (the CLIs' -shards flag). An execution
-	// knob, not a model parameter: results are bit-identical at any
-	// value, so it is excluded from job deduplication and memo keys.
-	Shards int `json:"shards,omitempty"`
 	// Set is the parameter-override list, validated against the
 	// registry exactly like the CLIs' -set flags.
 	Set []param.Setting `json:"set,omitempty"`
@@ -187,7 +182,6 @@ func (c ConfigSpec) Config() (machine.Config, error) {
 	if c.Seed != 0 {
 		cfg.Seed = c.Seed
 	}
-	cfg.Shards = c.Shards
 	if cfg, err = param.ApplySettings(cfg, c.Set); err != nil {
 		return machine.Config{}, err
 	}

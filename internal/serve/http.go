@@ -214,7 +214,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("flashd_flight_coalesced_total", "Pool executions joined in-flight (runner.Flight).", s.flight.Coalesced())
 	gauge("flashd_queue_depth", "Jobs accepted but not yet started.", int64(queueDepth))
 	gauge("flashd_queue_capacity", "Bounded queue capacity.", int64(s.queueDepth))
-	gauge("flashd_workers", "Concurrent job executors.", int64(s.workers))
+	gauge("flashd_workers", "Concurrent job executors.", int64(s.pool.Workers()))
 	gauge("flashd_draining", "1 while the server refuses new jobs.", int64(draining))
 }
 

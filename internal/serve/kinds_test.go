@@ -183,7 +183,7 @@ func TestUnrunnableSpecRefusedAtTheDoor(t *testing.T) {
 // C, whose deadline is no later than B's forever, joins B. One
 // simulation serves all of it.
 func TestJoinedSubmissionKeepsItsOwnDeadline(t *testing.T) {
-	s, ts, gate := newTestServer(t, Options{Pool: runner.Serial(), Workers: 1})
+	s, ts, gate := newTestServer(t, Options{Pool: runner.Serial()})
 	release := sync.OnceFunc(func() { close(gate) })
 	defer release()
 	body := func(timeout string) []byte {

@@ -23,7 +23,7 @@ func TestJobTableIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := runner.New(2, store)
-	s := New(Options{Pool: pool, Workers: 2})
+	s := New(Options{Pool: pool})
 	const heldID = "j000001"
 	hold := make(chan struct{})
 	release := sync.OnceFunc(func() { close(hold) })

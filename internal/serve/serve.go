@@ -20,12 +20,9 @@ type Options struct {
 	// results across requests and restarts.
 	Pool *runner.Pool
 	// QueueDepth bounds the number of accepted-but-unstarted jobs
-	// (default 64). The running jobs on top of this are bounded by
-	// Workers, so accepted work is at most QueueDepth+Workers jobs.
+	// (default 64). The server runs one job per pool worker on top of
+	// this, so accepted work is at most QueueDepth+Pool.Workers() jobs.
 	QueueDepth int
-	// Workers is how many jobs execute concurrently (default
-	// Pool.Workers()).
-	Workers int
 	// RetryAfter is the backpressure hint attached to 429 responses
 	// (default 1s).
 	RetryAfter time.Duration
@@ -44,7 +41,6 @@ type Server struct {
 	collector  *obs.Collector
 	flight     *runner.Flight
 	queueDepth int
-	workers    int
 	retryAfter time.Duration
 	mux        *http.ServeMux
 
@@ -93,9 +89,6 @@ func New(opts Options) *Server {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = opts.Pool.Workers()
-	}
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = time.Second
 	}
@@ -103,7 +96,6 @@ func New(opts Options) *Server {
 	s := &Server{
 		pool:       opts.Pool,
 		queueDepth: opts.QueueDepth,
-		workers:    opts.Workers,
 		retryAfter: opts.RetryAfter,
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -123,7 +115,7 @@ func New(opts Options) *Server {
 	s.flight = runner.NewFlight(opts.Pool, ctx)
 	s.mux = http.NewServeMux()
 	s.routes()
-	for i := 0; i < s.workers; i++ {
+	for i := 0; i < s.pool.Workers(); i++ {
 		s.workersWG.Add(1)
 		go s.worker()
 	}

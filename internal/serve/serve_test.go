@@ -205,7 +205,6 @@ func TestServerCoalescesConcurrentIdenticalRuns(t *testing.T) {
 func TestServerQueueFullRejectsWith429(t *testing.T) {
 	s, ts, gate := newTestServer(t, Options{
 		Pool:       runner.Serial(),
-		Workers:    1,
 		QueueDepth: 1,
 		RetryAfter: 2 * time.Second,
 	})
@@ -257,7 +256,7 @@ func TestServerQueueFullRejectsWith429(t *testing.T) {
 // shutdown: during a drain, new submissions get 503 while every job
 // accepted before the drain still runs to done and stays fetchable.
 func TestServerDrainRefusesNewAndCompletesAccepted(t *testing.T) {
-	s, ts, gate := newTestServer(t, Options{Workers: 1, QueueDepth: 8})
+	s, ts, gate := newTestServer(t, Options{Pool: runner.Serial(), QueueDepth: 8})
 
 	var ids []string
 	for i := 0; i < 3; i++ {
@@ -303,7 +302,7 @@ func TestServerDrainRefusesNewAndCompletesAccepted(t *testing.T) {
 // submission deadline expires a job that never left the queue; both
 // surface as state=canceled with a 504 result.
 func TestServerCancelAndTimeout(t *testing.T) {
-	s, ts, gate := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+	s, ts, gate := newTestServer(t, Options{Pool: runner.Serial(), QueueDepth: 4})
 
 	// A occupies the worker at the gate.
 	postJSON(t, ts.URL+"/v1/runs", runBody(8))

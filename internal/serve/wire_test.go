@@ -26,13 +26,13 @@ var updateWire = flag.Bool("wire.update", false, "rewrite testdata/wire.txt from
 var wireKinds = []struct{ name, path, body, same string }{
 	{"run", "/v1/runs",
 		`{"base":"simos-mipsy","procs":2,"workload":{"name":"fft","logn":8}}`,
-		`{"base":"simos-mipsy","procs":2,"shards":2,"workload":{"logn":8,"name":"fft"}}`},
+		`{"base":"simos-mipsy","procs":2,"workload":{"logn":8,"name":"fft"}}`},
 	{"capture", "/v1/captures",
 		`{"base":"simos-mipsy","procs":2,"workload":{"name":"lu","n":32}}`,
 		`{"base":"simos-mipsy","procs":2,"workload":{"name":"lu","n":32}}`},
 	{"replay", "/v1/replays",
 		`{"base":"simos-mxs","trace":"%s"}`,
-		`{"base":"simos-mxs","trace":"%s","shards":2}`},
+		`{"base":"simos-mxs","trace":"%s"}`},
 }
 
 // wireRejects are the submissions refused before admission, each with
@@ -45,6 +45,7 @@ var wireRejects = []struct{ path, body string }{
 	{"/v1/runs", `{"base":"simos-mipsy","procs":"two","workload":{"name":"fft"}}`},
 	{"/v1/runs", `{"base":"simos-mipsy","workload":7}`},
 	{"/v1/runs", `{"base":"simos-mipsy","typo":1,"workload":{"name":"fft"}}`},
+	{"/v1/runs", `{"base":"simos-mipsy","procs":4,"shards":4,"workload":{"name":"fft","logn":8}}`},
 	{"/v1/runs", `{"workload":{"name":"fft","logn":8}}`},
 	{"/v1/runs", `{"base":"vax","workload":{"name":"fft","logn":8}}`},
 	{"/v1/runs", `{"base":"simos-mipsy","set":[{"path":"no.such.knob","value":"1"}],"workload":{"name":"fft","logn":8}}`},
@@ -256,7 +257,7 @@ func TestWirePinned(t *testing.T) {
 
 	// ---- Backpressure and drain, per kind: one worker, one queue slot.
 	r = newWireRig(t, &out, "429 and 503, per kind", Options{
-		Pool: newPool(1), Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second, Traces: traces,
+		Pool: newPool(1), QueueDepth: 1, RetryAfter: 2 * time.Second, Traces: traces,
 	})
 	r.do("POST", "/v1/runs", `{"base":"simos-mipsy","seed":1,"workload":{"name":"fft","logn":8}}`)
 	waitFor(t, "the worker to take the first job", func() bool { return len(r.s.queue) == 0 })

@@ -29,11 +29,10 @@ type Handler interface {
 // pointer chases on dispatch shrink while the (at, prio, seq) dispatch
 // order is unchanged.
 //
-// An event may be scheduled below Now. A shard queue in the windowed
-// engine legitimately receives such events: a barrier phase resumes a
-// node at the completion time of its deferred memory operation, which
-// can precede the latest event the shard already dispatched this
-// window. Dispatch order within a round is still (at, prio, seq);
+// An event may be scheduled below Now. The windowed engine's queue
+// legitimately receives such events: a barrier phase resumes a node at
+// the completion time of its deferred memory operation, which can
+// precede the latest event the queue already dispatched this window. Dispatch order within a round is still (at, prio, seq);
 // causality across rounds is the engine's contract, not the queue's,
 // and Now regresses to the dispatched event's time in that case.
 type Queue struct {

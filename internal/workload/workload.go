@@ -5,7 +5,7 @@
 // constructor. The CLIs (-app/-p), the harness experiments, and the
 // flashd {workload:{...}} job specs all resolve workloads through this
 // one table, so a single registration makes a workload reachable from
-// every execution mode: exec, sampled, sharded, trace capture/replay,
+// every execution mode: exec, sampled, trace capture/replay,
 // and served.
 package workload
 

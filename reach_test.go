@@ -409,6 +409,7 @@ var stateAllow = map[string]string{
 	"cpu.MemInfo.L1Hit":          "benchmark: the frozen benchmark's all-hit port sets it; it goes when that does",
 	"harness.Table3Data":         "observed by a test: checkTable3 reads every case's three latencies",
 	"harness.WorkloadTrendRow":   "report: the rows of worksweep's -json evidence file",
+	"machine.Config.Shards":      "benchmark: deprecated and ignored; the frozen benchmark's probe writes it, and it goes when that does",
 	"obs.Report":                 "report: the -metrics-out document's layout version",
 	"param.Param.Field":          "observed by a test: the snapshot and canonical-encoder walks resolve it by reflection",
 	"proto.PointerStore.reclaim": "observed by a test: through PointerStore.Reclaims",

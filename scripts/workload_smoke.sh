@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Registry-wide workload smoke: every workload the registry knows must
-# execute end to end through `flashsim run` at quick scale with the sharded
-# engine (-shards 2), and a server-class generator must be servable as
-# a flashd job by name with a parameter override. The workload list is
+# execute end to end through `flashsim run` at quick scale, and a
+# server-class generator must be servable as a flashd job by name with a parameter override. The workload list is
 # read from -list-workloads, so a generator registered without riding
 # through the execution paths fails CI here.
 set -euo pipefail
@@ -30,7 +29,7 @@ for name in $names; do
     snbench.dependent-loads) procs=4 ;;
     snbench.*) procs=1 ;;
   esac
-  if ! "$workdir/flashsim" run -app "$name" -procs "$procs" -full=false -shards 2 \
+  if ! "$workdir/flashsim" run -app "$name" -procs "$procs" -full=false \
       >"$workdir/$name.txt" 2>&1; then
     echo "flashsim run -app $name failed:" >&2; cat "$workdir/$name.txt" >&2; exit 1
   fi
@@ -82,4 +81,4 @@ kill -TERM "$pid"
 wait "$pid" || { echo "flashd exited nonzero:" >&2; cat "$workdir/flashd.log" >&2; exit 1; }
 pid=
 
-echo "workload smoke OK: $count workloads simulated sharded, gups served with overrides, bad names and params rejected"
+echo "workload smoke OK: $count workloads simulated, gups served with overrides, bad names and params rejected"
