@@ -12,17 +12,17 @@
 // Endpoints (see internal/serve):
 //
 //	POST   /v1/runs              submit a run ({base, mhz, procs, seed, set} + workload); ?wait=true blocks for the result
-//	POST   /v1/captures          run execution-driven, recording the streams (-trace-dir)
-//	POST   /v1/replays           replay a stored capture trace-driven by fingerprint
-//	GET    /v1/jobs              list jobs; /v1/jobs/{id} one status
+//	GET   /v1/jobs              list jobs; /v1/jobs/{id} one status
 //	GET    /v1/jobs/{id}/result  fetch a finished job's payload
 //	DELETE /v1/jobs/{id}         cancel
 //	GET    /metrics              Prometheus exposition
 //	GET    /v1/params            the tunable-parameter registry
 //	GET    /healthz              liveness ("ok" or "draining")
 //
-// Calibrations and the paper's figures are not served; they are
-// `flashsim tune` and `flashsim validate figureN`.
+// Calibrations, the paper's figures and trace capture and replay are
+// not served; they are `flashsim tune`, `flashsim validate figureN` and
+// `flashsim trace`. A machine is configured per request (base, set), so
+// flashd takes no -config, -set or -sample.
 //
 // A submission that could never run (malformed, unknown parameter or
 // workload, a config machine.Config.Validate rejects, procs over 1024)
@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"flashsim/internal/cliutil"
-	"flashsim/internal/runner"
 	"flashsim/internal/serve"
 )
 
@@ -60,7 +59,6 @@ func run() (status int) {
 	queueDepth := flag.Int("queue-depth", 64, "accepted-but-unstarted jobs to hold before rejecting with 429")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint attached to 429 responses")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a shutdown waits for accepted jobs before cancelling them")
-	traceDir := flag.String("trace-dir", "", "content-addressed trace store enabling /v1/captures and /v1/replays")
 	flag.Parse()
 	if err := cf.Finish(); err != nil {
 		log.Print(err)
@@ -81,21 +79,10 @@ func run() (status int) {
 		log.Print(err)
 		return 1
 	}
-
-	var traces *runner.TraceStore
-	if *traceDir != "" {
-		traces, err = runner.NewTraceStore(*traceDir)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		log.Printf("trace store at %s", traces.Dir())
-	}
 	s := serve.New(serve.Options{
 		Pool:       pool,
 		QueueDepth: *queueDepth,
 		RetryAfter: *retryAfter,
-		Traces:     traces,
 	})
 	// Listen before serving so the resolved address — not the flag,
 	// which may carry port 0 — is what gets logged; the smoke scripts

@@ -74,6 +74,30 @@ func daemon(t *testing.T, args ...string) (base string, stop func() (int, string
 	}
 }
 
+// TestMachineFlagsAreNotDefined: a machine is configured per request
+// (a spec's base and set), so flashd defines no flag that would
+// configure one it never builds, nor the trace store it no longer has.
+// Each exits 2 before listening, naming the flag. The -addr cannot be
+// listened on, so a flashd that took the flag exits 1 instead of
+// serving.
+func TestMachineFlagsAreNotDefined(t *testing.T) {
+	for _, args := range [][]string{
+		{"-set", "l2.size_bytes=1024"},
+		{"-config", "x.json"},
+		{"-sample", "on"},
+		{"-sample-cold"},
+		{"-list-params"},
+		{"-trace-dir", t.TempDir()},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-addr", "no-port"}, args...)...)
+		cmd.Env = append(os.Environ(), "FLASHD_MAIN=1")
+		out, _ := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); code != 2 || !strings.Contains(string(out), "flag provided but not defined: "+args[0]) {
+			t.Errorf("flashd %s: exit %d, want 2 naming the flag:\n%s", strings.Join(args, " "), code, out)
+		}
+	}
+}
+
 // TestUnwritableCacheEntryFailsTheDrain: a -cache-dir entry that cannot
 // be written (a directory squats at its path, which fails the rename
 // even for root) still answers the run from memory, but the drain logs

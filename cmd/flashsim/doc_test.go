@@ -9,8 +9,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"flashsim/internal/cliutil"
 )
 
 // TestDocumentedInvocationsParse: every flashsim command line that
@@ -68,7 +66,7 @@ func parseOnly(args []string) error {
 	}
 	fs := flag.NewFlagSet("flashsim "+cmd.name, flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	cmd.setup(fs, cliutil.RegisterOn(fs))
+	cmd.flags(fs)
 	return fs.Parse(args)
 }
 

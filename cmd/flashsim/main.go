@@ -19,10 +19,10 @@
 //	flashsim trace inspect fft.fltr
 //	flashsim trace replay -sim simos-mipsy fft.fltr
 //
-// Every subcommand takes -jobs, -cache-dir, -config/-set, -sample,
-// -metrics-out and the profiling flags; `flashsim <subcommand>
-// -h` prints them. An artifact that cannot be written is an error: the
-// command reports it and exits 1.
+// Every subcommand takes -jobs, -cache-dir, -metrics-out and the
+// profiling flags, and every one but trace inspect -config/-set and
+// -sample; `flashsim <subcommand> -h` prints them. An artifact that
+// cannot be written is an error: the command reports it and exits 1.
 package main
 
 import (
@@ -53,17 +53,31 @@ type command struct {
 	name    string
 	summary string
 	setup   func(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error
+	// configless commands build no machine configuration, so they take
+	// no -config/-set/-sample.
+	configless bool
 }
 
 var commands = []command{
-	{"run", "run one workload on one machine configuration and print the detailed result", runCmd},
-	{"validate", "run rows of the experiment table, by name or -all", validateCmd},
-	{"worksweep", "the worksweep experiment over a chosen workload × size matrix, with a JSON report", worksweepCmd},
-	{"tune", "calibrate one simulator against the hardware reference", tuneCmd},
-	{"snbench", "run the microbenchmark suite on the hardware and, optionally, a simulator", snbenchCmd},
-	{"trace capture", "run a workload execution-driven and record its streams", captureCmd},
-	{"trace inspect", "print a container's metadata, layout, and integrity status", inspectCmd},
-	{"trace replay", "run a captured trace trace-driven on a chosen machine", replayCmd},
+	{name: "run", summary: "run one workload on one machine configuration and print the detailed result", setup: runCmd},
+	{name: "validate", summary: "run rows of the experiment table, by name or -all", setup: validateCmd},
+	{name: "worksweep", summary: "the worksweep experiment over a chosen workload × size matrix, with a JSON report", setup: worksweepCmd},
+	{name: "tune", summary: "calibrate one simulator against the hardware reference", setup: tuneCmd},
+	{name: "snbench", summary: "run the microbenchmark suite on the hardware and, optionally, a simulator", setup: snbenchCmd},
+	{name: "trace capture", summary: "run a workload execution-driven and record its streams", setup: captureCmd},
+	{name: "trace inspect", summary: "print a container's metadata, layout, and integrity status", setup: inspectCmd, configless: true},
+	{name: "trace replay", summary: "run a captured trace trace-driven on a chosen machine", setup: replayCmd},
+}
+
+// flags registers c's whole flag set on fs — the shared block, the
+// override block unless c is configless, and c's own — and returns the
+// shared values and c's body.
+func (c *command) flags(fs *flag.FlagSet) (*cliutil.Flags, func(*env) error) {
+	cf := cliutil.RegisterOn(fs)
+	if !c.configless {
+		cf.RegisterOverridesOn(fs)
+	}
+	return cf, c.setup(fs, cf)
 }
 
 // env is what the one setup hands a subcommand body.
@@ -104,8 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fs := flag.NewFlagSet("flashsim "+cmd.name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	cf := cliutil.RegisterOn(fs)
-	body := cmd.setup(fs, cf)
+	cf, body := cmd.flags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

@@ -112,6 +112,11 @@ func TestUsageErrors(t *testing.T) {
 		{"worksweep -trace-out x.fltr", []string{"flag provided but not defined: -trace-out"}},
 		{"tune -trace-in x.fltr", []string{"flag provided but not defined: -trace-in"}},
 		{"validate -figure 1", []string{"flag provided but not defined: -figure"}},
+		// A container is written with -o; there is no trace store.
+		{"trace capture -app fft -store traces", []string{"flag provided but not defined: -store"}},
+		// inspect builds no machine, so it takes no machine override.
+		{"trace inspect -set l2.transfer_ns=1 f.fltr", []string{"flag provided but not defined: -set"}},
+		{"trace inspect -sample on f.fltr", []string{"flag provided but not defined: -sample"}},
 		// One goroutine runs each simulation; there is no intra-run knob.
 		{"run -shards 2", []string{"flag provided but not defined: -shards"}},
 		{"run -set no.such.knob=1", []string{"no.such.knob"}},
@@ -185,6 +190,35 @@ func TestUnwritableArtifactFailsEverySubcommand(t *testing.T) {
 	}
 	if data, err := os.ReadFile(good); err != nil || !bytes.Contains(data, []byte(`"Jobs": 1`)) {
 		t.Errorf("metrics report: %v\n%.300s", err, data)
+	}
+}
+
+// TestFailedCaptureKeepsTheContainer: -o replaces a container only when
+// the capture succeeds. A re-capture to the same path that fails
+// (machine.Config.Validate refuses an L1 line longer than the L2's)
+// exits 1 and leaves the first container byte for byte — inspect still
+// verifies it — and no temp file beside it.
+func TestFailedCaptureKeepsTheContainer(t *testing.T) {
+	dir := t.TempDir()
+	fltr := filepath.Join(dir, "fft.fltr")
+	if _, stderr, status := flashsim("trace", "capture", "-app", "fft", "-full=false", "-o", fltr); status != 0 {
+		t.Fatalf("capture: exit %d\n%s", status, stderr)
+	}
+	before, err := os.ReadFile(fltr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, stderr, status := flashsim("trace", "capture", "-app", "fft", "-full=false", "-set", "l1d.line_bytes=256", "-o", fltr); status != 1 {
+		t.Fatalf("re-capture under an invalid config: exit %d, want 1\n%s", status, stderr)
+	}
+	if after, err := os.ReadFile(fltr); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("the failed re-capture replaced the container (err %v, %d bytes, were %d)", err, len(after), len(before))
+	}
+	if stdout, stderr, status := flashsim("trace", "inspect", fltr); status != 0 || !strings.Contains(stdout, "verify:       OK") {
+		t.Errorf("inspect after the failed re-capture: exit %d\n%s%s", status, stdout, stderr)
+	}
+	if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmp) > 0 {
+		t.Errorf("the failed capture left temp files: %v", tmp)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"flashsim/internal/cliutil"
-	"flashsim/internal/machine"
 	"flashsim/internal/runner"
 	"flashsim/internal/trace"
 )
@@ -19,7 +18,6 @@ func captureCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 	procs := fs.Int("procs", 1, "processor count")
 	sf := addSimFlags(fs, "simos-mipsy", true)
 	out := fs.String("o", "", "output container path (default <app>.fltr)")
-	storeDir := fs.String("store", "", "save into this content-addressed trace store instead of -o")
 	return func(e *env) error {
 		if err := wf.Finish(); err != nil {
 			return usageError{err}
@@ -42,30 +40,6 @@ func captureCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 		if err != nil {
 			return err
 		}
-		captured := func(res machine.Result, t0 time.Time) {
-			fmt.Fprintf(e.out, "captured %s (%d instructions, %.3f ms simulated) in %v\n",
-				prog.FullName(), res.Instructions, res.ExecSeconds()*1e3, time.Since(t0).Round(time.Millisecond))
-		}
-
-		if *storeDir != "" {
-			ts, err := runner.NewTraceStore(*storeDir)
-			if err != nil {
-				return err
-			}
-			t0 := time.Now()
-			res, fp, stored, err := ts.Capture(cfg, prog, source)
-			if err != nil {
-				return err
-			}
-			if !stored {
-				fmt.Fprintf(e.out, "already captured: %s\n", ts.Path(fp))
-				return nil
-			}
-			captured(res, t0)
-			fmt.Fprintf(e.out, "stored: %s\n", ts.Path(fp))
-			return nil
-		}
-
 		path := *out
 		if path == "" {
 			path = wf.App + ".fltr"
@@ -75,7 +49,8 @@ func captureCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 		if err != nil {
 			return err
 		}
-		captured(res, t0)
+		fmt.Fprintf(e.out, "captured %s (%d instructions, %.3f ms simulated) in %v\n",
+			prog.FullName(), res.Instructions, res.ExecSeconds()*1e3, time.Since(t0).Round(time.Millisecond))
 		if st, err := os.Stat(path); err == nil {
 			fmt.Fprintf(e.out, "wrote %s (%d bytes, %.2f bits/instr)\n",
 				path, st.Size(), 8*float64(st.Size())/float64(res.Instructions))

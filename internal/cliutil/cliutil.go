@@ -1,15 +1,15 @@
 // Package cliutil is the command-line plumbing under cmd/flashsim's
 // subcommands and cmd/flashd: one flag block with one canonical
 // description per knob — -jobs and -cache-dir (the runner pool),
-// -config and -set (machine-parameter overrides through the
-// internal/param registry), -sample (sampled execution),
 // -cpuprofile/-memprofile/-trace (pprof and execution-trace artifacts),
-// -metrics-out (the per-run observability report of internal/obs),
-// -list-params — and the lifecycle around it: Finish validates, Pool
-// builds the runner, ExitOnSignal and Close flush the artifacts. The
-// subcommands that build a program add the workload block
-// (RegisterWorkloadOn); CaptureRun and LoadReplay are the two ends of
-// the trace tool chain.
+// -metrics-out (the per-run observability report of internal/obs) —
+// and the lifecycle around it: Finish validates, Pool builds the
+// runner, ExitOnSignal and Close flush the artifacts. The commands that
+// build a machine configuration add the override block
+// (RegisterOverridesOn: -config and -set through the internal/param
+// registry, -sample for sampled execution, -list-params), and those
+// that build a program the workload block (RegisterWorkloadOn);
+// CaptureRun and LoadReplay are the two ends of the trace tool chain.
 package cliutil
 
 import (
@@ -81,29 +81,37 @@ func (s *stringList) Set(v string) error {
 	return nil
 }
 
-// RegisterOn installs the shared flags on fs. Call before fs.Parse,
-// then Finish after it.
+// RegisterOn installs the pool and artifact flags on fs, which every
+// command takes. Call before fs.Parse, then Finish after it.
 func RegisterOn(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.IntVar(&f.Jobs, "jobs", runner.DefaultWorkers(), jobsUsage)
 	fs.StringVar(&f.CacheDir, "cache-dir", "", cacheDirUsage)
 	fs.Var(&f.CacheMax, "cache-max-bytes", cacheMaxUsage)
-	fs.StringVar(&f.ConfigFile, "config", "", configUsage)
-	fs.Var(&f.sets, "set", setUsage)
-	fs.BoolVar(&f.ListParams, "list-params", false, listParamsUsage)
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", cpuProfileUsage)
 	fs.StringVar(&f.MemProfile, "memprofile", "", memProfileUsage)
 	fs.StringVar(&f.TraceFile, "trace", "", traceUsage)
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", metricsOutUsage)
+	return f
+}
+
+// RegisterOverridesOn adds the machine-override flags to fs: -config,
+// -set, -sample, -sample-cold and -list-params. Only a command that
+// builds a configuration and passes it through Apply takes them; on any
+// other they would be accepted and ignored.
+func (f *Flags) RegisterOverridesOn(fs *flag.FlagSet) {
+	fs.StringVar(&f.ConfigFile, "config", "", configUsage)
+	fs.Var(&f.sets, "set", setUsage)
+	fs.BoolVar(&f.ListParams, "list-params", false, listParamsUsage)
 	fs.StringVar(&f.Sample, "sample", "", sampleUsage)
 	fs.BoolVar(&f.SampleCold, "sample-cold", false, sampleColdUsage)
-	return f
 }
 
 // Finish validates the parsed flags: -list-params prints the registry
 // and exits, -config is loaded, and every -set is checked against the
 // registry (unknown paths, unparseable values, and bounds violations
-// fail here, before any simulation runs).
+// fail here, before any simulation runs). Without the override block
+// those checks have nothing to check.
 func (f *Flags) Finish() error {
 	if f.ListParams {
 		fmt.Print(param.Describe())

@@ -14,6 +14,7 @@ func parse(t *testing.T, args ...string) (*cliutil.Flags, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := cliutil.RegisterOn(fs)
+	f.RegisterOverridesOn(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("flag parse: %v", err)
 	}

@@ -3,7 +3,7 @@ package cliutil
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 
 	"flashsim/internal/emitter"
 	"flashsim/internal/machine"
@@ -16,29 +16,19 @@ import (
 // bypasses any memo store by design: a cache hit replays a stored
 // Result without emitting a single instruction, which can never
 // produce a trace. source, when non-nil, is recorded in the container
-// meta as the machine-readable workload spec.
-func CaptureRun(path string, cfg machine.Config, prog emitter.Program, source json.RawMessage) (machine.Result, error) {
-	fh, err := os.Create(path)
-	if err != nil {
-		return machine.Result{}, err
-	}
-	tw, err := trace.NewWriter(fh, runner.TraceMeta(cfg, prog, source))
-	if err != nil {
-		fh.Close()
-		os.Remove(path)
-		return machine.Result{}, fmt.Errorf("%s: %w", path, err)
-	}
-	res, err := machine.RunCapture(cfg, prog, tw)
-	if err != nil {
-		fh.Close()
-		os.Remove(path) // a partial container must not look like a capture
-		return machine.Result{}, err
-	}
-	if err := fh.Close(); err != nil {
-		os.Remove(path)
-		return machine.Result{}, err
-	}
-	return res, nil
+// meta as the machine-readable workload spec. The container lands at
+// path only when the capture succeeds: a failed capture leaves path as
+// it was and no temp file, and a killed one never a partial container.
+func CaptureRun(path string, cfg machine.Config, prog emitter.Program, source json.RawMessage) (res machine.Result, err error) {
+	err = runner.WriteFileAtomic(path, func(w io.Writer) error {
+		tw, err := trace.NewWriter(w, runner.TraceMeta(cfg, prog, source))
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		res, err = machine.RunCapture(cfg, prog, tw)
+		return err
+	})
+	return res, err
 }
 
 // LoadReplay reads the container at path and prepares it for replay.

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -102,7 +103,13 @@ func (b *DiskBackend) Put(key string, res machine.Result) { b.write(key, res) }
 func (b *DiskBackend) write(key string, res machine.Result) int64 {
 	data, err := json.Marshal(res)
 	if err == nil {
-		err = b.writeAtomic(key, data)
+		// entries counts only .json files, so a temp file left behind
+		// would sit outside any -cache-max-bytes bound; WriteFileAtomic
+		// leaves none.
+		err = WriteFileAtomic(b.path(key), func(w io.Writer) error {
+			_, err := w.Write(data)
+			return err
+		})
 	}
 	if err != nil {
 		b.mu.Lock()
@@ -115,22 +122,21 @@ func (b *DiskBackend) write(key string, res machine.Result) int64 {
 	return int64(len(data))
 }
 
-// writeAtomic lands data at key's path via a temp file in the same
-// directory and a rename, so a concurrent reader never observes a
-// partial entry. A failed write, close or rename removes the temp file:
-// entries counts only .json files, so a leftover would sit outside any
-// -cache-max-bytes bound.
-func (b *DiskBackend) writeAtomic(key string, data []byte) error {
-	tmp, err := os.CreateTemp(b.dir, key+".tmp*")
+// WriteFileAtomic lands what write produces at path via a temp file in
+// the same directory and a rename, so a concurrent reader never observes
+// a partial file and a failed write leaves whatever was at path in
+// place. A failed write, close or rename removes the temp file.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	_, err = tmp.Write(data)
+	err = write(tmp)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp.Name(), b.path(key))
+		err = os.Rename(tmp.Name(), path)
 	}
 	if err != nil {
 		os.Remove(tmp.Name())

@@ -84,37 +84,12 @@ func sum(b []byte) string {
 	return string(out[:])
 }
 
-// ConfigFingerprint is the key of a configuration alone, for front ends
-// that dedup jobs without a workload (a calibration) as soundly as the
-// memo store would: the hash of the canonical encoding, no envelope.
-func ConfigFingerprint(cfg machine.Config) string {
-	return sum(param.Canonical(cfg))
-}
-
-// TraceFingerprint returns the content address of a trace artifact: the
-// key a capture of prog under cfg is stored at in a TraceStore, and the
-// artifact identity replay-result fingerprints chain from. It differs
-// from Fingerprint in two ways: an explicit artifact kind tag (a trace
-// file is not a run result — the two key spaces must never collide) and
-// the trace container's FormatVersion (a container layout or stream
-// semantics change must never alias artifacts written by an older
-// build; TestTraceFingerprintSchemaVersioned pins this).
-//
-// The emitted streams themselves depend only on (workload, threads) —
-// emission is config-independent and deterministic — but the key
-// conservatively includes the capture configuration: a capture also
-// snapshots provenance (Meta.Config, Meta.Fingerprint), and keying on
-// the full tuple keeps "which run produced this trace" unambiguous.
-func TraceFingerprint(cfg machine.Config, prog emitter.Program) string {
-	return workloadKey(traceHead(trace.FormatVersion), param.Canonical(cfg), prog)
-}
-
 // ReplayFingerprint returns the store key of a trace-driven run: replay
-// of the trace artifact traceFP on the machine described by cfg. The
-// kind tag keeps replay results from ever aliasing execution-driven
-// results under the same configuration — the two modes agree only at
-// the bottom of the detail ladder, and the store must preserve the
-// difference everywhere else. Chaining the artifact fingerprint (which
+// of the trace whose TraceMeta Artifact is traceFP on the machine
+// described by cfg. The kind tag keeps replay results from ever
+// aliasing execution-driven results under the same configuration — the
+// two modes agree only at the bottom of the detail ladder, and the
+// store must preserve the difference everywhere else. Chaining the artifact fingerprint (which
 // embeds trace.FormatVersion) means a trace schema bump invalidates
 // the derived replay results too.
 func ReplayFingerprint(cfg machine.Config, traceFP string) string {
@@ -129,6 +104,17 @@ func ReplayFingerprint(cfg machine.Config, traceFP string) string {
 // content address, and the canonical configuration snapshot. source,
 // when non-nil, is a machine-readable workload spec recorded verbatim
 // (tools use it to rebuild the execution-driven program).
+//
+// Artifact, the content address, is the identity replay-result
+// fingerprints chain from. It differs from Fingerprint in two ways: an
+// explicit artifact kind tag (a trace file is not a run result — the two
+// key spaces must never collide) and the trace container's
+// FormatVersion (a container layout or stream semantics change must
+// never alias artifacts written by an older build;
+// TestTraceFingerprintSchemaVersioned pins this). The emitted streams
+// depend only on (workload, threads), but the key conservatively
+// includes the capture configuration, so "which run produced this
+// trace" stays unambiguous.
 func TraceMeta(cfg machine.Config, prog emitter.Program, source json.RawMessage) trace.Meta {
 	canon := param.Canonical(cfg)
 	return trace.Meta{

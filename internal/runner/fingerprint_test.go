@@ -21,7 +21,7 @@ import (
 // The three ref* fingerprints are the bodies the keys were first issued
 // by, kept verbatim: the snapshot map through json.Marshal, wrapped in
 // an anonymous struct through json.Encoder, hashed incrementally. Every
-// memo store and trace store on disk is addressed by their output, so
+// memo store entry and trace artifact is addressed by their output, so
 // the direct encoders must reproduce it exactly.
 
 func refCanonical(cfg machine.Config) []byte {
@@ -88,15 +88,11 @@ func requireSameKeys(t *testing.T, cfg machine.Config, prog emitter.Program) {
 		t.Errorf("Fingerprint of %s = %s, reference %s", what, got, want)
 	}
 	tr := refTraceFingerprint(cfg, prog)
-	if got := runner.TraceFingerprint(cfg, prog); got != tr {
-		t.Errorf("TraceFingerprint of %s = %s, reference %s", what, got, tr)
+	if got := runner.TraceMeta(cfg, prog, nil).Artifact; got != tr {
+		t.Errorf("trace artifact key of %s = %s, reference %s", what, got, tr)
 	}
 	if got, want := runner.ReplayFingerprint(cfg, tr), refReplayFingerprint(cfg, tr); got != want {
 		t.Errorf("ReplayFingerprint of %s = %s, reference %s", what, got, want)
-	}
-	bare := sha256.Sum256(refCanonical(cfg)) // what serve hashed for its config-only keys
-	if got, want := runner.ConfigFingerprint(cfg), hex.EncodeToString(bare[:]); got != want {
-		t.Errorf("ConfigFingerprint of %q = %s, reference %s", cfg.Name, got, want)
 	}
 }
 
@@ -176,7 +172,7 @@ func TestFingerprintsPinned(t *testing.T) {
 			"24d41e53b5fd3703bf99329b519de3e5cb94c077a8d74b7fa9ef13d2cdd151ab"},
 		{"Fingerprint(hw, lu)", runner.Fingerprint(hw.Config(4, true), lu),
 			"7663b03dc2d14e26503e671db1ea3adb1c5a7427f2d55bbc690a59adf11e936a"},
-		{"TraceFingerprint(simos-mipsy, fft)", runner.TraceFingerprint(mipsy, fft), tracePin},
+		{"TraceMeta(simos-mipsy, fft).Artifact", runner.TraceMeta(mipsy, fft, nil).Artifact, tracePin},
 		{"ReplayFingerprint(simos-mxs, that trace)", runner.ReplayFingerprint(core.SimOSMXS(4, true), tracePin),
 			"c97d7a15d226b9a8dfd3b4874c47ee995ab73f92dd31ed284cd7f506225f5cf4"},
 	} {
@@ -191,7 +187,7 @@ func TestFingerprintsPinned(t *testing.T) {
 
 // TestTraceMetaMatchesReference: the container metadata derives its
 // three config-dependent fields from one encoding; they must be the
-// ones the separate functions give.
+// ones the reference encoders give.
 func TestTraceMetaMatchesReference(t *testing.T) {
 	cfg, prog := core.SimOSMXS(4, true), registryProgram(t, "ocean", 4, false)
 	meta := runner.TraceMeta(cfg, prog, nil)

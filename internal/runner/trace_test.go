@@ -1,8 +1,6 @@
 package runner
 
 import (
-	"fmt"
-	"io"
 	"testing"
 
 	"flashsim/internal/emitter"
@@ -22,18 +20,19 @@ func fpProg(threads int) emitter.Program {
 }
 
 // TestTraceFingerprintSchemaVersioned extends the fingerprint
-// schema-versioning guarantees to the trace artifact kind: the trace
-// key space is disjoint from run-result keys, the replay key space is
-// disjoint from both, and a container FormatVersion bump changes every
-// trace key — a new schema must never alias cache entries written by
-// an old one.
+// schema-versioning guarantees to the trace artifact kind (TraceMeta's
+// Artifact): the trace key space is disjoint from run-result keys, the
+// replay key space is disjoint from both, and a container FormatVersion
+// bump changes every trace key — a new schema must never alias cache
+// entries written by an old one.
 func TestTraceFingerprintSchemaVersioned(t *testing.T) {
 	cfg := machine.Base(2, true)
 	cfg.Name = "fp-machine"
 	prog := fpProg(2)
+	artifact := func(cfg machine.Config) string { return TraceMeta(cfg, prog, nil).Artifact }
 
 	run := Fingerprint(cfg, prog)
-	tr := TraceFingerprint(cfg, prog)
+	tr := artifact(cfg)
 	rp := ReplayFingerprint(cfg, tr)
 	if run == tr || run == rp || tr == rp {
 		t.Fatalf("artifact kinds must occupy disjoint key spaces: run=%s trace=%s replay=%s", run, tr, rp)
@@ -41,7 +40,7 @@ func TestTraceFingerprintSchemaVersioned(t *testing.T) {
 
 	// The trace key is pinned to the container format version.
 	if workloadKey(traceHead(trace.FormatVersion), param.Canonical(cfg), prog) != tr {
-		t.Fatal("TraceFingerprint must hash the current FormatVersion")
+		t.Fatal("the artifact key must hash the current FormatVersion")
 	}
 	if bumped := workloadKey(traceHead(trace.FormatVersion+1), param.Canonical(cfg), prog); bumped == tr {
 		t.Fatal("a FormatVersion bump must change every trace fingerprint")
@@ -58,12 +57,12 @@ func TestTraceFingerprintSchemaVersioned(t *testing.T) {
 	// Like run fingerprints, trace keys see semantics, not labels.
 	renamed := cfg
 	renamed.Name = "other-label"
-	if TraceFingerprint(renamed, prog) != tr {
+	if artifact(renamed) != tr {
 		t.Error("Name-only change must not change the trace fingerprint")
 	}
 	changed := cfg
 	changed.ClockMHz = 300
-	if TraceFingerprint(changed, prog) == tr {
+	if artifact(changed) == tr {
 		t.Error("config change must change the trace fingerprint")
 	}
 }
@@ -75,91 +74,11 @@ func TestTraceMetaPopulated(t *testing.T) {
 	if meta.Workload != prog.FullName() || meta.Threads != 2 {
 		t.Fatalf("identity wrong: %+v", meta)
 	}
-	if meta.Fingerprint != Fingerprint(cfg, prog) || meta.Artifact != TraceFingerprint(cfg, prog) {
+	if meta.Fingerprint != Fingerprint(cfg, prog) || meta.Artifact != workloadKey(traceHead(trace.FormatVersion), param.Canonical(cfg), prog) {
 		t.Fatalf("provenance wrong: %+v", meta)
 	}
 	if len(meta.Config) == 0 || string(meta.Source) != `{"app":"x"}` {
 		t.Fatalf("snapshots missing: %+v", meta)
-	}
-}
-
-func TestTraceStoreSaveOnceLoad(t *testing.T) {
-	ts, err := NewTraceStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const fp = "00ab"
-	if ts.Has(fp) {
-		t.Fatal("empty store claims fingerprint")
-	}
-	write := func(w io.Writer) error {
-		tw, err := trace.NewWriter(w, trace.Meta{Workload: "w", Threads: 1})
-		if err != nil {
-			return err
-		}
-		return tw.Finish()
-	}
-	stored, err := ts.Save(fp, write)
-	if err != nil || !stored {
-		t.Fatalf("first save: stored=%v err=%v", stored, err)
-	}
-	// Store-once: the second save must not re-invoke the writer.
-	stored, err = ts.Save(fp, func(io.Writer) error {
-		t.Fatal("duplicate save invoked the writer")
-		return nil
-	})
-	if err != nil || stored {
-		t.Fatalf("second save: stored=%v err=%v", stored, err)
-	}
-	if !ts.Has(fp) {
-		t.Fatal("stored fingerprint not found")
-	}
-	tr, err := ts.Load(fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Workload() != "w" {
-		t.Fatalf("loaded wrong container: %+v", tr.Meta())
-	}
-}
-
-func TestTraceStoreFailedSaveLeavesNoEntry(t *testing.T) {
-	ts, err := NewTraceStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := fmt.Errorf("capture failed")
-	if _, err := ts.Save("ff01", func(io.Writer) error { return boom }); err != boom {
-		t.Fatalf("err = %v", err)
-	}
-	if ts.Has("ff01") {
-		t.Fatal("failed save left a poisoned entry")
-	}
-}
-
-// TestTraceStoreCapture: a capture lands at the run's TraceFingerprint
-// with its source recorded, and a second capture of the same run
-// neither runs nor writes.
-func TestTraceStoreCapture(t *testing.T) {
-	ts, err := NewTraceStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, prog := machine.Base(2, true), fpProg(2)
-	res, fp, stored, err := ts.Capture(cfg, prog, []byte(`{"name":"fp-test"}`))
-	if err != nil || !stored || fp != TraceFingerprint(cfg, prog) || res.Instructions == 0 {
-		t.Fatalf("first capture: fp %s, stored %v, %d instructions, err %v", fp, stored, res.Instructions, err)
-	}
-	tr, err := ts.Load(fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := tr.Meta(); m.Artifact != fp || string(m.Source) != `{"name":"fp-test"}` || tr.Instructions() != res.Instructions {
-		t.Errorf("container meta %+v, %d instructions; captured %d", m, tr.Instructions(), res.Instructions)
-	}
-	res, again, stored, err := ts.Capture(cfg, prog, nil)
-	if err != nil || stored || again != fp || res.Instructions != 0 {
-		t.Errorf("second capture: fp %s, stored %v, %d instructions, err %v", again, stored, res.Instructions, err)
 	}
 }
 
@@ -259,22 +178,4 @@ type writerBuffer struct{ data []byte }
 func (w *writerBuffer) Write(p []byte) (int, error) {
 	w.data = append(w.data, p...)
 	return len(p), nil
-}
-
-func TestTraceStoreRejectsUnsafeFingerprints(t *testing.T) {
-	ts, err := NewTraceStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fp := range []string{"", "../evil", "ABCD", "xyz/q", "a b"} {
-		if ts.Has(fp) {
-			t.Errorf("Has(%q) = true", fp)
-		}
-		if _, err := ts.Save(fp, func(io.Writer) error { return nil }); err == nil {
-			t.Errorf("Save(%q) accepted", fp)
-		}
-		if _, err := ts.Load(fp); err == nil {
-			t.Errorf("Load(%q) accepted", fp)
-		}
-	}
 }

@@ -1,7 +1,7 @@
 // Package serve is the network front end of the stack: a
 // simulation-as-a-service daemon layer exposing the runner pool, the
-// memo store, the parameter registry and the trace store over HTTP.
-// cmd/flashd is a thin main around it.
+// memo store and the parameter registry over HTTP. It serves one job
+// kind, an execution-driven run. cmd/flashd is a thin main around it.
 //
 // The server behaves like an inference server, not a batch CLI:
 //
@@ -27,21 +27,15 @@ import (
 	"flashsim/internal/emitter"
 	"flashsim/internal/machine"
 	"flashsim/internal/param"
+	"flashsim/internal/runner"
 	"flashsim/internal/workload"
 )
 
-// JobKind discriminates what a job computes.
+// JobKind names what a job computes on the wire.
 type JobKind string
 
-const (
-	KindRun JobKind = "run"
-	// KindCapture runs a workload execution-driven while recording its
-	// instruction streams into the server's trace store; KindReplay runs
-	// a stored capture trace-driven under a chosen configuration. Both
-	// require a trace store (flashd -trace-dir).
-	KindCapture JobKind = "capture"
-	KindReplay  JobKind = "replay"
-)
+// KindRun is the one kind: a simulation run.
+const KindRun JobKind = "run"
 
 // JobState is a job's lifecycle position.
 type JobState string
@@ -64,7 +58,7 @@ type JobStatus struct {
 	ID    string   `json:"id"`
 	Kind  JobKind  `json:"kind"`
 	State JobState `json:"state"`
-	// Fingerprint is the dedup key (runner.Fingerprint for runs).
+	// Fingerprint is the dedup key, the run's runner.Fingerprint.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Cached reports the result came from the memo store; Coalesced
 	// that this submission joined an already-active identical job.
@@ -94,7 +88,7 @@ func Workload(name string, params map[string]any) WorkloadSpec {
 }
 
 // MarshalJSON renders the canonical flat object with parameters in
-// sorted order, the form stored as a capture's source metadata.
+// sorted order, the form UnmarshalJSON reads.
 func (w WorkloadSpec) MarshalJSON() ([]byte, error) {
 	return workload.EncodeSpec(w.Name, w.Params)
 }
@@ -198,65 +192,26 @@ type RunRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
+// job resolves the request to the run it describes, naming the half of
+// the spec that was wrong. The run is keyed once, here: admission, the
+// flight and the pool all read that key.
+func (r RunRequest) job() (runner.Job, error) {
+	cfg, err := r.Config()
+	if err != nil {
+		return runner.Job{}, fmt.Errorf("config: %w", err)
+	}
+	prog, err := r.Workload.Program(cfg.Procs)
+	if err != nil {
+		return runner.Job{}, fmt.Errorf("workload: %w", err)
+	}
+	return runner.Job{Config: cfg, Prog: prog}.Keyed(), nil
+}
+
 // RunResponse is the completed payload of a run job.
 type RunResponse struct {
 	Job    JobStatus      `json:"job"`
 	Result machine.Result `json:"result"`
 }
-
-// CaptureRequest submits an execution-driven run of a workload that
-// also records its per-thread instruction streams into the server's
-// content-addressed trace store (store once, replay many: a capture of
-// an already-stored (config, workload) tuple runs the simulation —
-// memoized like any run — but writes no second container).
-type CaptureRequest struct {
-	ConfigSpec
-	Workload  WorkloadSpec `json:"workload"`
-	TimeoutMS int64        `json:"timeout_ms,omitempty"`
-}
-
-// CaptureResponse is the completed payload of a capture job.
-type CaptureResponse struct {
-	Job    JobStatus      `json:"job"`
-	Result machine.Result `json:"result"`
-	// Trace is the container's content address (runner.TraceFingerprint)
-	// in the server's trace store; pass it to a ReplayRequest.
-	Trace string `json:"trace"`
-	// Stored is false when the container already existed.
-	Stored bool `json:"stored"`
-}
-
-// ReplayRequest submits a trace-driven run: the capture identified by
-// Trace is replayed on the machine described by the config spec. The
-// workload (and thread count) come from the container.
-type ReplayRequest struct {
-	ConfigSpec
-	// Trace is a capture's content-address fingerprint, from a
-	// CaptureResponse (or flashtrace capture -store).
-	Trace     string `json:"trace"`
-	TimeoutMS int64  `json:"timeout_ms,omitempty"`
-}
-
-// ReplayResponse is the completed payload of a replay job.
-type ReplayResponse struct {
-	Job      JobStatus      `json:"job"`
-	Result   machine.Result `json:"result"`
-	Trace    string         `json:"trace"`
-	Workload string         `json:"workload"`
-}
-
-// response is a finished job's payload: one of the three *Response
-// structs, which share nothing but the status they are sent under.
-// withJob returns the payload carrying st — a copy, since one record's
-// payload answers every submission that joined it, each under its own
-// status.
-type response interface {
-	withJob(st JobStatus) response
-}
-
-func (r RunResponse) withJob(st JobStatus) response     { r.Job = st; return r }
-func (r CaptureResponse) withJob(st JobStatus) response { r.Job = st; return r }
-func (r ReplayResponse) withJob(st JobStatus) response  { r.Job = st; return r }
 
 // ErrorResponse is the JSON body of every non-2xx response.
 type ErrorResponse struct {

@@ -18,9 +18,7 @@ const maxBodyBytes = 1 << 20
 
 // routes installs the endpoint table.
 func (s *Server) routes() {
-	for _, k := range kinds {
-		s.mux.HandleFunc("POST "+k.path, func(w http.ResponseWriter, r *http.Request) { s.submit(w, r, k) })
-	}
+	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
@@ -102,7 +100,7 @@ func (s *Server) respondPayload(w http.ResponseWriter, rec *jobRecord, coalesced
 	st.Coalesced = coalesced
 	switch st.State {
 	case StateDone:
-		writeJSON(w, http.StatusOK, rec.Payload().withJob(st))
+		writeJSON(w, http.StatusOK, rec.Payload(st))
 	case StateCanceled:
 		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: "job " + rec.id + " canceled: " + st.Error})
 	default:
@@ -110,21 +108,22 @@ func (s *Server) respondPayload(w http.ResponseWriter, rec *jobRecord, coalesced
 	}
 }
 
-// submit is the one submission path, whatever the kind: decode the
-// kind's request, let the job check itself against the server, admit it
-// (or join its active twin), answer.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, k kind) {
-	j, req := k.new()
-	if err := decode(w, r, req); err != nil {
+// handleSubmit is the one submission path: decode the run request,
+// resolve it to a keyed run (a spec that could never run is a 400
+// before a queue slot is taken), admit it (or join its active twin),
+// answer.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req RunRequest
+	if err := decode(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	fp, status, err := j.prepare(s)
+	run, err := req.job()
 	if err != nil {
-		writeError(w, status, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	rec, coalesced, refused := s.admit(k.name, fp, j)
+	rec, coalesced, refused := s.admit(run, req.TimeoutMS)
 	if refused != 0 {
 		s.rejectAdmission(w, refused)
 		return

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"flashsim/internal/runner"
 )
 
 // jobRecord is the server-side state of one accepted job. Identical
@@ -12,37 +14,33 @@ import (
 // record may have many waiters.
 type jobRecord struct {
 	id string
-	// fp is the dedup key: runner.Fingerprint for runs, a kind-prefixed
-	// derivation for captures and replays.
-	fp string
+	// job is the keyed run to execute; its Fingerprint is the dedup key.
+	job runner.Job
 
 	// ctx governs the job through queue wait and execution; cancel is
-	// invoked by DELETE, drain-abort, or the request timeout.
+	// invoked by DELETE, drain-abort, or the request timeout, which is
+	// ctx's deadline.
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// job is what to execute: the decoded, prepared submission.
-	job job
-
 	mu      sync.Mutex
 	status  JobStatus
-	payload response
+	payload RunResponse
 	done    chan struct{}
 }
 
-func newJobRecord(id string, kind JobKind, fp string, j job, ctx context.Context, cancel context.CancelFunc) *jobRecord {
+func newJobRecord(id string, job runner.Job, ctx context.Context, cancel context.CancelFunc) *jobRecord {
 	return &jobRecord{
 		id:     id,
-		fp:     fp,
-		job:    j,
+		job:    job,
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),
 		status: JobStatus{
 			ID:          id,
-			Kind:        kind,
+			Kind:        KindRun,
 			State:       StateQueued,
-			Fingerprint: fp,
+			Fingerprint: job.Fingerprint(),
 			SubmittedMS: time.Now().UnixMilli(),
 		},
 	}
@@ -70,17 +68,18 @@ func (j *jobRecord) start() {
 	j.mu.Unlock()
 }
 
-// finish records how the job's run came out — done with its payload,
-// or canceled or failed with err — and releases every waiter.
-func (j *jobRecord) finish(payload response, cached bool, err error) {
+// finish records how the job's run came out — done with its result,
+// or canceled or failed with out.Err — and releases every waiter.
+func (j *jobRecord) finish(out runner.Outcome) {
 	j.mu.Lock()
 	j.status.State = StateDone
-	if err != nil {
-		j.status.State, j.status.Error = failState(err), err.Error()
+	if out.Err != nil {
+		j.status.State, j.status.Error = failState(out.Err), out.Err.Error()
+	} else {
+		j.status.Cached = out.Cached
+		j.payload.Result = out.Result
 	}
-	j.status.Cached = cached
 	j.status.FinishedMS = time.Now().UnixMilli()
-	j.payload = payload
 	j.mu.Unlock()
 	close(j.done)
 	j.cancel()
@@ -95,9 +94,13 @@ func failState(err error) JobState {
 	return StateFailed
 }
 
-// Payload returns the terminal payload (nil before finish).
-func (j *jobRecord) Payload() response {
+// Payload returns the terminal payload carrying st. It is a copy: one
+// record's payload answers every submission that joined it, each under
+// its own status.
+func (j *jobRecord) Payload(st JobStatus) RunResponse {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.payload
+	p := j.payload
+	p.Job = st
+	return p
 }

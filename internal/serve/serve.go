@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"flashsim/internal/machine"
 	"flashsim/internal/obs"
 	"flashsim/internal/runner"
 )
@@ -26,10 +25,6 @@ type Options struct {
 	// RetryAfter is the backpressure hint attached to 429 responses
 	// (default 1s).
 	RetryAfter time.Duration
-	// Traces, when non-nil, enables the capture and replay endpoints:
-	// captures store containers here, replays load them (flashd
-	// -trace-dir). Without it those submissions are rejected with 400.
-	Traces *runner.TraceStore
 }
 
 // Server is the HTTP front end: a bounded job queue feeding the runner
@@ -70,15 +65,6 @@ type Server struct {
 	// workers at a known point until they choose to release them; it is
 	// nil in production.
 	execGate func(*jobRecord)
-
-	// traces is the content-addressed container store backing capture
-	// and replay jobs (nil = endpoints disabled). images memoizes
-	// prepared replay images by trace fingerprint — decode once, replay
-	// many across requests; entries are bounded by the number of
-	// distinct stored traces.
-	traces *runner.TraceStore
-	imgMu  sync.Mutex
-	images map[string]func() (*machine.ReplayImage, error)
 }
 
 // New returns a running server (workers started, ready for Handler).
@@ -102,8 +88,6 @@ func New(opts Options) *Server {
 		queue:      make(chan *jobRecord, opts.QueueDepth),
 		jobs:       make(map[string]*jobRecord),
 		fpIndex:    make(map[string]*jobRecord),
-		traces:     opts.Traces,
-		images:     make(map[string]func() (*machine.ReplayImage, error)),
 	}
 	// Every outcome the pool produces is recorded, so /metrics always
 	// has data; a collector attached by the caller (e.g. -metrics-out)
@@ -177,60 +161,30 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one job to its terminal state: the same gate, context
-// check, start and finish for every kind around the job's own run.
+// execute runs one job to its terminal state: the gate, a context
+// check, then the run through the flight, which joins an identical run
+// in progress and memoizes through the pool.
 func (s *Server) execute(rec *jobRecord) {
 	defer s.retire(rec)
 	if s.execGate != nil {
 		s.execGate(rec)
 	}
 	if err := rec.ctx.Err(); err != nil {
-		rec.finish(nil, false, err)
+		rec.finish(runner.Outcome{Err: err})
 		return
 	}
 	rec.start()
-	rec.finish(rec.job.run(rec.ctx, s))
+	out, _ := s.flight.Run(rec.ctx, rec.job)
+	rec.finish(out)
 }
 
-// replayImage returns the prepared replay image for a stored trace,
-// decoding it at most once per server lifetime (the cache grows at most
-// one entry per distinct stored container). imgMu covers the map only:
-// the read and the prepare run under the entry's once, so one trace is
-// prepared once and nobody waits behind another trace's prepare. A
-// failed prepare leaves the map, to be retried.
-func (s *Server) replayImage(fp string) (*machine.ReplayImage, error) {
-	s.imgMu.Lock()
-	load := s.images[fp]
-	if load == nil {
-		load = sync.OnceValues(func() (*machine.ReplayImage, error) {
-			img, err := s.prepareImage(fp)
-			if err != nil {
-				s.imgMu.Lock()
-				delete(s.images, fp)
-				s.imgMu.Unlock()
-			}
-			return img, err
-		})
-		s.images[fp] = load
-	}
-	s.imgMu.Unlock()
-	return load()
-}
-
-func (s *Server) prepareImage(fp string) (*machine.ReplayImage, error) {
-	tr, err := s.traces.Load(fp)
-	if err != nil {
-		return nil, err
-	}
-	return machine.PrepareReplay(tr)
-}
-
-// admit performs admission control for one prepared submission: dedup
-// against active identical jobs, then a non-blocking enqueue into the
-// bounded queue. Returns the (possibly shared) record and whether this
-// submission coalesced onto an existing job — or the status it is turned
-// away with: 503 while draining, 429 when the queue is full.
-func (s *Server) admit(kind JobKind, fp string, j job) (rec *jobRecord, coalesced bool, refused int) {
+// admit performs admission control for one keyed run: dedup against
+// active identical jobs, then a non-blocking enqueue into the bounded
+// queue. timeoutMS (0 = none) bounds the job's wait. Returns the
+// (possibly shared) record and whether this submission coalesced onto an
+// existing job — or the status it is turned away with: 503 while
+// draining, 429 when the queue is full.
+func (s *Server) admit(run runner.Job, timeoutMS int64) (rec *jobRecord, coalesced bool, refused int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -238,9 +192,10 @@ func (s *Server) admit(kind JobKind, fp string, j job) (rec *jobRecord, coalesce
 		return nil, false, http.StatusServiceUnavailable
 	}
 	var deadline time.Time // zero = wait as long as it takes
-	if ms := j.timeout(); ms > 0 {
-		deadline = time.Now().Add(time.Duration(ms) * time.Millisecond)
+	if timeoutMS > 0 {
+		deadline = time.Now().Add(time.Duration(timeoutMS) * time.Millisecond)
 	}
+	fp := run.Fingerprint()
 	// A record that has finished but not yet been retired (finish
 	// releases its waiters first) is not active: a resubmission racing
 	// that window is a new job, and a hit on the memo store. Nor is a
@@ -260,7 +215,7 @@ func (s *Server) admit(kind JobKind, fp string, j job) (rec *jobRecord, coalesce
 		ctx, cancel = context.WithDeadline(s.baseCtx, deadline)
 	}
 	s.nextID++
-	rec = newJobRecord(fmt.Sprintf("j%06d", s.nextID), kind, fp, j, ctx, cancel)
+	rec = newJobRecord(fmt.Sprintf("j%06d", s.nextID), run, ctx, cancel)
 	select {
 	case s.queue <- rec:
 	default:
@@ -287,8 +242,8 @@ const jobRetention = 1024
 func (s *Server) retire(rec *jobRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.fpIndex[rec.fp] == rec {
-		delete(s.fpIndex, rec.fp)
+	if fp := rec.job.Fingerprint(); s.fpIndex[fp] == rec {
+		delete(s.fpIndex, fp)
 	}
 	s.finished = append(s.finished, rec)
 	if len(s.finished) > jobRetention {

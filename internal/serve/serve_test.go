@@ -370,29 +370,22 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 
 // TestNaNSettingIsRefusedNotPanicked: NaN passes every comparison
 // against a bound, and unrefused it reached param.Canonical, which
-// panics — the handler died and the client read an empty reply. On both
-// routes that take settings with a workload it is a 400 with a JSON
-// body naming the path, the next request is served, and the server's
-// log holds no panic.
+// panics — the handler died and the client read an empty reply. It is
+// a 400 with a JSON body naming the path, the next request is served,
+// and the server's log holds no panic.
 func TestNaNSettingIsRefusedNotPanicked(t *testing.T) {
-	traces, err := runner.NewTraceStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Options{Pool: runner.New(2, nil), Traces: traces})
+	s := New(Options{Pool: runner.New(2, nil)})
 	defer stop(s)
 	var serverLog bytes.Buffer
 	ts := httptest.NewUnstartedServer(s.Handler())
 	ts.Config.ErrorLog = log.New(&serverLog, "", 0)
 	ts.Start()
 
-	for _, path := range []string{"/v1/runs", "/v1/captures"} {
-		resp, data := postJSON(t, ts.URL+path+"?wait=true",
-			[]byte(`{"base":"simos-mipsy","set":[{"path":"l2.transfer_ns","value":"NaN"}],"workload":{"name":"snbench.restart","lines":8}}`))
-		var e ErrorResponse
-		if err := json.Unmarshal(data, &e); err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "l2.transfer_ns") {
-			t.Errorf("NaN on %s: status %d, body %s, want 400 naming l2.transfer_ns", path, resp.StatusCode, data)
-		}
+	resp, data := postJSON(t, ts.URL+"/v1/runs?wait=true",
+		[]byte(`{"base":"simos-mipsy","set":[{"path":"l2.transfer_ns","value":"NaN"}],"workload":{"name":"snbench.restart","lines":8}}`))
+	var e ErrorResponse
+	if err := json.Unmarshal(data, &e); err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "l2.transfer_ns") {
+		t.Errorf("NaN: status %d, body %s, want 400 naming l2.transfer_ns", resp.StatusCode, data)
 	}
 	if resp, data := postJSON(t, ts.URL+"/v1/runs?wait=true", runBody(8)); resp.StatusCode != http.StatusOK {
 		t.Errorf("the request after the refusals: status %d, body %s", resp.StatusCode, data)
@@ -400,90 +393,5 @@ func TestNaNSettingIsRefusedNotPanicked(t *testing.T) {
 	ts.Close()
 	if strings.Contains(serverLog.String(), "panic") {
 		t.Errorf("the server logged a panic:\n%s", serverLog.String())
-	}
-}
-
-// TestServerCaptureReplayRoundTrip pins the daemon's trace-driven
-// path: a capture stores a container once (a second identical capture
-// reuses it), and a replay of the fingerprint — at the capture's
-// configuration — reproduces the execution-driven result bit for bit.
-func TestServerCaptureReplayRoundTrip(t *testing.T) {
-	traces, err := runner.NewTraceStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts, gate := newTestServer(t, Options{Traces: traces})
-	close(gate)
-
-	capBody := []byte(`{"base":"simos-mipsy","procs":2,"workload":{"name":"fft","logn":10}}`)
-	resp, data := postJSON(t, ts.URL+"/v1/captures?wait=true", capBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("capture: status %d, body %s", resp.StatusCode, data)
-	}
-	var cap1 CaptureResponse
-	if err := json.Unmarshal(data, &cap1); err != nil {
-		t.Fatal(err)
-	}
-	if !cap1.Stored || cap1.Trace == "" {
-		t.Fatalf("cold capture not stored: %+v", cap1.Job)
-	}
-	if !traces.Has(cap1.Trace) {
-		t.Fatalf("store has no container under %s", cap1.Trace)
-	}
-
-	// A second identical capture must not write a second container.
-	resp, data = postJSON(t, ts.URL+"/v1/captures?wait=true", capBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm capture: status %d, body %s", resp.StatusCode, data)
-	}
-	var cap2 CaptureResponse
-	if err := json.Unmarshal(data, &cap2); err != nil {
-		t.Fatal(err)
-	}
-	if cap2.Stored || cap2.Trace != cap1.Trace {
-		t.Fatalf("warm capture stored=%v trace=%s, want reuse of %s", cap2.Stored, cap2.Trace, cap1.Trace)
-	}
-
-	// Replay at the capture configuration (procs defaults to the
-	// trace's thread count) is bit-identical to the captured run.
-	repBody := []byte(fmt.Sprintf(`{"base":"simos-mipsy","trace":%q}`, cap1.Trace))
-	resp, data = postJSON(t, ts.URL+"/v1/replays?wait=true", repBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("replay: status %d, body %s", resp.StatusCode, data)
-	}
-	var rep ReplayResponse
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Result.Exec != cap1.Result.Exec || rep.Result.Instructions != cap1.Result.Instructions {
-		t.Errorf("replay diverged: exec %v/%v instrs %d/%d",
-			rep.Result.Exec, cap1.Result.Exec, rep.Result.Instructions, cap1.Result.Instructions)
-	}
-	if rep.Workload == "" {
-		t.Error("replay response missing workload")
-	}
-
-	// An unknown fingerprint is a 404 at submission time.
-	resp, data = postJSON(t, ts.URL+"/v1/replays?wait=true",
-		[]byte(`{"base":"simos-mipsy","trace":"deadbeef"}`))
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown trace: status %d, body %s", resp.StatusCode, data)
-	}
-}
-
-// TestServerTraceEndpointsNeedStore pins the 400 when no trace store
-// is configured.
-func TestServerTraceEndpointsNeedStore(t *testing.T) {
-	_, ts, gate := newTestServer(t, Options{})
-	close(gate)
-	resp, data := postJSON(t, ts.URL+"/v1/captures?wait=true",
-		[]byte(`{"base":"simos-mipsy","procs":1,"workload":{"name":"fft","logn":8}}`))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("capture without store: status %d, body %s", resp.StatusCode, data)
-	}
-	resp, data = postJSON(t, ts.URL+"/v1/replays?wait=true",
-		[]byte(`{"base":"simos-mipsy","trace":"deadbeef"}`))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("replay without store: status %d, body %s", resp.StatusCode, data)
 	}
 }

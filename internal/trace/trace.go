@@ -31,8 +31,8 @@
 // any change to the chunk layout, the footer schema, the isa codec,
 // or the meaning of a recorded stream must bump FormatVersion, and a
 // bumped version must never alias cache entries written by an older
-// one (runner.TraceFingerprint folds the version into the artifact
-// key; TestTraceFingerprintSchemaVersioned pins this).
+// one (runner.TraceMeta folds the version into Meta.Artifact;
+// TestTraceFingerprintSchemaVersioned pins this).
 package trace
 
 import (
@@ -82,8 +82,8 @@ type Meta struct {
 	Workload string
 	Threads  int
 	// Fingerprint is the capture run's runner.Fingerprint; Artifact is
-	// the trace's own content address (runner.TraceFingerprint), which
-	// keys the replay-result memo entries derived from this trace.
+	// the trace's own content address (computed by runner.TraceMeta),
+	// which keys the replay-result memo entries derived from this trace.
 	Fingerprint string `json:",omitempty"`
 	Artifact    string `json:",omitempty"`
 	// Config is the param canonical snapshot of the capture

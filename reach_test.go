@@ -414,10 +414,8 @@ var stateAllow = map[string]string{
 	"param.Param.Field":          "observed by a test: the snapshot and canonical-encoder walks resolve it by reflection",
 	"proto.PointerStore.reclaim": "observed by a test: through PointerStore.Reclaims",
 	"runner.Store.evictions":     "observed by a test: through Store.Evictions",
-	"serve.CaptureResponse":      "wire: flashd's capture job result",
 	"serve.ErrorResponse":        "wire: flashd's error body",
 	"serve.JobStatus":            "wire: flashd's job envelope",
-	"serve.ReplayResponse":       "wire: flashd's replay job result",
 	"trace.Meta":                 "wire: the trace container's header, which carries the capture's configuration snapshot",
 }
 

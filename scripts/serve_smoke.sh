@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the serving loop: boot flashd, submit one snbench
-# run over HTTP, resubmit it to hit the warm cache, capture a workload
-# into the trace store and replay it by fingerprint, have two unrunnable
+# run over HTTP, resubmit it to hit the warm cache, have two unrunnable
 # specs refused with 400, then SIGTERM the daemon and require a clean
 # drain. A second leg boots two replicas on one shared -cache-dir: what
 # A computes is a cached hit on B, and still is after A is SIGKILLed. CI
@@ -46,7 +45,7 @@ boot() {
 }
 
 boot flashd -cache-dir "$workdir/cache" -cache-max-bytes 64MiB \
-  -trace-dir "$workdir/traces" -metrics-out "$workdir/metrics.json"
+  -metrics-out "$workdir/metrics.json"
 
 req='{"base":"simos-mipsy","workload":{"name":"snbench.restart","lines":256}}'
 submit() { # out_file [base [body]]
@@ -64,26 +63,6 @@ code=$(submit "$workdir/warm.json")
 [ "$code" = 200 ] || { echo "warm submit: HTTP $code" >&2; cat "$workdir/warm.json" >&2; exit 1; }
 grep -q '"cached": true' "$workdir/warm.json" || { echo "warm run missed the cache" >&2; exit 1; }
 
-# Capture a small FFT into the trace store, then replay it by
-# fingerprint; the trace-driven result must match the captured run.
-capreq='{"base":"simos-mipsy","procs":2,"workload":{"name":"fft","logn":10}}'
-code=$(curl -sS -o "$workdir/capture.json" -w '%{http_code}' -X POST "$base/v1/captures?wait=true" \
-  -H 'Content-Type: application/json' -d "$capreq")
-[ "$code" = 200 ] || { echo "capture: HTTP $code" >&2; cat "$workdir/capture.json" >&2; exit 1; }
-grep -q '"stored": true' "$workdir/capture.json" || { echo "capture not stored" >&2; exit 1; }
-fp=$(sed -n 's/.*"trace": "\([0-9a-f]*\)".*/\1/p' "$workdir/capture.json" | head -1)
-[ -n "$fp" ] || { echo "capture response has no trace fingerprint" >&2; exit 1; }
-ls "$workdir/traces/$fp.fltr" >/dev/null || { echo "no container on disk for $fp" >&2; exit 1; }
-
-code=$(curl -sS -o "$workdir/replay.json" -w '%{http_code}' -X POST "$base/v1/replays?wait=true" \
-  -H 'Content-Type: application/json' -d "{\"base\":\"simos-mipsy\",\"trace\":\"$fp\"}")
-[ "$code" = 200 ] || { echo "replay: HTTP $code" >&2; cat "$workdir/replay.json" >&2; exit 1; }
-cap_exec=$(exec_of "$workdir/capture.json")
-rep_exec=$(exec_of "$workdir/replay.json")
-if [ -z "$cap_exec" ] || [ "$cap_exec" != "$rep_exec" ]; then
-  echo "replay Exec ($rep_exec) != captured Exec ($cap_exec)" >&2; exit 1
-fi
-
 # A spec that could never run is refused at the door: 20000 processors
 # used to take the daemon down with an out-of-memory fault nothing can
 # recover, -1 came back as a 500 with a goroutine dump for a body. Both
@@ -96,17 +75,16 @@ for procs in 20000 -1; do
 done
 curl -fsS "$base/healthz" | grep -q '"ok"' || { echo "healthz not ok after the refusals" >&2; exit 1; }
 
-# Two pool executions: the cold run and the replay (the capture runs
-# outside the pool by design — a memo hit can't fill a trace).
+# One pool execution: the cold run (the warm one is a memo hit).
 curl -fsS -o "$workdir/metrics.prom" "$base/metrics"
-grep -q '^flashsim_runner_runs_total 2$' "$workdir/metrics.prom" \
-  || { echo "/metrics does not show exactly two executions" >&2; exit 1; }
+grep -q '^flashsim_runner_runs_total 1$' "$workdir/metrics.prom" \
+  || { echo "/metrics does not show exactly one execution" >&2; exit 1; }
 
 kill -TERM "$pid"
 if ! wait "$pid"; then
   echo "flashd exited nonzero on SIGTERM:" >&2; cat "$workdir/flashd.log" >&2; exit 1
 fi
-grep -q '"Ran": 2' "$workdir/metrics.json" || { echo "-metrics-out not flushed on drain" >&2; exit 1; }
+grep -q '"Ran": 1' "$workdir/metrics.json" || { echo "-metrics-out not flushed on drain" >&2; exit 1; }
 
 # ---- Two replicas, one -cache-dir ----
 boot a -cache-dir "$workdir/shared"; pid_a=$pid base_a=$base
@@ -147,4 +125,4 @@ if ! wait "$pid_b"; then
   echo "replica B exited nonzero on SIGTERM:" >&2; cat "$workdir/b.log" >&2; exit 1
 fi
 
-echo "serve smoke OK: cold run simulated, warm run cached, capture stored, replay bit-identical, unrunnable specs refused, drained cleanly; two replicas on one -cache-dir: cross-replica cached hit, identical result after SIGKILL of the computing replica"
+echo "serve smoke OK: cold run simulated, warm run cached, unrunnable specs refused, drained cleanly; two replicas on one -cache-dir: cross-replica cached hit, identical result after SIGKILL of the computing replica"
