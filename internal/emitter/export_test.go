@@ -64,5 +64,5 @@ func (s *Streams) Holds() int {
 	return n
 }
 
-// InFlight is how many batches thread i has sent that are not yet read.
-func (s *Streams) InFlight(i int) int { return len(s.Readers[i].ch) }
+// Unread is how many batches thread i has sent that are not yet read.
+func (s *Streams) Unread(i int) int { return len(s.Readers[i].ch) }

@@ -236,7 +236,7 @@ func TestEverySlabComesBackOnce(t *testing.T) {
 			// the consumer's, not its own.
 			l := startLive(t)
 			l.s.Readers[0].Next()
-			for l.s.InFlight(0) < emitter.PoolSize-1 {
+			for l.s.Unread(0) < emitter.PoolSize-1 {
 				time.Sleep(time.Millisecond)
 			}
 			l.s.Abort()

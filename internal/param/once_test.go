@@ -16,7 +16,7 @@ import (
 )
 
 // TestWarmRunEncodesConfigOnce drives the daemon's warm path end to end
-// — decode, key, admit, flight, pool, store hit, respond — and counts
+// — decode, key, admit, pool, store hit, respond — and counts
 // canonical encodings: a job is keyed where it is admitted and nothing
 // downstream encodes its configuration again. (The test lives with the
 // encoder because the counter is this package's test hook.)

@@ -40,8 +40,8 @@ import (
 // the keys on disk were issued that way — but appended directly around
 // the canonical bytes and hashed in one call: a memo hit pays for its
 // key before it can look anything up. For the same reason a job is
-// keyed once: Job.Keyed memoizes the key at admission, and the
-// in-flight map and the pool's store lookup and fill read it there.
+// keyed once: Job.Keyed memoizes the key at admission, and the pool's
+// store lookup and fill read it there.
 func Fingerprint(cfg machine.Config, prog emitter.Program) string {
 	return workloadKey(runHead, param.Canonical(cfg), prog)
 }

@@ -64,9 +64,9 @@ func (j Job) config() machine.Config {
 }
 
 // Keyed returns j carrying its own Fingerprint, so that every later use
-// of the key — a front end's admission, Flight's in-flight map, the
-// pool's store lookup and fill — reads it instead of encoding the
-// configuration again. Key a job after its last change; then run it.
+// of the key — a front end's admission, the pool's store lookup and
+// fill — reads it instead of encoding the configuration again. Key a
+// job after its last change; then run it.
 func (j Job) Keyed() Job {
 	j.key = j.Fingerprint()
 	return j

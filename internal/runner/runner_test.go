@@ -2,6 +2,7 @@ package runner_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -180,6 +181,45 @@ func TestCancellationFailsUnstartedJobs(t *testing.T) {
 		if o.Err == nil {
 			t.Errorf("job %d ran under a dead context", i)
 		}
+	}
+}
+
+// TestRunOneGivesUpItsWaitForASlot: a RunOne whose context dies while
+// every worker is busy returns the context's error and never simulates,
+// so a serving front end's cancelled job costs no run. The blocker
+// holding the one worker is a run whose thread says when it has started
+// and emits nothing until told: no sleep, and no race with the host.
+func TestRunOneGivesUpItsWaitForASlot(t *testing.T) {
+	pool := runner.New(1, nil)
+	started, release := make(chan struct{}), make(chan struct{})
+	blocker := tinyProg(1, 1)
+	blocker.Body = func(th *emitter.Thread, _ any) {
+		close(started)
+		<-release
+		th.IntOps(1)
+	}
+	blockerDone := make(chan runner.Outcome, 1)
+	go func() {
+		blockerDone <- pool.RunOne(context.Background(), runner.Job{Config: testCfg(1), Prog: blocker, Seed: 99})
+	}()
+	<-started
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waited := make(chan runner.Outcome, 1)
+	go func() { waited <- pool.RunOne(ctx, runner.Job{Config: testCfg(1), Prog: tinyProg(1, 1000), Seed: 7}) }()
+	cancel()
+	if out := <-waited; !errors.Is(out.Err, context.Canceled) {
+		t.Errorf("RunOne under a context that died in the wait: err %v, want %v", out.Err, context.Canceled)
+	}
+	if st := pool.Stats(); st.Ran != 0 || st.Failed != 1 {
+		t.Errorf("while the blocker holds the worker: ran %d failed %d, want 0 and 1", st.Ran, st.Failed)
+	}
+	close(release)
+	if out := <-blockerDone; out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	if st := pool.Stats(); st.Ran != 1 || st.Failed != 1 {
+		t.Errorf("after the blocker: ran %d failed %d, want 1 (the blocker) and 1", st.Ran, st.Failed)
 	}
 }
 

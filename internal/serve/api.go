@@ -9,11 +9,11 @@
 //     with 429 and a Retry-After header instead of buffering without
 //     bound;
 //   - request dedup — submissions are keyed by runner.Fingerprint, so
-//     identical concurrent requests coalesce onto one record and one
-//     pool execution (and identical later requests hit the memo
-//     store);
-//   - deadlines and cancellation — a request's timeout travels a
-//     context chain into the pool, and DELETE cancels a queued job;
+//     identical concurrent requests coalesce onto one job record, which
+//     runs once (and identical later requests hit the memo store);
+//   - deadlines and cancellation — a request's timeout and DELETE end
+//     the job's wait, queued or running; a started run still finishes
+//     and is memoized;
 //   - graceful drain — Drain stops admissions (503), lets every
 //     accepted job finish, and leaves results fetchable until
 //     shutdown.
@@ -193,8 +193,9 @@ type RunRequest struct {
 }
 
 // job resolves the request to the run it describes, naming the half of
-// the spec that was wrong. The run is keyed once, here: admission, the
-// flight and the pool all read that key.
+// the spec that was wrong; a fixed-thread kernel (snbench's) on another
+// processor count is wrong. The run is keyed once, here: admission and
+// the pool both read that key.
 func (r RunRequest) job() (runner.Job, error) {
 	cfg, err := r.Config()
 	if err != nil {
@@ -203,6 +204,10 @@ func (r RunRequest) job() (runner.Job, error) {
 	prog, err := r.Workload.Program(cfg.Procs)
 	if err != nil {
 		return runner.Job{}, fmt.Errorf("workload: %w", err)
+	}
+	if prog.Threads != cfg.Procs {
+		return runner.Job{}, fmt.Errorf("workload: program %s has %d threads but machine has %d processors",
+			prog.FullName(), prog.Threads, cfg.Procs)
 	}
 	return runner.Job{Config: cfg, Prog: prog}.Keyed(), nil
 }

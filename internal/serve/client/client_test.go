@@ -116,12 +116,12 @@ func TestClientSurfacesBackpressure(t *testing.T) {
 
 // TestWarmRunAllocations pins what a memo hit costs end to end in one
 // process: a warm POST /v1/runs?wait=true — served-mix's request —
-// through client.Run, the httptest server, admission, the flight, the
+// through client.Run, the httptest server, admission, the pool, the
 // store and both JSON codecs. The count is every goroutine's
 // (AllocsPerRun reads the process-wide counter). With five hand-written
-// submit handlers it read 235; the one path reads 235 too, and may not
-// come to cost more than two objects over that: served-mix's
-// allocs_per_op bound is 2.5 objects per request.
+// submit handlers it read 235; with admission the one coalescing layer
+// it reads 217, and may not come to cost more than two objects over
+// that: served-mix's allocs_per_op bound is 2.5 objects per request.
 func TestWarmRunAllocations(t *testing.T) {
 	// The race detector's sync.Pool drops a quarter of what is put in it,
 	// so net/http and encoding/json allocate what they otherwise reuse.
@@ -151,7 +151,7 @@ func TestWarmRunAllocations(t *testing.T) {
 		}
 	})
 	t.Logf("a warm run allocates %.0f objects", got)
-	if got > 237 {
-		t.Errorf("a warm run allocates %.0f objects, want at most 237", got)
+	if got > 219 {
+		t.Errorf("a warm run allocates %.0f objects, want at most 219", got)
 	}
 }

@@ -210,7 +210,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("flashd_jobs_rejected_total", "Submissions rejected with 429 (queue full).", s.rejected.Load())
 	counter("flashd_jobs_refused_total", "Submissions refused with 503 (draining).", s.refused.Load())
 	counter("flashd_jobs_coalesced_total", "Submissions coalesced onto an active identical job.", s.coalesced.Load())
-	counter("flashd_flight_coalesced_total", "Pool executions joined in-flight (runner.Flight).", s.flight.Coalesced())
 	gauge("flashd_queue_depth", "Jobs accepted but not yet started.", int64(queueDepth))
 	gauge("flashd_queue_capacity", "Bounded queue capacity.", int64(s.queueDepth))
 	gauge("flashd_workers", "Concurrent job executors.", int64(s.pool.Workers()))

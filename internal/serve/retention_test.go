@@ -115,10 +115,10 @@ func TestJobTableIsBounded(t *testing.T) {
 
 	// Bounding the registry touches neither dedup nor the memo store.
 	stats := pool.Stats()
-	if s.coalesced.Load() != 0 || s.flight.Coalesced() != 0 || s.accepted.Load() != finished+1 ||
+	if s.coalesced.Load() != 0 || s.accepted.Load() != finished+1 ||
 		stats.Ran != distinct || stats.CacheHits != finished-distinct {
-		t.Errorf("coalesced %d/%d accepted %d ran %d hits %d, want 0/0, %d, %d, %d",
-			s.coalesced.Load(), s.flight.Coalesced(), s.accepted.Load(), stats.Ran, stats.CacheHits,
+		t.Errorf("coalesced %d accepted %d ran %d hits %d, want 0, %d, %d, %d",
+			s.coalesced.Load(), s.accepted.Load(), stats.Ran, stats.CacheHits,
 			finished+1, distinct, finished-distinct)
 	}
 

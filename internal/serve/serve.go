@@ -34,7 +34,6 @@ type Options struct {
 type Server struct {
 	pool       *runner.Pool
 	collector  *obs.Collector
-	flight     *runner.Flight
 	queueDepth int
 	retryAfter time.Duration
 	mux        *http.ServeMux
@@ -96,7 +95,6 @@ func New(opts Options) *Server {
 		opts.Pool.SetMetrics(obs.NewCollector())
 	}
 	s.collector = opts.Pool.Metrics()
-	s.flight = runner.NewFlight(opts.Pool, ctx)
 	s.mux = http.NewServeMux()
 	s.routes()
 	for i := 0; i < s.pool.Workers(); i++ {
@@ -162,8 +160,10 @@ func (s *Server) worker() {
 }
 
 // execute runs one job to its terminal state: the gate, a context
-// check, then the run through the flight, which joins an identical run
-// in progress and memoizes through the pool.
+// check, then the run through the pool, which memoizes it. A record
+// that dies waiting for a pool slot never simulates; one that dies
+// mid-run answers at once and frees its worker, while the simulation
+// (it has no preemption points) finishes on its own goroutine.
 func (s *Server) execute(rec *jobRecord) {
 	defer s.retire(rec)
 	if s.execGate != nil {
@@ -174,8 +174,14 @@ func (s *Server) execute(rec *jobRecord) {
 		return
 	}
 	rec.start()
-	out, _ := s.flight.Run(rec.ctx, rec.job)
-	rec.finish(out)
+	done := make(chan runner.Outcome, 1)
+	go func() { done <- s.pool.RunOne(rec.ctx, rec.job) }()
+	select {
+	case out := <-done:
+		rec.finish(out)
+	case <-rec.ctx.Done():
+		rec.finish(runner.Outcome{Err: rec.ctx.Err()})
+	}
 }
 
 // admit performs admission control for one keyed run: dedup against
@@ -202,7 +208,8 @@ func (s *Server) admit(run runner.Job, timeoutMS int64) (rec *jobRecord, coalesc
 	// record joined that gives up before this submission would — its
 	// deadline is a stranger's. That one gets its own record below (and
 	// the index, so later submissions find the more patient of the
-	// two); their runs still share one simulation through the flight.
+	// two). If the other is running already, this one runs again, to
+	// the same deterministic result (a memo hit on a one-worker pool).
 	if twin, ok := s.fpIndex[fp]; ok && !twin.Status().State.Terminal() && twin.outwaits(deadline) {
 		s.coalesced.Add(1)
 		return twin, true, 0

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"flashsim/internal/emitter"
 	"flashsim/internal/runner"
 )
 
@@ -237,7 +238,8 @@ func TestServerQueueFullRejectsWith429(t *testing.T) {
 		t.Errorf("rejected counter = %d, want 1", got)
 	}
 
-	// The rejection must not have cost A or B anything.
+	// The rejection must not have cost A or B anything, and the two
+	// bodies are two jobs: two ids, two simulations.
 	close(gate)
 	var stA, stB JobStatus
 	_ = json.Unmarshal(dataA, &stA)
@@ -249,6 +251,9 @@ func TestServerQueueFullRejectsWith429(t *testing.T) {
 			getJSON(t, ts.URL+"/v1/jobs/"+id, &st)
 			return st.State == StateDone
 		})
+	}
+	if ran := s.Pool().Stats().Ran; stA.ID == stB.ID || ran != 2 {
+		t.Errorf("A is %s and B %s, and the pool ran %d simulations, want two ids and 2", stA.ID, stB.ID, ran)
 	}
 }
 
@@ -337,6 +342,73 @@ func TestServerCancelAndTimeout(t *testing.T) {
 		if resp := getJSON(t, ts.URL+"/v1/jobs/"+id+"/result", nil); resp.StatusCode != http.StatusGatewayTimeout {
 			t.Errorf("result of canceled %s: status %d, want 504", id, resp.StatusCode)
 		}
+	}
+}
+
+// TestDeadlineLapsingMidRun: a job whose timeout_ms lapses while its
+// simulation runs answers 504 at once, and its worker moves on, while
+// the simulation, which cannot be preempted, holds its pool slot until
+// it finishes and fills the store. The job's one thread is held on a
+// channel, so "mid-run" needs no sleep: a second job runs on the other
+// worker meanwhile, and after the release an identical resubmission is
+// a memo hit.
+func TestDeadlineLapsingMidRun(t *testing.T) {
+	store, err := runner.NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts, gate := newTestServer(t, Options{Pool: runner.New(2, store)})
+	close(gate)
+	started, hold := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release()
+	cfg, err := ConfigSpec{Base: "simos-mipsy"}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := runner.Job{Config: cfg, Prog: emitter.Program{
+		Name: "serve-test-held", Variant: "ops=1", Threads: 1,
+		Body: func(th *emitter.Thread, _ any) {
+			close(started)
+			<-hold
+			th.IntOps(1)
+		},
+	}}.Keyed()
+
+	rec, _, refused := s.admit(held, 20)
+	if refused != 0 {
+		t.Fatalf("admission refused with %d", refused)
+	}
+	<-started
+	<-rec.ctx.Done()
+	waitFor(t, "the lapsed job to finish", func() bool { return rec.Status().State.Terminal() })
+	if resp := getJSON(t, ts.URL+"/v1/jobs/"+rec.id+"/result", nil); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Errorf("result past the deadline: status %d, want 504", resp.StatusCode)
+	}
+	if st := s.Pool().Stats(); st.Ran != 0 {
+		t.Fatalf("the held run finished (%d ran) before its release", st.Ran)
+	}
+	resp, data := postJSON(t, ts.URL+"/v1/runs?wait=true", runBody(8))
+	var other RunResponse
+	if err := json.Unmarshal(data, &other); err != nil || resp.StatusCode != http.StatusOK || other.Job.ID == rec.id {
+		t.Fatalf("a second job while the first is held: status %d, body %s", resp.StatusCode, data)
+	}
+
+	release()
+	waitFor(t, "the held run to fill the store", func() bool {
+		_, ok := store.Get(held.Fingerprint())
+		return ok
+	})
+	again, _, refused := s.admit(held, 0)
+	if refused != 0 {
+		t.Fatalf("resubmission refused with %d", refused)
+	}
+	<-again.done
+	if st := again.Status(); st.State != StateDone || !st.Cached || st.ID == rec.id {
+		t.Errorf("identical resubmission: %+v, want a new job, done and cached", st)
+	}
+	if ran := s.Pool().Stats().Ran; ran != 2 {
+		t.Errorf("the pool ran %d simulations, want 2 (the held run and the second job)", ran)
 	}
 }
 

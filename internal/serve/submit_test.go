@@ -90,24 +90,28 @@ func TestEveryKind(t *testing.T) {
 
 // TestUnrunnableSpecRefusedAtTheDoor: a spec machine.New would reject,
 // or whose machine is bigger than any the daemon will build, is a 400
-// naming the config before a queue slot is taken. (Queued, the first
-// three came back as 500s, one with a goroutine dump for a body; the
-// fourth took the process down with it.)
+// naming the config before a queue slot is taken, and a workload whose
+// thread count is not the machine's processor count one naming the
+// workload. (Queued, the first three came back as 500s, one with a
+// goroutine dump for a body; the fourth took the process down with it;
+// the last failed as a 500.)
 func TestUnrunnableSpecRefusedAtTheDoor(t *testing.T) {
 	s, ts, gate := newTestServer(t, Options{})
 	close(gate)
-	for name, spec := range map[string]string{
-		"no processors":    `"procs":-1`,
-		"negative clock":   `"mhz":-5`,
-		"window > period":  `"set":[{"path":"sampling.enabled","value":"true"},{"path":"sampling.period_instrs","value":"10"},{"path":"sampling.window_instrs","value":"100"}]`,
-		"20000 processors": `"procs":20000`,
-		"one over":         fmt.Sprintf(`"procs":%d`, maxProcs+1),
+	const gups = `,"workload":{"name":"gups","log_table":10,"updates":64}`
+	for name, row := range map[string]struct{ spec, want string }{
+		"no processors":    {`"procs":-1` + gups, "config: "},
+		"negative clock":   {`"mhz":-5` + gups, "config: "},
+		"window > period":  {`"set":[{"path":"sampling.enabled","value":"true"},{"path":"sampling.period_instrs","value":"10"},{"path":"sampling.window_instrs","value":"100"}]` + gups, "config: "},
+		"20000 processors": {`"procs":20000` + gups, "config: "},
+		"one over":         {fmt.Sprintf(`"procs":%d`, maxProcs+1) + gups, "config: "},
+		"1 thread on 4":    {`"procs":4,"workload":{"name":"snbench.restart","lines":8}`, "workload: "},
 	} {
-		body := `{"base":"simos-mipsy",` + spec + `,"workload":{"name":"gups","log_table":10,"updates":64}}`
+		body := `{"base":"simos-mipsy",` + row.spec + `}`
 		resp, data := postJSON(t, ts.URL+"/v1/runs?wait=true", []byte(body))
 		var e ErrorResponse
-		if err := json.Unmarshal(data, &e); err != nil || resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(e.Error, "config: ") {
-			t.Errorf("%s: status %d, body %s, want 400 config: …", name, resp.StatusCode, data)
+		if err := json.Unmarshal(data, &e); err != nil || resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(e.Error, row.want) {
+			t.Errorf("%s: status %d, body %s, want 400 %s…", name, resp.StatusCode, data, row.want)
 		}
 	}
 	if got := s.accepted.Load(); got != 0 {

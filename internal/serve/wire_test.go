@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -47,7 +48,12 @@ var wireRejects = []string{
 	`{"base":"simos-mipsy","workload":{"name":"nope"}}`,
 	`{"base":"simos-mipsy","workload":{"name":"fft","logn":"eight"}}`,
 	`{"base":"simos-mipsy","workload":{"name":"snbench.dependent-loads","case":"nope","lines":8}}`,
+	wireMismatch,
 }
+
+// wireMismatch asks for a one-thread kernel on four processors: refused
+// at the door, and the job that fails when admitted past it.
+const wireMismatch = `{"base":"simos-mipsy","procs":4,"workload":{"name":"snbench.restart","lines":8}}`
 
 var wireClock = regexp.MustCompile(`(_ms": )\d+`)
 
@@ -183,13 +189,27 @@ func TestWirePinned(t *testing.T) {
 	}
 	r.do("DELETE", "/v1/jobs/j999999", "")
 
-	// ---- A job that fails: snbench.restart is a one-thread program and
-	// the machine has four processors. Admission resolves the config and
-	// the workload apart, so the mismatch surfaces when the run starts.
+	// ---- A job that fails: wireMismatch's run, which the door refuses,
+	// admitted behind it, fails when it starts.
 	fmt.Fprintf(&out, "######## a failed job\n\n")
 	jobs++
+	var req RunRequest
+	if err := json.Unmarshal([]byte(wireMismatch), &req); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := req.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := req.Workload.Program(cfg.Procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, refused := r.s.admit(runner.Job{Config: cfg, Prog: prog}.Keyed(), 0); refused != 0 {
+		t.Fatalf("the failing job was refused with %d", refused)
+	}
 	r.release()
-	r.do("POST", "/v1/runs?wait=true", `{"base":"simos-mipsy","procs":4,"workload":{"name":"snbench.restart","lines":8}}`)
+	r.terminal(jobs)
 	r.do("GET", "/v1/jobs/"+wireID(jobs), "")
 	r.do("GET", "/v1/jobs/"+wireID(jobs)+"/result", "")
 
