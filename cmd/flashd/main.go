@@ -20,9 +20,9 @@
 //	GET    /healthz              liveness ("ok" or "draining")
 //
 // Calibrations, the paper's figures and trace capture and replay are
-// not served; they are `flashsim tune`, `flashsim validate figureN` and
-// `flashsim trace`. A machine is configured per request (base, set), so
-// flashd takes no -config, -set or -sample.
+// not served; they are `flashsim validate tuning`, `flashsim validate
+// figureN` and `flashsim trace`. A machine is configured per request
+// (base, set), so flashd takes no -config, -set or -sample.
 //
 // A submission that could never run (malformed, unknown parameter or
 // workload, a config machine.Config.Validate rejects, procs over 1024)

@@ -1,7 +1,8 @@
 // Command flashsim is the one command-line front end to the library:
-// single runs, the paper's evaluation, the calibration loop, and the
-// trace tool chain are subcommands sharing one flag block
-// (internal/cliutil) and one setup and teardown.
+// single runs, the paper's evaluation (the calibration loop included:
+// the tuning, table3 and tlb rows), and the trace tool chain are
+// subcommands sharing one flag block (internal/cliutil) and one setup
+// and teardown.
 //
 //	flashsim run -app fft -procs 4                 # one workload on one machine (default: the hardware reference)
 //	flashsim run -app ocean -sim solo-mipsy -mhz 225 -set os.tlb.handler_cycles=65
@@ -12,8 +13,7 @@
 //	flashsim validate -all -jobs 8 -cache-dir .flashcache
 //	flashsim worksweep -quick -json WORKLOAD_SWEEP_2026-08-07.json
 //
-//	flashsim tune -sim simos-mxs                   # close the loop for one simulator
-//	flashsim snbench -sim simos-mipsy -tuned       # microbenchmarks, hardware vs. simulator
+//	flashsim validate -quick tuning table3 tlb     # close the loop: fits, what they absorbed, microbenchmarks
 //
 //	flashsim trace capture -app fft -procs 4 -o fft.fltr
 //	flashsim trace inspect fft.fltr
@@ -62,8 +62,6 @@ var commands = []command{
 	{name: "run", summary: "run one workload on one machine configuration and print the detailed result", setup: runCmd},
 	{name: "validate", summary: "run rows of the experiment table, by name or -all", setup: validateCmd},
 	{name: "worksweep", summary: "the worksweep experiment over a chosen workload × size matrix, with a JSON report", setup: worksweepCmd},
-	{name: "tune", summary: "calibrate one simulator against the hardware reference", setup: tuneCmd},
-	{name: "snbench", summary: "run the microbenchmark suite on the hardware and, optionally, a simulator", setup: snbenchCmd},
 	{name: "trace capture", summary: "run a workload execution-driven and record its streams", setup: captureCmd},
 	{name: "trace inspect", summary: "print a container's metadata, layout, and integrity status", setup: inspectCmd, configless: true},
 	{name: "trace replay", summary: "run a captured trace trace-driven on a chosen machine", setup: replayCmd},
@@ -183,18 +181,15 @@ func lookup(args []string) (string, *command, []string) {
 type simFlags struct {
 	name *string
 	mhz  *int
-	seed *uint64 // nil on the calibration commands, which keep the model's own seed
+	seed *uint64
 }
 
-func addSimFlags(fs *flag.FlagSet, def string, seeded bool) simFlags {
-	sf := simFlags{
+func addSimFlags(fs *flag.FlagSet, def string) simFlags {
+	return simFlags{
 		name: fs.String("sim", def, strings.Join(core.ConfigNames, ", ")),
 		mhz:  fs.Int("mhz", 150, "Mipsy clock (150, 225, 300)"),
+		seed: fs.Uint64("seed", 1, "jitter/branch seed"),
 	}
-	if seeded {
-		sf.seed = fs.Uint64("seed", 1, "jitter/branch seed")
-	}
-	return sf
 }
 
 // config resolves -sim at the given size, seeds it, and applies the
@@ -204,21 +199,8 @@ func (sf simFlags) config(cf *cliutil.Flags, procs int) (machine.Config, error) 
 	if err != nil {
 		return cfg, usageError{err}
 	}
-	if sf.seed != nil {
-		cfg.Seed = *sf.seed
-	}
+	cfg.Seed = *sf.seed
 	return cf.Apply(cfg)
-}
-
-// simulator is config for the calibration commands, whose subject is a
-// simulator at the snbench machine size: the hardware is what it is
-// measured against, not a choice.
-func (sf simFlags) simulator(cf *cliutil.Flags) (machine.Config, error) {
-	if *sf.name == "hw" {
-		return machine.Config{}, usagef("-sim hw: the hardware reference is what a simulator is compared against (want %s)",
-			strings.Join(core.ConfigNames[1:], ", "))
-	}
-	return sf.config(cf, 4)
 }
 
 // session builds the evaluation session over the environment's pool

@@ -36,10 +36,11 @@ func stable(s string) string {
 }
 
 // TestOutputMatchesTheFoldedCLIs pins the fold: testdata/ holds the
-// stdout of the seven binaries this command replaced (built at the
-// commit before the fold, passed through stable), and every subcommand
-// must still print the same thing. The study outputs are seeded
-// simulations, identical at any -jobs.
+// stdout of the binaries this command replaced (built at the commit
+// before the fold, passed through stable), and every subcommand must
+// still print the same thing. The tuning row's blocks carry what `tune`
+// printed (validate_tuning.txt is the full-scale row). The study
+// outputs are seeded simulations, identical at any -jobs.
 func TestOutputMatchesTheFoldedCLIs(t *testing.T) {
 	dir := t.TempDir()
 	fltr := filepath.Join(dir, "fft.fltr")
@@ -50,8 +51,7 @@ func TestOutputMatchesTheFoldedCLIs(t *testing.T) {
 		// validate -all -quick, then speedup -all -quick, on one session.
 		{"validate_all_quick.txt speedup_all_quick.txt", "validate -quick table1 table2 table3 figure1 figure2 tuning figure3 figure4" +
 			" tlb blocking muldiv defects trace sampling figure5 figure6 figure7"},
-		{"tune_mxs.txt", "tune -sim simos-mxs"},
-		{"snbench_mipsy_tuned.txt", "snbench -sim simos-mipsy -tuned"},
+		{"validate_tuning.txt", "validate tuning"},
 		{"worksweep_quick_gups_4.txt", "worksweep -quick -workloads gups -sizes 4"},
 		{"run_fft_2p_quick.txt", "run -app fft -procs 2 -full=false"},
 		{"trace_capture.txt", "trace capture -app fft -procs 2 -full=false -o " + fltr},
@@ -95,13 +95,14 @@ func TestUsageErrors(t *testing.T) {
 		want []string // substrings of stderr
 	}{
 		{"", []string{"validate", "trace capture"}},
-		{"speedup -all", []string{`unknown subcommand "speedup"`, "run", "validate", "worksweep", "tune", "snbench", "trace capture", "trace inspect", "trace replay"}},
+		{"speedup -all", []string{`unknown subcommand "speedup"`, "run", "validate", "worksweep", "trace capture", "trace inspect", "trace replay"}},
+		// The calibration loop is the tuning, table3 and tlb rows of validate.
+		{"tune -sim simos-mxs", []string{`unknown subcommand "tune"`}},
+		{"snbench -sim simos-mipsy -tuned", []string{`unknown subcommand "snbench"`}},
 		{"trace rewind", []string{`unknown subcommand "trace rewind"`}},
 		{"validate -quick figure9", append([]string{`unknown experiment "figure9"`}, experiments...)},
 		{"validate -quick", experiments},
 		{"run -sim vax", core.ConfigNames},
-		{"tune -sim hw", []string{"-sim hw", "simos-mipsy"}},
-		{"snbench -sim hw", []string{"-sim hw"}},
 		{"run -app nosuch", []string{"nosuch", "fft"}},
 		{"worksweep -workloads nosuch", []string{"nosuch", "gups"}},
 		// Capture and replay are `trace capture -o` and `trace replay`; no
@@ -110,7 +111,6 @@ func TestUsageErrors(t *testing.T) {
 		{"run -trace-in x.fltr", []string{"flag provided but not defined: -trace-in"}},
 		{"validate -trace-out x.fltr figure1", []string{"flag provided but not defined: -trace-out"}},
 		{"worksweep -trace-out x.fltr", []string{"flag provided but not defined: -trace-out"}},
-		{"tune -trace-in x.fltr", []string{"flag provided but not defined: -trace-in"}},
 		{"validate -figure 1", []string{"flag provided but not defined: -figure"}},
 		// A container is written with -o; there is no trace store.
 		{"trace capture -app fft -store traces", []string{"flag provided but not defined: -store"}},
@@ -119,6 +119,8 @@ func TestUsageErrors(t *testing.T) {
 		{"trace inspect -sample on f.fltr", []string{"flag provided but not defined: -sample"}},
 		// One goroutine runs each simulation; there is no intra-run knob.
 		{"run -shards 2", []string{"flag provided but not defined: -shards"}},
+		// The memory system is a parameter like any other: -set mem.kind=numa.
+		{"run -mem numa", []string{"flag provided but not defined: -mem"}},
 		{"run -set no.such.knob=1", []string{"no.such.knob"}},
 		// NaN passes every comparison against a bound; it is refused by name.
 		{"run -set l2.transfer_ns=NaN", []string{"l2.transfer_ns", "NaN"}},
@@ -144,6 +146,9 @@ func TestUsageErrors(t *testing.T) {
 	if _, err := os.Stat("x.fltr"); err == nil {
 		t.Error("a rejected -trace-out still wrote x.fltr")
 	}
+	if _, stderr, _ := flashsim(); strings.Count(stderr, "\n  ") != 6 {
+		t.Errorf("the usage list does not name six subcommands:\n%s", stderr)
+	}
 }
 
 // TestUnwritableArtifactFailsEverySubcommand: the one teardown reports
@@ -160,8 +165,6 @@ func TestUnwritableArtifactFailsEverySubcommand(t *testing.T) {
 		"run -app fft -full=false",
 		"validate -quick table1 tlb",
 		"worksweep -quick -workloads gups -sizes 2",
-		"tune",
-		"snbench",
 		"trace capture -app fft -full=false -o " + filepath.Join(dir, "again.fltr"),
 		"trace inspect " + fltr,
 		"trace replay " + fltr,

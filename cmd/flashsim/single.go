@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"flashsim/internal/cliutil"
-	"flashsim/internal/core"
 	"flashsim/internal/machine"
 	"flashsim/internal/proto"
 	"flashsim/internal/runner"
@@ -18,8 +17,7 @@ import (
 // through the pool.
 func runCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 	procs := fs.Int("procs", 1, "processor count")
-	sf := addSimFlags(fs, "hw", true)
-	mem := fs.String("mem", "flashlite", "memory system: flashlite, numa")
+	sf := addSimFlags(fs, "hw")
 	check := fs.Bool("check-coherence", false, "verify directory protocol invariants after every operation")
 	wf := cliutil.RegisterWorkloadOn(fs)
 	return func(e *env) error {
@@ -29,9 +27,6 @@ func runCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 		cfg, err := sf.config(cf, *procs)
 		if err != nil {
 			return err
-		}
-		if *mem == "numa" {
-			cfg = core.WithNUMA(cfg)
 		}
 		cfg.CheckCoherence = *check
 		prog, _, err := wf.Program(*procs)

@@ -16,7 +16,7 @@ import (
 func captureCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 	wf := cliutil.RegisterWorkloadOn(fs)
 	procs := fs.Int("procs", 1, "processor count")
-	sf := addSimFlags(fs, "simos-mipsy", true)
+	sf := addSimFlags(fs, "simos-mipsy")
 	out := fs.String("o", "", "output container path (default <app>.fltr)")
 	return func(e *env) error {
 		if err := wf.Finish(); err != nil {
@@ -118,7 +118,7 @@ func inspectCmd(fs *flag.FlagSet, _ *cliutil.Flags) func(*env) error {
 // replayCmd is `flashsim trace replay <container>`: the machine is
 // sized from the trace's thread count.
 func replayCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
-	sf := addSimFlags(fs, "simos-mipsy", true)
+	sf := addSimFlags(fs, "simos-mipsy")
 	return func(e *env) error {
 		if len(e.args) != 1 {
 			return usagef("want one argument: flashsim trace replay [flags] <container.fltr>")

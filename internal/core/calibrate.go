@@ -248,11 +248,15 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 					work.L2TransferNS = 0
 				}
 			}
-			cal.Report = append(cal.Report, Adjustment{
-				Param: "l2.model_interface_occupancy", Unit: "bool",
-				Before: 0, After: 1,
-				HWMetric: hwT, SimBefore: simBefore, SimAfter: simT,
-			})
+			// Logged only when the fit turned it on: a config that
+			// already models the occupancy has nothing to report.
+			if !cfg.ModelL2InterfaceOccupancy {
+				cal.Report = append(cal.Report, Adjustment{
+					Param: "l2.model_interface_occupancy", Unit: "bool",
+					Before: 0, After: 1,
+					HWMetric: hwT, SimBefore: simBefore, SimAfter: simT,
+				})
+			}
 		}
 		// When the occupancy stays off (blocking-read models are
 		// already at or above the hardware throughput) this records a

@@ -42,7 +42,7 @@ var Experiments = []Experiment{
 	{"decompose", "the simulator-hardware gap by registry path and error class", row((*Session).ExperimentDecompose)},
 	{"trace", "trace-driven error across the CPU-detail ladder at 4p", row(func(s *Session) (TraceReplayData, string, error) { return s.ExperimentTraceReplay(4) })},
 	{"sampling", "sampled-simulation error at 2p and 4p", row(func(s *Session) (SamplingData, string, error) { return s.ExperimentSampling(2, 4) })},
-	{"tuning", "each study simulator's calibration as a registry diff", textRow(func(s *Session) (string, error) { return s.TuningDiffs(1) })},
+	{"tuning", "each study simulator's calibration: fitting log, registry diff, absorbed error, dependent loads", textRow(func(s *Session) (string, error) { return s.TuningDiffs(1) })},
 	{"worksweep", "trend and sampling error for server-class workloads at 32-128 nodes", row(func(s *Session) (WorkloadSweepData, string, error) {
 		return s.ExperimentWorkloadSweep(s.SweepNames, s.SweepSizes...)
 	})},
@@ -128,53 +128,32 @@ func Table2(s Scale) string {
 	return b.String()
 }
 
-// DepLoads is the dependent-load comparison every calibration report
-// shows (Table 3, `flashsim tune`, `flashsim snbench`): ns per load on
-// the hardware and on each simulator, per protocol case.
-type DepLoads struct {
-	HW   map[proto.Case]float64
-	Sims []map[proto.Case]float64 // one per configuration, in argument order
-}
-
-// MeasureDepLoads runs the dependent-load microbenchmark on cal's
-// hardware reference and on each of cfgs.
-func MeasureDepLoads(cal *core.Calibrator, cfgs ...machine.Config) (DepLoads, error) {
-	hw, err := cal.DependentLoadLatencies()
-	if err != nil {
-		return DepLoads{}, err
-	}
-	d := DepLoads{HW: hw, Sims: make([]map[proto.Case]float64, len(cfgs))}
-	for i := range d.Sims {
-		d.Sims[i] = make(map[proto.Case]float64)
-	}
-	for _, pc := range core.DepCases {
-		for i, cfg := range cfgs {
-			if d.Sims[i][pc], err = cal.SimDepLatency(cfg, pc); err != nil {
-				return d, err
-			}
-		}
-	}
-	return d, nil
-}
-
-// Rows renders one line per protocol case: the hardware latency at
+// depLoads runs the dependent-load microbenchmark on the hardware
+// reference and on each of cfgs (ns per load, per protocol case) and
+// renders the comparison every calibration report shows (Table 3, each
+// block of the tuning row): one line per case, the hardware latency at
 // width w, then each simulator's latency and its ratio to the hardware.
-// hwLabel and simLabels[i] are written in front of their cells; under
-// a header row that already names the columns they are left out.
-func (d DepLoads) Rows(w int, hwLabel string, simLabels ...string) string {
+func (s *Session) depLoads(w int, cfgs ...machine.Config) (hw map[proto.Case]float64, sims []map[proto.Case]float64, rows string, err error) {
+	cal := core.NewCalibrator(s.Ref)
+	if hw, err = cal.DependentLoadLatencies(); err != nil {
+		return nil, nil, "", err
+	}
+	sims = make([]map[proto.Case]float64, len(cfgs))
+	for i := range sims {
+		sims[i] = make(map[proto.Case]float64)
+	}
 	var b strings.Builder
 	for _, pc := range core.DepCases {
-		fmt.Fprintf(&b, "  %-22s %s%*.0f", pc, hwLabel, w, d.HW[pc])
-		for i, sim := range d.Sims {
-			label := ""
-			if i < len(simLabels) {
-				label = simLabels[i]
+		fmt.Fprintf(&b, "  %-22s %*.0f", pc, w, hw[pc])
+		for i, cfg := range cfgs {
+			if sims[i][pc], err = cal.SimDepLatency(cfg, pc); err != nil {
+				return nil, nil, "", err
 			}
-			fmt.Fprintf(&b, " %s%*.0f (%.2f)", label, w, sim[pc], sim[pc]/d.HW[pc])
+			fmt.Fprintf(&b, " %*.0f (%.2f)", w, sims[i][pc], sims[i][pc]/hw[pc])
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
+	return hw, sims, b.String(), nil
 }
 
 // Table3Data holds dependent-load latencies per protocol case (ns).
@@ -198,14 +177,14 @@ func (s *Session) Table3() (Table3Data, string, error) {
 	if err != nil {
 		return d, "", err
 	}
-	dl, err := MeasureDepLoads(core.NewCalibrator(s.Ref), calib.Apply(untuned), untuned)
+	hw, sims, rows, err := s.depLoads(10, calib.Apply(untuned), untuned)
 	if err != nil {
 		return d, "", err
 	}
-	d = Table3Data{Cases: core.DepCases, HW: dl.HW, Tuned: dl.Sims[0], Untuned: dl.Sims[1]}
+	d = Table3Data{Cases: core.DepCases, HW: hw, Tuned: sims[0], Untuned: sims[1]}
 	text := "Table 3: dependent load latencies (ns; parenthesized = relative to hardware)\n" +
 		fmt.Sprintf("  %-22s %10s %18s %18s\n", "Protocol Case", "HW", "Tuned FL", "Untuned FL") +
-		dl.Rows(10, "")
+		rows
 	return d, text, nil
 }
 

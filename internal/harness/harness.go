@@ -4,23 +4,25 @@
 // 1–7), the in-text experiments (TLB-miss cost, application blocking
 // fixes, the multiply/divide latency correction, defect injection) and
 // this reproduction's own studies (the computed taxonomy, trace replay,
-// sampling, tuning diffs, the server-class workload sweep). `flashsim
-// validate` iterates the table; each row runs on a Session and returns
-// structured data plus a text rendering that mirrors the paper's
-// presentation. Rows that differ only in their inputs share a body:
-// Figures 1–4 are compare, Figures 5–7 are trend, `muldiv`, `defects`
-// and `decompose` are core.Reference.Walk (one step, one step per
-// defect, all of param.Diff), the sampling rows of `sampling` and
-// `worksweep` are samplingRows.
+// sampling, the tuning loop and what it absorbed, the server-class
+// workload sweep). `flashsim validate` iterates the table; each row
+// runs on a Session and returns structured data plus a text rendering
+// that mirrors the paper's presentation. Rows that differ only in their
+// inputs share a body: Figures 1–4 are compare, Figures 5–7 are trend,
+// `muldiv`, `defects` and `decompose` are core.Reference.Walk (one
+// step, one step per defect, all of param.Diff), the sampling rows of
+// `sampling` and `worksweep` are samplingRows.
 package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"flashsim/internal/core"
 	"flashsim/internal/emitter"
 	"flashsim/internal/machine"
+	"flashsim/internal/param"
 	"flashsim/internal/runner"
 	"flashsim/internal/workload"
 )
@@ -202,15 +204,17 @@ func (s *Session) TunedConfigs(procs int) ([]machine.Config, error) {
 	return out, nil
 }
 
-// TuningDiffs renders each study simulator's calibration as a registry
-// diff — the untuned-to-tuned parameter changes, one block per
-// configuration. This is the human-readable form of closing the loop:
-// exactly which knobs moved, from what, to what.
+// TuningDiffs renders closing the loop for each study simulator: the
+// fitting log, the registry diff, what the fit absorbed — each knob the
+// loop owns against the hardware's value, where a fitted knob far off
+// carries error from elsewhere — and the dependent loads untuned vs.
+// tuned.
 func (s *Session) TuningDiffs(procs int) (string, error) {
 	cfgs, err := s.UntunedConfigs(procs)
 	if err != nil {
 		return "", err
 	}
+	truth := s.Ref.ConfigAt(procs)
 	var b strings.Builder
 	b.WriteString("Simulator tuning (parameter corrections from closing the loop):\n")
 	for _, cfg := range cfgs {
@@ -218,9 +222,59 @@ func (s *Session) TuningDiffs(procs int) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("calibrating %s: %w", cfg.Name, err)
 		}
-		fmt.Fprintf(&b, "%s:\n%s", cfg.Name, cal.RenderDiff())
+		tuned := cal.Apply(cfg)
+		_, _, rows, err := s.depLoads(8, cfg, tuned)
+		if err != nil {
+			return "", err
+		}
+		fitted := make(map[string]bool)
+		fmt.Fprintf(&b, "\n%s: fitting log\n", cfg.Name)
+		for _, a := range cal.Report {
+			fmt.Fprintf(&b, "  %v\n", a)
+			fitted[a.Param] = true
+		}
+		fmt.Fprintf(&b, "%s: registry diff (untuned -> tuned)\n%s", cfg.Name, cal.RenderDiff())
+		for _, d := range cal.Deltas {
+			fitted[d.Path] = true
+		}
+		fmt.Fprintf(&b, "%s: absorbed (tuned vs. hardware)\n  %-30s %10s %10s %10s\n", cfg.Name, "path", "tuned", "hw", "difference")
+		for _, p := range param.All() {
+			if strings.HasPrefix(p.Path, "flash.") ||
+				slices.Contains([]string{"os.tlb.handler_cycles", "l2.model_interface_occupancy", "l2.transfer_ns"}, p.Path) {
+				b.WriteString(absorbedLine(p.Path, p.Get(&tuned), p.Get(&truth), fitted[p.Path]))
+			}
+		}
+		fmt.Fprintf(&b, "%s: dependent loads (ns; relative to hardware)\n  %-22s %8s %16s %16s\n", cfg.Name, "case", "hw", "untuned", "tuned")
+		b.WriteString(rows)
 	}
 	return b.String(), nil
+}
+
+// absorbedLine renders one knob of the absorbed table: the tuned and
+// hardware values (floats as the registry diff prints them), tuned
+// minus hardware (a flag counts 0 or 1, as in the fitting log), and
+// "not fitted" when no fitting step logged or moved it.
+func absorbedLine(path string, tuned, hw any, fitted bool) string {
+	var cell [2]string
+	var num [2]float64
+	for i, v := range []any{tuned, hw} {
+		cell[i] = fmt.Sprint(v)
+		switch x := v.(type) {
+		case float64:
+			cell[i], num[i] = fmt.Sprintf("%.6g", x), x
+		case uint64:
+			num[i] = float64(x)
+		case bool:
+			if x {
+				num[i] = 1
+			}
+		}
+	}
+	line := fmt.Sprintf("  %-30s %10s %10s %+10.4g", path, cell[0], cell[1], num[0]-num[1])
+	if !fitted {
+		line += "  not fitted"
+	}
+	return line + "\n"
 }
 
 // renderRelTable renders a Figures 1–4 style table: workloads down,

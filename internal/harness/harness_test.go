@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"flashsim/internal/harness"
 	"flashsim/internal/hw"
 	"flashsim/internal/machine"
+	"flashsim/internal/osmodel"
 	"flashsim/internal/param"
 	"flashsim/internal/proto"
 	"flashsim/internal/runner"
@@ -290,16 +292,42 @@ func TestOverrideReproducesTLBCorrection(t *testing.T) {
 	}
 }
 
-// TestTuningDiffsRender checks that the registry-diff rendering names
-// the corrected knobs by dotted path.
+// TestTuningDiffsRender checks the tuning row's four sections per
+// simulator, and that the absorbed table sets every knob the loop owns
+// against the hardware: the never-fitted router at 12 vs. 25 ns is
+// marked, and so is Solo's TLB refill, which the loop skips.
 func TestTuningDiffsRender(t *testing.T) {
 	out, err := quick().TuningDiffs(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"os.tlb.handler_cycles", "SimOS-Mipsy 150MHz:", "Solo-Mipsy"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("tuning diff missing %q:\n%s", want, out)
+	cfgs, err := quick().UntunedConfigs(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range cfgs {
+		block := out[strings.Index(out, cfg.Name+": fitting log"):]
+		block = block[:strings.Index(block, cfg.Name+": dependent loads")]
+		for _, want := range []string{"os.tlb.handler_cycles", cfg.Name + ": registry diff", cfg.Name + ": absorbed"} {
+			if !strings.Contains(block, want) {
+				t.Errorf("%s: tuning block missing %q:\n%s", cfg.Name, want, block)
+			}
+		}
+		absorbed := block[strings.Index(block, cfg.Name+": absorbed"):]
+		for _, p := range param.All() {
+			owned := strings.HasPrefix(p.Path, "flash.") ||
+				slices.Contains([]string{"os.tlb.handler_cycles", "l2.model_interface_occupancy", "l2.transfer_ns"}, p.Path)
+			if strings.Contains(absorbed, "  "+p.Path+" ") != owned {
+				t.Errorf("%s: absorbed table lists %s: %v, want %v", cfg.Name, p.Path, !owned, owned)
+			}
+		}
+		router := regexp.MustCompile(`(?m)^  flash\.router_ns +12 +25 +-13  not fitted$`)
+		if !router.MatchString(absorbed) {
+			t.Errorf("%s: the router is not marked unfitted at 12 vs. 25 ns:\n%s", cfg.Name, absorbed)
+		}
+		tlb := regexp.MustCompile(`(?m)^  os\.tlb\.handler_cycles .*not fitted$`)
+		if solo := cfg.OS.Kind == osmodel.Solo; tlb.MatchString(absorbed) != solo {
+			t.Errorf("%s: TLB refill marked not fitted: %v, want %v:\n%s", cfg.Name, !solo, solo, absorbed)
 		}
 	}
 }

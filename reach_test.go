@@ -45,7 +45,6 @@ var reachAllow = map[string]string{
 	"network.Network.Route":                  "oracle: the e-cube walk TestSendWalksRoute holds Send to",
 	"obs.Collector.Runs":                     "observed by a test: the collector and metrics tests",
 	"param.Get":                              "observed by a test: reads a configuration by registry path",
-	"param.Param.Get":                        "observed by a test: the registry completeness walk",
 	"param.SnapshotOf":                       "oracle: the encoding/json snapshot the canonical encoder and fingerprints are compared with",
 	"proto.Directory.CheckAll":               "oracle: the coherence invariants of every directory entry",
 	"proto.Directory.CheckLine":              "oracle: the coherence invariants of one directory entry",
