@@ -22,7 +22,7 @@
 // Calibrations, the paper's figures and trace capture and replay are
 // not served; they are `flashsim validate tuning`, `flashsim validate
 // figureN` and `flashsim trace`. A machine is configured per request
-// (base, set), so flashd takes no -config, -set or -sample.
+// (base, set), so flashd takes no -config or -set.
 //
 // A submission that could never run (malformed, unknown parameter or
 // workload, a config machine.Config.Validate rejects, procs over 1024)

@@ -20,9 +20,9 @@
 //	flashsim trace replay -sim simos-mipsy fft.fltr
 //
 // Every subcommand takes -jobs, -cache-dir, -metrics-out and the
-// profiling flags, and every one but trace inspect -config/-set and
-// -sample; `flashsim <subcommand> -h` prints them. An artifact that
-// cannot be written is an error: the command reports it and exits 1.
+// profiling flags, and every one but trace inspect -config and -set;
+// `flashsim <subcommand> -h` prints them. An artifact that cannot be
+// written is an error: the command reports it and exits 1.
 package main
 
 import (
@@ -54,7 +54,7 @@ type command struct {
 	summary string
 	setup   func(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error
 	// configless commands build no machine configuration, so they take
-	// no -config/-set/-sample.
+	// no -config/-set.
 	configless bool
 }
 
@@ -193,7 +193,7 @@ func addSimFlags(fs *flag.FlagSet, def string) simFlags {
 }
 
 // config resolves -sim at the given size, seeds it, and applies the
-// -config/-set/-sample overrides.
+// -config/-set overrides.
 func (sf simFlags) config(cf *cliutil.Flags, procs int) (machine.Config, error) {
 	cfg, err := core.ConfigByName(*sf.name, procs, *sf.mhz, true)
 	if err != nil {
@@ -256,16 +256,13 @@ func validateCmd(fs *flag.FlagSet, _ *cliutil.Flags) func(*env) error {
 }
 
 // worksweepReport is the committed WORKLOAD_SWEEP_<date>.json evidence: the
-// widened trend study and sampling taxonomy rows, plus enough
-// provenance to rerun it.
+// widened trend study, plus enough provenance to rerun it.
 type worksweepReport struct {
 	Date      string                     `json:"date"`
 	Scale     string                     `json:"scale"`
 	Sizes     []int                      `json:"sizes"`
 	Workloads []string                   `json:"workloads"`
 	Trend     []harness.WorkloadTrendRow `json:"trend"`
-	Sampling  []harness.SamplingRow      `json:"sampling"`
-	Schedule  map[string]uint64          `json:"schedule"`
 	WallMS    float64                    `json:"wall_ms"`
 }
 
@@ -302,18 +299,13 @@ func worksweepCmd(fs *flag.FlagSet, _ *cliutil.Flags) func(*env) error {
 			return err
 		}
 		d := data.(harness.WorkloadSweepData)
-		sc := d.Sampling.Schedule
 		rep := worksweepReport{
 			Date:      *date,
 			Scale:     "full",
 			Sizes:     d.Sizes,
 			Workloads: s.SweepNames,
 			Trend:     d.Trend,
-			Sampling:  d.Sampling.Rows,
-			Schedule: map[string]uint64{
-				"period": sc.Period, "window": sc.Window, "warmup": sc.Warmup, "phase": sc.Phase,
-			},
-			WallMS: float64(wall.Microseconds()) / 1e3,
+			WallMS:    float64(wall.Microseconds()) / 1e3,
 		}
 		if *quick {
 			rep.Scale = "quick"

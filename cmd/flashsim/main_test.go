@@ -50,7 +50,7 @@ func TestOutputMatchesTheFoldedCLIs(t *testing.T) {
 	}{
 		// validate -all -quick, then speedup -all -quick, on one session.
 		{"validate_all_quick.txt speedup_all_quick.txt", "validate -quick table1 table2 table3 figure1 figure2 tuning figure3 figure4" +
-			" tlb blocking muldiv defects trace sampling figure5 figure6 figure7"},
+			" tlb blocking muldiv defects trace figure5 figure6 figure7"},
 		{"validate_tuning.txt", "validate tuning"},
 		{"worksweep_quick_gups_4.txt", "worksweep -quick -workloads gups -sizes 4"},
 		{"run_fft_2p_quick.txt", "run -app fft -procs 2 -full=false"},
@@ -117,6 +117,19 @@ func TestUsageErrors(t *testing.T) {
 		// inspect builds no machine, so it takes no machine override.
 		{"trace inspect -set l2.transfer_ns=1 f.fltr", []string{"flag provided but not defined: -set"}},
 		{"trace inspect -sample on f.fltr", []string{"flag provided but not defined: -sample"}},
+		// Sampled simulation has no front end: no flag, no path, no row.
+		{"run -sample on", []string{"flag provided but not defined: -sample"}},
+		{"run -sample-cold", []string{"flag provided but not defined: -sample-cold"}},
+		{"validate -sample on figure1", []string{"flag provided but not defined: -sample"}},
+		{"validate -sample-cold figure1", []string{"flag provided but not defined: -sample-cold"}},
+		{"worksweep -sample on", []string{"flag provided but not defined: -sample"}},
+		{"worksweep -sample-cold", []string{"flag provided but not defined: -sample-cold"}},
+		{"trace capture -sample on -app fft", []string{"flag provided but not defined: -sample"}},
+		{"trace capture -sample-cold -app fft", []string{"flag provided but not defined: -sample-cold"}},
+		{"trace replay -sample on f.fltr", []string{"flag provided but not defined: -sample"}},
+		{"trace replay -sample-cold f.fltr", []string{"flag provided but not defined: -sample-cold"}},
+		{"run -set sampling.enabled=true", []string{"sampling.enabled"}},
+		{"validate -quick sampling", append([]string{`unknown experiment "sampling"`}, experiments...)},
 		// One goroutine runs each simulation; there is no intra-run knob.
 		{"run -shards 2", []string{"flag provided but not defined: -shards"}},
 		// The memory system is a parameter like any other: -set mem.kind=numa.
@@ -295,7 +308,7 @@ func TestDefectsRunThroughThePool(t *testing.T) {
 }
 
 // TestWorksweepJSONReport: the evidence file carries the matrix that
-// was asked for and one row per cell.
+// was asked for and one trend row per workload, and no sampling half.
 func TestWorksweepJSONReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.json")
 	stdout, stderr, status := flashsim("worksweep", "-quick", "-workloads", "gups", "-sizes", "2", "-date", "2000-11-12", "-json", path)
@@ -309,9 +322,14 @@ func TestWorksweepJSONReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"date": "2000-11-12"`, `"scale": "quick"`, `"gups"`, `"Workload": "GUPS"`, `"period"`} {
+	for _, want := range []string{`"date": "2000-11-12"`, `"scale": "quick"`, `"gups"`, `"Workload": "GUPS"`, `"trend"`} {
 		if !bytes.Contains(data, []byte(want)) {
 			t.Errorf("report lacks %s:\n%s", want, data)
+		}
+	}
+	for _, gone := range []string{`"sampling"`, `"schedule"`} {
+		if bytes.Contains(data, []byte(gone)) {
+			t.Errorf("report still carries %s:\n%s", gone, data)
 		}
 	}
 }

@@ -50,8 +50,8 @@ func runCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 }
 
 // report prints one run's result. detail adds what only an
-// execution-driven report carries: the L1 rate, the page count, the
-// sampling warmup split and the protocol-case histogram.
+// execution-driven report carries: the L1 rate, the page count and the
+// protocol-case histogram.
 func report(w io.Writer, res machine.Result, wall time.Duration, detail bool) {
 	fmt.Fprintf(w, "  parallel section: %.3f ms simulated\n", res.ExecSeconds()*1e3)
 	fmt.Fprintf(w, "  total:            %.3f ms simulated (%v wall, %.1fM instr/s)\n",
@@ -65,14 +65,6 @@ func report(w io.Writer, res machine.Result, wall time.Duration, detail bool) {
 	fmt.Fprintf(w, "  TLB misses:       %d\n", res.Metrics.TLB.Misses)
 	if detail {
 		fmt.Fprintf(w, "  pages mapped:     %d\n", res.Metrics.OS.PagesMapped)
-	}
-	if res.Sampled {
-		s := res.Sampling
-		fmt.Fprintf(w, "  sampling:         %d windows; %d detailed + %d functional instrs", s.Windows, s.DetailedInstrs, s.FunctionalInstrs)
-		if detail {
-			fmt.Fprintf(w, " (%d warmup, %d warm touches)", s.WarmupInstrs, s.WarmTouches)
-		}
-		fmt.Fprintln(w)
 	}
 	if !detail {
 		return

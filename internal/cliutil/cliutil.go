@@ -7,9 +7,9 @@
 // runner, ExitOnSignal and Close flush the artifacts. The commands that
 // build a machine configuration add the override block
 // (RegisterOverridesOn: -config and -set through the internal/param
-// registry, -sample for sampled execution, -list-params), and those
-// that build a program the workload block (RegisterWorkloadOn);
-// CaptureRun and LoadReplay are the two ends of the trace tool chain.
+// registry, and -list-params), and those that build a program the
+// workload block (RegisterWorkloadOn); CaptureRun and LoadReplay are
+// the two ends of the trace tool chain.
 package cliutil
 
 import (
@@ -41,8 +41,6 @@ const (
 	memProfileUsage = "write an allocation profile to this file on exit (go tool pprof)"
 	traceUsage      = "write a runtime execution trace to this file (go tool trace)"
 	metricsOutUsage = "write the aggregated per-run metrics report (obs.Report JSON) to this file on exit"
-	sampleUsage     = "enable sampled simulation: 'on' for the default schedule, or period:window:warmup[:phase] instruction counts"
-	sampleColdUsage = "sampled fast-forward leaves cache/TLB/directory state cold instead of warming it (requires -sample)"
 )
 
 // Flags carries the shared flag values after flag.Parse.
@@ -56,8 +54,6 @@ type Flags struct {
 	MemProfile string
 	TraceFile  string
 	MetricsOut string
-	Sample     string
-	SampleCold bool
 
 	sets     stringList
 	settings []param.Setting
@@ -96,15 +92,13 @@ func RegisterOn(fs *flag.FlagSet) *Flags {
 }
 
 // RegisterOverridesOn adds the machine-override flags to fs: -config,
-// -set, -sample, -sample-cold and -list-params. Only a command that
-// builds a configuration and passes it through Apply takes them; on any
-// other they would be accepted and ignored.
+// -set and -list-params. Only a command that builds a configuration and
+// passes it through Apply takes them; on any other they would be
+// accepted and ignored.
 func (f *Flags) RegisterOverridesOn(fs *flag.FlagSet) {
 	fs.StringVar(&f.ConfigFile, "config", "", configUsage)
 	fs.Var(&f.sets, "set", setUsage)
 	fs.BoolVar(&f.ListParams, "list-params", false, listParamsUsage)
-	fs.StringVar(&f.Sample, "sample", "", sampleUsage)
-	fs.BoolVar(&f.SampleCold, "sample-cold", false, sampleColdUsage)
 }
 
 // Finish validates the parsed flags: -list-params prints the registry
@@ -136,15 +130,6 @@ func (f *Flags) Finish() error {
 		f.snapshot = &snap
 	}
 	f.settings = f.settings[:0]
-	// -sample translates to sampling.* parameter settings before the
-	// explicit -set overrides, so the schedule flows through Apply into
-	// every config the command builds — and therefore into run
-	// fingerprints — while a -set sampling.x=y still wins.
-	sampleSets, err := f.sampleSettings()
-	if err != nil {
-		return err
-	}
-	f.settings = append(f.settings, sampleSets...)
 	for _, raw := range f.sets {
 		s, err := param.ParseSetting(raw)
 		if err != nil {

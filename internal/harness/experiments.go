@@ -41,9 +41,8 @@ var Experiments = []Experiment{
 	{"defects", "historical simulator defects, injected and measured", textRow((*Session).ExperimentDefects)},
 	{"decompose", "the simulator-hardware gap by registry path and error class", row((*Session).ExperimentDecompose)},
 	{"trace", "trace-driven error across the CPU-detail ladder at 4p", row(func(s *Session) (TraceReplayData, string, error) { return s.ExperimentTraceReplay(4) })},
-	{"sampling", "sampled-simulation error at 2p and 4p", row(func(s *Session) (SamplingData, string, error) { return s.ExperimentSampling(2, 4) })},
 	{"tuning", "each study simulator's calibration: fitting log, registry diff, absorbed error, dependent loads", textRow(func(s *Session) (string, error) { return s.TuningDiffs(1) })},
-	{"worksweep", "trend and sampling error for server-class workloads at 32-128 nodes", row(func(s *Session) (WorkloadSweepData, string, error) {
+	{"worksweep", "trend error for server-class workloads at 32-128 nodes", row(func(s *Session) (WorkloadSweepData, string, error) {
 		return s.ExperimentWorkloadSweep(s.SweepNames, s.SweepSizes...)
 	})},
 }

@@ -4,14 +4,13 @@
 // 1–7), the in-text experiments (TLB-miss cost, application blocking
 // fixes, the multiply/divide latency correction, defect injection) and
 // this reproduction's own studies (the computed taxonomy, trace replay,
-// sampling, the tuning loop and what it absorbed, the server-class
-// workload sweep). `flashsim validate` iterates the table; each row
+// the tuning loop and what it absorbed, the server-class workload
+// sweep). `flashsim validate` iterates the table; each row
 // runs on a Session and returns structured data plus a text rendering
 // that mirrors the paper's presentation. Rows that differ only in their
 // inputs share a body: Figures 1–4 are compare, Figures 5–7 are trend,
-// `muldiv`, `defects` and `decompose` are core.Reference.Walk (one
-// step, one step per defect, all of param.Diff), the sampling rows of
-// `sampling` and `worksweep` are samplingRows.
+// and `muldiv`, `defects` and `decompose` are core.Reference.Walk (one
+// step, one step per defect, all of param.Diff).
 package harness
 
 import (

@@ -44,12 +44,9 @@ var shapes = map[string]func(t *testing.T, data any, text string){
 	"decompose": func(t *testing.T, d any, text string) {
 		checkDecompose(t, d.([]harness.Decomposition), text)
 	},
-	"sampling": func(t *testing.T, d any, text string) {
-		checkSampling(t, d.(harness.SamplingData), []int{2, 4}, text)
-	},
 	"worksweep": func(t *testing.T, d any, text string) {
 		sweep := d.(harness.WorkloadSweepData)
-		if len(sweep.Trend) != 1 || sweep.Trend[0].Workload != "GUPS" || len(sweep.Sampling.Rows) != 1 {
+		if len(sweep.Trend) != 1 || sweep.Trend[0].Workload != "GUPS" {
 			t.Errorf("one-cell sweep returned %+v", sweep)
 		}
 	},
@@ -216,12 +213,45 @@ func checkFigure1(t *testing.T, res core.CompareResult, text string) {
 	if res.MaxAbsError() < 0.15 {
 		t.Errorf("initial comparison suspiciously accurate: max err %.2f", res.MaxAbsError())
 	}
+	rel := func(w, config string) float64 {
+		e, ok := res.Entry(w, config)
+		if !ok {
+			t.Fatalf("no bar %s x %s", config, w)
+		}
+		return e.Relative
+	}
 	// Faster Mipsy clocks must predict faster times for every app.
 	for _, w := range res.Order {
-		e150, _ := res.Entry(w, "SimOS-Mipsy 150MHz")
-		e300, _ := res.Entry(w, "SimOS-Mipsy 300MHz")
-		if e300.Relative >= e150.Relative {
-			t.Errorf("%s: 300MHz (%.2f) not faster than 150MHz (%.2f)", w, e300.Relative, e150.Relative)
+		if r150, r300 := rel(w, "SimOS-Mipsy 150MHz"), rel(w, "SimOS-Mipsy 300MHz"); r300 >= r150 {
+			t.Errorf("%s: 300MHz (%.2f) not faster than 150MHz (%.2f)", w, r300, r150)
+		}
+	}
+	// The paper's findings on this figure, each with margin at quick
+	// scale. Solo's allocator does no page colouring, so Ocean's grids
+	// conflict in the L2 (1.88 here).
+	if r := rel("Ocean", "Solo-Mipsy 150MHz"); r < 1.5 {
+		t.Errorf("Solo-Mipsy 150MHz Ocean at %.2f, want >= 1.5", r)
+	}
+	// Mipsy does not simulate multiply/divide latency, so Radix is the
+	// most optimistic bar of every Mipsy column, with or without SimOS.
+	for _, config := range res.Configs {
+		if !strings.Contains(config, "Mipsy") {
+			continue
+		}
+		lowest := res.Order[0]
+		for _, w := range res.Order {
+			if rel(w, config) < rel(lowest, config) {
+				lowest = w
+			}
+		}
+		if !strings.HasPrefix(lowest, "Radix") {
+			t.Errorf("%s: the lowest bar is %s (%.2f), want Radix", config, lowest, rel(lowest, config))
+		}
+	}
+	// MXS is optimistic on every workload (0.80-0.95 here).
+	for _, w := range res.Order {
+		if r := rel(w, "SimOS-MXS 150MHz"); r >= 1 {
+			t.Errorf("SimOS-MXS 150MHz %s at %.2f, want below 1.0", w, r)
 		}
 	}
 }

@@ -19,24 +19,21 @@ type WorkloadTrendRow struct {
 }
 
 // WorkloadSweepData is the structured result of the workload sweep: the
-// tuned-vs-untuned trend study plus the sampling-error taxonomy rows,
-// both across the widened machine matrix.
+// tuned-vs-untuned trend study across the widened machine matrix.
 type WorkloadSweepData struct {
-	Sizes    []int
-	Trend    []WorkloadTrendRow
-	Sampling SamplingData
+	Sizes []int
+	Trend []WorkloadTrendRow
 }
 
 // SweepWorkloads is the default worksweep matrix: the four server-class
 // registry workloads.
 var SweepWorkloads = []string{"barnes", "gups", "oltp", "webserve"}
 
-// ExperimentWorkloadSweep reruns the paper's two scaling analyses over
-// registry workloads (default SweepWorkloads) at server-class machine
-// sizes (default core.WideSizes, 32-128 nodes): the trend study — does
-// the simulator predict the hardware's speedup curve, before and after
-// closing the calibration loop — and the sampled-simulation error
-// taxonomy. Each workload resolves through the registry at the
+// ExperimentWorkloadSweep reruns the paper's trend study over registry
+// workloads (default SweepWorkloads) at server-class machine sizes
+// (default core.WideSizes, 32-128 nodes): does the simulator predict
+// the hardware's speedup curve, before and after closing the
+// calibration loop? Each workload resolves through the registry at the
 // session's scale with its registered defaults.
 func (s *Session) ExperimentWorkloadSweep(names []string, sizes ...int) (WorkloadSweepData, string, error) {
 	if len(names) == 0 {
@@ -60,10 +57,8 @@ func (s *Session) ExperimentWorkloadSweep(names []string, sizes ...int) (Workloa
 	tuned := cal.Apply(untuned)
 	tuned.Name += " tuned"
 
-	apps := make([]core.Workload, len(names))
-	for i, name := range names {
+	for _, name := range names {
 		w := s.Scale.Workload(name, nil)
-		apps[i] = w
 		hw, err := ta.HardwareSpeedup(w, sweep)
 		if err != nil {
 			return d, "", err
@@ -85,11 +80,6 @@ func (s *Session) ExperimentWorkloadSweep(names []string, sizes ...int) (Workloa
 		})
 	}
 
-	// The sampling-error taxonomy across the same matrix.
-	if d.Sampling, err = s.samplingRows(apps, sizes); err != nil {
-		return d, "", err
-	}
-
 	var b strings.Builder
 	fmt.Fprintf(&b, "Workload sweep at %v nodes (trend error in predicted speedup vs. hardware):\n", sizes)
 	fmt.Fprintf(&b, "  %-16s %-28s %8s %8s %8s %8s\n", "workload", "speedup@"+fmt.Sprint(sizes[len(sizes)-1]), "untuned", "(final)", "tuned", "(final)")
@@ -99,9 +89,5 @@ func (s *Session) ExperimentWorkloadSweep(names []string, sizes ...int) (Workloa
 			100*r.Untuned.MaxErr, 100*r.Untuned.FinalErr,
 			100*r.Tuned.MaxErr, 100*r.Tuned.FinalErr)
 	}
-	sc := d.Sampling.Schedule
-	fmt.Fprintf(&b, "Sampling error (schedule %d/%d/%d; sampled ExecTicks relative to full-detail):\n",
-		sc.Period, sc.Window, sc.Warmup)
-	b.WriteString(d.Sampling.render())
 	return d, b.String(), nil
 }

@@ -100,7 +100,10 @@ type Config struct {
 
 	// Sampling configures sampled simulation: functional fast-forward
 	// alternating with detailed windows on an instruction-count
-	// schedule. The zero value (disabled) is full detail.
+	// schedule. The zero value (disabled) is full detail. Only Go
+	// callers reach it: it is in no registry path, no CLI flag and no
+	// fingerprint, so a pool with a store refuses a job that enables it.
+	// It goes with the frozen benchmark's sampled replays (ROADMAP 8(e)).
 	Sampling SamplingConfig
 
 	// JitterPct adds seeded run-to-run noise to the final time (the

@@ -22,7 +22,8 @@ import (
 // Version 5: Result carries each counter once — the subsystems' stats
 // types under Metrics, directory case counts an array — so a version-4
 // entry would decode with silent zeros where its counters moved.
-const SchemaVersion = 5
+// Version 6: the sampling.* group left the registry.
+const SchemaVersion = 6
 
 // Snapshot is the canonical, versioned form of a machine.Config: every
 // registered parameter by dotted path. The config's Name is a display

@@ -42,7 +42,7 @@ func requireCanonical(t testing.TB, what string, cfg machine.Config) {
 
 // TestCanonicalMatchesReferenceOnNamedConfigs covers every
 // configuration the study names, at each clock and cache geometry, with
-// the pointer fields nil and materialized, and with sampling on.
+// the pointer fields nil and materialized.
 func TestCanonicalMatchesReferenceOnNamedConfigs(t *testing.T) {
 	for _, procs := range []int{1, 4, 32} {
 		for _, scaled := range []bool{true, false} {
@@ -66,9 +66,6 @@ func TestCanonicalMatchesReferenceOnNamedConfigs(t *testing.T) {
 					if !bytes.Equal(param.Canonical(cfg), param.Canonical(explicit)) {
 						t.Fatalf("%s: nil and explicit-default NUMA/MagicTable encode differently", what)
 					}
-
-					cfg.Sampling = machine.DefaultSampling()
-					requireCanonical(t, what+" sampled", cfg)
 				}
 			}
 		}

@@ -66,8 +66,7 @@ func (k Kind) String() string {
 // ErrorClass is the paper's taxonomy of simulator error sources
 // (§3.1.2), the Class column of the registry: what kind of error a wrong
 // value of the parameter is. Parameters that describe the machine or the
-// run rather than a modeling choice (geometry, procs, seed, sampling)
-// carry none.
+// run rather than a modeling choice (geometry, procs, seed) carry none.
 type ErrorClass string
 
 const (

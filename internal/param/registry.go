@@ -262,30 +262,6 @@ func init() {
 	floatParam("l2.transfer_ns", "L2TransferNS", "ns", "secondary-cache interface line-transfer occupancy",
 		0, 1e6, func(c *machine.Config) *float64 { return &c.L2TransferNS })
 
-	// Sampled simulation: functional fast-forward alternating with
-	// detailed windows on an instruction-count schedule. All of these
-	// change results (sampling is a fidelity tradeoff, not a
-	// verification flag), so they are registered and fingerprinted:
-	// sampled runs memoize under distinct keys from full-detail runs.
-	boolParam("sampling.enabled", "Sampling.Enabled",
-		"sample the run: detailed windows separated by functional fast-forward",
-		func(c *machine.Config) *bool { return &c.Sampling.Enabled })
-	u64Param("sampling.period_instrs", "Sampling.Period", "instrs",
-		"schedule cycle length per node (0 when sampling is off)",
-		0, 1e12, func(c *machine.Config) *uint64 { return &c.Sampling.Period })
-	u64Param("sampling.window_instrs", "Sampling.Window", "instrs",
-		"detailed instructions per period, including warmup (0 when off)",
-		0, 1e12, func(c *machine.Config) *uint64 { return &c.Sampling.Window })
-	u64Param("sampling.warmup_instrs", "Sampling.Warmup", "instrs",
-		"leading window portion accounted as detailed warmup",
-		0, 1e12, func(c *machine.Config) *uint64 { return &c.Sampling.Warmup })
-	u64Param("sampling.phase_instrs", "Sampling.Phase", "instrs",
-		"functional offset of the first window into each stream",
-		0, 1e12, func(c *machine.Config) *uint64 { return &c.Sampling.Phase })
-	boolParam("sampling.cold_state", "Sampling.ColdState",
-		"fast-forward without warming cache/TLB/directory state",
-		func(c *machine.Config) *bool { return &c.Sampling.ColdState })
-
 	// MXS fidelity knobs and injectable historical bugs.
 	boolParam("mxs.model_address_interlocks", "MXS.ModelAddressInterlocks",
 		"charge address-generation interlocks (omission makes MXS 20-30% fast)",

@@ -161,27 +161,27 @@ func TestFingerprintsEscapeLikeJSON(t *testing.T) {
 
 // TestFingerprintsPinned holds four keys: a warm cache stays warm only
 // if these exact strings keep coming out. They were recorded when the
-// schema tag became 5, which moved every key on purpose; the reference
+// schema tag became 6, which moved every key on purpose; the reference
 // encoders above are what ties them to the keys first issued.
 func TestFingerprintsPinned(t *testing.T) {
 	fft, lu := registryProgram(t, "fft", 4, false), registryProgram(t, "lu", 4, false)
 	mipsy := core.SimOSMipsy(4, 150, true)
-	const tracePin = "a9b14f4ba21e349a707324c849be22d4f1bad28c0f7c251ef7fa56b6744e7719"
+	const tracePin = "f0837d1249e33566420543b90102a55b720bcd20cc69cf060c0363aa1ad49ac8"
 	for _, c := range []struct{ what, got, want string }{
 		{"Fingerprint(simos-mipsy, fft)", runner.Fingerprint(mipsy, fft),
-			"24d41e53b5fd3703bf99329b519de3e5cb94c077a8d74b7fa9ef13d2cdd151ab"},
+			"37fe1843c79e9910b7339b2ba84cbd89c1363ffb6aaed487d7c7e435209e2a32"},
 		{"Fingerprint(hw, lu)", runner.Fingerprint(hw.Config(4, true), lu),
-			"7663b03dc2d14e26503e671db1ea3adb1c5a7427f2d55bbc690a59adf11e936a"},
+			"9a77e03102f77f440e4774d4667f9e5933206f8d56456731905e057c92c32ad2"},
 		{"TraceMeta(simos-mipsy, fft).Artifact", runner.TraceMeta(mipsy, fft, nil).Artifact, tracePin},
 		{"ReplayFingerprint(simos-mxs, that trace)", runner.ReplayFingerprint(core.SimOSMXS(4, true), tracePin),
-			"c97d7a15d226b9a8dfd3b4874c47ee995ab73f92dd31ed284cd7f506225f5cf4"},
+			"a4459d32fbd640327d6d858eb8cb6e62feaeceee312f623d2062545baf78145a"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %s, pinned %s", c.what, c.got, c.want)
 		}
 	}
-	if param.SchemaVersion != 5 {
-		t.Errorf("SchemaVersion = %d; the pins above were recorded under 5", param.SchemaVersion)
+	if param.SchemaVersion != 6 {
+		t.Errorf("SchemaVersion = %d; the pins above were recorded under 6", param.SchemaVersion)
 	}
 }
 

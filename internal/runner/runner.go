@@ -16,6 +16,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -266,6 +267,9 @@ func (p *Pool) RunAll(ctx context.Context, jobs []Job) []Outcome {
 	return out
 }
 
+// errSampledMemo refuses a sampled job on a pool with a store.
+var errSampledMemo = errors.New("runner: a sampled run cannot be memoized: its schedule is in no fingerprint")
+
 // runOne executes a single job: store lookup, machine run, store fill.
 // A panicking run fails that job with the stack attached instead of
 // crashing the process (a crashing sim configuration must not take the
@@ -285,6 +289,12 @@ func (p *Pool) runOne(ctx context.Context, j Job) (o Outcome) {
 	cfg := j.config()
 	key := ""
 	if p.store != nil {
+		// No fingerprint carries the sampling schedule, so a sampled
+		// result would be filed under its full-detail run's key.
+		if cfg.Sampling.Enabled {
+			p.failed.add(1)
+			return Outcome{Err: errSampledMemo}
+		}
 		key = j.Fingerprint()
 	}
 	if key != "" {

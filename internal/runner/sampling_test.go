@@ -2,107 +2,38 @@ package runner_test
 
 import (
 	"context"
-	"reflect"
+	"strings"
 	"testing"
 
 	"flashsim/internal/machine"
 	"flashsim/internal/runner"
 )
 
-func sampledJob(ops int, seed uint64) runner.Job {
+// TestStoredPoolRefusesSampledJobs: the sampling schedule is in no
+// fingerprint, so a memoizing pool would file a sampled result under
+// the full-detail run's key. It refuses the job instead, before it
+// runs; a pool without a store still runs it.
+func TestStoredPoolRefusesSampledJobs(t *testing.T) {
 	cfg := testCfg(2)
 	cfg.Sampling = machine.DefaultSampling()
-	return runner.Job{Config: cfg, Prog: tinyProg(2, ops), Seed: seed}
-}
+	job := runner.Job{Config: cfg, Prog: tinyProg(2, 2000), Seed: 1}
+	if job.Fingerprint() != (runner.Job{Config: testCfg(2), Prog: job.Prog, Seed: 1}).Fingerprint() {
+		t.Fatal("the schedule reached the fingerprint; the refusal is no longer needed")
+	}
 
-// TestSamplingChangesFingerprint pins that sampled runs memoize under
-// their own keys: flipping the schedule on, or changing any sampling
-// parameter, must re-key the job so cached full-detail results are
-// never served for sampled requests (or vice versa).
-func TestSamplingChangesFingerprint(t *testing.T) {
-	full := runner.Job{Config: testCfg(2), Prog: tinyProg(2, 500), Seed: 1}
-	sampled := sampledJob(500, 1)
-	if full.Fingerprint() == sampled.Fingerprint() {
-		t.Fatal("sampled job shares a fingerprint with the full-detail job")
-	}
-	keys := map[string]string{"full": full.Fingerprint(), "sampled": sampled.Fingerprint()}
-	mutate := map[string]func(*machine.SamplingConfig){
-		"period": func(s *machine.SamplingConfig) { s.Period *= 2 },
-		"window": func(s *machine.SamplingConfig) { s.Window /= 2 },
-		"warmup": func(s *machine.SamplingConfig) { s.Warmup++ },
-		"phase":  func(s *machine.SamplingConfig) { s.Phase = 777 },
-		"cold":   func(s *machine.SamplingConfig) { s.ColdState = true },
-	}
-	for name, mut := range mutate {
-		j := sampledJob(500, 1)
-		mut(&j.Config.Sampling)
-		k := j.Fingerprint()
-		for prev, pk := range keys {
-			if k == pk {
-				t.Errorf("sampling.%s variant collides with %s", name, prev)
-			}
-		}
-		keys[name] = k
-	}
-}
-
-// TestSampledBatchIsWorkerCountInvariant pins sampled-mode determinism
-// through the pool: a batch of sampled jobs returns bit-identical
-// results whatever the -jobs count.
-func TestSampledBatchIsWorkerCountInvariant(t *testing.T) {
-	jobs := make([]runner.Job, 6)
-	for i := range jobs {
-		jobs[i] = sampledJob(2000+100*i, uint64(i+1))
-	}
-	serial, err := runner.New(1, nil).Run(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := runner.New(4, nil).Run(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("sampled results differ between 1 and 4 workers")
-	}
-	for i, r := range serial {
-		if !r.Sampled {
-			t.Fatalf("job %d did not report Sampled", i)
-		}
-	}
-}
-
-// TestSampledResultsMemoize pins the store round trip: a sampled
-// result caches under its own key and replays with its sampling
-// metadata intact.
-func TestSampledResultsMemoize(t *testing.T) {
 	store, err := runner.NewStore("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := runner.New(2, store)
-	jobs := []runner.Job{
-		{Config: testCfg(2), Prog: tinyProg(2, 2000), Seed: 1},
-		sampledJob(2000, 1),
+	pool := runner.New(1, store)
+	out := pool.RunOne(context.Background(), job)
+	if out.Err == nil || !strings.Contains(out.Err.Error(), "sampled") {
+		t.Fatalf("a stored pool ran a sampled job: err %v", out.Err)
 	}
-	first, err := pool.Run(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
+	if st := pool.Stats(); st.Ran != 0 || st.Failed != 1 {
+		t.Errorf("the refusal counted as ran %d failed %d, want 0 and 1", st.Ran, st.Failed)
 	}
-	second, err := pool.Run(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := pool.Stats(); st.CacheHits != int64(len(jobs)) {
-		t.Fatalf("warm batch hits = %d, want %d", st.CacheHits, len(jobs))
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("memoized sampled results differ from computed")
-	}
-	if first[0].Sampled || !first[1].Sampled {
-		t.Fatalf("Sampled flags wrong: full=%v sampled=%v", first[0].Sampled, first[1].Sampled)
-	}
-	if second[1].Sampling != first[1].Sampling {
-		t.Fatal("sampling metadata lost in the store round trip")
+	if res, err := runner.RunOne(runner.Serial(), job); err != nil || !res.Sampled {
+		t.Errorf("a storeless pool: sampled %v, err %v", res.Sampled, err)
 	}
 }

@@ -89,7 +89,8 @@ func TestEveryKind(t *testing.T) {
 }
 
 // TestUnrunnableSpecRefusedAtTheDoor: a spec machine.New would reject,
-// or whose machine is bigger than any the daemon will build, is a 400
+// whose machine is bigger than any the daemon will build, or that sets
+// a path the registry does not know (sampling.* among them) is a 400
 // naming the config before a queue slot is taken, and a workload whose
 // thread count is not the machine's processor count one naming the
 // workload. (Queued, the first three came back as 500s, one with a
@@ -100,12 +101,13 @@ func TestUnrunnableSpecRefusedAtTheDoor(t *testing.T) {
 	close(gate)
 	const gups = `,"workload":{"name":"gups","log_table":10,"updates":64}`
 	for name, row := range map[string]struct{ spec, want string }{
-		"no processors":    {`"procs":-1` + gups, "config: "},
-		"negative clock":   {`"mhz":-5` + gups, "config: "},
-		"window > period":  {`"set":[{"path":"sampling.enabled","value":"true"},{"path":"sampling.period_instrs","value":"10"},{"path":"sampling.window_instrs","value":"100"}]` + gups, "config: "},
-		"20000 processors": {`"procs":20000` + gups, "config: "},
-		"one over":         {fmt.Sprintf(`"procs":%d`, maxProcs+1) + gups, "config: "},
-		"1 thread on 4":    {`"procs":4,"workload":{"name":"snbench.restart","lines":8}`, "workload: "},
+		"no processors":     {`"procs":-1` + gups, "config: "},
+		"negative clock":    {`"mhz":-5` + gups, "config: "},
+		"L2 line < L1 line": {`"set":[{"path":"l2.line_bytes","value":"16"}]` + gups, "config: machine "},
+		"sampling":          {`"set":[{"path":"sampling.enabled","value":"true"}]` + gups, `config: param: unknown path "sampling.enabled"`},
+		"20000 processors":  {`"procs":20000` + gups, "config: "},
+		"one over":          {fmt.Sprintf(`"procs":%d`, maxProcs+1) + gups, "config: "},
+		"1 thread on 4":     {`"procs":4,"workload":{"name":"snbench.restart","lines":8}`, "workload: "},
 	} {
 		body := `{"base":"simos-mipsy",` + row.spec + `}`
 		resp, data := postJSON(t, ts.URL+"/v1/runs?wait=true", []byte(body))

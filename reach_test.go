@@ -409,6 +409,7 @@ var stateAllow = map[string]string{
 	"harness.Table3Data":         "observed by a test: checkTable3 reads every case's three latencies",
 	"harness.WorkloadTrendRow":   "report: the rows of worksweep's -json evidence file",
 	"machine.Config.Shards":      "benchmark: deprecated and ignored; the frozen benchmark's probe writes it, and it goes when that does",
+	"machine.Result.Sampled":     "wire: flashd's result body and the memo store carry it; the sampling engine that sets it goes with the frozen benchmark's sampled replays",
 	"obs.Report":                 "report: the -metrics-out document's layout version",
 	"param.Param.Field":          "observed by a test: the snapshot and canonical-encoder walks resolve it by reflection",
 	"proto.PointerStore.reclaim": "observed by a test: through PointerStore.Reclaims",
