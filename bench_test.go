@@ -116,7 +116,7 @@ func BenchmarkSnbenchChase(b *testing.B) {
 	cfg := hw.Config(4, true)
 	cfg.JitterPct = 0
 	for i := 0; i < b.N; i++ {
-		if _, err := machine.Run(cfg, snbench.DependentLoads(0, 0)); err != nil {
+		if _, err := machine.Run(cfg, snbench.DependentLoads(0)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -40,6 +40,7 @@ import (
 	"flashsim/internal/core"
 	"flashsim/internal/harness"
 	"flashsim/internal/machine"
+	"flashsim/internal/param"
 	"flashsim/internal/runner"
 	"flashsim/internal/workload"
 )
@@ -192,9 +193,22 @@ func addSimFlags(fs *flag.FlagSet, def string) simFlags {
 	}
 }
 
+// checkProcs holds a processor count given by flag to the registry's
+// bounds on procs, the ones flashd holds a request to.
+func checkProcs(name string, n int) error {
+	p, _ := param.Lookup("procs")
+	if _, err := param.Coerce(p.Kind, p.Min, p.Max, nil, n); err != nil {
+		return usagef("%s: %v", name, err)
+	}
+	return nil
+}
+
 // config resolves -sim at the given size, seeds it, and applies the
 // -config/-set overrides.
 func (sf simFlags) config(cf *cliutil.Flags, procs int) (machine.Config, error) {
+	if err := checkProcs("-procs", procs); err != nil {
+		return machine.Config{}, err
+	}
 	cfg, err := core.ConfigByName(*sf.name, procs, *sf.mhz, true)
 	if err != nil {
 		return cfg, usageError{err}
@@ -287,6 +301,9 @@ func worksweepCmd(fs *flag.FlagSet, _ *cliutil.Flags) func(*env) error {
 			n, err := strconv.Atoi(v)
 			if err != nil {
 				return usagef("-sizes: %v", err)
+			}
+			if err := checkProcs("-sizes", n); err != nil {
+				return err
 			}
 			s.SweepSizes = append(s.SweepSizes, n)
 		}

@@ -142,6 +142,12 @@ func TestUsageErrors(t *testing.T) {
 		// bound that passed for unbounded, without -cache-dir.
 		{"run -cache-max-bytes 8589934592GiB", []string{"-cache-max-bytes", "8589934592GiB"}},
 		{"run -cache-max-bytes 1MiB", []string{"-cache-max-bytes", "-cache-dir"}},
+		// -procs is held to the registry's bounds on procs, [1, 1024].
+		{"run -app fft -full=false -procs 0", []string{"-procs", "[1, 1024]"}},
+		{"run -app fft -full=false -procs -3", []string{"-procs", "[1, 1024]"}},
+		{"run -app fft -full=false -procs 1025", []string{"-procs", "[1, 1024]"}},
+		{"trace capture -app fft -full=false -procs 0 -o x.fltr", []string{"-procs", "[1, 1024]"}},
+		{"worksweep -quick -workloads gups -sizes 4,0", []string{"-sizes", "[1, 1024]"}},
 	} {
 		stdout, stderr, status := flashsim(strings.Fields(tc.args)...)
 		if status != 2 {
@@ -269,6 +275,22 @@ func TestUnwritableCacheEntryFailsTheRun(t *testing.T) {
 	}
 	if tmp, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmp) > 0 {
 		t.Errorf("failed writes left temp files: %v", tmp)
+	}
+}
+
+// TestWorkloadParamsKeyTheMemo: every workload parameter is part of the
+// memo key, so a run that differs from a cached one in a single -p
+// value is simulated, not served the cached result.
+func TestWorkloadParamsKeyTheMemo(t *testing.T) {
+	dir := t.TempDir()
+	for _, iters := range []string{"2", "4"} {
+		stdout, stderr, status := flashsim("run", "-app", "ocean", "-full=false", "-p", "iters="+iters, "-cache-dir", dir)
+		if status != 0 {
+			t.Fatalf("iters=%s: exit %d\n%s", iters, status, stderr)
+		}
+		if strings.Contains(stdout, "[memoized") || !strings.Contains(stdout, "iters="+iters) {
+			t.Errorf("iters=%s after iters=2 on one -cache-dir was not simulated:\n%s", iters, stdout)
+		}
 	}
 }
 

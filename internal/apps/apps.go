@@ -14,8 +14,10 @@
 //   - Radix-Sort with data placement disabled ("unplaced": every page on
 //     node 0, the Figure 7 hotspot).
 //
-// Problem sizes default to 1/16 of Table 2, matching the 1/16-scale
-// cache geometry of machine.ScaledCaches (documented in EXPERIMENTS.md).
+// Each kernel takes its options as given. Defaults and bounds live in
+// the workload registry (internal/workload), whose full-scale sizes are
+// 1/16 of Table 2, matching the 1/16-scale cache geometry of
+// machine.ScaledCaches (documented in EXPERIMENTS.md).
 package apps
 
 import (

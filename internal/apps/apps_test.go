@@ -146,7 +146,7 @@ func TestRadixEmitsDividesAndMultiplies(t *testing.T) {
 }
 
 func TestRadixPassCount(t *testing.T) {
-	// KeyBits=20: radix 256 -> 3 passes, radix 32 -> 4 passes; divide
+	// 20 key bits: radix 256 -> 3 passes, radix 32 -> 4 passes; divide
 	// count is one per key per pass (histogram phase).
 	c256 := countOps(t, apps.Radix(apps.RadixOpts{Keys: 1 << 10, Radix: 256, Procs: 1}))
 	c32 := countOps(t, apps.Radix(apps.RadixOpts{Keys: 1 << 10, Radix: 32, Procs: 1}))
@@ -172,19 +172,19 @@ func TestRadixUnplacedHomesEverythingOnNode0(t *testing.T) {
 }
 
 func TestLURunsAndEmitsFP(t *testing.T) {
-	c := countOps(t, apps.LU(apps.LUOpts{N: 64, Block: 16, Procs: 2}))
+	c := countOps(t, apps.LU(apps.LUOpts{N: 64, Procs: 2}))
 	if c[isa.FPMul] == 0 || c[isa.FPDiv] == 0 {
 		t.Fatalf("LU fp mix: %v", c)
 	}
-	prog := apps.LU(apps.LUOpts{N: 64, Block: 16, Procs: 2})
+	prog := apps.LU(apps.LUOpts{N: 64, Procs: 2})
 	if _, err := machine.Run(quickCfg(2, osmodel.SimOS), prog); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestLURoundsDimensionToBlock(t *testing.T) {
-	c1 := countOps(t, apps.LU(apps.LUOpts{N: 60, Block: 16, Procs: 1}))
-	c2 := countOps(t, apps.LU(apps.LUOpts{N: 64, Block: 16, Procs: 1}))
+	c1 := countOps(t, apps.LU(apps.LUOpts{N: 60, Procs: 1}))
+	c2 := countOps(t, apps.LU(apps.LUOpts{N: 64, Procs: 1}))
 	if c1[isa.FPMul] != c2[isa.FPMul] {
 		t.Fatalf("N=60 should round to 64: %d vs %d", c1[isa.FPMul], c2[isa.FPMul])
 	}

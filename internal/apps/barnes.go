@@ -8,33 +8,17 @@ import (
 
 // BarnesOpts parameterizes the Barnes-Hut n-body kernel.
 type BarnesOpts struct {
-	// Bodies is the particle count (default 1024; SPLASH-2's 16K
-	// bodies scaled by the study's 1/16 rule).
+	// Bodies is the particle count (SPLASH-2's 16K bodies scaled by
+	// the study's 1/16 rule is 1024).
 	Bodies int
-	// Steps is the number of time steps (default 4).
+	// Steps is the number of time steps.
 	Steps int
-	// ThetaPct is the opening angle threshold as a percentage
-	// (default 50, i.e. theta = 0.5): a cell whose size/distance ratio
-	// is below theta is approximated by its center of mass instead of
-	// being opened.
+	// ThetaPct is the opening angle threshold as a percentage (50 is
+	// theta = 0.5): a cell whose size/distance ratio is below theta is
+	// approximated by its center of mass instead of being opened.
 	ThetaPct int
 	// Procs is the thread count.
 	Procs int
-}
-
-func (o *BarnesOpts) norm() {
-	if o.Bodies == 0 {
-		o.Bodies = 1024
-	}
-	if o.Steps == 0 {
-		o.Steps = 4
-	}
-	if o.ThetaPct == 0 {
-		o.ThetaPct = 50
-	}
-	if o.Procs == 0 {
-		o.Procs = 1
-	}
 }
 
 const (
@@ -214,11 +198,10 @@ func (sh *barnesShared) bodyAddr(b int) uint64 {
 // pointer-chasing sharing pattern the array kernels (FFT, LU, Ocean)
 // never produce.
 func Barnes(o BarnesOpts) emitter.Program {
-	o.norm()
 	theta := float64(o.ThetaPct) / 100
 	return emitter.Program{
 		Name:    "barnes",
-		Variant: fmt.Sprintf("n=%d steps=%d", o.Bodies, o.Steps),
+		Variant: fmt.Sprintf("n=%d steps=%d theta=%d%%", o.Bodies, o.Steps, o.ThetaPct),
 		Threads: o.Procs,
 		Setup: func(as *emitter.AddressSpace) any {
 			sh := &barnesShared{}

@@ -9,24 +9,12 @@ import (
 // CacheMgmtOpts parameterizes the cache-management microworkload.
 type CacheMgmtOpts struct {
 	// Lines is the number of buffer lines written and flushed per
-	// round (default 256).
+	// round.
 	Lines int
-	// Rounds repeats the produce/flush cycle (default 8).
+	// Rounds repeats the produce/flush cycle.
 	Rounds int
 	// Procs is the thread count.
 	Procs int
-}
-
-func (o *CacheMgmtOpts) norm() {
-	if o.Lines == 0 {
-		o.Lines = 256
-	}
-	if o.Rounds == 0 {
-		o.Rounds = 8
-	}
-	if o.Procs == 0 {
-		o.Procs = 1
-	}
 }
 
 // CacheMgmt is a driver-style kernel: fill a buffer, then CACHE
@@ -36,7 +24,6 @@ func (o *CacheMgmtOpts) norm() {
 // and the processor stalled for ~a million cycles until a timer
 // interrupt retried it.
 func CacheMgmt(o CacheMgmtOpts) emitter.Program {
-	o.norm()
 	const lineBytes = 128
 	return emitter.Program{
 		Name:    "cachemgmt",

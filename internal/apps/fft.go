@@ -8,8 +8,8 @@ import (
 
 // FFTOpts parameterizes the FFT kernel.
 type FFTOpts struct {
-	// LogN is the log2 of the point count (must be even; default 16,
-	// i.e. 64K points = 1/16 of the paper's 1M).
+	// LogN is the log2 of the point count; an odd value rounds up,
+	// since the data is a square matrix.
 	LogN int
 	// Procs is the thread count.
 	Procs int
@@ -20,28 +20,13 @@ type FFTOpts struct {
 	// write working set fits the 64-entry TLB (the paper's fix, worth
 	// 14% on one processor and 16% on four).
 	TLBBlocked bool
-	// TLBBlockCols is the column-block width when TLBBlocked
-	// (default 32).
-	TLBBlockCols int
 	// Prefetch enables the hand-inserted prefetches the SPLASH-2
 	// binaries carry.
 	Prefetch bool
 }
 
-func (o *FFTOpts) norm() {
-	if o.LogN == 0 {
-		o.LogN = 16
-	}
-	if o.LogN%2 != 0 {
-		o.LogN++
-	}
-	if o.Procs == 0 {
-		o.Procs = 1
-	}
-	if o.TLBBlockCols == 0 {
-		o.TLBBlockCols = 32
-	}
-}
+// tlbBlockCols is the column-block width of the TLB-blocked transpose.
+const tlbBlockCols = 32
 
 type fftShared struct {
 	n1    int // matrix dimension (sqrt of point count)
@@ -57,16 +42,20 @@ const complexBytes = 16
 // n1 x n1 matrix of complex doubles, row-partitioned across processors
 // with each strip placed locally.
 func FFT(o FFTOpts) emitter.Program {
-	o.norm()
+	o.LogN += o.LogN % 2
 	n := 1 << uint(o.LogN)
 	n1 := 1 << uint(o.LogN/2)
 	variant := "cache-blocked"
 	if o.TLBBlocked {
 		variant = "tlb-blocked"
 	}
+	variant = fmt.Sprintf("%s n=%d", variant, n)
+	if !o.Prefetch {
+		variant += " noprefetch"
+	}
 	return emitter.Program{
 		Name:    "fft",
-		Variant: fmt.Sprintf("%s n=%d", variant, n),
+		Variant: variant,
 		Threads: o.Procs,
 		Setup: func(as *emitter.AddressSpace) any {
 			sh := &fftShared{n1: n1}
@@ -124,7 +113,7 @@ func fftBody(t *emitter.Thread, sh *fftShared, o FFTOpts) {
 // matrix, so the destination page working set is the full column count —
 // far beyond the 64-entry TLB — and every destination line costs a TLB
 // refill on top of its write miss. The TLB-blocked form tiles the column
-// loop (width TLBBlockCols) so the destination pages stay resident.
+// loop (width tlbBlockCols) so the destination pages stay resident.
 func transpose(t *emitter.Thread, sh *fftShared, o FFTOpts, src, dst emitter.Region, lo, hi int) {
 	n1 := sh.n1
 	const rowBlock = 8 // complex elements per 128-byte destination line
@@ -148,9 +137,8 @@ func transpose(t *emitter.Thread, sh *fftShared, o FFTOpts, src, dst emitter.Reg
 		}
 		return
 	}
-	w := o.TLBBlockCols
-	for c0 := 0; c0 < n1; c0 += w {
-		c1 := min(c0+w, n1)
+	for c0 := 0; c0 < n1; c0 += tlbBlockCols {
+		c1 := min(c0+tlbBlockCols, n1)
 		for rb := lo; rb < hi; rb += rowBlock {
 			emitTile(rb, c0, c1)
 		}

@@ -8,43 +8,20 @@ import (
 
 // GUPSOpts parameterizes the random-update kernel.
 type GUPSOpts struct {
-	// LogTable is log2 of the table length in 8-byte words
-	// (default 18: 256K words = 2 MB, 512 pages against the 64-entry
-	// TLB).
+	// LogTable is log2 of the table length in 8-byte words (18 is
+	// 256K words = 2 MB, 512 pages against the 64-entry TLB).
 	LogTable int
-	// Updates is the read-modify-write count per thread
-	// (default 32768).
+	// Updates is the read-modify-write count per thread.
 	Updates int
 	// HotPct is the percentage of updates directed at the hot 1/64
-	// slice of the table (default 25) — the "hotspot" in
-	// random-update hotspot. 0 is classic uniform GUPS.
+	// slice of the table — the "hotspot" in random-update hotspot. 0
+	// is classic uniform GUPS.
 	HotPct int
 	// Procs is the thread count.
 	Procs int
 	// Unplaced homes every table page on node 0 (the Figure 7 hotspot
 	// placement) instead of first-touch distribution.
 	Unplaced bool
-}
-
-func (o *GUPSOpts) norm() {
-	if o.LogTable == 0 {
-		o.LogTable = 18
-	}
-	if o.LogTable < 6 {
-		o.LogTable = 6
-	}
-	if o.Updates == 0 {
-		o.Updates = 32768
-	}
-	if o.HotPct == 0 {
-		o.HotPct = 25
-	}
-	if o.HotPct < 0 {
-		o.HotPct = 0
-	}
-	if o.Procs == 0 {
-		o.Procs = 1
-	}
 }
 
 // GUPS returns a GUPS-style random-update kernel: each thread performs
@@ -55,10 +32,9 @@ func (o *GUPSOpts) norm() {
 // remote access to node 0's memory — the pure memory-system stressor
 // among the registered workloads.
 func GUPS(o GUPSOpts) emitter.Program {
-	o.norm()
 	words := uint64(1) << o.LogTable
 	hotWords := words / 64
-	variant := fmt.Sprintf("2^%d words", o.LogTable)
+	variant := fmt.Sprintf("2^%d words updates=%d", o.LogTable, o.Updates)
 	if o.HotPct > 0 {
 		variant += fmt.Sprintf(" hot=%d%%", o.HotPct)
 	}

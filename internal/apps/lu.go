@@ -8,33 +8,19 @@ import (
 
 // LUOpts parameterizes the blocked dense LU factorization.
 type LUOpts struct {
-	// N is the matrix dimension (default 160; the paper's 768x768
-	// matrix is ~2.3x its 2 MB L2, and 160x160 doubles are ~1.6x the
-	// scaled 128 KB L2, preserving the capacity relationship at
-	// tractable instruction counts).
+	// N is the matrix dimension, rounded up to a multiple of the
+	// block size. The paper's 768x768 matrix is ~2.3x its 2 MB L2, and
+	// 160x160 doubles are ~1.6x the scaled 128 KB L2, preserving the
+	// capacity relationship at tractable instruction counts.
 	N int
-	// Block is the block size (16, as in Table 2).
-	Block int
 	// Procs is the thread count.
 	Procs int
 	// Prefetch enables the hand-inserted prefetches.
 	Prefetch bool
 }
 
-func (o *LUOpts) norm() {
-	if o.N == 0 {
-		o.N = 160
-	}
-	if o.Block == 0 {
-		o.Block = 16
-	}
-	if o.Procs == 0 {
-		o.Procs = 1
-	}
-	if o.N%o.Block != 0 {
-		o.N = (o.N/o.Block + 1) * o.Block
-	}
-}
+// luBlock is the block size (16, as in Table 2).
+const luBlock = 16
 
 type luShared struct {
 	o      LUOpts
@@ -51,8 +37,8 @@ type luShared struct {
 // reason MXS (and the real R10000) run it well and unit-latency Mipsy
 // models need a 1.5x clock to keep up.
 func LU(o LUOpts) emitter.Program {
-	o.norm()
-	nb := o.N / o.Block
+	nb := (o.N + luBlock - 1) / luBlock
+	o.N = nb * luBlock
 	pr := 1
 	for pr*pr < o.Procs {
 		pr++
@@ -61,9 +47,13 @@ func LU(o LUOpts) emitter.Program {
 		pr--
 	}
 	pc := o.Procs / pr
+	variant := fmt.Sprintf("n=%d b=%d", o.N, luBlock)
+	if !o.Prefetch {
+		variant += " noprefetch"
+	}
 	return emitter.Program{
 		Name:    "lu",
-		Variant: fmt.Sprintf("n=%d b=%d", o.N, o.Block),
+		Variant: variant,
 		Threads: o.Procs,
 		Setup: func(as *emitter.AddressSpace) any {
 			sh := &luShared{o: o, nb: nb, pr: pr, pc: pc}
@@ -85,13 +75,13 @@ func (sh *luShared) owner(bi, bj int) int {
 // blockAddr returns the address of element (i,j) of block (bi,bj) in the
 // block-major layout.
 func (sh *luShared) blockAddr(bi, bj, i, j int) uint64 {
-	b := sh.o.Block
+	const b = luBlock
 	blockBytes := uint64(b*b) * 8
 	return sh.matrix.Base + uint64(bi*sh.nb+bj)*blockBytes + uint64(i*b+j)*8
 }
 
 func luBody(t *emitter.Thread, sh *luShared) {
-	b := sh.o.Block
+	const b = luBlock
 	nb := sh.nb
 
 	// Initialization: each owner touches its blocks (first-touch
@@ -139,7 +129,7 @@ func luBody(t *emitter.Thread, sh *luShared) {
 
 // factorDiag emits the unblocked factorization of diagonal block k.
 func (sh *luShared) factorDiag(t *emitter.Thread, k int) {
-	b := sh.o.Block
+	const b = luBlock
 	for j := 0; j < b; j++ {
 		pivot := t.Load(sh.blockAddr(k, k, j, j), 8, emitter.None, emitter.None)
 		for i := j + 1; i < b; i++ {
@@ -160,7 +150,7 @@ func (sh *luShared) factorDiag(t *emitter.Thread, k int) {
 // solveBlock emits the triangular solve of block (bi,bj) against
 // diagonal block k.
 func (sh *luShared) solveBlock(t *emitter.Thread, k, bi, bj int) {
-	b := sh.o.Block
+	const b = luBlock
 	for j := 0; j < b; j++ {
 		d := t.Load(sh.blockAddr(k, k, j, j), 8, emitter.None, emitter.None)
 		for i := 0; i < b; i++ {
@@ -175,7 +165,7 @@ func (sh *luShared) solveBlock(t *emitter.Thread, k, bi, bj int) {
 // updateBlock emits C(bi,bj) -= A(bi,k) * B(k,bj), the dense dot-product
 // kernel where nearly all of LU's time goes.
 func (sh *luShared) updateBlock(t *emitter.Thread, bi, bj, k int) {
-	b := sh.o.Block
+	const b = luBlock
 	for i := 0; i < b; i++ {
 		if sh.o.Prefetch {
 			t.Prefetch(sh.blockAddr(bi, k, min(i+1, b-1), 0))

@@ -8,37 +8,19 @@ import (
 
 // OceanOpts parameterizes the Ocean kernel.
 type OceanOpts struct {
-	// N is the interior grid dimension (default 128; the paper's
-	// 514x514 grids are ~2 MB each against a 2 MB L2, and (130)^2
-	// doubles are ~135 KB against the scaled 128 KB L2).
+	// N is the interior grid dimension. The paper's 514x514 grids
+	// are ~2 MB each against a 2 MB L2, and (130)^2 doubles are
+	// ~135 KB against the scaled 128 KB L2.
 	N int
-	// Grids is the number of simultaneously live grids (default 14;
-	// real Ocean keeps ~25).
+	// Grids is the number of simultaneously live grids (real Ocean
+	// keeps ~25).
 	Grids int
-	// Iters is the number of outer time steps (default 4).
+	// Iters is the number of outer time steps.
 	Iters int
 	// Procs is the thread count.
 	Procs int
 	// Prefetch enables hand-inserted prefetches.
 	Prefetch bool
-}
-
-func (o *OceanOpts) norm() {
-	if o.N == 0 {
-		o.N = 128
-	}
-	if o.Grids == 0 {
-		o.Grids = 14
-	}
-	if o.Grids < 3 {
-		o.Grids = 3
-	}
-	if o.Iters == 0 {
-		o.Iters = 4
-	}
-	if o.Procs == 0 {
-		o.Procs = 1
-	}
 }
 
 type oceanShared struct {
@@ -94,10 +76,13 @@ func sweepPlan(grids int) []sweepSpec {
 // processor (the 3x miss-rate misprediction of §3.1.2), while IRIX's
 // virtual coloring spreads the phases.
 func Ocean(o OceanOpts) emitter.Program {
-	o.norm()
+	variant := fmt.Sprintf("n=%d grids=%d iters=%d", o.N, o.Grids, o.Iters)
+	if !o.Prefetch {
+		variant += " noprefetch"
+	}
 	return emitter.Program{
 		Name:    "ocean",
-		Variant: fmt.Sprintf("n=%d grids=%d", o.N, o.Grids),
+		Variant: variant,
 		Threads: o.Procs,
 		Setup: func(as *emitter.AddressSpace) any {
 			sh := &oceanShared{o: o, dim: o.N + 2}

@@ -8,52 +8,21 @@ import (
 
 // OLTPOpts parameterizes the transaction-mix kernel.
 type OLTPOpts struct {
-	// Txns is the transaction count per thread (default 1024).
+	// Txns is the transaction count per thread.
 	Txns int
-	// Rows is the table size in rows (default 32768; 128-byte rows,
-	// 4 MB of row heap).
+	// Rows is the table size in 128-byte rows.
 	Rows int
-	// Ops is the row operations per transaction (default 8).
+	// Ops is the row operations per transaction.
 	Ops int
-	// ReadPct is the percentage of row operations that are reads
-	// (default 80; the rest write the row under its bucket lock).
+	// ReadPct is the percentage of row operations that are reads (the
+	// rest write the row under its bucket lock).
 	ReadPct int
 	// SkewPct is the percentage of operations directed at the popular
-	// 1/64 slice of the key space (default 60) — skewed key
-	// popularity, the contention knob.
+	// 1/64 slice of the key space — skewed key popularity, the
+	// contention knob.
 	SkewPct int
 	// Procs is the thread count.
 	Procs int
-}
-
-func (o *OLTPOpts) norm() {
-	if o.Txns == 0 {
-		o.Txns = 1024
-	}
-	if o.Rows == 0 {
-		o.Rows = 32768
-	}
-	if o.Rows < 256 {
-		o.Rows = 256
-	}
-	if o.Ops == 0 {
-		o.Ops = 8
-	}
-	if o.ReadPct == 0 {
-		o.ReadPct = 80
-	}
-	if o.ReadPct < 0 {
-		o.ReadPct = 0
-	}
-	if o.SkewPct == 0 {
-		o.SkewPct = 60
-	}
-	if o.SkewPct < 0 {
-		o.SkewPct = 0
-	}
-	if o.Procs == 0 {
-		o.Procs = 1
-	}
 }
 
 const (
@@ -82,10 +51,10 @@ type oltpShared struct {
 // the read/write mix, so lock contention and directory sharing are both
 // dialable from the registry.
 func OLTP(o OLTPOpts) emitter.Program {
-	o.norm()
 	return emitter.Program{
-		Name:    "oltp",
-		Variant: fmt.Sprintf("rows=%d r/w=%d/%d skew=%d%%", o.Rows, o.ReadPct, 100-o.ReadPct, o.SkewPct),
+		Name: "oltp",
+		Variant: fmt.Sprintf("txns=%d rows=%d ops=%d r/w=%d/%d skew=%d%%",
+			o.Txns, o.Rows, o.Ops, o.ReadPct, 100-o.ReadPct, o.SkewPct),
 		Threads: o.Procs,
 		Setup: func(as *emitter.AddressSpace) any {
 			sh := &oltpShared{}

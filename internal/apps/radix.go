@@ -8,9 +8,9 @@ import (
 
 // RadixOpts parameterizes the Radix-Sort kernel.
 type RadixOpts struct {
-	// Keys is the key count (default 256K; the paper's 2M keys make
-	// the destination array span ~2048 pages against the 64-entry TLB,
-	// and 256K keys preserve a comfortably TLB-breaking 256 pages).
+	// Keys is the key count. The paper's 2M keys make the destination
+	// array span ~2048 pages against the 64-entry TLB, and 256K keys
+	// preserve a comfortably TLB-breaking 256 pages.
 	Keys int
 	// Radix is the digit size (power of two). The traditional value is
 	// 256 ("run with a large radix to reduce overhead"), which incurs
@@ -18,10 +18,6 @@ type RadixOpts struct {
 	// the paper's fix reduces it to 32 (31% faster on one processor,
 	// 34% on four).
 	Radix int
-	// KeyBits bounds key values (default 20, giving the paper's 4:3
-	// pass ratio between radix 32 and radix 256: passes =
-	// ceil(KeyBits/log2(Radix))).
-	KeyBits int
 	// Procs is the thread count.
 	Procs int
 	// Unplaced disables data placement, homing every page on node 0 —
@@ -31,20 +27,10 @@ type RadixOpts struct {
 	Verify bool
 }
 
-func (o *RadixOpts) norm() {
-	if o.Keys == 0 {
-		o.Keys = 256 << 10
-	}
-	if o.Radix == 0 {
-		o.Radix = 256
-	}
-	if o.KeyBits == 0 {
-		o.KeyBits = 20
-	}
-	if o.Procs == 0 {
-		o.Procs = 1
-	}
-}
+// radixKeyBits bounds key values, giving the paper's 4:3 pass ratio
+// between radix 32 and radix 256: passes =
+// ceil(radixKeyBits/log2(Radix)).
+const radixKeyBits = 20
 
 type radixShared struct {
 	o       RadixOpts
@@ -65,10 +51,12 @@ type radixShared struct {
 // (the §3.1.3 experiment: +5 cycles per multiply and +19 per divide
 // moved SimOS-Mipsy-225 from 0.71 to 1.02 relative time).
 func Radix(o RadixOpts) emitter.Program {
-	o.norm()
 	variant := fmt.Sprintf("radix=%d n=%d", o.Radix, o.Keys)
 	if o.Unplaced {
 		variant += " unplaced"
+	}
+	if o.Verify {
+		variant += " verify"
 	}
 	return emitter.Program{
 		Name:    "radix",
@@ -111,13 +99,13 @@ func radixBody(t *emitter.Thread, sh *radixShared) {
 	o := sh.o
 	lo, hi := chunk(o.Keys, t.ID, t.N)
 	logR := log2(o.Radix)
-	passes := (o.KeyBits + logR - 1) / logR
+	passes := (radixKeyBits + logR - 1) / logR
 	mask := uint32(o.Radix - 1)
 
 	// Initialization: generate and store this thread's keys.
 	var prev emitter.Val
 	for i := lo; i < hi; i++ {
-		sh.keys[i] = uint32(t.Rand()) & ((1 << uint(o.KeyBits)) - 1)
+		sh.keys[i] = uint32(t.Rand()) & (1<<radixKeyBits - 1)
 		t.Store(sh.keyAddr(i), 4, prev, emitter.None)
 		prev = t.IntALU(emitter.None, emitter.None)
 	}

@@ -8,43 +8,22 @@ import (
 
 // WebServeOpts parameterizes the web-serving OS stressor.
 type WebServeOpts struct {
-	// Requests is the request count per worker thread (default 192).
+	// Requests is the request count per worker thread.
 	Requests int
 	// PagesPerReq is how many fresh 4 KB heap pages each request
-	// touches (default 2): the fork/exec-style cold-page behavior —
-	// every request faults new mappings in, so the kernel's page-fault
-	// path dominates exactly as process-per-request servers do.
+	// touches: the fork/exec-style cold-page behavior — every request
+	// faults new mappings in, so the kernel's page-fault path
+	// dominates exactly as process-per-request servers do.
 	PagesPerReq int
-	// SyscallsPerReq is the system calls emitted per request
-	// (default 6: accept, stat, open, two reads/writes, close).
+	// SyscallsPerReq is the system calls emitted per request (6 is
+	// accept, stat, open, two reads/writes, close).
 	SyscallsPerReq int
-	// Docs is the document-cache entry count (default 32).
+	// Docs is the document-cache entry count.
 	Docs int
-	// ThinkOps is the user-mode integer work per request (default 64).
+	// ThinkOps is the user-mode integer work per request.
 	ThinkOps int
 	// Procs is the worker thread count.
 	Procs int
-}
-
-func (o *WebServeOpts) norm() {
-	if o.Requests == 0 {
-		o.Requests = 192
-	}
-	if o.PagesPerReq == 0 {
-		o.PagesPerReq = 2
-	}
-	if o.SyscallsPerReq == 0 {
-		o.SyscallsPerReq = 6
-	}
-	if o.Docs == 0 {
-		o.Docs = 32
-	}
-	if o.ThinkOps == 0 {
-		o.ThinkOps = 64
-	}
-	if o.Procs == 0 {
-		o.Procs = 1
-	}
 }
 
 const (
@@ -71,11 +50,11 @@ type webShared struct {
 // fidelity rungs (and, at 32-128 nodes, spreads its per-request pages
 // by first touch).
 func WebServe(o WebServeOpts) emitter.Program {
-	o.norm()
 	perThread := uint64(o.Requests) * uint64(o.PagesPerReq) * wsPageBytes
 	return emitter.Program{
-		Name:    "webserve",
-		Variant: fmt.Sprintf("req=%d pages=%d sys=%d", o.Requests, o.PagesPerReq, o.SyscallsPerReq),
+		Name: "webserve",
+		Variant: fmt.Sprintf("req=%d pages=%d sys=%d docs=%d think=%d",
+			o.Requests, o.PagesPerReq, o.SyscallsPerReq, o.Docs, o.ThinkOps),
 		Threads: o.Procs,
 		Setup: func(as *emitter.AddressSpace) any {
 			sh := &webShared{}

@@ -92,43 +92,43 @@ func (c *Calibrator) probe(cfg machine.Config, prog emitter.Program) (machine.Re
 // HWTLBCycles measures the reference TLB-refill cost with the snbench
 // TLB timer.
 func (c *Calibrator) HWTLBCycles() (float64, error) {
-	meas, err := c.Ref.MeasureAt(snbench.TLBTimer(0, 0, 0), 1)
+	meas, err := c.Ref.MeasureAt(snbench.TLBTimer(), 1)
 	if err != nil {
 		return 0, err
 	}
 	// Use the median-ish first run; the metric needs barrier releases.
 	cfg := c.Ref.ConfigAt(1)
-	return snbench.TLBHandlerCycles(meas.Runs[0], cfg.ClockMHz, 0, 0, 0), nil
+	return snbench.TLBHandlerCycles(meas.Runs[0], cfg.ClockMHz), nil
 }
 
 // SimTLBCycles measures a simulator configuration's TLB-refill cost with
 // the snbench TLB timer.
 func (c *Calibrator) SimTLBCycles(cfg machine.Config) (float64, error) {
 	cfg.Procs = 1
-	res, err := c.probe(cfg, snbench.TLBTimer(0, 0, 0))
+	res, err := c.probe(cfg, snbench.TLBTimer())
 	if err != nil {
 		return 0, err
 	}
-	return snbench.TLBHandlerCycles(res, cfg.ClockMHz, 0, 0, 0), nil
+	return snbench.TLBHandlerCycles(res, cfg.ClockMHz), nil
 }
 
 // HWRestartNS measures the reference back-to-back load throughput with
 // the snbench restart-time test (ns per load).
 func (c *Calibrator) HWRestartNS() (float64, error) {
-	meas, err := c.Ref.MeasureAt(snbench.Restart(0), 1)
+	meas, err := c.Ref.MeasureAt(snbench.Restart(snbench.RestartLines), 1)
 	if err != nil {
 		return 0, err
 	}
-	return snbench.ThroughputNSPerLoad(meas.Runs[0], 0), nil
+	return snbench.ThroughputNSPerLoad(meas.Runs[0], snbench.RestartLines), nil
 }
 
 func (c *Calibrator) simRestartNS(cfg machine.Config) (float64, error) {
 	cfg.Procs = 1
-	res, err := c.probe(cfg, snbench.Restart(0))
+	res, err := c.probe(cfg, snbench.Restart(snbench.RestartLines))
 	if err != nil {
 		return 0, err
 	}
-	return snbench.ThroughputNSPerLoad(res, 0), nil
+	return snbench.ThroughputNSPerLoad(res, snbench.RestartLines), nil
 }
 
 // DepCases are the five protocol read cases of Table 3, in the paper's
@@ -149,7 +149,7 @@ func (c *Calibrator) DependentLoadLatencies() (map[proto.Case]float64, error) {
 	offs := make([]int, len(DepCases))
 	for i, pc := range DepCases {
 		offs[i] = len(jobs)
-		jobs = append(jobs, c.Ref.measureJobs(snbench.DependentLoads(pc, 0), snbench.CaseProcs(pc))...)
+		jobs = append(jobs, c.Ref.measureJobs(snbench.DependentLoads(pc), snbench.CaseProcs(pc))...)
 	}
 	results, err := c.Ref.Pool.Run(context.Background(), jobs)
 	if err != nil {
@@ -162,7 +162,7 @@ func (c *Calibrator) DependentLoadLatencies() (map[proto.Case]float64, error) {
 			end = offs[i+1]
 		}
 		meas := measurementFrom(results[offs[i]:end])
-		out[pc] = snbench.LoadLatencyNS(pc, machine.Result{Exec: meas.Mean, BarrierReleases: meas.Runs[0].BarrierReleases}, 0)
+		out[pc] = snbench.LoadLatencyNS(pc, machine.Result{Exec: meas.Mean, BarrierReleases: meas.Runs[0].BarrierReleases})
 	}
 	return out, nil
 }
@@ -171,11 +171,11 @@ func (c *Calibrator) DependentLoadLatencies() (map[proto.Case]float64, error) {
 // configuration (ns per load).
 func (c *Calibrator) SimDepLatency(cfg machine.Config, pc proto.Case) (float64, error) {
 	cfg.Procs = snbench.CaseProcs(pc)
-	res, err := c.probe(cfg, snbench.DependentLoads(pc, 0))
+	res, err := c.probe(cfg, snbench.DependentLoads(pc))
 	if err != nil {
 		return 0, err
 	}
-	return snbench.LoadLatencyNS(pc, res, 0), nil
+	return snbench.LoadLatencyNS(pc, res), nil
 }
 
 // Calibrate tunes cfg against the hardware reference and returns the

@@ -107,23 +107,27 @@ func Table1() string {
 }
 
 // Table2 renders the problem sizes (Table 2: paper vs. this
-// reproduction's scaled sizes).
+// reproduction's scaled sizes, the registry's defaults at s).
 func Table2(s Scale) string {
+	def := func(name, param string) int {
+		_, v := s.resolve(name, nil)
+		return v.Int(param)
+	}
+	suffix := ""
+	if s == ScaleQuick {
+		suffix = " (quick)"
+	}
 	var b strings.Builder
 	b.WriteString("Table 2: SPLASH-2 problem sizes (paper -> scaled)\n")
-	row := func(app, paper, ours string) { fmt.Fprintf(&b, "  %-12s %-28s %s\n", app, paper, ours) }
-	switch s {
-	case ScaleQuick:
-		row("FFT", "1M points", "4K points (quick)")
-		row("Radix-Sort", "2M keys", "32K keys (quick)")
-		row("LU", "768x768 matrix, 16x16 blocks", "96x96, 16x16 blocks (quick)")
-		row("Ocean", "514x514 grid", "66x66 grid (quick)")
-	default:
-		row("FFT", "1M points", "64K points")
-		row("Radix-Sort", "2M keys", "256K keys")
-		row("LU", "768x768 matrix, 16x16 blocks", "160x160, 16x16 blocks")
-		row("Ocean", "514x514 grid", "130x130 grid")
+	row := func(app, paper, ours string, a ...any) {
+		fmt.Fprintf(&b, "  %-12s %-28s %s\n", app, paper, fmt.Sprintf(ours, a...)+suffix)
 	}
+	row("FFT", "1M points", "%dK points", 1<<def("fft", "logn")>>10)
+	row("Radix-Sort", "2M keys", "%dK keys", def("radix", "keys")>>10)
+	n := def("lu", "n")
+	row("LU", "768x768 matrix, 16x16 blocks", "%dx%d, 16x16 blocks", n, n)
+	n = def("ocean", "n") + 2 // the interior plus its boundary rows
+	row("Ocean", "514x514 grid", "%dx%d grid", n, n)
 	return b.String()
 }
 

@@ -40,9 +40,16 @@ const (
 
 // Workload resolves a registered workload at this scale (quick scale
 // selects the registry's quick default sizes) with the given parameter
-// overrides. Names and overrides are internal constants here, so a
-// registry miss is a programming error and panics.
+// overrides.
 func (s Scale) Workload(name string, over map[string]any) core.Workload {
+	def, vals := s.resolve(name, over)
+	return def.Workload(vals)
+}
+
+// resolve looks a workload up and resolves over at this scale. Names
+// and overrides are internal constants here, so a registry miss is a
+// programming error and panics.
+func (s Scale) resolve(name string, over map[string]any) (*workload.Definition, workload.Values) {
 	def, err := workload.Lookup(name)
 	if err != nil {
 		panic(err)
@@ -51,7 +58,7 @@ func (s Scale) Workload(name string, over map[string]any) core.Workload {
 	if err != nil {
 		panic(err)
 	}
-	return def.Workload(vals)
+	return def, vals
 }
 
 // FFTWorkload returns the FFT workload; tlbBlocked selects the paper's

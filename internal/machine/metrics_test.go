@@ -144,8 +144,8 @@ func TestCheckCoherenceCleanRun(t *testing.T) {
 func TestCaseCountsArePortIssued(t *testing.T) {
 	type vec = [proto.NumCases]uint64
 	pinned := map[string][2]vec{
-		"snbench-loads/remote-clean":    {{0, 0, 256, 0, 0, 0}, {0, 3, 259, 3, 3, 0}},
-		"webserve/req=48 pages=2 sys=6": {{1884, 131, 1034, 131, 271, 23}, {1886, 134, 1040, 134, 275, 37}},
+		"snbench-loads/remote-clean":                     {{0, 0, 256, 0, 0, 0}, {0, 3, 259, 3, 3, 0}},
+		"webserve/req=48 pages=2 sys=6 docs=32 think=64": {{1884, 131, 1034, 131, 271, 23}, {1886, 134, 1040, 134, 275, 37}},
 	}
 	for _, prog := range registryPrograms(t, 4) {
 		res, perPort, err := machine.RunPorts(hw.Config(prog.Threads, true), prog)

@@ -77,18 +77,18 @@ type sampledPin struct {
 // instruction carries every field the sampling engine and classic
 // Mipsy read.
 var sampledPins = map[string][2]sampledPin{
-	"barnes/n=256 steps=2":              {{1924058, 0xc36aff616a4457b2}, {1847138, 0xd32801f6e4496f8d}},
-	"cachemgmt/lines=64 rounds=2":       {{45131, 0x9e5ad1cf1553b053}, {45131, 0x9e5ad1cf1553b053}},
-	"fft/tlb-blocked n=4096":            {{1155441, 0xb8175c4cda3194a7}, {874555, 0x8ee27d92d341b1db}},
-	"gups/2^14 words hot=25%":           {{1506533, 0xf62df0e8d743a7e}, {149345, 0x6e5bbb69c018c64}},
-	"lu/n=96 b=16":                      {{3886550, 0xb4dfe410ed64d7df}, {3931006, 0xfe5ceb7026189588}},
-	"ocean/n=64 grids=8":                {{2735675, 0xaf751b9f279dd650}, {2325899, 0x1e14b7d7effaf03a}},
-	"oltp/rows=4096 r/w=80/20 skew=60%": {{1468669, 0x84a1ff19b0f2df9a}, {496868, 0xeb427b6eab182e09}},
-	"radix/radix=256 n=32768":           {{7232812, 0xf03a3f22227c677c}, {7770689, 0x6f9895b242da44e3}},
-	"snbench-loads/remote-clean":        {{310681, 0x758271dd477a1a74}, {310681, 0x758271dd477a1a74}},
-	"snbench-restart/lines=1024":        {{405138, 0x299482421690d742}, {405138, 0x299482421690d742}},
-	"snbench-tlb/pages=128 fit=32":      {{86448, 0xfaa56a6bffdf79c9}, {86448, 0xfaa56a6bffdf79c9}},
-	"webserve/req=48 pages=2 sys=6":     {{1632953, 0x43588062e0a44fbb}, {1462361, 0xe0b806996b21185}},
+	"barnes/n=256 steps=2 theta=50%":                   {{1924058, 0xc36aff616a4457b2}, {1847138, 0xd32801f6e4496f8d}},
+	"cachemgmt/lines=64 rounds=2":                      {{45131, 0x9e5ad1cf1553b053}, {45131, 0x9e5ad1cf1553b053}},
+	"fft/tlb-blocked n=4096":                           {{1155441, 0xb8175c4cda3194a7}, {874555, 0x8ee27d92d341b1db}},
+	"gups/2^14 words updates=4096 hot=25%":             {{1506533, 0xf62df0e8d743a7e}, {149345, 0x6e5bbb69c018c64}},
+	"lu/n=96 b=16":                                     {{3886550, 0xb4dfe410ed64d7df}, {3931006, 0xfe5ceb7026189588}},
+	"ocean/n=64 grids=8 iters=2":                       {{2735675, 0xaf751b9f279dd650}, {2325899, 0x1e14b7d7effaf03a}},
+	"oltp/txns=192 rows=4096 ops=8 r/w=80/20 skew=60%": {{1468669, 0x84a1ff19b0f2df9a}, {496868, 0xeb427b6eab182e09}},
+	"radix/radix=256 n=32768":                          {{7232812, 0xf03a3f22227c677c}, {7770689, 0x6f9895b242da44e3}},
+	"snbench-loads/remote-clean":                       {{310681, 0x758271dd477a1a74}, {310681, 0x758271dd477a1a74}},
+	"snbench-restart/lines=1024":                       {{405138, 0x299482421690d742}, {405138, 0x299482421690d742}},
+	"snbench-tlb/pages=128 fit=32":                     {{86448, 0xfaa56a6bffdf79c9}, {86448, 0xfaa56a6bffdf79c9}},
+	"webserve/req=48 pages=2 sys=6 docs=32 think=64":   {{1632953, 0x43588062e0a44fbb}, {1462361, 0xe0b806996b21185}},
 }
 
 // TestCaptureReplayBitIdentical pins the tentpole exactness claim: for

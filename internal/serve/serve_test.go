@@ -423,7 +423,7 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		"unknown base":     `{"base":"vax","workload":{"name":"snbench.restart","lines":8}}`,
 		"unknown field":    `{"base":"simos-mipsy","typo":1,"workload":{"name":"snbench.restart","lines":8}}`,
 		"unknown setting":  `{"base":"simos-mipsy","set":[{"path":"no.such.knob","value":"1"}],"workload":{"name":"snbench.restart","lines":8}}`,
-		"bad case":         `{"base":"simos-mipsy","workload":{"name":"snbench.dependent-loads","case":"nope","lines":8}}`,
+		"bad case":         `{"base":"simos-mipsy","workload":{"name":"snbench.dependent-loads","case":"nope"}}`,
 		"second document":  `{"base":"simos-mipsy","workload":{"name":"snbench.restart","lines":8}}{"base":"hw"}`,
 		"trailing garbage": `{"base":"simos-mipsy","workload":{"name":"snbench.restart","lines":8}} trailing garbage`,
 	} {

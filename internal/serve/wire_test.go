@@ -47,7 +47,7 @@ var wireRejects = []string{
 	`{"base":"simos-mipsy"}`,
 	`{"base":"simos-mipsy","workload":{"name":"nope"}}`,
 	`{"base":"simos-mipsy","workload":{"name":"fft","logn":"eight"}}`,
-	`{"base":"simos-mipsy","workload":{"name":"snbench.dependent-loads","case":"nope","lines":8}}`,
+	`{"base":"simos-mipsy","workload":{"name":"snbench.dependent-loads","case":"nope"}}`,
 	wireMismatch,
 }
 

@@ -20,11 +20,11 @@ func TestChaseExercisesExactlyTheIntendedCase(t *testing.T) {
 	} {
 		cfg := hw.Config(snbench.CaseProcs(pc), true)
 		cfg.JitterPct = 0
-		res, err := machine.Run(cfg, snbench.DependentLoads(pc, 0))
+		res, err := machine.Run(cfg, snbench.DependentLoads(pc))
 		if err != nil {
 			t.Fatalf("%v: %v", pc, err)
 		}
-		want := uint64(snbench.ChaseCount(pc, 0))
+		want := uint64(snbench.ChaseCount(pc))
 		got := res.CaseCounts[pc]
 		// The chase loads must dominate this case's count (warming and
 		// sync traffic contribute a handful of other cases).
@@ -35,10 +35,10 @@ func TestChaseExercisesExactlyTheIntendedCase(t *testing.T) {
 }
 
 func TestChaseCount(t *testing.T) {
-	if got := snbench.ChaseCount(proto.LocalClean, 256); got != 248 {
+	if got := snbench.ChaseCount(proto.LocalClean); got != 248 {
 		t.Fatalf("clean chase skips page heads: %d", got)
 	}
-	if got := snbench.ChaseCount(proto.LocalDirtyRemote, 256); got != 256 {
+	if got := snbench.ChaseCount(proto.LocalDirtyRemote); got != 256 {
 		t.Fatalf("dirty chase covers all lines: %d", got)
 	}
 }
@@ -51,15 +51,15 @@ func TestUntunedSimulatorsMispredictLatency(t *testing.T) {
 	hwCfg.JitterPct = 0
 	worst := 0.0
 	for _, pc := range []proto.Case{proto.LocalClean, proto.RemoteClean, proto.LocalDirtyRemote} {
-		hwRes, err := machine.Run(hwCfg, snbench.DependentLoads(pc, 0))
+		hwRes, err := machine.Run(hwCfg, snbench.DependentLoads(pc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		simRes, err := machine.Run(cfg, snbench.DependentLoads(pc, 0))
+		simRes, err := machine.Run(cfg, snbench.DependentLoads(pc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel := snbench.LoadLatencyNS(pc, simRes, 0) / snbench.LoadLatencyNS(pc, hwRes, 0)
+		rel := snbench.LoadLatencyNS(pc, simRes) / snbench.LoadLatencyNS(pc, hwRes)
 		if d := rel - 1; d < 0 {
 			d = -d
 		} else if d > worst {

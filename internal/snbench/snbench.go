@@ -25,10 +25,23 @@ import (
 	"flashsim/internal/sim"
 )
 
-// ChaseLines is the default dependent-chain length (lines of 128 bytes;
-// 256 lines = 32 KB, safely inside one L2 way of every configuration so
-// the dirtying cache retains ownership).
-const ChaseLines = 256
+// The suite is fixed: these sizes are part of what the calibrator
+// measures, so every run of a microbenchmark is the same program.
+const (
+	// chaseLines is the dependent-chain length (lines of 128 bytes;
+	// 256 lines = 32 KB, safely inside one L2 way of every
+	// configuration so the dirtying cache retains ownership).
+	chaseLines = 256
+	// tlbPages, tlbFitPages and tlbRounds shape the TLB timer: pages
+	// chased in the miss phase, pages chased in the hit phase, and
+	// chase rounds per phase.
+	tlbPages    = 128
+	tlbFitPages = 32
+	tlbRounds   = 4
+	// RestartLines is the restart test's stream length in cache lines
+	// as the calibrator runs it.
+	RestartLines = 1024
+)
 
 const (
 	lineBytes    = 128
@@ -37,16 +50,13 @@ const (
 	barSetup uint32 = 23
 )
 
-// ChaseCount returns the number of timed loads a DependentLoads(c,
-// lines) run performs: clean cases skip the warmed page-head lines.
-func ChaseCount(c proto.Case, lines int) int {
-	if lines <= 0 {
-		lines = ChaseLines
-	}
+// ChaseCount returns the number of timed loads a DependentLoads(c) run
+// performs: clean cases skip the warmed page-head lines.
+func ChaseCount(c proto.Case) int {
 	if _, dirtier := caseRoles(c); dirtier >= 0 {
-		return lines
+		return chaseLines
 	}
-	return lines - lines/linesPerPage
+	return chaseLines - chaseLines/linesPerPage
 }
 
 // CaseProcs returns the processor count a dependent-load case needs.
@@ -73,38 +83,29 @@ func caseRoles(c proto.Case) (home, dirtier int) {
 	}
 }
 
-type chaseShared struct {
-	region emitter.Region
-	lines  int
-}
-
 // DependentLoads returns the snbench dependent-load test for the given
-// protocol case: node 0 chases a pointer chain of lines cache lines
-// whose home and ownership are arranged so that every load exercises
-// exactly that case.
-func DependentLoads(c proto.Case, lines int) emitter.Program {
-	if lines <= 0 {
-		lines = ChaseLines
-	}
+// protocol case: node 0 chases a pointer chain of chaseLines cache
+// lines whose home and ownership are arranged so that every load
+// exercises exactly that case.
+func DependentLoads(c proto.Case) emitter.Program {
 	home, dirtier := caseRoles(c)
 	return emitter.Program{
 		Name:    "snbench-loads",
 		Variant: c.String(),
 		Threads: CaseProcs(c),
 		Setup: func(as *emitter.AddressSpace) any {
-			r := as.AllocPageAligned("chain", uint64(lines)*lineBytes,
+			return as.AllocPageAligned("chain", chaseLines*lineBytes,
 				emitter.Placement{Kind: emitter.PlaceOnNode, Node: home})
-			return &chaseShared{region: r, lines: lines}
 		},
 		Body: func(t *emitter.Thread, shared any) {
-			sh := shared.(*chaseShared)
+			chain := shared.(emitter.Region)
 			// Page warming: the requester touches the first line of
 			// each page so that cold page faults and TLB refills land
 			// outside the timed section. The chase skips those lines.
 			if t.ID == 0 {
 				var prev emitter.Val
-				for i := 0; i < sh.lines; i += linesPerPage {
-					prev = t.Load(sh.region.Base+uint64(i)*lineBytes, 8, emitter.None, prev)
+				for i := 0; i < chaseLines; i += linesPerPage {
+					prev = t.Load(chain.Base+uint64(i)*lineBytes, 8, emitter.None, prev)
 				}
 			}
 			t.Barrier(barSetup)
@@ -113,8 +114,8 @@ func DependentLoads(c proto.Case, lines int) emitter.Program {
 			// invalidating the requester's warm lines).
 			if t.ID == dirtier {
 				var prev emitter.Val
-				for i := 0; i < sh.lines; i++ {
-					t.Store(sh.region.Base+uint64(i)*lineBytes, 8, prev, emitter.None)
+				for i := 0; i < chaseLines; i++ {
+					t.Store(chain.Base+uint64(i)*lineBytes, 8, prev, emitter.None)
 					prev = t.IntALU(emitter.None, emitter.None)
 				}
 			}
@@ -125,11 +126,11 @@ func DependentLoads(c proto.Case, lines int) emitter.Program {
 				// skipped in the clean cases (they may sit warm in the
 				// requester's cache).
 				var p emitter.Val
-				for i := 0; i < sh.lines; i++ {
+				for i := 0; i < chaseLines; i++ {
 					if dirtier < 0 && i%linesPerPage == 0 {
 						continue
 					}
-					p = t.Load(sh.region.Base+uint64(i)*lineBytes, 8, emitter.None, p)
+					p = t.Load(chain.Base+uint64(i)*lineBytes, 8, emitter.None, p)
 				}
 			}
 			t.Barrier(emitter.BarrierEnd)
@@ -139,16 +140,8 @@ func DependentLoads(c proto.Case, lines int) emitter.Program {
 
 // LoadLatencyNS extracts the per-load latency in nanoseconds from a
 // DependentLoads run for protocol case c.
-func LoadLatencyNS(c proto.Case, res machine.Result, lines int) float64 {
-	return res.ExecNS() / float64(ChaseCount(c, lines))
-}
-
-// tlbShared carries the TLB timer layout.
-type tlbShared struct {
-	region emitter.Region
-	pages  int
-	fit    int
-	rounds int
+func LoadLatencyNS(c proto.Case, res machine.Result) float64 {
+	return res.ExecNS() / float64(ChaseCount(c))
 }
 
 // TLBTimer returns the TLB-miss timer: a warmed working set of one line
@@ -156,37 +149,27 @@ type tlbShared struct {
 // load) and then over a TLB-resident subset (a hit per load). The
 // difference in per-load time is the handler cost. The internal barrier
 // barMid separates the two timed sections.
-func TLBTimer(pages, fitPages, rounds int) emitter.Program {
-	if pages <= 0 {
-		pages = 128
-	}
-	if fitPages <= 0 {
-		fitPages = 32
-	}
-	if rounds <= 0 {
-		rounds = 4
-	}
+func TLBTimer() emitter.Program {
 	return emitter.Program{
 		Name:    "snbench-tlb",
-		Variant: fmt.Sprintf("pages=%d fit=%d", pages, fitPages),
+		Variant: fmt.Sprintf("pages=%d fit=%d", tlbPages, tlbFitPages),
 		Threads: 1,
 		Setup: func(as *emitter.AddressSpace) any {
-			r := as.AllocPageAligned("pages", uint64(pages)*4096,
+			return as.AllocPageAligned("pages", tlbPages*4096,
 				emitter.Placement{Kind: emitter.PlaceOnNode, Node: 0})
-			return &tlbShared{region: r, pages: pages, fit: fitPages, rounds: rounds}
 		},
 		Body: func(t *emitter.Thread, shared any) {
-			sh := shared.(*tlbShared)
+			r := shared.(emitter.Region)
 			// One line per page, with a per-page line offset chosen so
 			// the probe lines spread across cache sets instead of
 			// colliding at a single page-stride set.
 			addr := func(p int) uint64 {
-				return sh.region.Base + uint64(p)*4096 + uint64(p*5%128)*32
+				return r.Base + uint64(p)*4096 + uint64(p*5%128)*32
 			}
 			// Warm the lines into the caches (two passes).
 			for pass := 0; pass < 2; pass++ {
 				var prev emitter.Val
-				for p := 0; p < sh.pages; p++ {
+				for p := 0; p < tlbPages; p++ {
 					prev = t.Load(addr(p), 8, emitter.None, prev)
 				}
 			}
@@ -196,18 +179,18 @@ func TLBTimer(pages, fitPages, rounds int) emitter.Program {
 			// with its pages TLB-resident (those fit misses are
 			// counted in section 1).
 			var prev emitter.Val
-			for r := 0; r < sh.rounds; r++ {
-				for p := 0; p < sh.pages; p++ {
+			for range tlbRounds {
+				for p := 0; p < tlbPages; p++ {
 					prev = t.Load(addr(p), 8, emitter.None, prev)
 				}
 			}
-			for p := 0; p < sh.fit; p++ {
+			for p := 0; p < tlbFitPages; p++ {
 				prev = t.Load(addr(p), 8, emitter.None, prev)
 			}
 			t.Barrier(BarMid)
 			// Section 2: cycle over a TLB-resident subset (hits).
-			for r := 0; r < sh.rounds; r++ {
-				for p := 0; p < sh.fit; p++ {
+			for range tlbRounds {
+				for p := 0; p < tlbFitPages; p++ {
 					prev = t.Load(addr(p), 8, emitter.None, prev)
 				}
 			}
@@ -222,24 +205,15 @@ const BarMid uint32 = 24
 
 // TLBHandlerCycles extracts the measured refill cost in CPU cycles from
 // a TLBTimer run. clockMHz is the simulated core clock.
-func TLBHandlerCycles(res machine.Result, clockMHz, pages, fitPages, rounds int) float64 {
-	if pages <= 0 {
-		pages = 128
-	}
-	if fitPages <= 0 {
-		fitPages = 32
-	}
-	if rounds <= 0 {
-		rounds = 4
-	}
+func TLBHandlerCycles(res machine.Result, clockMHz int) float64 {
 	start := firstRelease(res, emitter.BarrierStart)
 	mid := firstRelease(res, BarMid)
 	end := firstRelease(res, emitter.BarrierEnd)
 	if mid <= start || end <= mid {
 		return 0
 	}
-	missLoads := float64(pages*rounds + fitPages)
-	hitLoads := float64(fitPages * rounds)
+	missLoads := float64(tlbPages*tlbRounds + tlbFitPages)
+	hitLoads := float64(tlbFitPages * tlbRounds)
 	perMiss := sim.ToNS(mid-start) / missLoads
 	perHit := sim.ToNS(end-mid) / hitLoads
 	cycleNS := 1e3 / float64(clockMHz)
@@ -259,9 +233,6 @@ func firstRelease(res machine.Result, id uint32) sim.Ticks {
 // bounded by the MSHRs, the secondary-cache interface occupancy, and the
 // restart delay.
 func Restart(lines int) emitter.Program {
-	if lines <= 0 {
-		lines = 1024
-	}
 	return emitter.Program{
 		Name:    "snbench-restart",
 		Variant: fmt.Sprintf("lines=%d", lines),
@@ -292,8 +263,5 @@ func Restart(lines int) emitter.Program {
 
 // ThroughputNSPerLoad extracts mean inter-load time from a Restart run.
 func ThroughputNSPerLoad(res machine.Result, lines int) float64 {
-	if lines <= 0 {
-		lines = 1024
-	}
 	return res.ExecNS() / float64(lines-lines/linesPerPage)
 }

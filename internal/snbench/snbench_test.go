@@ -27,11 +27,11 @@ func TestDependentLoadLatencies(t *testing.T) {
 	for c := range table3HW {
 		cfg := hw.Config(snbench.CaseProcs(c), true)
 		cfg.JitterPct = 0
-		res, err := machine.Run(cfg, snbench.DependentLoads(c, 0))
+		res, err := machine.Run(cfg, snbench.DependentLoads(c))
 		if err != nil {
 			t.Fatalf("%v: %v", c, err)
 		}
-		got[c] = snbench.LoadLatencyNS(c, res, 0)
+		got[c] = snbench.LoadLatencyNS(c, res)
 		t.Logf("%-20v measured %6.0f ns (paper %4.0f ns)", c, got[c], table3HW[c])
 	}
 	if !(got[proto.LocalClean] < got[proto.RemoteClean]) {
@@ -58,11 +58,11 @@ func TestDependentLoadLatencies(t *testing.T) {
 func TestTLBTimerRecovers65Cycles(t *testing.T) {
 	cfg := hw.Config(1, true)
 	cfg.JitterPct = 0
-	res, err := machine.Run(cfg, snbench.TLBTimer(128, 32, 4))
+	res, err := machine.Run(cfg, snbench.TLBTimer())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cyc := snbench.TLBHandlerCycles(res, cfg.ClockMHz, 128, 32, 4)
+	cyc := snbench.TLBHandlerCycles(res, cfg.ClockMHz)
 	t.Logf("measured TLB handler: %.1f cycles (configured 65)", cyc)
 	if cyc < 55 || cyc > 80 {
 		t.Errorf("TLB handler measured %.1f cycles, want ~65", cyc)

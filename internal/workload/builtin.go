@@ -172,14 +172,10 @@ func init() {
 			return "GUPS"
 		},
 		Build: func(v Values, procs int) emitter.Program {
-			hot := v.Int("hot_pct")
-			if hot == 0 {
-				hot = -1 // norm() maps negative to an explicit 0
-			}
 			return apps.GUPS(apps.GUPSOpts{
 				LogTable: v.Int("log_table"),
 				Updates:  v.Int("updates"),
-				HotPct:   hot,
+				HotPct:   v.Int("hot_pct"),
 				Procs:    procs,
 				Unplaced: v.Bool("unplaced"),
 			})
@@ -198,19 +194,12 @@ func init() {
 		},
 		Label: func(Values) string { return "OLTP" },
 		Build: func(v Values, procs int) emitter.Program {
-			read, skew := v.Int("read_pct"), v.Int("skew_pct")
-			if read == 0 {
-				read = -1
-			}
-			if skew == 0 {
-				skew = -1
-			}
 			return apps.OLTP(apps.OLTPOpts{
 				Txns:    v.Int("txns"),
 				Rows:    v.Int("rows"),
 				Ops:     v.Int("ops"),
-				ReadPct: read,
-				SkewPct: skew,
+				ReadPct: v.Int("read_pct"),
+				SkewPct: v.Int("skew_pct"),
 				Procs:   procs,
 			})
 		},
@@ -244,31 +233,23 @@ func init() {
 		Description: "calibration: dependent-load latency for one protocol case (4 procs, fixed)",
 		Params: []Param{
 			{Name: "case", Kind: String, Usage: "protocol case", Default: proto.RemoteClean.String(), Enum: caseNames()},
-			{Name: "lines", Kind: Int, Usage: "chase length in cache lines", Default: snbench.ChaseLines, Min: 4, Max: 1 << 20},
 		},
 		Build: func(v Values, _ int) emitter.Program {
-			return snbench.DependentLoads(ParseCase(v.Str("case")), v.Int("lines"))
+			return snbench.DependentLoads(ParseCase(v.Str("case")))
 		},
 	})
 
 	Register(Definition{
 		Name:        "snbench.tlb-timer",
 		Description: "calibration: TLB-miss handler cost timer (1 proc, fixed)",
-		Params: []Param{
-			{Name: "pages", Kind: Int, Usage: "pages chased in the miss phase", Default: 128, Min: 2, Max: 1 << 16},
-			{Name: "fit_pages", Kind: Int, Usage: "pages chased in the hit phase", Default: 32, Min: 1, Max: 1 << 16},
-			{Name: "rounds", Kind: Int, Usage: "chase rounds per phase", Default: 4, Min: 1, Max: 1024},
-		},
-		Build: func(v Values, _ int) emitter.Program {
-			return snbench.TLBTimer(v.Int("pages"), v.Int("fit_pages"), v.Int("rounds"))
-		},
+		Build:       func(Values, int) emitter.Program { return snbench.TLBTimer() },
 	})
 
 	Register(Definition{
 		Name:        "snbench.restart",
 		Description: "calibration: back-to-back independent-load throughput (1 proc, fixed)",
 		Params: []Param{
-			{Name: "lines", Kind: Int, Usage: "stream length in cache lines", Default: 1024, Min: 8, Max: 1 << 22},
+			{Name: "lines", Kind: Int, Usage: "stream length in cache lines", Default: snbench.RestartLines, Min: 8, Max: 1 << 22},
 		},
 		Build: func(v Values, _ int) emitter.Program {
 			return snbench.Restart(v.Int("lines"))

@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"flashsim/internal/emitter"
+	"flashsim/internal/hw"
 	"flashsim/internal/isa"
+	"flashsim/internal/runner"
 	"flashsim/internal/vm"
 	"flashsim/internal/workload"
 )
@@ -326,6 +328,47 @@ func TestFirstTouchSpread(t *testing.T) {
 					t.Errorf("first-touch pages landed on %d/%d nodes", len(nodes), procs)
 				}
 			})
+		}
+	}
+}
+
+// TestEveryWorkloadParamReachesTheKey: a memoized run is keyed by
+// runner.Fingerprint, which names the program by its FullName, so every
+// parameter must reach that name or a run with a different value is
+// served the old one's result. For each workload and each parameter, one
+// value moves inside its bounds — an int halves (doubles when halving
+// leaves the bounds), a bool flips, an enum takes another value — and
+// the key must move with it.
+func TestEveryWorkloadParamReachesTheKey(t *testing.T) {
+	cfg := hw.Config(4, true)
+	for _, def := range workload.All() {
+		base, err := def.Resolve(nil, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := runner.Fingerprint(cfg, def.Build(base, 4))
+		for _, p := range def.Params {
+			var moved any
+			switch v := base[p.Name].(type) {
+			case int64:
+				if moved = v / 2; v/2 < int64(p.Min) {
+					moved = v * 2
+				}
+			case bool:
+				moved = !v
+			case string:
+				moved = p.Enum[0]
+				if moved == v {
+					moved = p.Enum[1]
+				}
+			}
+			vals, err := def.Resolve(map[string]any{p.Name: moved}, true)
+			if err != nil {
+				t.Fatalf("%s %s=%v: %v", def.Name, p.Name, moved, err)
+			}
+			if prog := def.Build(vals, 4); runner.Fingerprint(cfg, prog) == key {
+				t.Errorf("%s: %s=%v keeps the key of %v (%s)", def.Name, p.Name, moved, base[p.Name], prog.FullName())
+			}
 		}
 	}
 }
