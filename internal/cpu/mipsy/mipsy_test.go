@@ -43,7 +43,7 @@ func (p *fakePort) SyscallCost(aux uint32) uint32 { return 100 }
 
 func run(t *testing.T, cfg Config, port cpu.Port, body func(*emitter.Thread)) (sim.Ticks, uint64) {
 	t.Helper()
-	s := emitter.Start(1, body, nil)
+	s := emitter.Start(1, 1, body, nil)
 	defer s.Abort()
 	c := New(cfg, s.Readers[0], port)
 	var now sim.Ticks
@@ -144,7 +144,7 @@ func TestSyscallCharged(t *testing.T) {
 func TestSyncOpYieldsToMachine(t *testing.T) {
 	clock := sim.Clock150
 	port := &fakePort{clock: clock, hitCyc: 1, missAddr: 1 << 40}
-	s := emitter.Start(1, func(th *emitter.Thread) {
+	s := emitter.Start(1, 1, func(th *emitter.Thread) {
 		th.IntOps(2)
 		th.Barrier(3)
 	}, nil)
@@ -175,7 +175,7 @@ func TestPrefetchDoesNotBlock(t *testing.T) {
 func TestQuantumYields(t *testing.T) {
 	clock := sim.Clock150
 	port := &fakePort{clock: clock, hitCyc: 1, missAddr: 1 << 40}
-	s := emitter.Start(1, func(th *emitter.Thread) { th.IntOps(500) }, nil)
+	s := emitter.Start(1, 1, func(th *emitter.Thread) { th.IntOps(500) }, nil)
 	defer s.Abort()
 	c := New(Config{Clock: clock, Quantum: 100}, s.Readers[0], port)
 	out := c.Run(0)

@@ -5,7 +5,7 @@
 // are written against the Thread API: t.Load/t.Store/t.FPAdd/... Each
 // call both performs no actual data movement (the algorithm keeps its
 // data in normal Go variables) and appends one isa.Instr, with true data
-// dependences tracked through Val handles, to a batched channel that the
+// dependences tracked through Val handles, to a batched stream that the
 // processor models consume. This reproduces the paper's methodology of
 // running the *same binary* on every platform: the identical instruction
 // stream is replayed by Mipsy, MXS, and the hardware reference model.
@@ -14,7 +14,7 @@
 // mutexes that mirror the semantic BARRIER/LOCK instructions they emit,
 // so a parallel algorithm computes consistent data while its timing is
 // decided entirely by the simulated machine. The emitted sync
-// instruction is always flushed to the channel before the goroutine
+// instruction is always flushed to the readers before the goroutine
 // blocks, which makes the scheme deadlock-free: by the time every
 // simulated processor has arrived at a barrier, every emitter goroutine
 // has already arrived at the real one.
@@ -27,27 +27,25 @@ import (
 	"flashsim/internal/isa"
 )
 
-// BatchSize is the number of instructions per channel send: it amortizes
+// BatchSize is the number of instructions per send: it amortizes
 // the hand-off, leaving the slab write and read. One IntOps instruction
 // through emit and Next (BenchmarkEmitterThroughput -cpu 1) is 6.0-7.1 ns;
 // it was 12.1-14.5 while emit took an isa.Instr by value and appended it.
 const BatchSize = 2048
 
-// chanDepth is the number of in-flight batches per thread.
-const chanDepth = 8
-
-// poolSize is the most instruction-batch buffers a thread ever holds.
-// The buffers circulate: Thread fills one, sends it on the data channel,
-// and takes its next from the free channel, which the Reader refills as
-// it finishes consuming each batch. chanDepth can be in flight, one is
-// being filled, and the slack buffer keeps the producer from blocking
-// on the Reader's hand-off in steady state — so a billion-instruction
-// run reuses this fixed set of slabs instead of taking one per send. A
-// slab is borrowed from the process (slabPool) only when the producer
-// needs one and none has come back yet, so a thread that emits three
-// batches holds three; Streams.Abort gives them back, and the next run
-// fills the same arrays instead of making and zeroing its own.
-const poolSize = chanDepth + 1
+// poolSize is the most instruction-batch slabs a thread holds while its
+// readers keep up. The slabs circulate: Thread fills one, appends it to
+// its lane (the sent slabs some reader has not given back, oldest
+// first), and takes the lane's oldest back for its next batch once every
+// reader has released it, which a Reader does as it moves on to its next
+// batch. Eight can wait unread while a reader is on the ninth, so a
+// billion-instruction run reuses this fixed set of slabs instead of
+// taking one per send. A slab is borrowed from the process (slabPool)
+// only when the producer needs one and none has come back yet, so a
+// thread that emits three batches holds three; Streams.Abort gives them
+// back, and the next run fills the same arrays instead of making and
+// zeroing its own.
+const poolSize = 9
 
 // maxRetained bounds what slabPool keeps while no run holds it: 32
 // threads x poolSize = 288 slabs = 18 MB, all that an mp-contend-sized
@@ -119,16 +117,25 @@ type Thread struct {
 	// N is the total number of threads in the program.
 	N int
 
+	s     *Streams
 	coord *Coordinator
-	ch    chan []isa.Instr
-	free  chan []isa.Instr // recycled batch buffers from the Reader
 	abort <-chan struct{}
 	buf   []isa.Instr
-	slabs int    // batch buffers borrowed so far, at most poolSize
+	slabs int    // batch buffers borrowed so far: poolSize unless a cycle grew it
 	count uint64 // instructions emitted so far
 	rng   uint64 // per-thread deterministic PRNG state
 	held  map[uint32]*sync.Mutex
 	tap   Tap
+
+	// The lane, under s.mu: what the readers of this thread's stream
+	// (one per reader set) see of it.
+	readers []*Reader
+	log     [][]isa.Instr // sent slabs some reader has not released, oldest first
+	base    uint64        // send number of log[0]
+	closed  bool          // the producer goroutine has exited
+	waiting bool          // the producer waits for its oldest slab
+	wake    chan struct{} // a token ends that wait
+	mark    uint64        // the s.epoch of the last cycle search to visit it
 }
 
 // releaseHeld unlocks any real mutexes held when the goroutine unwinds
@@ -167,10 +174,10 @@ func (t *Thread) emit(op isa.Op, addr uint64, size, dep1, dep2, aux uint32) Val 
 	return Val{idx: t.count}
 }
 
-// send hands a non-empty batch to the consumer and reports whether it
-// did; the slab is then the consumer's and t.buf lets go of it (an abort
-// must not find it on both sides), so only flush, which replaces it, and
-// the end of the stream call this.
+// send appends a non-empty batch to the lane, where every reader set
+// finds it, and reports whether it did; the slab is then the lane's and
+// t.buf lets go of it (an abort must not find it on both sides), so only
+// flush, which replaces it, and the end of the stream call this.
 func (t *Thread) send() bool {
 	if len(t.buf) == 0 {
 		return false
@@ -181,37 +188,103 @@ func (t *Thread) send() bool {
 		// untouched and the consumer never sees the copy cost.
 		t.tap(t.ID, t.buf)
 	}
-	select {
-	case t.ch <- t.buf:
-	case <-t.abort:
+	s := t.s
+	s.mu.Lock()
+	if s.aborted {
+		s.mu.Unlock()
 		panic(abortPanic{})
 	}
+	t.log = append(t.log, t.buf)
 	t.buf = nil
+	t.unlockWaking()
 	return true
 }
 
-// flush hands the batch being filled to the consumer and takes an empty
+// unlockWaking ends the wait of every reader blocked on t's lane and
+// releases the mutex, which the caller holds: it takes their flags under
+// the mutex and hands the tokens after it, so a woken reader does not
+// find the mutex still held. Only t's producer goroutine calls it, so
+// the token field is its own.
+func (t *Thread) unlockWaking() {
+	for _, r := range t.readers {
+		r.token, r.waiting = r.waiting, false
+	}
+	t.s.mu.Unlock()
+	for _, r := range t.readers {
+		if r.token {
+			r.token = false
+			signal(r.wake)
+		}
+	}
+}
+
+// signal hands a waiter its one token (none on a nil channel); the flag
+// it waited under, which the signaller clears, keeps a second from
+// being sent.
+func signal(wake chan struct{}) {
+	select {
+	case wake <- struct{}{}:
+	default:
+	}
+}
+
+// flush hands the batch being filled to the readers and takes an empty
 // slab for the next one.
 func (t *Thread) flush() {
-	if !t.send() {
-		return
+	if t.send() {
+		t.next()
 	}
-	// Take the next slab: one more of the process's while none has come
-	// back and the thread holds fewer than poolSize, else from the ring.
-	// The Reader returns each consumed buffer before blocking for the
-	// next batch, so this receive cannot deadlock against a live
-	// consumer; an abandoned consumer is handled by the abort arm.
-	if len(t.free) == 0 && t.slabs < poolSize {
-		t.slabs++
-		t.buf = getSlab()
-		return
+}
+
+// next takes the slab for the next batch: the lane's oldest once every
+// reader has released it, else one more of the process's while the
+// thread holds fewer than poolSize, else it waits for the slowest reader.
+// A Reader releases each batch before waiting for its next, so that wait
+// cannot deadlock against one reader set. Against several it can: set A
+// behind on this thread may wait on thread u, which waits for set B,
+// which waits on this one. Such a cycle is the one case in which the
+// thread borrows past poolSize (TestSharedEmissionSurvivesSkew).
+func (t *Thread) next() {
+	s := t.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.aborted {
+		if len(t.log) > 0 && t.released() {
+			b := t.log[0]
+			n := copy(t.log, t.log[1:])
+			t.log[n] = nil
+			t.log = t.log[:n]
+			t.base++
+			t.buf = b[:0]
+			return
+		}
+		if t.slabs < poolSize || s.cycle(t) {
+			t.slabs++
+			t.buf = getSlab()
+			return
+		}
+		t.waiting = true
+		s.mu.Unlock()
+		select {
+		case <-t.wake:
+		case <-t.abort:
+		}
+		s.mu.Lock()
+		t.waiting = false
 	}
-	select {
-	case b := <-t.free:
-		t.buf = b[:0]
-	case <-t.abort:
-		panic(abortPanic{})
+	panic(abortPanic{})
+}
+
+// released reports whether every reader set still reading has given
+// back the lane's oldest slab. Readers release in send order, so each
+// one's count of released batches says which slabs it is done with.
+func (t *Thread) released() bool {
+	for _, r := range t.readers {
+		if r.reuses <= t.base && !r.m.detached {
+			return false
+		}
 	}
+	return true
 }
 
 // abortPanic unwinds an emitter goroutine when the consumer has stopped.
@@ -408,49 +481,67 @@ func (b *cyclicBarrier) release() {
 	b.mu.Unlock()
 }
 
-// Reader consumes one thread's instruction stream.
+// Reader consumes one thread's instruction stream for one reader set.
 //
 // The counters are plain fields: Next and NextBatch run on the consumer
-// goroutine (the machine's event loop) only, so no synchronization is
-// needed and none would be affordable on this path.
+// goroutine (the machine's event loop) only, and what the producer reads
+// of them, batches and reuses, changes under the stream's mutex. Those
+// two are the reader's position in the lane: it has taken batches and
+// given back reuses of them, all but the one it is on.
 type Reader struct {
-	ch      <-chan []isa.Instr
-	free    chan<- []isa.Instr // consumed buffers go back to the Thread
+	t       *Thread
+	m       *member
+	waiting bool          // under the mutex: for the lane's next batch
+	wake    chan struct{} // a token ends that wait
+	token   bool          // the producer owes it one (its goroutine's own)
 	buf     []isa.Instr
 	pos     int
 	done    bool
 	read    uint64
 	batches uint64
-	reuses  uint64 // consumed buffers successfully recycled to the pool
+	reuses  uint64 // consumed slabs given back to the lane
 }
 
-// refill recycles the spent batch and blocks for the next one; false at
-// end of stream.
+// refill gives back the spent batch and takes the next, waiting for the
+// producer while the lane has none; false at end of stream.
 func (r *Reader) refill() bool {
 	if r.done {
 		return false
 	}
+	t, s := r.t, r.t.s
+	var wake chan struct{} // the producer's, once the mutex is free
+	s.mu.Lock()
 	if r.buf != nil {
-		// Recycle the consumed batch before blocking for the next
-		// one, so the producer always has a slab to fill. The pool
-		// channel has room for every buffer in circulation, so this
-		// send never blocks; the default arm only covers readers
-		// fed outside Start (tests).
-		select {
-		case r.free <- r.buf[:0]:
-			r.reuses++
-		default:
-		}
+		// Give the spent batch back before waiting for the next one, so
+		// the producer can always reuse what this reader has finished.
 		r.buf = nil
+		r.reuses++
+		if t.waiting && r.reuses == t.base+1 && t.released() {
+			t.waiting, wake = false, t.wake
+		}
 	}
-	batch, open := <-r.ch
-	if !open {
-		r.done = true
-		return false
+	for r.batches >= t.base+uint64(len(t.log)) {
+		if t.closed {
+			r.done = true
+			s.mu.Unlock()
+			return false
+		}
+		r.waiting = true
+		if t.waiting && s.cycle(t) {
+			// This wait closes a cycle through t's producer: it grows.
+			t.waiting, wake = false, t.wake
+		}
+		s.mu.Unlock()
+		signal(wake)
+		wake = nil
+		<-r.wake
+		s.mu.Lock()
 	}
-	r.buf = batch
+	r.buf = t.log[r.batches-t.base]
 	r.pos = 0
 	r.batches++
+	s.mu.Unlock()
+	signal(wake)
 	return true
 }
 
@@ -480,26 +571,107 @@ func (r *Reader) NextBatch() []isa.Instr {
 // Batches returns how many instruction batches have been consumed.
 func (r *Reader) Batches() uint64 { return r.batches }
 
-// Streams is a running program: one Reader per thread plus abort
-// plumbing.
+// member is the consumer of one reader set.
+type member struct {
+	readers  []*Reader
+	detached bool
+}
+
+// Streams is a running program: one Reader per thread for each reader
+// set, plus abort plumbing. Every set sees every batch of every thread;
+// a slab goes back to its thread once the last set has released it.
 type Streams struct {
+	// Readers is reader set 0, one Reader per thread: all of a stream
+	// started for one reader.
 	Readers []*Reader
-	threads []*Thread
+	threads []Thread
 	coord   *Coordinator
 	abortCh chan struct{}
 	once    sync.Once
 	wg      sync.WaitGroup
 	errMu   sync.Mutex
 	err     error
+
+	mu      sync.Mutex // guards the lanes, the reader positions and members
+	members []member
+	live    int    // reader sets not yet detached
+	epoch   uint64 // cycle searches so far
+	aborted bool
+}
+
+// Set returns reader set k, one Reader per thread.
+func (s *Streams) Set(k int) []*Reader { return s.members[k].readers }
+
+// cycle reports whether t's producer waiting for its slowest readers
+// would close a cycle: a reader set behind on t waits on a thread whose
+// producer waits, directly or through further sets, for t's. A set that
+// waits on a lane has released all of it, so the sets on a cycle are
+// all different and a stream with one reader set never has one.
+func (s *Streams) cycle(t *Thread) bool {
+	if len(s.members) == 1 {
+		return false
+	}
+	s.epoch++
+	return s.reaches(t, t)
+}
+
+func (s *Streams) reaches(from, to *Thread) bool {
+	from.mark = s.epoch
+	for _, r := range from.readers {
+		if r.m.detached || r.reuses > from.base {
+			continue
+		}
+		for _, q := range r.m.readers {
+			if !q.waiting {
+				continue
+			}
+			if u := q.t; u == to || u.waiting && u.mark != s.epoch && s.reaches(u, to) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Detach gives back reader set k: its consumer has finished with the
+// stream or failed, and reads from it no more, not even the batches it
+// is on. The producers and the other sets go on without it; the last set
+// to detach aborts the stream. Safe to call more than once.
+func (s *Streams) Detach(k int) {
+	s.mu.Lock()
+	m := &s.members[k]
+	if m.detached {
+		s.mu.Unlock()
+		return
+	}
+	m.detached = true
+	s.live--
+	for _, r := range m.readers {
+		r.buf, r.done = nil, true
+	}
+	for i := range s.threads {
+		if t := &s.threads[i]; t.waiting {
+			t.waiting = false
+			signal(t.wake)
+		}
+	}
+	last := s.live == 0
+	s.mu.Unlock()
+	if last {
+		s.Abort()
+	}
 }
 
 // Abort releases the stream, finished or abandoned: it stops the emitter
 // goroutines, waits for them and gives the slabs back to the process,
-// all but the batch a Reader is on. That one stays the consumer's, which
-// may go on reading it after Abort (a drained Reader is on none). Safe
-// to call multiple times.
+// all but the batch a Reader of a set still attached is on. That one
+// stays the consumer's, which may go on reading it after Abort (a
+// drained Reader is on none). Safe to call multiple times.
 func (s *Streams) Abort() {
 	s.once.Do(func() {
+		s.mu.Lock()
+		s.aborted = true
+		s.mu.Unlock()
 		close(s.abortCh)
 		s.coord.mu.Lock()
 		s.coord.aborted = true
@@ -517,22 +689,35 @@ func (s *Streams) Abort() {
 }
 
 // release gives every slab back from the one place that holds it now the
-// producers have exited: the one an aborted producer was filling, those
-// sent and not yet read (their channel is closed), and the spent ones in
-// the ring. It touches channels and the Thread only, so a consumer still
-// running takes or recycles a batch either before the drain or past it.
+// producers have exited: the one an aborted producer was filling and
+// those in the lanes, but for any an attached reader is on. Under the
+// mutex, a consumer still running gives its batch back either before the
+// drain or past it, when the lane is empty and ends its stream.
 func (s *Streams) release() {
-	for i, r := range s.Readers {
-		t := s.threads[i]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.threads {
+		t := &s.threads[i]
 		putSlab(t.buf)
 		t.buf = nil
-		for b := range r.ch {
-			putSlab(b)
+		for j, b := range t.log {
+			if !t.onIt(t.base + uint64(j)) {
+				putSlab(b)
+			}
+			t.log[j] = nil
 		}
-		for len(t.free) > 0 {
-			putSlab(<-t.free)
+		t.log = t.log[:0]
+	}
+}
+
+// onIt reports whether an attached reader is on the lane's batch seq.
+func (t *Thread) onIt(seq uint64) bool {
+	for _, r := range t.readers {
+		if !r.m.detached && r.batches > seq && r.reuses <= seq {
+			return true
 		}
 	}
+	return false
 }
 
 // Err returns the first panic (other than abort) raised by a workload
@@ -566,12 +751,12 @@ func (s *Stats) Add(o Stats) {
 	s.SlabReuses += o.SlabReuses
 }
 
-// Counters sums the consumer-side stream counters across all Readers.
-// Call it from the consumer goroutine after the run drains (the Reader
-// counters are unsynchronized by design).
-func (s *Streams) Counters() Stats {
+// Counters sums the consumer-side stream counters across the Readers of
+// set k. Call it from that set's consumer goroutine after the run drains
+// (the Reader counters are its own).
+func (s *Streams) Counters(k int) Stats {
 	var c Stats
-	for _, r := range s.Readers {
+	for _, r := range s.members[k].readers {
 		c.Batches += r.batches
 		c.Instructions += r.read
 		c.SlabReuses += r.reuses
@@ -580,45 +765,67 @@ func (s *Streams) Counters() Stats {
 }
 
 // Start launches nthreads goroutines running body and returns their
-// streams. body receives the per-thread emission context. The streams
-// hold slabs borrowed from the process until Abort, which every caller
-// owes them, a drained stream included; one that is merely dropped takes
-// its slabs to the collector and the next run makes new ones. A non-nil
-// tap mirrors every flushed batch.
-func Start(nthreads int, body func(t *Thread), tap Tap) *Streams {
+// streams, each read by readers reader sets. body receives the
+// per-thread emission context. The streams hold slabs borrowed from the
+// process until Abort, which every caller owes them (or Detach of every
+// set), a drained stream included; one that is merely dropped takes its
+// slabs to the collector and the next run makes new ones. A non-nil tap
+// mirrors every flushed batch.
+func Start(nthreads, readers int, body func(t *Thread), tap Tap) *Streams {
 	if nthreads <= 0 {
 		panic("emitter: nthreads must be positive")
 	}
+	if readers <= 0 {
+		panic("emitter: a stream needs a reader")
+	}
 	s := &Streams{
-		Readers: make([]*Reader, nthreads),
-		threads: make([]*Thread, nthreads),
+		threads: make([]Thread, nthreads),
 		coord:   newCoordinator(),
 		abortCh: make(chan struct{}),
+		members: make([]member, readers),
+		live:    readers,
 	}
-	for i := 0; i < nthreads; i++ {
-		ch := make(chan []isa.Instr, chanDepth)
-		// The batch pool: up to poolSize slabs per thread, recycled
-		// through free for the life of the stream. The first starts in
-		// the Thread's hands; flush makes the others as it needs them.
-		free := make(chan []isa.Instr, poolSize)
-		s.Readers[i] = &Reader{ch: ch, free: free}
-		t := &Thread{
-			ID:    i,
-			N:     nthreads,
-			coord: s.coord,
-			ch:    ch,
-			free:  free,
-			abort: s.abortCh,
-			buf:   getSlab(),
-			slabs: 1,
-			rng:   0x9E3779B97F4A7C15 ^ (uint64(i+1) * 0xBF58476D1CE4E5B9),
-			tap:   tap,
+	rs := make([]Reader, readers*nthreads)
+	views := make([]*Reader, 2*readers*nthreads) // by set, then by lane
+	logs := make([][]isa.Instr, nthreads*poolSize)
+	for k := range s.members {
+		s.members[k].readers = views[k*nthreads : (k+1)*nthreads : (k+1)*nthreads]
+	}
+	byLane := views[readers*nthreads:]
+	for i := range s.threads {
+		t := &s.threads[i]
+		*t = Thread{
+			ID:      i,
+			N:       nthreads,
+			s:       s,
+			coord:   s.coord,
+			abort:   s.abortCh,
+			buf:     getSlab(),
+			slabs:   1,
+			rng:     0x9E3779B97F4A7C15 ^ (uint64(i+1) * 0xBF58476D1CE4E5B9),
+			tap:     tap,
+			readers: byLane[i*readers : (i+1)*readers : (i+1)*readers],
+			log:     logs[i*poolSize : i*poolSize : (i+1)*poolSize],
+			wake:    make(chan struct{}, 1),
 		}
-		s.threads[i] = t
+		for k := range s.members {
+			r := &rs[k*nthreads+i]
+			r.t, r.m, r.wake = t, &s.members[k], make(chan struct{}, 1)
+			s.members[k].readers[i], t.readers[k] = r, r
+		}
+	}
+	// Every lane is wired before any producer runs: a cycle search
+	// reads them all.
+	for i := range s.threads {
+		t := &s.threads[i]
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			defer close(ch)
+			defer func() {
+				s.mu.Lock()
+				t.closed = true
+				t.unlockWaking()
+			}()
 			defer func() {
 				if r := recover(); r != nil {
 					t.releaseHeld()
@@ -636,5 +843,6 @@ func Start(nthreads int, body func(t *Thread), tap Tap) *Streams {
 			t.send() // the last batch needs no successor slab
 		}()
 	}
+	s.Readers = s.members[0].readers
 	return s
 }

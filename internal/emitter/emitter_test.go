@@ -19,7 +19,7 @@ func drain(r *Reader) []isa.Instr {
 }
 
 func TestSingleThreadEmission(t *testing.T) {
-	s := Start(1, func(th *Thread) {
+	s := Start(1, 1, func(th *Thread) {
 		v := th.Load(0x1000, 8, None, None)
 		w := th.IntALU(v, None)
 		th.Store(0x2000, 8, w, None)
@@ -44,7 +44,7 @@ func TestSingleThreadEmission(t *testing.T) {
 }
 
 func TestDependenceDistances(t *testing.T) {
-	s := Start(1, func(th *Thread) {
+	s := Start(1, 1, func(th *Thread) {
 		a := th.Load(0, 8, None, None) // idx 0
 		th.IntOps(5)                   // idx 1..5
 		th.FPAdd(a, None)              // idx 6: distance 6
@@ -57,7 +57,7 @@ func TestDependenceDistances(t *testing.T) {
 }
 
 func TestNoneDependence(t *testing.T) {
-	s := Start(1, func(th *Thread) {
+	s := Start(1, 1, func(th *Thread) {
 		th.IntALU(None, None)
 	}, nil)
 	ins := drain(s.Readers[0])
@@ -69,7 +69,7 @@ func TestNoneDependence(t *testing.T) {
 
 func TestBatchBoundary(t *testing.T) {
 	n := BatchSize*3 + 17
-	s := Start(1, func(th *Thread) { th.IntOps(n) }, nil)
+	s := Start(1, 1, func(th *Thread) { th.IntOps(n) }, nil)
 	ins := drain(s.Readers[0])
 	s.Wait()
 	if len(ins) != n {
@@ -80,7 +80,7 @@ func TestBatchBoundary(t *testing.T) {
 func TestBarrierKeepsThreadsConsistent(t *testing.T) {
 	const nt = 4
 	shared := make([]int, nt)
-	s := Start(nt, func(th *Thread) {
+	s := Start(nt, 1, func(th *Thread) {
 		shared[th.ID] = th.ID + 1
 		th.Barrier(5)
 		sum := 0
@@ -109,7 +109,7 @@ func TestBarrierKeepsThreadsConsistent(t *testing.T) {
 func TestBarrierInstructionFlushedBeforeBlocking(t *testing.T) {
 	// One thread reaches the barrier; its BARRIER instruction must be
 	// readable even though the other thread has not arrived yet.
-	s := Start(2, func(th *Thread) {
+	s := Start(2, 1, func(th *Thread) {
 		if th.ID == 0 {
 			th.Barrier(9)
 			return
@@ -129,7 +129,7 @@ func TestBarrierInstructionFlushedBeforeBlocking(t *testing.T) {
 func TestLockMutualExclusion(t *testing.T) {
 	const nt = 4
 	counter := 0
-	s := Start(nt, func(th *Thread) {
+	s := Start(nt, 1, func(th *Thread) {
 		for i := 0; i < 100; i++ {
 			th.Lock(1)
 			counter++
@@ -151,7 +151,7 @@ func TestLockMutualExclusion(t *testing.T) {
 }
 
 func TestAbortUnblocksEverything(t *testing.T) {
-	s := Start(2, func(th *Thread) {
+	s := Start(2, 1, func(th *Thread) {
 		th.IntOps(BatchSize * 100) // will block on channel backpressure
 		th.Barrier(1)
 	}, nil)
@@ -163,7 +163,7 @@ func TestAbortUnblocksEverything(t *testing.T) {
 }
 
 func TestAbortWhileHoldingLock(t *testing.T) {
-	s := Start(2, func(th *Thread) {
+	s := Start(2, 1, func(th *Thread) {
 		th.Lock(1)
 		th.IntOps(BatchSize * 100) // blocks on backpressure holding the lock
 		th.Unlock(1)
@@ -172,7 +172,7 @@ func TestAbortWhileHoldingLock(t *testing.T) {
 }
 
 func TestWorkloadPanicIsReported(t *testing.T) {
-	s := Start(1, func(th *Thread) {
+	s := Start(1, 1, func(th *Thread) {
 		panic("boom")
 	}, nil)
 	drain(s.Readers[0])
@@ -185,7 +185,7 @@ func TestWorkloadPanicIsReported(t *testing.T) {
 func TestRandDeterministicPerThread(t *testing.T) {
 	collect := func() [2]uint64 {
 		var got [2]uint64
-		s := Start(2, func(th *Thread) {
+		s := Start(2, 1, func(th *Thread) {
 			v := th.Rand()
 			got[th.ID] = v
 		}, nil)
@@ -205,11 +205,11 @@ func TestRandDeterministicPerThread(t *testing.T) {
 }
 
 func TestReaderConsumedCount(t *testing.T) {
-	s := Start(1, func(th *Thread) { th.IntOps(10) }, nil)
+	s := Start(1, 1, func(th *Thread) { th.IntOps(10) }, nil)
 	r := s.Readers[0]
 	drain(r)
 	s.Wait()
-	if n := s.Counters().Instructions; n != 10 {
+	if n := s.Counters(0).Instructions; n != 10 {
 		t.Fatalf("consumed %d, want 10", n)
 	}
 }
@@ -220,5 +220,5 @@ func TestStartRejectsZeroThreads(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Start(0, func(*Thread) {}, nil)
+	Start(0, 1, func(*Thread) {}, nil)
 }

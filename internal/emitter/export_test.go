@@ -53,16 +53,28 @@ func DropFreeSlabs() {
 // Holds counts the slabs s still references, the batches its Readers are
 // on (which Abort leaves with them) apart; zero once Abort returned.
 func (s *Streams) Holds() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := 0
-	for i, r := range s.Readers {
-		t := s.threads[i]
+	for i := range s.threads {
+		t := &s.threads[i]
 		if t.buf != nil {
 			n++
 		}
-		n += len(r.ch) + len(t.free)
+		for j := range t.log {
+			if !t.onIt(t.base + uint64(j)) {
+				n++
+			}
+		}
 	}
 	return n
 }
 
-// Unread is how many batches thread i has sent that are not yet read.
-func (s *Streams) Unread(i int) int { return len(s.Readers[i].ch) }
+// Unread is how many batches thread i has sent that reader set 0 has not
+// yet taken.
+func (s *Streams) Unread(i int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := &s.threads[i]
+	return int(t.base + uint64(len(t.log)) - s.Readers[i].batches)
+}

@@ -82,7 +82,7 @@ func startLive(t *testing.T) *liveStream {
 	l := &liveStream{ids: map[*isa.Instr]bool{}}
 	full := make(chan struct{})
 	batches := 0
-	l.s = emitter.Start(1, func(th *emitter.Thread) {
+	l.s = emitter.Start(1, 1, func(th *emitter.Thread) {
 		th.IntOps(4 * emitter.PoolSize * emitter.BatchSize)
 	}, func(_ int, batch []isa.Instr) {
 		// On the emitting goroutine, before each send: the ninth batch
@@ -242,7 +242,7 @@ func TestEverySlabComesBackOnce(t *testing.T) {
 			l.s.Abort()
 		}},
 		{"abort with producers anywhere", 4, func(t *testing.T) {
-			s := emitter.Start(4, func(th *emitter.Thread) {
+			s := emitter.Start(4, 1, func(th *emitter.Thread) {
 				for {
 					th.IntOps(emitter.BatchSize / 3)
 					th.Lock(uint32(th.ID))
@@ -262,6 +262,23 @@ func TestEverySlabComesBackOnce(t *testing.T) {
 				} else if n == emitter.BatchSize {
 					t.Fatal("a released reader delivers more than the batch it was on")
 				}
+			}
+		}},
+		{"a fan of three, one refused", 0, func(t *testing.T) {
+			// One emission read by three machines; the one Validate
+			// refuses detaches before it reads anything.
+			bad := mipsy4
+			bad.ClockMHz = 7
+			prog := quickProgram(t, "fft", 4)
+			jobs := []runner.Job{{Config: mipsy4, Prog: prog}, {Config: bad, Prog: prog}, {Config: core.SimOSMXS(4, true), Prog: prog}}
+			pool := runner.New(1, nil)
+			for i, o := range pool.RunAll(context.Background(), jobs) {
+				if (o.Err != nil) != (i == 1) {
+					t.Errorf("job %d: err %v", i, o.Err)
+				}
+			}
+			if st := pool.Stats(); st.Emissions != 1 {
+				t.Errorf("three runs of one program took %d emissions", st.Emissions)
 			}
 		}},
 		{"capture", 0, func(t *testing.T) {
@@ -331,7 +348,7 @@ func TestEverySlabComesBackOnce(t *testing.T) {
 // full nine slabs, filling them with loads and CACHE ops that set every
 // field of every slot, and gives them all back.
 func borrowAndReturn(threads int) {
-	s := emitter.Start(threads, func(th *emitter.Thread) {
+	s := emitter.Start(threads, 1, func(th *emitter.Thread) {
 		// One short of nine full batches: the ninth goes out with the end
 		// of the stream, and a full one would wait for a tenth slab.
 		v := emitter.None
@@ -365,7 +382,7 @@ func TestDroppedSlabIsNotPinned(t *testing.T) {
 	emitter.DropFreeSlabs()
 	borrowAndReturn(2)
 	made := emitter.SlabsMade()
-	s := emitter.Start(2, func(th *emitter.Thread) { th.IntOps(3 * emitter.BatchSize) }, nil)
+	s := emitter.Start(2, 1, func(th *emitter.Thread) { th.IntOps(3 * emitter.BatchSize) }, nil)
 	readEach(s, 3*emitter.BatchSize)
 	s.Wait()
 	if emitter.SlabsMade() != made || s.Holds() == 0 {

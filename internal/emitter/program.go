@@ -168,7 +168,12 @@ type Program struct {
 
 // Launch runs Setup and starts the emitter goroutines. It returns the
 // address space (for the OS model to map) and the live streams.
-func (p Program) Launch() (*AddressSpace, *Streams) {
+func (p Program) Launch() (*AddressSpace, *Streams) { return p.LaunchShared(1) }
+
+// LaunchShared is Launch for readers consumers of one emission: the
+// streams carry that many reader sets, and the address space is theirs
+// to share (nothing maps into it once Setup has returned).
+func (p Program) LaunchShared(readers int) (*AddressSpace, *Streams) {
 	if p.Threads <= 0 {
 		panic("emitter: program has no threads")
 	}
@@ -177,7 +182,7 @@ func (p Program) Launch() (*AddressSpace, *Streams) {
 	if p.Setup != nil {
 		shared = p.Setup(as)
 	}
-	s := Start(p.Threads, func(t *Thread) { p.Body(t, shared) }, p.Tap)
+	s := Start(p.Threads, readers, func(t *Thread) { p.Body(t, shared) }, p.Tap)
 	return as, s
 }
 

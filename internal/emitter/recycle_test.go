@@ -2,7 +2,9 @@ package emitter
 
 import (
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"flashsim/internal/isa"
 )
@@ -12,7 +14,7 @@ import (
 // arrays rather than allocating one per send.
 func TestBatchBuffersAreRecycled(t *testing.T) {
 	const batches = 64 // well past poolSize circulations
-	s := Start(1, func(th *Thread) { th.IntOps(batches * BatchSize) }, nil)
+	s := Start(1, 1, func(th *Thread) { th.IntOps(batches * BatchSize) }, nil)
 	rd := s.Readers[0]
 	seen := map[*isa.Instr]int{} // first-element pointer identifies a slab
 	n := 0
@@ -45,7 +47,7 @@ func TestBatchBuffersAreRecycled(t *testing.T) {
 func TestEmitterSteadyStateZeroAlloc(t *testing.T) {
 	const perRound = 4 * BatchSize
 	const rounds = 16
-	s := Start(1, func(th *Thread) {
+	s := Start(1, 1, func(th *Thread) {
 		// Enough instructions for warmup plus every measured round.
 		th.IntOps(perRound * (rounds + 4))
 	}, nil)
@@ -75,7 +77,7 @@ func TestEmitterSteadyStateZeroAlloc(t *testing.T) {
 // batch-recycling change moves. Allocations are reported; steady state
 // must be 0 allocs/op.
 func BenchmarkEmitterThroughput(b *testing.B) {
-	s := Start(1, func(th *Thread) {
+	s := Start(1, 1, func(th *Thread) {
 		for {
 			th.IntOps(BatchSize)
 		}
@@ -114,7 +116,7 @@ func TestNextAndNextBatchAgree(t *testing.T) {
 		ctr Stats
 	}
 	drainBy := func(next func(r *Reader, i int) []isa.Instr) drained {
-		s := Start(1, body, nil)
+		s := Start(1, 1, body, nil)
 		r := s.Readers[0]
 		var d drained
 		for i := 0; ; i++ {
@@ -128,7 +130,7 @@ func TestNextAndNextBatchAgree(t *testing.T) {
 		if err := s.Err(); err != nil {
 			t.Fatal(err)
 		}
-		d.ctr = s.Counters()
+		d.ctr = s.Counters(0)
 		return d
 	}
 	one := func(r *Reader, _ int) []isa.Instr {
@@ -168,7 +170,7 @@ func TestNextAndNextBatchAgree(t *testing.T) {
 // written into the slot a pool's worth of batches earlier.
 func TestRecycledSlotsAreFullyOverwritten(t *testing.T) {
 	const n = 2 * poolSize * BatchSize // of each kind: twice round the pool
-	s := Start(1, func(th *Thread) {
+	s := Start(1, 1, func(th *Thread) {
 		v := None
 		for i := 0; i < n; i += 2 {
 			v = th.Load(0xdead0000+uint64(i), 8, v, v)
@@ -187,7 +189,96 @@ func TestRecycledSlotsAreFullyOverwritten(t *testing.T) {
 		}
 	}
 	s.Wait()
-	if reuses := s.Counters().SlabReuses; reuses < 2*poolSize {
+	if reuses := s.Counters(0).SlabReuses; reuses < 2*poolSize {
 		t.Fatalf("only %d slabs were recycled; the test did not reach reused slots", reuses)
+	}
+}
+
+// drainSet reads reader set k of s in the given thread order, each
+// thread to its end before the next, on one goroutine the way a machine
+// would, and returns what it read per thread.
+func drainSet(s *Streams, k int, order []int) [][]isa.Instr {
+	got := make([][]isa.Instr, len(order))
+	for _, i := range order {
+		for b := s.Set(k)[i].NextBatch(); b != nil; b = s.Set(k)[i].NextBatch() {
+			got[i] = append(got[i], b...)
+		}
+	}
+	return got
+}
+
+// TestFanOutKeepsThePool: one thread read by three reader sets, each
+// on its own goroutine, reuses the same slabs it would for one; every
+// set reads the whole stream.
+func TestFanOutKeepsThePool(t *testing.T) {
+	const batches = 64
+	s := Start(1, 3, func(th *Thread) { th.IntOps(batches * BatchSize) }, nil)
+	seen := make([]map[*isa.Instr]bool, 3)
+	read := make([]int, 3)
+	var wg sync.WaitGroup
+	for k := range seen {
+		seen[k] = map[*isa.Instr]bool{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := s.Set(k)[0]
+			for b := r.NextBatch(); b != nil; b = r.NextBatch() {
+				read[k] += len(b)
+				seen[k][&r.buf[0]] = true
+			}
+		}()
+	}
+	wg.Wait()
+	s.Abort()
+	for k := range seen {
+		if read[k] != batches*BatchSize {
+			t.Errorf("set %d read %d instructions, want %d", k, read[k], batches*BatchSize)
+		}
+		if len(seen[k]) > poolSize {
+			t.Errorf("set %d saw %d distinct slabs over %d batches; a pool of %d is not recycling", k, len(seen[k]), batches, poolSize)
+		}
+	}
+}
+
+// TestSharedEmissionSurvivesSkew: two reader sets that read two threads
+// in opposite orders, each thread to its end first, would each wait on a
+// thread whose producer waits for the other set. The cycle is the one
+// case a producer borrows past poolSize: both sets read every batch, in
+// order, and the stream ends.
+func TestSharedEmissionSurvivesSkew(t *testing.T) {
+	body := func(th *Thread) {
+		for i := 0; i < 3*poolSize*BatchSize; i++ {
+			th.Load(uint64(th.ID)<<32|uint64(i)*8, 8, None, None)
+		}
+	}
+	solo := Start(2, 1, body, nil)
+	want := drainSet(solo, 0, []int{0, 1})
+	solo.Abort()
+
+	s := Start(2, 2, body, nil)
+	got := make([][][]isa.Instr, 2)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for k, order := range [][]int{{0, 1}, {1, 0}} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[k] = drainSet(s, k, order)
+			}()
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("two reader sets in opposite orders deadlocked the stream")
+	}
+	s.Abort()
+	for k := range got {
+		if !reflect.DeepEqual(got[k], want) {
+			t.Errorf("set %d read a different stream than a solo reader", k)
+		}
 	}
 }

@@ -35,7 +35,7 @@ func TestTapMirrorsStreams(t *testing.T) {
 	const threads = 3
 	const perThread = 3*BatchSize + 17 // cross several batch boundaries
 	rec := &tapRecorder{streams: make(map[int][]isa.Instr), batches: make(map[int]int)}
-	s := Start(threads, func(th *Thread) {
+	s := Start(threads, 1, func(th *Thread) {
 		for i := 0; i < perThread; i++ {
 			th.Store(uint64(0x1000+8*i), 8, None, None)
 		}
@@ -67,7 +67,7 @@ func TestTapMirrorsStreams(t *testing.T) {
 	}
 	// Tap calls equal channel sends, so the counters agree with the
 	// recorder — the accounting replay relies on (trace footer Batches).
-	c := s.Counters()
+	c := s.Counters(0)
 	if c.Batches != uint64(threads*wantBatches) || c.Instructions != uint64(threads*perThread) {
 		t.Fatalf("counters %+v, want %d batches / %d instructions",
 			c, threads*wantBatches, threads*perThread)
@@ -81,7 +81,7 @@ func TestTapMirrorsStreams(t *testing.T) {
 // TestStartIsUntapped pins that the plain Start path has no tap (the
 // hot path stays a nil check).
 func TestStartIsUntapped(t *testing.T) {
-	s := Start(1, func(th *Thread) { th.Store(0x1000, 8, None, None) }, nil)
+	s := Start(1, 1, func(th *Thread) { th.Store(0x1000, 8, None, None) }, nil)
 	ins := drain(s.Readers[0])
 	s.Wait()
 	if err := s.Err(); err != nil {

@@ -536,3 +536,27 @@ func checkTraceReplay(t *testing.T, d harness.TraceReplayData, procs int, text s
 		t.Error("render missing taxonomy classes")
 	}
 }
+
+// TestFiguresShareEmissions: on a fresh one-worker session with a store,
+// Figure 1's 36 runs come from one emission per program, and Figures 1
+// and 3 account their jobs, runs and hits as they did one emission per
+// run: 243 jobs, 161 run, 82 cached.
+func TestFiguresShareEmissions(t *testing.T) {
+	store, err := runner.NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := harness.NewSessionWithPool(harness.ScaleQuick, runner.New(1, store))
+	if _, _, err := s.Figure1(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Pool().Stats(); st.Jobs != 36 || st.Ran != 36 || st.Emissions != 4 {
+		t.Errorf("Figure 1: %s, want 36 jobs, 36 run from 4 emissions", st)
+	}
+	if _, _, err := s.Figure3(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Pool().Stats(); st.Jobs != 243 || st.Ran != 161 || st.CacheHits != 82 {
+		t.Errorf("Figures 1 and 3: %s, want 243 jobs, 161 run, 82 cached", st)
+	}
+}

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"sync"
 
 	"flashsim/internal/cpu"
 	"flashsim/internal/cpu/mipsy"
@@ -23,7 +24,10 @@ import (
 // Stream and NewCore once per node during build, drives the event loop
 // to quiescence, and then calls Finish exactly once — with ok=false on
 // any failure path — so drivers can release producer goroutines and
-// seal artifacts.
+// seal artifacts. An execution driver may be one of several members of
+// a shared emission (RunShared): its streams are its own reader set,
+// and Finish detaches that set, so the producers outlive a failed
+// member and stop with the last one.
 type Driver interface {
 	// Workload names the instruction source ("fft/p4", a trace's
 	// recorded workload) for results and metrics.
@@ -101,12 +105,14 @@ func RunWith(cfg Config, d Driver) (Result, error) {
 }
 
 // execDriver is the execution-driven driver: a launched program whose
-// per-thread emitter goroutines feed the streams.
+// per-thread emitter goroutines feed the streams, read through one of
+// its reader sets.
 type execDriver struct {
 	cfg     Config
 	name    string
 	space   *emitter.AddressSpace
 	streams *emitter.Streams
+	set     int
 }
 
 // NewExecutionDriver launches prog's emitter threads and returns the
@@ -121,7 +127,7 @@ func NewExecutionDriver(cfg Config, prog emitter.Program) Driver {
 func (d *execDriver) Workload() string             { return d.name }
 func (d *execDriver) Threads() int                 { return len(d.streams.Readers) }
 func (d *execDriver) Space() *emitter.AddressSpace { return d.space }
-func (d *execDriver) Stream(i int) cpu.Stream      { return d.streams.Readers[i] }
+func (d *execDriver) Stream(i int) cpu.Stream      { return d.streams.Set(d.set)[i] }
 
 // NewCore builds the configured processor model — the one construction
 // path shared by plain runs, captures, and (via mipsy over an expanded
@@ -130,14 +136,45 @@ func (d *execDriver) NewCore(i int, clock sim.Clock, src cpu.Stream, port cpu.Po
 	return newConfiguredCore(d.cfg, i, clock, src, port)
 }
 
+// Finish detaches the driver's reader set; the last set to go stops the
+// producers and returns their slabs.
 func (d *execDriver) Finish(ok bool) (emitter.Stats, error) {
-	d.streams.Abort()
+	d.streams.Detach(d.set)
 	// Surface a workload panic over the machine's own failure: the
-	// stream dying is usually why the run did not drain.
+	// stream dying is usually why the run did not drain. A set that
+	// drained saw every thread's end, so a panic is recorded by then.
 	if err := d.streams.Err(); err != nil || !ok {
 		return emitter.Stats{}, err
 	}
-	return d.streams.Counters(), nil
+	return d.streams.Counters(d.set), nil
+}
+
+// RunShared runs prog on every configuration in cfgs from one emission:
+// the program launches once with a reader set per configuration, and
+// each member's RunWith runs as a goroutine over the shared address
+// space, its result bit-identical to Run(cfgs[k], prog). member is
+// called on member k's goroutine with that run, and must recover what
+// the run panics with; a member that fails, or never runs, detaches its
+// readers, so the producers and the other members go on. RunShared
+// returns when every member has.
+func RunShared(cfgs []Config, prog emitter.Program, member func(k int, run func() (Result, error))) {
+	space, streams := prog.LaunchShared(len(cfgs))
+	var wg sync.WaitGroup
+	for k, cfg := range cfgs {
+		d := &execDriver{cfg: cfg, name: prog.FullName(), space: space, streams: streams, set: k}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer streams.Detach(k)
+			member(k, func() (Result, error) {
+				if err := checkThreads(cfg, prog); err != nil {
+					return Result{}, err
+				}
+				return RunWith(cfg, d)
+			})
+		}()
+	}
+	wg.Wait()
 }
 
 // newConfiguredCore constructs the processor model cfg selects. Every

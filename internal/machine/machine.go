@@ -65,11 +65,20 @@ type lockWaiter struct {
 // result. Each call builds a fresh machine; state never leaks between
 // runs.
 func Run(cfg Config, prog emitter.Program) (Result, error) {
-	if prog.Threads != cfg.Procs {
-		return Result{}, fmt.Errorf("machine %q: program %s has %d threads but machine has %d processors",
-			cfg.Name, prog.FullName(), prog.Threads, cfg.Procs)
+	if err := checkThreads(cfg, prog); err != nil {
+		return Result{}, err
 	}
 	return RunWith(cfg, NewExecutionDriver(cfg, prog))
+}
+
+// checkThreads refuses a program whose thread count is not cfg's
+// processor count.
+func checkThreads(cfg Config, prog emitter.Program) error {
+	if prog.Threads != cfg.Procs {
+		return fmt.Errorf("machine %q: program %s has %d threads but machine has %d processors",
+			cfg.Name, prog.FullName(), prog.Threads, cfg.Procs)
+	}
+	return nil
 }
 
 // build assembles a machine around an address space, deferring only

@@ -26,8 +26,12 @@ type RunnerCounters struct {
 	CacheHits int64
 	// Failed is the number of jobs that returned an error.
 	Failed int64
-	// WallNS is wall-clock time across batches; CPUNS sums per-job
-	// execution time (their ratio is the pool's parallel speedup).
+	// Emissions is the number of programs launched; the runs of one
+	// group share one.
+	Emissions int64
+	// WallNS is wall-clock time across batches; CPUNS sums execution
+	// time, a shared emission's once (their ratio is the pool's
+	// parallel speedup).
 	WallNS int64
 	CPUNS  int64
 }

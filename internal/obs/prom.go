@@ -28,6 +28,7 @@ func (r Report) WritePrometheus(w io.Writer) error {
 	p.counter("flashsim_runner_runs_total", "Actual simulator executions (pool cache misses).", r.Runner.Ran)
 	p.counter("flashsim_runner_cache_hits_total", "Jobs satisfied from the memo store.", r.Runner.CacheHits)
 	p.counter("flashsim_runner_failed_total", "Jobs that returned an error.", r.Runner.Failed)
+	p.counter("flashsim_runner_emissions_total", "Programs launched; the runs of one group share one emission.", r.Runner.Emissions)
 	p.seconds("flashsim_runner_wall_seconds_total", "Wall-clock seconds across pool batches.", r.Runner.WallNS)
 	p.seconds("flashsim_runner_cpu_seconds_total", "Summed per-job execution seconds.", r.Runner.CPUNS)
 

@@ -11,7 +11,10 @@
 // Calibrator's repeated snbench probes. Because machine.Run is a pure
 // function of (Config, Program), executing a batch concurrently and
 // returning results in submission order is bit-identical to running it
-// serially, whatever the worker count.
+// serially, whatever the worker count. Because a program's instruction
+// stream is a function of the program alone, the runs of a batch that
+// share a program run from one emission of it (machine.RunShared): the
+// pool groups a batch's jobs by program, and a group holds one worker.
 package runner
 
 import (
@@ -137,18 +140,20 @@ type Pool struct {
 	// themselves by spawning exactly `workers` goroutines.
 	sem chan struct{}
 
-	jobs   atomicCounter
-	ran    atomicCounter
-	hits   atomicCounter
-	failed atomicCounter
-	wall   atomicCounter // nanoseconds across Run/RunAll calls
-	cpu    atomicCounter // summed per-job execution nanoseconds
+	jobs      atomicCounter
+	ran       atomicCounter
+	hits      atomicCounter
+	failed    atomicCounter
+	emissions atomicCounter // programs launched
+	wall      atomicCounter // nanoseconds across Run/RunAll calls
+	cpu       atomicCounter // execution nanoseconds, a shared emission's once
 }
 
 // New returns a pool with the given concurrency. workers <= 0 selects
-// DefaultWorkers; workers == 1 is strictly serial. store is any memo
-// Backend — a *Store or a bare *DiskBackend — and may be nil to
-// disable memoization.
+// DefaultWorkers; workers == 1 runs one emission at a time, whose
+// members (the runs of one group) interleave as goroutines. store is
+// any memo Backend — a *Store or a bare *DiskBackend — and may be nil
+// to disable memoization.
 func New(workers int, store Backend) *Pool {
 	if workers <= 0 {
 		workers = defaultWorkers
@@ -223,48 +228,140 @@ func (p *Pool) RunOne(ctx context.Context, j Job) Outcome {
 }
 
 // RunAll executes jobs and returns one Outcome per job, in submission
-// order, with per-job errors left to the caller.
+// order, with per-job errors left to the caller. Jobs that run the same
+// program (FullName and thread count, the workload half of the memo key)
+// form a group, dispatched in order of first appearance as one unit on
+// one worker: its store misses run from a single emission.
 func (p *Pool) RunAll(ctx context.Context, jobs []Job) []Outcome {
 	t0 := time.Now()
 	defer func() { p.wall.add(int64(time.Since(t0))) }()
 
 	out := make([]Outcome, len(jobs))
-	workers := p.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	groups := groupJobs(jobs)
+	workers := min(p.workers, len(groups))
 	if workers <= 1 {
-		for i := range jobs {
-			out[i] = p.runOne(ctx, jobs[i])
+		for _, g := range groups {
+			p.runGroup(ctx, jobs, g, out)
 		}
 		return out
 	}
 
-	idx := make(chan int)
+	gs := make(chan []int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				out[i] = p.runOne(ctx, jobs[i])
+			for g := range gs {
+				p.runGroup(ctx, jobs, g, out)
 			}
 		}()
 	}
-	// Each index is delivered exactly once: either to a worker, or —
-	// once the context dies — marked failed right here.
-	for i := range jobs {
+	// Each group is delivered exactly once: either to a worker, or —
+	// once the context dies — its jobs are marked failed right here.
+	for _, g := range groups {
 		select {
-		case idx <- i:
+		case gs <- g:
 		case <-ctx.Done():
-			p.jobs.add(1)
-			p.failed.add(1)
-			out[i] = Outcome{Err: ctx.Err()}
+			for _, i := range g {
+				p.jobs.add(1)
+				p.failed.add(1)
+				out[i] = Outcome{Err: ctx.Err()}
+			}
 		}
 	}
-	close(idx)
+	close(gs)
 	wg.Wait()
 	return out
+}
+
+// groupJobs partitions the job indexes by the program they emit, in
+// order of first appearance. A replay emits nothing and groups alone.
+func groupJobs(jobs []Job) [][]int {
+	type program struct {
+		name    string
+		threads int
+	}
+	at := make(map[program]int)
+	var groups [][]int
+	for i, j := range jobs {
+		if j.Replay == nil {
+			id := program{j.Prog.FullName(), j.Prog.Threads}
+			if g, ok := at[id]; ok {
+				groups[g] = append(groups[g], i)
+				continue
+			}
+			at[id] = len(groups)
+		}
+		groups = append(groups, []int{i})
+	}
+	return groups
+}
+
+// runGroup runs one group: a store lookup per job, then every miss from
+// one emission. A job whose key an earlier miss of the group will file
+// is looked up once that run is over, so a batch that repeats a key
+// simulates it once and counts a hit, as it would one job at a time.
+func (p *Pool) runGroup(ctx context.Context, jobs []Job, g []int, out []Outcome) {
+	if len(g) == 1 || jobs[g[0]].Replay != nil {
+		out[g[0]] = p.runOne(ctx, jobs[g[0]])
+		return
+	}
+	var miss, repeats []int
+	var keys []string
+	filed := make(map[string]bool)
+	for _, i := range g {
+		j := jobs[i]
+		if p.store != nil {
+			if j = j.Keyed(); filed[j.key] {
+				repeats = append(repeats, i)
+				continue
+			}
+		}
+		key, o, done := p.admit(ctx, j)
+		if done {
+			out[i] = o
+			continue
+		}
+		miss, keys = append(miss, i), append(keys, key)
+		if key != "" {
+			filed[key] = true
+		}
+	}
+	if len(miss) > 0 {
+		p.runShared(jobs, miss, keys, out)
+	}
+	for _, i := range repeats {
+		out[i] = p.runOne(ctx, jobs[i])
+	}
+}
+
+// runShared runs the misses of one group from one emission, each member
+// recovering its own panic. Elapsed time counts once for the group.
+func (p *Pool) runShared(jobs []Job, miss []int, keys []string, out []Outcome) {
+	cfgs := make([]machine.Config, len(miss))
+	for k, i := range miss {
+		cfgs[k] = jobs[i].config()
+	}
+	t0 := time.Now()
+	defer func() {
+		p.cpu.add(int64(time.Since(t0)))
+		// Only the launch panics outside a member: Setup failed, and
+		// with it every member.
+		if r := recover(); r != nil {
+			for _, i := range miss {
+				p.failed.add(1)
+				out[i] = Outcome{Err: panicked(r)}
+			}
+		}
+	}()
+	p.emissions.add(1)
+	machine.RunShared(cfgs, jobs[miss[0]].Prog, func(k int, run func() (machine.Result, error)) {
+		o := &out[miss[k]]
+		defer p.recovered(o)
+		res, err := run()
+		*o = p.file(keys[k], res, err)
+	})
 }
 
 // errSampledMemo refuses a sampled job on a pool with a store.
@@ -275,49 +372,77 @@ var errSampledMemo = errors.New("runner: a sampled run cannot be memoized: its s
 // crashing the process (a crashing sim configuration must not take the
 // whole sweep down with it).
 func (p *Pool) runOne(ctx context.Context, j Job) (o Outcome) {
-	p.jobs.add(1)
-	defer func() {
-		if r := recover(); r != nil {
-			p.failed.add(1)
-			o = Outcome{Err: fmt.Errorf("simulation panicked: %v\n%s", r, debug.Stack())}
-		}
-	}()
-	if err := ctx.Err(); err != nil {
-		p.failed.add(1)
-		return Outcome{Err: err}
-	}
-	cfg := j.config()
-	key := ""
-	if p.store != nil {
-		// No fingerprint carries the sampling schedule, so a sampled
-		// result would be filed under its full-detail run's key.
-		if cfg.Sampling.Enabled {
-			p.failed.add(1)
-			return Outcome{Err: errSampledMemo}
-		}
-		key = j.Fingerprint()
-	}
-	if key != "" {
-		if res, ok := p.store.Get(key); ok {
-			// The fingerprint is Name-blind, so a hit may come from a
-			// run under a different label; re-stamp it with ours.
-			res.Config = cfg.Name
-			p.hits.add(1)
-			if p.metrics != nil {
-				p.metrics.Record(res)
-			}
-			return Outcome{Result: res, Cached: true}
-		}
+	defer p.recovered(&o)
+	key, o, done := p.admit(ctx, j)
+	if done {
+		return o
 	}
 	t0 := time.Now()
 	var res machine.Result
 	var err error
 	if j.Replay != nil {
-		res, err = machine.RunReplay(cfg, j.Replay)
+		res, err = machine.RunReplay(j.config(), j.Replay)
 	} else {
-		res, err = machine.Run(cfg, j.Prog)
+		p.emissions.add(1)
+		res, err = machine.Run(j.config(), j.Prog)
 	}
 	p.cpu.add(int64(time.Since(t0)))
+	return p.file(key, res, err)
+}
+
+// recovered fails *o with the panic in flight, if any.
+func (p *Pool) recovered(o *Outcome) {
+	if r := recover(); r != nil {
+		p.failed.add(1)
+		*o = Outcome{Err: panicked(r)}
+	}
+}
+
+// panicked is the error of a job whose simulation panicked with r.
+func panicked(r any) error {
+	return fmt.Errorf("simulation panicked: %v\n%s", r, debug.Stack())
+}
+
+// admit counts a job in and does what precedes its run: cancellation,
+// the sampled-job refusal and the store lookup. It returns the key a
+// fresh result is filed under and, when the job needs no run, done with
+// its outcome.
+func (p *Pool) admit(ctx context.Context, j Job) (key string, o Outcome, done bool) {
+	p.jobs.add(1)
+	if err := ctx.Err(); err != nil {
+		p.failed.add(1)
+		return "", Outcome{Err: err}, true
+	}
+	cfg := j.config()
+	if p.store == nil {
+		return "", Outcome{}, false
+	}
+	// No fingerprint carries the sampling schedule, so a sampled
+	// result would be filed under its full-detail run's key.
+	if cfg.Sampling.Enabled {
+		p.failed.add(1)
+		return "", Outcome{Err: errSampledMemo}, true
+	}
+	key = j.Fingerprint()
+	if key == "" {
+		return "", Outcome{}, false
+	}
+	res, ok := p.store.Get(key)
+	if !ok {
+		return key, Outcome{}, false
+	}
+	// The fingerprint is Name-blind, so a hit may come from a run under
+	// a different label; re-stamp it with ours.
+	res.Config = cfg.Name
+	p.hits.add(1)
+	if p.metrics != nil {
+		p.metrics.Record(res)
+	}
+	return key, Outcome{Result: res, Cached: true}, true
+}
+
+// file accounts for one finished run and files its result under key.
+func (p *Pool) file(key string, res machine.Result, err error) Outcome {
 	p.ran.add(1)
 	if err != nil {
 		p.failed.add(1)

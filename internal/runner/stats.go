@@ -25,9 +25,13 @@ type Stats struct {
 	// Failed is the number of jobs that returned an error (including
 	// cancellations and recovered panics).
 	Failed int64
+	// Emissions is the number of programs launched: one feeds every
+	// run of a group, so Ran/Emissions is the sharing achieved.
+	Emissions int64
 	// Wall is the wall-clock time spent inside Run/RunAll batches; CPU
-	// is the summed execution time of the individual runs. CPU/Wall is
-	// the realized parallel speedup.
+	// is the summed execution time of the individual runs, counting a
+	// group that ran from one emission once, for its elapsed time.
+	// CPU/Wall is the realized parallel speedup.
 	Wall time.Duration
 	CPU  time.Duration
 }
@@ -39,6 +43,7 @@ func (p *Pool) Stats() Stats {
 		Ran:       p.ran.get(),
 		CacheHits: p.hits.get(),
 		Failed:    p.failed.get(),
+		Emissions: p.emissions.get(),
 		Wall:      time.Duration(p.wall.get()),
 		CPU:       time.Duration(p.cpu.get()),
 	}
@@ -52,6 +57,7 @@ func (s Stats) Counters() obs.RunnerCounters {
 		Ran:       s.Ran,
 		CacheHits: s.CacheHits,
 		Failed:    s.Failed,
+		Emissions: s.Emissions,
 		WallNS:    int64(s.Wall),
 		CPUNS:     int64(s.CPU),
 	}
@@ -69,7 +75,7 @@ func (s Stats) Speedup() float64 {
 
 // String renders the snapshot the way the CLIs print it.
 func (s Stats) String() string {
-	out := fmt.Sprintf("%d jobs (%d run, %d cached", s.Jobs, s.Ran, s.CacheHits)
+	out := fmt.Sprintf("%d jobs (%d run from %d emissions, %d cached", s.Jobs, s.Ran, s.Emissions, s.CacheHits)
 	if s.Failed > 0 {
 		out += fmt.Sprintf(", %d failed", s.Failed)
 	}
@@ -88,6 +94,7 @@ func (s Stats) Sub(earlier Stats) Stats {
 		Ran:       s.Ran - earlier.Ran,
 		CacheHits: s.CacheHits - earlier.CacheHits,
 		Failed:    s.Failed - earlier.Failed,
+		Emissions: s.Emissions - earlier.Emissions,
 		Wall:      s.Wall - earlier.Wall,
 		CPU:       s.CPU - earlier.CPU,
 	}
