@@ -203,7 +203,8 @@ func (m *MSHRs) expire(t sim.Ticks) {
 	m.pending = m.pending[:k]
 }
 
-// Merges returns the number of merged (piggybacked) requests.
+// Merges returns the number of piggybacked requests: misses that
+// joined an outstanding one.
 func (m *MSHRs) Merges() uint64 { return m.merges }
 
 // L2Interface models the occupancy of the R10000's external

@@ -71,7 +71,7 @@ func TestMSHRMerge(t *testing.T) {
 		t.Fatal("merge not counted")
 	}
 	if _, ok := m.Lookup(0x200, 10); ok {
-		t.Fatal("lookup of absent line merged")
+		t.Fatal("lookup of absent line joined a miss")
 	}
 }
 

@@ -1,10 +1,12 @@
 // Package cpu defines the contract between processor models and the
-// machine: the memory Port the machine exposes to a processor, and the
+// machine: the memory Port the machine exposes to a processor, the
 // Outcome protocol by which a processor yields control back to the
-// event loop. The two processor models of the study — Mipsy
-// (internal/cpu/mipsy) and MXS (internal/cpu/mxs) — implement the CPU
-// interface against this contract; the hardware reference is MXS at
-// full fidelity.
+// event loop, and CPU.Deliver, by which the machine completes an access
+// the port deferred. Every core accepts a deferred access, since the
+// machine's engine defers all shared-memory work. The two processor
+// models of the study — Mipsy (internal/cpu/mipsy) and MXS
+// (internal/cpu/mxs) — implement the CPU interface against this
+// contract; the hardware reference is MXS at full fidelity.
 package cpu
 
 import (
@@ -47,7 +49,7 @@ const (
 	// FlagPending: the access needs the shared memory system and has
 	// been deferred to the engine's next barrier phase; nothing else in
 	// the MemInfo is meaningful yet, and the processor suspends the
-	// instruction (see Blocked and Blocking).
+	// instruction (see Blocked and CPU.Deliver).
 	FlagPending
 )
 
@@ -181,17 +183,6 @@ type Outcome struct {
 	Instr isa.Instr // valid for SyncOp
 }
 
-// Blocking is the suspension half of the deferred-access protocol: a
-// processor that can return a Blocked outcome implements it. Deliver
-// hands the core the completed MemInfo of its deferred access; the
-// core finishes the suspended instruction and returns the time at
-// which the machine should call Run again. Every core the machine
-// constructs implements Blocking — the windowed engine defers all
-// shared-memory operations.
-type Blocking interface {
-	Deliver(mi MemInfo) sim.Ticks
-}
-
 // CPU is a processor model bound to one instruction stream and one
 // memory port.
 type CPU interface {
@@ -199,6 +190,11 @@ type CPU interface {
 	// yields. The machine guarantees t is no earlier than the last
 	// outcome's Time.
 	Run(t sim.Ticks) Outcome
+	// Deliver is the suspension half of the deferred-access protocol:
+	// it hands a core that returned Blocked the completed MemInfo of
+	// its deferred access; the core finishes the suspended instruction
+	// and returns the time at which the machine should call Run again.
+	Deliver(mi MemInfo) sim.Ticks
 	// Instructions returns the instructions executed so far.
 	Instructions() uint64
 }

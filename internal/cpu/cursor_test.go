@@ -138,7 +138,7 @@ func transcript(t *testing.T, clock sim.Clock, core cpu.CPU) []cpu.Outcome {
 		case cpu.Finished:
 			return outs
 		case cpu.Blocked:
-			now = core.(cpu.Blocking).Deliver(cpu.MemInfo{
+			now = core.Deliver(cpu.MemInfo{
 				Done: now + clock.Cycles(90), IssuedAt: now + clock.Cycles(3), Flags: cpu.FlagWentToMemory})
 			outs = append(outs, cpu.Outcome{Kind: cpu.Yield, Time: now}) // the resume time is part of the contract
 		}

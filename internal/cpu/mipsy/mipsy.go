@@ -48,7 +48,7 @@ type CPU struct {
 	useLat bool
 
 	// pendT is the start time of the instruction whose access the port
-	// deferred (cpu.Blocking).
+	// deferred (cpu.CPU.Deliver).
 	pendT sim.Ticks
 }
 
@@ -68,7 +68,7 @@ func New(cfg Config, rd cpu.Stream, port cpu.Port) *CPU {
 // Instructions returns the instructions the core has executed.
 func (c *CPU) Instructions() uint64 { return c.instrs }
 
-// Deliver implements cpu.Blocking: it completes the access the port
+// Deliver implements cpu.CPU: it completes the access the port
 // deferred, running the same timing tail the inline path runs, and
 // returns when the core should resume.
 func (c *CPU) Deliver(mi cpu.MemInfo) sim.Ticks {

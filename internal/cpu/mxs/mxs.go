@@ -121,7 +121,7 @@ type CPU struct {
 	retireSpacing sim.Ticks
 	instrs        uint64 // n and the sync ops
 
-	// Suspension context for a port-deferred access (cpu.Blocking).
+	// Suspension context for a port-deferred access (cpu.CPU.Deliver).
 	pendLat       isa.Latency
 	pendIssueT    sim.Ticks
 	pendDepsReady bool
@@ -232,7 +232,7 @@ func (c *CPU) completeInstr(lat isa.Latency, issueT, completeT sim.Ticks, depsRe
 	c.n++
 }
 
-// Deliver implements cpu.Blocking: the port deferred the suspended
+// Deliver implements cpu.CPU: the port deferred the suspended
 // memory access to a barrier phase and mi is its completed result.
 // The core finishes the instruction exactly as the inline path would
 // have and returns the resume time the inline memYield return uses —

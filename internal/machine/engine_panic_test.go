@@ -32,8 +32,6 @@ func (c *panickyCore) Run(t sim.Ticks) cpu.Outcome {
 	return c.CPU.Run(t)
 }
 
-func (c *panickyCore) Deliver(mi cpu.MemInfo) sim.Ticks { return c.CPU.(cpu.Blocking).Deliver(mi) }
-
 func (d *panickyDriver) NewCore(i int, clock sim.Clock, src cpu.Stream, port cpu.Port) cpu.CPU {
 	core := d.Driver.NewCore(i, clock, src, port)
 	if i == 1 {

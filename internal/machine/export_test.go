@@ -59,3 +59,19 @@ func (s *portSpy) NewCore(i int, clock sim.Clock, src cpu.Stream, port cpu.Port)
 	s.ports = append(s.ports, port.(*memPort))
 	return s.Driver.NewCore(i, clock, src, port)
 }
+
+// SetWindow runs the engine at window W = w ticks, 0 being the
+// lookahead-derived default, until the returned func restores it.
+func SetWindow(w sim.Ticks) (restore func()) {
+	old := windowOverride
+	windowOverride = w
+	return func() { windowOverride = old }
+}
+
+// SetEventCap lowers the runaway guard to n dispatched events until the
+// returned func restores it.
+func SetEventCap(n int) (restore func()) {
+	old := eventCap
+	eventCap = n
+	return func() { eventCap = old }
+}

@@ -24,7 +24,8 @@ const (
 type Machine struct {
 	cfg    Config
 	queue  *sim.Queue
-	window sim.Ticks // windowed-engine quantum W (lookahead-derived)
+	window sim.Ticks   // windowed-engine quantum W (lookahead-derived)
+	ops    []pendingOp // the round's deferred ops, every node's, in push order
 	mem    memsys.System
 	os     *osmodel.OS
 	nodes  []*node
@@ -125,6 +126,9 @@ func build(cfg Config, space *emitter.AddressSpace, newCore func(i int, clock si
 		la = net.Lookahead()
 	}
 	m.window = la * windowLookaheadMult
+	if windowOverride > 0 {
+		m.window = windowOverride
+	}
 
 	clock := sim.NewClock(cfg.ClockMHz)
 	m.nodes = make([]*node, cfg.Procs)

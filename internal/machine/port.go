@@ -34,11 +34,9 @@ type memPort struct {
 	l2if  *cache.L2Interface
 	cases [proto.NumCases]uint64 // protocol cases of the lines fetch asked for
 
-	// Deferred-operation sink: ops this node produced during the
-	// current node phase, drained and merged at the barrier. seq
-	// numbers ops per node; lastOpT keeps per-node op times monotone so
-	// the global (t, node, seq) sort preserves each node's issue order.
-	ops     []pendingOp
+	// Deferred-operation key: opSeq numbers this node's ops; lastOpT
+	// keeps their times monotone so the global (t, node, seq) sort
+	// preserves the node's issue order.
 	opSeq   uint64
 	lastOpT sim.Ticks
 }
@@ -55,7 +53,8 @@ type access struct {
 	warm bool
 }
 
-// push defers op to the barrier phase.
+// push defers op to the barrier phase, appending it to the machine's
+// one op list.
 func (p *memPort) push(op pendingOp) {
 	if op.t < p.lastOpT {
 		op.t = p.lastOpT
@@ -64,7 +63,7 @@ func (p *memPort) push(op pendingOp) {
 	op.node = p.node
 	op.seq = p.opSeq
 	p.opSeq++
-	p.ops = append(p.ops, op)
+	p.m.ops = append(p.m.ops, op)
 }
 
 func (p *memPort) cyc(n uint32) sim.Ticks { return p.clock.Cycles(uint64(n)) }
@@ -323,7 +322,7 @@ func (p *memPort) acquire(t sim.Ticks, a access, pa uint64) (done, issuedAt sim.
 			switch a.op {
 			case isa.Load:
 				// The load rides the outstanding fill: a Shared L1 copy,
-				// L2 left to the miss it merged with.
+				// L2 left to the miss it joined.
 				p.fillL1(pa, cache.Shared)
 				return max(mdone+restart, t), t
 			case isa.Store:

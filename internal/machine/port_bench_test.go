@@ -63,7 +63,7 @@ func BenchmarkPortAccess(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			portSink = p.Load(sim.Ticks(i), va, 8)
-			p.ops = p.ops[:0]
+			p.m.ops = p.m.ops[:0]
 		}
 	})
 }

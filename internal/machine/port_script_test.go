@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -84,10 +83,10 @@ func (c *scriptCore) Deliver(mi cpu.MemInfo) sim.Ticks {
 
 // portRig drives the ports of a built machine by hand. In deferred mode
 // it plays the engine: accesses enter through the cpu.Port methods, and
-// barrier merges the nodes' pending ops and executes them in
-// (t, node, seq) order through Machine.execOp. In synchronous mode every
-// access takes the canDefer=false body and completes inline. Either way
-// each access and each delivery appends one line to the transcript.
+// barrier executes the machine's pending ops in (t, node, seq) order
+// through Machine.barrier. In synchronous mode every access takes the
+// canDefer=false body and completes inline. Either way each access and
+// each delivery appends one line to the transcript.
 type portRig struct {
 	t        testing.TB
 	m        *Machine
@@ -149,22 +148,15 @@ func (r *portRig) wst(n int, va uint64) { r.do(n, isa.Store, va, true) }
 func (r *portRig) wpf(n int, va uint64) { r.do(n, isa.Prefetch, va, true) }
 func (r *portRig) wco(n int, va uint64) { r.do(n, isa.CacheOp, va, true) }
 
-// barrier executes every pending op the way Machine.drive does.
+// barrier executes every pending op through Machine.barrier.
 func (r *portRig) barrier() {
-	var merged []pendingOp
-	for _, n := range r.m.nodes {
-		merged = append(merged, n.port.ops...)
-		n.port.ops = n.port.ops[:0]
-	}
-	slices.SortFunc(merged, compareOps)
-	for i := range merged {
-		r.m.execOp(&merged[i])
-	}
+	ops := len(r.m.ops)
+	r.m.barrier()
 	if r.m.runErr != nil {
 		r.t.Fatal(r.m.runErr)
 	}
 	if !r.quiet {
-		fmt.Fprintf(&r.log, "barrier: %d ops\n", len(merged))
+		fmt.Fprintf(&r.log, "barrier: %d ops\n", ops)
 	}
 }
 

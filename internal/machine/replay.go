@@ -292,7 +292,7 @@ type replayCPU struct {
 	instrs     uint64
 
 	// pendT is the start time of the instruction whose access the port
-	// deferred (cpu.Blocking), mirroring mipsy's.
+	// deferred (cpu.CPU.Deliver), mirroring mipsy's.
 	pendT sim.Ticks
 }
 
@@ -317,7 +317,7 @@ func (c *replayCPU) loadPending() {
 	}
 }
 
-// Deliver implements cpu.Blocking, cloning mipsy's Deliver.
+// Deliver implements cpu.CPU, cloning mipsy's Deliver.
 func (c *replayCPU) Deliver(mi cpu.MemInfo) sim.Ticks {
 	return c.clock.Align(max(c.pendT+c.clock.Period, mi.Done))
 }

@@ -167,12 +167,10 @@ func (c *sampledCPU) Instructions() uint64 { return c.inner.Instructions() + c.f
 // into Result.Sampling).
 func (c *sampledCPU) sampling() SamplingStats { return c.meta }
 
-// Deliver implements cpu.Blocking by forwarding to the detailed inner
-// core: Blocked outcomes only originate inside detailed windows (the
-// functional path's shared-state work is all fire-and-forget).
-func (c *sampledCPU) Deliver(mi cpu.MemInfo) sim.Ticks {
-	return c.inner.(cpu.Blocking).Deliver(mi)
-}
+// Deliver forwards to the detailed inner core: Blocked outcomes only
+// originate inside detailed windows (the functional path's shared-state
+// work is all fire-and-forget).
+func (c *sampledCPU) Deliver(mi cpu.MemInfo) sim.Ticks { return c.inner.Deliver(mi) }
 
 // openWindow arms the gate for the next detailed window. A schedule
 // with no functional gap (Window == Period) opens one unbounded

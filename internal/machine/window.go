@@ -16,39 +16,46 @@ import (
 // Time advances in fixed windows [T, T+W), W derived from the
 // interconnect's conservative lookahead (the 45-tick per-hop link
 // latency — no message can affect another node sooner) times a fixed
-// multiplier. Within a window the engine runs rounds:
+// multiplier. drive is one loop over rounds:
 //
 //  1. Node phase: the event queue drains up to T+W. Node work in this
 //     phase is strictly node-local — translation of mapped pages,
 //     L1/L2 tag checks, write-buffer slots. Anything that needs shared
 //     state (memory-system transactions, page faults, sync operations)
-//     is pushed as a pendingOp and the node either suspends
-//     (cpu.Blocked) or proceeds fire-and-forget.
-//  2. Barrier: the per-node op lists are concatenated in node order,
-//     sorted by (t, node, seq), and executed serially through the
-//     synchronous memory-system code. Blocking ops hand their completed
-//     MemInfo back to the suspended core (cpu.Blocking.Deliver) and
-//     reschedule it.
-//  3. Repeat until a node phase produces no ops, then advance T to the
-//     window containing the earliest pending event.
+//     is appended to the machine's one op list as a pendingOp and the
+//     node either suspends (cpu.Blocked) or proceeds fire-and-forget.
+//  2. Barrier: the op list is sorted by (t, node, seq) and executed
+//     serially through the synchronous memory-system code. Blocking
+//     ops hand their completed MemInfo back to the suspended core
+//     (cpu.CPU.Deliver) and reschedule it. Executing an op never defers
+//     another — every re-entry is canDefer=false — so the barrier
+//     empties the list.
+//  3. A round that deferred ops is followed by another at the same T;
+//     one that deferred none advances T to the window containing the
+//     earliest pending event.
 //
 // The round structure — which events run in which node phase, and the
 // sorted op order — depends only on the event timestamps and the
 // (t, node, seq) keys.
 
 // windowLookaheadMult scales the interconnect lookahead into the engine
-// window width W. Correctness and determinism do not depend on it (the
-// barrier protocol serializes all shared-state work at any W); it is a
-// staleness-versus-barrier-overhead knob: larger windows batch more
-// node-local work per barrier but let node-local state (caches seen by
-// inline hits) go longer between cross-node effects. It is a compile-
-// time constant, not configuration, so every run at a given config uses
-// the same quantization.
+// window width W. Determinism does not depend on it (the barrier
+// protocol serializes all shared-state work at any W); results do:
+// larger windows batch more node-local work per barrier but let
+// node-local state (caches seen by inline hits) go longer between
+// cross-node effects, and TestEngineConverges records how far that
+// moves them from the W = 1 tick limit. It is a compile-time constant,
+// not configuration, so every run at a given config uses the same
+// quantization.
 const windowLookaheadMult = 64
 
+// windowOverride, when nonzero, replaces the lookahead-derived W. Only
+// tests set it, to run the engine at its brute-force limit.
+var windowOverride sim.Ticks
+
 // eventCap bounds total dispatched events per run (runaway guard, far
-// above any real run).
-const eventCap = 2_000_000_000
+// above any real run). It is a variable only so tests can lower it.
+var eventCap = 2_000_000_000
 
 // opKind enumerates the deferred-operation types the barrier executes.
 type opKind uint8
@@ -93,64 +100,46 @@ func compareOps(a, b pendingOp) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
-// runTo drains the event queue up to (excluding) limit.
-func (m *Machine) runTo(limit sim.Ticks) {
-	q := m.queue
-	for {
-		at, ok := q.PeekAt()
-		if !ok || at >= limit {
-			return
-		}
-		m.fired += q.StepBatch()
-		if m.fired > eventCap {
+// drive runs the windowed engine to quiescence. Each pass of its one
+// loop dispatches one batch of the node phase below T+W, or, once that
+// phase has drained, runs the round's barrier, or, when the round
+// deferred nothing, advances T.
+func (m *Machine) drive() {
+	for _, n := range m.nodes {
+		m.resume(n, 0)
+	}
+	q, W, T := m.queue, m.window, sim.Ticks(0)
+	for m.runErr == nil {
+		next, ok := q.PeekAt()
+		switch {
+		case ok && next < T+W:
+			if m.fired += q.StepBatch(); m.fired > eventCap {
+				m.runErr = fmt.Errorf("machine %q: event cap: more than %d events dispatched by t=%d ticks",
+					m.cfg.Name, eventCap, q.Now())
+			}
+		case len(m.ops) > 0:
+			m.barrier()
+		case ok:
+			// A quiesced round left nothing below T+W, so next ≥ T+W and
+			// the division skips empty windows in one step.
+			T = (next / W) * W
+		default:
 			return
 		}
 	}
 }
 
-// drive runs the windowed engine to quiescence.
-func (m *Machine) drive() {
-	for _, n := range m.nodes {
-		m.resume(n, 0)
+// barrier executes the round's deferred ops in (t, node, seq) order.
+// The key is unique, so the order does not depend on how the nodes'
+// pushes interleaved in the list.
+func (m *Machine) barrier() {
+	if !slices.IsSortedFunc(m.ops, compareOps) {
+		slices.SortFunc(m.ops, compareOps)
 	}
-	var merged []pendingOp
-	W := m.window
-	T := sim.Ticks(0)
-	for {
-		for {
-			m.runTo(T + W)
-			// Barrier: merge per-node op lists in node order and execute
-			// in global (t, node, seq) order.
-			merged = merged[:0]
-			for _, n := range m.nodes {
-				merged = append(merged, n.port.ops...)
-				n.port.ops = n.port.ops[:0]
-			}
-			if len(merged) == 0 {
-				break
-			}
-			if !slices.IsSortedFunc(merged, compareOps) {
-				slices.SortFunc(merged, compareOps)
-			}
-			for i := range merged {
-				m.execOp(&merged[i])
-			}
-			if m.runErr != nil {
-				return
-			}
-		}
-		if m.runErr != nil || m.fired >= eventCap {
-			return
-		}
-		// Advance to the window holding the earliest pending event. A
-		// quiesced round left nothing below T+W, so next ≥ T+W and the
-		// division skips empty windows in one step.
-		next, ok := m.queue.PeekAt()
-		if !ok {
-			return
-		}
-		T = (next / W) * W
+	for i := range m.ops {
+		m.execOp(&m.ops[i])
 	}
+	m.ops = m.ops[:0]
 }
 
 // execOp executes one deferred operation through the synchronous
@@ -182,14 +171,9 @@ func (m *Machine) execOp(op *pendingOp) {
 	// A core is suspended on every timed access except a prefetch and a
 	// store behind a placeholder; warm touches are all fire-and-forget.
 	if !op.acc.warm && op.acc.op != isa.Prefetch && !op.placeholder {
-		m.deliver(n, mi)
+		// The resume may precede events the queue already dispatched
+		// this window, which sim.Queue accepts: dispatch order within a
+		// round stays (at, prio, seq).
+		m.resume(n, n.core.Deliver(mi))
 	}
-}
-
-// deliver completes a suspended core's deferred access and reschedules
-// it at the resume time the core reports. The resume may precede events
-// the queue already dispatched this window, which sim.Queue accepts:
-// dispatch order within a round stays (at, prio, seq).
-func (m *Machine) deliver(n *node, mi cpu.MemInfo) {
-	m.resume(n, n.core.(cpu.Blocking).Deliver(mi))
 }

@@ -37,7 +37,7 @@ type RunnerCounters struct {
 }
 
 // Report is the -metrics-out JSON document: pool-level counters plus
-// the merged per-run metrics, in total and broken out per
+// the per-run metrics accumulated, in total and broken out per
 // (config, workload) pair.
 type Report struct {
 	Schema int

@@ -18,15 +18,15 @@ package obs
 
 import "flashsim/internal/machine"
 
-// RunMetrics is one row of the report: the counters of the runs merged
-// into it, under the labels they share.
+// RunMetrics is one row of the report: the counters of the runs
+// accumulated into it, under the labels they share.
 type RunMetrics struct {
 	// Config names the machine configuration; Workload names the
 	// program. Merged records blank a label when sources disagree.
 	Config   string
 	Workload string
 	Procs    int
-	// Runs is the number of runs merged into this record.
+	// Runs is the number of runs accumulated into this record.
 	Runs uint64
 
 	Instructions uint64
@@ -38,7 +38,7 @@ type RunMetrics struct {
 }
 
 // Merge accumulates o into m. Labels (Config, Workload, Procs) are kept
-// when they agree across every merged record and blanked/zeroed when
+// when they agree across every source record and blanked/zeroed when
 // they do not, so an aggregate over a sweep does not masquerade as one
 // configuration.
 func (m *RunMetrics) Merge(o RunMetrics) {

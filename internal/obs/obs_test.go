@@ -44,8 +44,8 @@ func sample(config, workload string, procs int) machine.Result {
 	return r
 }
 
-// merged is the total of a collector that recorded rs.
-func merged(rs ...machine.Result) RunMetrics {
+// total is the Total row of a collector that recorded rs.
+func total(rs ...machine.Result) RunMetrics {
 	c := NewCollector()
 	for _, r := range rs {
 		c.Record(r)
@@ -80,11 +80,11 @@ func counterLeaves(t *testing.T, v reflect.Value, path string, next func() uint6
 
 // TestMergeAccumulatesEveryGroup walks the report row by reflection:
 // every uint64 in it, down through machine.Metrics and each subsystem's
-// stats struct, must double when the row is merged into itself and must
+// stats struct, must double when the row is added to itself and must
 // appear in the Prometheus text. A counter added to a subsystem struct
 // but left out of its Add, or out of WritePrometheus, fails here.
 func TestMergeAccumulatesEveryGroup(t *testing.T) {
-	if m := merged(sample("mipsy", "fft", 4), sample("mipsy", "fft", 4)); m.Runs != 2 ||
+	if m := total(sample("mipsy", "fft", 4), sample("mipsy", "fft", 4)); m.Runs != 2 ||
 		m.Config != "mipsy" || m.Workload != "fft" || m.Procs != 4 {
 		t.Fatalf("labels/runs wrong after agreeing merge: %+v", m)
 	}
@@ -118,7 +118,7 @@ func TestMergeAccumulatesEveryGroup(t *testing.T) {
 	}
 	for path, v := range set {
 		if got[path] != 2*v {
-			t.Errorf("%s: %d merged into itself = %d: missing from its struct's Add", path, v, got[path])
+			t.Errorf("%s: %d added to itself = %d: missing from its struct's Add", path, v, got[path])
 		}
 		if !strings.Contains(text.String(), fmt.Sprintf(" %d\n", 2*v)) {
 			t.Errorf("%s = %d is in no Prometheus sample: missing from WritePrometheus", path, 2*v)
@@ -139,7 +139,7 @@ func TestRecordOfSeenConfigAllocatesNothing(t *testing.T) {
 }
 
 func TestMergeBlanksDisagreeingLabels(t *testing.T) {
-	m := merged(sample("mipsy", "fft", 4), sample("mxs", "ocean", 8))
+	m := total(sample("mipsy", "fft", 4), sample("mxs", "ocean", 8))
 	if m.Config != "" || m.Workload != "" || m.Procs != 0 {
 		t.Fatalf("disagreeing labels must blank, got %+v", m)
 	}

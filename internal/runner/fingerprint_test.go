@@ -198,18 +198,18 @@ func TestTraceMetaMatchesReference(t *testing.T) {
 }
 
 // TestKeyedJobCarriesItsOwnKey: Keyed memoizes exactly Fingerprint of
-// the job as it stands, overrides included.
+// the job as it stands, its Seed override included.
 func TestKeyedJobCarriesItsOwnKey(t *testing.T) {
 	cfg, prog := testCfg(2), tinyProg(2, 100)
 	j := runner.Job{Config: cfg, Prog: prog}
-	j.Seed, j.Procs = 9, 4
+	j.Seed = 9
 	want := cfg
-	want.Seed, want.Procs = 9, 4
+	want.Seed = 9
 	if got := j.Keyed().Fingerprint(); got != runner.Fingerprint(want, prog) {
-		t.Errorf("keyed job with overrides has key %s, want the overridden config's %s", got, runner.Fingerprint(want, prog))
+		t.Errorf("keyed job with a Seed override has key %s, want the overridden config's %s", got, runner.Fingerprint(want, prog))
 	}
 	if j.Keyed().Fingerprint() == (runner.Job{Config: cfg, Prog: prog}).Keyed().Fingerprint() {
-		t.Error("overrides set before keying did not reach the key")
+		t.Error("a Seed override set before keying did not reach the key")
 	}
 }
 

@@ -32,9 +32,8 @@ import (
 )
 
 // Job describes one simulation run: a machine configuration and the
-// program to execute on it. Procs and Seed, when set, override the
-// corresponding Config fields — they exist so a batch over one base
-// configuration (a repeats average, a processor sweep) can be expressed
+// program to execute on it. Seed, when set, overrides Config.Seed, so
+// that a batch of repeats over one base configuration can be expressed
 // without copying the whole Config by hand.
 type Job struct {
 	Config machine.Config
@@ -45,8 +44,6 @@ type Job struct {
 	// when the image carries a trace artifact address; images without
 	// one always execute.
 	Replay *machine.ReplayImage
-	// Procs overrides Config.Procs when positive.
-	Procs int
 	// Seed overrides Config.Seed when nonzero.
 	Seed uint64
 
@@ -55,12 +52,9 @@ type Job struct {
 	key string
 }
 
-// config returns the effective configuration with overrides applied.
+// config returns the effective configuration, Seed applied.
 func (j Job) config() machine.Config {
 	cfg := j.Config
-	if j.Procs > 0 {
-		cfg.Procs = j.Procs
-	}
 	if j.Seed != 0 {
 		cfg.Seed = j.Seed
 	}

@@ -36,7 +36,7 @@ type Server struct {
 type interval struct{ start, end Ticks }
 
 // maxIntervals bounds the reservation bookkeeping; when exceeded the
-// oldest intervals are merged away (they are in the causal past).
+// oldest intervals are folded together (they are in the causal past).
 const maxIntervals = 48
 
 // windowCap is the backing array's length: the live window plus the room

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -238,8 +239,8 @@ func TestServerNoOverlapProperty(t *testing.T) {
 
 // TestServerIntervalPruning checks the maxIntervals bound through what a
 // caller can observe: once more than maxIntervals reservations exist,
-// the oldest are merged into one interval that bridges their gaps, so a
-// request in the causal past is served after the merged block while the
+// the oldest are folded into one interval that bridges their gaps, so a
+// request in the causal past is served after the folded block while the
 // gaps between the retained intervals still backfill. Each probe is a
 // one-tick Acquire on a freshly filled server.
 func TestServerIntervalPruning(t *testing.T) {
@@ -253,17 +254,17 @@ func TestServerIntervalPruning(t *testing.T) {
 		return start
 	}
 	// The newest maxIntervals-1 reservations are retained one by one;
-	// everything older is one block ending where the last merged one did.
-	merged := n - (maxIntervals - 1)
-	blockEnd := Ticks((merged-1)*100 + 10)
+	// everything older is one block ending where the last folded one did.
+	folded := n - (maxIntervals - 1)
+	blockEnd := Ticks((folded-1)*100 + 10)
 	if got := probe(15); got != blockEnd {
-		t.Fatalf("request inside the merged block starts at %d, want %d", got, blockEnd)
+		t.Fatalf("request inside the folded block starts at %d, want %d", got, blockEnd)
 	}
 	if got := probe(blockEnd + 5); got != blockEnd+5 {
-		t.Fatalf("gap after the merged block not backfilled: %d", got)
+		t.Fatalf("gap after the folded block not backfilled: %d", got)
 	}
 	if got := probe(blockEnd - 5); got != blockEnd {
-		t.Fatalf("last merged gap still open: %d", got)
+		t.Fatalf("last folded gap still open: %d", got)
 	}
 }
 
@@ -310,6 +311,81 @@ func (s *refServer) insert(iv interval) {
 			s.busy[1].end = s.busy[0].end
 		}
 		s.busy = s.busy[1:]
+	}
+}
+
+// naiveServer is the unbounded oracle: every reservation ever granted,
+// kept sorted by start and never folded, scanned first-fit from the
+// oldest with Server's rule. It shares nothing with Server but the
+// interval type.
+type naiveServer struct {
+	busy []interval
+}
+
+func (s *naiveServer) Acquire(t, dur Ticks) (start, done Ticks) {
+	start = t
+	for _, iv := range s.busy {
+		if start+dur <= iv.start {
+			break
+		}
+		start = max(start, iv.end)
+	}
+	done = start + dur
+	i := len(s.busy)
+	for i > 0 && s.busy[i-1].start > start {
+		i--
+	}
+	s.busy = slices.Insert(s.busy, i, interval{start, done})
+	return start, done
+}
+
+// FuzzServerMatchesNaive holds Server to the unbounded oracle grant for
+// grant on streams of at most maxIntervals reservations, all of which
+// the bounded window keeps. Each reservation is three bytes: a clock
+// advance, an offset from the clock reaching into the causal past or
+// the future, and a duration that may be zero.
+func FuzzServerMatchesNaive(f *testing.F) {
+	f.Add([]byte{0, 0, 10, 5, 0, 10, 0, 10, 0, 1, 0xfe, 4})           // a request in the past backfills a gap
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0xff, 0, 2, 0x7f, 31}) // zero lengths around a far-future one
+	rng := rand.New(rand.NewSource(1))
+	long := make([]byte, 3*maxIntervals)
+	rng.Read(long)
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, script []byte) {
+		var s Server
+		var o naiveServer
+		now := Ticks(0)
+		for i := 0; i+2 < len(script) && i/3 < maxIntervals; i += 3 {
+			now += Ticks(script[i] % 64)
+			at := max(now+4*Ticks(int8(script[i+1])), 0)
+			dur := Ticks(script[i+2] % 32)
+			gs, gd := s.Acquire(at, dur)
+			ws, wd := o.Acquire(at, dur)
+			if gs != ws || gd != wd {
+				t.Fatalf("reservation %d: Acquire(%d, %d) = (%d, %d), naive (%d, %d)", i/3, at, dur, gs, gd, ws, wd)
+			}
+		}
+	})
+}
+
+// TestServerMergeDivergesFromNaive pins where Server stops being exact.
+// The 49th reservation makes the oldest-pair merge bridge the gap
+// between [0, 10) and [100, 110); a request landing in that gap is then
+// served after the bridge instead of in it. This is a known divergence
+// (ROADMAP item 3): when Server becomes exact the grants agree, this
+// test fails, and FuzzServerMatchesNaive's bound on stream length goes.
+func TestServerMergeDivergesFromNaive(t *testing.T) {
+	var s Server
+	var o naiveServer
+	for i := 0; i <= maxIntervals; i++ {
+		s.Acquire(Ticks(i*100), 10)
+		o.Acquire(Ticks(i*100), 10)
+	}
+	gs, gd := s.Acquire(15, 5)
+	ws, wd := o.Acquire(15, 5)
+	if gs != 110 || gd != 115 || ws != 15 || wd != 20 {
+		t.Errorf("Acquire(15, 5) in the bridged gap: Server (%d, %d), naive (%d, %d); pinned (110, 115) and (15, 20)",
+			gs, gd, ws, wd)
 	}
 }
 
