@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -11,6 +12,9 @@ import (
 	"flashsim/internal/sim"
 	"flashsim/internal/trace"
 )
+
+// ErrDeadlock and ErrEventCap are the run failures errors.Is tells apart.
+var ErrDeadlock, ErrEventCap = errors.New("deadlock"), errors.New("event cap")
 
 // Driver supplies the instruction side of one machine run: an address
 // space, one instruction stream per node, and per-node core
@@ -96,8 +100,8 @@ func RunWith(cfg Config, d Driver) (Result, error) {
 		return Result{}, m.runErr
 	}
 	if m.finished != cfg.Procs {
-		return Result{}, fmt.Errorf("machine %q: deadlock: %d of %d processors finished (pending events %d)",
-			cfg.Name, m.finished, cfg.Procs, m.queue.Len())
+		return Result{}, fmt.Errorf("machine %q: %w: %d of %d processors finished (pending events %d)",
+			cfg.Name, ErrDeadlock, m.finished, cfg.Procs, m.queue.Len())
 	}
 	res := m.collect(em)
 	res.Workload = d.Workload()

@@ -1,13 +1,16 @@
 package machine_test
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"strings"
 	"testing"
 
 	"flashsim/internal/core"
+	"flashsim/internal/emitter"
 	"flashsim/internal/hw"
+	"flashsim/internal/isa"
 	"flashsim/internal/machine"
 	"flashsim/internal/sim"
 	"flashsim/internal/workload"
@@ -27,6 +30,41 @@ func TestEventCapStopsTheRun(t *testing.T) {
 	if !strings.Contains(msg, "event cap") || !strings.Contains(msg, "1000") || !strings.Contains(msg, "t=") ||
 		strings.Contains(msg, "deadlock") {
 		t.Errorf("error %q, want the event cap's, naming the cap and the time", msg)
+	}
+	if !errors.Is(err, machine.ErrEventCap) {
+		t.Errorf("error %q does not wrap machine.ErrEventCap", msg)
+	}
+}
+
+// TestRunFailuresAreTyped: a run that deadlocks (one processor taking a
+// lock it holds) fails with ErrDeadlock and a run past the event cap
+// with ErrEventCap, each matching its own sentinel and not the other.
+func TestRunFailuresAreTyped(t *testing.T) {
+	selfLock := emitter.Program{
+		Name:    "self-lock",
+		Threads: 1,
+		Body: func(th *emitter.Thread, _ any) {
+			th.Barrier(emitter.BarrierStart)
+			th.Op(isa.Lock, emitter.None, emitter.None) // Thread.Lock would deadlock the emitter too
+			th.Op(isa.Lock, emitter.None, emitter.None)
+			th.Barrier(emitter.BarrierEnd)
+		},
+	}
+	_, deadlocked := machine.Run(simpleConfig(1), selfLock)
+	restore := machine.SetEventCap(1000)
+	_, capped := machine.Run(simpleConfig(2), trivialProgram(2, 1<<14))
+	restore()
+	for _, c := range []struct {
+		name      string
+		err       error
+		is, isNot error
+	}{
+		{"deadlocked", deadlocked, machine.ErrDeadlock, machine.ErrEventCap},
+		{"capped", capped, machine.ErrEventCap, machine.ErrDeadlock},
+	} {
+		if !errors.Is(c.err, c.is) || errors.Is(c.err, c.isNot) {
+			t.Errorf("%s run: error %v, want one that is %q and not %q", c.name, c.err, c.is, c.isNot)
+		}
 	}
 }
 

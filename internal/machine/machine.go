@@ -52,9 +52,12 @@ type barrierState struct {
 	maxT    sim.Ticks
 }
 
+// lockState is one simulated lock. Its waiters, at most Procs−1, queue
+// in a ring of Procs slots made on first contention.
 type lockState struct {
-	held  bool
-	queue []lockWaiter
+	held    bool
+	waiters []lockWaiter
+	head, n int
 }
 
 type lockWaiter struct {
@@ -209,7 +212,7 @@ func (m *Machine) handleSync(n *node, at sim.Ticks, op isa.Op, id uint32) {
 		w := m.mem.Write(t, n.id, m.syncPA(barrierFrameBase, id))
 		bs := m.barriers[id]
 		if bs == nil {
-			bs = &barrierState{}
+			bs = &barrierState{waiting: make([]int, 0, m.cfg.Procs)}
 			m.barriers[id] = bs
 		}
 		bs.waiting = append(bs.waiting, n.id)
@@ -237,7 +240,11 @@ func (m *Machine) handleSync(n *node, at sim.Ticks, op isa.Op, id uint32) {
 			ls.held = true
 			m.resume(n, w.Done)
 		} else {
-			ls.queue = append(ls.queue, lockWaiter{node: n.id, ready: w.Done})
+			if ls.waiters == nil {
+				ls.waiters = make([]lockWaiter, m.cfg.Procs)
+			}
+			ls.waiters[(ls.head+ls.n)%len(ls.waiters)] = lockWaiter{node: n.id, ready: w.Done}
+			ls.n++
 		}
 	case isa.Unlock:
 		t := n.port.wb.DrainBy(at)
@@ -251,14 +258,11 @@ func (m *Machine) handleSync(n *node, at sim.Ticks, op isa.Op, id uint32) {
 		// The unlocking processor proceeds immediately; the release
 		// propagates at the store's completion.
 		m.resume(n, t)
-		if len(ls.queue) > 0 {
-			next := ls.queue[0]
-			ls.queue = ls.queue[1:]
-			start := w.Done
-			if next.ready > start {
-				start = next.ready
-			}
-			g := m.mem.Write(start, next.node, m.syncPA(lockFrameBase, id))
+		if ls.n > 0 {
+			next := ls.waiters[ls.head]
+			ls.head = (ls.head + 1) % len(ls.waiters)
+			ls.n--
+			g := m.mem.Write(max(w.Done, next.ready), next.node, m.syncPA(lockFrameBase, id))
 			m.resume(m.nodes[next.node], g.Done)
 		} else {
 			ls.held = false

@@ -114,8 +114,8 @@ func (m *Machine) drive() {
 		switch {
 		case ok && next < T+W:
 			if m.fired += q.StepBatch(); m.fired > eventCap {
-				m.runErr = fmt.Errorf("machine %q: event cap: more than %d events dispatched by t=%d ticks",
-					m.cfg.Name, eventCap, q.Now())
+				m.runErr = fmt.Errorf("machine %q: %w: more than %d events dispatched by t=%d ticks",
+					m.cfg.Name, ErrEventCap, eventCap, q.Now())
 			}
 		case len(m.ops) > 0:
 			m.barrier()

@@ -2,6 +2,7 @@ package runner_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"strings"
@@ -184,6 +185,9 @@ func TestSharedEmissionIsolatesFailures(t *testing.T) {
 		if outs[i].Err == nil || !strings.Contains(outs[i].Err.Error(), want) {
 			t.Errorf("%s: err %v, want one that says %q", jobs[i].Config.Name, outs[i].Err, want)
 		}
+	}
+	if !errors.Is(outs[4].Err, machine.ErrDeadlock) {
+		t.Errorf("%s: err %v does not wrap machine.ErrDeadlock", jobs[4].Config.Name, outs[4].Err)
 	}
 	for _, i := range []int{0, 2} {
 		if outs[i].Err != nil {

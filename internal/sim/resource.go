@@ -22,15 +22,14 @@ package sim
 // queueing without bound. Gap backfill keeps service work-conserving
 // under the bounded causality skew of the run loop.
 type Server struct {
-	// win[lo:] holds the reserved [start, end) intervals, sorted by
-	// start, at most maxIntervals of them. The window slides through one
-	// backing array made on first use and compacted in place at its end,
-	// so steady-state reservations allocate nothing. A positive-length
-	// interval starts at or after the end of every interval before it;
-	// zero-length ones (dur == 0 is configurable) need not, so ends are
-	// not sorted (DESIGN.md, "Interval-based resource reservation").
-	win []interval
-	lo  int
+	// ring holds the n reserved [start, end) intervals from ring[head] on,
+	// sorted by start, at most maxIntervals of them, inline: a
+	// reservation allocates nothing. A positive-length interval starts at
+	// or after the end of every interval before it; zero-length ones
+	// (dur == 0 is configurable) need not, so ends are not sorted
+	// (DESIGN.md, "Interval-based resource reservation").
+	ring    [ringMask + 1]interval
+	head, n int
 }
 
 type interval struct{ start, end Ticks }
@@ -39,9 +38,10 @@ type interval struct{ start, end Ticks }
 // oldest intervals are folded together (they are in the causal past).
 const maxIntervals = 48
 
-// windowCap is the backing array's length: the live window plus the room
-// it slides through between compactions.
-const windowCap = 2 * maxIntervals
+// ringMask wraps ring indexes. The ring's length, ringMask+1, is a power
+// of two above maxIntervals: an insert holds one interval more until it
+// merges.
+const ringMask = 63
 
 // schedule finds the earliest service start >= t for dur given the busy
 // list (without mutating): the first gap of sufficient length in start
@@ -50,21 +50,19 @@ const windowCap = 2 * maxIntervals
 // they can neither end the scan nor move it. A zero-length interval
 // cannot be that boundary — it does not bound the ends before it.
 func (s *Server) schedule(t, dur Ticks) Ticks {
-	busy := s.win[s.lo:]
-	i := len(busy)
+	h, i := s.head, s.n
 	for ; i > 0; i-- {
-		if iv := busy[i-1]; iv.end <= t && iv.start < iv.end {
+		if iv := &s.ring[(h+i-1)&ringMask]; iv.end <= t && iv.start < iv.end {
 			break
 		}
 	}
 	start := t
-	for _, iv := range busy[i:] {
+	for ; i < s.n; i++ {
+		iv := &s.ring[(h+i)&ringMask]
 		if start+dur <= iv.start {
 			break
 		}
-		if start < iv.end {
-			start = iv.end
-		}
+		start = max(start, iv.end)
 	}
 	return start
 }
@@ -80,28 +78,18 @@ func (s *Server) Acquire(t, dur Ticks) (start, done Ticks) {
 
 // insert adds iv keeping the list sorted and bounded.
 func (s *Server) insert(iv interval) {
-	if len(s.win) == cap(s.win) {
-		if s.win == nil {
-			s.win = make([]interval, 0, windowCap)
-		} else {
-			s.win = s.win[:copy(s.win, s.win[s.lo:])]
-			s.lo = 0
-		}
+	h, i := s.head, s.n
+	for ; i > 0 && s.ring[(h+i-1)&ringMask].start > iv.start; i-- {
+		s.ring[(h+i)&ringMask] = s.ring[(h+i-1)&ringMask]
 	}
-	i := len(s.win)
-	s.win = s.win[:i+1]
-	for ; i > s.lo && s.win[i-1].start > iv.start; i-- {
-		s.win[i] = s.win[i-1]
-	}
-	s.win[i] = iv
-	if busy := s.win[s.lo:]; len(busy) > maxIntervals {
+	s.ring[(h+i)&ringMask] = iv
+	if s.n++; s.n > maxIntervals {
 		// Merge the two oldest intervals (pessimistically bridging
 		// the gap between them; they are in the causal past).
-		busy[1].start = busy[0].start
-		if busy[0].end > busy[1].end {
-			busy[1].end = busy[0].end
-		}
-		s.lo++
+		first := s.ring[h&ringMask]
+		s.head, s.n = (h+1)&ringMask, s.n-1
+		next := &s.ring[s.head]
+		next.start, next.end = first.start, max(next.end, first.end)
 	}
 }
 

@@ -396,8 +396,9 @@ func TestServerMergeDivergesFromNaive(t *testing.T) {
 // shapes the machine produces: requests at the reservation frontier,
 // far-future reservations (a full MSHR ladder), requests in the causal
 // past, and zero-length reservations (router or handler time
-// configured to 0), in runs far longer than maxIntervals so the
-// oldest-pair merge is exercised throughout.
+// configured to 0), and "behind" replays behindScript, GUPS's shape, all
+// in runs far longer than maxIntervals so the oldest-pair merge is
+// exercised throughout and the window wraps its ring many times.
 func TestServerMatchesReference(t *testing.T) {
 	type mix struct {
 		name                          string
@@ -465,20 +466,71 @@ func TestServerMatchesReference(t *testing.T) {
 			}
 		})
 	}
+	t.Run("behind", func(t *testing.T) {
+		t.Parallel()
+		var s Server
+		var ref refServer
+		for i, r := range behindScript(acquires) {
+			if i%4 == 0 {
+				if got, want := s.schedule(r.at, 1), ref.schedule(r.at, 1); got != want {
+					t.Fatalf("call %d: probe at %d starts at %d, reference %d", i, r.at, got, want)
+				}
+			}
+			gs, gd := s.Acquire(r.at, r.dur)
+			ws, wd := ref.Acquire(r.at, r.dur)
+			if gs != ws || gd != wd {
+				t.Fatalf("call %d: Acquire(%d, %d) = (%d, %d), reference (%d, %d)", i, r.at, r.dur, gs, gd, ws, wd)
+			}
+		}
+	})
 }
 
-// TestServerAcquireDoesNotAllocate pins the steady state: once a server
-// has made its window, reservations of every shape reuse it.
+type request struct{ at, dur Ticks }
+
+// behindScript records n requests of the GUPS-shaped "behind" mix, drawn
+// against refServer's grants so that it is the same stream for any
+// implementation. Durations come from {11, 21, 41, 361} ticks. Six
+// requests in ten land behind the newest reservation, at the end of the
+// d-th newest grant with d geometric (mean 4), so that the back scan
+// passes about d intervals; the rest land at or just past the newest
+// reservation's end, leaving gaps the short durations can backfill.
+func behindScript(n int) []request {
+	rng := rand.New(rand.NewSource(1))
+	var ref refServer
+	var ends [64]Ticks // the last grants' ends, grant k's at ends[k&63]
+	newest := Ticks(0)
+	script := make([]request, n)
+	for k := range script {
+		at := newest + Ticks(rng.Int63n(16))
+		if rng.Intn(10) < 6 {
+			d := 1
+			for d < len(ends)-1 && rng.Intn(4) != 0 {
+				d++
+			}
+			at = 0
+			if d < k {
+				at = ends[(k-1-d)&63]
+			}
+		}
+		script[k] = request{at, [...]Ticks{11, 21, 41, 361}[rng.Intn(4)]}
+		_, done := ref.Acquire(at, script[k].dur)
+		ends[k&63], newest = done, max(newest, done)
+	}
+	return script
+}
+
+// TestServerAcquireDoesNotAllocate pins that no reservation allocates:
+// every run starts from a zero-value Server, so the first call counts
+// too, and makes reservations of every shape, turning the ring several
+// times.
 func TestServerAcquireDoesNotAllocate(t *testing.T) {
 	var s Server
-	s.Acquire(0, 10)
 	now := Ticks(0)
 	i := 0
-	// AllocsPerRun reports whole allocations per run, so one run is
-	// several windows' worth of reservations: a window that reallocates
-	// once per slide must not round down to zero.
+	const calls = 256
 	if a := testing.AllocsPerRun(20, func() {
-		for k := 0; k < 4*windowCap; k++ {
+		s = Server{}
+		for k := 0; k < calls; k++ {
 			i++
 			now += 7
 			at, dur := now, Ticks(5)
@@ -493,7 +545,7 @@ func TestServerAcquireDoesNotAllocate(t *testing.T) {
 			s.Acquire(at, dur)
 		}
 	}); a != 0 {
-		t.Fatalf("steady-state Acquire allocates %.0f objects per %d calls", a, 4*windowCap)
+		t.Fatalf("Acquire allocates %.0f objects per %d calls from a zero-value Server", a, calls)
 	}
 }
 
@@ -514,7 +566,8 @@ func TestBanksIndependentContention(t *testing.T) {
 // "frontier" is the common case, every request at or just behind the
 // newest reservation; "ladder" sends one request in four far into the
 // future, the MSHR-ladder shape that leaves gaps for later requests to
-// backfill.
+// backfill; "behind" replays behindScript, the GUPS shape, shifting each
+// pass of the script past the last so that it reads as one stream.
 func BenchmarkServerAcquire(b *testing.B) {
 	for _, mix := range []struct {
 		name   string
@@ -543,6 +596,25 @@ func BenchmarkServerAcquire(b *testing.B) {
 			}
 		})
 	}
+	b.Run("behind", func(b *testing.B) {
+		script := behindScript(1 << 16)
+		var span Ticks
+		for _, r := range script {
+			span = max(span, r.at+r.dur)
+		}
+		span += 1 << 20 // past every grant: no pass queues behind the last
+		var s Server
+		base := Ticks(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i & (len(script) - 1)
+			if k == 0 && i > 0 {
+				base += span
+			}
+			_, sinkTicks = s.Acquire(base+script[k].at, script[k].dur)
+		}
+	})
 }
 
 var sinkTicks Ticks
