@@ -82,12 +82,11 @@ type Port interface {
 
 // Stream is a per-thread instruction source a processor model
 // consumes. It is the seam between instruction delivery and timing:
-// a live emitter reader, a decoded trace cursor, and the sampling
-// engine's window gate all satisfy it, so one core construction path
-// serves every execution mode.
+// the execution-driven cores read a live emitter reader through it.
+// Trace replay does not: its core reads collapsed actions directly.
 type Stream interface {
 	// Next returns the next instruction, or ok=false when the stream
-	// is exhausted (or, for a gated stream, closed for now).
+	// is exhausted.
 	Next() (isa.Instr, bool)
 }
 
@@ -101,14 +100,14 @@ type BatchStream interface {
 
 // Cursor is how a core reads its Stream: Next yields a pointer to the
 // next instruction where it already lies — a slot of a BatchStream's own
-// batch, the stream being called once per batch. Any other Stream is
-// adapted one instruction at a time through the cursor's own slot, never
-// reading ahead and never remembering an ok=false: a gated stream closes
-// and reopens, and its other reader must see exactly what the core did
-// not take. The pointer is valid until the next call to Next, which may
-// hand the batch back to its producer: copy what must outlive that (a
-// SyncOp's Outcome.Instr). The cursor lives by value in its core and
-// must not be copied once Next has been called.
+// batch, the stream being called once per batch. Any other Stream (the
+// frozen benchmark's slice stream is the one left) is adapted one
+// instruction at a time through the cursor's own slot, never reading
+// ahead and never remembering an ok=false. The pointer is valid until
+// the next call to Next, which may hand the batch back to its producer:
+// copy what must outlive that (a SyncOp's Outcome.Instr). The cursor
+// lives by value in its core and must not be copied once Next has been
+// called.
 type Cursor struct {
 	batch []isa.Instr // the current batch, read up to pos
 	pos   int

@@ -21,6 +21,7 @@
 package emitter
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -720,8 +721,11 @@ func (t *Thread) onIt(seq uint64) bool {
 	return false
 }
 
+// ErrPanicked is what Streams.Err wraps: a workload goroutine panicked.
+var ErrPanicked = errors.New("panicked")
+
 // Err returns the first panic (other than abort) raised by a workload
-// goroutine, if any.
+// goroutine, if any, wrapping ErrPanicked.
 func (s *Streams) Err() error {
 	s.errMu.Lock()
 	defer s.errMu.Unlock()
@@ -834,7 +838,7 @@ func Start(nthreads, readers int, body func(t *Thread), tap Tap) *Streams {
 					}
 					s.errMu.Lock()
 					if s.err == nil {
-						s.err = fmt.Errorf("emitter thread %d panicked: %v", t.ID, r)
+						s.err = fmt.Errorf("emitter thread %d %w: %v", t.ID, ErrPanicked, r)
 					}
 					s.errMu.Unlock()
 				}

@@ -148,8 +148,8 @@ func (c *explodingCore) Run(t sim.Ticks) cpu.Outcome {
 	return c.CPU.Run(t)
 }
 
-func (d explodingDriver) NewCore(i int, clock sim.Clock, src cpu.Stream, port cpu.Port) cpu.CPU {
-	core := d.Driver.NewCore(i, clock, src, port)
+func (d explodingDriver) NewCore(i int, clock sim.Clock, port cpu.Port) cpu.CPU {
+	core := d.Driver.NewCore(i, clock, port)
 	if i == 1 {
 		return &explodingCore{CPU: core}
 	}
@@ -174,7 +174,8 @@ func readEach(s *emitter.Streams, n uint64) {
 // free list emptied first, so that every slab the way borrows is one the
 // process makes: what is on the list afterwards must be exactly those,
 // less the batch a reader was on when the stream was aborted, each once
-// (checkPool), while another stream is live beside it.
+// (checkPool), while another stream is live beside it. The sampled run
+// is refused before anything launches and must make none.
 func TestEverySlabComesBackOnce(t *testing.T) {
 	live := startLive(t)
 	mipsy4 := core.SimOSMipsy(4, 150, true)
@@ -283,10 +284,12 @@ func TestEverySlabComesBackOnce(t *testing.T) {
 			captureBytes(t, mipsy4, quickProgram(t, "lu", 4))
 		}},
 		{"sampled run", 0, func(t *testing.T) {
+			// Sampling runs only on trace replay: the run is refused
+			// before the program launches, so it makes no slab.
 			cfg := mipsy4
 			cfg.Sampling = machine.DefaultSampling()
-			if _, err := machine.Run(cfg, quickProgram(t, "ocean", 4)); err != nil {
-				t.Fatal(err)
+			if _, err := machine.Run(cfg, quickProgram(t, "ocean", 4)); err == nil {
+				t.Fatal("an execution-driven run took a sampling schedule")
 			}
 		}},
 		{"flashd job cancelled mid-run", 0, func(t *testing.T) {
@@ -331,7 +334,11 @@ func TestEverySlabComesBackOnce(t *testing.T) {
 			made := emitter.SlabsMade()
 			w.run(t)
 			borrowed := int(emitter.SlabsMade() - made)
-			if borrowed == 0 || borrowed > emitter.MaxRetained {
+			if w.name == "sampled run" {
+				if borrowed != 0 {
+					t.Fatalf("a refused run made %d slabs", borrowed)
+				}
+			} else if borrowed == 0 || borrowed > emitter.MaxRetained {
 				t.Fatalf("the way borrowed %d slabs; it must borrow some and fit the bound of %d", borrowed, emitter.MaxRetained)
 			}
 			if back := len(emitter.FreeSlabs()); back > borrowed || back < borrowed-w.kept {

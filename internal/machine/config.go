@@ -98,12 +98,13 @@ type Config struct {
 	// MXS carries the out-of-order fidelity knobs and historical bugs.
 	MXS mxs.Fidelity
 
-	// Sampling configures sampled simulation: functional fast-forward
-	// alternating with detailed windows on an instruction-count
-	// schedule. The zero value (disabled) is full detail. Only Go
-	// callers reach it: it is in no registry path, no CLI flag and no
+	// Sampling configures sampled simulation of a trace replay:
+	// functional fast-forward alternating with detailed windows on an
+	// instruction-count schedule. The zero value (disabled) is full
+	// detail; an execution-driven run refuses an enabled schedule. Only
+	// Go callers reach it: it is in no registry path, no CLI flag and no
 	// fingerprint, so a pool with a store refuses a job that enables it.
-	// It goes with the frozen benchmark's sampled replays (ROADMAP 8(e)).
+	// It goes with the frozen benchmark's sampled replays (ROADMAP 9(e)).
 	Sampling SamplingConfig
 
 	// JitterPct adds seeded run-to-run noise to the final time (the
@@ -126,10 +127,10 @@ type Config struct {
 	Shards int
 }
 
-// SamplingConfig parameterizes sampled simulation. When Enabled, each
-// node's instruction stream is split into repeating periods of Period
+// SamplingConfig parameterizes sampled replay. When Enabled, each
+// node's replayed stream is split into repeating periods of Period
 // instructions: the first Window instructions of each period execute
-// on the detailed core model, the rest fast-forward functionally at a
+// on the replay core, the rest fast-forward functionally at a
 // flat one cycle per instruction with no core or memory timing. Phase
 // shifts the first window into the stream (Phase functional
 // instructions run before detailed execution starts), which lets

@@ -17,16 +17,15 @@ import (
 var ErrDeadlock, ErrEventCap = errors.New("deadlock"), errors.New("event cap")
 
 // Driver supplies the instruction side of one machine run: an address
-// space, one instruction stream per node, and per-node core
-// construction over those streams. It is the execution-engine seam —
-// the execution-driven emitter, trace replay, and trace capture are
-// all drivers over the same machine, and the sampling Schedule can
-// interpose its window gate between any driver's streams and its
-// cores.
+// space and per-node cores over the driver's own instruction source.
+// It is the execution-engine seam — the execution-driven emitter,
+// trace replay, and trace capture are all drivers over the same
+// machine. Sampling belongs to the replay driver: its cores run the
+// schedule themselves.
 //
 // Lifecycle: RunWith calls Space/Threads/Workload for validation,
-// Stream and NewCore once per node during build, drives the event loop
-// to quiescence, and then calls Finish exactly once — with ok=false on
+// NewCore once per node during build, drives the event loop to
+// quiescence, and then calls Finish exactly once — with ok=false on
 // any failure path — so drivers can release producer goroutines and
 // seal artifacts. An execution driver may be one of several members of
 // a shared emission (RunShared): its streams are its own reader set,
@@ -41,14 +40,9 @@ type Driver interface {
 	Threads() int
 	// Space is the program's address space (the page-table layout).
 	Space() *emitter.AddressSpace
-	// Stream returns node i's instruction source.
-	Stream(i int) cpu.Stream
-	// NewCore builds node i's processor over src. src is normally the
-	// driver's own Stream(i); under a sampling schedule it is that
-	// stream wrapped in a window gate, and drivers with a specialized
-	// fast path (trace replay's collapsed-action core) must fall back
-	// to a stream-consuming core when src is not their own.
-	NewCore(i int, clock sim.Clock, src cpu.Stream, port cpu.Port) cpu.CPU
+	// NewCore builds node i's processor over the driver's node-i
+	// instruction source and the node's memory port.
+	NewCore(i int, clock sim.Clock, port cpu.Port) cpu.CPU
 	// Finish releases the driver's resources and returns the
 	// instruction-stream accounting folded into Result.Metrics. ok
 	// reports whether the run drained cleanly; the error returned on
@@ -78,16 +72,8 @@ func RunWith(cfg Config, d Driver) (Result, error) {
 		return Result{}, fmt.Errorf("machine %q: %s supplies %d instruction streams but machine has %d processors",
 			cfg.Name, d.Workload(), d.Threads(), cfg.Procs)
 	}
-	sched := cfg.Sampling.Schedule()
-
 	m := build(cfg, d.Space(), func(i int, clock sim.Clock, p *memPort) cpu.CPU {
-		src := d.Stream(i)
-		if !sched.Enabled() {
-			return d.NewCore(i, clock, src, p)
-		}
-		gate := &windowGate{src: src}
-		inner := d.NewCore(i, clock, gate, p)
-		return newSampledCPU(sched, clock, inner, gate, src, p)
+		return d.NewCore(i, clock, p)
 	})
 	m.drive()
 
@@ -131,14 +117,6 @@ func NewExecutionDriver(cfg Config, prog emitter.Program) Driver {
 func (d *execDriver) Workload() string             { return d.name }
 func (d *execDriver) Threads() int                 { return len(d.streams.Readers) }
 func (d *execDriver) Space() *emitter.AddressSpace { return d.space }
-func (d *execDriver) Stream(i int) cpu.Stream      { return d.streams.Set(d.set)[i] }
-
-// NewCore builds the configured processor model — the one construction
-// path shared by plain runs, captures, and (via mipsy over an expanded
-// stream) sampled replays.
-func (d *execDriver) NewCore(i int, clock sim.Clock, src cpu.Stream, port cpu.Port) cpu.CPU {
-	return newConfiguredCore(d.cfg, i, clock, src, port)
-}
 
 // Finish detaches the driver's reader set; the last set to go stops the
 // producers and returns their slabs.
@@ -171,7 +149,7 @@ func RunShared(cfgs []Config, prog emitter.Program, member func(k int, run func(
 			defer wg.Done()
 			defer streams.Detach(k)
 			member(k, func() (Result, error) {
-				if err := checkThreads(cfg, prog); err != nil {
+				if err := checkExec(cfg, prog); err != nil {
 					return Result{}, err
 				}
 				return RunWith(cfg, d)
@@ -181,11 +159,11 @@ func RunShared(cfgs []Config, prog emitter.Program, member func(k int, run func(
 	wg.Wait()
 }
 
-// newConfiguredCore constructs the processor model cfg selects. Every
-// execution mode funnels through here, so fidelity knobs (latencies,
-// MXS bugs, per-core seeds) behave identically regardless of where the
-// instructions come from.
-func newConfiguredCore(cfg Config, i int, clock sim.Clock, src cpu.Stream, port cpu.Port) cpu.CPU {
+// NewCore builds the processor model cfg selects over node i's
+// reader. Plain runs and captures both build here, so fidelity knobs
+// (latencies, MXS bugs, per-core seeds) behave identically in either.
+func (d *execDriver) NewCore(i int, clock sim.Clock, port cpu.Port) cpu.CPU {
+	cfg, src := d.cfg, d.streams.Set(d.set)[i]
 	switch cfg.CPU {
 	case CPUMXS:
 		mc := mxs.DefaultConfig(clock)

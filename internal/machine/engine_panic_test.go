@@ -32,8 +32,8 @@ func (c *panickyCore) Run(t sim.Ticks) cpu.Outcome {
 	return c.CPU.Run(t)
 }
 
-func (d *panickyDriver) NewCore(i int, clock sim.Clock, src cpu.Stream, port cpu.Port) cpu.CPU {
-	core := d.Driver.NewCore(i, clock, src, port)
+func (d *panickyDriver) NewCore(i int, clock sim.Clock, port cpu.Port) cpu.CPU {
+	core := d.Driver.NewCore(i, clock, port)
 	if i == 1 {
 		return &panickyCore{CPU: core}
 	}

@@ -37,8 +37,9 @@ func TestEventCapStopsTheRun(t *testing.T) {
 }
 
 // TestRunFailuresAreTyped: a run that deadlocks (one processor taking a
-// lock it holds) fails with ErrDeadlock and a run past the event cap
-// with ErrEventCap, each matching its own sentinel and not the other.
+// lock it holds) fails with ErrDeadlock, a run past the event cap with
+// ErrEventCap and a run whose workload panics with emitter.ErrPanicked,
+// each matching its own sentinel and no other.
 func TestRunFailuresAreTyped(t *testing.T) {
 	selfLock := emitter.Program{
 		Name:    "self-lock",
@@ -50,21 +51,38 @@ func TestRunFailuresAreTyped(t *testing.T) {
 			th.Barrier(emitter.BarrierEnd)
 		},
 	}
+	dies := emitter.Program{
+		Name:    "dies",
+		Threads: 1,
+		Body: func(th *emitter.Thread, _ any) {
+			th.IntOps(100)
+			panic("workload exploded")
+		},
+	}
 	_, deadlocked := machine.Run(simpleConfig(1), selfLock)
+	_, panicked := machine.Run(simpleConfig(1), dies)
 	restore := machine.SetEventCap(1000)
 	_, capped := machine.Run(simpleConfig(2), trivialProgram(2, 1<<14))
 	restore()
+	sentinels := []error{machine.ErrDeadlock, machine.ErrEventCap, emitter.ErrPanicked}
 	for _, c := range []struct {
-		name      string
-		err       error
-		is, isNot error
+		name string
+		err  error
+		is   error
 	}{
-		{"deadlocked", deadlocked, machine.ErrDeadlock, machine.ErrEventCap},
-		{"capped", capped, machine.ErrEventCap, machine.ErrDeadlock},
+		{"deadlocked", deadlocked, machine.ErrDeadlock},
+		{"capped", capped, machine.ErrEventCap},
+		{"panicking-workload", panicked, emitter.ErrPanicked},
 	} {
-		if !errors.Is(c.err, c.is) || errors.Is(c.err, c.isNot) {
-			t.Errorf("%s run: error %v, want one that is %q and not %q", c.name, c.err, c.is, c.isNot)
+		for _, s := range sentinels {
+			if errors.Is(c.err, s) != (s == c.is) {
+				t.Errorf("%s run: error %v, want one that is %q and no other sentinel (%q: %v)",
+					c.name, c.err, c.is, s, errors.Is(c.err, s))
+			}
 		}
+	}
+	if msg := panicked.Error(); !strings.Contains(msg, "emitter thread 0 panicked: workload exploded") {
+		t.Errorf("panicking-workload run: error %q lost the panic's text", msg)
 	}
 }
 

@@ -55,9 +55,9 @@ type portSpy struct {
 	ports []*memPort
 }
 
-func (s *portSpy) NewCore(i int, clock sim.Clock, src cpu.Stream, port cpu.Port) cpu.CPU {
+func (s *portSpy) NewCore(i int, clock sim.Clock, port cpu.Port) cpu.CPU {
 	s.ports = append(s.ports, port.(*memPort))
-	return s.Driver.NewCore(i, clock, src, port)
+	return s.Driver.NewCore(i, clock, port)
 }
 
 // SetWindow runs the engine at window W = w ticks, 0 being the
@@ -66,6 +66,15 @@ func SetWindow(w sim.Ticks) (restore func()) {
 	old := windowOverride
 	windowOverride = w
 	return func() { windowOverride = old }
+}
+
+// SetRunStep caps the compute instructions a replay core or a sampled
+// fast-forward takes from a collapsed run in one step, until the
+// returned func restores the unbounded default.
+func SetRunStep(n uint64) (restore func()) {
+	old := runStep
+	runStep = n
+	return func() { runStep = old }
 }
 
 // SetEventCap lowers the runaway guard to n dispatched events until the

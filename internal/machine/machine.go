@@ -69,18 +69,24 @@ type lockWaiter struct {
 // result. Each call builds a fresh machine; state never leaks between
 // runs.
 func Run(cfg Config, prog emitter.Program) (Result, error) {
-	if err := checkThreads(cfg, prog); err != nil {
+	if err := checkExec(cfg, prog); err != nil {
 		return Result{}, err
 	}
 	return RunWith(cfg, NewExecutionDriver(cfg, prog))
 }
 
-// checkThreads refuses a program whose thread count is not cfg's
-// processor count.
-func checkThreads(cfg Config, prog emitter.Program) error {
+// checkExec refuses, before the run reads a stream, what an
+// execution-driven run of prog on cfg cannot run: a thread count that
+// is not cfg's processor count, and a sampling schedule, which only
+// trace replay runs.
+func checkExec(cfg Config, prog emitter.Program) error {
 	if prog.Threads != cfg.Procs {
 		return fmt.Errorf("machine %q: program %s has %d threads but machine has %d processors",
 			cfg.Name, prog.FullName(), prog.Threads, cfg.Procs)
+	}
+	if cfg.Sampling.Enabled {
+		return fmt.Errorf("machine %q: sampling runs only on trace replay, not on execution-driven %s",
+			cfg.Name, prog.FullName())
 	}
 	return nil
 }

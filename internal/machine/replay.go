@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flashsim/internal/cpu"
-	"flashsim/internal/cpu/mipsy"
 	"flashsim/internal/emitter"
 	"flashsim/internal/isa"
 	"flashsim/internal/sim"
@@ -18,9 +17,8 @@ import (
 // capture driver decoration over the execution engine, not a separate
 // run loop.
 func RunCapture(cfg Config, prog emitter.Program, tw *trace.Writer) (Result, error) {
-	if prog.Threads != cfg.Procs {
-		return Result{}, fmt.Errorf("machine %q: program %s has %d threads but machine has %d processors",
-			cfg.Name, prog.FullName(), prog.Threads, cfg.Procs)
+	if err := checkExec(cfg, prog); err != nil {
+		return Result{}, err
 	}
 	d, err := NewCaptureDriver(cfg, prog, tw)
 	if err != nil {
@@ -48,9 +46,8 @@ type replayAction struct {
 	op   isa.Op
 }
 
-// instr rebuilds the recorded instruction, for the per-sync outcome and
-// the sampled replayStream only (per action it costs replayCPU.Run
-// 12-18%); a second op compare here costs the sampled replay 10%.
+// instr rebuilds the recorded instruction, for a sync op's Outcome
+// only: a core reads the action's fields directly.
 func (a *replayAction) instr() isa.Instr {
 	var size uint32
 	if a.op-isa.Load < 2 { // Load or Store, adjacent opcodes
@@ -149,10 +146,9 @@ func (img *ReplayImage) Threads() int { return img.threads }
 // trace-driven simulation introduces, which the trace experiment
 // reports as taxonomy rows.
 //
-// When cfg.Sampling is enabled the image doubles as the fast-forward
-// stream: the sampling engine gates the expanded trace through a
-// classic-Mipsy detailed core inside windows and fast-forwards
-// functionally between them.
+// When cfg.Sampling is enabled the replay core runs only the detailed
+// windows, and a functional fast-forward advances its action cursor
+// between them. Trace replay is the only mode that samples.
 func RunReplay(cfg Config, img *ReplayImage) (Result, error) {
 	return RunWith(cfg, NewReplayDriver(cfg, img))
 }
@@ -172,20 +168,14 @@ func (d *replayDriver) Workload() string             { return d.img.workload }
 func (d *replayDriver) Threads() int                 { return d.img.threads }
 func (d *replayDriver) Space() *emitter.AddressSpace { return d.img.space }
 
-func (d *replayDriver) Stream(i int) cpu.Stream {
-	return newReplayStream(d.img, i)
-}
-
-// NewCore keeps the collapsed-action fast path when it is handed its
-// own raw stream (the plain replay mode, bit-identical to Mipsy) and
-// falls back to a classic-Mipsy core over the expanded stream when the
-// stream has been wrapped — which is exactly the sampled case, where
-// the gate must see every instruction to count window boundaries.
-func (d *replayDriver) NewCore(i int, clock sim.Clock, src cpu.Stream, port cpu.Port) cpu.CPU {
-	if rs, ok := src.(*replayStream); ok && rs.img == d.img {
-		return newReplayCPU(clock, d.cfg.Quantum, d.img.actions[i], d.img.tails[i], port)
+// NewCore builds node i's replay core, under the sampling schedule
+// when cfg enables one.
+func (d *replayDriver) NewCore(i int, clock sim.Clock, port cpu.Port) cpu.CPU {
+	c := newReplayCPU(clock, d.cfg.Quantum, d.img.actions[i], d.img.tails[i], port)
+	if !d.cfg.Sampling.Enabled {
+		return c
 	}
-	return mipsy.New(mipsy.Config{Clock: clock, Quantum: d.cfg.Quantum}, src, port)
+	return newSampledCPU(d.cfg.Sampling, clock, c, port)
 }
 
 func (d *replayDriver) Finish(bool) (emitter.Stats, error) {
@@ -199,79 +189,56 @@ func (d *replayDriver) Finish(bool) (emitter.Stats, error) {
 	}, nil
 }
 
-// replayStream expands a thread's collapsed action list back into an
-// instruction-by-instruction stream: each action's skipped compute run
-// re-emits as unit-latency ALU instructions. Under the flat-CPI replay
-// core this is timing-equivalent to the collapsed form; it exists so
-// the sampling gate (and any other stream wrapper) can meter replayed
-// instructions exactly like live ones.
+// runStep caps the compute instructions a replay core or a sampled
+// fast-forward consumes from one collapsed run in one step. It is
+// unbounded; tests set it to 1 (SetRunStep), which steps every run
+// instruction by instruction, the oracle the bulk path must equal.
+var runStep = ^uint64(0)
+
+// replayStream is a thread's action cursor: its position in the
+// collapsed action list. fill is the compute run still ahead of
+// acts[pos], or the trailing run once the actions are spent. The
+// replay core and the sampled fast-forward advance the same cursor.
 type replayStream struct {
-	img      *ReplayImage
 	acts     []replayAction
 	tail     uint64
 	pos      int
-	fill     uint64 // compute instructions remaining before acts[pos]
+	fill     uint64
 	tailDone bool
 }
 
-func newReplayStream(img *ReplayImage, i int) *replayStream {
-	s := &replayStream{img: img, acts: img.actions[i], tail: img.tails[i]}
-	if len(s.acts) > 0 {
-		s.fill = s.acts[0].skip
-	} else {
+// load arms the compute run preceding acts[pos] (or the trailing run
+// once the actions are exhausted).
+func (s *replayStream) load() {
+	if s.pos < len(s.acts) {
+		s.fill = s.acts[s.pos].skip
+	} else if !s.tailDone {
 		s.fill = s.tail
 		s.tailDone = true
 	}
-	return s
 }
 
-// NextRun implements the sampling engine's runSource: it drains the
-// pending collapsed compute run (up to max instructions) and the
-// action that follows it in one call. The run re-expands to
-// unit-latency IntALU fillers, so consuming it wholesale is
-// indistinguishable from the same number of Next calls — this is what
-// makes a replay image an efficient fast-forward stream.
-func (s *replayStream) NextRun(max uint64) (skip uint64, in isa.Instr, hasIn, ok bool) {
+// NextRun consumes up to max instructions: the pending compute run
+// (capped at max) and then, if the cap was not hit, the action that
+// follows it. skip is the run length consumed; a is the action, nil
+// when there is none; ok=false means the cursor is exhausted (a final
+// trailing run still returns skip > 0 with ok=true first).
+func (s *replayStream) NextRun(max uint64) (skip uint64, a *replayAction, ok bool) {
+	max = min(max, runStep)
 	if s.fill > 0 {
-		skip = s.fill
-		if skip >= max {
-			skip = max
-			s.fill -= skip
-			return skip, isa.Instr{}, false, true
+		if s.fill >= max {
+			s.fill -= max
+			return max, nil, true
 		}
-		s.fill = 0
+		skip, s.fill = s.fill, 0
 	}
 	if s.pos < len(s.acts) {
-		in = s.acts[s.pos].instr()
+		a = &s.acts[s.pos]
 		s.pos++
-		if s.pos < len(s.acts) {
-			s.fill = s.acts[s.pos].skip
-		} else if !s.tailDone {
-			s.fill = s.tail
-			s.tailDone = true
-		}
-		return skip, in, true, true
+		s.load()
+		return skip, a, true
 	}
-	return skip, isa.Instr{}, false, skip > 0
-}
-
-func (s *replayStream) Next() (isa.Instr, bool) {
-	if s.fill > 0 {
-		s.fill--
-		return isa.Instr{Op: isa.IntALU}, true
-	}
-	if s.pos < len(s.acts) {
-		in := s.acts[s.pos].instr()
-		s.pos++
-		if s.pos < len(s.acts) {
-			s.fill = s.acts[s.pos].skip
-		} else if !s.tailDone {
-			s.fill = s.tail
-			s.tailDone = true
-		}
-		return in, true
-	}
-	return isa.Instr{}, false
+	return skip, nil, skip > 0
 }
 
 // replayCPU replays a collapsed instruction stream with Mipsy's exact
@@ -280,16 +247,17 @@ func (s *replayStream) Next() (isa.Instr, bool) {
 // Compute instructions always charge one cycle — the trace-driven
 // core abstraction.
 type replayCPU struct {
+	replayStream
 	clock   sim.Clock
 	port    cpu.Port
 	quantum int
-	acts    []replayAction
-	tail    uint64
+	instrs  uint64
 
-	pos        int
-	pending    uint64
-	tailLoaded bool
-	instrs     uint64
+	// stop is the instruction count at which the current detailed
+	// window closes (never, unsampled); eof reports that the actions
+	// ran out, which tells a closed window's Finished from the end.
+	stop uint64
+	eof  bool
 
 	// pendT is the start time of the instruction whose access the port
 	// deferred (cpu.CPU.Deliver), mirroring mipsy's.
@@ -300,21 +268,9 @@ func newReplayCPU(clock sim.Clock, quantum int, acts []replayAction, tail uint64
 	if quantum <= 0 {
 		quantum = 200
 	}
-	c := &replayCPU{clock: clock, port: port, quantum: quantum, acts: acts, tail: tail}
-	c.loadPending()
+	c := &replayCPU{replayStream: replayStream{acts: acts, tail: tail}, clock: clock, port: port, quantum: quantum, stop: ^uint64(0)}
+	c.load()
 	return c
-}
-
-// loadPending arms the compute run preceding the next action (or the
-// trailing run once actions are exhausted). Maintained invariant:
-// pending always describes the instructions before acts[pos].
-func (c *replayCPU) loadPending() {
-	if c.pos < len(c.acts) {
-		c.pending = c.acts[c.pos].skip
-	} else if !c.tailLoaded {
-		c.pending = c.tail
-		c.tailLoaded = true
-	}
 }
 
 // Deliver implements cpu.CPU, cloning mipsy's Deliver.
@@ -325,31 +281,34 @@ func (c *replayCPU) Deliver(mi cpu.MemInfo) sim.Ticks {
 // Instructions returns the instructions the core has replayed.
 func (c *replayCPU) Instructions() uint64 { return c.instrs }
 
-// Run executes up to one quantum of recorded instructions from t.
+// Run executes up to one quantum of recorded instructions from t. A
+// window budget that runs out inside the quantum ends the call there
+// with Finished, where Mipsy over a stream gated at that count stops.
 func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 	period := c.clock.Period
 	acts := c.acts
-	quantum := c.quantum
-	for n := 0; n < quantum; {
-		if c.pending > 0 {
-			k := uint64(quantum - n)
-			if k > c.pending {
-				k = c.pending
-			}
+	lim, closes := c.quantum, false
+	if left := c.stop - c.instrs; left < uint64(lim) {
+		lim, closes = int(left), true
+	}
+	for n := 0; n < lim; {
+		if c.fill > 0 {
+			k := min(uint64(lim-n), c.fill, runStep)
 			t += period * sim.Ticks(k)
-			c.pending -= k
+			c.fill -= k
 			n += int(k)
 			c.instrs += k
 			continue
 		}
 		if c.pos >= len(acts) {
-			// loadPending's invariant guarantees the tail has been
-			// burned by the time we get here.
+			// load's invariant guarantees the tail has been burned by
+			// the time we get here.
+			c.eof = true
 			return cpu.Outcome{Kind: cpu.Finished, Time: t}
 		}
 		in := &acts[c.pos]
 		c.pos++
-		c.loadPending()
+		c.load()
 		n++
 		c.instrs++
 		switch in.op {
@@ -399,6 +358,9 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 			// cycle like any compute instruction.
 			t += period
 		}
+	}
+	if closes {
+		return cpu.Outcome{Kind: cpu.Finished, Time: t}
 	}
 	return cpu.Outcome{Kind: cpu.Yield, Time: t}
 }

@@ -72,10 +72,9 @@ type sampledPin struct {
 // sampledPins holds, per registry workload at 2p quick sizes, the
 // default-warm and sparse-cold (period 100k, cold state) sampled
 // replays of its capture, recorded at the commit before the compact
-// action layout. The sampled path is the one that rebuilds an
-// isa.Instr from each action, so these pin that the rebuilt
-// instruction carries every field the sampling engine and classic
-// Mipsy read.
+// action layout, when sampled windows ran classic Mipsy over the
+// expanded stream. They now pin that the replay core's window budget
+// and the fast-forward over its cursor reproduce that path.
 var sampledPins = map[string][2]sampledPin{
 	"barnes/n=256 steps=2 theta=50%":                   {{1924058, 0xc36aff616a4457b2}, {1847138, 0xd32801f6e4496f8d}},
 	"cachemgmt/lines=64 rounds=2":                      {{45131, 0x9e5ad1cf1553b053}, {45131, 0x9e5ad1cf1553b053}},

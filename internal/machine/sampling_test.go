@@ -1,14 +1,12 @@
 package machine_test
 
 import (
-	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"flashsim/internal/apps"
-	"flashsim/internal/cpu"
 	"flashsim/internal/emitter"
-	"flashsim/internal/isa"
 	"flashsim/internal/machine"
 	"flashsim/internal/trace"
 )
@@ -26,7 +24,34 @@ func sampleFFT(procs int) emitter.Program {
 	return apps.FFT(apps.FFTOpts{LogN: 10, Procs: procs, TLBBlocked: true, Prefetch: true})
 }
 
+// sampleImage captures sampleFFT on the plain replay machine and
+// returns the prepared image, the only input sampling runs on.
+func sampleImage(t *testing.T, procs int) *machine.ReplayImage {
+	t.Helper()
+	_, data := captureInto(t, replayConfig(procs), sampleFFT(procs))
+	tr, err := trace.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := machine.PrepareReplay(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// replayOf runs img on cfg and fails the test on an error.
+func replayOf(t *testing.T, cfg machine.Config, img *machine.ReplayImage) machine.Result {
+	t.Helper()
+	res, err := machine.RunReplay(cfg, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestSamplingConfigValidation(t *testing.T) {
+	img := sampleImage(t, 1)
 	bad := []machine.SamplingConfig{
 		{Enabled: true},                                      // period 0
 		{Enabled: true, Period: 100},                         // window 0
@@ -36,9 +61,41 @@ func TestSamplingConfigValidation(t *testing.T) {
 	for i, sc := range bad {
 		cfg := sampledConfig(1)
 		cfg.Sampling = sc
-		if _, err := machine.Run(cfg, sampleFFT(1)); err == nil {
+		if _, err := machine.RunReplay(cfg, img); err == nil {
 			t.Errorf("case %d: invalid sampling config %+v accepted", i, sc)
 		}
+	}
+}
+
+// TestExecutionRunsRefuseSampling: sampling runs only on trace replay,
+// so every execution-driven entry point refuses an enabled schedule
+// instead of running the program unsampled. A refused member of a
+// shared emission fails alone (runner's TestSampledMemberFailsAlone
+// holds the others to their solo runs).
+func TestExecutionRunsRefuseSampling(t *testing.T) {
+	const procs = 2
+	prog := sampleFFT(procs)
+	refused := func(entry string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "sampling runs only on trace replay") {
+			t.Errorf("%s of a sampled config: err %v, want the refusal", entry, err)
+		}
+	}
+	_, err := machine.Run(sampledConfig(procs), prog)
+	refused("Run", err)
+	tw, err := trace.NewWriter(new(strings.Builder), trace.Meta{Workload: prog.FullName(), Threads: procs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = machine.RunCapture(sampledConfig(procs), prog, tw)
+	refused("RunCapture", err)
+
+	errs := make([]error, 2)
+	machine.RunShared([]machine.Config{replayConfig(procs), sampledConfig(procs)}, prog,
+		func(k int, run func() (machine.Result, error)) { _, errs[k] = run() })
+	refused("RunShared member 1", errs[1])
+	if errs[0] != nil {
+		t.Errorf("the unsampled member beside a refused one failed: %v", errs[0])
 	}
 }
 
@@ -47,18 +104,12 @@ func TestSamplingConfigValidation(t *testing.T) {
 // instruction count exactly between detailed and functional fidelity,
 // warms state by default, and — because the functional model's flat
 // one-cycle CPI is optimistic — never reports more time than the
-// full-detail run it approximates.
+// full-detail replay it approximates.
 func TestSampledRunAccounting(t *testing.T) {
 	const procs = 2
-	prog := sampleFFT(procs)
-	full, err := machine.Run(replayConfig(procs), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := machine.Run(sampledConfig(procs), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := sampleImage(t, procs)
+	full := replayOf(t, replayConfig(procs), img)
+	res := replayOf(t, sampledConfig(procs), img)
 	if !res.Sampled {
 		t.Fatal("sampled run did not report Sampled")
 	}
@@ -88,18 +139,14 @@ func TestSampledRunAccounting(t *testing.T) {
 	}
 }
 
-// TestSampledRunDeterministic pins bit-identical repeatability: the
-// sampled engine introduces no scheduling or allocation nondeterminism.
+// TestSampledRunDeterministic pins bit-identical repeatability: two
+// captures of one program, each prepared and replayed sampled, give
+// one Result; the sampled engine introduces no scheduling or
+// allocation nondeterminism.
 func TestSampledRunDeterministic(t *testing.T) {
 	const procs = 2
-	first, err := machine.Run(sampledConfig(procs), sampleFFT(procs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := machine.Run(sampledConfig(procs), sampleFFT(procs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := replayOf(t, sampledConfig(procs), sampleImage(t, procs))
+	second := replayOf(t, sampledConfig(procs), sampleImage(t, procs))
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("sampled runs diverged:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
@@ -110,10 +157,7 @@ func TestSampledRunDeterministic(t *testing.T) {
 func TestColdSamplingTouchesNothing(t *testing.T) {
 	cfg := sampledConfig(2)
 	cfg.Sampling.ColdState = true
-	res, err := machine.Run(cfg, sampleFFT(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replayOf(t, cfg, sampleImage(t, 2))
 	if res.Sampling.WarmTouches != 0 {
 		t.Fatalf("cold-state run made %d warm touches", res.Sampling.WarmTouches)
 	}
@@ -122,81 +166,45 @@ func TestColdSamplingTouchesNothing(t *testing.T) {
 	}
 }
 
-// TestSampledReplay pins that a replay image doubles as the
-// fast-forward stream: sampling a trace-driven run works, reports its
-// accounting, and is deterministic.
+// TestSampledReplay pins that one image serves any number of sampled
+// replays: reusing it gives the same Result, and the sampled replay
+// commits what the full-detail replay of it does.
 func TestSampledReplay(t *testing.T) {
 	const procs = 2
-	cfg := replayConfig(procs)
-	prog := sampleFFT(procs)
-	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf, trace.Meta{Workload: prog.FullName(), Threads: procs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := machine.RunCapture(cfg, prog, tw); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Decode(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := machine.PrepareReplay(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := sampleImage(t, procs)
 	scfg := sampledConfig(procs)
-	first, err := machine.RunReplay(scfg, img)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := replayOf(t, scfg, img)
 	if !first.Sampled || first.Sampling.Windows == 0 {
 		t.Fatalf("sampled replay reported no sampling: %+v", first.Sampling)
 	}
-	second, err := machine.RunReplay(scfg, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
+	if second := replayOf(t, scfg, img); !reflect.DeepEqual(first, second) {
 		t.Fatal("sampled replay nondeterministic across image reuse")
 	}
 	// The full-detail replay of the same image is the error baseline.
-	fullReplay, err := machine.RunReplay(cfg, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Instructions != fullReplay.Instructions {
+	if full := replayOf(t, replayConfig(procs), img); first.Instructions != full.Instructions {
 		t.Fatalf("sampled replay committed %d instructions, full replay %d",
-			first.Instructions, fullReplay.Instructions)
+			first.Instructions, full.Instructions)
 	}
 }
 
 // TestBackToBackWindows pins the Window == Period edge: a schedule
 // with no functional gap runs every instruction detailed and must
-// reproduce the unsampled machine's timing and memory behavior
-// exactly, differing only in the sampling metadata.
+// reproduce the unsampled replay exactly, differing only in the
+// sampling metadata.
 func TestBackToBackWindows(t *testing.T) {
 	const procs = 2
-	prog := sampleFFT(procs)
-	full, err := machine.Run(replayConfig(procs), prog)
-	if err != nil {
-		t.Fatal(err)
+	img := sampleImage(t, procs)
+	full := replayOf(t, replayConfig(procs), img)
+	cfg := replayConfig(procs)
+	cfg.Sampling = machine.SamplingConfig{Enabled: true, Period: 1000, Window: 1000}
+	res := replayOf(t, cfg, img)
+	if !res.Sampled || res.Sampling.FunctionalInstrs != 0 {
+		t.Fatalf("back-to-back windows: sampled %v, fast-forwarded %d instructions",
+			res.Sampled, res.Sampling.FunctionalInstrs)
 	}
-	cfg := sampledConfig(procs)
-	cfg.Sampling.Period = 1000
-	cfg.Sampling.Window = 1000
-	cfg.Sampling.Warmup = 0
-	res, err := machine.Run(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sampling.FunctionalInstrs != 0 {
-		t.Fatalf("back-to-back windows fast-forwarded %d instructions", res.Sampling.FunctionalInstrs)
-	}
-	if res.Exec != full.Exec || res.Total != full.Total ||
-		res.Instructions != full.Instructions || res.Metrics.L1 != full.Metrics.L1 ||
-		res.Metrics.L2 != full.Metrics.L2 || res.TLBMisses != full.TLBMisses {
-		t.Fatalf("all-detailed schedule diverged from unsampled run:\nfull:    %v\nsampled: %v", full, res)
+	res.Sampled, res.Sampling = false, machine.SamplingStats{}
+	if !reflect.DeepEqual(res, full) {
+		t.Fatalf("all-detailed schedule diverged from unsampled replay:\nfull:    %+v\nsampled: %+v", full, res)
 	}
 }
 
@@ -205,61 +213,34 @@ func TestBackToBackWindows(t *testing.T) {
 func TestSamplingPhase(t *testing.T) {
 	cfg := sampledConfig(2)
 	cfg.Sampling.Phase = 5000
-	res, err := machine.Run(cfg, sampleFFT(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replayOf(t, cfg, sampleImage(t, 2))
 	if !res.Sampled || res.Sampling.FunctionalInstrs < 2*5000 {
 		t.Fatalf("phase prefix not fast-forwarded: %+v", res.Sampling)
 	}
 }
 
-// plainStream hides any bulk-skip capability of the wrapped stream, so
-// the sampling engine must expand collapsed compute runs one Next call
-// at a time.
-type plainStream struct{ s cpu.Stream }
-
-func (p plainStream) Next() (isa.Instr, bool) { return p.s.Next() }
-
-// noSkipDriver is a replay driver whose streams refuse bulk skipping.
-type noSkipDriver struct{ machine.Driver }
-
-func (d noSkipDriver) Stream(i int) cpu.Stream { return plainStream{d.Driver.Stream(i)} }
-
-// TestSampledReplaySkipEquivalence pins that the O(1) compute-run skip
-// in sampled replay is purely an optimization: fast-forwarding a
-// replay image with bulk skip produces bit-identical results to
-// expanding every collapsed filler through Next.
+// TestSampledReplaySkipEquivalence pins that consuming a collapsed
+// compute run in one step is purely an optimization: with every run
+// stepped one instruction at a time (SetRunStep(1)), the plain replay
+// and the warm and sparse-cold sampled replays are bit-identical to
+// their bulk runs. The fast-forward must still charge each instruction
+// of a run its own slot of the slice, or its yields move.
 func TestSampledReplaySkipEquivalence(t *testing.T) {
 	const procs = 2
-	cfg := replayConfig(procs)
-	prog := sampleFFT(procs)
-	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf, trace.Meta{Workload: prog.FullName(), Threads: procs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := machine.RunCapture(cfg, prog, tw); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.Decode(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := machine.PrepareReplay(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scfg := sampledConfig(procs)
-	skipped, err := machine.RunReplay(scfg, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expanded, err := machine.RunWith(scfg, noSkipDriver{machine.NewReplayDriver(scfg, img)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(skipped, expanded) {
-		t.Fatalf("bulk skip changed the sampled replay result:\nskipped:  %+v\nexpanded: %+v", skipped, expanded)
+	img := sampleImage(t, procs)
+	cold := sampledConfig(procs)
+	cold.Sampling.Period, cold.Sampling.ColdState = 100_000, true
+	for _, c := range []struct {
+		name string
+		cfg  machine.Config
+	}{{"plain", replayConfig(procs)}, {"warm", sampledConfig(procs)}, {"sparse-cold", cold}} {
+		bulk := replayOf(t, c.cfg, img)
+		restore := machine.SetRunStep(1)
+		stepped := replayOf(t, c.cfg, img)
+		restore()
+		if !reflect.DeepEqual(bulk, stepped) {
+			t.Errorf("%s: bulk runs changed the replay result: exec %d vs %d stepped, queue %+v vs %+v",
+				c.name, bulk.Exec, stepped.Exec, bulk.Metrics.Queue, stepped.Metrics.Queue)
+		}
 	}
 }
