@@ -63,7 +63,9 @@ func captureInto(t testing.TB, cfg machine.Config, prog emitter.Program) (machin
 }
 
 // sampledPin is the Result of one sampled replay: its execution time
-// and the FNV-64a of its %+v rendering.
+// and the FNV-64a of its %#v rendering, which spells out every field
+// (Sampling, Metrics, barrier release times); %+v would print only
+// Result.String's summary.
 type sampledPin struct {
 	exec   int64
 	digest uint64
@@ -71,23 +73,25 @@ type sampledPin struct {
 
 // sampledPins holds, per registry workload at 2p quick sizes, the
 // default-warm and sparse-cold (period 100k, cold state) sampled
-// replays of its capture, recorded at the commit before the compact
-// action layout, when sampled windows ran classic Mipsy over the
-// expanded stream. They now pin that the replay core's window budget
-// and the fast-forward over its cursor reproduce that path.
+// replays of its capture. The exec times date from the commit before
+// the compact action layout, when sampled windows ran classic Mipsy
+// over the expanded stream; the digests were re-recorded over the
+// whole Result at the commit before the per-thread action counts.
+// They pin that the replay core's window budget and the fast-forward
+// over its cursor reproduce that path.
 var sampledPins = map[string][2]sampledPin{
-	"barnes/n=256 steps=2 theta=50%":                   {{1924058, 0xc36aff616a4457b2}, {1847138, 0xd32801f6e4496f8d}},
-	"cachemgmt/lines=64 rounds=2":                      {{45131, 0x9e5ad1cf1553b053}, {45131, 0x9e5ad1cf1553b053}},
-	"fft/tlb-blocked n=4096":                           {{1155441, 0xb8175c4cda3194a7}, {874555, 0x8ee27d92d341b1db}},
-	"gups/2^14 words updates=4096 hot=25%":             {{1506533, 0xf62df0e8d743a7e}, {149345, 0x6e5bbb69c018c64}},
-	"lu/n=96 b=16":                                     {{3886550, 0xb4dfe410ed64d7df}, {3931006, 0xfe5ceb7026189588}},
-	"ocean/n=64 grids=8 iters=2":                       {{2735675, 0xaf751b9f279dd650}, {2325899, 0x1e14b7d7effaf03a}},
-	"oltp/txns=192 rows=4096 ops=8 r/w=80/20 skew=60%": {{1468669, 0x84a1ff19b0f2df9a}, {496868, 0xeb427b6eab182e09}},
-	"radix/radix=256 n=32768":                          {{7232812, 0xf03a3f22227c677c}, {7770689, 0x6f9895b242da44e3}},
-	"snbench-loads/remote-clean":                       {{310681, 0x758271dd477a1a74}, {310681, 0x758271dd477a1a74}},
-	"snbench-restart/lines=1024":                       {{405138, 0x299482421690d742}, {405138, 0x299482421690d742}},
-	"snbench-tlb/pages=128 fit=32":                     {{86448, 0xfaa56a6bffdf79c9}, {86448, 0xfaa56a6bffdf79c9}},
-	"webserve/req=48 pages=2 sys=6 docs=32 think=64":   {{1632953, 0x43588062e0a44fbb}, {1462361, 0xe0b806996b21185}},
+	"barnes/n=256 steps=2 theta=50%":                   {{1924058, 0x27894c90c8c70a39}, {1847138, 0x785f1e3b3df23af3}},
+	"cachemgmt/lines=64 rounds=2":                      {{45131, 0x7979ad97517b40bd}, {45131, 0x7979ad97517b40bd}},
+	"fft/tlb-blocked n=4096":                           {{1155441, 0xac416aa6060b8609}, {874555, 0x1843aec27bede795}},
+	"gups/2^14 words updates=4096 hot=25%":             {{1506533, 0x277bf00dfdf96050}, {149345, 0x681b4eb3168aa64f}},
+	"lu/n=96 b=16":                                     {{3886550, 0xb1ee12c73092d2d6}, {3931006, 0x994f055f083b6e2a}},
+	"ocean/n=64 grids=8 iters=2":                       {{2735675, 0xeab90ec5ced94966}, {2325899, 0x3a33c6c07acc452a}},
+	"oltp/txns=192 rows=4096 ops=8 r/w=80/20 skew=60%": {{1468669, 0x662612343540f060}, {496868, 0x430a18eb93fda4c6}},
+	"radix/radix=256 n=32768":                          {{7232812, 0x9fbc028cc4143127}, {7770689, 0xa8f540ea43ac9d8a}},
+	"snbench-loads/remote-clean":                       {{310681, 0xa3c5bd7a5cab38ff}, {310681, 0xa3c5bd7a5cab38ff}},
+	"snbench-restart/lines=1024":                       {{405138, 0x6f4a8cff6524cc41}, {405138, 0x6f4a8cff6524cc41}},
+	"snbench-tlb/pages=128 fit=32":                     {{86448, 0xc3e33993c8e2bf9e}, {86448, 0xc3e33993c8e2bf9e}},
+	"webserve/req=48 pages=2 sys=6 docs=32 think=64":   {{1632953, 0xd5236eae60c72c46}, {1462361, 0x12acf05a06a61330}},
 }
 
 // TestCaptureReplayBitIdentical pins the tentpole exactness claim: for
@@ -141,7 +145,7 @@ func TestCaptureReplayBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				h := fnv.New64a()
-				fmt.Fprintf(h, "%+v", res)
+				fmt.Fprintf(h, "%#v", res)
 				if got := (sampledPin{int64(res.Exec), h.Sum64()}); got != pins[i] {
 					t.Fatalf("sampled replay %d diverged from its recorded Result: got %#v, want %#v", i, got, pins[i])
 				}
