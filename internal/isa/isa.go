@@ -87,6 +87,10 @@ func (o Op) IsMem() bool {
 // IsSync reports whether the op is a semantic synchronization operation.
 func (o Op) IsSync() bool { return o == Lock || o == Unlock || o == Barrier }
 
+// IsCompute reports whether the op stays inside the core (no memory,
+// sync or syscall): trace replay collapses runs of these into one step.
+func (o Op) IsCompute() bool { return !o.IsMem() && !o.IsSync() && o != Syscall }
+
 // Instr is one instruction of the synthetic ISA.
 //
 // Dependences are encoded as backward distances: Dep1/Dep2 == k means

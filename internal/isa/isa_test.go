@@ -26,6 +26,13 @@ func TestOpClassification(t *testing.T) {
 			t.Errorf("%v misclassified", op)
 		}
 	}
+	compute := map[Op]bool{Nop: true, IntALU: true, IntMul: true, IntDiv: true,
+		FPAdd: true, FPMul: true, FPDiv: true, Branch: true, Cop0: true}
+	for op := Op(0); op < NumOps; op++ {
+		if op.IsCompute() != compute[op] {
+			t.Errorf("%v: IsCompute() = %v", op, op.IsCompute())
+		}
+	}
 }
 
 func TestOpStrings(t *testing.T) {

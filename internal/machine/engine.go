@@ -52,7 +52,8 @@ type Driver interface {
 
 // RunWith executes one run of cfg with the supplied driver: the single
 // engine entry point behind Run, RunCapture, and RunReplay. Each call
-// builds a fresh machine; state never leaks between runs.
+// builds a fresh machine; state never leaks between runs. Only the
+// replay driver takes a sampling schedule.
 func RunWith(cfg Config, d Driver) (Result, error) {
 	// Every way out that has not reached Finish takes it here: a rejected
 	// configuration, and a panic in build or the event loop (a coherence
@@ -67,6 +68,9 @@ func RunWith(cfg Config, d Driver) (Result, error) {
 	}()
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
+	}
+	if _, replay := d.(*replayDriver); cfg.Sampling.Enabled && !replay {
+		return Result{}, fmt.Errorf("machine %q: sampling runs only on trace replay, not on execution-driven %s", cfg.Name, d.Workload())
 	}
 	if d.Threads() != cfg.Procs {
 		return Result{}, fmt.Errorf("machine %q: %s supplies %d instruction streams but machine has %d processors",

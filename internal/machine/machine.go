@@ -78,7 +78,7 @@ func Run(cfg Config, prog emitter.Program) (Result, error) {
 // checkExec refuses, before the run reads a stream, what an
 // execution-driven run of prog on cfg cannot run: a thread count that
 // is not cfg's processor count, and a sampling schedule, which only
-// trace replay runs.
+// trace replay runs; RunWith refuses it too, but after the launch.
 func checkExec(cfg Config, prog emitter.Program) error {
 	if prog.Threads != cfg.Procs {
 		return fmt.Errorf("machine %q: program %s has %d threads but machine has %d processors",

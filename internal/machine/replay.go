@@ -75,27 +75,26 @@ type ReplayImage struct {
 // codec validation once) and returns the replayable image.
 func PrepareReplay(tr *trace.Trace) (*ReplayImage, error) {
 	img := &ReplayImage{
-		workload: tr.Workload(),
+		workload: tr.Meta().Workload,
 		artifact: tr.Meta().Artifact,
 		threads:  tr.Threads(),
-		space:    tr.Space(),
+		space:    tr.Layout().Space(),
 		actions:  make([][]replayAction, tr.Threads()),
 		tails:    make([]uint64, tr.Threads()),
 		instrs:   tr.Instructions(),
 		batches:  tr.Batches(),
 	}
-	// Instructions are classified off the chunk bytes into one scratch
-	// buffer and each thread's actions copied out at their exact length,
-	// the only copy made. The longest thread sizes the buffer, up to 1M
-	// actions (24 MB): the index's counts are unproven file input.
-	longest := uint64(0)
-	for i := 0; i < tr.Threads(); i++ {
-		longest = max(longest, tr.ThreadInstructions(i))
-	}
-	scratch := make([]replayAction, 0, min(longest, 1<<20))
+	// Each thread's instructions are classified off the chunk bytes
+	// straight into its action list, made at the length the index
+	// declares: the image is the only copy, and one cursor walks every
+	// thread. The declared count is unproven file input, so at most 1M
+	// actions (24 MB) are made up front and more grow as the bytes prove
+	// them; the cursor fails a count that differs from the stream.
 	var in isa.Instr
+	cur := tr.Thread(0)
 	for i := 0; i < tr.Threads(); i++ {
-		acts, skip, cur := scratch[:0], uint64(0), tr.Thread(i)
+		cur.Reset(i)
+		acts, skip := make([]replayAction, 0, min(tr.ThreadActions(i), 1<<20)), uint64(0)
 		for {
 			ok, err := cur.Next(&in)
 			if err != nil {
@@ -104,7 +103,7 @@ func PrepareReplay(tr *trace.Trace) (*ReplayImage, error) {
 			if !ok {
 				break
 			}
-			if !in.Op.IsMem() && !in.Op.IsSync() && in.Op != isa.Syscall {
+			if in.Op.IsCompute() {
 				skip++
 				continue
 			}
@@ -115,9 +114,7 @@ func PrepareReplay(tr *trace.Trace) (*ReplayImage, error) {
 			acts = append(acts, replayAction{addr: in.Addr, skip: skip, arg: arg, op: in.Op})
 			skip = 0
 		}
-		img.actions[i] = append([]replayAction(nil), acts...)
-		img.tails[i] = skip
-		scratch = acts
+		img.actions[i], img.tails[i] = acts, skip
 	}
 	return img, nil
 }

@@ -83,6 +83,8 @@ func TestExecutionRunsRefuseSampling(t *testing.T) {
 	}
 	_, err := machine.Run(sampledConfig(procs), prog)
 	refused("Run", err)
+	_, err = machine.RunWith(sampledConfig(procs), machine.NewExecutionDriver(sampledConfig(procs), prog))
+	refused("RunWith over an execution driver", err)
 	tw, err := trace.NewWriter(new(strings.Builder), trace.Meta{Workload: prog.FullName(), Threads: procs})
 	if err != nil {
 		t.Fatal(err)

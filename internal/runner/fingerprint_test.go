@@ -166,14 +166,17 @@ func TestFingerprintsEscapeLikeJSON(t *testing.T) {
 func TestFingerprintsPinned(t *testing.T) {
 	fft, lu := registryProgram(t, "fft", 4, false), registryProgram(t, "lu", 4, false)
 	mipsy := core.SimOSMipsy(4, 150, true)
-	const tracePin = "f0837d1249e33566420543b90102a55b720bcd20cc69cf060c0363aa1ad49ac8"
+	// The artifact pin moved with trace format v2; the replay key stays
+	// pinned over the format v1 artifact it was recorded with.
+	const tracePin, v1Trace = "30a41fdc5f27208edf8766727c414902812bf1f3379f073d7f8d513e60f00a4b",
+		"f0837d1249e33566420543b90102a55b720bcd20cc69cf060c0363aa1ad49ac8"
 	for _, c := range []struct{ what, got, want string }{
 		{"Fingerprint(simos-mipsy, fft)", runner.Fingerprint(mipsy, fft),
 			"37fe1843c79e9910b7339b2ba84cbd89c1363ffb6aaed487d7c7e435209e2a32"},
 		{"Fingerprint(hw, lu)", runner.Fingerprint(hw.Config(4, true), lu),
 			"9a77e03102f77f440e4774d4667f9e5933206f8d56456731905e057c92c32ad2"},
 		{"TraceMeta(simos-mipsy, fft).Artifact", runner.TraceMeta(mipsy, fft, nil).Artifact, tracePin},
-		{"ReplayFingerprint(simos-mxs, that trace)", runner.ReplayFingerprint(core.SimOSMXS(4, true), tracePin),
+		{"ReplayFingerprint(simos-mxs, the v1 trace)", runner.ReplayFingerprint(core.SimOSMXS(4, true), v1Trace),
 			"a4459d32fbd640327d6d858eb8cb6e62feaeceee312f623d2062545baf78145a"},
 	} {
 		if c.got != c.want {

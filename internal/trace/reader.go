@@ -10,7 +10,6 @@ import (
 	"io"
 	"os"
 
-	"flashsim/internal/emitter"
 	"flashsim/internal/isa"
 )
 
@@ -24,8 +23,10 @@ type Trace struct {
 	chunks  []chunkInfo
 	instrs  []uint64
 	batches []uint64
+	actions []uint64
 	// perThread lists chunk indices per thread, in stream order.
 	perThread [][]int
+	maxRaw    int64 // the largest chunk's Raw: a Cursor's inflate buffer
 	data      []byte
 }
 
@@ -75,9 +76,9 @@ func Decode(data []byte) (*Trace, error) {
 	if f.Meta.Threads <= 0 || f.Meta.Threads > maxThreads {
 		return nil, fmt.Errorf("trace: invalid thread count %d", f.Meta.Threads)
 	}
-	if len(f.Instrs) != f.Meta.Threads || len(f.Batches) != f.Meta.Threads {
-		return nil, fmt.Errorf("trace: per-thread counters cover %d/%d threads, want %d",
-			len(f.Instrs), len(f.Batches), f.Meta.Threads)
+	if len(f.Instrs) != f.Meta.Threads || len(f.Batches) != f.Meta.Threads || len(f.Actions) != f.Meta.Threads {
+		return nil, fmt.Errorf("trace: per-thread counters cover %d/%d/%d threads, want %d",
+			len(f.Instrs), len(f.Batches), len(f.Actions), f.Meta.Threads)
 	}
 	if len(f.Layout.Regions) > maxRegions {
 		return nil, fmt.Errorf("trace: %d regions exceeds limit", len(f.Layout.Regions))
@@ -93,6 +94,7 @@ func Decode(data []byte) (*Trace, error) {
 		chunks:    f.Chunks,
 		instrs:    f.Instrs,
 		batches:   f.Batches,
+		actions:   f.Actions,
 		perThread: make([][]int, f.Meta.Threads),
 		data:      data,
 	}
@@ -113,10 +115,12 @@ func Decode(data []byte) (*Trace, error) {
 		}
 		counted[ch.Thread] += ch.Count
 		t.perThread[ch.Thread] = append(t.perThread[ch.Thread], i)
+		t.maxRaw = max(t.maxRaw, ch.Raw)
 	}
 	for th, n := range counted {
-		if n != f.Instrs[th] {
-			return nil, fmt.Errorf("trace: thread %d chunks sum to %d instructions, footer says %d", th, n, f.Instrs[th])
+		if n != f.Instrs[th] || f.Actions[th] > n {
+			return nil, fmt.Errorf("trace: thread %d chunks sum to %d instructions; footer says %d, of them %d actions",
+				th, n, f.Instrs[th], f.Actions[th])
 		}
 	}
 	return t, nil
@@ -128,14 +132,8 @@ func (t *Trace) Meta() Meta { return t.meta }
 // Layout returns the recorded address-space layout.
 func (t *Trace) Layout() Layout { return t.layout }
 
-// Space reconstructs the recorded address space.
-func (t *Trace) Space() *emitter.AddressSpace { return t.layout.Space() }
-
 // Threads returns the thread count.
 func (t *Trace) Threads() int { return t.meta.Threads }
-
-// Workload returns the captured program's FullName.
-func (t *Trace) Workload() string { return t.meta.Workload }
 
 // Instructions returns the total recorded instruction count.
 func (t *Trace) Instructions() uint64 {
@@ -148,6 +146,9 @@ func (t *Trace) Instructions() uint64 {
 
 // ThreadInstructions returns thread i's recorded instruction count.
 func (t *Trace) ThreadInstructions(i int) uint64 { return t.instrs[i] }
+
+// ThreadActions returns thread i's declared non-compute instruction count.
+func (t *Trace) ThreadActions(i int) uint64 { return t.actions[i] }
 
 // Batches returns the total number of batches the capture flushed —
 // exactly the batch count an execution-driven run's readers consume.
@@ -164,7 +165,7 @@ func (t *Trace) Chunks() int { return len(t.chunks) }
 
 // Thread returns a cursor over thread i's recorded stream.
 func (t *Trace) Thread(i int) *Cursor {
-	return &Cursor{t: t, idxs: t.perThread[i]}
+	return &Cursor{t: t, idxs: t.perThread[i], want: t.actions[i]}
 }
 
 // Verify fully decodes every thread's stream, checking all integrity
@@ -172,8 +173,9 @@ func (t *Trace) Thread(i int) *Cursor {
 func (t *Trace) Verify() (uint64, error) {
 	var total uint64
 	var in isa.Instr
+	cur := t.Thread(0)
 	for i := 0; i < t.Threads(); i++ {
-		for cur := t.Thread(i); ; total++ {
+		for cur.Reset(i); ; total++ {
 			if ok, err := cur.Next(&in); err != nil {
 				return total, fmt.Errorf("thread %d: %w", i, err)
 			} else if !ok {
@@ -184,23 +186,33 @@ func (t *Trace) Verify() (uint64, error) {
 	return total, nil
 }
 
-// Cursor streams one thread's instructions chunk by chunk. Not safe
-// for concurrent use; create one per consumer.
+// Cursor streams one thread's instructions chunk by chunk; Reset moves
+// it to another thread with the same buffers. Not safe for concurrent use.
 type Cursor struct {
-	t    *Trace
-	idxs []int
-	next int
-	raw  []byte // the current chunk, inflated
-	rest []byte // its undecoded tail
-	left uint64 // instructions the index says rest holds
-	buf  []isa.Instr
-	fr   io.ReadCloser
+	t          *Trace
+	idxs       []int
+	next       int
+	raw        []byte // the current chunk, inflated
+	rest       []byte // its undecoded tail
+	left       uint64 // instructions the index says rest holds
+	acts, want uint64 // non-compute instructions decoded, and declared
+	buf        []isa.Instr
+	br         bytes.Reader
+	fr         io.ReadCloser
 }
 
-// nextChunk inflates the next chunk into c.rest (false at end of stream),
-// checking its CRC, its exact length, and that nothing follows it.
+// Reset positions the cursor at the start of thread i's stream.
+func (c *Cursor) Reset(i int) {
+	c.idxs, c.next, c.rest, c.left, c.acts, c.want = c.t.perThread[i], 0, nil, 0, 0, c.t.actions[i]
+}
+
+// nextChunk inflates the next chunk into c.rest, checking its CRC, its
+// exact length, and that nothing follows it; false at end of stream.
 func (c *Cursor) nextChunk() (bool, error) {
 	if c.next >= len(c.idxs) {
+		if c.acts != c.want {
+			return false, fmt.Errorf("trace: stream holds %d actions, index declares %d", c.acts, c.want)
+		}
 		return false, nil
 	}
 	ch := c.t.chunks[c.idxs[c.next]]
@@ -209,13 +221,14 @@ func (c *Cursor) nextChunk() (bool, error) {
 	if crc := crc32.ChecksumIEEE(comp); crc != ch.CRC {
 		return false, fmt.Errorf("trace: chunk CRC mismatch (have %#x, recorded %#x)", crc, ch.CRC)
 	}
+	c.br.Reset(comp)
 	if c.fr == nil {
-		c.fr = flate.NewReader(bytes.NewReader(comp))
-	} else if err := c.fr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
+		c.fr = flate.NewReader(&c.br)
+	} else if err := c.fr.(flate.Resetter).Reset(&c.br, nil); err != nil {
 		return false, fmt.Errorf("trace: resetting decompressor: %w", err)
 	}
-	if int64(cap(c.raw)) < ch.Raw {
-		c.raw = make([]byte, ch.Raw)
+	if c.raw == nil {
+		c.raw = make([]byte, c.t.maxRaw)
 	}
 	c.raw = c.raw[:ch.Raw]
 	if _, err := io.ReadFull(c.fr, c.raw); err != nil {
@@ -244,6 +257,9 @@ func (c *Cursor) Next(in *isa.Instr) (bool, error) {
 		return false, fmt.Errorf("trace: chunk byte %d: %w", len(c.raw)-len(c.rest), err)
 	}
 	c.rest, c.left = c.rest[n:], c.left-1
+	if !in.Op.IsCompute() {
+		c.acts++
+	}
 	if (c.left == 0) != (len(c.rest) == 0) {
 		return false, fmt.Errorf("trace: chunk has %d bytes left for the %d instructions its index still expects", len(c.rest), c.left)
 	}

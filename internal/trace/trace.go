@@ -3,7 +3,7 @@
 // trace-driven simulation (capture once, replay many) next to the
 // execution-driven mode the paper uses.
 //
-// # Container format (version 1)
+// # Container format (version 2)
 //
 //	offset 0:  8-byte magic "FLTRACE\n"
 //	offset 8:  uint32 LE format version
@@ -11,7 +11,7 @@
 //	           (each chunk: DEFLATE-compressed canonical isa codec
 //	           bytes for a run of one thread's instructions)
 //	...        footer: one JSON document (Meta, Layout, chunk index,
-//	           per-thread instruction/batch counts)
+//	           per-thread instruction, batch and action counts)
 //	...        uint64 LE footer length
 //	...        8-byte end magic "FLTREND\n"
 //
@@ -19,7 +19,9 @@
 // the Writer streams compressed chunks as threads emit and seals the
 // index when the run completes. Integrity is layered: magic + version
 // at both ends, a CRC-32 (IEEE) per compressed chunk, exact
-// decompressed-length and instruction-count accounting per chunk, and
+// decompressed-length and instruction-count accounting per chunk, a
+// per-thread action count (the instructions that are not
+// isa.Op.IsCompute; it sizes replay images) checked at stream end, and
 // the canonical isa codec's own bijectivity checks per instruction.
 // Decode validates all of it and returns errors — never panics — on
 // arbitrary input (FuzzDecode pins this).
@@ -52,7 +54,7 @@ import (
 
 // FormatVersion is the container format version this package writes
 // and the only one it reads.
-const FormatVersion = 1
+const FormatVersion = 2
 
 const (
 	fileMagic  = "FLTRACE\n"
@@ -161,11 +163,12 @@ type footer struct {
 	Meta   Meta
 	Layout Layout
 	Chunks []chunkInfo
-	// Instrs and Batches record, per thread, the emitted instruction
-	// count and the number of flushed batches. Batches lets replay
-	// reproduce the execution-driven emitter counters exactly.
+	// Instrs, Batches and Actions record, per thread, the emitted
+	// instructions, the flushed batches (replay reproduces the emitter
+	// counters from them) and the non-compute instructions.
 	Instrs  []uint64
 	Batches []uint64
+	Actions []uint64
 }
 
 // threadBuf accumulates one thread's pending raw bytes. Only that
@@ -176,6 +179,7 @@ type threadBuf struct {
 	count   uint64 // instructions in raw, not yet sealed
 	total   uint64 // instructions recorded overall
 	batches uint64
+	actions uint64 // non-compute instructions recorded overall
 	comp    bytes.Buffer
 	fw      *flate.Writer
 }
@@ -255,6 +259,9 @@ func (tw *Writer) Tap(thread int, batch []isa.Instr) {
 	tb := tw.threads[thread]
 	for _, in := range batch {
 		tb.raw = isa.AppendInstr(tb.raw, in)
+		if !in.Op.IsCompute() {
+			tb.actions++
+		}
 	}
 	tb.count += uint64(len(batch))
 	tb.total += uint64(len(batch))
@@ -330,10 +337,12 @@ func (tw *Writer) Finish() error {
 		Chunks:  tw.chunks,
 		Instrs:  make([]uint64, len(tw.threads)),
 		Batches: make([]uint64, len(tw.threads)),
+		Actions: make([]uint64, len(tw.threads)),
 	}
 	for i, tb := range tw.threads {
 		f.Instrs[i] = tb.total
 		f.Batches[i] = tb.batches
+		f.Actions[i] = tb.actions
 	}
 	body, err := json.Marshal(f)
 	if err != nil {

@@ -3,10 +3,12 @@ package trace_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"flashsim/internal/emitter"
@@ -85,7 +87,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Workload() != "synthetic.v1" || tr.Meta().Artifact != "abc123" {
+	if tr.Meta().Workload != "synthetic.v1" || tr.Meta().Artifact != "abc123" {
 		t.Fatalf("meta lost: %+v", tr.Meta())
 	}
 	if tr.Threads() != 3 {
@@ -99,6 +101,15 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		want += uint64(len(ins))
 		if got := tr.ThreadInstructions(i); got != uint64(len(ins)) {
 			t.Fatalf("thread %d: %d instructions recorded, want %d", i, got, len(ins))
+		}
+		var acts uint64
+		for _, in := range ins {
+			if !in.Op.IsCompute() {
+				acts++
+			}
+		}
+		if got := tr.ThreadActions(i); got != acts {
+			t.Fatalf("thread %d: %d actions recorded, want %d", i, got, acts)
 		}
 	}
 	if tr.Instructions() != want {
@@ -133,7 +144,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	// Layout round-trips into an equivalent address space.
 	want2 := emitter.NewAddressSpace()
 	want2.AllocPageAligned("data", 1<<16, emitter.Placement{Kind: emitter.PlaceBlocked, Stride: 1 << 14})
-	sp := tr.Space()
+	sp := tr.Layout().Space()
 	if sp.Span() != want2.Span() {
 		t.Fatalf("span %#x, want %#x", sp.Span(), want2.Span())
 	}
@@ -234,6 +245,62 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		m[off] ^= 0x01
 		mustFail("bitflip", m)
 	}
+	// A per-thread action count off by one either way fails at Verify
+	// (its cursor counts the stream's). The rewrite alone breaks nothing.
+	if tr, err := trace.Decode(withActions(t, data, func(a []uint64) []uint64 { return a })); err != nil {
+		t.Fatal(err)
+	} else if _, err := tr.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	mustFail("actions+1", withActions(t, data, func(a []uint64) []uint64 { a[0]++; return a }))
+	mustFail("actions-1", withActions(t, data, func(a []uint64) []uint64 { a[1]--; return a }))
+	// A count above the thread's instructions, a missing one, and a
+	// tiny container declaring 2^40 actions fail at Decode, before
+	// anything is sized by the declaration.
+	tiny := withActions(t, writeContainer(t, trace.Meta{Workload: "w", Threads: 1}, [][]isa.Instr{synthStream(13, 10)}),
+		func(a []uint64) []uint64 { a[0] = 1 << 40; return a })
+	for name, m := range map[string][]byte{
+		"actions>instrs": withActions(t, data, func(a []uint64) []uint64 { a[1] = 101; return a }),
+		"no actions":     withActions(t, data, func([]uint64) []uint64 { return nil }),
+		"2^40 actions":   tiny,
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := trace.Decode(m)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: Decode accepted it", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Fatalf("%s: rejecting a %d-byte container allocated %d bytes", name, len(m), n)
+		}
+	}
+}
+
+// withActions returns the container with its footer's per-thread
+// action counts rewritten by edit (nil drops the field), resealed.
+func withActions(t *testing.T, data []byte, edit func(acts []uint64) []uint64) []byte {
+	t.Helper()
+	start := len(data) - 16 - int(binary.LittleEndian.Uint64(data[len(data)-16:len(data)-8]))
+	var f map[string]json.RawMessage
+	if err := json.Unmarshal(data[start:len(data)-16], &f); err != nil {
+		t.Fatal(err)
+	}
+	var acts []uint64
+	if err := json.Unmarshal(f["Actions"], &acts); err != nil {
+		t.Fatal(err)
+	}
+	delete(f, "Actions")
+	if acts = edit(acts); acts != nil {
+		f["Actions"], _ = json.Marshal(acts)
+	}
+	body, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append(bytes.Clone(data[:start]), body...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(body)))
+	return append(out, data[len(data)-8:]...)
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
