@@ -56,6 +56,10 @@ func (c Config) Validate() error {
 	if c.LineSize == 0 || c.LineSize&(c.LineSize-1) != 0 {
 		return fmt.Errorf("cache %s: line size %d not a power of two", c.Name, c.LineSize)
 	}
+	if c.LineSize < 4 {
+		// A line address needs two zero low bits to carry its state.
+		return fmt.Errorf("cache %s: line size %d below 4 bytes", c.Name, c.LineSize)
+	}
 	if c.Ways <= 0 {
 		return fmt.Errorf("cache %s: ways %d", c.Name, c.Ways)
 	}
@@ -79,11 +83,22 @@ func (c Config) WaySize() uint64 { return c.Sets() * c.LineSize }
 // LineAddr returns the line-aligned address of pa.
 func (c Config) LineAddr(pa uint64) uint64 { return pa &^ (c.LineSize - 1) }
 
+// line is one way of a set, 16 bytes: key packs the line address with
+// its State in the two low bits, which a line address (LineSize >= 4)
+// always has zero, and Invalid is 0. A valid copy of line address la is
+// the one key with key^la in 1..3, so a probe is one compare.
 type line struct {
-	tag   uint64 // line address
-	state State
-	seq   uint64 // recency stamp: larger = more recent
+	key uint64 // line address | State
+	seq uint64 // recency stamp: larger = more recent
 }
+
+const stateBits = 3
+
+func (ln *line) state() State { return State(ln.key & stateBits) }
+
+func (ln *line) holds(la uint64) bool { return (ln.key^la)-1 < stateBits }
+
+func (ln *line) setState(st State) { ln.key = ln.key&^stateBits | uint64(st) }
 
 // Victim describes a line evicted by Insert.
 type Victim struct {
@@ -157,14 +172,23 @@ func (c *Cache) set(pa uint64) []line {
 	return c.lines[i : i+uint64(c.ways)]
 }
 
+// find returns the valid line holding pa, or nil.
+func (c *Cache) find(pa uint64) *line {
+	la := c.cfg.LineAddr(pa)
+	set := c.set(pa)
+	for i := range set {
+		if set[i].holds(la) {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
 // Lookup returns the state of the line containing pa (Invalid if not
 // present) without updating recency.
 func (c *Cache) Lookup(pa uint64) State {
-	la := c.cfg.LineAddr(pa)
-	for _, ln := range c.set(pa) {
-		if ln.state != Invalid && ln.tag == la {
-			return ln.state
-		}
+	if ln := c.find(pa); ln != nil {
+		return ln.state()
 	}
 	return Invalid
 }
@@ -179,18 +203,18 @@ func (c *Cache) Access(pa uint64, write bool) (st State, hit bool) {
 	set := c.set(pa)
 	for i := range set {
 		ln := &set[i]
-		if ln.state == Invalid || ln.tag != la {
+		if !ln.holds(la) {
 			continue
 		}
-		st = ln.state
+		st = ln.state()
 		if write {
-			switch ln.state {
+			switch st {
 			case Shared:
 				// Upgrade needed: coherence miss.
 				c.stats.Misses++
 				return st, false
 			case Exclusive:
-				ln.state = Modified
+				ln.setState(Modified)
 			}
 		}
 		c.clock++
@@ -212,34 +236,27 @@ func (c *Cache) Insert(pa uint64, st State) Victim {
 	la := c.cfg.LineAddr(pa)
 	set := c.set(pa)
 	c.clock++
-	// Present already (upgrade or refetch): update in place.
+	victim := 0
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == la {
-			set[i].state = st
+		if set[i].holds(la) {
+			// Present already (upgrade or refetch): update in place.
+			set[i].setState(st)
 			set[i].seq = c.clock
 			return Victim{}
 		}
-	}
-	victim := 0
-	for i := range set {
-		if set[i].state == Invalid {
-			victim = i
-			break
-		}
-		if set[i].seq < set[victim].seq {
+		if set[victim].state() != Invalid && (set[i].state() == Invalid || set[i].seq < set[victim].seq) {
 			victim = i
 		}
 	}
 	v := Victim{}
-	if set[victim].state != Invalid {
-		v = Victim{Valid: true, Addr: set[victim].tag,
-			Dirty: set[victim].state == Modified, State: set[victim].state}
+	if old := set[victim].state(); old != Invalid {
+		v = Victim{Valid: true, Addr: set[victim].key &^ stateBits, Dirty: old == Modified, State: old}
 		c.stats.Evictions++
 		if v.Dirty {
 			c.stats.Writebacks++
 		}
 	}
-	set[victim] = line{tag: la, state: st, seq: c.clock}
+	set[victim] = line{key: la | uint64(st), seq: c.clock}
 	return v
 }
 
@@ -247,57 +264,47 @@ func (c *Cache) Insert(pa uint64, st State) Victim {
 // first-write dirtiness from an inner cache level). It reports whether
 // the line was present.
 func (c *Cache) MarkDirty(pa uint64) bool {
-	la := c.cfg.LineAddr(pa)
-	set := c.set(pa)
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == la {
-			set[i].state = Modified
-			return true
-		}
+	ln := c.find(pa)
+	if ln != nil {
+		ln.setState(Modified)
 	}
-	return false
+	return ln != nil
 }
 
 // Invalidate removes the line containing pa (external invalidation). It
 // reports the state the line was in (Invalid if not present).
 func (c *Cache) Invalidate(pa uint64) State {
-	la := c.cfg.LineAddr(pa)
-	set := c.set(pa)
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == la {
-			st := set[i].state
-			set[i].state = Invalid
-			c.stats.Invalidations++
-			return st
-		}
+	ln := c.find(pa)
+	if ln == nil {
+		return Invalid
 	}
-	return Invalid
+	st := ln.state()
+	ln.setState(Invalid)
+	c.stats.Invalidations++
+	return st
 }
 
 // Downgrade transitions the line containing pa to Shared (external
 // intervention for a remote read of a dirty/exclusive line). It reports
 // the previous state.
 func (c *Cache) Downgrade(pa uint64) State {
-	la := c.cfg.LineAddr(pa)
-	set := c.set(pa)
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == la {
-			st := set[i].state
-			if st == Modified || st == Exclusive {
-				set[i].state = Shared
-				c.stats.Interventions++
-			}
-			return st
-		}
+	ln := c.find(pa)
+	if ln == nil {
+		return Invalid
 	}
-	return Invalid
+	st := ln.state()
+	if st == Modified || st == Exclusive {
+		ln.setState(Shared)
+		c.stats.Interventions++
+	}
+	return st
 }
 
 // Resident returns the number of valid lines (for tests).
 func (c *Cache) Resident() int {
 	n := 0
 	for i := range c.lines {
-		if c.lines[i].state != Invalid {
+		if c.lines[i].state() != Invalid {
 			n++
 		}
 	}

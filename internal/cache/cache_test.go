@@ -20,6 +20,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "w", Size: 1024, LineSize: 32, Ways: 0},       // no ways
 		{Name: "s", Size: 1000, LineSize: 32, Ways: 2},       // indivisible
 		{Name: "p", Size: 32 * 2 * 3, LineSize: 32, Ways: 2}, // sets not pow2
+		{Name: "b", Size: 64, LineSize: 2, Ways: 2},          // no room for the state bits
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

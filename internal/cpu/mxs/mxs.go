@@ -110,7 +110,8 @@ type CPU struct {
 
 	n          uint64 // absolute instruction index
 	hist       [histSize]sim.Ticks
-	retireRing []sim.Ticks
+	retireRing []sim.Ticks // retire times of the last Window instructions
+	retireSlot int         // n's slot in retireRing (n mod Window, no divide)
 	prevRetire sim.Ticks
 	curFetch   sim.Ticks
 	fetchedInC int
@@ -227,7 +228,10 @@ func (c *CPU) completeInstr(lat isa.Latency, issueT, completeT sim.Ticks, depsRe
 	if m := c.prevRetire + c.retireSpacing; m > rT {
 		rT = m
 	}
-	c.retireRing[c.n%uint64(c.cfg.Window)] = rT
+	c.retireRing[c.retireSlot] = rT
+	if c.retireSlot++; c.retireSlot == len(c.retireRing) {
+		c.retireSlot = 0
+	}
 	c.prevRetire = rT
 	c.n++
 }
@@ -288,12 +292,11 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 			return cpu.Outcome{Kind: cpu.SyncOp, Time: drain, Instr: *in}
 		}
 
-		// Fetch: window occupancy, then bandwidth.
-		if c.n >= uint64(c.cfg.Window) {
-			if slotFree := c.retireRing[c.n%uint64(c.cfg.Window)]; slotFree > c.curFetch {
-				c.curFetch = c.cfg.Clock.Align(slotFree)
-				c.fetchedInC = 0
-			}
+		// Fetch: window occupancy (a slot no instruction has retired
+		// from yet reads 0), then bandwidth.
+		if slotFree := c.retireRing[c.retireSlot]; slotFree > c.curFetch {
+			c.curFetch = c.cfg.Clock.Align(slotFree)
+			c.fetchedInC = 0
 		}
 		fetchT := c.curFetch
 		c.fetchedInC++

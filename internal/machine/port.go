@@ -174,13 +174,13 @@ func (p *memPort) warmTouch(t sim.Ticks, op isa.Op, va uint64) {
 // skips only the statements that charge time or occupy the L2
 // interface; the MemInfo it returns is meaningless.
 func (p *memPort) touch(t sim.Ticks, a access, canDefer bool) cpu.MemInfo {
-	if canDefer && p.m.os.NeedsFault(a.va) {
+	tr, ok := p.m.os.Translate(p.node, a.va, !canDefer)
+	if !ok {
 		// Page faults mutate the shared page table: defer the whole
 		// access to the serial phase.
 		p.push(pendingOp{kind: opAccess, t: t, acc: a})
 		return cpu.MemInfo{Flags: cpu.FlagPending}
 	}
-	tr := p.m.os.Translate(p.node, a.va)
 	if tr.PenaltyCycles > 0 && !a.warm {
 		t += p.cyc(tr.PenaltyCycles)
 	}
@@ -243,12 +243,13 @@ func (p *memPort) prefetch(t sim.Ticks, a access, canDefer bool) {
 		}
 		pa = pp.Addr(a.va)
 	} else {
-		if canDefer && p.m.os.NeedsFault(a.va) {
+		tr, ok := p.m.os.Translate(p.node, a.va, !canDefer)
+		if !ok {
 			// Solo backdoor-maps on any touch, prefetches included.
 			p.push(pendingOp{kind: opAccess, t: t, acc: a})
 			return
 		}
-		pa = p.m.os.Translate(p.node, a.va).PA
+		pa = tr.PA
 	}
 	if p.l1.Lookup(pa) != cache.Invalid || p.l2.Lookup(pa) != cache.Invalid {
 		return

@@ -13,8 +13,8 @@ import (
 // run of a study costs the allocator, the in-tree reading of what the
 // benchmark's alloc_kb_per_op gates (fft-1p is a study-quick run,
 // gups-32p an mp-contend run). The instruction slabs are not in it —
-// they are the process's (emitter.slabPool) — so gups-32p reads 1.9 MB
-// where it read 20.7 MB while every run made its own, fft-1p 204 KB for
+// they are the process's (emitter.slabPool) — so gups-32p reads 1.3 MB
+// where it read 20.7 MB while every run made its own, fft-1p 192 KB for
 // 794 KB.
 func BenchmarkRunWarm(b *testing.B) {
 	for _, c := range []struct {

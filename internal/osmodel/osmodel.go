@@ -120,23 +120,32 @@ func (o *OS) TLB(i int) *tlb.TLB {
 }
 
 // Translate maps va for the CPU on node, charging TLB and fault costs
-// according to the model.
-func (o *OS) Translate(node int, va uint64) Translation {
-	pp, cold := o.pt.Translate(va, node)
+// according to the model, with one page-table lookup for a mapped page.
+// An unmapped page faults in when fault is set; otherwise Translate
+// changes nothing and reports false, and the caller defers the access
+// to the phase that may mutate the shared page table.
+func (o *OS) Translate(node int, va uint64, fault bool) (Translation, bool) {
+	pp, mapped := o.pt.Lookup(va)
+	if !mapped {
+		if !fault {
+			return Translation{}, false
+		}
+		pp, _ = o.pt.Translate(va, node)
+	}
 	tr := Translation{PA: pp.Addr(va)}
 	if o.cfg.Kind == Solo {
 		// Backdoor mapping: no TLB, no fault cost.
-		return tr
+		return tr, true
 	}
 	if !o.tlbs[node].Access(vm.VPage(va)) {
 		tr.TLBMiss = true
 		tr.PenaltyCycles += o.cfg.TLBHandlerCycles
 	}
-	if cold {
+	if !mapped {
 		o.faults++
 		tr.PenaltyCycles += o.cfg.PageFaultCycles
 	}
-	return tr
+	return tr, true
 }
 
 // SyscallCost returns the charged CPU cycles for a system call. The
@@ -148,15 +157,6 @@ func (o *OS) SyscallCost() uint32 {
 	}
 	o.syscalls++
 	return o.cfg.SyscallCycles
-}
-
-// NeedsFault reports whether an access to va would map a new page (a
-// cold fault). The node phase uses it to decide whether to defer the
-// whole access to the barrier's fault path; it never mutates shared
-// state.
-func (o *OS) NeedsFault(va uint64) bool {
-	_, ok := o.pt.Lookup(va)
-	return !ok
 }
 
 // TLBStats sums the per-CPU TLB counters (all zero under Solo).

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"flashsim/internal/emitter"
+	"flashsim/internal/tlb"
 	"flashsim/internal/vm"
 )
 
@@ -18,7 +19,7 @@ func TestSoloTranslationsAreFree(t *testing.T) {
 	pt := NewPageTable(Solo, as, 2, 16)
 	os := New(DefaultSolo(), pt, 2)
 	r := as.Regions()[0]
-	tr := os.Translate(0, r.Base+100)
+	tr, _ := os.Translate(0, r.Base+100, true)
 	if tr.PenaltyCycles != 0 || tr.TLBMiss {
 		t.Fatalf("solo translation charged: %+v", tr)
 	}
@@ -42,7 +43,10 @@ func TestSimOSChargesTLBAndFaults(t *testing.T) {
 	pt := NewPageTable(SimOS, as, 1, 16)
 	os := New(cfg, pt, 1)
 	r := as.Regions()[0]
-	tr := os.Translate(0, r.Base)
+	if _, ok := os.Translate(0, r.Base, false); ok || os.Counters().PagesMapped != 0 || os.TLBStats() != (tlb.Stats{}) {
+		t.Fatalf("unmapped page without fault: ok %v, counters %+v, TLB %+v; want no change", ok, os.Counters(), os.TLBStats())
+	}
+	tr, _ := os.Translate(0, r.Base, true)
 	if !tr.TLBMiss || os.Counters().ColdFaults != 1 {
 		t.Fatalf("first access: %+v, counters %+v", tr, os.Counters())
 	}
@@ -51,7 +55,7 @@ func TestSimOSChargesTLBAndFaults(t *testing.T) {
 		t.Fatalf("penalty %d, want %d", tr.PenaltyCycles, want)
 	}
 	// Second access: warm.
-	tr2 := os.Translate(0, r.Base+8)
+	tr2, _ := os.Translate(0, r.Base+8, true)
 	if tr2.PenaltyCycles != 0 || tr2.TLBMiss || os.Counters().ColdFaults != 1 {
 		t.Fatalf("warm access charged: %+v, counters %+v", tr2, os.Counters())
 	}
@@ -72,12 +76,12 @@ func TestSimOSTLBThrash(t *testing.T) {
 	os := New(cfg, pt, 1)
 	// Warm all pages (faults out of the way).
 	for p := uint64(0); p < 8; p++ {
-		os.Translate(0, r.Base+p*vm.PageSize)
+		os.Translate(0, r.Base+p*vm.PageSize, true)
 	}
 	before := os.TLBStats().Misses
 	for round := 0; round < 3; round++ {
 		for p := uint64(0); p < 8; p++ {
-			os.Translate(0, r.Base+p*vm.PageSize)
+			os.Translate(0, r.Base+p*vm.PageSize, true)
 		}
 	}
 	if got := os.TLBStats().Misses - before; got != 24 {
@@ -99,9 +103,9 @@ func TestPerCPUTLBs(t *testing.T) {
 	pt := NewPageTable(SimOS, as, 2, 16)
 	os := New(DefaultSimOS(), pt, 2)
 	r := as.Regions()[0]
-	os.Translate(0, r.Base)
+	os.Translate(0, r.Base, true)
 	// CPU 1 misses independently even though the page is mapped.
-	tr := os.Translate(1, r.Base)
+	tr, _ := os.Translate(1, r.Base, true)
 	if !tr.TLBMiss {
 		t.Fatal("TLBs must be per CPU")
 	}

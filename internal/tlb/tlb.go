@@ -27,17 +27,24 @@ func R10000() Config { return Config{Entries: 64} }
 //
 // It sits on the critical path of every simulated memory access, so
 // recency is tracked with per-slot stamps from a monotonic clock —
-// a hit is one stamp store, a refill scans the (at most 64-entry)
-// arrays for the minimum stamp. The hit/miss/eviction sequence is
-// identical to a recency-ordered list; only the bookkeeping differs.
+// a hit is one stamp store, a refill scans the arrays for the minimum
+// stamp. The hit/miss/eviction sequence is identical to a
+// recency-ordered list; only the bookkeeping differs.
 type TLB struct {
 	cfg    Config
 	vps    []uint64 // resident virtual page numbers (unordered)
 	stamps []uint64 // per-slot recency; larger = more recent
 	clock  uint64
-	mru    int // slot of the last hit/refill, -1 when unknown
-	stats  Stats
+	// hint maps vp%hintSlots to the slot that last held such a page.
+	// It is only a guess, checked against vps before it is trusted.
+	hint  [hintSlots]uint16
+	stats Stats
 }
+
+// hintSlots sizes the hint array. A slot number fits its uint16 up to
+// the registry's largest TLB (4096 entries); a larger TLB stays exact,
+// its truncated hints just miss and fall back to the scan.
+const hintSlots = 64
 
 // Stats counts TLB activity. All zero under the Solo OS model, which
 // omits the TLB.
@@ -64,34 +71,17 @@ func New(cfg Config) *TLB {
 		cfg:    cfg,
 		vps:    make([]uint64, 0, cfg.Entries),
 		stamps: make([]uint64, 0, cfg.Entries),
-		mru:    -1,
 	}
 }
 
 // Access looks up virtual page vp, refilling on a miss. It reports
-// whether the access hit. Consecutive accesses to one page are the
-// common case, so the slot of the previous hit is checked before the
-// full scan; the hit/miss/eviction sequence is unchanged.
+// whether the access hit.
 func (t *TLB) Access(vp uint64) bool {
-	if m := t.mru; m >= 0 && t.vps[m] == vp {
-		t.stats.Hits++
-		t.clock++
-		t.stamps[m] = t.clock
-		return true
-	}
+	t.clock++
 	if i := t.lookup(vp); i >= 0 {
-		if i > 0 {
-			// Move-to-front so alternating hot pages stay at the head
-			// of the scan. Slot order is not semantically meaningful —
-			// the stamps alone decide LRU eviction.
-			t.vps[0], t.vps[i] = t.vps[i], t.vps[0]
-			t.stamps[0], t.stamps[i] = t.stamps[i], t.stamps[0]
-			i = 0
-		}
+		t.hint[vp%hintSlots] = uint16(i)
 		t.stats.Hits++
-		t.clock++
 		t.stamps[i] = t.clock
-		t.mru = i
 		return true
 	}
 	t.stats.Misses++
@@ -99,9 +89,13 @@ func (t *TLB) Access(vp uint64) bool {
 	return false
 }
 
-// lookup returns vp's slot, or -1. The arrays span at most eight cache
-// lines, so a linear scan beats hashing here.
+// lookup returns vp's slot, or -1. A hit on the hinted slot costs one
+// compare; any other page scans the slots, which are unordered (the
+// stamps alone decide eviction).
 func (t *TLB) lookup(vp uint64) int {
+	if h := int(t.hint[vp%hintSlots]); h < len(t.vps) && t.vps[h] == vp {
+		return h
+	}
 	for i, e := range t.vps {
 		if e == vp {
 			return i
@@ -115,23 +109,22 @@ func (t *TLB) Probe(vp uint64) bool { return t.lookup(vp) >= 0 }
 
 // insert adds vp, evicting the least recently used entry if full.
 func (t *TLB) insert(vp uint64) {
-	t.clock++
-	if len(t.vps) == t.cfg.Entries {
+	slot := len(t.vps)
+	if slot == t.cfg.Entries {
 		t.stats.Evictions++
-		victim := 0
+		slot = 0
 		for i, s := range t.stamps {
-			if s < t.stamps[victim] {
-				victim = i
+			if s < t.stamps[slot] {
+				slot = i
 			}
 		}
-		t.vps[victim] = vp
-		t.stamps[victim] = t.clock
-		t.mru = victim
-		return
+		t.vps[slot] = vp
+		t.stamps[slot] = t.clock
+	} else {
+		t.vps = append(t.vps, vp)
+		t.stamps = append(t.stamps, t.clock)
 	}
-	t.vps = append(t.vps, vp)
-	t.stamps = append(t.stamps, t.clock)
-	t.mru = len(t.vps) - 1
+	t.hint[vp%hintSlots] = uint16(slot)
 }
 
 // Stats returns the accumulated counters.

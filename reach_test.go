@@ -37,6 +37,7 @@ var reachRoots = []struct{ dir, pkg string }{
 var reachAllow = map[string]string{
 	"cache.Cache.Resident":                   "observed by a test: the residency bound and conflict-set properties",
 	"cache.MSHRs.Merges":                     "observed by a test: TestPortScriptPinned hashes it",
+	"cache.State.String":                     "observed by a test: the cache oracle's failure messages name states",
 	"core.CompareResult.Entry":               "observed by a test: the Figure 1 checks read cells",
 	"core.CompareResult.MaxAbsError":         "observed by a test: the Figure 1 checks",
 	"core.Curve.At":                          "observed by a test: the trend checks read speedups",
