@@ -10,8 +10,9 @@ import (
 	"flashsim/internal/sim"
 )
 
-// Action is a replayAction as the external tests see it: Arg is Size
-// for a load or store and Aux for every other op.
+// Action is a replayAction as the external tests see it: Arg is Aux
+// for every op, and a compute-op action splits a compute run too long
+// for one action (SetMaxActionSkip).
 type Action struct {
 	Op   isa.Op
 	Addr uint64
@@ -23,7 +24,7 @@ type Action struct {
 func (img *ReplayImage) Actions(i int) ([]Action, uint64) {
 	out := make([]Action, len(img.actions[i]))
 	for k, a := range img.actions[i] {
-		out[k] = Action{Op: a.op, Addr: a.addr, Skip: a.skip, Arg: a.arg}
+		out[k] = Action{Op: a.op(), Addr: a.addr, Skip: a.skip(), Arg: a.arg}
 	}
 	return out, img.tails[i]
 }
@@ -32,7 +33,7 @@ func (img *ReplayImage) Actions(i int) ([]Action, uint64) {
 func (img *ReplayImage) ActionBytes() uint64 {
 	var n uint64
 	for _, acts := range img.actions {
-		n += uint64(len(acts)) * uint64(unsafe.Sizeof(replayAction{}))
+		n += uint64(len(acts)) * uint64(ActionSize)
 	}
 	return n
 }
@@ -75,6 +76,18 @@ func SetRunStep(n uint64) (restore func()) {
 	old := runStep
 	runStep = n
 	return func() { runStep = old }
+}
+
+// ActionSize is the bytes one replayAction takes in an image.
+const ActionSize = unsafe.Sizeof(replayAction{})
+
+// SetMaxActionSkip makes k the longest compute run one action carries,
+// splitting longer runs with compute-op actions, until the returned func
+// restores the default. It applies to images prepared meanwhile.
+func SetMaxActionSkip(k uint64) (restore func()) {
+	old := maxActionSkip
+	maxActionSkip = k
+	return func() { maxActionSkip = old }
 }
 
 // SetEventCap lowers the runaway guard to n dispatched events until the

@@ -53,7 +53,8 @@ func quickCapture(tb testing.TB, name string, procs int) []byte {
 
 // refActions is the image builder PrepareReplay replaced — whole
 // batches out of the cursor, every isa.Instr copied, actions grown by
-// append — kept as the oracle for the one-pass builder.
+// append, runs never split — kept as the oracle for the one-pass
+// builder.
 func refActions(tr *trace.Trace) (acts [][]machine.Action, tails []uint64, err error) {
 	acts = make([][]machine.Action, tr.Threads())
 	tails = make([]uint64, tr.Threads())
@@ -70,11 +71,7 @@ func refActions(tr *trace.Trace) (acts [][]machine.Action, tails []uint64, err e
 			}
 			for _, in := range batch {
 				if in.Op.IsMem() || in.Op.IsSync() || in.Op == isa.Syscall {
-					arg := in.Aux
-					if in.Op == isa.Load || in.Op == isa.Store {
-						arg = in.Size
-					}
-					acts[i] = append(acts[i], machine.Action{Op: in.Op, Addr: in.Addr, Skip: skip, Arg: arg})
+					acts[i] = append(acts[i], machine.Action{Op: in.Op, Addr: in.Addr, Skip: skip, Arg: in.Aux})
 					skip = 0
 				} else {
 					skip++
@@ -86,16 +83,36 @@ func refActions(tr *trace.Trace) (acts [][]machine.Action, tails []uint64, err e
 	return acts, tails, nil
 }
 
-// sameAsReference fails unless img holds exactly the reference
-// builder's actions and tails for tr.
-func sameAsReference(t *testing.T, tr *trace.Trace, img *machine.ReplayImage) {
+// unsplit folds each compute-op action, which splits a long run, back
+// into that run — the next action's skip, or the tail — and returns the
+// actions, the tail and how many splits it folded.
+func unsplit(acts []machine.Action, tail uint64) (out []machine.Action, _ uint64, splits int) {
+	var run uint64
+	for _, a := range acts {
+		if a.Op.IsCompute() {
+			run += a.Skip + 1
+			splits++
+			continue
+		}
+		a.Skip += run
+		out, run = append(out, a), 0
+	}
+	return out, tail + run, splits
+}
+
+// sameAsReference fails unless img, its splits folded back, holds
+// exactly the reference builder's actions and tails for tr, and it
+// returns each thread's split count.
+func sameAsReference(t *testing.T, tr *trace.Trace, img *machine.ReplayImage) (splits []int) {
 	t.Helper()
 	want, tails, err := refActions(tr)
 	if err != nil {
 		t.Fatalf("PrepareReplay accepted a trace the reference builder rejects: %v", err)
 	}
+	splits = make([]int, len(want))
 	for i := range want {
-		got, tail := img.Actions(i)
+		got, tail, n := unsplit(img.Actions(i))
+		splits[i] = n
 		if tail != tails[i] {
 			t.Fatalf("thread %d: tail %d, reference %d", i, tail, tails[i])
 		}
@@ -108,6 +125,7 @@ func sameAsReference(t *testing.T, tr *trace.Trace, img *machine.ReplayImage) {
 			}
 		}
 	}
+	return splits
 }
 
 // TestPrepareReplayMatchesReference pins the one-pass image against the
@@ -167,12 +185,29 @@ func withActions(tb testing.TB, data []byte, edit func(acts []uint64) []uint64) 
 
 // FuzzPrepareReplay pins PrepareReplay's robustness on arbitrary
 // containers: it never panics, it accepts exactly what the reference
-// builder accepts, and what it accepts it images identically, at the
-// action counts the index declares. The seeds are
+// builder accepts, and what it accepts it images identically once
+// split runs are folded back, at the action counts the index declares
+// plus the splits. The seeds are
 // trace.TestDecodeRejectsCorruption's mutants of a small real capture:
 // two threads of the CACHE-op kernel, which holds loads, stores, cache
 // ops and barriers.
 func FuzzPrepareReplay(f *testing.F) {
+	addPrepareSeeds(f)
+	f.Fuzz(checkPrepare)
+}
+
+// FuzzPrepareReplaySplit is FuzzPrepareReplay with every compute run
+// longer than 1 instruction split by a compute-op action: the seed
+// capture's runs are at most 2 long, so a longer split length would
+// leave its seeds whole.
+func FuzzPrepareReplaySplit(f *testing.F) {
+	addPrepareSeeds(f)
+	f.Cleanup(machine.SetMaxActionSkip(1))
+	f.Fuzz(checkPrepare)
+}
+
+// addPrepareSeeds seeds a PrepareReplay fuzz target.
+func addPrepareSeeds(f *testing.F) {
 	data := quickCapture(f, "cachemgmt", 2)
 	f.Add(data)
 	for _, n := range []int{0, 4, 8, 12, len(data) / 2, len(data) - 1} {
@@ -206,25 +241,28 @@ func FuzzPrepareReplay(f *testing.F) {
 	} {
 		f.Add(withActions(f, data, edit))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := trace.Decode(data)
-		if err != nil {
-			return
+}
+
+// checkPrepare is the PrepareReplay fuzz targets' body.
+func checkPrepare(t *testing.T, data []byte) {
+	tr, err := trace.Decode(data)
+	if err != nil {
+		return
+	}
+	img, err := machine.PrepareReplay(tr)
+	if err != nil {
+		if _, _, refErr := refActions(tr); refErr == nil {
+			t.Fatalf("PrepareReplay rejects a trace the reference builder accepts: %v", err)
 		}
-		img, err := machine.PrepareReplay(tr)
-		if err != nil {
-			if _, _, refErr := refActions(tr); refErr == nil {
-				t.Fatalf("PrepareReplay rejects a trace the reference builder accepts: %v", err)
-			}
-			return
+		return
+	}
+	splits := sameAsReference(t, tr, img)
+	for i := 0; i < tr.Threads(); i++ {
+		if acts, _ := img.Actions(i); uint64(len(acts)) != tr.ThreadActions(i)+uint64(splits[i]) {
+			t.Fatalf("thread %d: image holds %d actions, index declares %d and %d split runs",
+				i, len(acts), tr.ThreadActions(i), splits[i])
 		}
-		sameAsReference(t, tr, img)
-		for i := 0; i < tr.Threads(); i++ {
-			if acts, _ := img.Actions(i); uint64(len(acts)) != tr.ThreadActions(i) {
-				t.Fatalf("thread %d: image holds %d actions, index declares %d", i, len(acts), tr.ThreadActions(i))
-			}
-		}
-	})
+	}
 }
 
 // TestPrepareReplayAllocatesOnlyTheImage pins that the image is the
@@ -287,4 +325,30 @@ func BenchmarkPrepareReplay(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(instrs), "ns/instr")
 	b.ReportMetric(float64(len(data))/float64(instrs), "B/instr")
+}
+
+var sinkResult machine.Result
+
+// BenchmarkRunReplay times one replay of the lu 4p quick image on the
+// machine that captured it: the replay core, port and memory system
+// with the trace already prepared.
+func BenchmarkRunReplay(b *testing.B) {
+	data := quickCapture(b, "lu", 4)
+	tr, err := trace.Decode(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	img, err := machine.PrepareReplay(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := replayConfig(img.Threads())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sinkResult, err = machine.RunReplay(cfg, img); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Instructions()), "ns/instr")
 }

@@ -28,32 +28,37 @@ func RunCapture(cfg Config, prog emitter.Program, tw *trace.Writer) (Result, err
 }
 
 // replayAction is one memory, sync, or syscall instruction preceded by
-// a run of `skip` collapsed 1-cycle compute instructions. Collapsing is
+// a run of skip collapsed 1-cycle compute instructions. Collapsing is
 // exact under classic Mipsy timing: compute instructions make no
 // memory-system calls, so burning a run in one step reaches the same
 // time, the same stats, and the same next reservation as stepping them
 // one by one — and the quantum bound still yields at the same
 // instruction boundaries.
 //
-// It keeps, in 24 bytes, the isa.Instr fields replay reads: arg is Size
-// for a load or store and Aux (lock or barrier id, CACHE sub-op, syscall
-// number) for any other op, the one of the two its consumers take.
-// Dep1/Dep2 go: only MXS reads them, and replay never runs MXS.
+// It keeps, in 16 bytes, the isa.Instr fields replay reads: word packs
+// skip above the op's byte, and arg is Aux (lock or barrier id, CACHE
+// sub-op, syscall number). A load's or store's Size goes, since the
+// port ignores it, and Dep1/Dep2 go: only MXS reads them, and replay
+// never runs MXS. A run longer than maxActionSkip is split: its next
+// compute instruction becomes an action, which every consumer charges
+// one cycle and one instruction, as it would inside the run.
 type replayAction struct {
 	addr uint64
-	skip uint64
+	word uint32
 	arg  uint32
-	op   isa.Op
 }
+
+// maxActionSkip is the longest run one action's word holds; a var only
+// so tests can split runs finely (SetMaxActionSkip).
+var maxActionSkip uint64 = 1<<24 - 1
+
+func (a *replayAction) op() isa.Op   { return isa.Op(a.word) }
+func (a *replayAction) skip() uint64 { return uint64(a.word >> 8) }
 
 // instr rebuilds the recorded instruction, for a sync op's Outcome
 // only: a core reads the action's fields directly.
 func (a *replayAction) instr() isa.Instr {
-	var size uint32
-	if a.op-isa.Load < 2 { // Load or Store, adjacent opcodes
-		size = a.arg
-	}
-	return isa.Instr{Op: a.op, Addr: a.addr, Size: size, Aux: a.arg ^ size}
+	return isa.Instr{Op: a.op(), Addr: a.addr, Aux: a.arg}
 }
 
 // ReplayImage is a trace decoded and collapsed into directly
@@ -88,8 +93,9 @@ func PrepareReplay(tr *trace.Trace) (*ReplayImage, error) {
 	// straight into its action list, made at the length the index
 	// declares: the image is the only copy, and one cursor walks every
 	// thread. The declared count is unproven file input, so at most 1M
-	// actions (24 MB) are made up front and more grow as the bytes prove
-	// them; the cursor fails a count that differs from the stream.
+	// actions (16 MB) are made up front and more grow as the bytes prove
+	// them, as do split runs' actions; the cursor fails a count that
+	// differs from the stream.
 	var in isa.Instr
 	cur := tr.Thread(0)
 	for i := 0; i < tr.Threads(); i++ {
@@ -103,15 +109,11 @@ func PrepareReplay(tr *trace.Trace) (*ReplayImage, error) {
 			if !ok {
 				break
 			}
-			if in.Op.IsCompute() {
+			if in.Op.IsCompute() && skip < maxActionSkip {
 				skip++
 				continue
 			}
-			arg := in.Aux
-			if in.Op == isa.Load || in.Op == isa.Store {
-				arg = in.Size
-			}
-			acts = append(acts, replayAction{addr: in.Addr, skip: skip, arg: arg, op: in.Op})
+			acts = append(acts, replayAction{addr: in.Addr, word: uint32(skip)<<8 | uint32(in.Op), arg: in.Aux})
 			skip = 0
 		}
 		img.actions[i], img.tails[i] = acts, skip
@@ -208,7 +210,7 @@ type replayStream struct {
 // once the actions are exhausted).
 func (s *replayStream) load() {
 	if s.pos < len(s.acts) {
-		s.fill = s.acts[s.pos].skip
+		s.fill = s.acts[s.pos].skip()
 	} else if !s.tailDone {
 		s.fill = s.tail
 		s.tailDone = true
@@ -308,7 +310,7 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 		c.load()
 		n++
 		c.instrs++
-		switch in.op {
+		switch in.op() {
 		case isa.Lock, isa.Unlock, isa.Barrier:
 			t += period
 			return cpu.Outcome{Kind: cpu.SyncOp, Time: t, Instr: in.instr()}
@@ -351,8 +353,8 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 			t += period * sim.Ticks(1+c.port.SyscallCost(in.arg))
 
 		default:
-			// Unreachable via PrepareReplay's classification; charge a
-			// cycle like any compute instruction.
+			// A compute instruction that split a long run: one
+			// cycle, as inside the run.
 			t += period
 		}
 	}

@@ -154,6 +154,86 @@ func TestCaptureReplayBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSplitRunsAreExact pins that splitting a long compute run is exact:
+// with runs split at k ∈ {1, 2, 3, 7} instructions, every capture of
+// TestCaptureReplayBitIdentical replays plain, default-sampled and
+// sparse-cold-sampled to the Result (%#v for %#v) of its image built at
+// the default split length. The images are prepared before the parallel
+// replays, since the split length is package state PrepareReplay reads.
+func TestSplitRunsAreExact(t *testing.T) {
+	if machine.ActionSize != 16 {
+		t.Fatalf("a replay action takes %d bytes, want 16", machine.ActionSize)
+	}
+	const procs = 2
+	progs := append(replayKernels(procs), registryPrograms(t, procs)...)
+	traces := make([]*trace.Trace, len(progs))
+	t.Run("capture", func(t *testing.T) {
+		for i, prog := range progs {
+			t.Run(prog.FullName(), func(t *testing.T) {
+				t.Parallel()
+				_, data := captureInto(t, replayConfig(prog.Threads), prog)
+				tr, err := trace.Decode(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				traces[i] = tr
+			})
+		}
+	})
+	if t.Failed() {
+		return
+	}
+	splits := []uint64{1, 2, 3, 7}
+	images := make([][]*machine.ReplayImage, len(progs))
+	var whole, split int
+	for i, tr := range traces {
+		for _, k := range append([]uint64{0}, splits...) { // 0: the default length
+			restore := func() {}
+			if k > 0 {
+				restore = machine.SetMaxActionSkip(k)
+			}
+			img, err := machine.PrepareReplay(tr)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			images[i] = append(images[i], img)
+		}
+		whole, split = whole+actionCount(images[i][0]), split+actionCount(images[i][1])
+	}
+	if split <= whole {
+		t.Fatalf("splitting at 1 split no run: %d actions, %d unsplit", split, whole)
+	}
+	for i, prog := range progs {
+		t.Run(prog.FullName(), func(t *testing.T) {
+			t.Parallel()
+			plain := replayConfig(prog.Threads)
+			warm := plain
+			warm.Sampling = machine.DefaultSampling()
+			cold := warm
+			cold.Sampling.Period, cold.Sampling.ColdState = 100_000, true
+			for name, cfg := range map[string]machine.Config{"plain": plain, "warm": warm, "sparse-cold": cold} {
+				want := fmt.Sprintf("%#v", replayOf(t, cfg, images[i][0]))
+				for j, k := range splits {
+					if got := fmt.Sprintf("%#v", replayOf(t, cfg, images[i][j+1])); got != want {
+						t.Errorf("%s replay with runs split at %d differs from the default image's:\n%s\nwant\n%s", name, k, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// actionCount is the number of actions img holds over all threads.
+func actionCount(img *machine.ReplayImage) int {
+	n := 0
+	for i := 0; i < img.Threads(); i++ {
+		acts, _ := img.Actions(i)
+		n += len(acts)
+	}
+	return n
+}
+
 // TestReplayImageIsReusable pins decode-once/replay-many: one image
 // replayed twice (including concurrently-built machines) yields the
 // same Result both times.

@@ -196,15 +196,15 @@ func (c *sampledCPU) runFunctional(t sim.Ticks) (cpu.Outcome, bool) {
 		done++
 		t += period
 		switch {
-		case a.op.IsMem():
+		case a.op().IsMem():
 			if c.warm != nil {
-				c.warm.warmTouch(t, a.op, a.addr)
+				c.warm.warmTouch(t, a.op(), a.addr)
 				c.meta.WarmTouches++
 			}
-		case a.op.IsSync():
+		case a.op().IsSync():
 			commit()
 			return cpu.Outcome{Kind: cpu.SyncOp, Time: t, Instr: a.instr()}, false
-		case a.op == isa.Syscall:
+		case a.op() == isa.Syscall:
 			// Keep the OS syscall accounting live; the cost itself is
 			// timing and is elided.
 			c.port.SyscallCost(a.arg)
