@@ -104,10 +104,9 @@ type BatchStream interface {
 // frozen benchmark's slice stream is the one left) is adapted one
 // instruction at a time through the cursor's own slot, never reading
 // ahead and never remembering an ok=false. The pointer is valid until
-// the next call to Next, which may hand the batch back to its producer:
-// copy what must outlive that (a SyncOp's Outcome.Instr). The cursor
-// lives by value in its core and must not be copied once Next has been
-// called.
+// the next call to Next, which may hand the batch back to its producer.
+// The cursor lives by value in its core and must not be copied once
+// Next has been called.
 type Cursor struct {
 	batch []isa.Instr // the current batch, read up to pos
 	pos   int
@@ -162,8 +161,8 @@ const (
 	// transaction; resume by calling Run at Outcome.Time.
 	Yield OutcomeKind = iota
 	// SyncOp: the processor reached a LOCK/UNLOCK/BARRIER instruction
-	// (in Outcome.Instr) at Outcome.Time; the machine decides when it
-	// resumes.
+	// (Outcome.Op, with its lock or barrier id in Outcome.Aux) at
+	// Outcome.Time; the machine decides when it resumes.
 	SyncOp
 	// Finished: the instruction stream is exhausted; Outcome.Time is
 	// the completion time.
@@ -177,9 +176,10 @@ const (
 
 // Outcome is what Run returns to the machine's event loop.
 type Outcome struct {
-	Kind  OutcomeKind
-	Time  sim.Ticks
-	Instr isa.Instr // valid for SyncOp
+	Kind OutcomeKind
+	Time sim.Ticks
+	Op   isa.Op // valid for SyncOp
+	Aux  uint32 // valid for SyncOp
 }
 
 // CPU is a processor model bound to one instruction stream and one
@@ -193,6 +193,8 @@ type CPU interface {
 	// it hands a core that returned Blocked the completed MemInfo of
 	// its deferred access; the core finishes the suspended instruction
 	// and returns the time at which the machine should call Run again.
+	// It is each core's one completion of a port access: Run finishes
+	// an access the port answers at once through the same code.
 	Deliver(mi MemInfo) sim.Ticks
 	// Instructions returns the instructions executed so far.
 	Instructions() uint64

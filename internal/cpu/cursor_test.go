@@ -103,30 +103,56 @@ func TestCursorOverGate(t *testing.T) {
 
 // scriptPort hits in one cycle, except that an address with bit 20 set
 // goes to memory and one with bit 21 set is deferred, as the windowed
-// engine's port defers a miss.
-type scriptPort struct{ clock sim.Clock }
+// engine's port defers a miss or a faulting page. A CACHE op always
+// finds its line dirty.
+type scriptPort struct {
+	clock    sim.Clock
+	deferred isa.Op // the op of the access deferred last
+}
 
-func (p scriptPort) access(t sim.Ticks, addr uint64) cpu.MemInfo {
+func (p *scriptPort) access(t sim.Ticks, addr uint64, op isa.Op) cpu.MemInfo {
 	switch {
 	case addr&(1<<21) != 0:
+		p.deferred = op
 		return cpu.MemInfo{Flags: cpu.FlagPending}
+	case op == isa.CacheOp:
+		return p.flush(t)
 	case addr&(1<<20) != 0:
 		return cpu.MemInfo{Done: t + p.clock.Cycles(40), IssuedAt: t + 1, Flags: cpu.FlagWentToMemory | cpu.FlagTLBMiss}
 	}
 	return cpu.MemInfo{Done: t + p.clock.Cycles(1), L1Hit: true}
 }
-func (p scriptPort) Load(t sim.Ticks, addr uint64, _ uint32) cpu.MemInfo  { return p.access(t, addr) }
-func (p scriptPort) Store(t sim.Ticks, addr uint64, _ uint32) cpu.MemInfo { return p.access(t, addr) }
-func (p scriptPort) Prefetch(sim.Ticks, uint64)                           {}
-func (p scriptPort) CacheOp(t sim.Ticks, _ uint64, _ uint32) cpu.MemInfo {
-	return cpu.MemInfo{Done: t + p.clock.Cycles(2), Flags: cpu.FlagDirtyCacheOp}
+func (p *scriptPort) Load(t sim.Ticks, addr uint64, _ uint32) cpu.MemInfo {
+	return p.access(t, addr, isa.Load)
 }
-func (p scriptPort) SyscallCost(uint32) uint32 { return 7 }
+func (p *scriptPort) Store(t sim.Ticks, addr uint64, _ uint32) cpu.MemInfo {
+	return p.access(t, addr, isa.Store)
+}
+func (p *scriptPort) Prefetch(sim.Ticks, uint64) {}
+func (p *scriptPort) CacheOp(t sim.Ticks, addr uint64, _ uint32) cpu.MemInfo {
+	return p.access(t, addr, isa.CacheOp)
+}
+func (p *scriptPort) SyscallCost(uint32) uint32 { return 7 }
+
+// flush writes a dirty line back: two cycles, and the line leaves the chip.
+func (p *scriptPort) flush(t sim.Ticks) cpu.MemInfo {
+	return cpu.MemInfo{Done: t + p.clock.Cycles(2), Flags: cpu.FlagDirtyCacheOp | cpu.FlagWentToMemory}
+}
+
+// barrier completes at t the access deferred last: a CACHE op runs as
+// it would have inline, as the machine re-runs a faulted access, and a
+// load or store arrives from memory 90 cycles on.
+func (p *scriptPort) barrier(t sim.Ticks) cpu.MemInfo {
+	if p.deferred == isa.CacheOp {
+		return p.flush(t)
+	}
+	return cpu.MemInfo{Done: t + p.clock.Cycles(90), IssuedAt: t + p.clock.Cycles(3), Flags: cpu.FlagWentToMemory}
+}
 
 // transcript runs core to the end of its stream the way the machine
-// would — a sync op resumes at once, a blocked access is delivered 90
-// cycles later — and returns every outcome in order.
-func transcript(t *testing.T, clock sim.Clock, core cpu.CPU) []cpu.Outcome {
+// would — a sync op resumes at once, a blocked access is delivered what
+// port's barrier answers — and returns every outcome in order.
+func transcript(t *testing.T, core cpu.CPU, port *scriptPort) []cpu.Outcome {
 	t.Helper()
 	var outs []cpu.Outcome
 	var now sim.Ticks
@@ -138,8 +164,7 @@ func transcript(t *testing.T, clock sim.Clock, core cpu.CPU) []cpu.Outcome {
 		case cpu.Finished:
 			return outs
 		case cpu.Blocked:
-			now = core.Deliver(cpu.MemInfo{
-				Done: now + clock.Cycles(90), IssuedAt: now + clock.Cycles(3), Flags: cpu.FlagWentToMemory})
+			now = core.Deliver(port.barrier(now))
 			outs = append(outs, cpu.Outcome{Kind: cpu.Yield, Time: now}) // the resume time is part of the contract
 		}
 	}
@@ -151,9 +176,9 @@ func transcript(t *testing.T, clock sim.Clock, core cpu.CPU) []cpu.Outcome {
 // Next-only stream and through batches of several sizes: the outcomes
 // and the counters must be identical. The stream ends mid-batch (23 is
 // not a multiple of 4 or 6), batches of 1, 4 and 6 each end on one of
-// the sync ops at positions 3, 11 and 17 (whose outcome must be a copy —
-// the lender wrecks its slab at the next refill), and a deferred access
-// goes through Deliver.
+// the sync ops at positions 3, 11 and 17 (the lender wrecks its slab at
+// the next refill), and a deferred load, store and CACHE op go through
+// Deliver.
 func TestBothArmsAgree(t *testing.T) {
 	const far, deferred = 1 << 20, 1 << 21
 	ins := []isa.Instr{
@@ -177,12 +202,12 @@ func TestBothArmsAgree(t *testing.T) {
 		{Op: isa.Unlock, Aux: 7},
 		{Op: isa.Store, Addr: far | 0x10, Size: 8},
 		{Op: isa.Load, Addr: 0x300, Size: 8},
-		{Op: isa.IntALU, Dep1: 1},
+		{Op: isa.CacheOp, Addr: deferred | 0x300, Size: 4, Aux: 0x15},
 		{Op: isa.FPDiv, Dep1: 1},
 		{Op: isa.Nop},
 	}
 	clock := sim.Clock150
-	port := scriptPort{clock: clock}
+	port := &scriptPort{clock: clock}
 	cores := map[string]func(cpu.Stream) cpu.CPU{
 		"mipsy": func(src cpu.Stream) cpu.CPU {
 			return mipsy.New(mipsy.Config{Clock: clock, ModelInstrLatency: true, Quantum: 5}, src, port)
@@ -197,7 +222,7 @@ func TestBothArmsAgree(t *testing.T) {
 	for name, mk := range cores {
 		t.Run(name, func(t *testing.T) {
 			ref := mk(&nextOnly{ins: ins, budget: -1})
-			want := transcript(t, clock, ref)
+			want := transcript(t, ref, port)
 			syncs := 0
 			for _, out := range want {
 				if out.Kind == cpu.SyncOp {
@@ -209,7 +234,7 @@ func TestBothArmsAgree(t *testing.T) {
 			}
 			for _, size := range []int{1, 4, 6, len(ins), 64} {
 				core := mk(&lender{ins: ins, slab: make([]isa.Instr, size)})
-				if got := transcript(t, clock, core); !reflect.DeepEqual(got, want) {
+				if got := transcript(t, core, port); !reflect.DeepEqual(got, want) {
 					t.Errorf("batches of %d: outcomes\n got %+v\nwant %+v", size, got, want)
 				}
 				if got := core.Instructions(); got != ref.Instructions() {
@@ -217,6 +242,45 @@ func TestBothArmsAgree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDeferredCacheOpStallsOnce: with the historical CACHE-op bug on, a
+// CACHE op on a dirty line costs MXS the stall exactly once whether the
+// port answers it at once or defers it to the barrier (as the machine
+// does when its page faults), and each core finishes the two ways at
+// the same time.
+func TestDeferredCacheOpStallsOnce(t *testing.T) {
+	const deferred = 1 << 21
+	clock := sim.Clock150
+	run := func(mk func(cpu.Stream, cpu.Port) cpu.CPU, addr uint64) (end sim.Ticks, blocked bool) {
+		port := &scriptPort{clock: clock}
+		ins := []isa.Instr{{Op: isa.IntALU}, {Op: isa.CacheOp, Addr: addr, Aux: 0x15}, {Op: isa.Nop}}
+		for _, out := range transcript(t, mk(&nextOnly{ins: ins, budget: -1}, port), port) {
+			end, blocked = out.Time, blocked || out.Kind == cpu.Blocked
+		}
+		return end, blocked
+	}
+	mxsCore := func(bug bool) func(cpu.Stream, cpu.Port) cpu.CPU {
+		return func(src cpu.Stream, port cpu.Port) cpu.CPU {
+			mc := mxs.DefaultConfig(clock)
+			mc.Fidelity.BugCacheOpStall, mc.Fidelity.CacheOpStallCycles = bug, 50
+			return mxs.New(mc, src, port)
+		}
+	}
+	mipsyCore := func(src cpu.Stream, port cpu.Port) cpu.CPU { return mipsy.New(mipsy.Config{Clock: clock}, src, port) }
+	for name, mk := range map[string]func(cpu.Stream, cpu.Port) cpu.CPU{"mipsy": mipsyCore, "mxs": mxsCore(true)} {
+		inline, _ := run(mk, 0x200)
+		if got, blocked := run(mk, deferred|0x200); !blocked || got != inline {
+			t.Errorf("%s: the deferred CACHE op finished at %d (blocked: %v), the inline one at %d", name, got, blocked, inline)
+		}
+	}
+	for _, addr := range []uint64{0x200, deferred | 0x200} {
+		on, _ := run(mxsCore(true), addr)
+		off, _ := run(mxsCore(false), addr)
+		if on-off != clock.Cycles(50) {
+			t.Errorf("CACHE op at %#x: the bug costs %d ticks, want one 50-cycle stall (%d)", addr, on-off, clock.Cycles(50))
+		}
 	}
 }
 

@@ -27,12 +27,9 @@ import (
 type Config struct {
 	// Clock is the core clock (150, 225, or 300 MHz in the study).
 	Clock sim.Clock
-	// ModelInstrLatency enables functional-unit latencies from
-	// Latencies (off in classic Mipsy).
+	// ModelInstrLatency charges each instruction its R10000
+	// functional-unit latency (off in classic Mipsy).
 	ModelInstrLatency bool
-	// Latencies supplies per-op latencies when ModelInstrLatency is
-	// on; the zero value falls back to R10000 latencies.
-	Latencies isa.LatencyTable
 	// Quantum bounds instructions executed per Run call (causality
 	// skew bound for the event loop); 0 means 200.
 	Quantum int
@@ -47,8 +44,9 @@ type CPU struct {
 	instrs uint64
 	useLat bool
 
-	// pendT is the start time of the instruction whose access the port
-	// deferred (cpu.CPU.Deliver).
+	// pendT is the start time of the instruction whose access is in
+	// flight: Deliver completes it, whether the port answered at once
+	// or deferred it.
 	pendT sim.Ticks
 }
 
@@ -57,20 +55,15 @@ func New(cfg Config, rd cpu.Stream, port cpu.Port) *CPU {
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = 200
 	}
-	lat := cfg.Latencies
-	var zero isa.LatencyTable
-	if lat == zero {
-		lat = isa.R10000Latencies()
-	}
-	return &CPU{cfg: cfg, cur: cpu.NewCursor(rd), port: port, lat: lat, useLat: cfg.ModelInstrLatency}
+	return &CPU{cfg: cfg, cur: cpu.NewCursor(rd), port: port, lat: isa.R10000Latencies(), useLat: cfg.ModelInstrLatency}
 }
 
 // Instructions returns the instructions the core has executed.
 func (c *CPU) Instructions() uint64 { return c.instrs }
 
-// Deliver implements cpu.CPU: it completes the access the port
-// deferred, running the same timing tail the inline path runs, and
-// returns when the core should resume.
+// Deliver implements cpu.CPU, and is also how Run finishes an access
+// the port answers at once: the core blocks until the data is there,
+// at least one cycle, and resumes on a clock edge.
 func (c *CPU) Deliver(mi cpu.MemInfo) sim.Ticks {
 	return c.cfg.Clock.Align(max(c.pendT+c.cfg.Clock.Period, mi.Done))
 }
@@ -88,16 +81,14 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 		case isa.Lock, isa.Unlock, isa.Barrier:
 			// One cycle to execute, then hand to the machine.
 			t += period
-			return cpu.Outcome{Kind: cpu.SyncOp, Time: t, Instr: *in}
+			return cpu.Outcome{Kind: cpu.SyncOp, Time: t, Op: in.Op, Aux: in.Aux}
 
 		case isa.Load:
 			mi := c.port.Load(t, in.Addr, in.Size)
-			if mi.Pending() {
-				c.pendT = t
+			if c.pendT = t; mi.Pending() {
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
-			// Blocking read: the core waits for the data.
-			t = c.cfg.Clock.Align(max(t+period, mi.Done))
+			t = c.Deliver(mi)
 			if mi.WentToMemory() {
 				// Yield so shared-resource reservations stay in
 				// global time order.
@@ -106,11 +97,10 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 
 		case isa.Store:
 			mi := c.port.Store(t, in.Addr, in.Size)
-			if mi.Pending() {
-				c.pendT = t
+			if c.pendT = t; mi.Pending() {
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
-			t = c.cfg.Clock.Align(max(t+period, mi.Done))
+			t = c.Deliver(mi)
 			if mi.WentToMemory() {
 				return cpu.Outcome{Kind: cpu.Yield, Time: t}
 			}
@@ -121,11 +111,10 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 
 		case isa.CacheOp:
 			mi := c.port.CacheOp(t, in.Addr, in.Aux)
-			if mi.Pending() {
-				c.pendT = t
+			if c.pendT = t; mi.Pending() {
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
-			t = c.cfg.Clock.Align(max(t+period, mi.Done))
+			t = c.Deliver(mi)
 
 		case isa.Syscall:
 			t += period * sim.Ticks(1+c.port.SyscallCost(in.Aux))

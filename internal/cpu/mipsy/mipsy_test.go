@@ -151,7 +151,7 @@ func TestSyncOpYieldsToMachine(t *testing.T) {
 	defer s.Abort()
 	c := New(Config{Clock: clock}, s.Readers[0], port)
 	out := c.Run(0)
-	if out.Kind != cpu.SyncOp || out.Instr.Op != isa.Barrier || out.Instr.Aux != 3 {
+	if out.Kind != cpu.SyncOp || out.Op != isa.Barrier || out.Aux != 3 {
 		t.Fatalf("outcome %+v", out)
 	}
 }

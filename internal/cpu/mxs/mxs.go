@@ -48,7 +48,7 @@ type Fidelity struct {
 	// BugFastIssue re-enables the historical fast-issue bug.
 	BugFastIssue bool
 	// BugCacheOpStall re-enables the historical CACHE-op stall bug;
-	// CacheOpStallCycles is the stall length (≈1M cycles).
+	// CacheOpStallCycles is the stall length (0 means 1M cycles).
 	BugCacheOpStall    bool
 	CacheOpStallCycles uint32
 }
@@ -63,7 +63,9 @@ type Config struct {
 	// a multiple-issue simulator capable of exploiting ILP, its
 	// results are reported only for the hardware clock speed").
 	Clock sim.Clock
-	// Window is the reorder-buffer size (R10000: 32).
+	// Window is the reorder-buffer size (R10000: 32). Window, FetchWidth,
+	// RetireWidth and Latencies have no zero default: start from
+	// DefaultConfig.
 	Window int
 	// FetchWidth and RetireWidth are per-cycle bandwidths (4 and 4).
 	FetchWidth  int
@@ -120,7 +122,8 @@ type CPU struct {
 	brThresh   uint64
 
 	retireSpacing sim.Ticks
-	instrs        uint64 // n and the sync ops
+	cacheOpStall  sim.Ticks // the CACHE-op bug's stall on a dirty line; 0 when off
+	instrs        uint64    // n and the sync ops
 
 	// Suspension context for a port-deferred access (cpu.CPU.Deliver).
 	pendLat       isa.Latency
@@ -134,19 +137,6 @@ func New(cfg Config, rd cpu.Stream, port cpu.Port) *CPU {
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = 200
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 32
-	}
-	if cfg.FetchWidth <= 0 {
-		cfg.FetchWidth = 4
-	}
-	if cfg.RetireWidth <= 0 {
-		cfg.RetireWidth = 4
-	}
-	var zero isa.LatencyTable
-	if cfg.Latencies == zero {
-		cfg.Latencies = isa.R10000Latencies()
-	}
 	spacing := (cfg.Clock.Period + sim.Ticks(cfg.RetireWidth) - 1) / sim.Ticks(cfg.RetireWidth)
 	if spacing == 0 {
 		spacing = 1
@@ -158,6 +148,13 @@ func New(cfg Config, rd cpu.Stream, port cpu.Port) *CPU {
 		retireRing:    make([]sim.Ticks, cfg.Window),
 		rng:           cfg.Seed*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
 		retireSpacing: spacing,
+	}
+	if cfg.Fidelity.BugCacheOpStall {
+		stall := cfg.Fidelity.CacheOpStallCycles
+		if stall == 0 {
+			stall = 1_000_000
+		}
+		c.cacheOpStall = cfg.Clock.Period * sim.Ticks(stall)
 	}
 	switch {
 	case cfg.BranchAccuracy >= 1:
@@ -194,10 +191,10 @@ func (c *CPU) depReady(dist uint32) sim.Ticks {
 // completeInstr finishes one instruction after its completion time is
 // known: the historical fast-issue bug ("an instruction would move
 // through the pipeline too quickly if all of its resources were
-// available when it issued"), pipeline-flush redirects, the TLB-refill
+// available when it issued"), pipeline-flush redirects, a TLB refill's
 // squash, the completion history, and in-order retire with bandwidth
-// RetireWidth. It is the shared tail of the inline path and Deliver.
-func (c *CPU) completeInstr(lat isa.Latency, issueT, completeT sim.Ticks, depsReady, tlbFlush bool) {
+// RetireWidth. It is the shared tail of Run and Deliver.
+func (c *CPU) completeInstr(lat isa.Latency, issueT, completeT sim.Ticks, depsReady, squash bool) {
 	period := c.cfg.Clock.Period
 	if c.cfg.Fidelity.BugFastIssue && depsReady && completeT > issueT+period {
 		completeT -= period
@@ -210,7 +207,7 @@ func (c *CPU) completeInstr(lat isa.Latency, issueT, completeT sim.Ticks, depsRe
 			c.fetchedInC = 0
 		}
 	}
-	if tlbFlush {
+	if squash {
 		// A TLB refill is an exception: the pipeline is squashed
 		// and no later instruction overlaps the handler. The
 		// handler cost itself is inside completeT (charged by the
@@ -236,37 +233,32 @@ func (c *CPU) completeInstr(lat isa.Latency, issueT, completeT sim.Ticks, depsRe
 	c.n++
 }
 
-// Deliver implements cpu.CPU: the port deferred the suspended
-// memory access to a barrier phase and mi is its completed result.
-// The core finishes the instruction exactly as the inline path would
-// have and returns the resume time the inline memYield return uses —
-// at least the transaction's issue time, so the next shared-resource
-// reservation is made in global time order.
+// accessDone returns when a port access answered by mi completes and
+// whether it squashes the pipeline, for Run's inline answer and
+// Deliver's alike. A load or store takes at least its latency, and a
+// TLB refill is an exception that squashes everything behind it. A
+// CACHE op has neither: it completes when the port says, plus the
+// historical bug's stall when it hit a dirty line.
+func (c *CPU) accessDone(mi cpu.MemInfo, lat isa.Latency, issueT sim.Ticks, cacheOp bool) (sim.Ticks, bool) {
+	if cacheOp {
+		if mi.DirtyCacheOp() {
+			return mi.Done + c.cacheOpStall, false
+		}
+		return mi.Done, false
+	}
+	return max(mi.Done, issueT+c.cfg.Clock.Period*sim.Ticks(lat.Cycles)), mi.TLBMiss()
+}
+
+// Deliver implements cpu.CPU: the port deferred the suspended access
+// to a barrier phase and mi is its completed result. The core finishes
+// the instruction as Run does an inline answer and resumes where Run
+// yields after a memory access: at least the transaction's issue
+// time, so the next shared-resource reservation is made in global time
+// order.
 func (c *CPU) Deliver(mi cpu.MemInfo) sim.Ticks {
-	period := c.cfg.Clock.Period
-	completeT := mi.Done
-	if c.pendCacheOp {
-		// Mirror the inline CACHE path: no latency floor, no TLB
-		// squash, but the historical dirty-line stall bug applies.
-		if c.cfg.Fidelity.BugCacheOpStall && mi.DirtyCacheOp() {
-			stall := c.cfg.Fidelity.CacheOpStallCycles
-			if stall == 0 {
-				stall = 1_000_000
-			}
-			completeT += period * sim.Ticks(stall)
-		}
-		c.completeInstr(c.pendLat, c.pendIssueT, completeT, c.pendDepsReady, false)
-	} else {
-		if m := c.pendIssueT + period*sim.Ticks(c.pendLat.Cycles); completeT < m {
-			completeT = m
-		}
-		c.completeInstr(c.pendLat, c.pendIssueT, completeT, c.pendDepsReady, mi.TLBMiss())
-	}
-	at := c.curFetch
-	if mi.IssuedAt > at {
-		at = mi.IssuedAt
-	}
-	return at
+	completeT, squash := c.accessDone(mi, c.pendLat, c.pendIssueT, c.pendCacheOp)
+	c.completeInstr(c.pendLat, c.pendIssueT, completeT, c.pendDepsReady, squash)
+	return max(c.curFetch, mi.IssuedAt)
 }
 
 // Run executes instructions starting at t until the model yields.
@@ -289,7 +281,7 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 		if in.Op.IsSync() {
 			// Serializing: drain the window, then hand to the machine.
 			drain := c.prevRetire + period
-			return cpu.Outcome{Kind: cpu.SyncOp, Time: drain, Instr: *in}
+			return cpu.Outcome{Kind: cpu.SyncOp, Time: drain, Op: in.Op, Aux: in.Aux}
 		}
 
 		// Fetch: window occupancy (a slot no instruction has retired
@@ -338,54 +330,30 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 		}
 
 		var completeT sim.Ticks
-		var memIssued sim.Ticks
-		memYield := false
-		tlbFlush := false
+		var mi cpu.MemInfo // the port's answer; zero for any other op
+		squash := false
 		switch in.Op {
 		case isa.Load:
-			mi := c.port.Load(issueT, in.Addr, in.Size)
-			if mi.Pending() {
+			if mi = c.port.Load(issueT, in.Addr, in.Size); mi.Pending() {
 				c.pendLat, c.pendIssueT, c.pendDepsReady, c.pendCacheOp = lat, issueT, depsReady, false
 				return cpu.Outcome{Kind: cpu.Blocked, Time: issueT}
 			}
-			completeT = mi.Done
-			if m := issueT + period*sim.Ticks(lat.Cycles); completeT < m {
-				completeT = m
-			}
-			memYield = mi.WentToMemory()
-			memIssued = mi.IssuedAt
-			tlbFlush = mi.TLBMiss()
+			completeT, squash = c.accessDone(mi, lat, issueT, false)
 		case isa.Store:
-			mi := c.port.Store(issueT, in.Addr, in.Size)
-			if mi.Pending() {
+			if mi = c.port.Store(issueT, in.Addr, in.Size); mi.Pending() {
 				c.pendLat, c.pendIssueT, c.pendDepsReady, c.pendCacheOp = lat, issueT, depsReady, false
 				return cpu.Outcome{Kind: cpu.Blocked, Time: issueT}
 			}
-			completeT = issueT + period*sim.Ticks(lat.Cycles)
-			if mi.Done > completeT {
-				completeT = mi.Done
-			}
-			memYield = mi.WentToMemory()
-			memIssued = mi.IssuedAt
-			tlbFlush = mi.TLBMiss()
+			completeT, squash = c.accessDone(mi, lat, issueT, false)
 		case isa.Prefetch:
 			c.port.Prefetch(issueT, in.Addr)
 			completeT = issueT + period
 		case isa.CacheOp:
-			mi := c.port.CacheOp(issueT, in.Addr, in.Aux)
-			if mi.Pending() {
+			if mi = c.port.CacheOp(issueT, in.Addr, in.Aux); mi.Pending() {
 				c.pendLat, c.pendIssueT, c.pendDepsReady, c.pendCacheOp = lat, issueT, depsReady, true
 				return cpu.Outcome{Kind: cpu.Blocked, Time: issueT}
 			}
-			completeT = mi.Done
-			if c.cfg.Fidelity.BugCacheOpStall && mi.DirtyCacheOp() {
-				stall := c.cfg.Fidelity.CacheOpStallCycles
-				if stall == 0 {
-					stall = 1_000_000
-				}
-				completeT += period * sim.Ticks(stall)
-			}
-			memYield = mi.WentToMemory()
+			completeT, squash = c.accessDone(mi, lat, issueT, true)
 		case isa.Syscall:
 			completeT = issueT + period*sim.Ticks(1+c.port.SyscallCost(in.Aux))
 		case isa.Branch:
@@ -401,17 +369,13 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 			completeT = issueT + period*sim.Ticks(lat.Cycles)
 		}
 
-		c.completeInstr(lat, issueT, completeT, depsReady, tlbFlush)
+		c.completeInstr(lat, issueT, completeT, depsReady, squash)
 
-		if memYield {
+		if mi.WentToMemory() {
 			// Yield to at least the transaction's issue time so the
 			// next shared-resource reservation (from this or any other
 			// processor) is made in global time order.
-			at := c.curFetch
-			if memIssued > at {
-				at = memIssued
-			}
-			return cpu.Outcome{Kind: cpu.Yield, Time: at}
+			return cpu.Outcome{Kind: cpu.Yield, Time: max(c.curFetch, mi.IssuedAt)}
 		}
 	}
 	return cpu.Outcome{Kind: cpu.Yield, Time: c.curFetch}

@@ -29,6 +29,22 @@ func (img *ReplayImage) Actions(i int) ([]Action, uint64) {
 	return out, img.tails[i]
 }
 
+// ReplayCore returns the replay core over ins, collapsed the way
+// PrepareReplay collapses a thread.
+func ReplayCore(clock sim.Clock, quantum int, ins []isa.Instr, port cpu.Port) cpu.CPU {
+	var acts []replayAction
+	skip := uint64(0)
+	for _, in := range ins {
+		if in.Op.IsCompute() {
+			skip++
+			continue
+		}
+		acts = append(acts, replayAction{addr: in.Addr, word: uint32(skip)<<8 | uint32(in.Op), arg: in.Aux})
+		skip = 0
+	}
+	return newReplayCPU(clock, quantum, acts, skip, port)
+}
+
 // ActionBytes returns the size of the image's action lists.
 func (img *ReplayImage) ActionBytes() uint64 {
 	var n uint64

@@ -183,7 +183,7 @@ func (m *Machine) step(n *node, now sim.Ticks) {
 		m.finishTimes[n.id] = out.Time
 		m.finished++
 	case cpu.SyncOp:
-		n.port.push(pendingOp{kind: opSync, t: out.Time, acc: access{op: out.Instr.Op, aux: out.Instr.Aux}})
+		n.port.push(pendingOp{kind: opSync, t: out.Time, acc: access{op: out.Op, aux: out.Aux}})
 	}
 }
 

@@ -55,12 +55,6 @@ var maxActionSkip uint64 = 1<<24 - 1
 func (a *replayAction) op() isa.Op   { return isa.Op(a.word) }
 func (a *replayAction) skip() uint64 { return uint64(a.word >> 8) }
 
-// instr rebuilds the recorded instruction, for a sync op's Outcome
-// only: a core reads the action's fields directly.
-func (a *replayAction) instr() isa.Instr {
-	return isa.Instr{Op: a.op(), Addr: a.addr, Aux: a.arg}
-}
-
 // ReplayImage is a trace decoded and collapsed into directly
 // executable per-thread action lists: the prepare-once/replay-many
 // form. It is immutable after PrepareReplay and safe to share across
@@ -240,11 +234,12 @@ func (s *replayStream) NextRun(max uint64) (skip uint64, a *replayAction, ok boo
 	return skip, nil, skip > 0
 }
 
-// replayCPU replays a collapsed instruction stream with Mipsy's exact
-// per-op timing rules (mipsy.CPU.Run is the reference; every branch
-// here clones one there).
-// Compute instructions always charge one cycle — the trace-driven
-// core abstraction.
+// replayCPU replays a collapsed instruction stream under classic
+// Mipsy's timing: an access completes through Deliver, which is
+// mipsy.CPU.Deliver, and every compute instruction charges one cycle —
+// the trace-driven core abstraction. It walks actions and run lengths,
+// not instructions, in a loop of its own: routing both cores through
+// one shared Mipsy step measured Mipsy itself 37 % slower.
 type replayCPU struct {
 	replayStream
 	clock   sim.Clock
@@ -258,8 +253,9 @@ type replayCPU struct {
 	stop uint64
 	eof  bool
 
-	// pendT is the start time of the instruction whose access the port
-	// deferred (cpu.CPU.Deliver), mirroring mipsy's.
+	// pendT is the start time of the instruction whose access is in
+	// flight: Deliver completes it, whether the port answered at once
+	// or deferred it.
 	pendT sim.Ticks
 }
 
@@ -272,7 +268,8 @@ func newReplayCPU(clock sim.Clock, quantum int, acts []replayAction, tail uint64
 	return c
 }
 
-// Deliver implements cpu.CPU, cloning mipsy's Deliver.
+// Deliver implements cpu.CPU, and is also how Run finishes an access
+// the port answers at once (see mipsy.CPU.Deliver).
 func (c *replayCPU) Deliver(mi cpu.MemInfo) sim.Ticks {
 	return c.clock.Align(max(c.pendT+c.clock.Period, mi.Done))
 }
@@ -313,26 +310,24 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 		switch in.op() {
 		case isa.Lock, isa.Unlock, isa.Barrier:
 			t += period
-			return cpu.Outcome{Kind: cpu.SyncOp, Time: t, Instr: in.instr()}
+			return cpu.Outcome{Kind: cpu.SyncOp, Time: t, Op: in.op(), Aux: in.arg}
 
 		case isa.Load:
 			mi := c.port.Load(t, in.addr, in.arg)
-			if mi.Pending() {
-				c.pendT = t
+			if c.pendT = t; mi.Pending() {
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
-			t = c.clock.Align(max(t+period, mi.Done))
+			t = c.Deliver(mi)
 			if mi.WentToMemory() {
 				return cpu.Outcome{Kind: cpu.Yield, Time: t}
 			}
 
 		case isa.Store:
 			mi := c.port.Store(t, in.addr, in.arg)
-			if mi.Pending() {
-				c.pendT = t
+			if c.pendT = t; mi.Pending() {
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
-			t = c.clock.Align(max(t+period, mi.Done))
+			t = c.Deliver(mi)
 			if mi.WentToMemory() {
 				return cpu.Outcome{Kind: cpu.Yield, Time: t}
 			}
@@ -343,11 +338,10 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 
 		case isa.CacheOp:
 			mi := c.port.CacheOp(t, in.addr, in.arg)
-			if mi.Pending() {
-				c.pendT = t
+			if c.pendT = t; mi.Pending() {
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
-			t = c.clock.Align(max(t+period, mi.Done))
+			t = c.Deliver(mi)
 
 		case isa.Syscall:
 			t += period * sim.Ticks(1+c.port.SyscallCost(in.arg))

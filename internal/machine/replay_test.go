@@ -9,11 +9,15 @@ import (
 
 	"flashsim/internal/apps"
 	"flashsim/internal/core"
+	"flashsim/internal/cpu"
+	"flashsim/internal/cpu/mipsy"
 	"flashsim/internal/emitter"
+	"flashsim/internal/isa"
 	"flashsim/internal/machine"
 	"flashsim/internal/memsys"
 	"flashsim/internal/osmodel"
 	"flashsim/internal/param"
+	"flashsim/internal/sim"
 	"flashsim/internal/trace"
 	"flashsim/internal/workload"
 )
@@ -338,4 +342,92 @@ func TestReplayThreadMismatchFails(t *testing.T) {
 	if _, err := machine.RunReplay(bad, img); err == nil {
 		t.Fatal("replay with mismatched processor count should fail")
 	}
+}
+
+// deferPort hits in one cycle, except that an address with bit 20 set
+// goes to memory and one with bit 21 set is deferred, as the windowed
+// engine's port defers a miss or a faulting page (a CACHE op included).
+type deferPort struct{ clock sim.Clock }
+
+func (p deferPort) access(t sim.Ticks, addr uint64) cpu.MemInfo {
+	switch {
+	case addr&(1<<21) != 0:
+		return cpu.MemInfo{Flags: cpu.FlagPending}
+	case addr&(1<<20) != 0:
+		return cpu.MemInfo{Done: t + p.clock.Cycles(40), IssuedAt: t + 1, Flags: cpu.FlagWentToMemory}
+	}
+	return cpu.MemInfo{Done: t + p.clock.Cycles(1), L1Hit: true}
+}
+func (p deferPort) Load(t sim.Ticks, addr uint64, _ uint32) cpu.MemInfo  { return p.access(t, addr) }
+func (p deferPort) Store(t sim.Ticks, addr uint64, _ uint32) cpu.MemInfo { return p.access(t, addr) }
+func (p deferPort) Prefetch(sim.Ticks, uint64)                           {}
+func (p deferPort) CacheOp(t sim.Ticks, addr uint64, _ uint32) cpu.MemInfo {
+	return p.access(t, addr)
+}
+func (p deferPort) SyscallCost(uint32) uint32 { return 7 }
+
+// TestReplayCoreMatchesMipsy: over the same instructions the replay
+// core, reading them collapsed, yields what classic Mipsy yields,
+// outcome for outcome, when the port answers at once, sends a load and
+// a store to memory, and defers a load, a store and a CACHE op that the
+// machine delivers 90 cycles later.
+func TestReplayCoreMatchesMipsy(t *testing.T) {
+	const far, deferred = 1 << 20, 1 << 21
+	ins := []isa.Instr{
+		{Op: isa.IntALU}, {Op: isa.IntALU}, {Op: isa.Load, Addr: 0x100},
+		{Op: isa.Store, Addr: 0x108}, {Op: isa.Barrier, Aux: 3},
+		{Op: isa.FPMul}, {Op: isa.Load, Addr: far | 0x40},
+		{Op: isa.IntMul}, {Op: isa.IntMul}, {Op: isa.IntMul}, {Op: isa.IntMul}, {Op: isa.IntMul}, {Op: isa.IntMul},
+		{Op: isa.Load, Addr: deferred | 0x80}, {Op: isa.Prefetch, Addr: 0x200},
+		{Op: isa.CacheOp, Addr: 0x200, Aux: 0x15}, {Op: isa.CacheOp, Addr: deferred | 0x200, Aux: 0x15},
+		{Op: isa.Store, Addr: deferred | 0x88}, {Op: isa.Lock, Aux: 7}, {Op: isa.Syscall, Aux: 2},
+		{Op: isa.Branch}, {Op: isa.Unlock, Aux: 7}, {Op: isa.Store, Addr: far | 0x10}, {Op: isa.Nop},
+	}
+	clock := sim.Clock150
+	port := deferPort{clock: clock}
+	transcript := func(core cpu.CPU) []cpu.Outcome {
+		var outs []cpu.Outcome
+		var now sim.Ticks
+		for len(outs) < 1000 {
+			out := core.Run(now)
+			outs = append(outs, out)
+			switch now = out.Time; out.Kind {
+			case cpu.Finished:
+				if core.Instructions() != uint64(len(ins)) {
+					t.Fatalf("finished after %d of %d instructions", core.Instructions(), len(ins))
+				}
+				return outs
+			case cpu.Blocked:
+				now = core.Deliver(cpu.MemInfo{Done: now + clock.Cycles(90), IssuedAt: now + clock.Cycles(3), Flags: cpu.FlagWentToMemory})
+				outs = append(outs, cpu.Outcome{Kind: cpu.Yield, Time: now})
+			}
+		}
+		t.Fatal("core did not finish")
+		return nil
+	}
+	want := transcript(mipsy.New(mipsy.Config{Clock: clock, Quantum: 5}, &sliceStream{ins: ins}, port))
+	if got := transcript(machine.ReplayCore(clock, 5, ins, port)); !reflect.DeepEqual(got, want) {
+		t.Errorf("replay outcomes\n got %+v\nwant %+v", got, want)
+	}
+	blocked := 0
+	for _, out := range want {
+		if out.Kind == cpu.Blocked {
+			blocked++
+		}
+	}
+	if blocked != 3 {
+		t.Errorf("%d accesses deferred, want 3", blocked)
+	}
+}
+
+// sliceStream is a cpu.Stream over ins.
+type sliceStream struct{ ins []isa.Instr }
+
+func (s *sliceStream) Next() (isa.Instr, bool) {
+	if len(s.ins) == 0 {
+		return isa.Instr{}, false
+	}
+	in := s.ins[0]
+	s.ins = s.ins[1:]
+	return in, true
 }

@@ -203,7 +203,7 @@ func (c *sampledCPU) runFunctional(t sim.Ticks) (cpu.Outcome, bool) {
 			}
 		case a.op().IsSync():
 			commit()
-			return cpu.Outcome{Kind: cpu.SyncOp, Time: t, Instr: a.instr()}, false
+			return cpu.Outcome{Kind: cpu.SyncOp, Time: t, Op: a.op(), Aux: a.arg}, false
 		case a.op() == isa.Syscall:
 			// Keep the OS syscall accounting live; the cost itself is
 			// timing and is elided.
