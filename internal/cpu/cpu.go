@@ -39,9 +39,12 @@ const (
 	FlagL2Hit MemFlags = 1 << iota
 	// FlagTLBMiss: a TLB refill ran (its cost is inside Done).
 	FlagTLBMiss
-	// FlagWentToMemory: the access left the chip (L2 miss), which is
-	// the processor's cue to yield to the event loop so that
-	// shared-resource reservations stay in global time order.
+	// FlagWentToMemory: the access left the chip (an L2 miss, or a
+	// dirty line's writeback). The machine's port answers inline with
+	// it only for a store the write buffer took and a CACHE op on a
+	// dirty line. Mipsy and replay yield after such a store, MXS after
+	// any access that carries it, so that shared-resource reservations
+	// stay in global time order.
 	FlagWentToMemory
 	// FlagDirtyCacheOp: a CACHE instruction hit a dirty line (the
 	// trigger of the historical MXS stall bug).

@@ -268,7 +268,9 @@ func TestDeferredCacheOpStallsOnce(t *testing.T) {
 			return mxs.New(mc, src, port)
 		}
 	}
-	mipsyCore := func(src cpu.Stream, port cpu.Port) cpu.CPU { return mipsy.New(mipsy.Config{Clock: clock}, src, port) }
+	mipsyCore := func(src cpu.Stream, port cpu.Port) cpu.CPU {
+		return mipsy.New(mipsy.Config{Clock: clock, Quantum: 200}, src, port)
+	}
 	for name, mk := range map[string]func(cpu.Stream, cpu.Port) cpu.CPU{"mipsy": mipsyCore, "mxs": mxsCore(true)} {
 		inline, _ := run(mk, 0x200)
 		if got, blocked := run(mk, deferred|0x200); !blocked || got != inline {
@@ -318,7 +320,7 @@ func BenchmarkCoreRun(b *testing.B) {
 		name string
 		mk   func(cpu.Stream) cpu.CPU
 	}{
-		{"mipsy", func(src cpu.Stream) cpu.CPU { return mipsy.New(mipsy.Config{Clock: clock}, src, port) }},
+		{"mipsy", func(src cpu.Stream) cpu.CPU { return mipsy.New(mipsy.Config{Clock: clock, Quantum: 200}, src, port) }},
 		{"mxs", func(src cpu.Stream) cpu.CPU { return mxs.New(mxs.DefaultConfig(clock), src, port) }},
 	}
 	for _, c := range cores {

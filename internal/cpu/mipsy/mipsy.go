@@ -31,7 +31,7 @@ type Config struct {
 	// functional-unit latency (off in classic Mipsy).
 	ModelInstrLatency bool
 	// Quantum bounds instructions executed per Run call (causality
-	// skew bound for the event loop); 0 means 200.
+	// skew bound for the event loop); it must be positive.
 	Quantum int
 }
 
@@ -52,9 +52,6 @@ type CPU struct {
 
 // New binds a Mipsy core to an instruction stream and a memory port.
 func New(cfg Config, rd cpu.Stream, port cpu.Port) *CPU {
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = 200
-	}
 	return &CPU{cfg: cfg, cur: cpu.NewCursor(rd), port: port, lat: isa.R10000Latencies(), useLat: cfg.ModelInstrLatency}
 }
 
@@ -89,11 +86,6 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
 			t = c.Deliver(mi)
-			if mi.WentToMemory() {
-				// Yield so shared-resource reservations stay in
-				// global time order.
-				return cpu.Outcome{Kind: cpu.Yield, Time: t}
-			}
 
 		case isa.Store:
 			mi := c.port.Store(t, in.Addr, in.Size)
@@ -102,6 +94,8 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 			}
 			t = c.Deliver(mi)
 			if mi.WentToMemory() {
+				// Yield so shared-resource reservations stay in
+				// global time order.
 				return cpu.Outcome{Kind: cpu.Yield, Time: t}
 			}
 

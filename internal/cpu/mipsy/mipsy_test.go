@@ -30,6 +30,10 @@ func (p *fakePort) Load(t sim.Ticks, addr uint64, size uint32) cpu.MemInfo {
 
 func (p *fakePort) Store(t sim.Ticks, addr uint64, size uint32) cpu.MemInfo {
 	p.stores++
+	if addr >= p.missAddr {
+		// The write buffer takes the store while its miss goes out.
+		return cpu.MemInfo{Done: t + p.clock.Cycles(uint64(p.hitCyc)), IssuedAt: t, Flags: cpu.FlagWentToMemory}
+	}
 	return cpu.MemInfo{Done: t + p.clock.Cycles(uint64(p.hitCyc)), L1Hit: true}
 }
 
@@ -62,7 +66,7 @@ func run(t *testing.T, cfg Config, port cpu.Port, body func(*emitter.Thread)) (s
 func TestOneInstructionPerCycle(t *testing.T) {
 	clock := sim.Clock150
 	port := &fakePort{clock: clock, hitCyc: 1, missAddr: 1 << 40}
-	end, n := run(t, Config{Clock: clock}, port, func(th *emitter.Thread) {
+	end, n := run(t, Config{Clock: clock, Quantum: 200}, port, func(th *emitter.Thread) {
 		th.IntOps(100)
 	})
 	if n != 100 {
@@ -76,7 +80,7 @@ func TestOneInstructionPerCycle(t *testing.T) {
 func TestUnitLatencyIgnoresMulDiv(t *testing.T) {
 	clock := sim.Clock150
 	port := &fakePort{clock: clock, hitCyc: 1, missAddr: 1 << 40}
-	end, _ := run(t, Config{Clock: clock}, port, func(th *emitter.Thread) {
+	end, _ := run(t, Config{Clock: clock, Quantum: 200}, port, func(th *emitter.Thread) {
 		for i := 0; i < 10; i++ {
 			th.IntDiv(emitter.None, emitter.None)
 		}
@@ -89,7 +93,7 @@ func TestUnitLatencyIgnoresMulDiv(t *testing.T) {
 func TestModelInstrLatencyChargesMulDiv(t *testing.T) {
 	clock := sim.Clock150
 	port := &fakePort{clock: clock, hitCyc: 1, missAddr: 1 << 40}
-	end, _ := run(t, Config{Clock: clock, ModelInstrLatency: true}, port, func(th *emitter.Thread) {
+	end, _ := run(t, Config{Clock: clock, ModelInstrLatency: true, Quantum: 200}, port, func(th *emitter.Thread) {
 		for i := 0; i < 10; i++ {
 			th.IntDiv(emitter.None, emitter.None)
 		}
@@ -104,7 +108,7 @@ func TestBlockingReads(t *testing.T) {
 	clock := sim.Clock150
 	miss := clock.Cycles(100)
 	port := &fakePort{clock: clock, hitCyc: 1, missAddr: 0, missT: miss}
-	end, _ := run(t, Config{Clock: clock}, port, func(th *emitter.Thread) {
+	end, _ := run(t, Config{Clock: clock, Quantum: 200}, port, func(th *emitter.Thread) {
 		th.Load(0x1000, 8, emitter.None, emitter.None)
 		th.Load(0x2000, 8, emitter.None, emitter.None)
 	})
@@ -119,7 +123,7 @@ func TestClockSpeedScalesComputeOnly(t *testing.T) {
 	mk := func(mhz int) sim.Ticks {
 		clock := sim.NewClock(mhz)
 		port := &fakePort{clock: clock, hitCyc: 1, missAddr: 1 << 40}
-		end, _ := run(t, Config{Clock: clock}, port, func(th *emitter.Thread) {
+		end, _ := run(t, Config{Clock: clock, Quantum: 200}, port, func(th *emitter.Thread) {
 			th.IntOps(300)
 		})
 		return end
@@ -133,7 +137,7 @@ func TestClockSpeedScalesComputeOnly(t *testing.T) {
 func TestSyscallCharged(t *testing.T) {
 	clock := sim.Clock150
 	port := &fakePort{clock: clock, hitCyc: 1, missAddr: 1 << 40}
-	end, _ := run(t, Config{Clock: clock}, port, func(th *emitter.Thread) {
+	end, _ := run(t, Config{Clock: clock, Quantum: 200}, port, func(th *emitter.Thread) {
 		th.Syscall(1)
 	})
 	if end != clock.Cycles(101) {
@@ -149,7 +153,7 @@ func TestSyncOpYieldsToMachine(t *testing.T) {
 		th.Barrier(3)
 	}, nil)
 	defer s.Abort()
-	c := New(Config{Clock: clock}, s.Readers[0], port)
+	c := New(Config{Clock: clock, Quantum: 200}, s.Readers[0], port)
 	out := c.Run(0)
 	if out.Kind != cpu.SyncOp || out.Op != isa.Barrier || out.Aux != 3 {
 		t.Fatalf("outcome %+v", out)
@@ -159,7 +163,7 @@ func TestSyncOpYieldsToMachine(t *testing.T) {
 func TestPrefetchDoesNotBlock(t *testing.T) {
 	clock := sim.Clock150
 	port := &fakePort{clock: clock, hitCyc: 1, missAddr: 1 << 40}
-	end, _ := run(t, Config{Clock: clock}, port, func(th *emitter.Thread) {
+	end, _ := run(t, Config{Clock: clock, Quantum: 200}, port, func(th *emitter.Thread) {
 		for i := 0; i < 10; i++ {
 			th.Prefetch(uint64(0x1000 + i*128))
 		}
@@ -184,5 +188,24 @@ func TestQuantumYields(t *testing.T) {
 	}
 	if c.Instructions() != 100 {
 		t.Fatalf("quantum not honored: %d", c.Instructions())
+	}
+}
+
+// TestOnlyAStoreMissYields: a load the port answers from memory at once
+// blocks the core and runs on, and a store the write buffer took while
+// its miss went out ends the slice at its completion.
+func TestOnlyAStoreMissYields(t *testing.T) {
+	clock := sim.Clock150
+	port := &fakePort{clock: clock, hitCyc: 1, missAddr: 0x1000, missT: clock.Cycles(100)}
+	s := emitter.Start(1, 1, func(th *emitter.Thread) {
+		th.Load(0x2000, 8, emitter.None, emitter.None)
+		th.IntOps(1)
+		th.Store(0x3000, 8, emitter.None, emitter.None)
+		th.IntOps(5)
+	}, nil)
+	defer s.Abort()
+	c := New(Config{Clock: clock, Quantum: 200}, s.Readers[0], port)
+	if out := c.Run(0); out.Kind != cpu.Yield || out.Time != clock.Cycles(102) || c.Instructions() != 3 {
+		t.Fatalf("outcome %+v after %d instructions, want a yield at %d after the store (3)", out, c.Instructions(), clock.Cycles(102))
 	}
 }

@@ -57,31 +57,32 @@ type Fidelity struct {
 // hardware reference model.
 func DefaultInterlocks() (cycles, maxDist uint32) { return 2, 3 }
 
+// The R10000 pipeline the model is configured as: a 32-entry reorder
+// buffer, four-wide fetch and retire, a 5-cycle mispredict refetch
+// and a 10-cycle drain for coprocessor-0 instructions. Per-op
+// latencies are isa.R10000Latencies.
+const (
+	window            = 32
+	fetchWidth        = 4
+	retireWidth       = 4
+	mispredictPenalty = 5
+	flushPenalty      = 10
+)
+
+// latencies is the per-op latency table (R10000 values).
+var latencies = isa.R10000Latencies()
+
 // Config parameterizes an MXS core.
 type Config struct {
 	// Clock is the core clock (150 MHz in the study: "because MXS is
 	// a multiple-issue simulator capable of exploiting ILP, its
 	// results are reported only for the hardware clock speed").
 	Clock sim.Clock
-	// Window is the reorder-buffer size (R10000: 32). Window, FetchWidth,
-	// RetireWidth and Latencies have no zero default: start from
-	// DefaultConfig.
-	Window int
-	// FetchWidth and RetireWidth are per-cycle bandwidths (4 and 4).
-	FetchWidth  int
-	RetireWidth int
 	// BranchAccuracy is the predictor hit rate (R10000 2-bit ~0.90).
 	BranchAccuracy float64
-	// MispredictPenalty is the refetch penalty in cycles.
-	MispredictPenalty uint32
-	// FlushPenalty is the pipeline-drain penalty of coprocessor-0
-	// instructions, in cycles.
-	FlushPenalty uint32
-	// Latencies is the per-op latency table (R10000 values).
-	Latencies isa.LatencyTable
 	// Fidelity selects corner-case modeling.
 	Fidelity Fidelity
-	// Quantum bounds instructions per Run call; 0 means 200.
+	// Quantum bounds instructions per Run call; it must be positive.
 	Quantum int
 	// Seed perturbs the branch-outcome PRNG (deterministic per core).
 	Seed uint64
@@ -89,17 +90,7 @@ type Config struct {
 
 // DefaultConfig returns the untuned MXS configuration of the study.
 func DefaultConfig(clock sim.Clock) Config {
-	return Config{
-		Clock:             clock,
-		Window:            32,
-		FetchWidth:        4,
-		RetireWidth:       4,
-		BranchAccuracy:    0.90,
-		MispredictPenalty: 5,
-		FlushPenalty:      10,
-		Latencies:         isa.R10000Latencies(),
-		Quantum:           200,
-	}
+	return Config{Clock: clock, BranchAccuracy: 0.90, Quantum: 200}
 }
 
 const histSize = 4096 // completion-time history ring (power of two)
@@ -112,8 +103,7 @@ type CPU struct {
 
 	n          uint64 // absolute instruction index
 	hist       [histSize]sim.Ticks
-	retireRing []sim.Ticks // retire times of the last Window instructions
-	retireSlot int         // n's slot in retireRing (n mod Window, no divide)
+	retireRing [window]sim.Ticks // retire times of the last window instructions, by n mod window
 	prevRetire sim.Ticks
 	curFetch   sim.Ticks
 	fetchedInC int
@@ -134,10 +124,7 @@ type CPU struct {
 
 // New binds an MXS core to an instruction stream and memory port.
 func New(cfg Config, rd cpu.Stream, port cpu.Port) *CPU {
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = 200
-	}
-	spacing := (cfg.Clock.Period + sim.Ticks(cfg.RetireWidth) - 1) / sim.Ticks(cfg.RetireWidth)
+	spacing := (cfg.Clock.Period + retireWidth - 1) / retireWidth
 	if spacing == 0 {
 		spacing = 1
 	}
@@ -145,7 +132,6 @@ func New(cfg Config, rd cpu.Stream, port cpu.Port) *CPU {
 		cfg:           cfg,
 		cur:           cpu.NewCursor(rd),
 		port:          port,
-		retireRing:    make([]sim.Ticks, cfg.Window),
 		rng:           cfg.Seed*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
 		retireSpacing: spacing,
 	}
@@ -193,7 +179,7 @@ func (c *CPU) depReady(dist uint32) sim.Ticks {
 // through the pipeline too quickly if all of its resources were
 // available when it issued"), pipeline-flush redirects, a TLB refill's
 // squash, the completion history, and in-order retire with bandwidth
-// RetireWidth. It is the shared tail of Run and Deliver.
+// retireWidth. It is the shared tail of Run and Deliver.
 func (c *CPU) completeInstr(lat isa.Latency, issueT, completeT sim.Ticks, depsReady, squash bool) {
 	period := c.cfg.Clock.Period
 	if c.cfg.Fidelity.BugFastIssue && depsReady && completeT > issueT+period {
@@ -201,7 +187,7 @@ func (c *CPU) completeInstr(lat isa.Latency, issueT, completeT sim.Ticks, depsRe
 	}
 
 	if lat.FlushesPipe {
-		resume := completeT + period*sim.Ticks(c.cfg.FlushPenalty)
+		resume := completeT + period*flushPenalty
 		if resume > c.curFetch {
 			c.curFetch = c.cfg.Clock.Align(resume)
 			c.fetchedInC = 0
@@ -220,15 +206,12 @@ func (c *CPU) completeInstr(lat isa.Latency, issueT, completeT sim.Ticks, depsRe
 
 	c.hist[c.n%histSize] = completeT
 
-	// In-order retire with bandwidth RetireWidth.
+	// In-order retire with bandwidth retireWidth.
 	rT := completeT
 	if m := c.prevRetire + c.retireSpacing; m > rT {
 		rT = m
 	}
-	c.retireRing[c.retireSlot] = rT
-	if c.retireSlot++; c.retireSlot == len(c.retireRing) {
-		c.retireSlot = 0
-	}
+	c.retireRing[c.n%window] = rT
 	c.prevRetire = rT
 	c.n++
 }
@@ -286,18 +269,18 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 
 		// Fetch: window occupancy (a slot no instruction has retired
 		// from yet reads 0), then bandwidth.
-		if slotFree := c.retireRing[c.retireSlot]; slotFree > c.curFetch {
+		if slotFree := c.retireRing[c.n%window]; slotFree > c.curFetch {
 			c.curFetch = c.cfg.Clock.Align(slotFree)
 			c.fetchedInC = 0
 		}
 		fetchT := c.curFetch
 		c.fetchedInC++
-		if c.fetchedInC >= c.cfg.FetchWidth {
+		if c.fetchedInC >= fetchWidth {
 			c.curFetch += period
 			c.fetchedInC = 0
 		}
 
-		lat := c.cfg.Latencies[in.Op]
+		lat := latencies[in.Op]
 		readyBase := fetchT + period // decode/rename
 		issueT := readyBase
 		if r := c.depReady(in.Dep1); r > issueT {
@@ -359,7 +342,7 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 		case isa.Branch:
 			completeT = issueT + period*sim.Ticks(lat.Cycles)
 			if c.rand() >= c.brThresh {
-				redirect := completeT + period*sim.Ticks(c.cfg.MispredictPenalty)
+				redirect := completeT + period*mispredictPenalty
 				if redirect > c.curFetch {
 					c.curFetch = c.cfg.Clock.Align(redirect)
 					c.fetchedInC = 0

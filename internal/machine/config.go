@@ -203,6 +203,9 @@ func (c Config) Validate() error {
 	if err := c.Sampling.validate(c.Name); err != nil {
 		return err
 	}
+	if c.Quantum < 1 {
+		return fmt.Errorf("machine %q: quantum %d must be positive", c.Name, c.Quantum)
+	}
 	if c.ClockMHz <= 0 || 900%c.ClockMHz != 0 {
 		return fmt.Errorf("machine %q: clock %d MHz does not divide 900", c.Name, c.ClockMHz)
 	}

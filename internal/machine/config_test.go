@@ -18,6 +18,11 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		t.Error("zero procs accepted")
 	}
 	bad = good
+	bad.Quantum = 0
+	if bad.Validate() == nil {
+		t.Error("zero quantum accepted")
+	}
+	bad = good
 	bad.ClockMHz = 133
 	if bad.Validate() == nil {
 		t.Error("non-divisor clock accepted")

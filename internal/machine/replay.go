@@ -260,9 +260,6 @@ type replayCPU struct {
 }
 
 func newReplayCPU(clock sim.Clock, quantum int, acts []replayAction, tail uint64, port cpu.Port) *replayCPU {
-	if quantum <= 0 {
-		quantum = 200
-	}
 	c := &replayCPU{replayStream: replayStream{acts: acts, tail: tail}, clock: clock, port: port, quantum: quantum, stop: ^uint64(0)}
 	c.load()
 	return c
@@ -318,9 +315,6 @@ func (c *replayCPU) Run(t sim.Ticks) cpu.Outcome {
 				return cpu.Outcome{Kind: cpu.Blocked, Time: t}
 			}
 			t = c.Deliver(mi)
-			if mi.WentToMemory() {
-				return cpu.Outcome{Kind: cpu.Yield, Time: t}
-			}
 
 		case isa.Store:
 			mi := c.port.Store(t, in.addr, in.arg)

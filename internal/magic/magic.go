@@ -89,49 +89,25 @@ func RTLOccupancies() OccupancyTable {
 	return t
 }
 
-// MemConfig describes a node's main memory.
-type MemConfig struct {
-	// FirstWordTicks is access time to the first double-word
-	// (Table 1: 140 ns).
-	FirstWordTicks sim.Ticks
-	// TransferTicks is the additional time to stream a full 128-byte
-	// line out of DRAM.
-	TransferTicks sim.Ticks
-	// Banks is the number of independently contended banks per node.
-	Banks int
-}
+// A node's main memory: memBanks independently contended banks,
+// 140 ns to the first double-word (Table 1) and 30 ns more to stream
+// the rest of a 128-byte line.
+const memBanks = 4
 
-// DefaultMemConfig returns the FLASH node memory parameters.
-func DefaultMemConfig() MemConfig {
-	return MemConfig{FirstWordTicks: sim.NS(140), TransferTicks: sim.NS(30), Banks: 4}
-}
+var firstWordTicks, lineTransferTicks = sim.NS(140), sim.NS(30)
 
 // Config describes one MAGIC instance.
 type Config struct {
-	// Clock is the system clock (75 MHz on FLASH).
-	Clock sim.Clock
 	// InboxTicks/OutboxTicks are interface pass-through latencies.
 	InboxTicks  sim.Ticks
 	OutboxTicks sim.Ticks
 	// Table gives PP handler occupancies.
 	Table OccupancyTable
-	// ModelOccupancy selects whether the PP is a contended resource
-	// (FlashLite/hardware) or handler time is pure latency (NUMA).
-	ModelOccupancy bool
-	// Mem is the node memory configuration.
-	Mem MemConfig
 }
 
 // DefaultConfig returns the reference MAGIC configuration.
 func DefaultConfig() Config {
-	return Config{
-		Clock:          sim.Clock75,
-		InboxTicks:     sim.NS(20),
-		OutboxTicks:    sim.NS(20),
-		Table:          RTLOccupancies(),
-		ModelOccupancy: true,
-		Mem:            DefaultMemConfig(),
-	}
+	return Config{InboxTicks: sim.NS(20), OutboxTicks: sim.NS(20), Table: RTLOccupancies()}
 }
 
 // Controller is one node's MAGIC.
@@ -143,11 +119,7 @@ type Controller struct {
 
 // New creates a MAGIC instance.
 func New(cfg Config) *Controller {
-	banks := cfg.Mem.Banks
-	if banks <= 0 {
-		banks = 1
-	}
-	return &Controller{cfg: cfg, dram: sim.NewBanks(banks)}
+	return &Controller{cfg: cfg, dram: sim.NewBanks(memBanks)}
 }
 
 // Inbox returns the time a message arriving at t has traversed the
@@ -159,15 +131,10 @@ func (c *Controller) Outbox(t sim.Ticks) sim.Ticks { return t + c.cfg.OutboxTick
 
 // RunHandler schedules handler h at time t with extraCycles of
 // additional occupancy (e.g. per-sharer invalidation work). It returns
-// the handler completion time. With occupancy modeling on, the PP is a
-// FIFO resource and queueing delays accrue — the hotspot mechanism.
+// the handler completion time. The PP is a FIFO resource, so queueing
+// delays accrue — the hotspot mechanism.
 func (c *Controller) RunHandler(t sim.Ticks, h Handler, extraCycles uint32) sim.Ticks {
-	cyc := uint64(c.cfg.Table[h] + extraCycles)
-	dur := c.cfg.Clock.Cycles(cyc)
-	if !c.cfg.ModelOccupancy {
-		return t + dur
-	}
-	_, done := c.pp.Acquire(t, dur)
+	_, done := c.pp.Acquire(t, sim.Clock75.Cycles(uint64(c.cfg.Table[h]+extraCycles)))
 	return done
 }
 
@@ -176,9 +143,9 @@ func (c *Controller) RunHandler(t sim.Ticks, h Handler, extraCycles uint32) sim.
 // streamed (reads/writebacks) or only the critical word matters. It
 // returns the data-ready time.
 func (c *Controller) Memory(t sim.Ticks, pa uint64, fullLine bool) sim.Ticks {
-	dur := c.cfg.Mem.FirstWordTicks
+	dur := firstWordTicks
 	if fullLine {
-		dur += c.cfg.Mem.TransferTicks
+		dur += lineTransferTicks
 	}
 	_, done := c.dram.Acquire(pa>>7, t, dur)
 	return done

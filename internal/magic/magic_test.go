@@ -19,17 +19,6 @@ func TestHandlerOccupancySerializes(t *testing.T) {
 	}
 }
 
-func TestOccupancyOffIsPureLatency(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ModelOccupancy = false
-	c := New(cfg)
-	d1 := c.RunHandler(0, HNILocalGet, 0)
-	d2 := c.RunHandler(0, HNILocalGet, 0)
-	if d1 != d2 {
-		t.Fatalf("latency-only PP must not contend: %d vs %d", d1, d2)
-	}
-}
-
 func TestExtraCycles(t *testing.T) {
 	c := New(DefaultConfig())
 	base := c.RunHandler(0, HNIInval, 0)

@@ -61,8 +61,6 @@ type FlashConfig struct {
 	// Net is the interconnect configuration. Router latency is
 	// overridden from Timing.
 	Net network.Config
-	// DirectoryLinks sizes the dynamic-pointer-allocation store.
-	DirectoryLinks int
 }
 
 // DefaultFlashConfig returns the detailed model at the given node count
@@ -92,7 +90,7 @@ func NewFlashLite(cfg FlashConfig) *FlashLite {
 	f := &FlashLite{
 		cfg:   cfg,
 		net:   network.New(cfg.Net),
-		dir:   proto.NewDirectory(cfg.Nodes, cfg.DirectoryLinks),
+		dir:   proto.NewDirectory(cfg.Nodes, 0),
 		peers: nopPeers{},
 	}
 	f.ctrl = make([]*magic.Controller, cfg.Nodes)

@@ -19,13 +19,14 @@ type Config struct {
 	HopTicks sim.Ticks
 	// RouterTicks is the additional per-router pass-through occupancy.
 	RouterTicks sim.Ticks
-	// TicksPerKByte expresses link bandwidth as serialization time per
-	// 1024 bytes (FLASH's links are roughly 800 MB/s: ~1150 ticks/KB).
-	TicksPerKByte sim.Ticks
 	// ModelContention selects whether links and routers are reserved
 	// (true for FlashLite/hardware, false for the NUMA model).
 	ModelContention bool
 }
+
+// ticksPerKByte is a link's serialization time per 1024 bytes: 2560
+// ticks (2.84 us) per KB, about 360 MB/s per link.
+const ticksPerKByte = 2560
 
 // DefaultConfig returns the FLASH interconnect parameters.
 func DefaultConfig(nodes int) Config {
@@ -33,7 +34,6 @@ func DefaultConfig(nodes int) Config {
 		Nodes:           nodes,
 		HopTicks:        sim.NS(50),
 		RouterTicks:     sim.NS(25),
-		TicksPerKByte:   2560, // ~400 MB/s effective per link
 		ModelContention: true,
 	}
 }
@@ -138,7 +138,7 @@ func (n *Network) Send(t sim.Ticks, src, dst int, size int) sim.Ticks {
 	if src == dst {
 		return t
 	}
-	ser := sim.Ticks(uint64(size)*uint64(n.cfg.TicksPerKByte)/1024 + 1)
+	ser := sim.Ticks(uint64(size)*ticksPerKByte/1024 + 1)
 	now := t
 	cur := src
 	// The e-cube walk of Route, one dimension at a time.

@@ -130,7 +130,7 @@ func TestSendWalksRoute(t *testing.T) {
 	for _, nodes := range []int{1, 2, 16, 32, 24} {
 		cfg := DefaultConfig(nodes)
 		const size = 144
-		perHop := sim.Ticks(size*uint64(cfg.TicksPerKByte)/1024+1) + cfg.HopTicks + cfg.RouterTicks
+		perHop := sim.Ticks(size*ticksPerKByte/1024+1) + cfg.HopTicks + cfg.RouterTicks
 		for src := 0; src < nodes; src++ {
 			for dst := 0; dst < nodes; dst++ {
 				n := New(cfg)

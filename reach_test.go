@@ -17,6 +17,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -543,10 +544,27 @@ func newInfo() *types.Info {
 	}
 }
 
+// module is the type-checked module, loaded once for every pass.
+var module struct {
+	once sync.Once
+	fset *token.FileSet
+	pkgs []*checkedPkg
+	err  error
+}
+
 // loadModule parses the non-test files of every package of the module
 // and of the benchmark module and type-checks them, the standard
-// library from source (cgo off: nothing here reads a cgo field).
+// library from source (cgo off: nothing here reads a cgo field), once
+// per test binary. Its callers only read what it returns.
 func loadModule(t *testing.T) (*token.FileSet, []*checkedPkg) {
+	module.once.Do(func() { module.fset, module.pkgs, module.err = checkModule() })
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.fset, module.pkgs
+}
+
+func checkModule() (*token.FileSet, []*checkedPkg, error) {
 	fset := token.NewFileSet()
 	// The source importer reads build.Default when it imports.
 	cgo := build.Default.CgoEnabled
@@ -581,16 +599,16 @@ func loadModule(t *testing.T) (*token.FileSet, []*checkedPkg) {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	imp := &moduleImporter{fset: fset, files: files, done: map[string]*types.Package{},
 		std: importer.ForCompiler(fset, "source", nil)}
 	for path := range files {
 		if _, err := imp.Import(path); err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
 	}
-	return fset, imp.checked
+	return fset, imp.checked, nil
 }
 
 // moduleImporter type-checks the module's packages on first import and
