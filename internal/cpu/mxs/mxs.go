@@ -93,17 +93,14 @@ func DefaultConfig(clock sim.Clock) Config {
 	return Config{Clock: clock, BranchAccuracy: 0.90, Quantum: 200}
 }
 
-const histSize = 4096 // completion-time history ring (power of two)
-
 // CPU is one MXS core.
 type CPU struct {
 	cfg  Config
 	cur  cpu.Cursor
 	port cpu.Port
 
-	n          uint64 // absolute instruction index
-	hist       [histSize]sim.Ticks
-	retireRing [window]sim.Ticks // retire times of the last window instructions, by n mod window
+	n          uint64           // absolute instruction index
+	ring       [window]ringSlot // the last window instructions, by n mod window
 	prevRetire sim.Ticks
 	curFetch   sim.Ticks
 	fetchedInC int
@@ -121,6 +118,9 @@ type CPU struct {
 	pendDepsReady bool
 	pendCacheOp   bool
 }
+
+// ringSlot is one instruction's completion and retire times.
+type ringSlot struct{ complete, retire sim.Ticks }
 
 // New binds an MXS core to an instruction stream and memory port.
 func New(cfg Config, rd cpu.Stream, port cpu.Port) *CPU {
@@ -166,12 +166,16 @@ func (c *CPU) rand() uint64 {
 }
 
 // depReady returns the completion time of the producer dist instructions
-// back, or 0 when unknown/out of range.
+// back, or 0 when there is none or it is window or more back. The ring
+// need not reach further: retire is in order, and fetch of instruction n
+// waited for the retire time of instruction n−window, so a producer
+// window or more back completed by fetchT, before readyBase, and could
+// never hold issue past it.
 func (c *CPU) depReady(dist uint32) sim.Ticks {
-	if dist == 0 || uint64(dist) > c.n || dist >= histSize {
+	if dist == 0 || uint64(dist) > c.n || dist >= window {
 		return 0
 	}
-	return c.hist[(c.n-uint64(dist))%histSize]
+	return c.ring[(c.n-uint64(dist))%window].complete
 }
 
 // completeInstr finishes one instruction after its completion time is
@@ -204,14 +208,12 @@ func (c *CPU) completeInstr(lat isa.Latency, issueT, completeT sim.Ticks, depsRe
 		}
 	}
 
-	c.hist[c.n%histSize] = completeT
-
 	// In-order retire with bandwidth retireWidth.
 	rT := completeT
 	if m := c.prevRetire + c.retireSpacing; m > rT {
 		rT = m
 	}
-	c.retireRing[c.n%window] = rT
+	c.ring[c.n%window] = ringSlot{completeT, rT}
 	c.prevRetire = rT
 	c.n++
 }
@@ -269,7 +271,7 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 
 		// Fetch: window occupancy (a slot no instruction has retired
 		// from yet reads 0), then bandwidth.
-		if slotFree := c.retireRing[c.n%window]; slotFree > c.curFetch {
+		if slotFree := c.ring[c.n%window].retire; slotFree > c.curFetch {
 			c.curFetch = c.cfg.Clock.Align(slotFree)
 			c.fetchedInC = 0
 		}

@@ -258,3 +258,48 @@ func TestBranchMispredictionCost(t *testing.T) {
 		t.Fatalf("mispredictions free: %d vs %d", bad, perfect)
 	}
 }
+
+// slowPort answers the load at slow 10 000 cycles late and every other
+// load in two cycles, and keeps each answer's completion time by
+// address.
+type slowPort struct {
+	fakePort
+	slow uint64
+	done map[uint64]sim.Ticks
+}
+
+func (p *slowPort) Load(t sim.Ticks, addr uint64, size uint32) cpu.MemInfo {
+	mi := cpu.MemInfo{Done: t + p.clock.Cycles(2), L1Hit: true}
+	if addr == p.slow {
+		mi.Done = t + p.clock.Cycles(10_000)
+	}
+	p.done[addr] = mi.Done
+	return mi
+}
+
+// TestDistantProducersNeverStall pins the completion times of loads
+// that consume a load answered 10 000 cycles late from 31, 32, 33,
+// 4 095 and 4 096 instructions back. Only the consumer 31 back waits
+// for it: from 32 back on, the window has already held fetch until the
+// producer retired, so the dependence history need not reach further.
+func TestDistantProducersNeverStall(t *testing.T) {
+	clock := sim.Clock150
+	port := &slowPort{fakePort: fakePort{clock: clock}, slow: 0x100, done: map[uint64]sim.Ticks{}}
+	dists := []int{31, 32, 33, 4095, 4096}
+	runAll(t, noBranchConfig(clock), port, func(th *emitter.Thread) {
+		th.IntOps(5)
+		v := th.Load(port.slow, 8, emitter.None, emitter.None)
+		pos := 0
+		for i, d := range dists {
+			th.IntOps(d - 1 - pos)
+			th.Load(uint64(0x1000+i*128), 8, v, emitter.None)
+			pos = d
+		}
+	})
+	want := []sim.Ticks{60024, 60030, 60036, 84222, 84228}
+	for i, d := range dists {
+		if got := port.done[uint64(0x1000+i*128)]; got != want[i] {
+			t.Errorf("consumer %d back completes at %d, want %d", d, got, want[i])
+		}
+	}
+}

@@ -113,3 +113,15 @@ func SetEventCap(n int) (restore func()) {
 	eventCap = n
 	return func() { eventCap = old }
 }
+
+// RunDirectory runs prog on cfg like Run and returns how many lines the
+// directory holds a record for at the end of the run, and how many lock
+// and barrier variables the run used.
+func RunDirectory(cfg Config, prog emitter.Program) (dirLines, syncVars int, err error) {
+	spy := &portSpy{Driver: NewExecutionDriver(cfg, prog)}
+	if _, err := RunWith(cfg, spy); err != nil {
+		return 0, 0, err
+	}
+	m := spy.ports[0].m
+	return m.mem.Directory().Lines(), len(m.locks) + len(m.barriers), nil
+}

@@ -117,7 +117,7 @@ func build(cfg Config, space *emitter.AddressSpace, newCore func(i int, clock si
 	default:
 		fc := memsys.DefaultFlashConfig(cfg.Procs, cfg.FlashTiming)
 		if cfg.MagicTable != nil {
-			fc.Magic.Table = *cfg.MagicTable
+			fc.Occupancy = *cfg.MagicTable
 		}
 		m.mem = memsys.NewFlashLite(fc)
 	}

@@ -8,6 +8,7 @@ import (
 	"flashsim/internal/hw"
 	"flashsim/internal/machine"
 	"flashsim/internal/proto"
+	"flashsim/internal/workload"
 )
 
 // simosConfig is simpleConfig's SimOS sibling (hardware reference): TLB,
@@ -183,5 +184,28 @@ func TestCaseCountsArePortIssued(t *testing.T) {
 	}
 	for name := range pinned {
 		t.Errorf("pinned workload %q not in the registry", name)
+	}
+}
+
+// TestDirectoryHoldsOnlyCachedLines: a line that goes back to unowned
+// leaves the directory, so after a 1p run it holds a record only for a
+// line the L2 still caches or for a lock or barrier variable, whose
+// writes go straight to the memory system. A directory that kept every
+// line it ever saw holds about twice the L2 after Ocean and Radix.
+func TestDirectoryHoldsOnlyCachedLines(t *testing.T) {
+	cfg := simosConfig(1)
+	l2Lines := int(cfg.L2.Size / cfg.L2.LineSize)
+	for _, name := range []string{"fft", "ocean", "radix"} {
+		def, err := workload.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines, syncVars, err := machine.RunDirectory(cfg, quickProgram(t, def, 1))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if lines > l2Lines+syncVars {
+			t.Errorf("%s: directory holds %d lines, over %d L2 lines + %d lock and barrier lines", name, lines, l2Lines, syncVars)
+		}
 	}
 }

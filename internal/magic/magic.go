@@ -96,18 +96,16 @@ const memBanks = 4
 
 var firstWordTicks, lineTransferTicks = sim.NS(140), sim.NS(30)
 
-// Config describes one MAGIC instance.
+// Config describes one MAGIC instance. Its inbox and outbox crossings
+// are memsys.FlashTiming's, which the calibration tunes.
 type Config struct {
-	// InboxTicks/OutboxTicks are interface pass-through latencies.
-	InboxTicks  sim.Ticks
-	OutboxTicks sim.Ticks
 	// Table gives PP handler occupancies.
 	Table OccupancyTable
 }
 
 // DefaultConfig returns the reference MAGIC configuration.
 func DefaultConfig() Config {
-	return Config{InboxTicks: sim.NS(20), OutboxTicks: sim.NS(20), Table: RTLOccupancies()}
+	return Config{Table: RTLOccupancies()}
 }
 
 // Controller is one node's MAGIC.
@@ -121,13 +119,6 @@ type Controller struct {
 func New(cfg Config) *Controller {
 	return &Controller{cfg: cfg, dram: sim.NewBanks(memBanks)}
 }
-
-// Inbox returns the time a message arriving at t has traversed the
-// inbox.
-func (c *Controller) Inbox(t sim.Ticks) sim.Ticks { return t + c.cfg.InboxTicks }
-
-// Outbox returns the time a message handed off at t leaves the chip.
-func (c *Controller) Outbox(t sim.Ticks) sim.Ticks { return t + c.cfg.OutboxTicks }
 
 // RunHandler schedules handler h at time t with extraCycles of
 // additional occupancy (e.g. per-sharer invalidation work). It returns

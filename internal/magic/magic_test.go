@@ -55,16 +55,6 @@ func TestMemoryCriticalWordVsFullLine(t *testing.T) {
 	}
 }
 
-func TestInboxOutbox(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.InboxTicks = 10
-	cfg.OutboxTicks = 20
-	c := New(cfg)
-	if c.Inbox(100) != 110 || c.Outbox(100) != 120 {
-		t.Fatal("inbox/outbox latency")
-	}
-}
-
 func TestHandlerNames(t *testing.T) {
 	for h := Handler(0); h < NumHandlers; h++ {
 		if h.String() == "" || h.String() == "handler(?)" {

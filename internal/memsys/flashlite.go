@@ -51,27 +51,19 @@ func DesignTiming() FlashTiming {
 	}
 }
 
-// FlashConfig configures a FlashLite instance.
+// FlashConfig configures a FlashLite instance. The interconnect is
+// FLASH's (network.DefaultConfig) with Timing's router latency.
 type FlashConfig struct {
 	Nodes  int
 	Timing FlashTiming
-	// Magic is the per-node controller configuration (occupancy table,
-	// memory). Inbox/outbox latencies are overridden from Timing.
-	Magic magic.Config
-	// Net is the interconnect configuration. Router latency is
-	// overridden from Timing.
-	Net network.Config
+	// Occupancy is every node's MAGIC handler occupancy table.
+	Occupancy magic.OccupancyTable
 }
 
 // DefaultFlashConfig returns the detailed model at the given node count
 // with the supplied timing constants.
 func DefaultFlashConfig(nodes int, t FlashTiming) FlashConfig {
-	m := magic.DefaultConfig()
-	m.InboxTicks = sim.NS(t.InboxNS)
-	m.OutboxTicks = sim.NS(t.OutboxNS)
-	n := network.DefaultConfig(nodes)
-	n.RouterTicks = sim.NS(t.RouterNS)
-	return FlashConfig{Nodes: nodes, Timing: t, Magic: m, Net: n}
+	return FlashConfig{Nodes: nodes, Timing: t, Occupancy: magic.RTLOccupancies()}
 }
 
 // FlashLite is the detailed memory-system simulator: a multi-threaded
@@ -87,15 +79,17 @@ type FlashLite struct {
 
 // NewFlashLite builds the model.
 func NewFlashLite(cfg FlashConfig) *FlashLite {
+	net := network.DefaultConfig(cfg.Nodes)
+	net.RouterTicks = sim.NS(cfg.Timing.RouterNS)
 	f := &FlashLite{
 		cfg:   cfg,
-		net:   network.New(cfg.Net),
+		net:   network.New(net),
 		dir:   proto.NewDirectory(cfg.Nodes, 0),
 		peers: nopPeers{},
 	}
 	f.ctrl = make([]*magic.Controller, cfg.Nodes)
 	for i := range f.ctrl {
-		f.ctrl[i] = magic.New(cfg.Magic)
+		f.ctrl[i] = magic.New(magic.Config{Table: cfg.Occupancy})
 	}
 	return f
 }
@@ -122,9 +116,8 @@ func (f *FlashLite) send(t sim.Ticks, a, b, size int) sim.Ticks {
 	if a == b {
 		return t
 	}
-	t = f.ctrl[a].Outbox(t)
-	t = f.net.Send(t, a, b, size)
-	return f.ctrl[b].Inbox(t)
+	t = f.net.Send(t+sim.NS(f.cfg.Timing.OutboxNS), a, b, size)
+	return t + sim.NS(f.cfg.Timing.InboxNS)
 }
 
 // Read satisfies a read miss.

@@ -234,3 +234,25 @@ func (p peersFunc) Downgrade(n int, l uint64) (bool, bool) {
 	}
 	return p.down(n, l)
 }
+
+// TestSendCrossesOutboxAndInbox: a message between two nodes pays
+// Timing's outbox and inbox latencies around the network, and each of
+// its routers Timing's router latency; a hand-off within a node pays
+// none of them.
+func TestSendCrossesOutboxAndInbox(t *testing.T) {
+	bare := TrueTiming()
+	bare.InboxNS, bare.OutboxNS, bare.RouterNS = 0, 0, 0
+	timed := bare
+	timed.InboxNS, timed.OutboxNS, timed.RouterNS = 60, 40, 25
+	send := func(tm FlashTiming, a, b int) sim.Ticks {
+		return NewFlashLite(DefaultFlashConfig(4, tm)).send(100, a, b, ReqBytes)
+	}
+	// Node 0 to node 3 crosses two routers of the 4-node cube.
+	want := sim.NS(60) + sim.NS(40) + 2*sim.NS(25)
+	if got := send(timed, 0, 3) - send(bare, 0, 3); got != want {
+		t.Errorf("timing adds %d ticks to a two-hop send, want %d", got, want)
+	}
+	if got := send(timed, 2, 2); got != 100 {
+		t.Errorf("a local hand-off at 100 arrives at %d", got)
+	}
+}

@@ -38,7 +38,7 @@ func (d *Directory) check(line uint64, e *entry) {
 // CheckLine verifies one line's directory entry against the protocol
 // invariants. Lines never touched are trivially valid.
 func (d *Directory) CheckLine(line uint64) error {
-	e := d.lookup(line)
+	e, _ := d.lookup(line)
 	if e == nil {
 		return nil
 	}

@@ -124,7 +124,8 @@ func TestCheckerCatchesCorruption(t *testing.T) {
 			d := NewDirectory(4, 0)
 			const line = 0x2000
 			d.Read(line, 0, 1) // materialize the entry
-			c.corrupt(d, d.lookup(line))
+			e, _ := d.lookup(line)
+			c.corrupt(d, e)
 			err := d.CheckLine(line)
 			if err == nil {
 				t.Fatal("corruption not detected")
@@ -149,7 +150,7 @@ func TestCheckPanicsWhenEnabled(t *testing.T) {
 	d.SetInvariantChecks(true)
 	const line = 0x3000
 	d.Read(line, 0, 1)
-	e := d.lookup(line)
+	e, _ := d.lookup(line)
 	e.owner = 99 // corrupt behind the directory's back
 	defer func() {
 		if recover() == nil {

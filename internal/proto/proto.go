@@ -127,12 +127,16 @@ type WriteResult struct {
 }
 
 // Directory tracks the coherence state of every line homed across the
-// machine. Entries materialize lazily in DirUnowned state.
+// machine. It holds a record only for a line some cache may hold: an
+// entry materializes in DirUnowned state on a line's first request and
+// is forgotten when a Replace or Writeback leaves it DirUnowned with an
+// empty sharing list, which is exactly what a fresh entry would be.
 type Directory struct {
 	nodes  int
 	store  *PointerStore
 	index  map[uint64]int32 // line -> slot in slab
-	slab   []entry          // entries by value, in first-touch order
+	slab   []entry          // entries by value
+	free   int32            // forgotten slots, chained through entry.head; -1 = none
 	stats  DirStats
 	inval  []int // scratch backing WriteResult.Invalidate
 	checks bool  // per-operation invariant verification (invariants.go)
@@ -142,6 +146,7 @@ type entry struct {
 	state EntryState
 	owner int32
 	// head indexes the sharing list in the pointer store; -1 = empty.
+	// In a forgotten slot it links the next free slot instead.
 	head int32
 }
 
@@ -184,6 +189,7 @@ func NewDirectory(nodes int, storeLinks int) *Directory {
 		nodes: nodes,
 		store: NewPointerStore(storeLinks),
 		index: make(map[uint64]int32),
+		free:  -1,
 	}
 }
 
@@ -200,28 +206,46 @@ func (d *Directory) transition(e *entry, st EntryState, owner int32) {
 	e.owner = owner
 }
 
-// lookup returns line's entry, or nil if the line was never touched.
-// The pointer is into the slab: it is good until the next entryFor.
-func (d *Directory) lookup(line uint64) *entry {
+// lookup returns line's entry and its slot, or nil if the directory
+// holds no record of the line. The pointer is into the slab: it is good
+// until the next entryFor.
+func (d *Directory) lookup(line uint64) (*entry, int32) {
 	if i, ok := d.index[line]; ok {
-		return &d.slab[i]
+		return &d.slab[i], i
 	}
-	return nil
+	return nil, -1
 }
 
 func (d *Directory) entryFor(line uint64) *entry {
-	if e := d.lookup(line); e != nil {
+	if e, _ := d.lookup(line); e != nil {
 		return e
 	}
-	d.index[line] = int32(len(d.slab))
-	d.slab = append(d.slab, entry{state: DirUnowned, owner: -1, head: -1})
-	return &d.slab[len(d.slab)-1]
+	i := d.free
+	if i >= 0 {
+		d.free = d.slab[i].head
+	} else {
+		i = int32(len(d.slab))
+		d.slab = append(d.slab, entry{})
+	}
+	d.index[line] = i
+	d.slab[i] = entry{state: DirUnowned, owner: -1, head: -1}
+	return &d.slab[i]
+}
+
+// forgetIfUnowned drops the record of line, held in slot i, when it is
+// back to DirUnowned with no sharers: a fresh entry is the same.
+func (d *Directory) forgetIfUnowned(line uint64, i int32) {
+	if e := &d.slab[i]; e.state == DirUnowned && e.head < 0 {
+		delete(d.index, line)
+		e.head = d.free
+		d.free = i
+	}
 }
 
 // State returns the directory state, owner, and sharer list of a line
 // (owner is -1 unless dirty). Intended for tests and invariant checks.
 func (d *Directory) State(line uint64) (EntryState, int, []int) {
-	e := d.lookup(line)
+	e, _ := d.lookup(line)
 	if e == nil {
 		return DirUnowned, -1, nil
 	}
@@ -267,7 +291,7 @@ func (d *Directory) Read(line uint64, home, requester int) ReadResult {
 // the directory drops the node from its records without a data
 // writeback.
 func (d *Directory) Replace(line uint64, node int) {
-	e := d.lookup(line)
+	e, i := d.lookup(line)
 	if e == nil {
 		return
 	}
@@ -283,6 +307,7 @@ func (d *Directory) Replace(line uint64, node int) {
 		}
 	}
 	d.check(line, e)
+	d.forgetIfUnowned(line, i)
 }
 
 // Write handles a write request (or upgrade) for line homed at home from
@@ -325,8 +350,11 @@ func (d *Directory) Write(line uint64, home, requester int) WriteResult {
 // Writeback handles a dirty eviction from owner: memory becomes the only
 // copy.
 func (d *Directory) Writeback(line uint64, owner int) {
-	e := d.entryFor(line)
 	d.stats.Writebacks++
+	e, i := d.lookup(line)
+	if e == nil {
+		return
+	}
 	if e.state == DirDirty && int(e.owner) == owner {
 		d.transition(e, DirUnowned, -1)
 		e.head = d.store.Free(e.head)
@@ -334,6 +362,7 @@ func (d *Directory) Writeback(line uint64, owner int) {
 	// A writeback racing a forwarded request is resolved in the
 	// machine's favor elsewhere; a stale writeback is dropped here.
 	d.check(line, e)
+	d.forgetIfUnowned(line, i)
 }
 
 // NoteStaleInval records that an invalidation reached a cache that had
@@ -341,5 +370,5 @@ func (d *Directory) Writeback(line uint64, owner int) {
 // stale sharing lists).
 func (d *Directory) NoteStaleInval() { d.stats.StaleInvals++ }
 
-// Lines returns the number of materialized directory entries.
-func (d *Directory) Lines() int { return len(d.slab) }
+// Lines returns the number of lines the directory holds a record for.
+func (d *Directory) Lines() int { return len(d.index) }
