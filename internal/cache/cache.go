@@ -11,7 +11,11 @@
 // processor and machine models, which ask the tag arrays what happened.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"flashsim/internal/recycle"
+)
 
 // State is a cache-line coherence state.
 type State uint8
@@ -150,15 +154,23 @@ type Cache struct {
 // New builds an empty cache. It panics on an invalid config (caught by
 // Config.Validate), as cache geometry is fixed at machine construction.
 func New(cfg Config) *Cache {
+	c := new(Cache)
+	c.Reset(cfg)
+	return c
+}
+
+// Reset makes c the empty cache New(cfg) builds, in c's tag array when
+// that is large enough.
+func (c *Cache) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	nsets := cfg.Sets()
-	c := &Cache{cfg: cfg, lines: make([]line, nsets*uint64(cfg.Ways)), ways: cfg.Ways, setMask: nsets - 1}
+	lines := recycle.Zeroed(c.lines, int(nsets*uint64(cfg.Ways)))
+	*c = Cache{cfg: cfg, lines: lines, ways: cfg.Ways, setMask: nsets - 1}
 	for ls := cfg.LineSize; ls > 1; ls >>= 1 {
 		c.lineShift++
 	}
-	return c
 }
 
 // Config returns the cache geometry.

@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"flashsim/internal/isa"
+	"flashsim/internal/recycle"
 )
 
 // BatchSize is the number of instructions per send: it amortizes
@@ -54,38 +55,16 @@ const poolSize = 9
 // they are dropped on return rather than held by an idle process.
 const maxRetained = 32 * poolSize
 
-// slabPool is the process-wide free list: a LIFO under a mutex, not a
-// sync.Pool, which two GC cycles inside a run empty before lock-heavy
-// threads ask for their later slabs (DESIGN.md §7). Slabs come back and
-// go out dirty: emit writes every field of every slot it hands on.
-var slabPool struct {
-	mu   sync.Mutex
-	free [][]isa.Instr
-	made uint64 // slabs getSlab had to make; only tests read it
-}
-
-// getSlab lends an empty slab, a retained one before a new one.
-func getSlab() []isa.Instr {
-	slabPool.mu.Lock()
-	defer slabPool.mu.Unlock()
-	n := len(slabPool.free)
-	if n == 0 {
-		slabPool.made++
-		return make([]isa.Instr, 0, BatchSize)
-	}
-	b := slabPool.free[n-1]
-	slabPool.free[n-1] = nil // or the list pins a slab its borrower dropped
-	slabPool.free = slabPool.free[:n-1]
-	return b
-}
+// slabPool is the process-wide free list of slabs (DESIGN.md §7).
+// Slabs come back and go out dirty: emit writes every field of every
+// slot it hands on.
+var slabPool = recycle.NewBin(maxRetained, func() []isa.Instr { return make([]isa.Instr, 0, BatchSize) })
 
 // putSlab takes back a slab (nil: none) that no stream references any
 // more; past maxRetained it is left to the collector.
 func putSlab(b []isa.Instr) {
-	slabPool.mu.Lock()
-	defer slabPool.mu.Unlock()
-	if b != nil && len(slabPool.free) < maxRetained {
-		slabPool.free = append(slabPool.free, b[:0])
+	if b != nil {
+		slabPool.Put(b[:0])
 	}
 }
 
@@ -261,7 +240,7 @@ func (t *Thread) next() {
 		}
 		if t.slabs < poolSize || s.cycle(t) {
 			t.slabs++
-			t.buf = getSlab()
+			t.buf = slabPool.Get()
 			return
 		}
 		t.waiting = true
@@ -804,7 +783,7 @@ func Start(nthreads, readers int, body func(t *Thread), tap Tap) *Streams {
 			s:       s,
 			coord:   s.coord,
 			abort:   s.abortCh,
-			buf:     getSlab(),
+			buf:     slabPool.Get(),
 			slabs:   1,
 			rng:     0x9E3779B97F4A7C15 ^ (uint64(i+1) * 0xBF58476D1CE4E5B9),
 			tap:     tap,

@@ -11,43 +11,38 @@ const (
 )
 
 // SlabsMade is how many slabs the process has had to make so far.
-func SlabsMade() uint64 {
-	slabPool.mu.Lock()
-	defer slabPool.mu.Unlock()
-	return slabPool.made
+func SlabsMade() (n uint64) {
+	slabPool.Locked(func(_ *[][]isa.Instr, made uint64) { n = made })
+	return n
 }
 
 // FreeSlabs identifies every slab on the free list by its first slot.
-func FreeSlabs() []*isa.Instr {
-	slabPool.mu.Lock()
-	defer slabPool.mu.Unlock()
-	ids := make([]*isa.Instr, len(slabPool.free))
-	for i, b := range slabPool.free {
-		ids[i] = &b[:1][0]
-	}
+func FreeSlabs() (ids []*isa.Instr) {
+	slabPool.Locked(func(free *[][]isa.Instr, _ uint64) {
+		for _, b := range *free {
+			ids = append(ids, &b[:1][0])
+		}
+	})
 	return ids
 }
 
 // StaleSlots counts the lent slabs the list's array still names past its
 // length: each would stay reachable after a borrower dropped it.
-func StaleSlots() int {
-	slabPool.mu.Lock()
-	defer slabPool.mu.Unlock()
-	n := 0
-	for _, b := range slabPool.free[len(slabPool.free):cap(slabPool.free)] {
-		if b != nil {
-			n++
+func StaleSlots() (n int) {
+	slabPool.Locked(func(free *[][]isa.Instr, _ uint64) {
+		for _, b := range (*free)[len(*free):cap(*free)] {
+			if b != nil {
+				n++
+			}
 		}
-	}
+	})
 	return n
 }
 
 // DropFreeSlabs empties the free list: the pool of a process that has
 // not run anything yet.
 func DropFreeSlabs() {
-	slabPool.mu.Lock()
-	defer slabPool.mu.Unlock()
-	slabPool.free = nil
+	slabPool.Locked(func(free *[][]isa.Instr, _ uint64) { *free = nil })
 }
 
 // Holds counts the slabs s still references, the batches its Readers are

@@ -52,8 +52,10 @@ type Driver interface {
 
 // RunWith executes one run of cfg with the supplied driver: the single
 // engine entry point behind Run, RunCapture, and RunReplay. Each call
-// builds a fresh machine; state never leaks between runs. Only the
-// replay driver takes a sampling schedule.
+// builds its machine from the parts earlier runs gave back, each reset
+// to the state its New gives, so no result depends on what ran before;
+// a run that drains cleanly gives them back (parts.go). Only the replay
+// driver takes a sampling schedule.
 func RunWith(cfg Config, d Driver) (Result, error) {
 	// Every way out that has not reached Finish takes it here: a rejected
 	// configuration, and a panic in build or the event loop (a coherence
@@ -94,6 +96,7 @@ func RunWith(cfg Config, d Driver) (Result, error) {
 			cfg.Name, ErrDeadlock, m.finished, cfg.Procs, m.queue.Len())
 	}
 	res := m.collect(em)
+	m.release()
 	res.Workload = d.Workload()
 	return res, nil
 }

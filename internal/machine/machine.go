@@ -66,8 +66,8 @@ type lockWaiter struct {
 }
 
 // Run executes prog on a machine described by cfg and returns the
-// result. Each call builds a fresh machine; state never leaks between
-// runs.
+// result. Each call builds its machine from parts reset to their fresh
+// state (parts.go), so nothing of an earlier run reaches its result.
 func Run(cfg Config, prog emitter.Program) (Result, error) {
 	if err := checkExec(cfg, prog); err != nil {
 		return Result{}, err
@@ -103,8 +103,8 @@ func build(cfg Config, space *emitter.AddressSpace, newCore func(i int, clock si
 		barrierRel: make(map[uint32][]sim.Ticks),
 	}
 
-	pt := osmodel.NewPageTable(cfg.OS.Kind, space, cfg.Procs, cfg.Colors())
-	m.os = osmodel.New(cfg.OS, pt, cfg.Procs)
+	m.os = osParts.Get()
+	m.os.Reset(cfg.OS, osmodel.NewPageTable(cfg.OS.Kind, space, cfg.Procs, cfg.Colors()), cfg.Procs)
 
 	switch cfg.Mem {
 	case MemNUMA:
@@ -113,13 +113,17 @@ func build(cfg Config, space *emitter.AddressSpace, newCore func(i int, clock si
 			nc = *cfg.NUMA
 			nc.Nodes = cfg.Procs
 		}
-		m.mem = memsys.NewNUMA(nc)
+		numa := numaParts.Get()
+		numa.Reset(nc)
+		m.mem = numa
 	default:
 		fc := memsys.DefaultFlashConfig(cfg.Procs, cfg.FlashTiming)
 		if cfg.MagicTable != nil {
 			fc.Occupancy = *cfg.MagicTable
 		}
-		m.mem = memsys.NewFlashLite(fc)
+		flash := flashParts.Get()
+		flash.Reset(fc)
+		m.mem = flash
 	}
 	m.mem.SetPeers(m)
 	if cfg.CheckCoherence {
@@ -147,8 +151,8 @@ func build(cfg Config, space *emitter.AddressSpace, newCore func(i int, clock si
 			m:     m,
 			node:  i,
 			clock: clock,
-			l1:    cache.New(cfg.L1D),
-			l2:    cache.New(cfg.L2),
+			l1:    l1Parts.Get(),
+			l2:    l2Parts.Get(),
 			wb:    cache.NewWriteBuffer(cfg.WriteBufferEntries),
 			mshr:  cache.NewMSHRs(cfg.MSHRCount),
 			l2if: &cache.L2Interface{
@@ -156,6 +160,8 @@ func build(cfg Config, space *emitter.AddressSpace, newCore func(i int, clock si
 				TransferTicks: sim.NS(cfg.L2TransferNS),
 			},
 		}
+		p.l1.Reset(cfg.L1D)
+		p.l2.Reset(cfg.L2)
 		m.nodes[i] = &node{id: i, core: newCore(i, clock, p), port: p}
 	}
 	return m

@@ -31,7 +31,8 @@ func testMachine(t *testing.T, osKind osmodel.Kind) (*Machine, *memPort, emitter
 	region := space.AllocPageAligned("data", 1<<20, emitter.Placement{Kind: emitter.PlaceOnNode, Node: 0})
 	m := &Machine{cfg: cfg}
 	pt := osmodel.NewPageTable(cfg.OS.Kind, space, 1, cfg.Colors())
-	m.os = osmodel.New(cfg.OS, pt, 1)
+	m.os = new(osmodel.OS)
+	m.os.Reset(cfg.OS, pt, 1)
 	m.mem = memsys.NewFlashLite(memsys.DefaultFlashConfig(1, cfg.FlashTiming))
 	m.mem.SetPeers(m)
 	clock := sim.NewClock(cfg.ClockMHz)

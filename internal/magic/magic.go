@@ -112,12 +112,21 @@ func DefaultConfig() Config {
 type Controller struct {
 	cfg  Config
 	pp   sim.Server
-	dram *sim.Banks
+	dram sim.Banks
 }
 
 // New creates a MAGIC instance.
 func New(cfg Config) *Controller {
-	return &Controller{cfg: cfg, dram: sim.NewBanks(memBanks)}
+	c := new(Controller)
+	c.Reset(cfg)
+	return c
+}
+
+// Reset makes c the idle controller New(cfg) creates, in c's DRAM banks.
+func (c *Controller) Reset(cfg Config) {
+	dram := c.dram
+	dram.Reset(memBanks)
+	*c = Controller{cfg: cfg, dram: dram}
 }
 
 // RunHandler schedules handler h at time t with extraCycles of

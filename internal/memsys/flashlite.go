@@ -4,6 +4,7 @@ import (
 	"flashsim/internal/magic"
 	"flashsim/internal/network"
 	"flashsim/internal/proto"
+	"flashsim/internal/recycle"
 	"flashsim/internal/sim"
 )
 
@@ -72,26 +73,27 @@ func DefaultFlashConfig(nodes int, t FlashTiming) FlashConfig {
 type FlashLite struct {
 	cfg   FlashConfig
 	ctrl  []*magic.Controller
-	net   *network.Network
-	dir   *proto.Directory
+	net   network.Network
+	dir   proto.Directory
 	peers Peers
 }
 
 // NewFlashLite builds the model.
 func NewFlashLite(cfg FlashConfig) *FlashLite {
+	f := new(FlashLite)
+	f.Reset(cfg)
+	return f
+}
+
+// Reset makes f the idle model NewFlashLite(cfg) builds, in f's
+// directory, interconnect and controllers.
+func (f *FlashLite) Reset(cfg FlashConfig) {
 	net := network.DefaultConfig(cfg.Nodes)
 	net.RouterTicks = sim.NS(cfg.Timing.RouterNS)
-	f := &FlashLite{
-		cfg:   cfg,
-		net:   network.New(net),
-		dir:   proto.NewDirectory(cfg.Nodes, 0),
-		peers: nopPeers{},
-	}
-	f.ctrl = make([]*magic.Controller, cfg.Nodes)
-	for i := range f.ctrl {
-		f.ctrl[i] = magic.New(magic.Config{Table: cfg.Occupancy})
-	}
-	return f
+	f.cfg, f.peers = cfg, nopPeers{}
+	f.net.Reset(net)
+	f.dir.Reset(cfg.Nodes, 0)
+	f.ctrl = recycle.Renew(f.ctrl, cfg.Nodes, func(c *magic.Controller) { c.Reset(magic.Config{Table: cfg.Occupancy}) })
 }
 
 // Name identifies the model.
@@ -101,10 +103,10 @@ func (f *FlashLite) Name() string { return "flashlite" }
 func (f *FlashLite) SetPeers(p Peers) { f.peers = p }
 
 // Directory exposes the protocol directory.
-func (f *FlashLite) Directory() *proto.Directory { return f.dir }
+func (f *FlashLite) Directory() *proto.Directory { return &f.dir }
 
 // Net exposes the interconnect.
-func (f *FlashLite) Net() *network.Network { return f.net }
+func (f *FlashLite) Net() *network.Network { return &f.net }
 
 func (f *FlashLite) busReq(t sim.Ticks) sim.Ticks { return t + sim.NS(f.cfg.Timing.BusRequestNS) }
 func (f *FlashLite) busRep(t sim.Ticks) sim.Ticks { return t + sim.NS(f.cfg.Timing.BusReplyNS) }

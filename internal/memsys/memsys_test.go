@@ -8,6 +8,13 @@ import (
 	"flashsim/internal/vm"
 )
 
+// newNUMA is the idle model of cfg.
+func newNUMA(cfg NUMAConfig) *NUMA {
+	n := new(NUMA)
+	n.Reset(cfg)
+	return n
+}
+
 func pa(node int, frame uint32) uint64 {
 	return vm.PhysPage{Node: int32(node), Frame: frame}.Addr(0)
 }
@@ -92,7 +99,7 @@ func TestFlashLiteHotspotQueuing(t *testing.T) {
 			flLast = r.Done
 		}
 	}
-	nu := NewNUMA(DefaultNUMAConfig(16))
+	nu := newNUMA(DefaultNUMAConfig(16))
 	var nuLast sim.Ticks
 	for i := 0; i < 64; i++ {
 		r := nu.Read(0, 1+(i%15), pa(0, uint32(i)))
@@ -107,7 +114,7 @@ func TestFlashLiteHotspotQueuing(t *testing.T) {
 }
 
 func TestNUMACasesAndExclusive(t *testing.T) {
-	n := NewNUMA(DefaultNUMAConfig(4))
+	n := newNUMA(DefaultNUMAConfig(4))
 	r1 := n.Read(0, 0, pa(0, 1))
 	if r1.Case != proto.LocalClean || !r1.Exclusive {
 		t.Fatalf("numa first read %+v", r1)
@@ -119,7 +126,7 @@ func TestNUMACasesAndExclusive(t *testing.T) {
 }
 
 func TestNUMAWriteUpgrade(t *testing.T) {
-	n := NewNUMA(DefaultNUMAConfig(4))
+	n := newNUMA(DefaultNUMAConfig(4))
 	l := pa(0, 3)
 	n.Read(0, 1, l)
 	n.Read(10, 2, l)
@@ -134,7 +141,7 @@ func TestNUMAWriteUpgrade(t *testing.T) {
 }
 
 func TestWritebackAndReplaceUpdateDirectory(t *testing.T) {
-	for _, sys := range []System{newFL(4), NewNUMA(DefaultNUMAConfig(4))} {
+	for _, sys := range []System{newFL(4), newNUMA(DefaultNUMAConfig(4))} {
 		l := pa(0, 9)
 		sys.Write(0, 2, l)
 		sys.Writeback(100, 2, l)
@@ -197,7 +204,7 @@ func TestFlashLiteSteadyStateDoesNotAllocate(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	if newFL(2).Name() != "flashlite" || NewNUMA(DefaultNUMAConfig(2)).Name() != "numa" {
+	if newFL(2).Name() != "flashlite" || newNUMA(DefaultNUMAConfig(2)).Name() != "numa" {
 		t.Fatal("names")
 	}
 }

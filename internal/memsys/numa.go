@@ -3,6 +3,7 @@ package memsys
 import (
 	"flashsim/internal/network"
 	"flashsim/internal/proto"
+	"flashsim/internal/recycle"
 	"flashsim/internal/sim"
 )
 
@@ -52,33 +53,27 @@ func DefaultNUMAConfig(nodes int) NUMAConfig {
 // NUMA is the generic NUMA memory-system model.
 type NUMA struct {
 	cfg   NUMAConfig
-	net   *network.Network
-	dir   *proto.Directory
+	net   network.Network
+	dir   proto.Directory
 	dram  []*sim.Banks
 	peers Peers
 }
 
-// NewNUMA builds the model.
-func NewNUMA(cfg NUMAConfig) *NUMA {
+// Reset makes n the idle model for cfg, in n's directory, interconnect
+// and memory banks. A zero NUMA is ready for it.
+func (n *NUMA) Reset(cfg NUMAConfig) {
 	ncfg := network.DefaultConfig(cfg.Nodes)
 	ncfg.ModelContention = false
 	ncfg.HopTicks = sim.NS(cfg.HopNS)
 	ncfg.RouterTicks = 0
-	n := &NUMA{
-		cfg:   cfg,
-		net:   network.New(ncfg),
-		dir:   proto.NewDirectory(cfg.Nodes, 0),
-		peers: nopPeers{},
-	}
 	banks := cfg.MemoryBanks
 	if banks <= 0 {
 		banks = 1
 	}
-	n.dram = make([]*sim.Banks, cfg.Nodes)
-	for i := range n.dram {
-		n.dram[i] = sim.NewBanks(banks)
-	}
-	return n
+	n.cfg, n.peers = cfg, nopPeers{}
+	n.net.Reset(ncfg)
+	n.dir.Reset(cfg.Nodes, 0)
+	n.dram = recycle.Renew(n.dram, cfg.Nodes, func(b *sim.Banks) { b.Reset(banks) })
 }
 
 // Name identifies the model.
@@ -88,10 +83,10 @@ func (n *NUMA) Name() string { return "numa" }
 func (n *NUMA) SetPeers(p Peers) { n.peers = p }
 
 // Directory exposes the protocol directory.
-func (n *NUMA) Directory() *proto.Directory { return n.dir }
+func (n *NUMA) Directory() *proto.Directory { return &n.dir }
 
 // Net exposes the (latency-only) interconnect.
-func (n *NUMA) Net() *network.Network { return n.net }
+func (n *NUMA) Net() *network.Network { return &n.net }
 
 // hop returns pure network latency for size bytes from a to b.
 func (n *NUMA) hop(t sim.Ticks, a, b, size int) sim.Ticks {

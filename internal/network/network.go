@@ -9,7 +9,10 @@
 // routers"); FlashLite and the hardware reference enable it.
 package network
 
-import "flashsim/internal/sim"
+import (
+	"flashsim/internal/recycle"
+	"flashsim/internal/sim"
+)
 
 // Config describes the interconnect.
 type Config struct {
@@ -67,6 +70,14 @@ func (s *NetStats) Add(o NetStats) {
 // are rounded up to the enclosing hypercube (FLASH configures partial
 // cubes the same way).
 func New(cfg Config) *Network {
+	n := new(Network)
+	n.Reset(cfg)
+	return n
+}
+
+// Reset makes n the idle interconnect New(cfg) builds, in n's link and
+// router arrays when they are large enough.
+func (n *Network) Reset(cfg Config) {
 	if cfg.Nodes <= 0 {
 		panic("network: need at least one node")
 	}
@@ -74,11 +85,11 @@ func New(cfg Config) *Network {
 	for 1<<dims < cfg.Nodes {
 		dims++
 	}
-	return &Network{
+	*n = Network{
 		cfg:     cfg,
 		dims:    dims,
-		links:   make([]sim.Server, dims<<dims),
-		routers: make([]sim.Server, 1<<dims),
+		links:   recycle.Zeroed(n.links, dims<<dims),
+		routers: recycle.Zeroed(n.routers, 1<<dims),
 	}
 }
 

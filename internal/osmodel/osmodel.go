@@ -16,6 +16,7 @@ package osmodel
 
 import (
 	"flashsim/internal/emitter"
+	"flashsim/internal/recycle"
 	"flashsim/internal/tlb"
 	"flashsim/internal/vm"
 )
@@ -89,20 +90,19 @@ type OS struct {
 	syscalls uint64 // charged system calls (SimOS)
 }
 
-// New builds the OS model over a page table for an n-CPU machine.
-func New(cfg Config, pt *vm.PageTable, procs int) *OS {
-	o := &OS{cfg: cfg, pt: pt}
-	if cfg.Kind == SimOS {
-		entries := cfg.TLBEntries
-		if entries <= 0 {
-			entries = 64
-		}
-		o.tlbs = make([]*tlb.TLB, procs)
-		for i := range o.tlbs {
-			o.tlbs[i] = tlb.New(tlb.Config{Entries: entries})
-		}
+// Reset makes o the model of cfg over page table pt for a procs-CPU
+// machine, in o's TLBs; a zero OS is ready for it. The TLBs past procs,
+// and all of them under Solo, stay in o's array for a later Reset.
+func (o *OS) Reset(cfg Config, pt *vm.PageTable, procs int) {
+	entries := cfg.TLBEntries
+	if entries <= 0 {
+		entries = 64
 	}
-	return o
+	if cfg.Kind != SimOS {
+		procs = 0
+	}
+	tlbs := recycle.Renew(o.tlbs, procs, func(t *tlb.TLB) { t.Reset(tlb.Config{Entries: entries}) })
+	*o = OS{cfg: cfg, pt: pt, tlbs: tlbs}
 }
 
 // Kind returns the model kind.
@@ -113,7 +113,7 @@ func (o *OS) PageTable() *vm.PageTable { return o.pt }
 
 // TLB returns CPU i's TLB (nil under Solo).
 func (o *OS) TLB(i int) *tlb.TLB {
-	if o.tlbs == nil {
+	if len(o.tlbs) == 0 {
 		return nil
 	}
 	return o.tlbs[i]

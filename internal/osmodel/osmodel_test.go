@@ -8,6 +8,13 @@ import (
 	"flashsim/internal/vm"
 )
 
+// newOS is the model of cfg over pt for procs CPUs.
+func newOS(cfg Config, pt *vm.PageTable, procs int) *OS {
+	o := new(OS)
+	o.Reset(cfg, pt, procs)
+	return o
+}
+
 func space() *emitter.AddressSpace {
 	as := emitter.NewAddressSpace()
 	as.AllocPageAligned("data", 256*vm.PageSize, emitter.Placement{Kind: emitter.PlaceFirstTouch})
@@ -17,7 +24,7 @@ func space() *emitter.AddressSpace {
 func TestSoloTranslationsAreFree(t *testing.T) {
 	as := space()
 	pt := NewPageTable(Solo, as, 2, 16)
-	os := New(DefaultSolo(), pt, 2)
+	os := newOS(DefaultSolo(), pt, 2)
 	r := as.Regions()[0]
 	tr, _ := os.Translate(0, r.Base+100, true)
 	if tr.PenaltyCycles != 0 || tr.TLBMiss {
@@ -41,7 +48,7 @@ func TestSimOSChargesTLBAndFaults(t *testing.T) {
 	as := space()
 	cfg := DefaultSimOS()
 	pt := NewPageTable(SimOS, as, 1, 16)
-	os := New(cfg, pt, 1)
+	os := newOS(cfg, pt, 1)
 	r := as.Regions()[0]
 	if _, ok := os.Translate(0, r.Base, false); ok || os.Counters().PagesMapped != 0 || os.TLBStats() != (tlb.Stats{}) {
 		t.Fatalf("unmapped page without fault: ok %v, counters %+v, TLB %+v; want no change", ok, os.Counters(), os.TLBStats())
@@ -73,7 +80,7 @@ func TestSimOSTLBThrash(t *testing.T) {
 	cfg := DefaultSimOS()
 	cfg.TLBEntries = 4
 	pt := NewPageTable(SimOS, as, 1, 16)
-	os := New(cfg, pt, 1)
+	os := newOS(cfg, pt, 1)
 	// Warm all pages (faults out of the way).
 	for p := uint64(0); p < 8; p++ {
 		os.Translate(0, r.Base+p*vm.PageSize, true)
@@ -101,7 +108,7 @@ func TestAllocatorSelection(t *testing.T) {
 func TestPerCPUTLBs(t *testing.T) {
 	as := space()
 	pt := NewPageTable(SimOS, as, 2, 16)
-	os := New(DefaultSimOS(), pt, 2)
+	os := newOS(DefaultSimOS(), pt, 2)
 	r := as.Regions()[0]
 	os.Translate(0, r.Base, true)
 	// CPU 1 misses independently even though the page is mapped.

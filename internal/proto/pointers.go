@@ -28,12 +28,12 @@ type PointerStore struct {
 	reclaim uint64
 }
 
-// NewPointerStore creates a pool with n links.
-func NewPointerStore(n int) *PointerStore {
+// Reset makes s an empty pool of n links, in s's link arrays.
+func (s *PointerStore) Reset(n int) {
 	if n <= 0 {
 		n = 1
 	}
-	return &PointerStore{limit: n, free: -1}
+	*s = PointerStore{node: s.node[:0], next: s.next[:0], limit: n, free: -1}
 }
 
 // Add prepends node to the list at head, returning the new head. Adding

@@ -2,8 +2,15 @@ package proto
 
 import "testing"
 
+// newStore is an empty pool of n links.
+func newStore(n int) *PointerStore {
+	s := new(PointerStore)
+	s.Reset(n)
+	return s
+}
+
 func TestPointerStoreAddCollect(t *testing.T) {
-	s := NewPointerStore(8)
+	s := newStore(8)
 	head := int32(-1)
 	head = s.Add(head, 3)
 	head = s.Add(head, 5)
@@ -21,7 +28,7 @@ func TestPointerStoreAddCollect(t *testing.T) {
 }
 
 func TestPointerStoreRemove(t *testing.T) {
-	s := NewPointerStore(8)
+	s := newStore(8)
 	head := int32(-1)
 	for _, n := range []int{1, 2, 3} {
 		head = s.Add(head, n)
@@ -41,7 +48,7 @@ func TestPointerStoreRemove(t *testing.T) {
 }
 
 func TestPointerStoreFree(t *testing.T) {
-	s := NewPointerStore(4)
+	s := newStore(4)
 	head := int32(-1)
 	for n := 0; n < 4; n++ {
 		head = s.Add(head, n)
@@ -61,7 +68,7 @@ func TestPointerStoreFree(t *testing.T) {
 }
 
 func TestPointerStoreExhaustionReclaims(t *testing.T) {
-	s := NewPointerStore(2)
+	s := newStore(2)
 	head := int32(-1)
 	head = s.Add(head, 0)
 	head = s.Add(head, 1)
@@ -78,7 +85,7 @@ func TestPointerStoreExhaustionReclaims(t *testing.T) {
 }
 
 func TestPointerStoreHighWater(t *testing.T) {
-	s := NewPointerStore(8)
+	s := newStore(8)
 	head := int32(-1)
 	for n := 0; n < 5; n++ {
 		head = s.Add(head, n)

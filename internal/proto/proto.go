@@ -133,7 +133,7 @@ type WriteResult struct {
 // empty sharing list, which is exactly what a fresh entry would be.
 type Directory struct {
 	nodes  int
-	store  *PointerStore
+	store  PointerStore
 	index  map[uint64]int32 // line -> slot in slab
 	slab   []entry          // entries by value
 	free   int32            // forgotten slots, chained through entry.head; -1 = none
@@ -182,14 +182,32 @@ func (s *DirStats) Add(o DirStats) {
 // 8 links per entry-sized heuristic, practically unbounded for the
 // study's working sets).
 func NewDirectory(nodes int, storeLinks int) *Directory {
+	d := new(Directory)
+	d.Reset(nodes, storeLinks)
+	return d
+}
+
+// Reset makes d the empty directory NewDirectory(nodes, storeLinks)
+// creates, in d's index, slab and pointer arrays: a map refilled after
+// clear allocates nothing up to the size it had.
+func (d *Directory) Reset(nodes int, storeLinks int) {
 	if storeLinks <= 0 {
 		storeLinks = 1 << 20
 	}
-	return &Directory{
+	index := d.index
+	if index == nil {
+		index = make(map[uint64]int32)
+	}
+	clear(index)
+	store := d.store
+	store.Reset(storeLinks)
+	*d = Directory{
 		nodes: nodes,
-		store: NewPointerStore(storeLinks),
-		index: make(map[uint64]int32),
+		store: store,
+		index: index,
+		slab:  d.slab[:0],
 		free:  -1,
+		inval: d.inval[:0],
 	}
 }
 

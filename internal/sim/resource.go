@@ -1,5 +1,7 @@
 package sim
 
+import "flashsim/internal/recycle"
+
 // The resource types below model contention by reservation: a request
 // arriving at time t for a busy resource is granted at the resource's
 // next free time. Reservations must be made in nondecreasing request
@@ -100,8 +102,9 @@ type Banks struct {
 	banks []Server
 }
 
-// NewBanks creates n banks.
-func NewBanks(n int) *Banks { return &Banks{banks: make([]Server, n)} }
+// Reset makes b n idle banks, in b's array when that is large enough; a
+// zero Banks is ready for it.
+func (b *Banks) Reset(n int) { b.banks = recycle.Zeroed(b.banks, n) }
 
 // Acquire reserves bank (idx mod n) at or after t for dur.
 func (b *Banks) Acquire(idx uint64, t, dur Ticks) (start, done Ticks) {

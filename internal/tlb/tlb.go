@@ -13,6 +13,8 @@
 // machine's TLB microbenchmark, reproducing the paper's tuning step.
 package tlb
 
+import "slices"
+
 // Config describes a TLB model.
 type Config struct {
 	// Entries is the number of TLB entries (R10000: 64).
@@ -64,13 +66,21 @@ func (s *Stats) Add(o Stats) {
 
 // New creates an empty TLB.
 func New(cfg Config) *TLB {
+	t := new(TLB)
+	t.Reset(cfg)
+	return t
+}
+
+// Reset makes t the empty TLB New(cfg) creates, in t's arrays when they
+// are large enough.
+func (t *TLB) Reset(cfg Config) {
 	if cfg.Entries <= 0 {
 		panic("tlb: Entries must be positive")
 	}
-	return &TLB{
+	*t = TLB{
 		cfg:    cfg,
-		vps:    make([]uint64, 0, cfg.Entries),
-		stamps: make([]uint64, 0, cfg.Entries),
+		vps:    slices.Grow(t.vps[:0], cfg.Entries),
+		stamps: slices.Grow(t.stamps[:0], cfg.Entries),
 	}
 }
 

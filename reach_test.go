@@ -56,6 +56,7 @@ var reachAllow = map[string]string{
 	"proto.PointerStore.HighWater":           "observed by a test: the pointer store tests",
 	"proto.PointerStore.InUse":               "observed by a test: the pointer store tests",
 	"proto.PointerStore.Reclaims":            "observed by a test: the pointer store tests",
+	"recycle.Bin.Locked":                     "observed by a test: the slab and machine-part bin tests",
 	"runner.Stats.Sub":                       "observed by a test: warm-pass deltas of the pool counters",
 	"runner.Store.Evictions":                 "observed by a test: the byte-bound tests",
 	"serve.Server.Collector":                 "observed by a test: the metrics endpoint tests",
@@ -415,6 +416,7 @@ var stateAllow = map[string]string{
 	"obs.Report":                 "report: the -metrics-out document's layout version",
 	"param.Param.Field":          "observed by a test: the snapshot and canonical-encoder walks resolve it by reflection",
 	"proto.PointerStore.reclaim": "observed by a test: through PointerStore.Reclaims",
+	"recycle.Bin.made":           "observed by a test: through Bin.Locked, which the bin tests count with",
 	"runner.Store.evictions":     "observed by a test: through Store.Evictions",
 	"serve.ErrorResponse":        "wire: flashd's error body",
 	"serve.JobStatus":            "wire: flashd's job envelope",
