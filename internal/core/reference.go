@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"flashsim/internal/emitter"
 	"flashsim/internal/hw"
@@ -32,7 +33,7 @@ type Measurement struct {
 // MeanSeconds returns the mean parallel-section time in seconds.
 func (m Measurement) MeanSeconds() float64 { return float64(m.Mean) / sim.TickHz }
 
-// measurementFrom summarizes a set of repeat runs.
+// measurementFrom summarizes a set of repeat runs (at least one).
 func measurementFrom(runs []machine.Result) Measurement {
 	execs := make([]sim.Ticks, len(runs))
 	for i, r := range runs {
@@ -40,8 +41,8 @@ func measurementFrom(runs []machine.Result) Measurement {
 	}
 	return Measurement{
 		Mean: stats.Mean(execs),
-		Min:  stats.Min(execs),
-		Max:  stats.Max(execs),
+		Min:  slices.Min(execs),
+		Max:  slices.Max(execs),
 		Runs: runs,
 	}
 }

@@ -131,8 +131,8 @@ func CompareTrend(hw, simc Curve) TrendError {
 		e := stats.RelError(simc.Speedup[i], hw.Speedup[i])
 		errs = append(errs, e)
 		te.FinalErr = e
+		te.MaxErr = max(te.MaxErr, e)
 	}
-	te.MaxErr = stats.Max(errs)
 	te.MeanErr = stats.Mean(errs)
 	return te
 }

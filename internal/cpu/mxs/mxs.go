@@ -69,6 +69,12 @@ const (
 	flushPenalty      = 10
 )
 
+// brThresh is the branch predictor's hit threshold: a branch mispredicts
+// when the core's PRNG draws at or above it, so it predicts a fraction
+// 0.90 of branches right (the R10000's 2-bit predictor). The value is
+// uint64(0.90*float64(1<<63)) << 1.
+const brThresh = 0xe666666666666800
+
 // latencies is the per-op latency table (R10000 values).
 var latencies = isa.R10000Latencies()
 
@@ -78,8 +84,6 @@ type Config struct {
 	// a multiple-issue simulator capable of exploiting ILP, its
 	// results are reported only for the hardware clock speed").
 	Clock sim.Clock
-	// BranchAccuracy is the predictor hit rate (R10000 2-bit ~0.90).
-	BranchAccuracy float64
 	// Fidelity selects corner-case modeling.
 	Fidelity Fidelity
 	// Quantum bounds instructions per Run call; it must be positive.
@@ -90,7 +94,7 @@ type Config struct {
 
 // DefaultConfig returns the untuned MXS configuration of the study.
 func DefaultConfig(clock sim.Clock) Config {
-	return Config{Clock: clock, BranchAccuracy: 0.90, Quantum: 200}
+	return Config{Clock: clock, Quantum: 200}
 }
 
 // CPU is one MXS core.
@@ -106,7 +110,6 @@ type CPU struct {
 	fetchedInC int
 	unitFree   [isa.NumUnits]sim.Ticks
 	rng        uint64
-	brThresh   uint64
 
 	retireSpacing sim.Ticks
 	cacheOpStall  sim.Ticks // the CACHE-op bug's stall on a dirty line; 0 when off
@@ -141,14 +144,6 @@ func New(cfg Config, rd cpu.Stream, port cpu.Port) *CPU {
 			stall = 1_000_000
 		}
 		c.cacheOpStall = cfg.Clock.Period * sim.Ticks(stall)
-	}
-	switch {
-	case cfg.BranchAccuracy >= 1:
-		c.brThresh = ^uint64(0)
-	case cfg.BranchAccuracy <= 0:
-		c.brThresh = 0
-	default:
-		c.brThresh = uint64(cfg.BranchAccuracy*float64(1<<63)) << 1
 	}
 	return c
 }
@@ -343,7 +338,7 @@ func (c *CPU) Run(t sim.Ticks) cpu.Outcome {
 			completeT = issueT + period*sim.Ticks(1+c.port.SyscallCost(in.Aux))
 		case isa.Branch:
 			completeT = issueT + period*sim.Ticks(lat.Cycles)
-			if c.rand() >= c.brThresh {
+			if c.rand() >= brThresh {
 				redirect := completeT + period*mispredictPenalty
 				if redirect > c.curFetch {
 					c.curFetch = c.cfg.Clock.Align(redirect)

@@ -53,16 +53,10 @@ func runAll(t *testing.T, cfg Config, port cpu.Port, body func(*emitter.Thread))
 	}
 }
 
-func noBranchConfig(clock sim.Clock) Config {
-	cfg := DefaultConfig(clock)
-	cfg.BranchAccuracy = 1.0
-	return cfg
-}
-
 func TestSuperscalarALUThroughput(t *testing.T) {
 	clock := sim.Clock150
 	port := &fakePort{clock: clock, base: 1 << 40}
-	end := runAll(t, noBranchConfig(clock), port, func(th *emitter.Thread) {
+	end := runAll(t, DefaultConfig(clock), port, func(th *emitter.Thread) {
 		th.IntOps(400)
 	})
 	// 400 independent ALU ops on a 4-issue core with 2 effective ALUs
@@ -78,13 +72,13 @@ func TestSuperscalarALUThroughput(t *testing.T) {
 func TestDependentChainSerializes(t *testing.T) {
 	clock := sim.Clock150
 	port := &fakePort{clock: clock, base: 1 << 40}
-	endDep := runAll(t, noBranchConfig(clock), port, func(th *emitter.Thread) {
+	endDep := runAll(t, DefaultConfig(clock), port, func(th *emitter.Thread) {
 		v := th.IntALU(emitter.None, emitter.None)
 		for i := 0; i < 200; i++ {
 			v = th.FPAdd(v, emitter.None) // 2-cycle latency chain
 		}
 	})
-	endInd := runAll(t, noBranchConfig(clock), port, func(th *emitter.Thread) {
+	endInd := runAll(t, DefaultConfig(clock), port, func(th *emitter.Thread) {
 		for i := 0; i < 201; i++ {
 			th.FPAdd(emitter.None, emitter.None)
 		}
@@ -98,7 +92,7 @@ func TestLoadsOverlapUnderMisses(t *testing.T) {
 	clock := sim.Clock150
 	miss := clock.Cycles(100)
 	port := &fakePort{clock: clock, base: 0, missT: miss}
-	end := runAll(t, noBranchConfig(clock), port, func(th *emitter.Thread) {
+	end := runAll(t, DefaultConfig(clock), port, func(th *emitter.Thread) {
 		for i := 0; i < 8; i++ {
 			th.Load(uint64(i*128), 8, emitter.None, emitter.None)
 		}
@@ -113,7 +107,7 @@ func TestDependentLoadsDoNotOverlap(t *testing.T) {
 	clock := sim.Clock150
 	miss := clock.Cycles(100)
 	port := &fakePort{clock: clock, base: 0, missT: miss}
-	end := runAll(t, noBranchConfig(clock), port, func(th *emitter.Thread) {
+	end := runAll(t, DefaultConfig(clock), port, func(th *emitter.Thread) {
 		var v emitter.Val
 		for i := 0; i < 8; i++ {
 			v = th.Load(uint64(i*128), 8, emitter.None, v)
@@ -127,7 +121,7 @@ func TestDependentLoadsDoNotOverlap(t *testing.T) {
 func TestMulDivUnpipelined(t *testing.T) {
 	clock := sim.Clock150
 	port := &fakePort{clock: clock, base: 1 << 40}
-	end := runAll(t, noBranchConfig(clock), port, func(th *emitter.Thread) {
+	end := runAll(t, DefaultConfig(clock), port, func(th *emitter.Thread) {
 		for i := 0; i < 10; i++ {
 			th.IntDiv(emitter.None, emitter.None)
 		}
@@ -141,12 +135,12 @@ func TestMulDivUnpipelined(t *testing.T) {
 func TestCop0FlushesPipeline(t *testing.T) {
 	clock := sim.Clock150
 	port := &fakePort{clock: clock, base: 1 << 40}
-	endCop := runAll(t, noBranchConfig(clock), port, func(th *emitter.Thread) {
+	endCop := runAll(t, DefaultConfig(clock), port, func(th *emitter.Thread) {
 		for i := 0; i < 20; i++ {
 			th.Op(isa.Cop0, emitter.None, emitter.None)
 		}
 	})
-	endALU := runAll(t, noBranchConfig(clock), port, func(th *emitter.Thread) {
+	endALU := runAll(t, DefaultConfig(clock), port, func(th *emitter.Thread) {
 		th.IntOps(20)
 	})
 	if endCop <= endALU*2 {
@@ -158,7 +152,7 @@ func TestTLBMissFlushIsSerial(t *testing.T) {
 	clock := sim.Clock150
 	// Port where every load reports a TLB miss costing 65 cycles.
 	port := &tlbPort{clock: clock}
-	end := runAll(t, noBranchConfig(clock), port, func(th *emitter.Thread) {
+	end := runAll(t, DefaultConfig(clock), port, func(th *emitter.Thread) {
 		for i := 0; i < 10; i++ {
 			th.Load(uint64(i*4096), 8, emitter.None, emitter.None)
 		}
@@ -194,8 +188,8 @@ func TestFastIssueBugIsOptimistic(t *testing.T) {
 		}
 	}
 	port := &fakePort{clock: clock, base: 1 << 40}
-	clean := runAll(t, noBranchConfig(clock), port, body)
-	bugCfg := noBranchConfig(clock)
+	clean := runAll(t, DefaultConfig(clock), port, body)
+	bugCfg := DefaultConfig(clock)
 	bugCfg.Fidelity.BugFastIssue = true
 	buggy := runAll(t, bugCfg, port, body)
 	if buggy > clean {
@@ -210,8 +204,8 @@ func TestCacheOpStallBug(t *testing.T) {
 		th.CacheOp(0x1000, 0)
 		th.IntOps(10)
 	}
-	clean := runAll(t, noBranchConfig(clock), port, body)
-	bugCfg := noBranchConfig(clock)
+	clean := runAll(t, DefaultConfig(clock), port, body)
+	bugCfg := DefaultConfig(clock)
 	bugCfg.Fidelity.BugCacheOpStall = true
 	bugCfg.Fidelity.CacheOpStallCycles = 1000
 	buggy := runAll(t, bugCfg, port, body)
@@ -229,9 +223,9 @@ func TestAddressInterlocksSlowDependentAddressing(t *testing.T) {
 		}
 	}
 	port := &fakePort{clock: clock, base: 1 << 40}
-	plain := runAll(t, noBranchConfig(clock), port, body)
+	plain := runAll(t, DefaultConfig(clock), port, body)
 	ic, id := DefaultInterlocks()
-	ilCfg := noBranchConfig(clock)
+	ilCfg := DefaultConfig(clock)
 	ilCfg.Fidelity = Fidelity{ModelAddressInterlocks: true, InterlockCycles: ic, InterlockMaxDist: id}
 	slowed := runAll(t, ilCfg, port, body)
 	// Every load after the first takes its address from the load before
@@ -241,21 +235,28 @@ func TestAddressInterlocksSlowDependentAddressing(t *testing.T) {
 	}
 }
 
+// TestBranchMispredictionCost: a branch costs what an ALU op does
+// (one cycle on the ALU), so a body whose every other op is a branch
+// outlasts an ALU-only body of the same length only by the mispredicts.
 func TestBranchMispredictionCost(t *testing.T) {
 	clock := sim.Clock150
-	body := func(th *emitter.Thread) {
-		for i := 0; i < 500; i++ {
-			th.Branch(emitter.None)
-			th.IntALU(emitter.None, emitter.None)
+	body := func(branch bool) func(*emitter.Thread) {
+		return func(th *emitter.Thread) {
+			for i := 0; i < 500; i++ {
+				if branch {
+					th.Branch(emitter.None)
+				} else {
+					th.IntALU(emitter.None, emitter.None)
+				}
+				th.IntALU(emitter.None, emitter.None)
+			}
 		}
 	}
 	port := &fakePort{clock: clock, base: 1 << 40}
-	perfect := runAll(t, noBranchConfig(clock), port, body)
-	badCfg := DefaultConfig(clock)
-	badCfg.BranchAccuracy = 0.5
-	bad := runAll(t, badCfg, port, body)
-	if bad <= perfect {
-		t.Fatalf("mispredictions free: %d vs %d", bad, perfect)
+	straight := runAll(t, DefaultConfig(clock), port, body(false))
+	branchy := runAll(t, DefaultConfig(clock), port, body(true))
+	if branchy <= straight {
+		t.Fatalf("mispredictions free: %d vs %d", branchy, straight)
 	}
 }
 
@@ -286,7 +287,7 @@ func TestDistantProducersNeverStall(t *testing.T) {
 	clock := sim.Clock150
 	port := &slowPort{fakePort: fakePort{clock: clock}, slow: 0x100, done: map[uint64]sim.Ticks{}}
 	dists := []int{31, 32, 33, 4095, 4096}
-	runAll(t, noBranchConfig(clock), port, func(th *emitter.Thread) {
+	runAll(t, DefaultConfig(clock), port, func(th *emitter.Thread) {
 		th.IntOps(5)
 		v := th.Load(port.slow, 8, emitter.None, emitter.None)
 		pos := 0

@@ -359,7 +359,7 @@ func TestOverrideReproducesTLBCorrection(t *testing.T) {
 		if cfg.OS.TLBHandlerCycles == 0 {
 			return cfg, nil // Solo keeps no TLB; nothing to correct
 		}
-		err := param.SetString(&cfg, "os.tlb.handler_cycles", "65")
+		err := param.SetValue(&cfg, "os.tlb.handler_cycles", "65")
 		return cfg, err
 	}
 	d, _, err := s.ExperimentTLBCost()
@@ -466,7 +466,7 @@ func TestOverrideNeverTouchesHardwareReference(t *testing.T) {
 		if cfg.OS.TLBHandlerCycles == 0 {
 			return cfg, nil // Solo keeps no TLB
 		}
-		err := param.SetString(&cfg, "os.tlb.handler_cycles", "500")
+		err := param.SetValue(&cfg, "os.tlb.handler_cycles", "500")
 		return cfg, err
 	}
 

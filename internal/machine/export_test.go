@@ -205,8 +205,8 @@ func DropFreeParts() {
 
 // ScribbleParts makes every machine fill its parts with junk just before
 // it gives them back, until the returned func restores the default: tag
-// arrays, TLBs, directory, network and controller reservations all hold
-// what a later build must reset.
+// arrays, TLBs, directory (its invariant checks on), network and
+// controller reservations all hold what a later build must reset.
 func ScribbleParts() (restore func()) {
 	old := scribble
 	scribble = scribbleParts
@@ -235,7 +235,7 @@ func scribbleParts(m *Machine) {
 			}
 		}
 	}
-	m.mem.Directory().SetInvariantChecks(false)
+	m.mem.Directory().EnableInvariantChecks()
 	for k := 0; k < 4000; k++ {
 		t := sim.Ticks(rnd(1 << 30))
 		node := int(rnd(procs))

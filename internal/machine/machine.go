@@ -127,7 +127,7 @@ func build(cfg Config, space *emitter.AddressSpace, newCore func(i int, clock si
 	}
 	m.mem.SetPeers(m)
 	if cfg.CheckCoherence {
-		m.mem.Directory().SetInvariantChecks(true)
+		m.mem.Directory().EnableInvariantChecks()
 	}
 
 	// Window width: the interconnect's conservative lookahead (45 ticks

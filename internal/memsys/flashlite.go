@@ -92,7 +92,7 @@ func (f *FlashLite) Reset(cfg FlashConfig) {
 	net.RouterTicks = sim.NS(cfg.Timing.RouterNS)
 	f.cfg, f.peers = cfg, nopPeers{}
 	f.net.Reset(net)
-	f.dir.Reset(cfg.Nodes, 0)
+	f.dir.Reset(cfg.Nodes)
 	f.ctrl = recycle.Renew(f.ctrl, cfg.Nodes, func(c *magic.Controller) { c.Reset(magic.Config{Table: cfg.Occupancy}) })
 }
 

@@ -72,7 +72,7 @@ func (n *NUMA) Reset(cfg NUMAConfig) {
 	}
 	n.cfg, n.peers = cfg, nopPeers{}
 	n.net.Reset(ncfg)
-	n.dir.Reset(cfg.Nodes, 0)
+	n.dir.Reset(cfg.Nodes)
 	n.dram = recycle.Renew(n.dram, cfg.Nodes, func(b *sim.Banks) { b.Reset(banks) })
 }
 

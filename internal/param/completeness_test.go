@@ -181,7 +181,7 @@ func TestNoPathAcceptsNaN(t *testing.T) {
 		}
 		cfg := machine.Base(4, true)
 		for _, text := range []string{"NaN", "nan", "+Inf", "-Inf"} {
-			if err := param.SetString(&cfg, p.Path, text); err == nil || !strings.Contains(err.Error(), p.Path) {
+			if err := param.SetValue(&cfg, p.Path, text); err == nil || !strings.Contains(err.Error(), p.Path) {
 				t.Errorf("%s=%s: err %v, want a refusal naming the path", p.Path, text, err)
 			}
 		}

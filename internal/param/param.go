@@ -198,7 +198,7 @@ func Coerce(k Kind, min, max float64, values []string, raw any) (any, error) {
 
 // cannotUse names raw's type through reflect, not %v or %T: handing raw
 // itself to fmt would make every caller's value escape, and the string
-// SetString passes down would be boxed on the heap for each setting.
+// ApplySettings passes down would be boxed on the heap for each setting.
 func cannotUse(raw any, k Kind) error {
 	return fmt.Errorf("cannot use a %v as %s", reflect.TypeOf(raw), k)
 }
@@ -276,7 +276,8 @@ func convert(path string, raw any) (*Param, any, error) {
 }
 
 // SetValue writes one parameter into cfg by path, coercing v onto the
-// parameter's type and checking bounds.
+// parameter's type and checking bounds. A string v is the text form —
+// the engine of the CLIs' -set path=value flag.
 func SetValue(cfg *machine.Config, path string, v any) error {
 	p, cv, err := convert(path, v)
 	if err != nil {
@@ -284,12 +285,6 @@ func SetValue(cfg *machine.Config, path string, v any) error {
 	}
 	p.set(cfg, cv)
 	return nil
-}
-
-// SetString is SetValue of the text form — the engine of the CLIs'
-// -set path=value flag.
-func SetString(cfg *machine.Config, path, raw string) error {
-	return SetValue(cfg, path, raw)
 }
 
 // Setting is one textual path=value override, as supplied on a command
@@ -318,7 +313,7 @@ func (s Setting) Validate() error {
 // ApplySettings returns cfg with every setting applied, in order.
 func ApplySettings(cfg machine.Config, settings []Setting) (machine.Config, error) {
 	for _, s := range settings {
-		if err := SetString(&cfg, s.Path, s.Value); err != nil {
+		if err := SetValue(&cfg, s.Path, s.Value); err != nil {
 			return cfg, err
 		}
 	}

@@ -33,7 +33,7 @@ func TestGetSetRoundTrip(t *testing.T) {
 		{"numa.hop_ns", "55", 55.0},
 	}
 	for _, c := range cases {
-		if err := param.SetString(&cfg, c.path, c.raw); err != nil {
+		if err := param.SetValue(&cfg, c.path, c.raw); err != nil {
 			t.Fatalf("Set %s=%s: %v", c.path, c.raw, err)
 		}
 		got, err := param.Get(&cfg, c.path)
@@ -70,7 +70,7 @@ func TestSetErrors(t *testing.T) {
 		{"l2.model_interface_occupancy", "maybe", "not a bool"},
 		{"procs", "0", "out of range"},
 	} {
-		err := param.SetString(&cfg, c.path, c.raw)
+		err := param.SetValue(&cfg, c.path, c.raw)
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("Set %s=%s: got %v, want error containing %q", c.path, c.raw, err, c.wantErr)
 		}

@@ -12,18 +12,15 @@ import "fmt"
 //   - unowned: no owner and no sharers.
 //
 // The checks are off by default (one predictable branch on the hot
-// path) and are enabled per-directory via SetInvariantChecks — the
+// path) and are enabled per-directory via EnableInvariantChecks — the
 // machine model turns them on when Config.CheckCoherence is set, and
 // the randomized-traffic tests drive thousands of mixed operations
-// with them enabled.
+// with them enabled. Reset turns them off again.
 
-// SetInvariantChecks enables or disables per-operation invariant
-// verification. A violation panics with a description of the broken
-// entry; the runner pool converts the panic into a per-job error.
-func (d *Directory) SetInvariantChecks(on bool) { d.checks = on }
-
-// InvariantChecksEnabled reports whether per-operation checks are on.
-func (d *Directory) InvariantChecksEnabled() bool { return d.checks }
+// EnableInvariantChecks turns on per-operation invariant verification.
+// A violation panics with a description of the broken entry; the
+// runner pool converts the panic into a per-job error.
+func (d *Directory) EnableInvariantChecks() { d.checks = true }
 
 // check verifies the entry just touched by an operation, when enabled.
 func (d *Directory) check(line uint64, e *entry) {

@@ -20,8 +20,8 @@ func TestRandomTrafficKeepsInvariants(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(42))
 	d := NewDirectory(nodes, 0)
-	d.SetInvariantChecks(true)
-	if !d.InvariantChecksEnabled() {
+	d.EnableInvariantChecks()
+	if !d.checks {
 		t.Fatal("checks did not enable")
 	}
 	var reads, writes, replaces, writebacks int
@@ -61,6 +61,9 @@ func TestRandomTrafficKeepsInvariants(t *testing.T) {
 	s := d.Stats()
 	if s.Reads == 0 || s.Writes == 0 || s.Transitions == 0 {
 		t.Fatalf("stats not accumulated: %+v", s)
+	}
+	if d.Reset(nodes); d.checks {
+		t.Fatal("Reset left the checks on")
 	}
 }
 
@@ -147,7 +150,7 @@ func TestCheckerCatchesCorruption(t *testing.T) {
 // the operation that lands on a corrupted entry panics.
 func TestCheckPanicsWhenEnabled(t *testing.T) {
 	d := NewDirectory(4, 0)
-	d.SetInvariantChecks(true)
+	d.EnableInvariantChecks()
 	const line = 0x3000
 	d.Read(line, 0, 1)
 	e, _ := d.lookup(line)

@@ -17,14 +17,11 @@ type naiveLine struct {
 }
 
 // naiveDir is the oracle for proto.Directory: a map of every line ever
-// touched, never forgotten, with the sharing lists as plain slices.
-// links and limit model the pointer store's pool: when all limit links
-// are in use, adding a sharer overwrites the head of the list instead
-// (PointerStore's reclaim rule). It shares no code with proto.Directory.
+// touched, never forgotten, with the sharing lists as plain slices. It
+// shares no code with proto.Directory.
 type naiveDir struct {
-	lines        map[uint64]*naiveLine
-	links, limit int
-	stats        proto.DirStats
+	lines map[uint64]*naiveLine
+	stats proto.DirStats
 }
 
 func (o *naiveDir) line(l uint64) *naiveLine {
@@ -44,19 +41,9 @@ func (o *naiveDir) set(nl *naiveLine, st proto.EntryState, owner int) {
 }
 
 func (o *naiveDir) add(nl *naiveLine, node int) {
-	switch {
-	case slices.Contains(nl.sharers, node):
-	case o.links < o.limit:
+	if !slices.Contains(nl.sharers, node) {
 		nl.sharers = slices.Insert(nl.sharers, 0, node)
-		o.links++
-	case len(nl.sharers) > 0:
-		nl.sharers[0] = node
 	}
-}
-
-func (o *naiveDir) free(nl *naiveLine) {
-	o.links -= len(nl.sharers)
-	nl.sharers = nil
 }
 
 func (o *naiveDir) Read(line uint64, home, req int) proto.ReadResult {
@@ -102,7 +89,7 @@ func (o *naiveDir) Write(line uint64, home, req int) proto.WriteResult {
 		}
 	}
 	o.stats.Invalidations += uint64(len(res.Invalidate))
-	o.free(nl)
+	nl.sharers = nil
 	o.set(nl, proto.DirDirty, req)
 	o.stats.CaseCounts[res.Case]++
 	return res
@@ -113,7 +100,7 @@ func (o *naiveDir) Writeback(line uint64, owner int) {
 	o.stats.Writebacks++
 	if nl.state == proto.DirDirty && nl.owner == owner {
 		o.set(nl, proto.DirUnowned, -1)
-		o.free(nl)
+		nl.sharers = nil
 	}
 }
 
@@ -130,7 +117,6 @@ func (o *naiveDir) Replace(line uint64, node int) {
 	case proto.DirShared:
 		if i := slices.Index(nl.sharers, node); i >= 0 {
 			nl.sharers = slices.Delete(nl.sharers, i, i+1)
-			o.links--
 		}
 		if len(nl.sharers) == 0 {
 			o.set(nl, proto.DirUnowned, -1)
@@ -152,30 +138,26 @@ func (o *naiveDir) held() int {
 // FuzzDirectoryMatchesNaive runs a script of directory operations on
 // proto.Directory and on naiveDir and requires the same results, the
 // same Stats, the same State of every line and the same count of held
-// records after every op. script[0] sizes the pointer pool at 1 to 32
-// links, so sharing lists overflow into the reclaim rule; each later
-// pair (a, b) is one op on line a/5%8 from node b%4 with home b/4%4:
-// Read, Write, Writeback, Replace or NoteStaleInval by a%5.
+// records after every op. Each pair (a, b) of the script is one op on
+// line a/5%8 from node b%4 with home b/4%4: Read, Write, Writeback,
+// Replace or NoteStaleInval by a%5.
 func FuzzDirectoryMatchesNaive(f *testing.F) {
 	// A stale writeback and a stale replace leave a dirty line held.
-	f.Add([]byte{31, 1, 1, 2, 2, 3, 3, 0, 5, 5, 2})
+	f.Add([]byte{1, 1, 2, 2, 3, 3, 0, 5, 5, 2})
 	// Node 1 replaces out of a two-sharer list; node 2 still shares.
-	f.Add([]byte{31, 0, 1, 0, 2, 3, 1, 1, 3})
-	// A one-link pool: the second sharer reclaims the first's link.
-	f.Add([]byte{0, 0, 1, 0, 2, 5, 3, 0, 3, 3, 2, 3, 1, 1, 0})
+	f.Add([]byte{0, 1, 0, 2, 3, 1, 1, 3})
+	// Three nodes share a line, two replace it, a write invalidates the
+	// third; another line gains a sharer meanwhile.
+	f.Add([]byte{0, 1, 0, 2, 5, 3, 0, 3, 3, 2, 3, 1, 1, 0})
 	rng := rand.New(rand.NewSource(1))
 	long := make([]byte, 513)
 	rng.Read(long)
 	f.Add(long)
 	f.Fuzz(func(t *testing.T, script []byte) {
-		if len(script) == 0 {
-			return
-		}
 		const nodes, lines = 4, 8
-		limit := 1 + int(script[0]%32)
-		d := proto.NewDirectory(nodes, limit)
-		o := &naiveDir{lines: map[uint64]*naiveLine{}, limit: limit}
-		for i := 1; i+1 < len(script); i += 2 {
+		d := proto.NewDirectory(nodes, 0)
+		o := &naiveDir{lines: map[uint64]*naiveLine{}}
+		for i := 0; i+1 < len(script); i += 2 {
 			a, b := script[i], script[i+1]
 			line := uint64(a/5%lines) * 128
 			node, home := int(b%nodes), int(b/nodes%nodes)

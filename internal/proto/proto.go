@@ -177,30 +177,26 @@ func (s *DirStats) Add(o DirStats) {
 	}
 }
 
-// NewDirectory creates a directory for an n-node machine backed by a
-// pointer store with the given number of links (0 picks a default of
-// 8 links per entry-sized heuristic, practically unbounded for the
-// study's working sets).
+// NewDirectory creates a directory for an n-node machine. storeLinks
+// is ignored: the pointer store grows on demand (it leaves with ROADMAP
+// item 1(h)).
 func NewDirectory(nodes int, storeLinks int) *Directory {
 	d := new(Directory)
-	d.Reset(nodes, storeLinks)
+	d.Reset(nodes)
 	return d
 }
 
-// Reset makes d the empty directory NewDirectory(nodes, storeLinks)
-// creates, in d's index, slab and pointer arrays: a map refilled after
-// clear allocates nothing up to the size it had.
-func (d *Directory) Reset(nodes int, storeLinks int) {
-	if storeLinks <= 0 {
-		storeLinks = 1 << 20
-	}
+// Reset makes d the empty directory NewDirectory(nodes, 0) creates, in
+// d's index, slab and pointer arrays: a map refilled after clear
+// allocates nothing up to the size it had.
+func (d *Directory) Reset(nodes int) {
 	index := d.index
 	if index == nil {
 		index = make(map[uint64]int32)
 	}
 	clear(index)
 	store := d.store
-	store.Reset(storeLinks)
+	store.Reset()
 	*d = Directory{
 		nodes: nodes,
 		store: store,

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -219,5 +220,26 @@ func TestSingleOwnerInvariant(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(42))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOneLinkStoreKeepsEverySharer: a directory asked for a one-link
+// pointer store still records every sharer of two shared lines. A store
+// that reclaimed links when its pool ran dry dropped sharer 0 of line
+// 0x1000, so no write would ever invalidate node 0's copy, and left line
+// 0x2000 shared with an empty sharing list.
+func TestOneLinkStoreKeepsEverySharer(t *testing.T) {
+	d := NewDirectory(4, 1)
+	d.Read(0x1000, 0, 0)
+	d.Read(0x1000, 0, 1)
+	d.Read(0x2000, 0, 2)
+	d.Read(0x2000, 0, 3)
+	if err := d.CheckAll(); err != nil {
+		t.Fatal(err)
+	}
+	for line, want := range map[uint64][]int{0x1000: {1, 0}, 0x2000: {3, 2}} {
+		if st, _, sharers := d.State(line); st != DirShared || !slices.Equal(sharers, want) {
+			t.Errorf("line %#x: %v, sharers %v; want shared by %v", line, st, sharers, want)
+		}
 	}
 }

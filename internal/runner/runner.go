@@ -24,6 +24,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flashsim/internal/emitter"
@@ -134,13 +135,13 @@ type Pool struct {
 	// themselves by spawning exactly `workers` goroutines.
 	sem chan struct{}
 
-	jobs      atomicCounter
-	ran       atomicCounter
-	hits      atomicCounter
-	failed    atomicCounter
-	emissions atomicCounter // programs launched
-	wall      atomicCounter // nanoseconds across Run/RunAll calls
-	cpu       atomicCounter // execution nanoseconds, a shared emission's once
+	jobs      atomic.Int64
+	ran       atomic.Int64
+	hits      atomic.Int64
+	failed    atomic.Int64
+	emissions atomic.Int64 // programs launched
+	wall      atomic.Int64 // nanoseconds across Run/RunAll calls
+	cpu       atomic.Int64 // execution nanoseconds, a shared emission's once
 }
 
 // New returns a pool with the given concurrency. workers <= 0 selects
@@ -209,14 +210,14 @@ func (p *Pool) Run(ctx context.Context, jobs []Job) ([]machine.Result, error) {
 // bounds queue wait, not run time.
 func (p *Pool) RunOne(ctx context.Context, j Job) Outcome {
 	t0 := time.Now()
-	defer func() { p.wall.add(int64(time.Since(t0))) }()
+	defer func() { p.wall.Add(int64(time.Since(t0))) }()
 	select {
 	case p.sem <- struct{}{}:
 		defer func() { <-p.sem }()
 		return p.runOne(ctx, j)
 	case <-ctx.Done():
-		p.jobs.add(1)
-		p.failed.add(1)
+		p.jobs.Add(1)
+		p.failed.Add(1)
 		return Outcome{Err: ctx.Err()}
 	}
 }
@@ -228,7 +229,7 @@ func (p *Pool) RunOne(ctx context.Context, j Job) Outcome {
 // one worker: its store misses run from a single emission.
 func (p *Pool) RunAll(ctx context.Context, jobs []Job) []Outcome {
 	t0 := time.Now()
-	defer func() { p.wall.add(int64(time.Since(t0))) }()
+	defer func() { p.wall.Add(int64(time.Since(t0))) }()
 
 	out := make([]Outcome, len(jobs))
 	groups := groupJobs(jobs)
@@ -258,8 +259,8 @@ func (p *Pool) RunAll(ctx context.Context, jobs []Job) []Outcome {
 		case gs <- g:
 		case <-ctx.Done():
 			for _, i := range g {
-				p.jobs.add(1)
-				p.failed.add(1)
+				p.jobs.Add(1)
+				p.failed.Add(1)
 				out[i] = Outcome{Err: ctx.Err()}
 			}
 		}
@@ -339,17 +340,17 @@ func (p *Pool) runShared(jobs []Job, miss []int, keys []string, out []Outcome) {
 	}
 	t0 := time.Now()
 	defer func() {
-		p.cpu.add(int64(time.Since(t0)))
+		p.cpu.Add(int64(time.Since(t0)))
 		// Only the launch panics outside a member: Setup failed, and
 		// with it every member.
 		if r := recover(); r != nil {
 			for _, i := range miss {
-				p.failed.add(1)
+				p.failed.Add(1)
 				out[i] = Outcome{Err: panicked(r)}
 			}
 		}
 	}()
-	p.emissions.add(1)
+	p.emissions.Add(1)
 	machine.RunShared(cfgs, jobs[miss[0]].Prog, func(k int, run func() (machine.Result, error)) {
 		o := &out[miss[k]]
 		defer p.recovered(o)
@@ -377,17 +378,17 @@ func (p *Pool) runOne(ctx context.Context, j Job) (o Outcome) {
 	if j.Replay != nil {
 		res, err = machine.RunReplay(j.config(), j.Replay)
 	} else {
-		p.emissions.add(1)
+		p.emissions.Add(1)
 		res, err = machine.Run(j.config(), j.Prog)
 	}
-	p.cpu.add(int64(time.Since(t0)))
+	p.cpu.Add(int64(time.Since(t0)))
 	return p.file(key, res, err)
 }
 
 // recovered fails *o with the panic in flight, if any.
 func (p *Pool) recovered(o *Outcome) {
 	if r := recover(); r != nil {
-		p.failed.add(1)
+		p.failed.Add(1)
 		*o = Outcome{Err: panicked(r)}
 	}
 }
@@ -402,9 +403,9 @@ func panicked(r any) error {
 // fresh result is filed under and, when the job needs no run, done with
 // its outcome.
 func (p *Pool) admit(ctx context.Context, j Job) (key string, o Outcome, done bool) {
-	p.jobs.add(1)
+	p.jobs.Add(1)
 	if err := ctx.Err(); err != nil {
-		p.failed.add(1)
+		p.failed.Add(1)
 		return "", Outcome{Err: err}, true
 	}
 	cfg := j.config()
@@ -414,7 +415,7 @@ func (p *Pool) admit(ctx context.Context, j Job) (key string, o Outcome, done bo
 	// No fingerprint carries the sampling schedule, so a sampled
 	// result would be filed under its full-detail run's key.
 	if cfg.Sampling.Enabled {
-		p.failed.add(1)
+		p.failed.Add(1)
 		return "", Outcome{Err: errSampledMemo}, true
 	}
 	key = j.Fingerprint()
@@ -428,7 +429,7 @@ func (p *Pool) admit(ctx context.Context, j Job) (key string, o Outcome, done bo
 	// The fingerprint is Name-blind, so a hit may come from a run under
 	// a different label; re-stamp it with ours.
 	res.Config = cfg.Name
-	p.hits.add(1)
+	p.hits.Add(1)
 	if p.metrics != nil {
 		p.metrics.Record(res)
 	}
@@ -437,9 +438,9 @@ func (p *Pool) admit(ctx context.Context, j Job) (key string, o Outcome, done bo
 
 // file accounts for one finished run and files its result under key.
 func (p *Pool) file(key string, res machine.Result, err error) Outcome {
-	p.ran.add(1)
+	p.ran.Add(1)
 	if err != nil {
-		p.failed.add(1)
+		p.failed.Add(1)
 		return Outcome{Err: err}
 	}
 	if key != "" {

@@ -2,17 +2,10 @@ package runner
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"flashsim/internal/obs"
 )
-
-// atomicCounter is a monotone int64 counter shared across workers.
-type atomicCounter struct{ v atomic.Int64 }
-
-func (c *atomicCounter) add(d int64) { c.v.Add(d) }
-func (c *atomicCounter) get() int64  { return c.v.Load() }
 
 // Stats is a snapshot of a pool's lifetime activity.
 type Stats struct {
@@ -39,13 +32,13 @@ type Stats struct {
 // Stats returns a snapshot of the pool's counters.
 func (p *Pool) Stats() Stats {
 	return Stats{
-		Jobs:      p.jobs.get(),
-		Ran:       p.ran.get(),
-		CacheHits: p.hits.get(),
-		Failed:    p.failed.get(),
-		Emissions: p.emissions.get(),
-		Wall:      time.Duration(p.wall.get()),
-		CPU:       time.Duration(p.cpu.get()),
+		Jobs:      p.jobs.Load(),
+		Ran:       p.ran.Load(),
+		CacheHits: p.hits.Load(),
+		Failed:    p.failed.Load(),
+		Emissions: p.emissions.Load(),
+		Wall:      time.Duration(p.wall.Load()),
+		CPU:       time.Duration(p.cpu.Load()),
 	}
 }
 

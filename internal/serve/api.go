@@ -143,13 +143,6 @@ type ConfigSpec struct {
 	Set []param.Setting `json:"set,omitempty"`
 }
 
-// maxProcs bounds the machine a spec may ask for: 8× the largest any
-// experiment builds (core.WideSizes), and the registry's own bound on a
-// "procs" setting. A machine's memory grows with its processor count
-// and running out of it kills the daemon — no recover catches that — so
-// the bound is checked here, before a queue slot is taken.
-const maxProcs = 1024
-
 // Config materializes the spec through core's constructors and the
 // param registry and validates the result: a spec this accepts is one
 // machine.New builds.
@@ -157,8 +150,14 @@ func (c ConfigSpec) Config() (machine.Config, error) {
 	if c.Procs == 0 {
 		c.Procs = 1
 	}
-	if c.Procs < 1 || c.Procs > maxProcs {
-		return machine.Config{}, fmt.Errorf("procs %d out of range [1, %d]", c.Procs, maxProcs)
+	// The registry bounds procs at 8× the largest machine any experiment
+	// builds (core.WideSizes). A machine's memory grows with its
+	// processor count and running out of it kills the daemon — no
+	// recover catches that — so the bound is checked here, before a
+	// queue slot is taken.
+	p, _ := param.Lookup("procs")
+	if _, err := param.Coerce(p.Kind, p.Min, p.Max, nil, c.Procs); err != nil {
+		return machine.Config{}, fmt.Errorf("procs: %v", err)
 	}
 	if c.MHz == 0 {
 		c.MHz = 150

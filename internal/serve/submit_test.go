@@ -100,13 +100,14 @@ func TestUnrunnableSpecRefusedAtTheDoor(t *testing.T) {
 	s, ts, gate := newTestServer(t, Options{})
 	close(gate)
 	const gups = `,"workload":{"name":"gups","log_table":10,"updates":64}`
+	procs, _ := param.Lookup("procs")
 	for name, row := range map[string]struct{ spec, want string }{
 		"no processors":     {`"procs":-1` + gups, "config: "},
 		"negative clock":    {`"mhz":-5` + gups, "config: "},
 		"L2 line < L1 line": {`"set":[{"path":"l2.line_bytes","value":"16"}]` + gups, "config: machine "},
 		"sampling":          {`"set":[{"path":"sampling.enabled","value":"true"}]` + gups, `config: param: unknown path "sampling.enabled"`},
 		"20000 processors":  {`"procs":20000` + gups, "config: "},
-		"one over":          {fmt.Sprintf(`"procs":%d`, maxProcs+1) + gups, "config: "},
+		"one over":          {fmt.Sprintf(`"procs":%v`, procs.Max+1) + gups, "config: "},
 		"1 thread on 4":     {`"procs":4,"workload":{"name":"snbench.restart","lines":8}`, "workload: "},
 	} {
 		body := `{"base":"simos-mipsy",` + row.spec + `}`
@@ -124,13 +125,9 @@ func TestUnrunnableSpecRefusedAtTheDoor(t *testing.T) {
 		t.Errorf("healthz after the refusals: %v", health)
 	}
 
-	// The bound is the registry's own on a "procs" setting, and the
-	// largest machine inside it is admitted.
-	if p, ok := param.Lookup("procs"); !ok || p.Max != maxProcs {
-		t.Errorf("maxProcs is %d, the registry bounds procs at %v", maxProcs, p.Max)
-	}
-	if _, err := (ConfigSpec{Base: "simos-mipsy", Procs: maxProcs}).Config(); err != nil {
-		t.Errorf("procs %d refused: %v", maxProcs, err)
+	// The largest machine inside the registry's bound is admitted.
+	if _, err := (ConfigSpec{Base: "simos-mipsy", Procs: int(procs.Max)}).Config(); err != nil {
+		t.Errorf("procs %v refused: %v", procs.Max, err)
 	}
 	if cfg, err := (ConfigSpec{Base: "simos-mipsy"}).Config(); err != nil || cfg.Procs != 1 {
 		t.Errorf("procs 0: %d processors, err %v, want the one-processor default", cfg.Procs, err)

@@ -1,5 +1,5 @@
 // Package stats provides the small numeric helpers the experiment
-// layers share: summaries over repeated runs (mean/min/max) and
+// layers share: summaries over repeated runs (sum/mean) and
 // relative-error metrics. DESIGN.md §2 lists it as the "means over
 // repeats, relative-error metrics" package; core and runner use it
 // instead of hand-rolling the same loops.
@@ -31,36 +31,6 @@ func Mean[T Real](xs []T) T {
 		return zero
 	}
 	return Sum(xs) / T(len(xs))
-}
-
-// Min returns the smallest element of xs (zero for an empty slice).
-func Min[T Real](xs []T) T {
-	if len(xs) == 0 {
-		var zero T
-		return zero
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs (zero for an empty slice).
-func Max[T Real](xs []T) T {
-	if len(xs) == 0 {
-		var zero T
-		return zero
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // RelError returns the absolute relative error |pred-ref|/|ref| of a

@@ -14,17 +14,11 @@ func TestSummaryHelpers(t *testing.T) {
 	if got := stats.Mean(xs); got != 6 { // truncating, as the repeats average
 		t.Errorf("Mean = %d", got)
 	}
-	if got := stats.Min(xs); got != 3 {
-		t.Errorf("Min = %d", got)
-	}
-	if got := stats.Max(xs); got != 11 {
-		t.Errorf("Max = %d", got)
-	}
 }
 
 func TestEmptySlicesAreZero(t *testing.T) {
 	var none []float64
-	if stats.Sum(none) != 0 || stats.Mean(none) != 0 || stats.Min(none) != 0 || stats.Max(none) != 0 {
+	if stats.Sum(none) != 0 || stats.Mean(none) != 0 {
 		t.Error("empty-slice summaries should all be zero")
 	}
 }

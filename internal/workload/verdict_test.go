@@ -28,7 +28,7 @@ var cpuKinds = []string{"mipsy", "mxs"}
 // TestOneVerdict puts one table of raw inputs — Go natives, what
 // encoding/json decodes to, and text — through every door a value
 // enters by: param.SetValue (-config files, deltas, snapshots),
-// param.SetString (-set, flashd's "set") and Definition.Resolve (-p,
+// param.ApplySettings (-set, flashd's "set") and Definition.Resolve (-p,
 // flashd's "workload"). A string goes through all three, anything else
 // through SetValue and Resolve; the float rows have no workload twin
 // (no workload parameter is a float). want is the typed value every
@@ -107,9 +107,9 @@ func TestOneVerdict(t *testing.T) {
 			},
 		}
 		if text, ok := row.raw.(string); ok {
-			doors["SetString"] = func() (any, error) {
-				cfg := machine.Base(4, true)
-				if err := param.SetString(&cfg, row.path, text); err != nil {
+			doors["ApplySettings"] = func() (any, error) {
+				cfg, err := param.ApplySettings(machine.Base(4, true), []param.Setting{{Path: row.path, Value: text}})
+				if err != nil {
 					return nil, err
 				}
 				return param.Get(&cfg, row.path)

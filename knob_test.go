@@ -21,7 +21,6 @@ import (
 // code sets that stay on purpose, by their path under internal/, with
 // the reason.
 var knobAllow = map[string]string{
-	"cpu/mxs.Config.BranchAccuracy":    "tests set it (1.0 for exact timing, 0.5 once)",
 	"machine.Config.Shards":            "deprecated and ignored; the frozen benchmark writes it (ROADMAP item 1(c))",
 	"machine.SamplingConfig.Enabled":   "goes with sampling (ROADMAP item 1(b))",
 	"machine.SamplingConfig.Window":    "goes with sampling (ROADMAP item 1(b))",

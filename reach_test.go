@@ -36,35 +36,31 @@ var reachRoots = []struct{ dir, pkg string }{
 // test holds other code to, state a test observes through it, or API
 // of the daemon's HTTP client that its users call and its tests drive.
 var reachAllow = map[string]string{
-	"cache.Cache.Resident":                   "observed by a test: the residency bound and conflict-set properties",
-	"cache.MSHRs.Merges":                     "observed by a test: TestPortScriptPinned hashes it",
-	"cache.State.String":                     "observed by a test: the cache oracle's failure messages name states",
-	"core.CompareResult.Entry":               "observed by a test: the Figure 1 checks read cells",
-	"core.CompareResult.MaxAbsError":         "observed by a test: the Figure 1 checks",
-	"core.Curve.At":                          "observed by a test: the trend checks read speedups",
-	"core.Reference.Scaled":                  "observed by a test: TestReferenceAccessors",
-	"cpu.MemInfo.L2Hit":                      "observed by a test: the memory port's access scripts",
-	"network.Network.Route":                  "oracle: the e-cube walk TestSendWalksRoute holds Send to",
-	"obs.Collector.Runs":                     "observed by a test: the collector and metrics tests",
-	"param.Get":                              "observed by a test: reads a configuration by registry path",
-	"param.SnapshotOf":                       "oracle: the encoding/json snapshot the canonical encoder and fingerprints are compared with",
-	"proto.Directory.CheckAll":               "oracle: the coherence invariants of every directory entry",
-	"proto.Directory.CheckLine":              "oracle: the coherence invariants of one directory entry",
-	"proto.Directory.InvariantChecksEnabled": "observed by a test: the invariant tests",
-	"proto.Directory.Lines":                  "observed by a test: the directory slab tests",
-	"proto.Directory.State":                  "observed by a test: the protocol, port and memory-system tests",
-	"proto.PointerStore.HighWater":           "observed by a test: the pointer store tests",
-	"proto.PointerStore.InUse":               "observed by a test: the pointer store tests",
-	"proto.PointerStore.Reclaims":            "observed by a test: the pointer store tests",
-	"recycle.Bin.Locked":                     "observed by a test: the slab and machine-part bin tests",
-	"runner.Stats.Sub":                       "observed by a test: warm-pass deltas of the pool counters",
-	"runner.Store.Evictions":                 "observed by a test: the byte-bound tests",
-	"serve.Server.Collector":                 "observed by a test: the metrics endpoint tests",
-	"serve/client.APIError.IsBusy":           "client API",
-	"serve/client.Client.Health":             "client API",
-	"serve/client.Client.Jobs":               "client API",
-	"serve/client.Client.Metrics":            "client API",
-	"tlb.TLB.Resident":                       "observed by a test: the residency bound property",
+	"cache.Cache.Resident":           "observed by a test: the residency bound and conflict-set properties",
+	"cache.MSHRs.Merges":             "observed by a test: TestPortScriptPinned hashes it",
+	"cache.State.String":             "observed by a test: the cache oracle's failure messages name states",
+	"core.CompareResult.Entry":       "observed by a test: the Figure 1 checks read cells",
+	"core.CompareResult.MaxAbsError": "observed by a test: the Figure 1 checks",
+	"core.Curve.At":                  "observed by a test: the trend checks read speedups",
+	"core.Reference.Scaled":          "observed by a test: TestReferenceAccessors",
+	"cpu.MemInfo.L2Hit":              "observed by a test: the memory port's access scripts",
+	"network.Network.Route":          "oracle: the e-cube walk TestSendWalksRoute holds Send to",
+	"obs.Collector.Runs":             "observed by a test: the collector and metrics tests",
+	"param.Get":                      "observed by a test: reads a configuration by registry path",
+	"param.SnapshotOf":               "oracle: the encoding/json snapshot the canonical encoder and fingerprints are compared with",
+	"proto.Directory.CheckAll":       "oracle: the coherence invariants of every directory entry",
+	"proto.Directory.CheckLine":      "oracle: the coherence invariants of one directory entry",
+	"proto.Directory.Lines":          "observed by a test: the directory slab tests",
+	"proto.Directory.State":          "observed by a test: the protocol, port and memory-system tests",
+	"recycle.Bin.Locked":             "observed by a test: the slab and machine-part bin tests",
+	"runner.Stats.Sub":               "observed by a test: warm-pass deltas of the pool counters",
+	"runner.Store.Evictions":         "observed by a test: the byte-bound tests",
+	"serve.Server.Collector":         "observed by a test: the metrics endpoint tests",
+	"serve/client.APIError.IsBusy":   "client API",
+	"serve/client.Client.Health":     "client API",
+	"serve/client.Client.Jobs":       "client API",
+	"serve/client.Client.Metrics":    "client API",
+	"tlb.TLB.Resident":               "observed by a test: the residency bound property",
 }
 
 // reachReasons are the reasons a function may stay unreached.
@@ -406,21 +402,20 @@ func recvType(e ast.Expr) string {
 // reachAllow keeps as "observed by a test" counts only for a field that
 // has its own entry here.
 var stateAllow = map[string]string{
-	"cache.MSHRs.merges":         "observed by a test: through MSHRs.Merges, which TestPortScriptPinned hashes",
-	"core.TrendError":            "report: the rows of worksweep's -json evidence file",
-	"cpu.MemInfo.L1Hit":          "benchmark: the frozen benchmark's all-hit port sets it; it goes when that does",
-	"harness.Table3Data":         "observed by a test: checkTable3 reads every case's three latencies",
-	"harness.WorkloadTrendRow":   "report: the rows of worksweep's -json evidence file",
-	"machine.Config.Shards":      "benchmark: deprecated and ignored; the frozen benchmark's probe writes it, and it goes when that does",
-	"machine.Result.Sampled":     "wire: flashd's result body and the memo store carry it; the sampling engine that sets it goes with the frozen benchmark's sampled replays",
-	"obs.Report":                 "report: the -metrics-out document's layout version",
-	"param.Param.Field":          "observed by a test: the snapshot and canonical-encoder walks resolve it by reflection",
-	"proto.PointerStore.reclaim": "observed by a test: through PointerStore.Reclaims",
-	"recycle.Bin.made":           "observed by a test: through Bin.Locked, which the bin tests count with",
-	"runner.Store.evictions":     "observed by a test: through Store.Evictions",
-	"serve.ErrorResponse":        "wire: flashd's error body",
-	"serve.JobStatus":            "wire: flashd's job envelope",
-	"trace.Meta":                 "wire: the trace container's header, which carries the capture's configuration snapshot",
+	"cache.MSHRs.merges":       "observed by a test: through MSHRs.Merges, which TestPortScriptPinned hashes",
+	"core.TrendError":          "report: the rows of worksweep's -json evidence file",
+	"cpu.MemInfo.L1Hit":        "benchmark: the frozen benchmark's all-hit port sets it; it goes when that does",
+	"harness.Table3Data":       "observed by a test: checkTable3 reads every case's three latencies",
+	"harness.WorkloadTrendRow": "report: the rows of worksweep's -json evidence file",
+	"machine.Config.Shards":    "benchmark: deprecated and ignored; the frozen benchmark's probe writes it, and it goes when that does",
+	"machine.Result.Sampled":   "wire: flashd's result body and the memo store carry it; the sampling engine that sets it goes with the frozen benchmark's sampled replays",
+	"obs.Report":               "report: the -metrics-out document's layout version",
+	"param.Param.Field":        "observed by a test: the snapshot and canonical-encoder walks resolve it by reflection",
+	"recycle.Bin.made":         "observed by a test: through Bin.Locked, which the bin tests count with",
+	"runner.Store.evictions":   "observed by a test: through Store.Evictions",
+	"serve.ErrorResponse":      "wire: flashd's error body",
+	"serve.JobStatus":          "wire: flashd's job envelope",
+	"trace.Meta":               "wire: the trace container's header, which carries the capture's configuration snapshot",
 }
 
 // stateReasons are the reasons a written field may stay unread: a
