@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -35,10 +36,11 @@ func runCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 		}
 
 		t0 := time.Now()
-		res, err := runner.RunOne(e.pool, runner.Job{Config: cfg, Prog: prog})
-		if err != nil {
-			return err
+		out := e.pool.RunOne(context.Background(), runner.Job{Config: cfg, Prog: prog})
+		if out.Err != nil {
+			return out.Err
 		}
+		res := out.Result
 		wall := time.Since(t0)
 		if e.pool.Stats().CacheHits > 0 {
 			fmt.Fprintf(e.out, "[memoized: result served from %s]\n", e.store.Dir())

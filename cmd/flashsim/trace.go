@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -133,10 +134,11 @@ func replayCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 			return err
 		}
 		t0 := time.Now()
-		res, err := runner.RunOne(e.pool, runner.Job{Config: cfg, Replay: img})
-		if err != nil {
-			return err
+		out := e.pool.RunOne(context.Background(), runner.Job{Config: cfg, Replay: img})
+		if out.Err != nil {
+			return out.Err
 		}
+		res := out.Result
 		fmt.Fprintf(e.out, "%s (trace-driven) on %s, %d processor(s)\n", img.Workload(), cfg.Name, procs)
 		report(e.out, res, time.Since(t0), false)
 		return nil

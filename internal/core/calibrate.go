@@ -1,15 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"flashsim/internal/emitter"
 	"flashsim/internal/machine"
 	"flashsim/internal/param"
 	"flashsim/internal/proto"
-	"flashsim/internal/runner"
 	"flashsim/internal/snbench"
 )
 
@@ -84,47 +81,24 @@ func NewCalibrator(ref *Reference) *Calibrator {
 	return &Calibrator{Ref: ref}
 }
 
-// probe executes a single simulator run through the reference's pool.
-func (c *Calibrator) probe(cfg machine.Config, prog emitter.Program) (machine.Result, error) {
-	return runner.RunOne(c.Ref.Pool, runner.Job{Config: cfg, Prog: prog})
-}
-
-// HWTLBCycles measures the reference TLB-refill cost with the snbench
-// TLB timer.
-func (c *Calibrator) HWTLBCycles() (float64, error) {
-	meas, err := c.Ref.MeasureAt(snbench.TLBTimer(), 1)
-	if err != nil {
-		return 0, err
-	}
-	// Use the median-ish first run; the metric needs barrier releases.
-	cfg := c.Ref.ConfigAt(1)
-	return snbench.TLBHandlerCycles(meas.Runs[0], cfg.ClockMHz), nil
-}
-
-// SimTLBCycles measures a simulator configuration's TLB-refill cost with
-// the snbench TLB timer.
-func (c *Calibrator) SimTLBCycles(cfg machine.Config) (float64, error) {
+// TLBCycles measures a configuration's TLB-refill cost with the snbench
+// TLB timer on one processor; TLBCycles(Ref.ConfigAt(1)) is the
+// hardware's (the metric reads barrier releases, so it takes one run,
+// not an average).
+func (c *Calibrator) TLBCycles(cfg machine.Config) (float64, error) {
 	cfg.Procs = 1
-	res, err := c.probe(cfg, snbench.TLBTimer())
+	res, err := c.Ref.Run(cfg, snbench.TLBTimer())
 	if err != nil {
 		return 0, err
 	}
 	return snbench.TLBHandlerCycles(res, cfg.ClockMHz), nil
 }
 
-// HWRestartNS measures the reference back-to-back load throughput with
-// the snbench restart-time test (ns per load).
-func (c *Calibrator) HWRestartNS() (float64, error) {
-	meas, err := c.Ref.MeasureAt(snbench.Restart(snbench.RestartLines), 1)
-	if err != nil {
-		return 0, err
-	}
-	return snbench.ThroughputNSPerLoad(meas.Runs[0], snbench.RestartLines), nil
-}
-
-func (c *Calibrator) simRestartNS(cfg machine.Config) (float64, error) {
+// restartNS measures a configuration's back-to-back load throughput
+// with the snbench restart-time test on one processor (ns per load).
+func (c *Calibrator) restartNS(cfg machine.Config) (float64, error) {
 	cfg.Procs = 1
-	res, err := c.probe(cfg, snbench.Restart(snbench.RestartLines))
+	res, err := c.Ref.Run(cfg, snbench.Restart(snbench.RestartLines))
 	if err != nil {
 		return 0, err
 	}
@@ -142,40 +116,37 @@ var DepCases = []proto.Case{
 }
 
 // DependentLoadLatencies measures all five Table 3 cases on the
-// reference (ns per load), batching every case's repeats through the
-// pool.
+// reference (ns per load), every case's repeats in one batch.
 func (c *Calibrator) DependentLoadLatencies() (map[proto.Case]float64, error) {
-	var jobs []runner.Job
-	offs := make([]int, len(DepCases))
-	for i, pc := range DepCases {
-		offs[i] = len(jobs)
-		jobs = append(jobs, c.Ref.measureJobs(snbench.DependentLoads(pc), snbench.CaseProcs(pc))...)
+	return c.depLatencies(DepCases, func(b *Batch, pc proto.Case) {
+		b.HW(snbench.DependentLoads(pc), snbench.CaseProcs(pc))
+	})
+}
+
+// DepLatencies measures Table 3 dependent-load cases on a simulator
+// configuration (ns per load), the cases in one batch.
+func (c *Calibrator) DepLatencies(cfg machine.Config, cases ...proto.Case) (map[proto.Case]float64, error) {
+	return c.depLatencies(cases, func(b *Batch, pc proto.Case) {
+		cfg.Procs = snbench.CaseProcs(pc)
+		b.Sim(cfg, snbench.DependentLoads(pc))
+	})
+}
+
+// depLatencies runs one point per case, as add builds it, in one batch.
+func (c *Calibrator) depLatencies(cases []proto.Case, add func(*Batch, proto.Case)) (map[proto.Case]float64, error) {
+	b := c.Ref.Batch()
+	for _, pc := range cases {
+		add(b, pc)
 	}
-	results, err := c.Ref.Pool.Run(context.Background(), jobs)
+	ms, err := b.Run()
 	if err != nil {
 		return nil, fmt.Errorf("dependent loads: %w", err)
 	}
-	out := make(map[proto.Case]float64, len(DepCases))
-	for i, pc := range DepCases {
-		end := len(results)
-		if i+1 < len(DepCases) {
-			end = offs[i+1]
-		}
-		meas := measurementFrom(results[offs[i]:end])
-		out[pc] = snbench.LoadLatencyNS(pc, machine.Result{Exec: meas.Mean, BarrierReleases: meas.Runs[0].BarrierReleases})
+	out := make(map[proto.Case]float64, len(cases))
+	for i, pc := range cases {
+		out[pc] = snbench.LoadLatencyNS(pc, machine.Result{Exec: ms[i].Mean})
 	}
 	return out, nil
-}
-
-// SimDepLatency measures one Table 3 dependent-load case on a simulator
-// configuration (ns per load).
-func (c *Calibrator) SimDepLatency(cfg machine.Config, pc proto.Case) (float64, error) {
-	cfg.Procs = snbench.CaseProcs(pc)
-	res, err := c.probe(cfg, snbench.DependentLoads(pc))
-	if err != nil {
-		return 0, err
-	}
-	return snbench.LoadLatencyNS(pc, res), nil
 }
 
 // Calibrate tunes cfg against the hardware reference and returns the
@@ -195,12 +166,12 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 	// simulators to give the correct value"). Solo configurations keep
 	// no TLB — there is nothing to correct; the omission is the point.
 	if cfg.OS.TLBHandlerCycles > 0 {
-		hwC, err := c.HWTLBCycles()
+		hwC, err := c.TLBCycles(c.Ref.ConfigAt(1))
 		if err != nil {
 			return cal, err
 		}
 		before := float64(work.OS.TLBHandlerCycles)
-		simBefore, err := c.SimTLBCycles(work)
+		simBefore, err := c.TLBCycles(work)
 		if err != nil {
 			return cal, err
 		}
@@ -211,7 +182,7 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 				next = 1
 			}
 			work.OS.TLBHandlerCycles = uint32(next + 0.5)
-			simC, err = c.SimTLBCycles(work)
+			simC, err = c.TLBCycles(work)
 			if err != nil {
 				return cal, err
 			}
@@ -225,13 +196,13 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 
 	// Step 2: secondary-cache interface occupancy (restart-time test).
 	{
-		hwT, err := c.HWRestartNS()
+		hwT, err := c.restartNS(c.Ref.ConfigAt(1))
 		if err != nil {
 			return cal, err
 		}
 		probe := work
 		probe.ModelL2InterfaceOccupancy = false
-		simBefore, err := c.simRestartNS(probe)
+		simBefore, err := c.restartNS(probe)
 		if err != nil {
 			return cal, err
 		}
@@ -239,7 +210,7 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 		if simT < hwT*0.97 {
 			work.ModelL2InterfaceOccupancy = true
 			for round := 0; round < maxRounds && math.Abs(hwT-simT) > 3; round++ {
-				simT, err = c.simRestartNS(work)
+				simT, err = c.restartNS(work)
 				if err != nil {
 					return cal, err
 				}
@@ -278,27 +249,18 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 			return cal, err
 		}
 		before := work.FlashTiming
-		var simLC, simRC, simLDR float64
-		var first [3]float64 // round 0's latencies, the report's SimBefore
+		fit := []proto.Case{proto.LocalClean, proto.RemoteClean, proto.LocalDirtyRemote}
+		var simLat, first map[proto.Case]float64 // first: round 0's, the report's SimBefore
 		for round := 0; round < maxRounds; round++ {
-			simLC, err = c.SimDepLatency(work, proto.LocalClean)
-			if err != nil {
-				return cal, err
-			}
-			simRC, err = c.SimDepLatency(work, proto.RemoteClean)
-			if err != nil {
-				return cal, err
-			}
-			simLDR, err = c.SimDepLatency(work, proto.LocalDirtyRemote)
-			if err != nil {
+			if simLat, err = c.DepLatencies(work, fit...); err != nil {
 				return cal, err
 			}
 			if round == 0 {
-				first = [3]float64{simLC, simRC, simLDR}
+				first = simLat
 			}
-			dLC := hwLat[proto.LocalClean] - simLC
-			dRC := hwLat[proto.RemoteClean] - simRC
-			dLDR := hwLat[proto.LocalDirtyRemote] - simLDR
+			dLC := hwLat[proto.LocalClean] - simLat[proto.LocalClean]
+			dRC := hwLat[proto.RemoteClean] - simLat[proto.RemoteClean]
+			dLDR := hwLat[proto.LocalDirtyRemote] - simLat[proto.LocalDirtyRemote]
 			if math.Abs(dLC) < tolNS && math.Abs(dRC) < tolNS && math.Abs(dLDR) < tolNS {
 				break
 			}
@@ -318,11 +280,11 @@ func (c *Calibrator) Calibrate(cfg machine.Config) (Calibration, error) {
 		// the inbox, so one report row each carries the pair.
 		cal.Report = append(cal.Report,
 			Adjustment{Param: "flash.bus_request_ns", Unit: "ns", Before: before.BusRequestNS, After: work.FlashTiming.BusRequestNS,
-				HWMetric: hwLat[proto.LocalClean], SimBefore: first[0], SimAfter: simLC},
+				HWMetric: hwLat[proto.LocalClean], SimBefore: first[proto.LocalClean], SimAfter: simLat[proto.LocalClean]},
 			Adjustment{Param: "flash.inbox_ns", Unit: "ns", Before: before.InboxNS, After: work.FlashTiming.InboxNS,
-				HWMetric: hwLat[proto.RemoteClean], SimBefore: first[1], SimAfter: simRC},
+				HWMetric: hwLat[proto.RemoteClean], SimBefore: first[proto.RemoteClean], SimAfter: simLat[proto.RemoteClean]},
 			Adjustment{Param: "flash.intervention_ns", Unit: "ns", Before: before.InterventionNS, After: work.FlashTiming.InterventionNS,
-				HWMetric: hwLat[proto.LocalDirtyRemote], SimBefore: first[2], SimAfter: simLDR},
+				HWMetric: hwLat[proto.LocalDirtyRemote], SimBefore: first[proto.LocalDirtyRemote], SimAfter: simLat[proto.LocalDirtyRemote]},
 		)
 	}
 	cal.Deltas = param.Diff(cfg, work)

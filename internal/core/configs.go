@@ -2,7 +2,9 @@
 // simulation loop. It provides:
 //
 //   - Reference: the hardware gold standard, measured like real
-//     hardware (averaging several seeded runs);
+//     hardware (averaging several seeded runs), and Batch, the one way
+//     anything is measured: hardware and simulator points, one pool
+//     submission;
 //   - the seven study simulator configurations (Solo-Mipsy and
 //     SimOS-Mipsy at 150/225/300 MHz, SimOS-MXS at 150 MHz), untuned
 //     exactly as the paper describes them;
@@ -12,7 +14,7 @@
 //     dependent-load protocol cases match the hardware (Table 3);
 //   - Study: relative-execution-time comparison of simulators against
 //     the reference (Figures 1–4);
-//   - TrendAnalyzer: speedup-curve prediction studies (Figures 5–7);
+//   - Reference.Speedups: speedup-curve prediction studies (Figures 5–7);
 //   - Reference.Walk: execution time along a path of registry deltas
 //     between two configurations, and the historical defects (§3.1.2)
 //     as a table of such deltas.

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -118,8 +119,14 @@ func TestCompareTrendMetrics(t *testing.T) {
 	if te.FinalErr != te.MaxErr {
 		t.Fatalf("final err %f", te.FinalErr)
 	}
-	if te.MeanErr <= 0 {
-		t.Fatal("mean err")
+	if math.Abs(te.MeanErr-0.35/3) > 1e-12 {
+		t.Fatalf("mean err %f, want the mean of 0, 0.1 and 0.25", te.MeanErr)
+	}
+	// No comparable point (the hardware speedup is 0 everywhere): no
+	// error, not a NaN.
+	none := core.CompareTrend(core.Curve{Procs: []int{1, 2}, Speedup: []float64{0, 0}}, sim)
+	if none.MeanErr != 0 || none.MaxErr != 0 || none.FinalErr != 0 {
+		t.Fatalf("empty comparison %+v, want all zero", none)
 	}
 }
 

@@ -240,11 +240,13 @@ func TestCalibratedSimulatorMatchesTable3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pc := range []proto.Case{proto.LocalClean, proto.RemoteClean, proto.LocalDirtyRemote} {
-		simNS, err := cal.SimDepLatency(tuned, pc)
-		if err != nil {
-			t.Fatal(err)
-		}
+	fit := []proto.Case{proto.LocalClean, proto.RemoteClean, proto.LocalDirtyRemote}
+	simLat, err := cal.DepLatencies(tuned, fit...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pc := range fit {
+		simNS := simLat[pc]
 		rel := simNS / hwLat[pc]
 		t.Logf("%-20v tuned sim %6.0f ns, hw %6.0f ns (rel %.2f)", pc, simNS, hwLat[pc], rel)
 		if rel < 0.9 || rel > 1.1 {
@@ -272,23 +274,46 @@ func TestStudyComparesAgainstReference(t *testing.T) {
 	}
 }
 
-func TestTrendAnalyzerSpeedup(t *testing.T) {
+// TestSpeedups: the hardware curve comes first and each of its points
+// is the averaged measurement MeasureAt takes; each simulator point is
+// that configuration's one machine.Run.
+func TestSpeedups(t *testing.T) {
 	ref := core.NewReference(4, true)
-	ref.Repeats = 1
-	ta := core.NewTrendAnalyzer(ref)
-	hwC, err := ta.HardwareSpeedup(core.Workload{Name: "fft", Make: smallFFT}, []int{1, 2, 4})
+	ref.Repeats = 2
+	fft := core.Workload{Name: "fft", Make: smallFFT}
+	procs := []int{1, 2, 4}
+	mipsy := core.SimOSMipsy(4, 225, true)
+	curves, err := ref.Speedups(fft, procs, mipsy)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(curves) != 2 || curves[1].Label != mipsy.Name {
+		t.Fatalf("got %d curves, want the hardware's then %q's", len(curves), mipsy.Name)
+	}
+	hwC, simC := curves[0], curves[1]
 	if hwC.Speedup[0] != 1 {
 		t.Errorf("speedup at base point should be 1, got %f", hwC.Speedup[0])
 	}
 	if hwC.At(4) <= hwC.At(1) {
 		t.Errorf("no speedup on hardware: %v", hwC.Speedup)
 	}
-	simC, err := ta.SimSpeedup(core.SimOSMipsy(4, 225, true), core.Workload{Name: "fft", Make: smallFFT}, []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
+	for i, p := range procs {
+		meas, err := ref.MeasureAt(smallFFT(p), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hwC.Exec[i] != meas.Mean {
+			t.Errorf("hardware at %dp: %d ticks, MeasureAt's mean is %d", p, hwC.Exec[i], meas.Mean)
+		}
+		cfg := mipsy
+		cfg.Procs = p
+		res, err := machine.Run(cfg, smallFFT(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if simC.Exec[i] != res.Exec {
+			t.Errorf("%s at %dp: %d ticks, machine.Run's is %d", mipsy.Name, p, simC.Exec[i], res.Exec)
+		}
 	}
 	te := core.CompareTrend(hwC, simC)
 	t.Logf("hw %v sim %v trend err max=%.2f", hwC.Speedup, simC.Speedup, te.MaxErr)

@@ -19,13 +19,9 @@ import (
 // depLatencies measures all five cases on one simulator config.
 func depLatencies(t *testing.T, cal *core.Calibrator, cfg machine.Config) map[proto.Case]float64 {
 	t.Helper()
-	out := make(map[proto.Case]float64, len(core.DepCases))
-	for _, pc := range core.DepCases {
-		ns, err := cal.SimDepLatency(cfg, pc)
-		if err != nil {
-			t.Fatalf("%v: %v", pc, err)
-		}
-		out[pc] = ns
+	out, err := cal.DepLatencies(cfg, core.DepCases...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
@@ -120,15 +116,15 @@ func TestDifferentialTLBTrendDirection(t *testing.T) {
 	}
 	tuned := c.Apply(cfg)
 
-	hwCyc, err := cal.SimTLBCycles(ref.ConfigAt(1))
+	hwCyc, err := cal.TLBCycles(ref.ConfigAt(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	untunedCyc, err := cal.SimTLBCycles(cfg)
+	untunedCyc, err := cal.TLBCycles(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tunedCyc, err := cal.SimTLBCycles(tuned)
+	tunedCyc, err := cal.TLBCycles(tuned)
 	if err != nil {
 		t.Fatal(err)
 	}

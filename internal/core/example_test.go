@@ -34,17 +34,11 @@ func Example() {
 	tuned := cal.Apply(mipsy)
 	fmt.Print(cal.RenderDiff())
 
-	trend := core.NewTrendAnalyzer(ref) // Figures 5-7
-	procs := []int{1, 2, 4, 8, 16}
-	hwCurve, err := trend.HardwareSpeedup(fft, procs)
+	curves, err := ref.Speedups(fft, []int{1, 2, 4, 8, 16}, tuned) // Figures 5-7: hardware, then tuned
 	if err != nil {
 		panic(err)
 	}
-	simCurve, err := trend.SimSpeedup(tuned, fft, procs)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(core.CompareTrend(hwCurve, simCurve).MaxErr)
+	fmt.Println(core.CompareTrend(curves[0], curves[1]).MaxErr)
 
 	// Every tunable is a registry path; calibrations are generic deltas.
 	cfg2, err := param.ApplySettings(mipsy, []param.Setting{{Path: "os.tlb.handler_cycles", Value: "65"}})

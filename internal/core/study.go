@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"flashsim/internal/machine"
-	"flashsim/internal/runner"
 	"flashsim/internal/stats"
 )
 
@@ -79,33 +77,29 @@ func (s *Study) Compare(workloads []Workload, procs int) (CompareResult, error) 
 		out.Configs = append(out.Configs, cfg.Name)
 	}
 
-	var jobs []runner.Job
-	hwOff := make([]int, len(workloads))  // offset of each workload's hardware repeats
-	simOff := make([]int, len(workloads)) // offset of each workload's simulator runs
-	for wi, w := range workloads {
+	b := s.Ref.Batch()
+	for _, w := range workloads {
 		out.Order = append(out.Order, w.Name)
 		prog := w.Make(procs)
-		hwOff[wi] = len(jobs)
-		jobs = append(jobs, s.Ref.measureJobs(prog, procs)...)
-		simOff[wi] = len(jobs)
+		b.HW(prog, procs)
 		for _, cfg := range s.Configs {
 			cfg.Procs = procs
-			jobs = append(jobs, runner.Job{Config: cfg, Prog: prog})
+			b.Sim(cfg, prog)
 		}
 	}
-	results, err := s.Ref.Pool.Run(context.Background(), jobs)
+	ms, err := b.Run()
 	if err != nil {
 		return out, fmt.Errorf("study at %dp: %w", procs, err)
 	}
 
 	for wi, w := range workloads {
-		hwMeas := measurementFrom(results[hwOff[wi]:simOff[wi]])
-		out.HW[w.Name] = hwMeas
+		row := ms[wi*(1+len(s.Configs)):]
+		out.HW[w.Name] = row[0]
 		for ci, cfg := range s.Configs {
-			res := results[simOff[wi]+ci]
+			res := row[1+ci].Runs[0]
 			out.Rows[w.Name] = append(out.Rows[w.Name], RelEntry{
 				Config:   cfg.Name,
-				Relative: float64(res.Exec) / float64(hwMeas.Mean),
+				Relative: float64(res.Exec) / float64(row[0].Mean),
 				Sim:      res,
 			})
 		}

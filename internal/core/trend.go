@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"flashsim/internal/machine"
-	"flashsim/internal/runner"
 	"flashsim/internal/sim"
 	"flashsim/internal/stats"
 )
@@ -29,73 +27,39 @@ func (c Curve) At(p int) float64 {
 	return 0
 }
 
-// TrendAnalyzer produces speedup curves for the hardware reference and
-// for simulator configurations, the trend studies of §3.2: "architects
-// rely on being able to predict the relative magnitude of performance
-// changes across a variety of alternative designs."
-type TrendAnalyzer struct {
-	Ref *Reference
-}
-
-// NewTrendAnalyzer returns an analyzer against ref.
-func NewTrendAnalyzer(ref *Reference) *TrendAnalyzer {
-	return &TrendAnalyzer{Ref: ref}
-}
-
-// HardwareSpeedup measures the reference's speedup curve for w over the
-// given processor counts. All points (and their jitter repeats) run as
-// one batch.
-func (t *TrendAnalyzer) HardwareSpeedup(w Workload, procs []int) (Curve, error) {
-	c := Curve{Label: "FLASH 150MHz", Procs: procs}
-	var jobs []runner.Job
-	offs := make([]int, len(procs))
-	for i, p := range procs {
-		offs[i] = len(jobs)
-		jobs = append(jobs, t.Ref.measureJobs(w.Make(p), p)...)
-	}
-	results, err := t.Ref.Pool.Run(context.Background(), jobs)
-	if err != nil {
-		return c, fmt.Errorf("hardware %s sweep: %w", w.Name, err)
-	}
-	var base sim.Ticks
-	for i := range procs {
-		end := len(results)
-		if i+1 < len(procs) {
-			end = offs[i+1]
+// Speedups produces the speedup curves of a trend study (§3.2:
+// "architects rely on being able to predict the relative magnitude of
+// performance changes across a variety of alternative designs"): the
+// hardware's curve for w over procs first, then one predicted curve per
+// simulator configuration. Each curve's processor sweep runs as one
+// batch.
+func (r *Reference) Speedups(w Workload, procs []int, sims ...machine.Config) ([]Curve, error) {
+	curves := make([]Curve, 0, 1+len(sims))
+	for ci := -1; ci < len(sims); ci++ {
+		c, b := Curve{Label: "FLASH 150MHz", Procs: procs}, r.Batch()
+		if ci >= 0 {
+			c.Label = sims[ci].Name
 		}
-		meas := measurementFrom(results[offs[i]:end])
-		c.Exec = append(c.Exec, meas.Mean)
-		if i == 0 {
-			base = meas.Mean
+		for _, p := range procs {
+			if ci < 0 {
+				b.HW(w.Make(p), p)
+				continue
+			}
+			cfg := sims[ci]
+			cfg.Procs = p
+			b.Sim(cfg, w.Make(p))
 		}
-		c.Speedup = append(c.Speedup, scaledSpeedup(base, procs[0], meas.Mean))
-	}
-	return c, nil
-}
-
-// SimSpeedup measures a simulator's predicted speedup curve; the whole
-// processor sweep runs as one batch.
-func (t *TrendAnalyzer) SimSpeedup(cfg machine.Config, w Workload, procs []int) (Curve, error) {
-	c := Curve{Label: cfg.Name, Procs: procs}
-	jobs := make([]runner.Job, len(procs))
-	for i, p := range procs {
-		cp := cfg
-		cp.Procs = p
-		jobs[i] = runner.Job{Config: cp, Prog: w.Make(p)}
-	}
-	results, err := t.Ref.Pool.Run(context.Background(), jobs)
-	if err != nil {
-		return c, fmt.Errorf("%s %s sweep: %w", cfg.Name, w.Name, err)
-	}
-	var base sim.Ticks
-	for i, res := range results {
-		c.Exec = append(c.Exec, res.Exec)
-		if i == 0 {
-			base = res.Exec
+		ms, err := b.Run()
+		if err != nil {
+			return nil, fmt.Errorf("%s %s sweep: %w", c.Label, w.Name, err)
 		}
-		c.Speedup = append(c.Speedup, scaledSpeedup(base, procs[0], res.Exec))
+		for _, m := range ms {
+			c.Exec = append(c.Exec, m.Mean)
+			c.Speedup = append(c.Speedup, scaledSpeedup(ms[0].Mean, procs[0], m.Mean))
+		}
+		curves = append(curves, c)
 	}
-	return c, nil
+	return curves, nil
 }
 
 // scaledSpeedup normalizes to the first measured point: if the curve
@@ -123,16 +87,20 @@ type TrendError struct {
 // share proc points).
 func CompareTrend(hw, simc Curve) TrendError {
 	te := TrendError{Label: simc.Label}
-	var errs []float64
+	var sum float64
+	n := 0
 	for i := range hw.Procs {
 		if i >= len(simc.Speedup) || hw.Speedup[i] == 0 {
 			continue
 		}
 		e := stats.RelError(simc.Speedup[i], hw.Speedup[i])
-		errs = append(errs, e)
+		sum += e
+		n++
 		te.FinalErr = e
 		te.MaxErr = max(te.MaxErr, e)
 	}
-	te.MeanErr = stats.Mean(errs)
+	if n > 0 {
+		te.MeanErr = sum / float64(n)
+	}
 	return te
 }

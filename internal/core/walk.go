@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"flashsim/internal/machine"
 	"flashsim/internal/param"
-	"flashsim/internal/runner"
 	"flashsim/internal/sim"
 )
 
@@ -32,8 +30,7 @@ func (e *StepError) Unwrap() error { return e.Err }
 // walk over param.Diff.
 func (r *Reference) Walk(from machine.Config, steps []param.Delta, w Workload) ([]sim.Ticks, error) {
 	prog := w.Make(from.Procs)
-	jobs := make([]runner.Job, 0, len(steps)+1)
-	jobs = append(jobs, runner.Job{Config: from, Prog: prog})
+	b := r.Batch().Sim(from, prog)
 	for _, d := range steps {
 		err := param.SetValue(&from, d.Path, d.After)
 		if err == nil {
@@ -42,15 +39,15 @@ func (r *Reference) Walk(from machine.Config, steps []param.Delta, w Workload) (
 		if err != nil {
 			return nil, &StepError{d.Path, err}
 		}
-		jobs = append(jobs, runner.Job{Config: from, Prog: prog})
+		b.Sim(from, prog)
 	}
-	results, err := r.Pool.Run(context.Background(), jobs)
+	ms, err := b.Run()
 	if err != nil {
 		return nil, fmt.Errorf("walk on %s: %w", w.Name, err)
 	}
-	exec := make([]sim.Ticks, len(results))
-	for i, res := range results {
-		exec[i] = res.Exec
+	exec := make([]sim.Ticks, len(ms))
+	for i, m := range ms {
+		exec[i] = m.Mean
 	}
 	return exec, nil
 }

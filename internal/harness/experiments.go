@@ -142,17 +142,16 @@ func (s *Session) depLoads(w int, cfgs ...machine.Config) (hw map[proto.Case]flo
 		return nil, nil, "", err
 	}
 	sims = make([]map[proto.Case]float64, len(cfgs))
-	for i := range sims {
-		sims[i] = make(map[proto.Case]float64)
+	for i, cfg := range cfgs {
+		if sims[i], err = cal.DepLatencies(cfg, core.DepCases...); err != nil {
+			return nil, nil, "", err
+		}
 	}
 	var b strings.Builder
 	for _, pc := range core.DepCases {
 		fmt.Fprintf(&b, "  %-22s %*.0f", pc, w, hw[pc])
-		for i, cfg := range cfgs {
-			if sims[i][pc], err = cal.SimDepLatency(cfg, pc); err != nil {
-				return nil, nil, "", err
-			}
-			fmt.Fprintf(&b, " %*.0f (%.2f)", w, sims[i][pc], sims[i][pc]/hw[pc])
+		for _, sim := range sims {
+			fmt.Fprintf(&b, " %*.0f (%.2f)", w, sim[pc], sim[pc]/hw[pc])
 		}
 		b.WriteByte('\n')
 	}
@@ -246,13 +245,8 @@ type trendSim struct {
 // trend is the body of Figures 5-7: the hardware speedup curve for w
 // over procs, then one predicted curve per simulator.
 func (s *Session) trend(title string, w core.Workload, procs []int, sims ...trendSim) ([]core.Curve, string, error) {
-	ta := core.NewTrendAnalyzer(s.Ref)
-	hwC, err := ta.HardwareSpeedup(w, procs)
-	if err != nil {
-		return nil, "", err
-	}
-	curves := []core.Curve{hwC}
-	for _, ts := range sims {
+	cfgs := make([]machine.Config, len(sims))
+	for i, ts := range sims {
 		cfg, err := s.override(ts.base)
 		if err != nil {
 			return nil, "", err
@@ -267,11 +261,11 @@ func (s *Session) trend(title string, w core.Workload, procs []int, sims ...tren
 		if ts.label != "" {
 			cfg.Name = ts.label
 		}
-		c, err := ta.SimSpeedup(cfg, w, procs)
-		if err != nil {
-			return nil, "", err
-		}
-		curves = append(curves, c)
+		cfgs[i] = cfg
+	}
+	curves, err := s.Ref.Speedups(w, procs, cfgs...)
+	if err != nil {
+		return nil, "", err
 	}
 	return curves, renderCurves(title, curves), nil
 }
@@ -323,11 +317,6 @@ type TLBCostData struct {
 // 25 vs MXS 35).
 func (s *Session) ExperimentTLBCost() (TLBCostData, string, error) {
 	var d TLBCostData
-	cal := core.NewCalibrator(s.Ref)
-	var err error
-	if d.HWCycles, err = cal.HWTLBCycles(); err != nil {
-		return d, "", err
-	}
 	mipsy, err := s.override(core.SimOSMipsy(1, 150, true))
 	if err != nil {
 		return d, "", err
@@ -336,12 +325,14 @@ func (s *Session) ExperimentTLBCost() (TLBCostData, string, error) {
 	if err != nil {
 		return d, "", err
 	}
-	d.MipsyCycles, err = cal.SimTLBCycles(mipsy)
-	if err != nil {
+	cal := core.NewCalibrator(s.Ref)
+	if d.HWCycles, err = cal.TLBCycles(s.Ref.ConfigAt(1)); err != nil {
 		return d, "", err
 	}
-	d.MXSCycles, err = cal.SimTLBCycles(mxs)
-	if err != nil {
+	if d.MipsyCycles, err = cal.TLBCycles(mipsy); err != nil {
+		return d, "", err
+	}
+	if d.MXSCycles, err = cal.TLBCycles(mxs); err != nil {
 		return d, "", err
 	}
 	text := fmt.Sprintf("TLB refill cost (measured by snbench TLB timer):\n"+
@@ -363,30 +354,20 @@ type BlockingFixData struct {
 // radix 256 -> 32 (paper: +31% / +34%).
 func (s *Session) ExperimentBlockingFixes() (BlockingFixData, string, error) {
 	var d BlockingFixData
-	gain := func(before, after core.Workload, procs int) (float64, error) {
-		b, err := s.Ref.MeasureAt(before.Make(procs), procs)
-		if err != nil {
-			return 0, err
+	fft := [2]core.Workload{s.Scale.FFTWorkload(false), s.Scale.FFTWorkload(true)}
+	radix := [2]core.Workload{s.Scale.RadixWorkload(256, false), s.Scale.RadixWorkload(32, false)}
+	b := s.Ref.Batch()
+	for _, fix := range [][2]core.Workload{fft, radix} {
+		for _, procs := range []int{1, 4} {
+			b.HW(fix[0].Make(procs), procs).HW(fix[1].Make(procs), procs)
 		}
-		a, err := s.Ref.MeasureAt(after.Make(procs), procs)
-		if err != nil {
-			return 0, err
-		}
-		return 1 - float64(a.Mean)/float64(b.Mean), nil
 	}
-	var err error
-	if d.FFTGain1, err = gain(s.Scale.FFTWorkload(false), s.Scale.FFTWorkload(true), 1); err != nil {
+	ms, err := b.Run()
+	if err != nil {
 		return d, "", err
 	}
-	if d.FFTGain4, err = gain(s.Scale.FFTWorkload(false), s.Scale.FFTWorkload(true), 4); err != nil {
-		return d, "", err
-	}
-	if d.RadixGain1, err = gain(s.Scale.RadixWorkload(256, false), s.Scale.RadixWorkload(32, false), 1); err != nil {
-		return d, "", err
-	}
-	if d.RadixGain4, err = gain(s.Scale.RadixWorkload(256, false), s.Scale.RadixWorkload(32, false), 4); err != nil {
-		return d, "", err
-	}
+	gain := func(i int) float64 { return 1 - float64(ms[2*i+1].Mean)/float64(ms[2*i].Mean) }
+	d.FFTGain1, d.FFTGain4, d.RadixGain1, d.RadixGain4 = gain(0), gain(1), gain(2), gain(3)
 	text := fmt.Sprintf("Application TLB fixes measured on hardware:\n"+
 		"  FFT TLB blocking:   %+5.1f%% on 1p (paper 14%%), %+5.1f%% on 4p (paper 16%%)\n"+
 		"  Radix 256 -> 32:    %+5.1f%% on 1p (paper 31%%), %+5.1f%% on 4p (paper 34%%)\n",

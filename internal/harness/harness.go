@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"flashsim/internal/core"
-	"flashsim/internal/emitter"
 	"flashsim/internal/machine"
 	"flashsim/internal/param"
 	"flashsim/internal/runner"
@@ -129,7 +128,7 @@ func NewSession(scale Scale) *Session { return NewSessionWithPool(scale, runner.
 
 // NewSessionWithPool is NewSession with every experiment's runs routed
 // through pool. The pool lives in the reference, so the Study,
-// Calibrator, TrendAnalyzer and Walk the rows build against it use it
+// Calibrator, Speedups and Walk the rows build against it use it
 // too; a pool with a store memoizes runs across figures (figure 3 reuses
 // the reference runs figure 2 paid for).
 func NewSessionWithPool(scale Scale, pool *runner.Pool) *Session {
@@ -143,12 +142,6 @@ func NewSessionWithPool(scale Scale, pool *runner.Pool) *Session {
 
 // Pool returns the pool every run of the session goes through.
 func (s *Session) Pool() *runner.Pool { return s.Ref.Pool }
-
-// runOne executes a single machine run through the session's pool so it
-// participates in memoization.
-func (s *Session) runOne(cfg machine.Config, prog emitter.Program) (machine.Result, error) {
-	return runner.RunOne(s.Ref.Pool, runner.Job{Config: cfg, Prog: prog})
-}
 
 // Calibrate returns the (cached) calibration for cfg.
 func (s *Session) Calibrate(cfg machine.Config) (core.Calibration, error) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"flashsim/internal/core"
+	"flashsim/internal/emitter"
 	"flashsim/internal/harness"
 	"flashsim/internal/hw"
 	"flashsim/internal/machine"
@@ -18,6 +19,7 @@ import (
 	"flashsim/internal/param"
 	"flashsim/internal/proto"
 	"flashsim/internal/runner"
+	"flashsim/internal/snbench"
 )
 
 // quick is the one pooled, memoizing quick-scale session every test
@@ -540,7 +542,7 @@ func checkTraceReplay(t *testing.T, d harness.TraceReplayData, procs int, text s
 // TestFiguresShareEmissions: on a fresh one-worker session with a store,
 // Figure 1's 36 runs come from one emission per program, and Figures 1
 // and 3 account their jobs, runs and hits as they did one emission per
-// run: 243 jobs, 161 run, 82 cached.
+// run: 232 jobs, 159 run from 94 emissions, 73 cached.
 func TestFiguresShareEmissions(t *testing.T) {
 	store, err := runner.NewStore("")
 	if err != nil {
@@ -556,7 +558,82 @@ func TestFiguresShareEmissions(t *testing.T) {
 	if _, _, err := s.Figure3(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Pool().Stats(); st.Jobs != 243 || st.Ran != 161 || st.CacheHits != 82 {
-		t.Errorf("Figures 1 and 3: %s, want 243 jobs, 161 run, 82 cached", st)
+	if st := s.Pool().Stats(); st.Jobs != 232 || st.Ran != 159 || st.CacheHits != 73 || st.Emissions != 94 {
+		t.Errorf("Figures 1 and 3: %s, want 232 jobs, 159 run from 94 emissions, 73 cached", st)
+	}
+}
+
+// countingStore is a memo store that counts the lookups of each key:
+// every job a pool admits asks for its key once.
+type countingStore struct {
+	*runner.Store
+	mu   sync.Mutex
+	gets map[string]int
+}
+
+func (c *countingStore) Get(key string) (machine.Result, bool) {
+	c.mu.Lock()
+	c.gets[key]++
+	c.mu.Unlock()
+	return c.Store.Get(key)
+}
+
+// TestCalibrationMeasuresTheHardwareOnce: calibrating SimOS-Mipsy on a
+// fresh one-worker session submits one TLB-timer job and one restart
+// job on the reference, the seed-1 run the hardware values are read
+// from, and those values are bit for bit the ones MeasureAt's first
+// repeat gives.
+func TestCalibrationMeasuresTheHardwareOnce(t *testing.T) {
+	inner, err := runner.NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &countingStore{Store: inner, gets: make(map[string]int)}
+	s := harness.NewSessionWithPool(harness.ScaleQuick, runner.New(1, store))
+	cal, err := s.Calibrate(core.SimOSMipsy(1, 150, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := s.Ref.ConfigAt(1)
+	tlb, restart := snbench.TLBTimer(), snbench.Restart(snbench.RestartLines)
+	for _, prog := range []emitter.Program{tlb, restart} {
+		for seed := 1; seed <= s.Ref.Repeats; seed++ {
+			want := 0
+			if seed == 1 {
+				want = 1
+			}
+			if got := store.gets[runner.Job{Config: ref, Prog: prog, Seed: uint64(seed)}.Fingerprint()]; got != want {
+				t.Errorf("%s on the reference, seed %d: %d jobs, want %d", prog.Name, seed, got, want)
+			}
+		}
+	}
+
+	// A reference of its own runs MeasureAt's repeats from one emission.
+	fresh := core.NewReference(16, true)
+	fresh.Repeats = s.Ref.Repeats
+	tlbMeas, err := fresh.MeasureAt(tlb, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restartMeas, err := fresh.MeasureAt(restart, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTLB := snbench.TLBHandlerCycles(tlbMeas.Runs[0], ref.ClockMHz)
+	wantRestart := snbench.ThroughputNSPerLoad(restartMeas.Runs[0], snbench.RestartLines)
+	gotTLB, err := core.NewCalibrator(s.Ref).TLBCycles(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotTLB != wantTLB {
+		t.Errorf("TLBCycles on the reference = %v, MeasureAt's first repeat gives %v", gotTLB, wantTLB)
+	}
+	hw := make(map[string]float64)
+	for _, a := range cal.Report {
+		hw[a.Param] = a.HWMetric
+	}
+	if hw["os.tlb.handler_cycles"] != wantTLB || hw["l2.transfer_ns"] != wantRestart {
+		t.Errorf("calibration read the hardware as %v cycles and %v ns/load, MeasureAt's first repeats give %v and %v",
+			hw["os.tlb.handler_cycles"], hw["l2.transfer_ns"], wantTLB, wantRestart)
 	}
 }

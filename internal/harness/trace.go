@@ -101,7 +101,7 @@ func (s *Session) ExperimentTraceReplay(procs int) (TraceReplayData, string, err
 			name string
 			cfg  machine.Config
 		}{{"mipsy+lat", lat}, {"mxs", mxs}} {
-			execRes, err := s.runOne(rung.cfg, prog)
+			execRes, err := s.Ref.Run(rung.cfg, prog)
 			if err != nil {
 				return d, "", fmt.Errorf("%s at rung %s: %w", w.Name, rung.name, err)
 			}

@@ -44,7 +44,6 @@ func (s *Session) ExperimentWorkloadSweep(names []string, sizes ...int) (Workloa
 	}
 	d := WorkloadSweepData{Sizes: sizes}
 	sweep := append([]int{1}, sizes...)
-	ta := core.NewTrendAnalyzer(s.Ref)
 
 	untuned, err := s.override(core.SimOSMipsy(1, 150, true))
 	if err != nil {
@@ -59,24 +58,17 @@ func (s *Session) ExperimentWorkloadSweep(names []string, sizes ...int) (Workloa
 
 	for _, name := range names {
 		w := s.Scale.Workload(name, nil)
-		hw, err := ta.HardwareSpeedup(w, sweep)
+		curves, err := s.Ref.Speedups(w, sweep, untuned, tuned)
 		if err != nil {
 			return d, "", err
 		}
-		uc, err := ta.SimSpeedup(untuned, w, sweep)
-		if err != nil {
-			return d, "", err
-		}
-		tc, err := ta.SimSpeedup(tuned, w, sweep)
-		if err != nil {
-			return d, "", err
-		}
+		hw := curves[0]
 		d.Trend = append(d.Trend, WorkloadTrendRow{
 			Workload: w.Name,
 			Procs:    sweep,
 			Hardware: hw.Speedup,
-			Untuned:  core.CompareTrend(hw, uc),
-			Tuned:    core.CompareTrend(hw, tc),
+			Untuned:  core.CompareTrend(hw, curves[1]),
+			Tuned:    core.CompareTrend(hw, curves[2]),
 		})
 	}
 

@@ -7,8 +7,8 @@
 //
 // Every experiment in the study is a batch of such runs — the ≥5-run
 // jitter averages of core.Reference, the 7-config × 4-app sweeps of
-// core.Study, the 1–16p speedup curves of core.TrendAnalyzer, and the
-// Calibrator's repeated snbench probes. Because machine.Run is a pure
+// core.Study, the 1–16p speedup curves of core.Reference.Speedups, and
+// the Calibrator's repeated snbench probes. Because machine.Run is a pure
 // function of (Config, Program), executing a batch concurrently and
 // returning results in submission order is bit-identical to running it
 // serially, whatever the worker count. Because a program's instruction
@@ -160,16 +160,6 @@ func New(workers int, store Backend) *Pool {
 // calling machine.Run in a loop, which is the default for every
 // consumer that is not handed an explicit pool.
 func Serial() *Pool { return New(1, nil) }
-
-// RunOne executes a single job through p, so the run memoizes and
-// counts like any batch of one.
-func RunOne(p *Pool, job Job) (machine.Result, error) {
-	results, err := p.Run(context.Background(), []Job{job})
-	if err != nil {
-		return machine.Result{}, err
-	}
-	return results[0], nil
-}
 
 // Workers returns the pool's concurrency.
 func (p *Pool) Workers() int { return p.workers }

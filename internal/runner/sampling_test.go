@@ -54,8 +54,8 @@ func TestStoredPoolRefusesSampledJobs(t *testing.T) {
 	if st := pool.Stats(); st.Ran != 0 || st.Failed != 1 {
 		t.Errorf("the refusal counted as ran %d failed %d, want 0 and 1", st.Ran, st.Failed)
 	}
-	if res, err := runner.RunOne(runner.Serial(), job); err != nil || !res.Sampled {
-		t.Errorf("a storeless pool: sampled %v, err %v", res.Sampled, err)
+	if out := runner.Serial().RunOne(context.Background(), job); out.Err != nil || !out.Result.Sampled {
+		t.Errorf("a storeless pool: sampled %v, err %v", out.Result.Sampled, out.Err)
 	}
 }
 
@@ -80,11 +80,11 @@ func TestSampledMemberFailsAlone(t *testing.T) {
 		t.Errorf("sampled member: err %v, want the refusal", out[1].Err)
 	}
 	for _, k := range []int{0, 2} {
-		solo, err := runner.RunOne(runner.Serial(), jobs[k])
-		if err != nil || out[k].Err != nil {
-			t.Fatalf("member %d: solo err %v, group err %v", k, err, out[k].Err)
+		solo := runner.Serial().RunOne(context.Background(), jobs[k])
+		if solo.Err != nil || out[k].Err != nil {
+			t.Fatalf("member %d: solo err %v, group err %v", k, solo.Err, out[k].Err)
 		}
-		if !reflect.DeepEqual(out[k].Result, solo) {
+		if !reflect.DeepEqual(out[k].Result, solo.Result) {
 			t.Errorf("member %d beside the refused member differs from its solo run", k)
 		}
 	}

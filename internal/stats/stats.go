@@ -1,37 +1,7 @@
-// Package stats provides the small numeric helpers the experiment
-// layers share: summaries over repeated runs (sum/mean) and
-// relative-error metrics. DESIGN.md §2 lists it as the "means over
-// repeats, relative-error metrics" package; core and runner use it
-// instead of hand-rolling the same loops.
+// Package stats provides the relative-error metric the experiment
+// layers share. DESIGN.md §2 lists it as the "relative-error metrics"
+// package; core uses it instead of hand-rolling the same comparison.
 package stats
-
-// Real is any ordered numeric type the helpers operate on (sim.Ticks,
-// counters, float64 metrics).
-type Real interface {
-	~int | ~int8 | ~int16 | ~int32 | ~int64 |
-		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr |
-		~float32 | ~float64
-}
-
-// Sum returns the sum of xs (zero for an empty slice).
-func Sum[T Real](xs []T) T {
-	var s T
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Mean returns the average of xs (zero for an empty slice). For
-// integer types the division truncates, matching the repeats-average
-// semantics of core.Reference ("the average of at least 5 runs").
-func Mean[T Real](xs []T) T {
-	if len(xs) == 0 {
-		var zero T
-		return zero
-	}
-	return Sum(xs) / T(len(xs))
-}
 
 // RelError returns the absolute relative error |pred-ref|/|ref| of a
 // prediction against a reference value, or 0 when the reference is

@@ -207,7 +207,7 @@ func (d *Definition) DisplayName(v Values) string {
 }
 
 // Workload adapts a resolved definition to the core.Workload shape the
-// Reference/Study/TrendAnalyzer machinery consumes.
+// Reference/Study/Speedups machinery consumes.
 func (d *Definition) Workload(v Values) core.Workload {
 	return core.Workload{
 		Name: d.DisplayName(v),
