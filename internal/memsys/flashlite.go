@@ -71,7 +71,8 @@ func DefaultFlashConfig(nodes int, t FlashTiming) FlashConfig {
 // model of the memory bus, MAGIC, network, memory, and the coherence
 // protocol, with PP occupancy and network contention.
 type FlashLite struct {
-	cfg   FlashConfig
+	// lat holds the Timing latencies in ticks, converted once by Reset.
+	lat   struct{ busReq, busRep, interv, outbox, inbox sim.Ticks }
 	ctrl  []*magic.Controller
 	net   network.Network
 	dir   proto.Directory
@@ -88,9 +89,12 @@ func NewFlashLite(cfg FlashConfig) *FlashLite {
 // Reset makes f the idle model NewFlashLite(cfg) builds, in f's
 // directory, interconnect and controllers.
 func (f *FlashLite) Reset(cfg FlashConfig) {
+	tm := cfg.Timing
 	net := network.DefaultConfig(cfg.Nodes)
-	net.RouterTicks = sim.NS(cfg.Timing.RouterNS)
-	f.cfg, f.peers = cfg, nopPeers{}
+	net.RouterTicks = sim.NS(tm.RouterNS)
+	f.peers = nopPeers{}
+	f.lat.busReq, f.lat.busRep, f.lat.interv = sim.NS(tm.BusRequestNS), sim.NS(tm.BusReplyNS), sim.NS(tm.InterventionNS)
+	f.lat.outbox, f.lat.inbox = sim.NS(tm.OutboxNS), sim.NS(tm.InboxNS)
 	f.net.Reset(net)
 	f.dir.Reset(cfg.Nodes)
 	f.ctrl = recycle.Renew(f.ctrl, cfg.Nodes, func(c *magic.Controller) { c.Reset(magic.Config{Table: cfg.Occupancy}) })
@@ -108,9 +112,9 @@ func (f *FlashLite) Directory() *proto.Directory { return &f.dir }
 // Net exposes the interconnect.
 func (f *FlashLite) Net() *network.Network { return &f.net }
 
-func (f *FlashLite) busReq(t sim.Ticks) sim.Ticks { return t + sim.NS(f.cfg.Timing.BusRequestNS) }
-func (f *FlashLite) busRep(t sim.Ticks) sim.Ticks { return t + sim.NS(f.cfg.Timing.BusReplyNS) }
-func (f *FlashLite) interv(t sim.Ticks) sim.Ticks { return t + sim.NS(f.cfg.Timing.InterventionNS) }
+func (f *FlashLite) busReq(t sim.Ticks) sim.Ticks { return t + f.lat.busReq }
+func (f *FlashLite) busRep(t sim.Ticks) sim.Ticks { return t + f.lat.busRep }
+func (f *FlashLite) interv(t sim.Ticks) sim.Ticks { return t + f.lat.interv }
 
 // send moves a message from node a's MAGIC to node b's MAGIC (outbox,
 // network, inbox). a == b is a local hand-off with no network traversal.
@@ -118,8 +122,7 @@ func (f *FlashLite) send(t sim.Ticks, a, b, size int) sim.Ticks {
 	if a == b {
 		return t
 	}
-	t = f.net.Send(t+sim.NS(f.cfg.Timing.OutboxNS), a, b, size)
-	return t + sim.NS(f.cfg.Timing.InboxNS)
+	return f.net.Send(t+f.lat.outbox, a, b, size) + f.lat.inbox
 }
 
 // Read satisfies a read miss.

@@ -52,7 +52,10 @@ func DefaultNUMAConfig(nodes int) NUMAConfig {
 
 // NUMA is the generic NUMA memory-system model.
 type NUMA struct {
-	cfg   NUMAConfig
+	cfg NUMAConfig
+	// lat holds cfg's size-independent latencies in ticks, converted
+	// once by Reset.
+	lat   struct{ ctrl, memory, hop, interv, bus sim.Ticks }
 	net   network.Network
 	dir   proto.Directory
 	dram  []*sim.Banks
@@ -71,6 +74,8 @@ func (n *NUMA) Reset(cfg NUMAConfig) {
 		banks = 1
 	}
 	n.cfg, n.peers = cfg, nopPeers{}
+	n.lat.ctrl, n.lat.memory, n.lat.hop = sim.NS(cfg.ControllerNS), sim.NS(cfg.MemoryNS), ncfg.HopTicks
+	n.lat.interv, n.lat.bus = sim.NS(cfg.InterventionNS), sim.NS(cfg.BusNS)
 	n.net.Reset(ncfg)
 	n.dir.Reset(cfg.Nodes)
 	n.dram = recycle.Renew(n.dram, cfg.Nodes, func(b *sim.Banks) { b.Reset(banks) })
@@ -94,7 +99,7 @@ func (n *NUMA) hop(t sim.Ticks, a, b, size int) sim.Ticks {
 		return t
 	}
 	hops := n.net.Hops(a, b)
-	lat := sim.Ticks(hops)*sim.NS(n.cfg.HopNS) + sim.NS(n.cfg.PerByteNS*float64(size))
+	lat := sim.Ticks(hops)*n.lat.hop + sim.NS(n.cfg.PerByteNS*float64(size))
 	n.net.Send(t, a, b, size) // statistics only; contention is off
 	return t + lat
 }
@@ -102,12 +107,12 @@ func (n *NUMA) hop(t sim.Ticks, a, b, size int) sim.Ticks {
 // memory reserves a DRAM bank at node (the one contention effect NUMA
 // models).
 func (n *NUMA) memory(t sim.Ticks, node int, pa uint64) sim.Ticks {
-	_, done := n.dram[node].Acquire(pa>>7, t, sim.NS(n.cfg.MemoryNS))
+	_, done := n.dram[node].Acquire(pa>>7, t, n.lat.memory)
 	return done
 }
 
-func (n *NUMA) ctrl(t sim.Ticks) sim.Ticks { return t + sim.NS(n.cfg.ControllerNS) }
-func (n *NUMA) bus(t sim.Ticks) sim.Ticks  { return t + sim.NS(n.cfg.BusNS) }
+func (n *NUMA) ctrl(t sim.Ticks) sim.Ticks { return t + n.lat.ctrl }
+func (n *NUMA) bus(t sim.Ticks) sim.Ticks  { return t + n.lat.bus }
 
 // Read satisfies a read miss.
 func (n *NUMA) Read(t sim.Ticks, node int, pa uint64) Result {
@@ -128,7 +133,7 @@ func (n *NUMA) Read(t sim.Ticks, node int, pa uint64) Result {
 		t1 = n.ctrl(t1)
 		t1 = n.hop(t1, h, owner, ReqBytes)
 		t1 = n.ctrl(t1)
-		t1 += sim.NS(n.cfg.InterventionNS)
+		t1 += n.lat.interv
 		n.peers.Downgrade(owner, pa)
 		// Sharing writeback to home happens off the critical path and,
 		// in this model, consumes nothing.
@@ -157,7 +162,7 @@ func (n *NUMA) Write(t sim.Ticks, node int, pa uint64) Result {
 		owner := wr.Owner
 		t2 := n.hop(t1, h, owner, ReqBytes)
 		t2 = n.ctrl(t2)
-		t2 += sim.NS(n.cfg.InterventionNS)
+		t2 += n.lat.interv
 		if !n.peers.Invalidate(owner, pa) {
 			n.dir.NoteStaleInval()
 		}

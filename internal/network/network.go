@@ -10,6 +10,8 @@
 package network
 
 import (
+	"math/bits"
+
 	"flashsim/internal/recycle"
 	"flashsim/internal/sim"
 )
@@ -112,61 +114,41 @@ func (n *Network) Lookahead() sim.Ticks {
 }
 
 // Route returns the e-cube route from src to dst (excluding src,
-// including dst).
+// including dst): the dimensions src^dst crosses, lowest first.
 func (n *Network) Route(src, dst int) []int {
-	if src == dst {
-		return nil
-	}
 	var hops []int
 	cur := src
-	diff := src ^ dst
-	for d := 0; d < n.dims; d++ {
-		bit := 1 << d
-		if diff&bit != 0 {
-			cur ^= bit
-			hops = append(hops, cur)
-		}
+	for diff := src ^ dst; diff != 0; diff &= diff - 1 {
+		cur ^= diff & -diff
+		hops = append(hops, cur)
 	}
 	return hops
 }
 
 // Hops returns the hop count between src and dst (Hamming distance).
-func (n *Network) Hops(src, dst int) int {
-	h := 0
-	for diff := src ^ dst; diff != 0; diff &= diff - 1 {
-		h++
-	}
-	return h
-}
+func (n *Network) Hops(src, dst int) int { return bits.OnesCount(uint(src ^ dst)) }
 
 // Send models transmitting size bytes from src to dst starting at time
 // t. It returns the time the last byte arrives at dst. With contention
 // modeling on, the message serializes over every directed link of its
 // route and occupies each router; off, it experiences pure latency.
 func (n *Network) Send(t sim.Ticks, src, dst int, size int) sim.Ticks {
+	diff := src ^ dst
+	hops := bits.OnesCount(uint(diff))
 	n.stats.Messages++
 	n.stats.Bytes += uint64(size)
-	if src == dst {
-		return t
-	}
+	n.stats.Hops += uint64(hops)
 	ser := sim.Ticks(uint64(size)*ticksPerKByte/1024 + 1)
-	now := t
-	cur := src
-	// The e-cube walk of Route, one dimension at a time.
-	for d, diff := 0, src^dst; d < n.dims; d++ {
-		if diff&(1<<d) == 0 {
-			continue
-		}
-		n.stats.Hops++
-		next := cur ^ 1<<d
-		if n.cfg.ModelContention {
-			_, done := n.links[cur*n.dims+d].Acquire(now, ser)
-			now = done + n.cfg.HopTicks
-			_, now = n.routers[next].Acquire(now, n.cfg.RouterTicks)
-		} else {
-			now += ser + n.cfg.HopTicks + n.cfg.RouterTicks
-		}
-		cur = next
+	if !n.cfg.ModelContention {
+		return t + sim.Ticks(hops)*(ser+n.cfg.HopTicks+n.cfg.RouterTicks)
+	}
+	// The e-cube walk of Route, one crossed dimension at a time.
+	now, cur := t, src
+	for ; diff != 0; diff &= diff - 1 {
+		d := bits.TrailingZeros(uint(diff))
+		_, done := n.links[cur*n.dims+d].Acquire(now, ser)
+		cur ^= 1 << d
+		_, now = n.routers[cur].Acquire(done+n.cfg.HopTicks, n.cfg.RouterTicks)
 	}
 	return now
 }

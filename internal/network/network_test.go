@@ -182,6 +182,32 @@ func TestSingleNodeNetwork(t *testing.T) {
 // cube: it returns the i-th message's endpoints.
 func sendScript(i int) (src, dst int) { return i * 7 % 32, (i*13 + 5) % 32 }
 
+// TestSendMatchesRouteUnderLoad pins hop order under contention, which
+// TestSendWalksRoute's uncontended sends cannot see: over several rounds
+// of sendScript on a 32-node cube, every arrival equals that of a
+// reference walking Route(src, dst) on a second network, reserving each
+// hop's directed link and then the router it enters.
+func TestSendMatchesRouteUnderLoad(t *testing.T) {
+	cfg := DefaultConfig(32)
+	n, ref := New(cfg), New(cfg)
+	now := sim.Ticks(0)
+	for i := 0; i < 4*32*32; i++ {
+		src, dst := sendScript(i)
+		size := [...]int{16, 144}[i&1]
+		ser := sim.Ticks(size*ticksPerKByte/1024 + 1)
+		want, cur := now, src
+		for _, next := range ref.Route(src, dst) {
+			_, done := ref.links[cur*ref.dims+bits.TrailingZeros(uint(cur^next))].Acquire(want, ser)
+			_, want = ref.routers[next].Acquire(done+cfg.HopTicks, cfg.RouterTicks)
+			cur = next
+		}
+		if got := n.Send(now, src, dst, size); got != want {
+			t.Fatalf("message %d, %d->%d at %d: arrival %d, route walk %d", i, src, dst, now, got, want)
+		}
+		now += 20
+	}
+}
+
 // TestSendDoesNotAllocate pins the contended send path: once every
 // link and router on the script's routes has made its window, a message
 // costs no allocation.

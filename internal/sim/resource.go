@@ -45,54 +45,60 @@ const maxIntervals = 48
 // merges.
 const ringMask = 63
 
-// schedule finds the earliest service start >= t for dur given the busy
-// list (without mutating): the first gap of sufficient length in start
-// order. The scan starts after the newest positive-length interval that
-// ends at or before t: it and everything older lie wholly before t, so
-// they can neither end the scan nor move it. A zero-length interval
-// cannot be that boundary — it does not bound the ends before it.
-func (s *Server) schedule(t, dur Ticks) Ticks {
-	h, i := s.head, s.n
+// Acquire reserves the server at or after time t for dur. It returns the
+// start time of service (>= t) and the completion time: the first gap of
+// sufficient length in start order. The scan starts after the newest
+// positive-length interval that ends at or before t: it and everything
+// older lie wholly before t, so they can neither end the scan nor move
+// it. A zero-length interval cannot be that boundary — it does not bound
+// the ends before it.
+//
+// One walk finds the grant and places it. Walking back to the scan
+// start moves each interval passed up one slot, which opens a hole
+// there; the forward scan reads the moved copies and moves each one it
+// passes back down, so the hole ends where the scan stops. The new
+// interval goes in it, after every interval starting at or before it:
+// the scan passes only such intervals and stops at a later-starting
+// one, except for two fix-ups. With dur == 0 the scan can stop at an
+// interval starting exactly at the grant, which the hole moves past;
+// an interval whose end wrapped past 2^64 can be passed though it
+// starts after the grant, which the hole moves back over.
+func (s *Server) Acquire(t, dur Ticks) (start, done Ticks) {
+	r, h, n := &s.ring, s.head, s.n
+	i := n
 	for ; i > 0; i-- {
-		if iv := &s.ring[(h+i-1)&ringMask]; iv.end <= t && iv.start < iv.end {
+		iv := r[(h+i-1)&ringMask]
+		if iv.end <= t && iv.start < iv.end {
 			break
 		}
+		r[(h+i)&ringMask] = iv
 	}
-	start := t
-	for ; i < s.n; i++ {
-		iv := &s.ring[(h+i)&ringMask]
+	start = t
+	for ; i < n; i++ {
+		iv := r[(h+i+1)&ringMask]
 		if start+dur <= iv.start {
 			break
 		}
 		start = max(start, iv.end)
+		r[(h+i)&ringMask] = iv
 	}
-	return start
-}
-
-// Acquire reserves the server at or after time t for dur. It returns the
-// start time of service (>= t) and the completion time.
-func (s *Server) Acquire(t, dur Ticks) (start, done Ticks) {
-	start = s.schedule(t, dur)
+	for ; i < n && r[(h+i+1)&ringMask].start <= start; i++ {
+		r[(h+i)&ringMask] = r[(h+i+1)&ringMask]
+	}
+	for ; i > 0 && r[(h+i-1)&ringMask].start > start; i-- {
+		r[(h+i)&ringMask] = r[(h+i-1)&ringMask]
+	}
 	done = start + dur
-	s.insert(interval{start, done})
-	return start, done
-}
-
-// insert adds iv keeping the list sorted and bounded.
-func (s *Server) insert(iv interval) {
-	h, i := s.head, s.n
-	for ; i > 0 && s.ring[(h+i-1)&ringMask].start > iv.start; i-- {
-		s.ring[(h+i)&ringMask] = s.ring[(h+i-1)&ringMask]
-	}
-	s.ring[(h+i)&ringMask] = iv
+	r[(h+i)&ringMask] = interval{start, done}
 	if s.n++; s.n > maxIntervals {
 		// Merge the two oldest intervals (pessimistically bridging
 		// the gap between them; they are in the causal past).
-		first := s.ring[h&ringMask]
+		first := r[h&ringMask]
 		s.head, s.n = (h+1)&ringMask, s.n-1
-		next := &s.ring[s.head]
+		next := &r[s.head]
 		next.start, next.end = first.start, max(next.end, first.end)
 	}
+	return start, done
 }
 
 // Banks is a set of independently contended servers addressed by an

@@ -271,8 +271,8 @@ func TestServerIntervalPruning(t *testing.T) {
 // refServer is the forward-scan, reslice-and-append Server this package
 // shipped before the bounded window: schedule walks every retained
 // interval from the oldest, insert lets the slice creep through its
-// backing array. It is the oracle TestServerMatchesReference holds the
-// current implementation to.
+// backing array. It is the oracle TestServerMatchesReference and
+// FuzzServerMatchesReference hold the current implementation to.
 type refServer struct {
 	busy []interval
 }
@@ -339,33 +339,55 @@ func (s *naiveServer) Acquire(t, dur Ticks) (start, done Ticks) {
 	return start, done
 }
 
+// fuzzServer replays at most limit reservations of script on a zero
+// Server and on oracle, and fails at the first grant they disagree on.
+// Each reservation is three bytes: a clock advance, an offset from the
+// clock reaching into the causal past or the future, and a duration that
+// may be zero. Ticks is unsigned, so an offset reaching below time 0
+// wraps to just under 2^64, and so can the end of a reservation there.
+func fuzzServer(t *testing.T, script []byte, oracle func(t, dur Ticks) (start, done Ticks), limit int) {
+	var s Server
+	now := Ticks(0)
+	for i := 0; i+2 < len(script) && i/3 < limit; i += 3 {
+		now += Ticks(script[i] % 64)
+		at := now + 4*Ticks(int8(script[i+1]))
+		dur := Ticks(script[i+2] % 32)
+		gs, gd := s.Acquire(at, dur)
+		ws, wd := oracle(at, dur)
+		if gs != ws || gd != wd {
+			t.Fatalf("reservation %d: Acquire(%d, %d) = (%d, %d), oracle (%d, %d)", i/3, at, dur, gs, gd, ws, wd)
+		}
+	}
+}
+
 // FuzzServerMatchesNaive holds Server to the unbounded oracle grant for
 // grant on streams of at most maxIntervals reservations, all of which
-// the bounded window keeps. Each reservation is three bytes: a clock
-// advance, an offset from the clock reaching into the causal past or
-// the future, and a duration that may be zero.
+// the bounded window keeps.
 func FuzzServerMatchesNaive(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 5, 0, 10, 0, 10, 0, 1, 0xfe, 4})           // a request in the past backfills a gap
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0xff, 0, 2, 0x7f, 31}) // zero lengths around a far-future one
+	// Reservation 9, Acquire(2^64-64, 24), passes an interval whose end
+	// wrapped past 2^64 and is granted before that interval's start.
+	f.Add([]byte("000X00X\xe37Z00Y00X\xcb7000a00X000\x9f80"))
 	rng := rand.New(rand.NewSource(1))
 	long := make([]byte, 3*maxIntervals)
 	rng.Read(long)
 	f.Add(long)
-	f.Fuzz(func(t *testing.T, script []byte) {
-		var s Server
-		var o naiveServer
-		now := Ticks(0)
-		for i := 0; i+2 < len(script) && i/3 < maxIntervals; i += 3 {
-			now += Ticks(script[i] % 64)
-			at := max(now+4*Ticks(int8(script[i+1])), 0)
-			dur := Ticks(script[i+2] % 32)
-			gs, gd := s.Acquire(at, dur)
-			ws, wd := o.Acquire(at, dur)
-			if gs != ws || gd != wd {
-				t.Fatalf("reservation %d: Acquire(%d, %d) = (%d, %d), naive (%d, %d)", i/3, at, dur, gs, gd, ws, wd)
-			}
-		}
-	})
+	f.Fuzz(func(t *testing.T, script []byte) { fuzzServer(t, script, new(naiveServer).Acquire, maxIntervals) })
+}
+
+// FuzzServerMatchesReference holds Server to refServer grant for grant
+// on streams of any length, so the oldest-pair merge runs, with the same
+// zero-length reservations and wrapped times as FuzzServerMatchesNaive.
+func FuzzServerMatchesReference(f *testing.F) {
+	f.Add([]byte("000X00X\xe37Z00Y00X\xcb7000a00X000\x9f80"))
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{maxIntervals + 1, 4 * maxIntervals} {
+		long := make([]byte, 3*n)
+		rng.Read(long)
+		f.Add(long)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) { fuzzServer(t, script, new(refServer).Acquire, len(script)) })
 }
 
 // TestServerMergeDivergesFromNaive pins where Server stops being exact.
@@ -392,8 +414,8 @@ func TestServerMergeDivergesFromNaive(t *testing.T) {
 // TestServerMatchesReference drives Server and refServer with the same
 // request streams and requires identical grants after every call, and
 // so identical waits (start − t), and identical answers to a one-tick
-// probe of the schedule that reserves nothing. Each stream mixes the
-// shapes the machine produces: requests at the reservation frontier,
+// probe made on a copy, so that it reserves nothing. Each stream mixes
+// the shapes the machine produces: requests at the reservation frontier,
 // far-future reservations (a full MSHR ladder), requests in the causal
 // past, and zero-length reservations (router or handler time
 // configured to 0), and "behind" replays behindScript, GUPS's shape, all
@@ -451,7 +473,9 @@ func TestServerMatchesReference(t *testing.T) {
 					if p < 0 {
 						p = 0
 					}
-					if got, want := s.schedule(p, 1), ref.schedule(p, 1); got != want {
+					c := s // the probe reserves on a copy
+					got, _ := c.Acquire(p, 1)
+					if want := ref.schedule(p, 1); got != want {
 						t.Fatalf("call %d: probe at %d starts at %d, reference %d", i, p, got, want)
 					}
 				}
@@ -472,7 +496,9 @@ func TestServerMatchesReference(t *testing.T) {
 		var ref refServer
 		for i, r := range behindScript(acquires) {
 			if i%4 == 0 {
-				if got, want := s.schedule(r.at, 1), ref.schedule(r.at, 1); got != want {
+				c := s // the probe reserves on a copy
+				got, _ := c.Acquire(r.at, 1)
+				if want := ref.schedule(r.at, 1); got != want {
 					t.Fatalf("call %d: probe at %d starts at %d, reference %d", i, r.at, got, want)
 				}
 			}
