@@ -28,9 +28,9 @@ func quickCfg(procs int, kind osmodel.Kind) machine.Config {
 }
 
 // countOps tallies instruction kinds in a program's streams. Readers
-// are drained concurrently: the emitter threads synchronize at real
-// barriers, so draining them one after another would deadlock on
-// channel backpressure.
+// are drained concurrently: drained one after another, the first thread
+// would run the others through every barrier it passes and their whole
+// streams would wait in memory.
 func countOps(t *testing.T, prog emitter.Program) map[isa.Op]uint64 {
 	t.Helper()
 	_, streams := prog.Launch()

@@ -10,14 +10,15 @@
 // running the *same binary* on every platform: the identical instruction
 // stream is replayed by Mipsy, MXS, and the hardware reference model.
 //
-// Threads run as goroutines and synchronize with *real* barriers and
-// mutexes that mirror the semantic BARRIER/LOCK instructions they emit,
-// so a parallel algorithm computes consistent data while its timing is
-// decided entirely by the simulated machine. The emitted sync
-// instruction is always flushed to the readers before the goroutine
-// blocks, which makes the scheme deadlock-free: by the time every
-// simulated processor has arrived at a barrier, every emitter goroutine
-// has already arrived at the real one.
+// Emission runs on demand, one thread at a time. Each thread's body has
+// a goroutine of its own, but it runs only while a reader that needs
+// its next batch has handed it the turn, and it hands the turn back
+// after each flushed batch or at a barrier or lock it cannot pass yet.
+// A barrier is a count and a lock an owner, which only the running body
+// touches, so a parallel algorithm computes consistent data while its
+// timing is decided entirely by the simulated machine. A reader whose
+// thread waits at one runs the others, lowest ID first, until it can go
+// on; when none can, the workload has deadlocked (ErrDeadlocked).
 package emitter
 
 import (
@@ -35,38 +36,29 @@ import (
 // it was 12.1-14.5 while emit took an isa.Instr by value and appended it.
 const BatchSize = 2048
 
-// poolSize is the most instruction-batch slabs a thread holds while its
-// readers keep up. The slabs circulate: Thread fills one, appends it to
-// its lane (the sent slabs some reader has not given back, oldest
-// first), and takes the lane's oldest back for its next batch once every
-// reader has released it, which a Reader does as it moves on to its next
-// batch. Eight can wait unread while a reader is on the ninth, so a
-// billion-instruction run reuses this fixed set of slabs instead of
-// taking one per send. A slab is borrowed from the process (slabPool)
-// only when the producer needs one and none has come back yet, so a
-// thread that emits three batches holds three; Streams.Abort gives them
-// back, and the next run fills the same arrays instead of making and
-// zeroing its own.
+// poolSize is the most instruction-batch slabs a thread borrows while
+// its reader sets keep up. Thread fills one, appends it to its lane (the
+// sent slabs some set has not given back, oldest first), and takes the
+// lane's oldest back for its next batch once every set has released it,
+// as a Reader does when it moves on. A thread one set reads reuses one
+// slab, or a few around a barrier; of several sets, the fastest runs
+// eight batches ahead of the slowest before it waits. Past poolSize a
+// thread borrows only to let another pass a barrier or lock, or when
+// every other set waits. A slab comes from the process (slabPool) only
+// when none has come back; Streams.Abort gives them back, and the next
+// run fills the same arrays instead of making and zeroing its own.
 const poolSize = 9
 
 // maxRetained bounds what slabPool keeps while no run holds it: 32
-// threads x poolSize = 288 slabs = 18 MB, all that an mp-contend-sized
-// run has in flight. A 128-node run has 1 152; it makes the rest, and
-// they are dropped on return rather than held by an idle process.
+// threads x poolSize = 288 slabs = 18 MB. A 128-node emission read by
+// several sets can hold 1 152; the rest are dropped on return rather
+// than held by an idle process.
 const maxRetained = 32 * poolSize
 
 // slabPool is the process-wide free list of slabs (DESIGN.md §7).
 // Slabs come back and go out dirty: emit writes every field of every
 // slot it hands on.
 var slabPool = recycle.NewBin(maxRetained, func() []isa.Instr { return make([]isa.Instr, 0, BatchSize) })
-
-// putSlab takes back a slab (nil: none) that no stream references any
-// more; past maxRetained it is left to the collector.
-func putSlab(b []isa.Instr) {
-	if b != nil {
-		slabPool.Put(b[:0])
-	}
-}
 
 // maxDepDistance caps encoded dependence distances; anything further
 // back than this is out of every model's window and irrelevant.
@@ -76,9 +68,8 @@ const maxDepDistance = 1 << 20
 // It is invoked on the emitting goroutine, immediately before the batch
 // is handed to the consumer, so the batch slice is still owned by the
 // producer: the tap must finish with it before returning and must not
-// retain it (the slab goes back into the recycling pool). Taps for
-// different threads run concurrently; a tap implementation that shares
-// state across threads must synchronize it itself.
+// retain it (the slab goes back into the recycling pool). Only one
+// thread of an emission runs at a time, so its taps run one at a time.
 type Tap func(thread int, batch []isa.Instr)
 
 // Val is a handle to the value produced by a previously emitted
@@ -98,33 +89,21 @@ type Thread struct {
 	N int
 
 	s     *Streams
-	coord *Coordinator
-	abort <-chan struct{}
 	buf   []isa.Instr
-	slabs int    // batch buffers borrowed so far: poolSize unless a cycle grew it
 	count uint64 // instructions emitted so far
 	rng   uint64 // per-thread deterministic PRNG state
-	held  map[uint32]*sync.Mutex
 	tap   Tap
 
-	// The lane, under s.mu: what the readers of this thread's stream
-	// (one per reader set) see of it.
+	// The producer and its lane, under s.mu: what the readers of this
+	// thread's stream (one per reader set) see of it.
+	turn    chan struct{} // passes the turn between the producer and who resumes it
+	waits   isa.Op        // the Barrier or Lock the parked producer waits at; Nop: a slab
+	at      uint32        // that barrier's or lock's id
+	until   uint64        // the count of arrivals at that barrier that lets it pass
+	closed  bool          // the body has returned or unwound
 	readers []*Reader
-	log     [][]isa.Instr // sent slabs some reader has not released, oldest first
+	log     [][]isa.Instr // sent slabs some reader set has not released, oldest first
 	base    uint64        // send number of log[0]
-	closed  bool          // the producer goroutine has exited
-	waiting bool          // the producer waits for its oldest slab
-	wake    chan struct{} // a token ends that wait
-	mark    uint64        // the s.epoch of the last cycle search to visit it
-}
-
-// releaseHeld unlocks any real mutexes held when the goroutine unwinds
-// on abort, so sibling emitters blocked in Lock can also unwind.
-func (t *Thread) releaseHeld() {
-	for id, m := range t.held {
-		m.Unlock()
-		delete(t.held, id)
-	}
 }
 
 func (t *Thread) dist(v Val) uint32 {
@@ -168,106 +147,106 @@ func (t *Thread) send() bool {
 		// untouched and the consumer never sees the copy cost.
 		t.tap(t.ID, t.buf)
 	}
-	s := t.s
-	s.mu.Lock()
-	if s.aborted {
-		s.mu.Unlock()
-		panic(abortPanic{})
-	}
 	t.log = append(t.log, t.buf)
 	t.buf = nil
-	t.unlockWaking()
+	t.s.wake()
 	return true
 }
 
-// unlockWaking ends the wait of every reader blocked on t's lane and
-// releases the mutex, which the caller holds: it takes their flags under
-// the mutex and hands the tokens after it, so a woken reader does not
-// find the mutex still held. Only t's producer goroutine calls it, so
-// the token field is its own.
-func (t *Thread) unlockWaking() {
-	for _, r := range t.readers {
-		r.token, r.waiting = r.waiting, false
-	}
-	t.s.mu.Unlock()
-	for _, r := range t.readers {
-		if r.token {
-			r.token = false
-			signal(r.wake)
-		}
-	}
-}
-
-// signal hands a waiter its one token (none on a nil channel); the flag
-// it waited under, which the signaller clears, keeps a second from
-// being sent.
-func signal(wake chan struct{}) {
-	select {
-	case wake <- struct{}{}:
-	default:
-	}
-}
-
-// flush hands the batch being filled to the readers and takes an empty
-// slab for the next one.
+// flush hands the batch being filled to the readers, gives the turn
+// back, and takes an empty slab for the next batch once it has it again.
 func (t *Thread) flush() {
 	if t.send() {
+		t.park(isa.Nop)
 		t.next()
 	}
 }
 
 // next takes the slab for the next batch: the lane's oldest once every
-// reader has released it, else one more of the process's while the
-// thread holds fewer than poolSize, else it waits for the slowest reader.
-// A Reader releases each batch before waiting for its next, so that wait
-// cannot deadlock against one reader set. Against several it can: set A
-// behind on this thread may wait on thread u, which waits for set B,
-// which waits on this one. Such a cycle is the one case in which the
-// thread borrows past poolSize (TestSharedEmissionSurvivesSkew).
+// reader set has released it, else one more of the process's, which
+// whoever resumed the thread has found it may borrow (Thread.ready).
 func (t *Thread) next() {
-	s := t.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !s.aborted {
-		if len(t.log) > 0 && t.released() {
-			b := t.log[0]
-			n := copy(t.log, t.log[1:])
-			t.log[n] = nil
-			t.log = t.log[:n]
-			t.base++
-			t.buf = b[:0]
-			return
-		}
-		if t.slabs < poolSize || s.cycle(t) {
-			t.slabs++
-			t.buf = slabPool.Get()
-			return
-		}
-		t.waiting = true
-		s.mu.Unlock()
-		select {
-		case <-t.wake:
-		case <-t.abort:
-		}
-		s.mu.Lock()
-		t.waiting = false
+	if len(t.log) > 0 && t.released() {
+		b := t.log[0]
+		n := copy(t.log, t.log[1:])
+		t.log[n] = nil
+		t.log = t.log[:n]
+		t.base++
+		t.buf = b[:0]
+		return
 	}
-	panic(abortPanic{})
+	t.buf = slabPool.Get()
 }
 
 // released reports whether every reader set still reading has given
 // back the lane's oldest slab. Readers release in send order, so each
 // one's count of released batches says which slabs it is done with.
 func (t *Thread) released() bool {
-	for _, r := range t.readers {
-		if r.reuses <= t.base && !r.m.detached {
+	for k, r := range t.readers {
+		if r.reuses <= t.base && !t.s.detached[k] {
 			return false
 		}
 	}
 	return true
 }
 
-// abortPanic unwinds an emitter goroutine when the consumer has stopped.
+// sent is how many batches t has sent.
+func (t *Thread) sent() uint64 { return t.base + uint64(len(t.log)) }
+
+// park gives the turn back until whoever resumes t has seen that it can
+// have what it waits for.
+func (t *Thread) park(w isa.Op) {
+	t.waits = w
+	t.turn <- struct{}{}
+	t.await()
+}
+
+// await takes the turn; an aborted stream unwinds the producer from here.
+func (t *Thread) await() {
+	<-t.turn
+	if t.s.aborted {
+		panic(abortPanic{})
+	}
+}
+
+// resume runs t's producer until it gives the turn back: one body of an
+// emission runs at a time, for whoever holds s.mu.
+func (t *Thread) resume() {
+	t.turn <- struct{}{}
+	<-t.turn
+}
+
+// ready reports whether resuming t gets it past what it waits for, if
+// need be by borrowing a slab past poolSize (borrow).
+func (t *Thread) ready(borrow bool) bool {
+	switch {
+	case t.closed:
+		return false
+	case t.waits == isa.Barrier:
+		return t.s.arrived[t.at] >= t.until
+	case t.waits == isa.Lock:
+		_, held := t.s.locks[t.at]
+		return !held
+	}
+	// t holds the slabs in its lane, and the one it fills unless it sent it.
+	return borrow || t.buf != nil || len(t.log) < poolSize || t.released()
+}
+
+// exit ends t's producer: it records a panic other than an abort and
+// gives the turn back for good. The locks a panicking body held stay
+// held; a thread that wants one then deadlocks, which Err does not
+// report over the panic.
+func (t *Thread) exit() {
+	if r := recover(); r != nil {
+		if _, isAbort := r.(abortPanic); !isAbort {
+			t.s.fail(fmt.Errorf("emitter thread %d %w: %v", t.ID, ErrPanicked, r))
+		}
+	}
+	t.closed = true
+	t.turn <- struct{}{}
+}
+
+// abortPanic unwinds a producer when the consumer has stopped.
 type abortPanic struct{}
 
 // Load emits a load of size bytes at addr, depending on up to two prior
@@ -333,31 +312,37 @@ func (t *Thread) Syscall(aux uint32) {
 	t.emit(isa.Syscall, 0, 0, 0, 0, aux)
 }
 
-// Barrier emits a BARRIER instruction and then joins the real barrier so
-// that program data stays phase-consistent across threads.
+// Barrier emits a BARRIER instruction and then waits until all N
+// threads have arrived, so that program data stays phase-consistent
+// across threads.
 func (t *Thread) Barrier(id uint32) {
 	t.emit(isa.Barrier, 0, 0, 0, 0, id)
 	t.flush()
-	t.coord.barrier(id, t.N).await(t.abort)
+	n, all := t.s.arrived[id]+1, uint64(t.N)
+	t.s.arrived[id] = n
+	if n%all != 0 {
+		t.at, t.until = id, n+all-n%all
+		t.park(isa.Barrier)
+	}
 }
 
-// Lock emits a LOCK instruction and acquires the mirroring real mutex.
+// Lock emits a LOCK instruction and then takes the lock, waiting while
+// another thread holds it.
 func (t *Thread) Lock(id uint32) {
 	t.emit(isa.Lock, 0, 0, 0, 0, id)
 	t.flush()
-	m := t.coord.lock(id)
-	m.Lock()
-	if t.held == nil {
-		t.held = make(map[uint32]*sync.Mutex)
+	if _, held := t.s.locks[id]; held {
+		t.at = id
+		t.park(isa.Lock)
 	}
-	t.held[id] = m
+	t.s.locks[id] = t.ID
 }
 
-// Unlock releases the real mutex and emits an UNLOCK instruction.
+// Unlock releases the lock, if t holds it, and emits an UNLOCK
+// instruction.
 func (t *Thread) Unlock(id uint32) {
-	if m, ok := t.held[id]; ok {
-		m.Unlock()
-		delete(t.held, id)
+	if owner, held := t.s.locks[id]; held && owner == t.ID {
+		delete(t.s.locks, id)
 	}
 	t.emit(isa.Unlock, 0, 0, 0, 0, id)
 	t.flush()
@@ -374,106 +359,14 @@ func (t *Thread) Rand() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// Coordinator owns the real synchronization objects shared by the
-// emitter goroutines of one program run.
-type Coordinator struct {
-	mu       sync.Mutex
-	aborted  bool
-	barriers map[uint32]*cyclicBarrier
-	locks    map[uint32]*sync.Mutex
-}
-
-func newCoordinator() *Coordinator {
-	return &Coordinator{
-		barriers: make(map[uint32]*cyclicBarrier),
-		locks:    make(map[uint32]*sync.Mutex),
-	}
-}
-
-func (c *Coordinator) barrier(id uint32, n int) *cyclicBarrier {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.barriers[id]
-	if !ok {
-		b = &cyclicBarrier{n: n, aborted: c.aborted}
-		b.cond = sync.NewCond(&b.mu)
-		c.barriers[id] = b
-	}
-	return b
-}
-
-func (c *Coordinator) lock(id uint32) *sync.Mutex {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l, ok := c.locks[id]
-	if !ok {
-		l = &sync.Mutex{}
-		c.locks[id] = l
-	}
-	return l
-}
-
-// cyclicBarrier is a reusable counting barrier.
-type cyclicBarrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	count   int
-	gen     uint64
-	aborted bool
-}
-
-func (b *cyclicBarrier) await(abort <-chan struct{}) {
-	b.mu.Lock()
-	if b.aborted {
-		b.mu.Unlock()
-		panic(abortPanic{})
-	}
-	gen := b.gen
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for b.gen == gen && !b.aborted {
-		// A cond var cannot select on abort; the consumer aborts
-		// runs by releasing all barriers (see Streams.Abort).
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-	select {
-	case <-abort:
-		panic(abortPanic{})
-	default:
-	}
-}
-
-// release permanently unblocks all current and future waiters (abort).
-func (b *cyclicBarrier) release() {
-	b.mu.Lock()
-	b.aborted = true
-	b.count = 0
-	b.gen++
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
 // Reader consumes one thread's instruction stream for one reader set.
-//
-// The counters are plain fields: Next and NextBatch run on the consumer
-// goroutine (the machine's event loop) only, and what the producer reads
-// of them, batches and reuses, changes under the stream's mutex. Those
-// two are the reader's position in the lane: it has taken batches and
-// given back reuses of them, all but the one it is on.
+// Its counters change on the set's consumer goroutine, batches and
+// reuses under the stream's mutex: they are the reader's position in the
+// lane, which has taken batches and given back reuses of them, all but
+// the one it is on.
 type Reader struct {
 	t       *Thread
-	m       *member
-	waiting bool          // under the mutex: for the lane's next batch
-	wake    chan struct{} // a token ends that wait
-	token   bool          // the producer owes it one (its goroutine's own)
+	set     int
 	buf     []isa.Instr
 	pos     int
 	done    bool
@@ -482,46 +375,30 @@ type Reader struct {
 	reuses  uint64 // consumed slabs given back to the lane
 }
 
-// refill gives back the spent batch and takes the next, waiting for the
-// producer while the lane has none; false at end of stream.
+// refill gives back the spent batch and takes the next, pulling it from
+// the producer while the lane has none; false at end of stream.
 func (r *Reader) refill() bool {
 	if r.done {
 		return false
 	}
 	t, s := r.t, r.t.s
-	var wake chan struct{} // the producer's, once the mutex is free
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if r.buf != nil {
-		// Give the spent batch back before waiting for the next one, so
-		// the producer can always reuse what this reader has finished.
+		// Give the spent batch back before pulling the next one, so the
+		// producer can always reuse what this set has finished.
 		r.buf = nil
-		r.reuses++
-		if t.waiting && r.reuses == t.base+1 && t.released() {
-			t.waiting, wake = false, t.wake
+		if r.reuses++; r.reuses == t.base+1 {
+			s.wake() // the lane's oldest: a set waiting for it may go on
 		}
 	}
-	for r.batches >= t.base+uint64(len(t.log)) {
-		if t.closed {
-			r.done = true
-			s.mu.Unlock()
-			return false
-		}
-		r.waiting = true
-		if t.waiting && s.cycle(t) {
-			// This wait closes a cycle through t's producer: it grows.
-			t.waiting, wake = false, t.wake
-		}
-		s.mu.Unlock()
-		signal(wake)
-		wake = nil
-		<-r.wake
-		s.mu.Lock()
+	if r.batches >= t.sent() && !s.pull(t, r.set) {
+		r.done = true
+		return false
 	}
 	r.buf = t.log[r.batches-t.base]
 	r.pos = 0
 	r.batches++
-	s.mu.Unlock()
-	signal(wake)
 	return true
 }
 
@@ -551,12 +428,6 @@ func (r *Reader) NextBatch() []isa.Instr {
 // Batches returns how many instruction batches have been consumed.
 func (r *Reader) Batches() uint64 { return r.batches }
 
-// member is the consumer of one reader set.
-type member struct {
-	readers  []*Reader
-	detached bool
-}
-
 // Streams is a running program: one Reader per thread for each reader
 // set, plus abort plumbing. Every set sees every batch of every thread;
 // a slab goes back to its thread once the last set has released it.
@@ -565,52 +436,82 @@ type Streams struct {
 	// started for one reader.
 	Readers []*Reader
 	threads []Thread
-	coord   *Coordinator
-	abortCh chan struct{}
-	once    sync.Once
 	wg      sync.WaitGroup
-	errMu   sync.Mutex
-	err     error
 
-	mu      sync.Mutex // guards the lanes, the reader positions and members
-	members []member
-	live    int    // reader sets not yet detached
-	epoch   uint64 // cycle searches so far
-	aborted bool
+	// mu is the emission's one mutex: a reader holds it while it runs a
+	// producer, which is what makes that producer the one body running,
+	// and it guards the lanes, the reader positions, the sets' state and
+	// everything below.
+	mu       sync.Mutex
+	cond     sync.Cond   // on mu: a set waits here for another to release a slab
+	waiting  int         // sets waiting on cond since the last wake
+	sets     [][]*Reader // by set, one Reader per thread
+	detached []bool      // by set: its consumer reads no more
+	live     int         // reader sets not yet detached
+	aborted  bool
+	err      error
+	arrived  map[uint32]uint64 // arrivals at each barrier: every N-th lets N pass
+	locks    map[uint32]int    // the ID of each held lock's owner
 }
 
 // Set returns reader set k, one Reader per thread.
-func (s *Streams) Set(k int) []*Reader { return s.members[k].readers }
+func (s *Streams) Set(k int) []*Reader { return s.sets[k] }
 
-// cycle reports whether t's producer waiting for its slowest readers
-// would close a cycle: a reader set behind on t waits on a thread whose
-// producer waits, directly or through further sets, for t's. A set that
-// waits on a lane has released all of it, so the sets on a cycle are
-// all different and a stream with one reader set never has one.
-func (s *Streams) cycle(t *Thread) bool {
-	if len(s.members) == 1 {
-		return false
+// pull runs producers until t sends its next batch for a reader of set
+// k, and reports whether it did. It does not once t has finished, the
+// stream has been aborted or k detached, nor when every thread waits or
+// has finished: then the workload has deadlocked, and Err says so.
+func (s *Streams) pull(t *Thread, k int) bool {
+	for sent := t.sent(); t.sent() == sent; {
+		switch {
+		case t.closed || s.aborted || s.detached[k]:
+			return false
+		case t.ready(false) || t.waits == isa.Nop && s.waiting == s.live-1:
+			// t can go on, or every other set waits too and it borrows
+			// past poolSize.
+			t.resume()
+		case t.waits == isa.Nop:
+			// Another set has yet to release the lane's oldest slab.
+			s.waiting++
+			s.cond.Wait()
+		default:
+			// t waits at a barrier or lock: run the others, lowest ID
+			// first, until it can pass.
+			u := s.runnable(t)
+			if u == nil {
+				s.fail(fmt.Errorf("emitter thread %d %w at %v %d: every thread waits or has finished", t.ID, ErrDeadlocked, t.waits, t.at))
+				return false
+			}
+			u.resume()
+		}
 	}
-	s.epoch++
-	return s.reaches(t, t)
+	return true
 }
 
-func (s *Streams) reaches(from, to *Thread) bool {
-	from.mark = s.epoch
-	for _, r := range from.readers {
-		if r.m.detached || r.reuses > from.base {
-			continue
-		}
-		for _, q := range r.m.readers {
-			if !q.waiting {
-				continue
-			}
-			if u := q.t; u == to || u.waiting && u.mark != s.epoch && s.reaches(u, to) {
-				return true
-			}
+// runnable is the lowest-numbered thread but t that can go on, borrowing
+// a slab if it must; nil if none can.
+func (s *Streams) runnable(t *Thread) *Thread {
+	for i := range s.threads {
+		if u := &s.threads[i]; u != t && u.ready(true) {
+			return u
 		}
 	}
-	return false
+	return nil
+}
+
+// wake ends the wait of every set waiting for a slab; each looks again.
+func (s *Streams) wake() {
+	if s.waiting > 0 {
+		s.waiting = 0
+		s.cond.Broadcast()
+	}
+}
+
+// fail records the stream's first error.
+func (s *Streams) fail(err error) {
+	if s.err == nil {
+		s.err = err
+	}
 }
 
 // Detach gives back reader set k: its consumer has finished with the
@@ -619,21 +520,13 @@ func (s *Streams) reaches(from, to *Thread) bool {
 // to detach aborts the stream. Safe to call more than once.
 func (s *Streams) Detach(k int) {
 	s.mu.Lock()
-	m := &s.members[k]
-	if m.detached {
-		s.mu.Unlock()
-		return
-	}
-	m.detached = true
-	s.live--
-	for _, r := range m.readers {
-		r.buf, r.done = nil, true
-	}
-	for i := range s.threads {
-		if t := &s.threads[i]; t.waiting {
-			t.waiting = false
-			signal(t.wake)
+	if !s.detached[k] {
+		s.detached[k] = true
+		s.live--
+		for _, r := range s.sets[k] {
+			r.buf, r.done = nil, true
 		}
+		s.wake()
 	}
 	last := s.live == 0
 	s.mu.Unlock()
@@ -642,47 +535,44 @@ func (s *Streams) Detach(k int) {
 	}
 }
 
-// Abort releases the stream, finished or abandoned: it stops the emitter
-// goroutines, waits for them and gives the slabs back to the process,
-// all but the batch a Reader of a set still attached is on. That one
-// stays the consumer's, which may go on reading it after Abort (a
-// drained Reader is on none). Safe to call multiple times.
+// Abort releases the stream, finished or abandoned: it unwinds the
+// producers from where they are parked, waits for their goroutines and
+// gives the slabs back to the process, all but the batch a Reader of a
+// set still attached is on. That one stays the consumer's, which may go
+// on reading it after Abort (a drained Reader is on none). Safe to call
+// multiple times.
 func (s *Streams) Abort() {
-	s.once.Do(func() {
-		s.mu.Lock()
+	s.mu.Lock()
+	if !s.aborted {
 		s.aborted = true
-		s.mu.Unlock()
-		close(s.abortCh)
-		s.coord.mu.Lock()
-		s.coord.aborted = true
-		bs := make([]*cyclicBarrier, 0, len(s.coord.barriers))
-		for _, b := range s.coord.barriers {
-			bs = append(bs, b)
+		s.wake()
+		for i := range s.threads {
+			if t := &s.threads[i]; !t.closed {
+				t.resume()
+			}
 		}
-		s.coord.mu.Unlock()
-		for _, b := range bs {
-			b.release()
-		}
-		s.wg.Wait()
 		s.release()
-	})
+	}
+	s.mu.Unlock()
+	s.wg.Wait()
 }
 
 // release gives every slab back from the one place that holds it now the
 // producers have exited: the one an aborted producer was filling and
-// those in the lanes, but for any an attached reader is on. Under the
-// mutex, a consumer still running gives its batch back either before the
-// drain or past it, when the lane is empty and ends its stream.
+// those in the lanes, but for any an attached reader is on. The caller
+// holds the mutex, so a consumer still running gives its batch back
+// either before the drain or past it, when the lane is empty and ends
+// its stream.
 func (s *Streams) release() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i := range s.threads {
 		t := &s.threads[i]
-		putSlab(t.buf)
-		t.buf = nil
+		if t.buf != nil {
+			slabPool.Put(t.buf[:0])
+			t.buf = nil
+		}
 		for j, b := range t.log {
 			if !t.onIt(t.base + uint64(j)) {
-				putSlab(b)
+				slabPool.Put(b[:0])
 			}
 			t.log[j] = nil
 		}
@@ -692,27 +582,34 @@ func (s *Streams) release() {
 
 // onIt reports whether an attached reader is on the lane's batch seq.
 func (t *Thread) onIt(seq uint64) bool {
-	for _, r := range t.readers {
-		if !r.m.detached && r.batches > seq && r.reuses <= seq {
+	for k, r := range t.readers {
+		if !t.s.detached[k] && r.batches > seq && r.reuses <= seq {
 			return true
 		}
 	}
 	return false
 }
 
-// ErrPanicked is what Streams.Err wraps: a workload goroutine panicked.
+// ErrPanicked is what Streams.Err wraps when a workload thread panicked.
 var ErrPanicked = errors.New("panicked")
 
+// ErrDeadlocked is what Streams.Err wraps when a reader needed a batch
+// of a thread that waits at a barrier or lock no other thread can
+// release: every thread waited or had finished.
+var ErrDeadlocked = errors.New("deadlocked")
+
 // Err returns the first panic (other than abort) raised by a workload
-// goroutine, if any, wrapping ErrPanicked.
+// thread, wrapping ErrPanicked, or else the deadlock that ended the
+// streams, wrapping ErrDeadlocked; nil if neither happened.
 func (s *Streams) Err() error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.err
 }
 
-// Wait blocks until all emitter goroutines have finished. It gives no
-// slab back: that is Abort's, after Wait as much as instead of it.
+// Wait blocks until every producer has finished, as each has once read
+// to the end of a stream that did not deadlock. It gives no slab back:
+// that is Abort's, after Wait as much as instead of it.
 func (s *Streams) Wait() { s.wg.Wait() }
 
 // Stats counts instruction-stream activity.
@@ -739,7 +636,7 @@ func (s *Stats) Add(o Stats) {
 // (the Reader counters are its own).
 func (s *Streams) Counters(k int) Stats {
 	var c Stats
-	for _, r := range s.members[k].readers {
+	for _, r := range s.sets[k] {
 		c.Batches += r.batches
 		c.Instructions += r.read
 		c.SlabReuses += r.reuses
@@ -747,12 +644,13 @@ func (s *Streams) Counters(k int) Stats {
 	return c
 }
 
-// Start launches nthreads goroutines running body and returns their
-// streams, each read by readers reader sets. body receives the
-// per-thread emission context. The streams hold slabs borrowed from the
-// process until Abort, which every caller owes them (or Detach of every
-// set), a drained stream included; one that is merely dropped takes its
-// slabs to the collector and the next run makes new ones. A non-nil tap
+// Start starts a producer goroutine per thread, each parked until a
+// reader needs its first batch, to run body, and returns their streams,
+// each read by readers reader sets. body receives the per-thread
+// emission context. The streams hold slabs borrowed from the process
+// until Abort, which every caller owes them (or Detach of every set), a
+// drained stream included; one that is merely dropped takes its slabs
+// to the collector and the next run makes new ones. A non-nil tap
 // mirrors every flushed batch.
 func Start(nthreads, readers int, body func(t *Thread), tap Tap) *Streams {
 	if nthreads <= 0 {
@@ -762,17 +660,19 @@ func Start(nthreads, readers int, body func(t *Thread), tap Tap) *Streams {
 		panic("emitter: a stream needs a reader")
 	}
 	s := &Streams{
-		threads: make([]Thread, nthreads),
-		coord:   newCoordinator(),
-		abortCh: make(chan struct{}),
-		members: make([]member, readers),
-		live:    readers,
+		threads:  make([]Thread, nthreads),
+		sets:     make([][]*Reader, readers),
+		detached: make([]bool, readers),
+		live:     readers,
+		arrived:  make(map[uint32]uint64),
+		locks:    make(map[uint32]int),
 	}
+	s.cond.L = &s.mu
 	rs := make([]Reader, readers*nthreads)
 	views := make([]*Reader, 2*readers*nthreads) // by set, then by lane
 	logs := make([][]isa.Instr, nthreads*poolSize)
-	for k := range s.members {
-		s.members[k].readers = views[k*nthreads : (k+1)*nthreads : (k+1)*nthreads]
+	for k := range s.sets {
+		s.sets[k] = views[k*nthreads : (k+1)*nthreads : (k+1)*nthreads]
 	}
 	byLane := views[readers*nthreads:]
 	for i := range s.threads {
@@ -781,51 +681,27 @@ func Start(nthreads, readers int, body func(t *Thread), tap Tap) *Streams {
 			ID:      i,
 			N:       nthreads,
 			s:       s,
-			coord:   s.coord,
-			abort:   s.abortCh,
 			buf:     slabPool.Get(),
-			slabs:   1,
 			rng:     0x9E3779B97F4A7C15 ^ (uint64(i+1) * 0xBF58476D1CE4E5B9),
 			tap:     tap,
+			turn:    make(chan struct{}),
 			readers: byLane[i*readers : (i+1)*readers : (i+1)*readers],
 			log:     logs[i*poolSize : i*poolSize : (i+1)*poolSize],
-			wake:    make(chan struct{}, 1),
 		}
-		for k := range s.members {
+		for k := range s.sets {
 			r := &rs[k*nthreads+i]
-			r.t, r.m, r.wake = t, &s.members[k], make(chan struct{}, 1)
-			s.members[k].readers[i], t.readers[k] = r, r
+			r.t, r.set = t, k
+			s.sets[k][i], t.readers[k] = r, r
 		}
-	}
-	// Every lane is wired before any producer runs: a cycle search
-	// reads them all.
-	for i := range s.threads {
-		t := &s.threads[i]
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				t.closed = true
-				t.unlockWaking()
-			}()
-			defer func() {
-				if r := recover(); r != nil {
-					t.releaseHeld()
-					if _, isAbort := r.(abortPanic); isAbort {
-						return
-					}
-					s.errMu.Lock()
-					if s.err == nil {
-						s.err = fmt.Errorf("emitter thread %d %w: %v", t.ID, ErrPanicked, r)
-					}
-					s.errMu.Unlock()
-				}
-			}()
+			defer t.exit()
+			t.await()
 			body(t)
 			t.send() // the last batch needs no successor slab
 		}()
 	}
-	s.Readers = s.members[0].readers
+	s.Readers = s.sets[0]
 	return s
 }

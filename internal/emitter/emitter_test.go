@@ -1,7 +1,10 @@
 package emitter
 
 import (
+	"errors"
+	"reflect"
 	"testing"
+	"time"
 
 	"flashsim/internal/isa"
 )
@@ -150,25 +153,117 @@ func TestLockMutualExclusion(t *testing.T) {
 	}
 }
 
+// TestAbortUnblocksEverything: Abort unwinds a producer parked at a
+// barrier, one parked holding a lock and one parked after a send, and
+// gives back every slab their Readers are not on.
 func TestAbortUnblocksEverything(t *testing.T) {
+	s := ParkEverywhere()
+	if w := s.threads[0].waits; w != isa.Barrier {
+		t.Errorf("thread 0 waits at %v, want the barrier", w)
+	}
+	if owner, held := s.locks[1]; !held || owner != 1 {
+		t.Errorf("lock 1 held %v by thread %d, want thread 1", held, owner)
+	}
+	if th := &s.threads[2]; th.closed || th.waits != isa.Nop {
+		t.Errorf("thread 2 closed %v, waits at %v: want it parked after a send", th.closed, th.waits)
+	}
+	s.Abort()
+	if err := s.Err(); err != nil {
+		t.Fatalf("abort should not report an error: %v", err)
+	}
+	if n := s.Holds(); n != 0 {
+		t.Errorf("an aborted stream still references %d slabs", n)
+	}
+}
+
+// TestAbortWhileHoldingLock: Abort unwinds a producer parked holding a
+// lock another producer is about to wait for.
+func TestAbortWhileHoldingLock(t *testing.T) {
 	s := Start(2, 1, func(th *Thread) {
-		th.IntOps(BatchSize * 100) // will block on channel backpressure
-		th.Barrier(1)
+		th.Lock(1)
+		th.IntOps(BatchSize * 100)
+		th.Unlock(1)
 	}, nil)
-	// Do not consume; abort must unwind both goroutines.
+	s.Readers[0].NextBatch() // its LOCK
+	s.Readers[0].NextBatch() // the first batch under the lock
+	s.Readers[1].NextBatch() // its LOCK: the lock is thread 0's
+	if owner, held := s.locks[1]; !held || owner != 0 {
+		t.Fatalf("lock 1 held %v by thread %d, want thread 0", held, owner)
+	}
 	s.Abort()
 	if err := s.Err(); err != nil {
 		t.Fatalf("abort should not report an error: %v", err)
 	}
 }
 
-func TestAbortWhileHoldingLock(t *testing.T) {
+// TestDeadlockIsReported: thread 0 waits at a barrier that thread 1
+// returns without joining. The reader that needs thread 0's next batch
+// sees its stream end, and Err says the workload deadlocked.
+func TestDeadlockIsReported(t *testing.T) {
 	s := Start(2, 1, func(th *Thread) {
-		th.Lock(1)
-		th.IntOps(BatchSize * 100) // blocks on backpressure holding the lock
-		th.Unlock(1)
+		if th.ID == 0 {
+			th.Barrier(5)
+			th.IntOps(10)
+		}
 	}, nil)
-	s.Abort()
+	defer s.Abort()
+	got := make(chan []isa.Instr, 1)
+	go func() { got <- drain(s.Readers[0]) }()
+	select {
+	case ins := <-got:
+		if len(ins) != 1 || ins[0].Op != isa.Barrier {
+			t.Errorf("thread 0's stream is %v, want its BARRIER alone", ins)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("reading past a barrier no other thread joins hangs")
+	}
+	if ins := drain(s.Readers[1]); len(ins) != 0 {
+		t.Errorf("thread 1 emitted %d instructions, want none", len(ins))
+	}
+	if err := s.Err(); !errors.Is(err, ErrDeadlocked) || errors.Is(err, ErrPanicked) {
+		t.Errorf("Err() = %v, want one that is ErrDeadlocked alone", err)
+	}
+}
+
+// TestLockOrderAgainstReadOrder: thread 1 takes the lock before the
+// barrier and holds it for three pools' worth of batches; thread 0
+// wants it after the barrier. A reader of thread 0 first runs thread 1,
+// which borrows past poolSize, until it lets the lock go, and both
+// streams are the ones a reader of thread 1 first sees.
+func TestLockOrderAgainstReadOrder(t *testing.T) {
+	body := func(th *Thread) {
+		if th.ID == 1 {
+			th.Lock(1)
+			th.Barrier(5)
+			th.IntOps(3 * poolSize * BatchSize)
+			th.Unlock(1)
+			return
+		}
+		th.Barrier(5)
+		th.Lock(1)
+		th.IntOps(10)
+		th.Unlock(1)
+	}
+	drainIn := func(order []int) [][]isa.Instr {
+		s := Start(2, 1, body, nil)
+		defer s.Abort()
+		got := drainSet(s, 0, order)
+		if err := s.Err(); err != nil {
+			t.Error(err)
+		}
+		return got
+	}
+	first := make(chan [][]isa.Instr, 1)
+	go func() { first <- drainIn([]int{0, 1}) }()
+	select {
+	case got := <-first:
+		if want := drainIn([]int{1, 0}); !reflect.DeepEqual(got, want) {
+			t.Errorf("reading thread 0 first gives streams of %d and %d instructions, thread 1 first %d and %d",
+				len(got[0]), len(got[1]), len(want[0]), len(want[1]))
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("reading thread 0 first hangs on the lock thread 1 holds")
+	}
 }
 
 func TestWorkloadPanicIsReported(t *testing.T) {

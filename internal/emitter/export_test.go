@@ -65,11 +65,31 @@ func (s *Streams) Holds() int {
 	return n
 }
 
-// Unread is how many batches thread i has sent that reader set 0 has not
-// yet taken.
-func (s *Streams) Unread(i int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := &s.threads[i]
-	return int(t.base + uint64(len(t.log)) - s.Readers[i].batches)
+// ParkEverywhere starts three threads and reads each to a different
+// place to be parked: thread 0 waits at a barrier, thread 1 holds a lock
+// and has sent a batch under it, and thread 2, which held the lock
+// first, has sent the batch that lets it go. Each Reader is on a batch.
+func ParkEverywhere() *Streams {
+	s := Start(3, 1, func(th *Thread) {
+		switch th.ID {
+		case 1:
+			th.IntOps(5)
+			th.Lock(1)
+			th.IntOps(BatchSize + 5)
+			th.Unlock(1)
+		case 2:
+			th.Lock(1)
+			th.IntOps(3 * BatchSize)
+			th.Unlock(1)
+		}
+		th.Barrier(1)
+	}, nil)
+	s.Readers[0].NextBatch() // its BARRIER
+	s.Readers[2].NextBatch() // its LOCK
+	s.Readers[2].NextBatch() // the first batch under the lock
+	s.Readers[1].NextBatch() // its LOCK
+	// Thread 1 waits for the lock: thread 0 runs to the barrier, and
+	// thread 2 until it unlocks; then thread 1 takes the lock and sends.
+	s.Readers[1].NextBatch()
+	return s
 }

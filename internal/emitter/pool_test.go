@@ -71,8 +71,9 @@ func emitterGoroutines() int {
 }
 
 // liveStream is a stream that stays running across a test: one thread
-// with its full complement of slabs, blocked on a channel nobody reads.
-// ids identifies the slabs it holds.
+// read by two reader sets, parked after its ninth send with all nine
+// slabs, set 0 on the ninth batch and set 1 on none. ids identifies the
+// slabs it holds.
 type liveStream struct {
 	s   *emitter.Streams
 	ids map[*isa.Instr]bool
@@ -80,22 +81,13 @@ type liveStream struct {
 
 func startLive(t *testing.T) *liveStream {
 	l := &liveStream{ids: map[*isa.Instr]bool{}}
-	full := make(chan struct{})
-	batches := 0
-	l.s = emitter.Start(1, 1, func(th *emitter.Thread) {
+	l.s = emitter.Start(1, 2, func(th *emitter.Thread) {
 		th.IntOps(4 * emitter.PoolSize * emitter.BatchSize)
-	}, func(_ int, batch []isa.Instr) {
-		// On the emitting goroutine, before each send: the ninth batch
-		// is in the ninth slab, and its send blocks until somebody reads.
-		if batches++; batches <= emitter.PoolSize {
-			l.ids[&batch[0]] = true
-		}
-		if batches == emitter.PoolSize {
-			close(full)
-		}
-	})
-	<-full
+	}, nil)
 	t.Cleanup(l.s.Abort)
+	for i := 0; i < emitter.PoolSize; i++ {
+		l.ids[&l.s.Readers[0].NextBatch()[0]] = true
+	}
 	return l
 }
 
@@ -205,9 +197,9 @@ func TestEverySlabComesBackOnce(t *testing.T) {
 			machine.RunWith(mipsy4, d)
 		}},
 		{"workload panics on thread 3 of 8", 8, func(t *testing.T) {
-			// Thread 3 dies holding the lock the others queue on; they
-			// get through once it unwinds and sit in the barrier it never
-			// reaches until the machine gives up and aborts them.
+			// Thread 3 dies holding the lock the others queue on; it
+			// stays held, so they wait at it until the machine gives up
+			// and aborts them, and the run reports the panic.
 			prog := emitter.Program{Name: "dies", Threads: 8, Body: func(th *emitter.Thread, _ any) {
 				if th.ID == 3 {
 					th.Lock(1)
@@ -225,20 +217,16 @@ func TestEverySlabComesBackOnce(t *testing.T) {
 				t.Fatalf("err = %v, want thread 3's panic", err)
 			}
 		}},
-		{"abort with the producer blocked on a full channel", 0, func(t *testing.T) {
-			startLive(t).s.Abort()
+		{"abort with producers parked at barrier and lock", 3, func(t *testing.T) {
+			// One waits at a barrier, one holds a lock, one has sent
+			// its unlock; each reader is on a batch.
+			emitter.ParkEverywhere().Abort()
 		}},
 		{"abort between a send and the next slab", 1, func(t *testing.T) {
-			// The reader takes the first batch and sits on it: the ninth
-			// send goes through, the thread holds all nine slabs' worth
-			// and waits on an empty ring, and the slab it just sent is
-			// the consumer's, not its own.
-			l := startLive(t)
-			l.s.Readers[0].Next()
-			for l.s.Unread(0) < emitter.PoolSize-1 {
-				time.Sleep(time.Millisecond)
-			}
-			l.s.Abort()
+			// The live stream's producer is parked after its ninth send,
+			// before it takes a tenth slab; the ninth batch is set 0's,
+			// not its own.
+			startLive(t).s.Abort()
 		}},
 		{"abort with producers anywhere", 4, func(t *testing.T) {
 			s := emitter.Start(4, 1, func(th *emitter.Thread) {
@@ -351,20 +339,25 @@ func TestEverySlabComesBackOnce(t *testing.T) {
 
 // borrowAndReturn runs threads emitter threads that each borrow their
 // full nine slabs, filling them with loads and CACHE ops that set every
-// field of every slot, and gives them all back.
+// field of every slot, and gives them all back: reader set 0 drains each
+// thread while set 1 has released none of its slabs, then set 1 drains.
 func borrowAndReturn(threads int) {
-	s := emitter.Start(threads, 1, func(th *emitter.Thread) {
+	s := emitter.Start(threads, 2, func(th *emitter.Thread) {
 		// One short of nine full batches: the ninth goes out with the end
-		// of the stream, and a full one would wait for a tenth slab.
+		// of the stream, and a full one would wait for set 1 to give a
+		// slab back.
 		v := emitter.None
 		for i := 0; i < emitter.PoolSize*emitter.BatchSize/2-1; i++ {
 			v = th.Load(0xdead0000+uint64(i), 8, v, v)
 			th.CacheOp(0xbeef0000+uint64(i), 0x15)
 		}
 	}, nil)
-	readEach(s, 1) // the ninth send of each needs the first batch taken
-	s.Wait()
-	readEach(s, math.MaxUint64) // to the end: Abort leaves a reader the batch it is on
+	for k := 0; k < 2; k++ {
+		for _, r := range s.Set(k) {
+			for r.NextBatch() != nil {
+			}
+		}
+	}
 	s.Abort()
 }
 
@@ -388,7 +381,7 @@ func TestDroppedSlabIsNotPinned(t *testing.T) {
 	borrowAndReturn(2)
 	made := emitter.SlabsMade()
 	s := emitter.Start(2, 1, func(th *emitter.Thread) { th.IntOps(3 * emitter.BatchSize) }, nil)
-	readEach(s, 3*emitter.BatchSize)
+	readEach(s, math.MaxUint64) // to the end, where the producers finish
 	s.Wait()
 	if emitter.SlabsMade() != made || s.Holds() == 0 {
 		t.Fatal("the stream did not borrow from the warm list")

@@ -188,7 +188,8 @@ func TestRecycledSlotsAreFullyOverwritten(t *testing.T) {
 				i, in.Op, in.Addr, in.Size, in.Dep1, in.Dep2, in.Aux, ok)
 		}
 	}
-	s.Wait()
+	s.Abort() // the last instruction is read, but the stream not to its end
+
 	if reuses := s.Counters(0).SlabReuses; reuses < 2*poolSize {
 		t.Fatalf("only %d slabs were recycled; the test did not reach reused slots", reuses)
 	}
@@ -279,6 +280,26 @@ func TestSharedEmissionSurvivesSkew(t *testing.T) {
 	for k := range got {
 		if !reflect.DeepEqual(got[k], want) {
 			t.Errorf("set %d read a different stream than a solo reader", k)
+		}
+	}
+}
+
+// BenchmarkEmitterHandOff measures what a batch costs beyond its
+// instructions: each op is a batch of one BARRIER from a one-thread
+// program, so emit, send, the turn both ways and refill are all it does.
+func BenchmarkEmitterHandOff(b *testing.B) {
+	s := Start(1, 1, func(th *Thread) {
+		for {
+			th.Barrier(0)
+		}
+	}, nil)
+	defer s.Abort()
+	rd := s.Readers[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rd.NextBatch() == nil {
+			b.Fatal("stream ended")
 		}
 	}
 }

@@ -104,7 +104,7 @@ type Config struct {
 	// detail; an execution-driven run refuses an enabled schedule. Only
 	// Go callers reach it: it is in no registry path, no CLI flag and no
 	// fingerprint, so a pool with a store refuses a job that enables it.
-	// It goes with the frozen benchmark's sampled replays (ROADMAP 9(e)).
+	// It goes with the frozen benchmark's sampled replays (ROADMAP 1(b)).
 	Sampling SamplingConfig
 
 	// JitterPct adds seeded run-to-run noise to the final time (the

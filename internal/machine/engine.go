@@ -102,8 +102,8 @@ func RunWith(cfg Config, d Driver) (Result, error) {
 }
 
 // execDriver is the execution-driven driver: a launched program whose
-// per-thread emitter goroutines feed the streams, read through one of
-// its reader sets.
+// threads emit into the streams as its reader sets need them, read
+// through one of those sets.
 type execDriver struct {
 	cfg     Config
 	name    string
@@ -113,9 +113,9 @@ type execDriver struct {
 }
 
 // NewExecutionDriver launches prog's emitter threads and returns the
-// execution-driven driver over them. The driver owns the producer
-// goroutines and the slabs they borrowed from the process; RunWith's
-// Finish call releases both on every path.
+// execution-driven driver over them. The driver owns the producers and
+// the slabs they borrowed from the process; RunWith's Finish call
+// releases both on every path.
 func NewExecutionDriver(cfg Config, prog emitter.Program) Driver {
 	space, streams := prog.Launch()
 	return &execDriver{cfg: cfg, name: prog.FullName(), space: space, streams: streams}
@@ -129,9 +129,10 @@ func (d *execDriver) Space() *emitter.AddressSpace { return d.space }
 // producers and returns their slabs.
 func (d *execDriver) Finish(ok bool) (emitter.Stats, error) {
 	d.streams.Detach(d.set)
-	// Surface a workload panic over the machine's own failure: the
-	// stream dying is usually why the run did not drain. A set that
-	// drained saw every thread's end, so a panic is recorded by then.
+	// Surface a workload panic or deadlock over the machine's own
+	// failure: the stream ending is usually why the run did not drain. A
+	// set that drained saw every thread's end, so either is recorded by
+	// then.
 	if err := d.streams.Err(); err != nil || !ok {
 		return emitter.Stats{}, err
 	}
@@ -219,10 +220,8 @@ func (d *captureDriver) Finish(ok bool) (emitter.Stats, error) {
 		return d.execDriver.Finish(ok)
 	}
 	// Every reader drained (all cores finished), so every producer has
-	// flushed through the tap; Wait pins the goroutine exits before the
-	// container is sealed, and the seal comes before the slabs the tap
-	// read go back to the process.
-	d.streams.Wait()
+	// run to its end through the tap; the seal comes before the slabs
+	// the tap read go back to the process.
 	d.tw.SetLayout(d.space)
 	sealErr := d.tw.Finish()
 	em, err := d.execDriver.Finish(true)

@@ -38,16 +38,29 @@ func TestEventCapStopsTheRun(t *testing.T) {
 
 // TestRunFailuresAreTyped: a run that deadlocks (one processor taking a
 // lock it holds) fails with ErrDeadlock, a run past the event cap with
-// ErrEventCap and a run whose workload panics with emitter.ErrPanicked,
-// each matching its own sentinel and no other.
+// ErrEventCap, a run whose workload panics with emitter.ErrPanicked and
+// one whose workload deadlocks its emitter (a thread taking a lock again
+// that the machine saw it release, but it never let go) with
+// emitter.ErrDeadlocked, each matching its own sentinel and no other.
 func TestRunFailuresAreTyped(t *testing.T) {
 	selfLock := emitter.Program{
 		Name:    "self-lock",
 		Threads: 1,
 		Body: func(th *emitter.Thread, _ any) {
 			th.Barrier(emitter.BarrierStart)
-			th.Op(isa.Lock, emitter.None, emitter.None) // Thread.Lock would deadlock the emitter too
+			th.Op(isa.Lock, emitter.None, emitter.None) // Thread.Lock would deadlock the emitter first
 			th.Op(isa.Lock, emitter.None, emitter.None)
+			th.Barrier(emitter.BarrierEnd)
+		},
+	}
+	relock := emitter.Program{
+		Name:    "relock",
+		Threads: 1,
+		Body: func(th *emitter.Thread, _ any) {
+			th.Barrier(emitter.BarrierStart)
+			th.Lock(0)
+			th.Op(isa.Unlock, emitter.None, emitter.None) // the machine's lock 0 goes free, the emitter's not
+			th.Lock(0)
 			th.Barrier(emitter.BarrierEnd)
 		},
 	}
@@ -60,11 +73,12 @@ func TestRunFailuresAreTyped(t *testing.T) {
 		},
 	}
 	_, deadlocked := machine.Run(simpleConfig(1), selfLock)
+	_, relocked := machine.Run(simpleConfig(1), relock)
 	_, panicked := machine.Run(simpleConfig(1), dies)
 	restore := machine.SetEventCap(1000)
 	_, capped := machine.Run(simpleConfig(2), trivialProgram(2, 1<<14))
 	restore()
-	sentinels := []error{machine.ErrDeadlock, machine.ErrEventCap, emitter.ErrPanicked}
+	sentinels := []error{machine.ErrDeadlock, machine.ErrEventCap, emitter.ErrPanicked, emitter.ErrDeadlocked}
 	for _, c := range []struct {
 		name string
 		err  error
@@ -73,6 +87,7 @@ func TestRunFailuresAreTyped(t *testing.T) {
 		{"deadlocked", deadlocked, machine.ErrDeadlock},
 		{"capped", capped, machine.ErrEventCap},
 		{"panicking-workload", panicked, emitter.ErrPanicked},
+		{"deadlocked-workload", relocked, emitter.ErrDeadlocked},
 	} {
 		for _, s := range sentinels {
 			if errors.Is(c.err, s) != (s == c.is) {
@@ -91,9 +106,9 @@ func TestRunFailuresAreTyped(t *testing.T) {
 // one-instruction quantum, where no node runs ahead of the shared state
 // it reads. An engine whose constants are not model error agrees within
 // 0.5 % on every case. knownUnconverged names the cases today's window
-// barrier moves further (ROADMAP item 1); the test fails when one of
-// them converges, so that the list only shrinks, and when any other
-// case diverges.
+// barrier moves further (ROADMAP items 2 and 16); the test fails when
+// one of them converges, so that the list only shrinks, and when any
+// other case diverges.
 func TestEngineConverges(t *testing.T) {
 	hwRef := func(procs int) machine.Config {
 		cfg := hw.Config(procs, true)

@@ -27,7 +27,7 @@ var excludedFields = map[string]string{
 
 func init() {
 	for _, f := range []string{"Enabled", "Period", "Window", "Warmup", "Phase", "ColdState"} {
-		excludedFields["Sampling."+f] = "reached only from Go: the frozen benchmark's sampled replays (ROADMAP 8(e))"
+		excludedFields["Sampling."+f] = "reached only from Go: the frozen benchmark's sampled replays (ROADMAP 1(b))"
 	}
 }
 

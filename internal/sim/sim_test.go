@@ -394,7 +394,7 @@ func FuzzServerMatchesReference(f *testing.F) {
 // The 49th reservation makes the oldest-pair merge bridge the gap
 // between [0, 10) and [100, 110); a request landing in that gap is then
 // served after the bridge instead of in it. This is a known divergence
-// (ROADMAP item 3): when Server becomes exact the grants agree, this
+// (ROADMAP item 5): when Server becomes exact the grants agree, this
 // test fails, and FuzzServerMatchesNaive's bound on stream length goes.
 func TestServerMergeDivergesFromNaive(t *testing.T) {
 	var s Server

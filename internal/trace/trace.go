@@ -45,8 +45,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"flashsim/internal/emitter"
 	"flashsim/internal/isa"
@@ -171,9 +169,7 @@ type footer struct {
 	Actions []uint64
 }
 
-// threadBuf accumulates one thread's pending raw bytes. Only that
-// thread's emitter goroutine touches it; the Writer lock covers only
-// the shared file append.
+// threadBuf accumulates one thread's pending raw bytes.
 type threadBuf struct {
 	raw     []byte
 	count   uint64 // instructions in raw, not yet sealed
@@ -186,20 +182,16 @@ type threadBuf struct {
 
 // Writer captures per-thread instruction streams into a container.
 // Create with NewWriter, feed via Tap (typically through
-// machine.RunCapture), then Finish. Tap is safe for concurrent use by
-// one goroutine per thread; everything else is single-goroutine.
+// machine.RunCapture), then Finish. It is not safe for concurrent use;
+// the emitter runs one thread, and so one Tap, at a time.
 type Writer struct {
-	meta    Meta
-	layout  Layout
-	threads []*threadBuf
-
-	mu     sync.Mutex
-	w      io.Writer
-	off    int64
-	chunks []chunkInfo
-	err    error
-
-	failed   atomic.Bool
+	meta     Meta
+	layout   Layout
+	threads  []*threadBuf
+	w        io.Writer
+	off      int64
+	chunks   []chunkInfo
+	err      error // sticky: the first failure
 	finished bool
 }
 
@@ -229,23 +221,14 @@ func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
 // Threads returns the thread count the writer was created for.
 func (tw *Writer) Threads() int { return tw.meta.Threads }
 
-// write appends b to the file under the lock, tracking the offset.
+// write appends b to the file, tracking the offset.
 func (tw *Writer) write(b []byte) error {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	return tw.writeLocked(b)
-}
-
-func (tw *Writer) writeLocked(b []byte) error {
 	if tw.err != nil {
 		return tw.err
 	}
 	n, err := tw.w.Write(b)
 	tw.off += int64(n)
-	if err != nil {
-		tw.err = err
-		tw.failed.Store(true)
-	}
+	tw.err = err
 	return err
 }
 
@@ -253,7 +236,7 @@ func (tw *Writer) writeLocked(b []byte) error {
 // emitter.Tap. Errors are sticky and surfaced by Finish (a tap has no
 // error channel back into the emitting goroutine).
 func (tw *Writer) Tap(thread int, batch []isa.Instr) {
-	if tw.failed.Load() || thread < 0 || thread >= len(tw.threads) {
+	if tw.err != nil || thread < 0 || thread >= len(tw.threads) {
 		return
 	}
 	tb := tw.threads[thread]
@@ -272,19 +255,19 @@ func (tw *Writer) Tap(thread int, batch []isa.Instr) {
 }
 
 // sealChunk compresses a thread's pending bytes and appends them as
-// one indexed chunk.
+// one indexed chunk, unless the writer has failed.
 func (tw *Writer) sealChunk(thread int, tb *threadBuf) {
-	if len(tb.raw) == 0 {
+	if len(tb.raw) == 0 || tw.err != nil {
 		return
 	}
 	tb.comp.Reset()
 	tb.fw.Reset(&tb.comp)
 	if _, err := tb.fw.Write(tb.raw); err != nil {
-		tw.fail(err)
+		tw.err = err
 		return
 	}
 	if err := tb.fw.Close(); err != nil {
-		tw.fail(err)
+		tw.err = err
 		return
 	}
 	payload := tb.comp.Bytes()
@@ -295,23 +278,12 @@ func (tw *Writer) sealChunk(thread int, tb *threadBuf) {
 		Count:  tb.count,
 		CRC:    crc32.ChecksumIEEE(payload),
 	}
-	tw.mu.Lock()
 	info.Offset = tw.off
-	if err := tw.writeLocked(payload); err == nil {
+	if err := tw.write(payload); err == nil {
 		tw.chunks = append(tw.chunks, info)
 	}
-	tw.mu.Unlock()
 	tb.raw = tb.raw[:0]
 	tb.count = 0
-}
-
-func (tw *Writer) fail(err error) {
-	tw.mu.Lock()
-	if tw.err == nil {
-		tw.err = err
-	}
-	tw.mu.Unlock()
-	tw.failed.Store(true)
 }
 
 // SetLayout records the capture run's address space. Call once the
@@ -321,8 +293,8 @@ func (tw *Writer) SetLayout(space *emitter.AddressSpace) {
 }
 
 // Finish seals the container: it flushes every thread's pending bytes
-// and writes the footer. Call only after all emitting goroutines have
-// stopped. The writer is unusable afterwards.
+// and writes the footer. Call only after the last Tap. The writer is
+// unusable afterwards.
 func (tw *Writer) Finish() error {
 	if tw.finished {
 		return fmt.Errorf("trace: Finish called twice")
@@ -357,7 +329,5 @@ func (tw *Writer) Finish() error {
 	if err := tw.write(tail[:]); err != nil {
 		return fmt.Errorf("trace: writing footer: %w", err)
 	}
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
 	return tw.err
 }

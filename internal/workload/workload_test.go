@@ -124,9 +124,10 @@ func TestEncodeSpecCanonical(t *testing.T) {
 	}
 }
 
-// drain collects every thread's instructions concurrently — emitter
-// threads synchronize at real barriers, so sequential draining would
-// deadlock on channel backpressure — and returns them per thread.
+// drain collects every thread's instructions concurrently — drained one
+// after another, the first thread would run the others through every
+// barrier it passes and their whole streams would wait in memory — and
+// returns them per thread.
 func drain(t *testing.T, prog emitter.Program, visit func(thread int, in isa.Instr)) {
 	t.Helper()
 	_, streams := prog.Launch()
