@@ -11,7 +11,7 @@
 //
 // Endpoints (see internal/serve):
 //
-//	POST   /v1/runs              submit a run ({base, mhz, procs, seed, set} + workload); ?wait=true blocks for the result
+//	POST   /v1/runs              submit a run (core.ConfigSpec {base, mhz, procs, seed, set} + workload); ?wait=true blocks for the result
 //	GET   /v1/jobs              list jobs; /v1/jobs/{id} one status
 //	GET    /v1/jobs/{id}/result  fetch a finished job's payload
 //	DELETE /v1/jobs/{id}         cancel

@@ -40,7 +40,6 @@ import (
 	"flashsim/internal/core"
 	"flashsim/internal/harness"
 	"flashsim/internal/machine"
-	"flashsim/internal/param"
 	"flashsim/internal/runner"
 	"flashsim/internal/workload"
 )
@@ -177,43 +176,27 @@ func lookup(args []string) (string, *command, []string) {
 	return name, nil, args
 }
 
-// simFlags is the machine-selection block of the subcommands that
-// build a configuration by name.
-type simFlags struct {
-	name *string
-	mhz  *int
-	seed *uint64
+// specFlags registers -sim and -mhz on fs: the machine half of the
+// spec a run, capture or replay builds its configuration from.
+func specFlags(fs *flag.FlagSet, def string) *core.ConfigSpec {
+	spec := &core.ConfigSpec{}
+	fs.StringVar(&spec.Base, "sim", def, strings.Join(core.ConfigNames, ", "))
+	fs.IntVar(&spec.MHz, "mhz", 150, "Mipsy clock (150, 225, 300; hw and simos-mxs run at 150)")
+	return spec
 }
 
-func addSimFlags(fs *flag.FlagSet, def string) simFlags {
-	return simFlags{
-		name: fs.String("sim", def, strings.Join(core.ConfigNames, ", ")),
-		mhz:  fs.Int("mhz", 150, "Mipsy clock (150, 225, 300)"),
-		seed: fs.Uint64("seed", 1, "jitter/branch seed"),
+// machineConfig resolves spec as flashd resolves a request's, the
+// model's own seed included, and applies the -config/-set overrides. A
+// spec that names no machine is a usage error; unlike a request's, its
+// processor count is always given, so 0 is refused, not defaulted.
+func machineConfig(cf *cliutil.Flags, spec *core.ConfigSpec) (machine.Config, error) {
+	if err := core.CheckProcs(spec.Procs); err != nil {
+		return machine.Config{}, usagef("-procs: %v", err)
 	}
-}
-
-// checkProcs holds a processor count given by flag to the registry's
-// bounds on procs, the ones flashd holds a request to.
-func checkProcs(name string, n int) error {
-	p, _ := param.Lookup("procs")
-	if _, err := param.Coerce(p.Kind, p.Min, p.Max, nil, n); err != nil {
-		return usagef("%s: %v", name, err)
-	}
-	return nil
-}
-
-// config resolves -sim at the given size, seeds it, and applies the
-// -config/-set overrides.
-func (sf simFlags) config(cf *cliutil.Flags, procs int) (machine.Config, error) {
-	if err := checkProcs("-procs", procs); err != nil {
-		return machine.Config{}, err
-	}
-	cfg, err := core.ConfigByName(*sf.name, procs, *sf.mhz, true)
+	cfg, err := spec.Config()
 	if err != nil {
 		return cfg, usageError{err}
 	}
-	cfg.Seed = *sf.seed
 	return cf.Apply(cfg)
 }
 
@@ -302,8 +285,8 @@ func worksweepCmd(fs *flag.FlagSet, _ *cliutil.Flags) func(*env) error {
 			if err != nil {
 				return usagef("-sizes: %v", err)
 			}
-			if err := checkProcs("-sizes", n); err != nil {
-				return err
+			if err := core.CheckProcs(n); err != nil {
+				return usagef("-sizes: %v", err)
 			}
 			s.SweepSizes = append(s.SweepSizes, n)
 		}

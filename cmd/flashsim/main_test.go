@@ -2,14 +2,20 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"flashsim/internal/core"
 	"flashsim/internal/harness"
+	"flashsim/internal/hw"
+	"flashsim/internal/machine"
+	"flashsim/internal/runner"
 )
 
 // flashsim drives the CLI in-process.
@@ -103,6 +109,16 @@ func TestUsageErrors(t *testing.T) {
 		{"validate -quick figure9", append([]string{`unknown experiment "figure9"`}, experiments...)},
 		{"validate -quick", experiments},
 		{"run -sim vax", core.ConfigNames},
+		// One name per model: hw is not also "flash".
+		{"run -sim flash", core.ConfigNames},
+		// -mhz binds or is refused: hw and MXS run at 150 (cpu.clock_mhz
+		// moves any model's clock).
+		{"run -sim hw -mhz 225", []string{"mhz", "hw", "150", "cpu.clock_mhz"}},
+		{"run -sim simos-mxs -mhz 300", []string{"mhz", "simos-mxs", "150", "cpu.clock_mhz"}},
+		{"trace capture -sim simos-mxs -mhz 225 -app fft -o x.fltr", []string{"mhz", "simos-mxs"}},
+		// The seed is the model's own unless -set seed=N moves it.
+		{"run -seed 3", []string{"flag provided but not defined: -seed"}},
+		{"trace replay -seed 3 f.fltr", []string{"flag provided but not defined: -seed"}},
 		{"run -app nosuch", []string{"nosuch", "fft"}},
 		{"worksweep -workloads nosuch", []string{"nosuch", "gups"}},
 		// Capture and replay are `trace capture -o` and `trace replay`; no
@@ -352,6 +368,50 @@ func TestWorksweepJSONReport(t *testing.T) {
 	for _, gone := range []string{`"sampling"`, `"schedule"`} {
 		if bytes.Contains(data, []byte(gone)) {
 			t.Errorf("report still carries %s:\n%s", gone, data)
+		}
+	}
+}
+
+// TestFrontEndsAgree: for every model the study names, the machine a
+// flashd spec resolves is the study's own constructor's, field for
+// field and seed included, and `flashsim run` with the same -sim and
+// -mhz files its result under that machine's key: a run the study made
+// (validate figure1 runs SimOS-Mipsy 150 on the untuned FFT) is a hit
+// for the CLI, and the other way round.
+func TestFrontEndsAgree(t *testing.T) {
+	prog := harness.ScaleQuick.FFTWorkload(false).Make(1)
+	for _, tc := range []struct {
+		base  string
+		mhz   int
+		study machine.Config
+	}{
+		{"hw", 150, hw.Config(1, true)},
+		{"simos-mipsy", 150, core.SimOSMipsy(1, 150, true)},
+		{"simos-mipsy", 225, core.SimOSMipsy(1, 225, true)},
+		{"simos-mipsy", 300, core.SimOSMipsy(1, 300, true)},
+		{"simos-mxs", 150, core.SimOSMXS(1, true)},
+		{"solo-mipsy", 150, core.SoloMipsy(1, 150, true)},
+	} {
+		name := fmt.Sprintf("%s at %d", tc.base, tc.mhz)
+		spec, err := core.ConfigSpec{Base: tc.base, MHz: tc.mhz, Procs: 1}.Config()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(spec, tc.study) {
+			t.Errorf("%s: the spec resolves\n%+v\nthe study builds\n%+v", name, spec, tc.study)
+		}
+		dir := t.TempDir()
+		stdout, stderr, status := flashsim("run", "-sim", tc.base, "-mhz", strconv.Itoa(tc.mhz),
+			"-app", "fft", "-p", "tlb_blocked=false", "-full=false", "-cache-dir", dir)
+		if status != 0 {
+			t.Fatalf("%s: exit %d\n%s", name, status, stderr)
+		}
+		if want := " on " + tc.study.Name + ", 1 processor(s)"; !strings.Contains(stdout, want) {
+			t.Errorf("%s: the run does not say %q:\n%s", name, want, stdout)
+		}
+		key := runner.Fingerprint(tc.study, prog)
+		if entries, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(entries) != 1 || entries[0] != filepath.Join(dir, key+".json") {
+			t.Errorf("%s: the run filed %v, want the study's key %s", name, entries, key)
 		}
 	}
 }

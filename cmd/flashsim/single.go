@@ -17,20 +17,20 @@ import (
 // runCmd is `flashsim run`: one workload on one machine, executed
 // through the pool.
 func runCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
-	procs := fs.Int("procs", 1, "processor count")
-	sf := addSimFlags(fs, "hw")
+	spec := specFlags(fs, "hw")
+	fs.IntVar(&spec.Procs, "procs", 1, "processor count")
 	check := fs.Bool("check-coherence", false, "verify directory protocol invariants after every operation")
 	wf := cliutil.RegisterWorkloadOn(fs)
 	return func(e *env) error {
 		if err := wf.Finish(); err != nil {
 			return usageError{err}
 		}
-		cfg, err := sf.config(cf, *procs)
+		cfg, err := machineConfig(cf, spec)
 		if err != nil {
 			return err
 		}
 		cfg.CheckCoherence = *check
-		prog, _, err := wf.Program(*procs)
+		prog, _, err := wf.Program(spec.Procs)
 		if err != nil {
 			return err
 		}
@@ -45,7 +45,7 @@ func runCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 		if e.pool.Stats().CacheHits > 0 {
 			fmt.Fprintf(e.out, "[memoized: result served from %s]\n", e.store.Dir())
 		}
-		fmt.Fprintf(e.out, "%s on %s, %d processor(s)\n", prog.FullName(), cfg.Name, *procs)
+		fmt.Fprintf(e.out, "%s on %s, %d processor(s)\n", prog.FullName(), cfg.Name, spec.Procs)
 		report(e.out, res, wall, true)
 		return nil
 	}

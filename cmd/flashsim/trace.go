@@ -9,35 +9,35 @@ import (
 	"time"
 
 	"flashsim/internal/cliutil"
+	"flashsim/internal/core"
 	"flashsim/internal/runner"
 	"flashsim/internal/trace"
+	"flashsim/internal/workload"
 )
 
 // captureCmd is `flashsim trace capture`.
 func captureCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 	wf := cliutil.RegisterWorkloadOn(fs)
-	procs := fs.Int("procs", 1, "processor count")
-	sf := addSimFlags(fs, "simos-mipsy")
+	spec := specFlags(fs, "simos-mipsy")
+	fs.IntVar(&spec.Procs, "procs", 1, "processor count")
 	out := fs.String("o", "", "output container path (default <app>.fltr)")
 	return func(e *env) error {
 		if err := wf.Finish(); err != nil {
 			return usageError{err}
 		}
-		cfg, err := sf.config(cf, *procs)
+		cfg, err := machineConfig(cf, spec)
 		if err != nil {
 			return err
 		}
-		prog, spec, err := wf.Program(*procs)
+		prog, w, err := wf.Program(spec.Procs)
 		if err != nil {
 			return err
 		}
-		// The source spec recorded in the container.
+		// The container records the run as a flashd request body.
 		source, err := json.Marshal(struct {
-			Workload json.RawMessage `json:"workload"`
-			Sim      string          `json:"sim"`
-			MHz      int             `json:"mhz"`
-			Procs    int             `json:"procs"`
-		}{spec, *sf.name, *sf.mhz, *procs})
+			core.ConfigSpec
+			Workload workload.Spec `json:"workload"`
+		}{*spec, w})
 		if err != nil {
 			return err
 		}
@@ -119,7 +119,7 @@ func inspectCmd(fs *flag.FlagSet, _ *cliutil.Flags) func(*env) error {
 // replayCmd is `flashsim trace replay <container>`: the machine is
 // sized from the trace's thread count.
 func replayCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
-	sf := addSimFlags(fs, "simos-mipsy")
+	spec := specFlags(fs, "simos-mipsy")
 	return func(e *env) error {
 		if len(e.args) != 1 {
 			return usagef("want one argument: flashsim trace replay [flags] <container.fltr>")
@@ -128,8 +128,8 @@ func replayCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 		if err != nil {
 			return err
 		}
-		procs := img.Threads()
-		cfg, err := sf.config(cf, procs)
+		spec.Procs = img.Threads()
+		cfg, err := machineConfig(cf, spec)
 		if err != nil {
 			return err
 		}
@@ -139,7 +139,7 @@ func replayCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 			return out.Err
 		}
 		res := out.Result
-		fmt.Fprintf(e.out, "%s (trace-driven) on %s, %d processor(s)\n", img.Workload(), cfg.Name, procs)
+		fmt.Fprintf(e.out, "%s (trace-driven) on %s, %d processor(s)\n", img.Workload(), cfg.Name, spec.Procs)
 		report(e.out, res, time.Since(t0), false)
 		return nil
 	}

@@ -1,7 +1,6 @@
 package cliutil
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -55,10 +54,6 @@ func (w *WorkloadFlags) Finish() error {
 // Resolve looks the selection up in the registry and validates the -p
 // assignments against its schema.
 func (w *WorkloadFlags) Resolve() (*workload.Definition, workload.Values, error) {
-	def, err := workload.Lookup(w.App)
-	if err != nil {
-		return nil, nil, err
-	}
 	raw := make(map[string]any, len(w.params))
 	for _, kv := range w.params {
 		s, err := param.ParseSetting(kv)
@@ -67,24 +62,16 @@ func (w *WorkloadFlags) Resolve() (*workload.Definition, workload.Values, error)
 		}
 		raw[s.Path] = s.Value
 	}
-	vals, err := def.Resolve(raw, !w.Full)
-	if err != nil {
-		return nil, nil, err
-	}
-	return def, vals, nil
+	return workload.Spec{Name: w.App, Params: raw}.Resolve(!w.Full)
 }
 
 // Program builds the selected program at the given thread count, plus
-// the canonical source spec (every parameter resolved) recorded in
-// trace containers.
-func (w *WorkloadFlags) Program(procs int) (emitter.Program, json.RawMessage, error) {
+// its spec with every parameter resolved, the workload a trace
+// container records as its source.
+func (w *WorkloadFlags) Program(procs int) (emitter.Program, workload.Spec, error) {
 	def, vals, err := w.Resolve()
 	if err != nil {
-		return emitter.Program{}, nil, err
+		return emitter.Program{}, workload.Spec{}, err
 	}
-	src, err := workload.EncodeSpec(def.Name, vals)
-	if err != nil {
-		return emitter.Program{}, nil, err
-	}
-	return def.Build(vals, procs), src, nil
+	return def.Build(vals, procs), workload.Spec{Name: def.Name, Params: vals}, nil
 }

@@ -28,6 +28,7 @@ import (
 	"flashsim/internal/machine"
 	"flashsim/internal/memsys"
 	"flashsim/internal/osmodel"
+	"flashsim/internal/param"
 )
 
 // Untuned TLB-refill costs of the study simulators ("The Mipsy processor
@@ -103,9 +104,8 @@ func StandardConfigs(procs int, scaled bool) []machine.Config {
 // hardware reference and the three simulator families of the study.
 var ConfigNames = []string{"hw", "simos-mipsy", "simos-mxs", "solo-mipsy"}
 
-// ConfigByName builds the named machine model — the one place a -sim
-// flag or a job spec's base name becomes a configuration. mhz applies
-// to the Mipsy-based models only (MXS and the hardware run at 150).
+// ConfigByName builds the named machine model. mhz applies to the
+// Mipsy-based models only (MXS and the hardware run at 150).
 func ConfigByName(name string, procs, mhz int, scaled bool) (machine.Config, error) {
 	switch name {
 	case "hw":
@@ -118,6 +118,67 @@ func ConfigByName(name string, procs, mhz int, scaled bool) (machine.Config, err
 		return SoloMipsy(procs, mhz, scaled), nil
 	}
 	return machine.Config{}, fmt.Errorf("unknown simulator %q (want %s)", name, strings.Join(ConfigNames, ", "))
+}
+
+// ConfigSpec names a machine: a base model plus param-registry deltas.
+// It is what a flashd request carries and what flashsim's -sim, -mhz
+// and -procs fill, so both front ends build a machine one way.
+type ConfigSpec struct {
+	// Base is one of ConfigNames.
+	Base string `json:"base"`
+	// MHz is the Mipsy clock (default 150). hw and simos-mxs run at 150
+	// and refuse any other; cpu.clock_mhz moves any model's clock.
+	MHz int `json:"mhz,omitempty"`
+	// Procs is the processor count (default 1).
+	Procs int `json:"procs,omitempty"`
+	// Seed overrides the model's own jitter seed when nonzero.
+	Seed uint64 `json:"seed,omitempty"`
+	// Set is the parameter-override list, validated against the
+	// registry.
+	Set []param.Setting `json:"set,omitempty"`
+}
+
+// Config materializes the spec through ConfigByName and the param
+// registry and validates the result: a spec this accepts is one
+// machine.New builds.
+func (c ConfigSpec) Config() (machine.Config, error) {
+	if c.Procs == 0 {
+		c.Procs = 1
+	}
+	if err := CheckProcs(c.Procs); err != nil {
+		return machine.Config{}, fmt.Errorf("procs: %v", err)
+	}
+	if c.MHz == 0 {
+		c.MHz = 150
+	}
+	if c.MHz != 150 && (c.Base == "hw" || c.Base == "simos-mxs") {
+		return machine.Config{}, fmt.Errorf("mhz: %s runs at 150, not %d (cpu.clock_mhz sets its clock)", c.Base, c.MHz)
+	}
+	if c.Base == "" {
+		return machine.Config{}, fmt.Errorf("base config missing")
+	}
+	cfg, err := ConfigByName(c.Base, c.Procs, c.MHz, true)
+	if err != nil {
+		return machine.Config{}, err
+	}
+	if c.Seed != 0 {
+		cfg.Seed = c.Seed
+	}
+	if cfg, err = param.ApplySettings(cfg, c.Set); err != nil {
+		return machine.Config{}, err
+	}
+	return cfg, cfg.Validate()
+}
+
+// CheckProcs holds a processor count to the registry's bounds on procs,
+// 8× the largest machine any experiment builds (WideSizes). A machine's
+// memory grows with its processor count, and running out of it kills
+// the process (no recover catches that), so a front end checks before
+// it builds one.
+func CheckProcs(n int) error {
+	p, _ := param.Lookup("procs")
+	_, err := param.Coerce(p.Kind, p.Min, p.Max, nil, n)
+	return err
 }
 
 // WideSizes is the widened machine matrix of the server-class workload

@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"flashsim/internal/core"
+	"flashsim/internal/hw"
 	"flashsim/internal/machine"
 	"flashsim/internal/osmodel"
 	"flashsim/internal/param"
@@ -70,6 +72,52 @@ func TestWithNUMA(t *testing.T) {
 	}
 	if !strings.Contains(cfg.Name, "NUMA") {
 		t.Fatal("name")
+	}
+}
+
+// TestConfigSpec: a spec resolves to its model's own constructor, the
+// model's seed included, then takes its seed and deltas; and it refuses
+// what names no machine: a missing or unknown base ("flash" among
+// them), a processor count outside the registry's bounds, a clock other
+// than 150 on hw or MXS, a path the registry does not know, and a
+// machine Validate rejects.
+func TestConfigSpec(t *testing.T) {
+	for _, tc := range []struct {
+		spec core.ConfigSpec
+		want machine.Config
+	}{
+		{core.ConfigSpec{Base: "hw"}, hw.Config(1, true)},
+		{core.ConfigSpec{Base: "simos-mipsy", MHz: 225, Procs: 4}, core.SimOSMipsy(4, 225, true)},
+		{core.ConfigSpec{Base: "simos-mxs", MHz: 150}, core.SimOSMXS(1, true)},
+		{core.ConfigSpec{Base: "solo-mipsy", MHz: 300, Procs: 2}, core.SoloMipsy(2, 300, true)},
+	} {
+		if got, err := tc.spec.Config(); err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%+v: err %v, resolves\n%+v\nwant\n%+v", tc.spec, err, got, tc.want)
+		}
+	}
+	spec := core.ConfigSpec{Base: "simos-mipsy", Seed: 7, Set: []param.Setting{{Path: "os.tlb.handler_cycles", Value: "65"}}}
+	want := core.SimOSMipsy(1, 150, true)
+	want.Seed, want.OS.TLBHandlerCycles = 7, 65
+	if got, err := spec.Config(); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("%+v: err %v, resolves\n%+v\nwant\n%+v", spec, err, got, want)
+	}
+
+	for _, tc := range []struct {
+		spec core.ConfigSpec
+		want string
+	}{
+		{core.ConfigSpec{}, "base config missing"},
+		{core.ConfigSpec{Base: "flash"}, `unknown simulator "flash" (want hw, simos-mipsy, simos-mxs, solo-mipsy)`},
+		{core.ConfigSpec{Base: "hw", MHz: 225}, "mhz: hw runs at 150, not 225"},
+		{core.ConfigSpec{Base: "simos-mxs", MHz: 300}, "mhz: simos-mxs runs at 150, not 300"},
+		{core.ConfigSpec{Base: "simos-mipsy", Procs: -1}, "procs: "},
+		{core.ConfigSpec{Base: "simos-mipsy", Procs: 1025}, "procs: "},
+		{core.ConfigSpec{Base: "simos-mipsy", Set: []param.Setting{{Path: "no.such.knob", Value: "1"}}}, "no.such.knob"},
+		{core.ConfigSpec{Base: "simos-mipsy", MHz: 7}, "does not divide 900"},
+	} {
+		if _, err := tc.spec.Config(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err %v, want one that says %q", tc.spec, err, tc.want)
+		}
 	}
 }
 

@@ -49,11 +49,7 @@ func (s Scale) Workload(name string, over map[string]any) core.Workload {
 // and overrides are internal constants here, so a registry miss is a
 // programming error and panics.
 func (s Scale) resolve(name string, over map[string]any) (*workload.Definition, workload.Values) {
-	def, err := workload.Lookup(name)
-	if err != nil {
-		panic(err)
-	}
-	vals, err := def.Resolve(over, s == ScaleQuick)
+	def, vals, err := workload.Spec{Name: name, Params: over}.Resolve(s == ScaleQuick)
 	if err != nil {
 		panic(err)
 	}

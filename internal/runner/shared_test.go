@@ -267,3 +267,48 @@ func TestGroupAccounting(t *testing.T) {
 		}
 	}
 }
+
+// TestSetupPanicFailsItsJobs: a program whose Setup panics never starts
+// an emission, so the launch panics outside any member. In one batch, a
+// group of three jobs on such a program, a job alone on it (two threads,
+// so a program of its own) and a healthy group: each Setup job fails
+// with "simulation panicked", the healthy members equal their solo
+// runs, and no emitter thread is left.
+func TestSetupPanicFailsItsJobs(t *testing.T) {
+	broken := func(threads int) emitter.Program {
+		prog := tinyProg(threads, 100)
+		prog.Variant = "setup-panics"
+		prog.Setup = func(*emitter.AddressSpace) any { panic("no address space") }
+		return prog
+	}
+	var jobs []runner.Job
+	for _, cfg := range core.StandardConfigs(1, true)[:3] {
+		jobs = append(jobs, runner.Job{Config: cfg, Prog: broken(1)})
+	}
+	jobs = append(jobs, runner.Job{Config: core.SimOSMipsy(2, 150, true), Prog: broken(2)})
+	for _, cfg := range core.StandardConfigs(1, true)[3:5] {
+		jobs = append(jobs, runner.Job{Config: cfg, Prog: tinyProg(1, 300)})
+	}
+	pool := runner.New(1, nil)
+	outs := runWithin(t, pool, jobs)
+	for i, o := range outs[:4] {
+		if o.Err == nil || !strings.Contains(o.Err.Error(), "simulation panicked: no address space") {
+			t.Errorf("job %d (%s on %s): err %v, want the Setup panic", i, jobs[i].Prog.FullName(), jobs[i].Config.Name, o.Err)
+		}
+	}
+	for i, o := range outs[4:] {
+		j := jobs[4+i]
+		if o.Err != nil {
+			t.Fatalf("%s failed beside the Setup panics: %v", j.Config.Name, o.Err)
+		}
+		if want := solo(t, j); !reflect.DeepEqual(o.Result, want) {
+			t.Errorf("%s: the shared run differs from the solo run:\n%+v\n%+v", j.Config.Name, o.Result, want)
+		}
+	}
+	if st := pool.Stats(); st.Jobs != 6 || st.Failed != 4 || st.Ran != 2 {
+		t.Errorf("stats %+v, want 6 jobs, 4 failed and 2 run", st)
+	}
+	if n := emitterThreads(); n != 0 {
+		t.Errorf("%d emitter threads left behind", n)
+	}
+}

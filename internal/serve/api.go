@@ -20,13 +20,10 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"flashsim/internal/core"
-	"flashsim/internal/emitter"
 	"flashsim/internal/machine"
-	"flashsim/internal/param"
 	"flashsim/internal/runner"
 	"flashsim/internal/workload"
 )
@@ -71,115 +68,17 @@ type JobStatus struct {
 	FinishedMS  int64 `json:"finished_ms,omitempty"`
 }
 
-// WorkloadSpec selects a program from the workload registry: a name
-// plus parameter assignments. Omitted parameters take the workload's
-// registered full-scale defaults; unknown names and parameters are
-// rejected against the registry's schemas. On the wire the spec is
-// flat — {"name": "fft", "logn": 12} — exactly what a human writes in
-// a flashd job file.
-type WorkloadSpec struct {
-	Name   string
-	Params map[string]any
-}
+// WorkloadSpec is a request's workload: {"name": …, <parameter>: …}
+// against the workload registry, full-scale defaults for the rest.
+type WorkloadSpec = workload.Spec
 
 // Workload builds a spec; params may be nil for all-defaults.
 func Workload(name string, params map[string]any) WorkloadSpec {
 	return WorkloadSpec{Name: name, Params: params}
 }
 
-// MarshalJSON renders the canonical flat object with parameters in
-// sorted order, the form UnmarshalJSON reads.
-func (w WorkloadSpec) MarshalJSON() ([]byte, error) {
-	return workload.EncodeSpec(w.Name, w.Params)
-}
-
-// UnmarshalJSON accepts the flat wire object. Validation happens at
-// Program time, against the registry schema — here only the shape is
-// checked, so decode errors and parameter errors stay distinguishable.
-func (w *WorkloadSpec) UnmarshalJSON(data []byte) error {
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("workload spec: %w", err)
-	}
-	name, _ := raw["name"].(string)
-	delete(raw, "name")
-	w.Name = name
-	if len(raw) > 0 {
-		w.Params = raw
-	} else {
-		w.Params = nil
-	}
-	return nil
-}
-
-// Program builds the workload at the given thread count via the
-// registry.
-func (w WorkloadSpec) Program(procs int) (emitter.Program, error) {
-	def, err := workload.Lookup(w.Name)
-	if err != nil {
-		return emitter.Program{}, err
-	}
-	vals, err := def.Resolve(w.Params, false)
-	if err != nil {
-		return emitter.Program{}, err
-	}
-	return def.Build(vals, procs), nil
-}
-
-// ConfigSpec selects a simulator configuration: a named base plus
-// param-registry deltas, the same {base, set} shape the CLIs express
-// with -sim/-set.
-type ConfigSpec struct {
-	// Base is hw, simos-mipsy, simos-mxs, or solo-mipsy.
-	Base string `json:"base"`
-	// MHz is the Mipsy clock (default 150; ignored by hw and mxs).
-	MHz int `json:"mhz,omitempty"`
-	// Procs is the processor count (default 1).
-	Procs int `json:"procs,omitempty"`
-	// Seed overrides the configuration's jitter seed when nonzero.
-	Seed uint64 `json:"seed,omitempty"`
-	// Set is the parameter-override list, validated against the
-	// registry exactly like the CLIs' -set flags.
-	Set []param.Setting `json:"set,omitempty"`
-}
-
-// Config materializes the spec through core's constructors and the
-// param registry and validates the result: a spec this accepts is one
-// machine.New builds.
-func (c ConfigSpec) Config() (machine.Config, error) {
-	if c.Procs == 0 {
-		c.Procs = 1
-	}
-	// The registry bounds procs at 8× the largest machine any experiment
-	// builds (core.WideSizes). A machine's memory grows with its
-	// processor count and running out of it kills the daemon — no
-	// recover catches that — so the bound is checked here, before a
-	// queue slot is taken.
-	p, _ := param.Lookup("procs")
-	if _, err := param.Coerce(p.Kind, p.Min, p.Max, nil, c.Procs); err != nil {
-		return machine.Config{}, fmt.Errorf("procs: %v", err)
-	}
-	if c.MHz == 0 {
-		c.MHz = 150
-	}
-	switch c.Base {
-	case "":
-		return machine.Config{}, fmt.Errorf("base config missing")
-	case "flash":
-		c.Base = "hw"
-	}
-	cfg, err := core.ConfigByName(c.Base, c.Procs, c.MHz, true)
-	if err != nil {
-		return machine.Config{}, err
-	}
-	if c.Seed != 0 {
-		cfg.Seed = c.Seed
-	}
-	if cfg, err = param.ApplySettings(cfg, c.Set); err != nil {
-		return machine.Config{}, err
-	}
-	return cfg, cfg.Validate()
-}
+// ConfigSpec is a request's machine: {base, mhz, procs, seed, set}.
+type ConfigSpec = core.ConfigSpec
 
 // RunRequest submits one simulation run.
 type RunRequest struct {

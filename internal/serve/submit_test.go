@@ -89,28 +89,35 @@ func TestEveryKind(t *testing.T) {
 }
 
 // TestUnrunnableSpecRefusedAtTheDoor: a spec machine.New would reject,
-// whose machine is bigger than any the daemon will build, or that sets
-// a path the registry does not know (sampling.* among them) is a 400
-// naming the config before a queue slot is taken, and a workload whose
-// thread count is not the machine's processor count one naming the
-// workload. (Queued, the first three came back as 500s, one with a
-// goroutine dump for a body; the fourth took the process down with it;
-// the last failed as a 500.)
+// whose machine is bigger than any the daemon will build, that sets a
+// path the registry does not know (sampling.* among them), that names
+// no model ("flash" among them) or that clocks hw or MXS at other than
+// 150 is a 400 naming the config before a queue slot is taken, and a
+// workload whose thread count is not the machine's processor count one
+// naming the workload. (Queued, the first three came back as 500s, one
+// with a goroutine dump for a body; the fourth took the process down
+// with it; the workload's failed as a 500. "flash" ran hw, and the
+// clock was dropped.)
 func TestUnrunnableSpecRefusedAtTheDoor(t *testing.T) {
 	s, ts, gate := newTestServer(t, Options{})
 	close(gate)
-	const gups = `,"workload":{"name":"gups","log_table":10,"updates":64}`
+	const mipsy, gups = `"base":"simos-mipsy",`, `,"workload":{"name":"gups","log_table":10,"updates":64}`
 	procs, _ := param.Lookup("procs")
 	for name, row := range map[string]struct{ spec, want string }{
-		"no processors":     {`"procs":-1` + gups, "config: "},
-		"negative clock":    {`"mhz":-5` + gups, "config: "},
-		"L2 line < L1 line": {`"set":[{"path":"l2.line_bytes","value":"16"}]` + gups, "config: machine "},
-		"sampling":          {`"set":[{"path":"sampling.enabled","value":"true"}]` + gups, `config: param: unknown path "sampling.enabled"`},
-		"20000 processors":  {`"procs":20000` + gups, "config: "},
-		"one over":          {fmt.Sprintf(`"procs":%v`, procs.Max+1) + gups, "config: "},
-		"1 thread on 4":     {`"procs":4,"workload":{"name":"snbench.restart","lines":8}`, "workload: "},
+		"no processors":     {mipsy + `"procs":-1` + gups, "config: "},
+		"negative clock":    {mipsy + `"mhz":-5` + gups, "config: "},
+		"L2 line < L1 line": {mipsy + `"set":[{"path":"l2.line_bytes","value":"16"}]` + gups, "config: machine "},
+		"sampling":          {mipsy + `"set":[{"path":"sampling.enabled","value":"true"}]` + gups, `config: param: unknown path "sampling.enabled"`},
+		"20000 processors":  {mipsy + `"procs":20000` + gups, "config: "},
+		"one over":          {mipsy + fmt.Sprintf(`"procs":%v`, procs.Max+1) + gups, "config: "},
+		"1 thread on 4":     {mipsy + `"procs":4,"workload":{"name":"snbench.restart","lines":8}`, "workload: "},
+		// hw and MXS run at 150: an mhz that would be dropped is refused.
+		"hw at 225":  {`"base":"hw","mhz":225` + gups, "config: mhz: hw runs at 150"},
+		"MXS at 300": {`"base":"simos-mxs","mhz":300` + gups, "config: mhz: simos-mxs runs at 150"},
+		// One name per model, as on the CLI.
+		"flash": {`"base":"flash"` + gups, `config: unknown simulator "flash" (want hw, simos-mipsy, simos-mxs, solo-mipsy)`},
 	} {
-		body := `{"base":"simos-mipsy",` + row.spec + `}`
+		body := `{` + row.spec + `}`
 		resp, data := postJSON(t, ts.URL+"/v1/runs?wait=true", []byte(body))
 		var e ErrorResponse
 		if err := json.Unmarshal(data, &e); err != nil || resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(e.Error, row.want) {

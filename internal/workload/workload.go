@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"flashsim/internal/core"
@@ -139,7 +140,9 @@ func Lookup(name string) (*Definition, error) {
 	}
 	d, ok := registry[name]
 	if !ok {
-		return nil, fmt.Errorf("unknown workload %q (registered: %s)", name, strings.Join(Names(), ", "))
+		// Quoted before formatting: %q would let name escape, and with
+		// it a caller's Spec and the parameter map it carries.
+		return nil, fmt.Errorf("unknown workload %s (registered: %s)", strconv.Quote(name), strings.Join(Names(), ", "))
 	}
 	return d, nil
 }
@@ -215,36 +218,70 @@ func (d *Definition) Workload(v Values) core.Workload {
 	}
 }
 
-// EncodeSpec renders a workload selection as the canonical JSON object
-// of the flashd job specs and trace-container source metadata:
-// {"name": ..., <param>: <value>, ...} with parameters sorted by name.
-func EncodeSpec(name string, params map[string]any) (json.RawMessage, error) {
-	var b strings.Builder
-	b.WriteString(`{"name":`)
-	nb, err := json.Marshal(name)
+// Spec selects a program from the registry: a name plus parameter
+// assignments, validated against the definition's schema when it is
+// resolved. On the wire the spec is flat — {"name": "fft", "logn": 12}
+// — the form of a flashd request's workload and of a trace container's
+// source metadata.
+type Spec struct {
+	Name   string
+	Params map[string]any
+}
+
+// Resolve looks the spec's workload up and validates its parameters,
+// filling the rest with the defaults of the given scale.
+func (s Spec) Resolve(quick bool) (*Definition, Values, error) {
+	def, err := Lookup(s.Name)
+	if err != nil {
+		return nil, nil, err
+	}
+	vals, err := def.Resolve(s.Params, quick)
+	if err != nil {
+		return nil, nil, err
+	}
+	return def, vals, nil
+}
+
+// Program builds the workload at full scale for the given thread count.
+func (s Spec) Program(procs int) (emitter.Program, error) {
+	def, vals, err := s.Resolve(false)
+	if err != nil {
+		return emitter.Program{}, err
+	}
+	return def.Build(vals, procs), nil
+}
+
+// MarshalJSON renders the canonical flat object: the name first, then
+// the parameters sorted by name.
+func (s Spec) MarshalJSON() ([]byte, error) {
+	name, err := json.Marshal(s.Name)
 	if err != nil {
 		return nil, err
 	}
-	b.Write(nb)
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		kb, err := json.Marshal(k)
+	out := append([]byte(`{"name":`), name...)
+	if len(s.Params) > 0 {
+		params, err := json.Marshal(s.Params) // a map marshals with sorted keys
 		if err != nil {
 			return nil, err
 		}
-		vb, err := json.Marshal(params[k])
-		if err != nil {
-			return nil, err
-		}
-		b.WriteByte(',')
-		b.Write(kb)
-		b.WriteByte(':')
-		b.Write(vb)
+		out = append(append(out, ','), params[1:len(params)-1]...)
 	}
-	b.WriteByte('}')
-	return json.RawMessage(b.String()), nil
+	return append(out, '}'), nil
+}
+
+// UnmarshalJSON accepts the flat wire object. Only the shape is checked
+// here; the parameters are validated when the spec is resolved, so a
+// decode error and a parameter error stay distinguishable.
+func (s *Spec) UnmarshalJSON(data []byte) error {
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return fmt.Errorf("workload spec: %w", err)
+	}
+	s.Name, _ = raw["name"].(string)
+	delete(raw, "name")
+	s.Params = nil
+	if len(raw) > 0 {
+		s.Params = raw
+	}
+	return nil
 }

@@ -107,20 +107,59 @@ func TestResolveValidation(t *testing.T) {
 	}
 }
 
-// TestEncodeSpecCanonical: the wire encoding is deterministic (sorted
-// keys) and round-trips through a plain JSON decode.
-func TestEncodeSpecCanonical(t *testing.T) {
-	spec, err := workload.EncodeSpec("gups", map[string]any{"updates": 128, "log_table": 10})
-	if err != nil {
-		t.Fatal(err)
+// TestSpecResolves: a spec resolves through the registry at the scale
+// asked for and builds its program at full scale; an unknown name or
+// parameter is refused, and so is a wire body that is not an object.
+func TestSpecResolves(t *testing.T) {
+	spec := workload.Spec{Name: "fft", Params: map[string]any{"tlb_blocked": false}}
+	def, quick, err := spec.Resolve(true)
+	if err != nil || def.Name != "fft" || quick.Bool("tlb_blocked") {
+		t.Fatalf("Resolve(quick): %v, %v, %v", def, quick, err)
 	}
-	want := `{"name":"gups","log_table":10,"updates":128}`
-	if string(spec) != want {
-		t.Errorf("EncodeSpec = %s, want %s", spec, want)
+	_, full, err := spec.Resolve(false)
+	if err != nil || full.Int("logn") == quick.Int("logn") {
+		t.Fatalf("Resolve(full): logn %d against quick %d, err %v", full.Int("logn"), quick.Int("logn"), err)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(spec, &m); err != nil {
-		t.Fatalf("round-trip: %v", err)
+	prog, err := spec.Program(2)
+	if want := def.Build(full, 2); err != nil || prog.FullName() != want.FullName() || prog.Threads != 2 {
+		t.Errorf("Program(2) = %s on %d threads (err %v), want %s on 2", prog.FullName(), prog.Threads, err, want.FullName())
+	}
+	for _, bad := range []workload.Spec{{Name: "fff"}, {Name: "fft", Params: map[string]any{"nope": 1}}} {
+		if _, err := bad.Program(1); err == nil {
+			t.Errorf("%+v built a program", bad)
+		}
+	}
+	var s workload.Spec
+	if err := json.Unmarshal([]byte(`["fft"]`), &s); err == nil || !strings.Contains(err.Error(), "workload spec") {
+		t.Errorf("a non-object decodes: %v", err)
+	}
+}
+
+// TestSpecEncodesCanonically: the wire encoding is deterministic (the
+// name first, then the parameters in sorted order) and round-trips
+// through the spec's own decoder.
+func TestSpecEncodesCanonically(t *testing.T) {
+	for _, tc := range []struct {
+		spec workload.Spec
+		want string
+	}{
+		{workload.Spec{Name: "gups", Params: map[string]any{"updates": 128, "log_table": 10}}, `{"name":"gups","log_table":10,"updates":128}`},
+		{workload.Spec{Name: "lu"}, `{"name":"lu"}`},
+	} {
+		data, err := json.Marshal(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != tc.want {
+			t.Errorf("Marshal = %s, want %s", data, tc.want)
+		}
+		var back workload.Spec
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("round-trip: %v", err)
+		}
+		if again, _ := json.Marshal(back); string(again) != tc.want {
+			t.Errorf("round-trip = %s, want %s", again, tc.want)
+		}
 	}
 }
 
