@@ -137,8 +137,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stop := cf.ExitOnSignal()
 	defer stop()
 
+	// -list-params prints the registry in place of the body.
 	pool, store, err := cf.Pool()
-	if err == nil {
+	if err == nil && !cf.List(stdout) {
 		err = body(&env{cf: cf, pool: pool, store: store, args: fs.Args(), out: stdout})
 		if st := pool.Stats(); st.Jobs > 0 {
 			fmt.Fprintf(stdout, "[runner: %s]\n", st)

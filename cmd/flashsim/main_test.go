@@ -15,7 +15,9 @@ import (
 	"flashsim/internal/harness"
 	"flashsim/internal/hw"
 	"flashsim/internal/machine"
+	"flashsim/internal/param"
 	"flashsim/internal/runner"
+	"flashsim/internal/workload"
 )
 
 // flashsim drives the CLI in-process.
@@ -228,6 +230,30 @@ func TestUnwritableArtifactFailsEverySubcommand(t *testing.T) {
 	}
 	if data, err := os.ReadFile(good); err != nil || !bytes.Contains(data, []byte(`"Jobs": 1`)) {
 		t.Errorf("metrics report: %v\n%.300s", err, data)
+	}
+}
+
+// TestListingsPrintThroughRun: -list-workloads and -list-params print
+// their registry to run's stdout and nothing else, and return 0 through
+// the one teardown, so a -cpuprofile given with them is written.
+func TestListingsPrintThroughRun(t *testing.T) {
+	dir := t.TempDir()
+	for i, c := range []struct {
+		args string
+		want string
+	}{
+		{"run -list-workloads", workload.Describe()},
+		{"trace capture -list-workloads", workload.Describe()},
+		{"run -list-params", param.Describe()},
+	} {
+		prof := filepath.Join(dir, fmt.Sprintf("cpu%d.pprof", i))
+		stdout, stderr, status := flashsim(append(strings.Fields(c.args), "-cpuprofile", prof)...)
+		if status != 0 || stdout != c.want {
+			t.Errorf("flashsim %s: exit %d, %d bytes of stdout, want 0 and the %d-byte listing\n%s", c.args, status, len(stdout), len(c.want), stderr)
+		}
+		if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
+			t.Errorf("flashsim %s -cpuprofile: the profile was not written (%v)", c.args, err)
+		}
 	}
 }
 

@@ -22,6 +22,9 @@ func runCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 	check := fs.Bool("check-coherence", false, "verify directory protocol invariants after every operation")
 	wf := cliutil.RegisterWorkloadOn(fs)
 	return func(e *env) error {
+		if wf.List(e.out) {
+			return nil
+		}
 		if err := wf.Finish(); err != nil {
 			return usageError{err}
 		}

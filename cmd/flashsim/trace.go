@@ -22,6 +22,9 @@ func captureCmd(fs *flag.FlagSet, cf *cliutil.Flags) func(*env) error {
 	fs.IntVar(&spec.Procs, "procs", 1, "processor count")
 	out := fs.String("o", "", "output container path (default <app>.fltr)")
 	return func(e *env) error {
+		if wf.List(e.out) {
+			return nil
+		}
 		if err := wf.Finish(); err != nil {
 			return usageError{err}
 		}

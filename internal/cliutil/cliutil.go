@@ -16,6 +16,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -101,16 +102,11 @@ func (f *Flags) RegisterOverridesOn(fs *flag.FlagSet) {
 	fs.BoolVar(&f.ListParams, "list-params", false, listParamsUsage)
 }
 
-// Finish validates the parsed flags: -list-params prints the registry
-// and exits, -config is loaded, and every -set is checked against the
-// registry (unknown paths, unparseable values, and bounds violations
-// fail here, before any simulation runs). Without the override block
-// those checks have nothing to check.
+// Finish validates the parsed flags: -config is loaded, and every -set
+// is checked against the registry (unknown paths, unparseable values,
+// and bounds violations fail here, before any simulation runs). Without
+// the override block those checks have nothing to check.
 func (f *Flags) Finish() error {
-	if f.ListParams {
-		fmt.Print(param.Describe())
-		os.Exit(0)
-	}
 	if f.CacheMax > 0 && f.CacheDir == "" {
 		return fmt.Errorf("-cache-max-bytes bounds the on-disk cache and needs -cache-dir; without one the in-memory store is unbounded")
 	}
@@ -141,6 +137,16 @@ func (f *Flags) Finish() error {
 		f.settings = append(f.settings, s)
 	}
 	return f.startProfiling()
+}
+
+// List prints the parameter registry to out if -list-params was given
+// and reports whether it did. The command then has nothing else to do
+// and returns through its normal path, so Close still runs.
+func (f *Flags) List(out io.Writer) bool {
+	if f.ListParams {
+		fmt.Fprint(out, param.Describe())
+	}
+	return f.ListParams
 }
 
 // startProfiling opens the -cpuprofile and -trace sinks. The matching

@@ -3,7 +3,7 @@ package cliutil
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 
 	"flashsim/internal/emitter"
 	"flashsim/internal/param"
@@ -40,13 +40,18 @@ func RegisterWorkloadOn(fs *flag.FlagSet) *WorkloadFlags {
 	return w
 }
 
-// Finish handles -list-workloads and validates -app/-p against the
-// registry, so bad selections fail before any simulation starts.
-func (w *WorkloadFlags) Finish() error {
+// List prints the workload registry to out if -list-workloads was
+// given and reports whether it did, like Flags.List.
+func (w *WorkloadFlags) List(out io.Writer) bool {
 	if w.listWorkloads {
-		fmt.Print(workload.Describe())
-		os.Exit(0)
+		fmt.Fprint(out, workload.Describe())
 	}
+	return w.listWorkloads
+}
+
+// Finish validates -app/-p against the registry, so bad selections fail
+// before any simulation starts.
+func (w *WorkloadFlags) Finish() error {
 	_, _, err := w.Resolve()
 	return err
 }

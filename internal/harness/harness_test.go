@@ -490,8 +490,10 @@ func TestOverrideNeverTouchesHardwareReference(t *testing.T) {
 	// The reference's configuration bytes are untouched: still exactly
 	// the stock hardware model at every size an experiment might ask.
 	for _, procs := range []int{1, 4, 16} {
-		got := param.Canonical(s.Ref.ConfigAt(procs))
-		want := param.Canonical(hw.Config(procs, true))
+		ref := s.Ref.ConfigAt(procs)
+		got := param.AppendCanonical(nil, &ref)
+		stock := hw.Config(procs, true)
+		want := param.AppendCanonical(nil, &stock)
 		if !bytes.Equal(got, want) {
 			t.Errorf("reference config at %dp differs from stock hardware model", procs)
 		}

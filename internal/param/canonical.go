@@ -43,36 +43,37 @@ func SnapshotOf(cfg machine.Config) Snapshot {
 	return s
 }
 
-// Canonical returns the canonical JSON encoding of cfg: schema version
-// plus all registered parameters with keys in sorted order, independent
-// of Go field order, field additions that register new paths at their
-// defaults... the same semantics always produce the same bytes. This is
-// the runner's fingerprint payload, which a memo hit pays for before it
-// can look anything up, so the bytes — json.Marshal(SnapshotOf(cfg))
-// exactly; every cache on disk is keyed on them — are appended directly:
-// keys sorted and quoted at registration, each value written from the
-// Config by its typed appender, no map, boxing or reflection.
-func Canonical(cfg machine.Config) []byte {
+// AppendCanonical appends the canonical JSON encoding of cfg to dst:
+// schema version plus all registered parameters with keys in sorted
+// order, independent of Go field order, field additions that register
+// new paths at their defaults... the same semantics always produce the
+// same bytes. This is the runner's fingerprint payload, which a memo hit
+// pays for before it can look anything up, so the bytes —
+// json.Marshal(SnapshotOf(cfg)) exactly; every cache on disk is keyed on
+// them — are appended directly, into the caller's buffer: keys sorted
+// and quoted at registration, each value written from the Config by its
+// typed appender, no map, boxing or reflection. Encodings run to ≈1.6 KB.
+func AppendCanonical(dst []byte, cfg *machine.Config) []byte {
 	if encodeHook != nil {
 		encodeHook()
 	}
-	dst := append(make([]byte, 0, 2<<10), `{"schema":`...) // encodings run to ≈1.6 KB
-	dst = append(strconv.AppendInt(dst, SchemaVersion, 10), `,"params":{`...)
+	dst = append(strconv.AppendInt(append(dst, `{"schema":`...), SchemaVersion, 10), `,"params":{`...)
 	for _, p := range ordered {
-		dst = append(p.app(append(dst, p.key...), &cfg), ',')
+		dst = append(p.app(append(dst, p.key...), cfg), ',')
 	}
 	dst[len(dst)-1] = '}' // the last separator closes "params"
 	return append(dst, '}')
 }
 
-// encodeHook, when non-nil, runs in every Canonical: tests count
+// encodeHook, when non-nil, runs in every AppendCanonical: tests count
 // encodings with it. It is nil in production.
 var encodeHook func()
 
 // appendFloat writes f as encoding/json does: the shortest decimal that
 // round-trips, in exponent form below 1e-6 and from 1e21, a two-digit
 // negative exponent shortened (e-07 becomes e-7). NaN and the infinities
-// have no JSON form; json.Marshal refused them and Canonical panicked.
+// have no JSON form; json.Marshal refused them and AppendCanonical
+// panics on them.
 func appendFloat(dst []byte, f float64) []byte {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		panic(fmt.Sprintf("param: canonical encoding failed: unsupported value %v", f))

@@ -18,9 +18,12 @@ import (
 	"flashsim/internal/param"
 )
 
-// refCanonical is Canonical as it was before the direct encoder: the
-// snapshot map through encoding/json (boxed values, reflection, sorted
-// keys). Every memo store and trace container on disk is keyed on these
+// canonical is cfg's canonical encoding in a buffer of its own.
+func canonical(cfg machine.Config) []byte { return param.AppendCanonical(nil, &cfg) }
+
+// refCanonical is the canonical encoding as it was before the direct
+// encoder: the snapshot map through encoding/json (boxed values,
+// reflection, sorted keys). Every memo store and trace container on disk is keyed on these
 // bytes, so the direct encoder must reproduce them exactly.
 func refCanonical(cfg machine.Config) []byte {
 	data, err := json.Marshal(param.SnapshotOf(cfg))
@@ -35,7 +38,7 @@ func refCanonical(cfg machine.Config) []byte {
 // requireCanonical fails unless cfg encodes to the reference's bytes.
 func requireCanonical(t testing.TB, what string, cfg machine.Config) {
 	t.Helper()
-	if got, want := param.Canonical(cfg), refCanonical(cfg); !bytes.Equal(got, want) {
+	if got, want := canonical(cfg), refCanonical(cfg); !bytes.Equal(got, want) {
 		t.Fatalf("%s: canonical encoding differs from json.Marshal(SnapshotOf(cfg))\n got %s\nwant %s", what, got, want)
 	}
 }
@@ -63,7 +66,7 @@ func TestCanonicalMatchesReferenceOnNamedConfigs(t *testing.T) {
 					explicit := cfg
 					explicit.NUMA, explicit.MagicTable = &nd, &mt
 					requireCanonical(t, what+" explicit defaults", explicit)
-					if !bytes.Equal(param.Canonical(cfg), param.Canonical(explicit)) {
+					if !bytes.Equal(canonical(cfg), canonical(explicit)) {
 						t.Fatalf("%s: nil and explicit-default NUMA/MagicTable encode differently", what)
 					}
 				}
@@ -155,8 +158,9 @@ func TestCanonicalMatchesReferenceAtBoundaries(t *testing.T) {
 }
 
 // TestCanonicalRefusesNonFinite: NaN and the infinities have no JSON
-// form. json.Marshal returned an error and Canonical panicked on it;
-// the direct encoder must not write a key for such a config either.
+// form. json.Marshal returned an error and the encoder before the direct
+// one panicked on it; the direct encoder must not write a key for such a
+// config either.
 func TestCanonicalRefusesNonFinite(t *testing.T) {
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		cfg := base()
@@ -164,20 +168,21 @@ func TestCanonicalRefusesNonFinite(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Canonical encoded l2.transfer_ns=%v", x)
+					t.Errorf("AppendCanonical encoded l2.transfer_ns=%v", x)
 				}
 			}()
-			param.Canonical(cfg)
+			canonical(cfg)
 		}()
 	}
 }
 
-// TestCanonicalAllocates pins what a memo hit pays for its key: the
-// output buffer, with one regrowth allowed.
+// TestCanonicalAllocates pins what a memo hit pays for its key's
+// payload: nothing, once the buffer it appends to has room.
 func TestCanonicalAllocates(t *testing.T) {
 	cfg := core.SimOSMipsy(1, 150, true)
-	if n := testing.AllocsPerRun(100, func() { param.Canonical(cfg) }); n > 2 {
-		t.Errorf("Canonical: %v allocs per call, want at most 2", n)
+	buf := param.AppendCanonical(nil, &cfg)
+	if n := testing.AllocsPerRun(100, func() { buf = param.AppendCanonical(buf[:0], &cfg) }); n != 0 {
+		t.Errorf("AppendCanonical: %v allocs per call into a buffer with room, want 0", n)
 	}
 }
 
@@ -187,6 +192,6 @@ func BenchmarkCanonical(b *testing.B) {
 	cfg := core.SimOSMipsy(1, 150, true)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		canonicalSink = param.Canonical(cfg)
+		canonicalSink = param.AppendCanonical(canonicalSink[:0], &cfg)
 	}
 }

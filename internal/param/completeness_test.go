@@ -170,8 +170,8 @@ func TestClassColumnIsForFidelityPaths(t *testing.T) {
 }
 
 // TestNoPathAcceptsNaN: NaN compares false against every bound, and a
-// NaN that reached a Config would panic in Canonical on the way to the
-// fingerprint. No path takes it, as text or as a value, and a refusal
+// NaN that reached a Config would panic in AppendCanonical on the way to
+// the fingerprint. No path takes it, as text or as a value, and a refusal
 // leaves the config as it was.
 func TestNoPathAcceptsNaN(t *testing.T) {
 	floats := 0

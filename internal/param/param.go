@@ -111,8 +111,9 @@ type Param struct {
 
 	get func(*machine.Config) any
 	set func(*machine.Config, any)
-	// key and app are the parameter's half of Canonical: `"path":`, and
-	// an appender of what json.Marshal writes for get's value.
+	// key and app are the parameter's half of AppendCanonical:
+	// `"path":`, and an appender of what json.Marshal writes for get's
+	// value.
 	key string
 	app func(dst []byte, c *machine.Config) []byte
 }

@@ -84,7 +84,7 @@ func TestCanonicalIgnoresNameAndNilDefaults(t *testing.T) {
 	a := base()
 	b := base()
 	b.Name = "something else entirely"
-	if !bytes.Equal(param.Canonical(a), param.Canonical(b)) {
+	if !bytes.Equal(canonical(a), canonical(b)) {
 		t.Error("Name must not affect the canonical encoding")
 	}
 
@@ -94,19 +94,19 @@ func TestCanonicalIgnoresNameAndNilDefaults(t *testing.T) {
 	b.NUMA = &nd
 	mt := magic.RTLOccupancies()
 	b.MagicTable = &mt
-	if !bytes.Equal(param.Canonical(a), param.Canonical(b)) {
+	if !bytes.Equal(canonical(a), canonical(b)) {
 		t.Error("nil and explicit-default pointer fields must encode identically")
 	}
 
 	// A real change must show.
 	b.OS.TLBHandlerCycles = 65
-	if bytes.Equal(param.Canonical(a), param.Canonical(b)) {
+	if bytes.Equal(canonical(a), canonical(b)) {
 		t.Error("parameter change did not change the canonical encoding")
 	}
 }
 
 func TestCanonicalCarriesSchemaVersion(t *testing.T) {
-	if !bytes.Contains(param.Canonical(base()), []byte(`"schema":`)) {
+	if !bytes.Contains(canonical(base()), []byte(`"schema":`)) {
 		t.Error("canonical encoding must carry the schema version tag")
 	}
 }
@@ -118,7 +118,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	cfg.FlashTiming.RouterNS = 31
 
 	s := param.SnapshotOf(cfg)
-	data := param.Canonical(cfg)
+	data := canonical(cfg)
 	parsed, err := param.ParseSnapshot(data)
 	if err != nil {
 		t.Fatal(err)

@@ -75,7 +75,7 @@ func enumParam(path, field, doc string, values []string, get func(*machine.Confi
 
 // effNUMA returns the configuration's effective NUMA parameters: the
 // pointer when set, otherwise the defaults (one shared read-only copy,
-// so Canonical allocates nothing per parameter). Reading through the
+// so AppendCanonical allocates nothing per parameter). Reading through the
 // effective value — and materializing the pointer only on Set —
 // canonicalizes nil-vs-explicit-default so semantically identical
 // configs encode (and therefore fingerprint) identically.

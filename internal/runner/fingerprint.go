@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"strconv"
 	"strings"
+	"sync"
 
 	"flashsim/internal/emitter"
 	"flashsim/internal/machine"
@@ -15,7 +16,7 @@ import (
 
 // Fingerprint returns the content-addressed store key of one run: a
 // hex SHA-256 over the machine configuration's canonical parameter
-// encoding (param.Canonical — every registered knob by dotted path,
+// encoding (param.AppendCanonical — every registered knob by dotted path,
 // keys sorted, tagged with param.SchemaVersion) and the workload
 // identity. Two runs share a fingerprint exactly when machine.Run is
 // guaranteed to produce the same Result for both.
@@ -37,13 +38,14 @@ import (
 //
 // What is hashed is the JSON object {"Config":…,"Workload":…,
 // "Threads":…} and a newline, byte for byte what json.Encoder writes —
-// the keys on disk were issued that way — but appended directly around
-// the canonical bytes and hashed in one call: a memo hit pays for its
-// key before it can look anything up. For the same reason a job is
-// keyed once: Job.Keyed memoizes the key at admission, and the pool's
-// store lookup and fill read it there.
+// the keys on disk were issued that way — but appended directly, head,
+// canonical configuration and workload, into one reused scratch buffer
+// and hashed there: a memo hit pays for its key before it can look
+// anything up, and the key costs one allocation, the string returned.
+// For the same reason a job is keyed once: Job.Keyed memoizes the key at
+// admission, and the pool's store lookup and fill read it there.
 func Fingerprint(cfg machine.Config, prog emitter.Program) string {
-	return workloadKey(runHead, param.Canonical(cfg), prog)
+	return workloadKey(runHead, &cfg, prog)
 }
 
 // runHead opens a run key's envelope, traceHead a trace key's at a
@@ -54,34 +56,74 @@ func traceHead(version int) string {
 	return `{"Kind":"trace","TraceFormat":` + strconv.Itoa(version) + `,"Config":`
 }
 
-// workloadKey hashes one run or trace envelope: head, which ends at the
-// "Config" key, the encoded configuration, the workload identity.
-func workloadKey(head string, canon []byte, prog emitter.Program) string {
-	b := append(append(make([]byte, 0, len(head)+len(canon)+192), head...), canon...)
-	b = appendJSONString(append(b, `,"Workload":`...), prog.FullName())
-	b = strconv.AppendInt(append(b, `,"Threads":`...), int64(prog.Threads), 10)
-	return sum(append(b, "}\n"...))
+// keyBuf is the scratch a key is assembled and hashed in. The
+// configuration is copied in with it: the registry's appenders are
+// function values, so a pointer to the caller's copy would send that
+// copy to the heap.
+type keyBuf struct {
+	cfg machine.Config
+	b   []byte
 }
 
-// appendJSONString writes s as encoding/json does: printable ASCII free
-// of what it escapes (", \, and for HTML's sake <, >, &) is copied
-// between quotes, anything else left to json.Marshal.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || strings.IndexByte(`"\<>&`, c) >= 0 {
-			quoted, _ := json.Marshal(s) // cannot fail: invalid UTF-8 is replaced
-			return append(b, quoted...)
-		}
-	}
-	return append(append(append(b, '"'), s...), '"')
+var keyBufs = sync.Pool{New: func() any { return new(keyBuf) }}
+
+// canonical takes a scratch buffer holding head, which ends at the
+// "Config" key, and cfg's canonical encoding.
+func canonical(head string, cfg *machine.Config) *keyBuf {
+	k := keyBufs.Get().(*keyBuf)
+	k.cfg = *cfg
+	k.b = param.AppendCanonical(append(k.b[:0], head...), &k.cfg)
+	return k
 }
 
-// sum is the one hash step of every fingerprint: hex SHA-256.
-func sum(b []byte) string {
-	h := sha256.Sum256(b)
+// sum closes the envelope, hashes it — hex SHA-256, the one hash step
+// of every fingerprint — and hands the scratch back.
+func (k *keyBuf) sum() string {
+	k.b = append(k.b, "}\n"...)
+	h := sha256.Sum256(k.b)
 	var out [2 * sha256.Size]byte
 	hex.Encode(out[:], h[:])
+	k.cfg = machine.Config{} // hold no pointer of the caller's
+	keyBufs.Put(k)
 	return string(out[:])
+}
+
+// workloadKey hashes one run or trace envelope: head, the canonical
+// configuration, the workload identity. The identity is
+// Program.FullName(), written without building it when its two halves
+// are plain.
+func workloadKey(head string, cfg *machine.Config, prog emitter.Program) string {
+	k := canonical(head, cfg)
+	k.b = append(k.b, `,"Workload":`...)
+	if prog.Variant != "" && plain(prog.Name) && plain(prog.Variant) {
+		k.b = append(append(append(append(append(k.b, '"'), prog.Name...), '/'), prog.Variant...), '"')
+	} else {
+		k.b = appendJSONString(k.b, prog.FullName())
+	}
+	k.b = strconv.AppendInt(append(k.b, `,"Threads":`...), int64(prog.Threads), 10)
+	return k.sum()
+}
+
+// plain reports whether encoding/json writes s between quotes as it
+// stands: printable ASCII free of what it escapes (", \, and for HTML's
+// sake <, >, &).
+func plain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || strings.IndexByte(`"\<>&`, c) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// appendJSONString writes s as encoding/json does: a plain string is
+// copied between quotes, anything else left to json.Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	if !plain(s) {
+		quoted, _ := json.Marshal(s) // cannot fail: invalid UTF-8 is replaced
+		return append(b, quoted...)
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // ReplayFingerprint returns the store key of a trace-driven run: replay
@@ -93,10 +135,9 @@ func sum(b []byte) string {
 // embeds trace.FormatVersion) means a trace schema bump invalidates
 // the derived replay results too.
 func ReplayFingerprint(cfg machine.Config, traceFP string) string {
-	canon := param.Canonical(cfg)
-	b := append(append(make([]byte, 0, len(canon)+128), `{"Kind":"replay","Config":`...), canon...)
-	b = appendJSONString(append(b, `,"Trace":`...), traceFP)
-	return sum(append(b, "}\n"...))
+	k := canonical(`{"Kind":"replay","Config":`, &cfg)
+	k.b = appendJSONString(append(k.b, `,"Trace":`...), traceFP)
+	return k.sum()
 }
 
 // TraceMeta assembles the container metadata for capturing prog under
@@ -116,13 +157,12 @@ func ReplayFingerprint(cfg machine.Config, traceFP string) string {
 // includes the capture configuration, so "which run produced this
 // trace" stays unambiguous.
 func TraceMeta(cfg machine.Config, prog emitter.Program, source json.RawMessage) trace.Meta {
-	canon := param.Canonical(cfg)
 	return trace.Meta{
 		Workload:    prog.FullName(),
 		Threads:     prog.Threads,
-		Fingerprint: workloadKey(runHead, canon, prog),
-		Artifact:    workloadKey(traceHead(trace.FormatVersion), canon, prog),
-		Config:      canon,
+		Fingerprint: workloadKey(runHead, &cfg, prog),
+		Artifact:    workloadKey(traceHead(trace.FormatVersion), &cfg, prog),
+		Config:      param.AppendCanonical(nil, &cfg),
 		Source:      source,
 	}
 }

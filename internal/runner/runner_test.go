@@ -366,7 +366,7 @@ func TestFingerprintIsCanonical(t *testing.T) {
 
 	// The schema version is part of the key (stale caches from older
 	// layouts must miss).
-	if !strings.Contains(string(param.Canonical(base.Config)), fmt.Sprintf(`"schema":%d`, param.SchemaVersion)) {
+	if !strings.Contains(string(param.AppendCanonical(nil, &base.Config)), fmt.Sprintf(`"schema":%d`, param.SchemaVersion)) {
 		t.Error("canonical payload must carry the schema version")
 	}
 }

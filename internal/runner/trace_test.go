@@ -5,7 +5,6 @@ import (
 
 	"flashsim/internal/emitter"
 	"flashsim/internal/machine"
-	"flashsim/internal/param"
 	"flashsim/internal/trace"
 )
 
@@ -39,17 +38,17 @@ func TestTraceFingerprintSchemaVersioned(t *testing.T) {
 	}
 
 	// The trace key is pinned to the container format version.
-	if workloadKey(traceHead(trace.FormatVersion), param.Canonical(cfg), prog) != tr {
+	if workloadKey(traceHead(trace.FormatVersion), &cfg, prog) != tr {
 		t.Fatal("the artifact key must hash the current FormatVersion")
 	}
-	if bumped := workloadKey(traceHead(trace.FormatVersion+1), param.Canonical(cfg), prog); bumped == tr {
+	if bumped := workloadKey(traceHead(trace.FormatVersion+1), &cfg, prog); bumped == tr {
 		t.Fatal("a FormatVersion bump must change every trace fingerprint")
 	}
 
 	// Replay keys chain from the artifact: a different trace (e.g. one
 	// written under a bumped schema) yields a different replay key
 	// under the same machine configuration.
-	other := workloadKey(traceHead(trace.FormatVersion+1), param.Canonical(cfg), prog)
+	other := workloadKey(traceHead(trace.FormatVersion+1), &cfg, prog)
 	if ReplayFingerprint(cfg, other) == rp {
 		t.Fatal("replay fingerprints must chain the trace artifact identity")
 	}
@@ -74,7 +73,7 @@ func TestTraceMetaPopulated(t *testing.T) {
 	if meta.Workload != prog.FullName() || meta.Threads != 2 {
 		t.Fatalf("identity wrong: %+v", meta)
 	}
-	if meta.Fingerprint != Fingerprint(cfg, prog) || meta.Artifact != workloadKey(traceHead(trace.FormatVersion), param.Canonical(cfg), prog) {
+	if meta.Fingerprint != Fingerprint(cfg, prog) || meta.Artifact != workloadKey(traceHead(trace.FormatVersion), &cfg, prog) {
 		t.Fatalf("provenance wrong: %+v", meta)
 	}
 	if len(meta.Config) == 0 || string(meta.Source) != `{"app":"x"}` {

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"flashsim/internal/serve"
@@ -53,7 +54,10 @@ func (e *APIError) Error() string {
 // retrying after RetryAfter.
 func (e *APIError) IsBusy() bool { return e.Status == http.StatusTooManyRequests }
 
-// do issues one request and decodes the JSON response into out.
+// do issues one request and decodes the JSON response into out. The
+// body is read to its end into a reused buffer, which hands the
+// keep-alive connection back for the next request, and decoded in one
+// json.Unmarshal.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
@@ -78,14 +82,20 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if resp.StatusCode >= 300 {
 		return apiError(resp)
 	}
-	if out == nil {
-		return nil
+	buf := bodies.Get().(*bytes.Buffer)
+	defer bodies.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return fmt.Errorf("read %s %s response: %w", method, path, err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
 		return fmt.Errorf("decode %s %s response: %w", method, path, err)
 	}
 	return nil
 }
+
+// bodies holds the buffers responses are read into.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // apiError converts a non-2xx response, draining the body.
 func apiError(resp *http.Response) error {

@@ -4,13 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime/debug"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"flashsim/internal/machine"
 	"flashsim/internal/runner"
 	"flashsim/internal/serve"
 	"flashsim/internal/serve/client"
@@ -87,6 +91,114 @@ func TestClientRunAndWatch(t *testing.T) {
 	}
 }
 
+// TestClientRunEqualsDirectRun: what client.Run decodes is the Result
+// machine.Run gives for the same job, Metrics and BarrierReleases
+// included, whether the run was simulated for the request or served
+// from the memo store.
+func TestClientRunEqualsDirectRun(t *testing.T) {
+	store, err := runner.NewStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c := newPair(t, serve.Options{Pool: runner.New(1, store)})
+	req := serve.RunRequest{
+		ConfigSpec: serve.ConfigSpec{Base: "simos-mipsy", Procs: 2},
+		Workload:   serve.Workload("fft", map[string]any{"logn": 8}),
+	}
+	cfg, err := req.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := req.Workload.Program(cfg.Procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := machine.Run(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(direct.BarrierReleases) == 0 || direct.Metrics.L2.Misses == 0 {
+		t.Fatalf("the direct run carries no barriers or no L2 misses: %+v", direct)
+	}
+	for _, cached := range []bool{false, true} {
+		resp, err := c.Run(t.Context(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Job.Cached != cached {
+			t.Fatalf("job %s: cached %v, want %v", resp.Job.ID, resp.Job.Cached, cached)
+		}
+		if !reflect.DeepEqual(resp.Result, direct) {
+			t.Errorf("cached=%v: client.Run decoded\n%+v\nmachine.Run gave\n%+v", cached, resp.Result, direct)
+		}
+	}
+}
+
+// TestClientKeepsOneConnection: a client reads every body to its end,
+// so ten runs on one client travel over the one keep-alive connection.
+func TestClientKeepsOneConnection(t *testing.T) {
+	s := serve.New(serve.Options{Pool: runner.New(1, nil)})
+	var opened atomic.Int64
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	tr := &http.Transport{}
+	t.Cleanup(func() {
+		tr.CloseIdleConnections()
+		ts.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_ = s.Drain(ctx)
+	})
+	c := client.New(ts.URL, &http.Client{Transport: tr})
+	for i := 0; i < 10; i++ {
+		if _, err := c.Run(t.Context(), restartReq(8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := opened.Load(); n != 1 {
+		t.Errorf("ten runs on one client opened %d connections, want 1", n)
+	}
+}
+
+// TestClientErrorBodiesAreAPIErrors: the server's non-2xx answers — a
+// refused submission and an unknown job — come back as APIErrors that
+// carry the status and the server's own message.
+func TestClientErrorBodiesAreAPIErrors(t *testing.T) {
+	_, c := newPair(t, serve.Options{})
+	for _, call := range []struct {
+		what   string
+		err    error
+		status int
+		msg    string
+	}{
+		{"an unknown workload", func() error {
+			_, err := c.Run(t.Context(), serve.RunRequest{
+				ConfigSpec: serve.ConfigSpec{Base: "simos-mipsy"},
+				Workload:   serve.Workload("no-such-workload", nil),
+			})
+			return err
+		}(), http.StatusBadRequest, "workload: "},
+		{"an unknown job", func() error {
+			_, err := c.Job(t.Context(), "j999999")
+			return err
+		}(), http.StatusNotFound, `no job "j999999"`},
+	} {
+		var apiErr *client.APIError
+		if !errors.As(call.err, &apiErr) {
+			t.Errorf("%s: error %v is not an APIError", call.what, call.err)
+			continue
+		}
+		if apiErr.Status != call.status || !strings.HasPrefix(apiErr.Message, call.msg) {
+			t.Errorf("%s: HTTP %d %q, want %d starting %q", call.what, apiErr.Status, apiErr.Message, call.status, call.msg)
+		}
+	}
+}
+
 // TestClientSurfacesBackpressure: a 429 rejection (the wire shape the
 // serve package's queue-full tests pin) decodes into a typed APIError
 // carrying the Retry-After hint. A stub server makes the rejection
@@ -120,8 +232,10 @@ func TestClientSurfacesBackpressure(t *testing.T) {
 // store and both JSON codecs. The count is every goroutine's
 // (AllocsPerRun reads the process-wide counter). With five hand-written
 // submit handlers it read 235; with admission the one coalescing layer
-// it reads 217, and may not come to cost more than two objects over
-// that: served-mix's allocs_per_op bound is 2.5 objects per request.
+// 217; with compact bodies, read whole and decoded in one Unmarshal,
+// and keys assembled in reused buffers it reads 192, and may not come
+// to cost more than two objects over that: served-mix's allocs_per_op
+// bound is 2.5 objects per request.
 func TestWarmRunAllocations(t *testing.T) {
 	// The race detector's sync.Pool drops a quarter of what is put in it,
 	// so net/http and encoding/json allocate what they otherwise reuse.
@@ -151,7 +265,7 @@ func TestWarmRunAllocations(t *testing.T) {
 		}
 	})
 	t.Logf("a warm run allocates %.0f objects", got)
-	if got > 219 {
-		t.Errorf("a warm run allocates %.0f objects, want at most 219", got)
+	if got > 194 {
+		t.Errorf("a warm run allocates %.0f objects, want at most 194", got)
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 
 	"flashsim/internal/param"
 )
@@ -28,14 +30,31 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 }
 
-// writeJSON writes v with the given status.
+// writeJSON writes v with the given status: compact JSON, encoded once
+// into a reused buffer and sent with its length in one Write. A large
+// value is best passed by pointer; boxed in the interface, it is copied.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	e := encoders.Get().(*encoder)
+	e.buf.Reset()
+	_ = e.enc.Encode(v) // plain data: nothing a response carries fails to encode
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(e.buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(e.buf.Bytes())
+	encoders.Put(e)
 }
+
+// encoder is one response buffer with the json.Encoder that fills it.
+type encoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var encoders = sync.Pool{New: func() any {
+	e := new(encoder)
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}}
 
 // writeError writes a JSON error body.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -100,7 +119,8 @@ func (s *Server) respondPayload(w http.ResponseWriter, rec *jobRecord, coalesced
 	st.Coalesced = coalesced
 	switch st.State {
 	case StateDone:
-		writeJSON(w, http.StatusOK, rec.Payload(st))
+		payload := rec.Payload(st)
+		writeJSON(w, http.StatusOK, &payload)
 	case StateCanceled:
 		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: "job " + rec.id + " canceled: " + st.Error})
 	default:

@@ -441,7 +441,7 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 }
 
 // TestNaNSettingIsRefusedNotPanicked: NaN passes every comparison
-// against a bound, and unrefused it reached param.Canonical, which
+// against a bound, and unrefused it reached param.AppendCanonical, which
 // panics — the handler died and the client read an empty reply. It is
 // a 400 with a JSON body naming the path, the next request is served,
 // and the server's log holds no panic.

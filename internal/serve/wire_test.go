@@ -55,7 +55,7 @@ var wireRejects = []string{
 // at the door, and the job that fails when admitted past it.
 const wireMismatch = `{"base":"simos-mipsy","procs":4,"workload":{"name":"snbench.restart","lines":8}}`
 
-var wireClock = regexp.MustCompile(`(_ms": )\d+`)
+var wireClock = regexp.MustCompile(`(_ms":)\d+`)
 
 // wireRig is one server under the recorder. Every job execution waits at
 // the gate for one token, so the test decides when a job may leave

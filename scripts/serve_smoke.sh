@@ -52,16 +52,18 @@ submit() { # out_file [base [body]]
   curl -sS -o "$1" -w '%{http_code}' -X POST "${2:-$base}/v1/runs?wait=true" \
     -H 'Content-Type: application/json' -d "${3:-$req}"
 }
-exec_of() { grep -m1 '"Exec":' "$1" | tr -dc '0-9'; }
+# Bodies are compact JSON, one line each: match a field and its value,
+# never a whole line.
+exec_of() { grep -o '"Exec": *[0-9]*' "$1" | head -n 1 | tr -dc '0-9'; }
 
 code=$(submit "$workdir/cold.json")
 [ "$code" = 200 ] || { echo "cold submit: HTTP $code" >&2; cat "$workdir/cold.json" >&2; exit 1; }
-grep -q '"state": "done"' "$workdir/cold.json" || { echo "cold job not done" >&2; exit 1; }
-grep -q '"cached": true' "$workdir/cold.json" && { echo "cold run claims cached" >&2; exit 1; }
+grep -q '"state": *"done"' "$workdir/cold.json" || { echo "cold job not done" >&2; exit 1; }
+grep -q '"cached": *true' "$workdir/cold.json" && { echo "cold run claims cached" >&2; exit 1; }
 
 code=$(submit "$workdir/warm.json")
 [ "$code" = 200 ] || { echo "warm submit: HTTP $code" >&2; cat "$workdir/warm.json" >&2; exit 1; }
-grep -q '"cached": true' "$workdir/warm.json" || { echo "warm run missed the cache" >&2; exit 1; }
+grep -q '"cached": *true' "$workdir/warm.json" || { echo "warm run missed the cache" >&2; exit 1; }
 
 # A spec that could never run is refused at the door: 20000 processors
 # used to take the daemon down with an out-of-memory fault nothing can
@@ -71,7 +73,7 @@ for procs in 20000 -1; do
   code=$(submit "$workdir/refused.json" "$base" \
     "{\"base\":\"simos-mipsy\",\"procs\":$procs,\"workload\":{\"name\":\"gups\",\"log_table\":10,\"updates\":64}}")
   [ "$code" = 400 ] || { echo "procs $procs: HTTP $code, want 400" >&2; cat "$workdir/refused.json" >&2; exit 1; }
-  grep -q '"error": "config: ' "$workdir/refused.json" || { echo "procs $procs: refusal does not name the config" >&2; exit 1; }
+  grep -q '"error": *"config: ' "$workdir/refused.json" || { echo "procs $procs: refusal does not name the config" >&2; exit 1; }
 done
 curl -fsS "$base/healthz" | grep -q '"ok"' || { echo "healthz not ok after the refusals" >&2; exit 1; }
 
@@ -84,7 +86,7 @@ kill -TERM "$pid"
 if ! wait "$pid"; then
   echo "flashd exited nonzero on SIGTERM:" >&2; cat "$workdir/flashd.log" >&2; exit 1
 fi
-grep -q '"Ran": 1' "$workdir/metrics.json" || { echo "-metrics-out not flushed on drain" >&2; exit 1; }
+grep -q '"Ran": *1\b' "$workdir/metrics.json" || { echo "-metrics-out not flushed on drain" >&2; exit 1; }
 
 # ---- Two replicas, one -cache-dir ----
 boot a -cache-dir "$workdir/shared"; pid_a=$pid base_a=$base
@@ -95,12 +97,12 @@ boot b -cache-dir "$workdir/shared"; pid_b=$pid base_b=$base
 cold_on_a() {
   code=$(submit "$workdir/$1.a.json" "$base_a" "$2")
   [ "$code" = 200 ] || { echo "$1 on A: HTTP $code" >&2; cat "$workdir/$1.a.json" >&2; exit 1; }
-  if grep -q '"cached": true' "$workdir/$1.a.json"; then echo "$1 on A claims cached" >&2; exit 1; fi
+  if grep -q '"cached": *true' "$workdir/$1.a.json"; then echo "$1 on A claims cached" >&2; exit 1; fi
 }
 cached_on_b() {
   code=$(submit "$workdir/$1.b.json" "$base_b" "$2")
   [ "$code" = 200 ] || { echo "$1 on B: HTTP $code" >&2; cat "$workdir/$1.b.json" >&2; exit 1; }
-  grep -q '"cached": true' "$workdir/$1.b.json" \
+  grep -q '"cached": *true' "$workdir/$1.b.json" \
     || { echo "B recomputed $1, which A had put in the shared -cache-dir" >&2; exit 1; }
   a_exec=$(exec_of "$workdir/$1.a.json"); b_exec=$(exec_of "$workdir/$1.b.json")
   [ -n "$a_exec" ] && [ "$a_exec" = "$b_exec" ] \

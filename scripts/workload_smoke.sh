@@ -69,7 +69,7 @@ req='{"base":"simos-mipsy","procs":2,"workload":{"name":"gups","log_table":10,"u
 code=$(curl -sS -o "$workdir/job.json" -w '%{http_code}' -X POST "http://$addr/v1/runs?wait=true" \
   -H 'Content-Type: application/json' -d "$req")
 [ "$code" = 200 ] || { echo "gups job: HTTP $code" >&2; cat "$workdir/job.json" >&2; exit 1; }
-grep -q '"state": "done"' "$workdir/job.json" || { echo "gups job not done" >&2; exit 1; }
+grep -q '"state": *"done"' "$workdir/job.json" || { echo "gups job not done" >&2; exit 1; }
 
 # A typo'd parameter must be a 400, not a silently defaulted run.
 badreq='{"base":"simos-mipsy","workload":{"name":"gups","logtable":10}}'
